@@ -1,13 +1,8 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
-
-Set QLAB_FORCE_PYTHON=1 to ignore the compiled kernel even if present.
-"""
+"""Kernel selection: compiled extension when built, pure Python otherwise."""
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
+import sys
 
 from . import _fallback
 from ._fallback import (
@@ -19,13 +14,10 @@ from ._fallback import (
     STATUS_OVERFLOW,
 )
 
-if os.environ.get("QLAB_FORCE_PYTHON"):
+try:
+    from . import _kernel  # type: ignore[no-redef]
+except ImportError:
     _kernel = None
-else:
-    try:
-        from . import _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = None
 
 BACKEND = "compiled" if _kernel is not None else "python"
 
@@ -46,11 +38,11 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, mode: str):
 
     Exact mode always runs the Python generator on unbounded integers;
     fast64 prefers the compiled kernel.  Returns ``(terms, status, at)``
-    where ``terms`` is a list (Python path) or int64 array (compiled path).
+    with ``terms`` a list of ints on either path.
     """
     if mode == "exact":
         return _fallback.q_generate(prefix, zero_extended, max_terms, checked=False)
     if _kernel is not None:
-        arr = np.asarray(prefix, dtype=np.int64)
-        return _kernel.q_generate(arr, zero_extended, max_terms)
+        # No list can be longer than sys.maxsize, so clamping changes no result.
+        return _kernel.q_generate(prefix, zero_extended, min(max_terms, sys.maxsize))
     return _fallback.q_generate(prefix, zero_extended, max_terms, checked=True)

@@ -1,4 +1,8 @@
-"""Pure-Python term generator, used when the compiled kernel is unavailable."""
+"""Pure-Python term generator: the reference semantics of the compiled kernel.
+
+Used for exact mode, and for fast64 when the kernel is not built.  Both
+return the terms as one list of ints.
+"""
 
 from __future__ import annotations
 

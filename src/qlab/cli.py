@@ -109,7 +109,7 @@ def _emit_sequence(seq: GeneratedSequence, config: RunConfig) -> None:
             payload = {
                 "ic": str(seq.ic),
                 "status": str(seq.status),
-                "terms": [int(v) for v in seq.terms],
+                "terms": seq.terms,
             }
             json.dump(payload, out)
             out.write("\n")
@@ -117,7 +117,7 @@ def _emit_sequence(seq: GeneratedSequence, config: RunConfig) -> None:
             out.write(f"# <{seq.ic}>: {len(seq)} terms, {seq.status}\n")
             for i in range(0, len(seq), 10):
                 block = seq.terms[i : i + 10]
-                out.write(" ".join(str(int(v)) for v in block) + "\n")
+                out.write(" ".join(map(str, block)) + "\n")
 
 
 def _run_gen(config: RunConfig) -> int:

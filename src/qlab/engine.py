@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 from . import _backend
 from ._backend import BACKEND, INT64_MAX, INT64_MIN
@@ -129,12 +129,12 @@ class SequenceStatus:
 class GeneratedSequence:
     """A finite run: the condition, every produced term, and the stop state.
 
-    ``terms`` is 1-indexed by convention (terms[0] is Q(1)); it is a list of
-    ints on the pure-Python path and an int64 array on the compiled path.
+    ``terms`` is a list of ints, 1-indexed by convention (terms[0] is Q(1)),
+    whichever kernel produced it.
     """
 
     ic: InitialCondition
-    terms: Sequence[int]
+    terms: list[int]
     status: SequenceStatus
 
     def __len__(self) -> int:
@@ -144,7 +144,7 @@ class GeneratedSequence:
         """Q(n) for 1 <= n <= len(self)."""
         if not 1 <= n <= len(self.terms):
             raise IndexError(f"term index {n} outside 1..{len(self.terms)}")
-        return int(self.terms[n - 1])
+        return self.terms[n - 1]
 
 
 def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> GeneratedSequence:
@@ -313,7 +313,7 @@ def format_ic(ic: InitialCondition) -> str:
 def write_bfile(seq: GeneratedSequence, out: IO[str]) -> None:
     """Write "n value" lines; a died/ended run gains a trailing comment."""
     for i, v in enumerate(seq.terms, start=1):
-        out.write(f"{i} {int(v)}\n")
+        out.write(f"{i} {v}\n")
     if not seq.status.is_alive:
         out.write(f"# {seq.status.kind} at {seq.status.at_index}\n")
 
@@ -323,10 +323,9 @@ def write_csv(seq: GeneratedSequence, out: IO[str], loglog: bool = False) -> Non
     if loglog:
         out.write("log10_n,log10_value\n")
         for i, v in enumerate(seq.terms, start=1):
-            v = int(v)
             if v > 0:
                 out.write(f"{math.log10(i):.6f},{math.log10(v):.6f}\n")
     else:
         out.write("n,value\n")
         for i, v in enumerate(seq.terms, start=1):
-            out.write(f"{i},{int(v)}\n")
+            out.write(f"{i},{v}\n")

@@ -272,9 +272,7 @@ def verify_against_bruteforce(
     actual = evaluate_auto(
         InitialCondition.identity(n_value, zero_extended=True), max_terms
     )
-    p_terms = predicted.terms
-    a_raw = actual.terms
-    a_terms = a_raw.tolist() if hasattr(a_raw, "tolist") else list(a_raw)
+    p_terms, a_terms = predicted.terms, actual.terms
     first = _first_difference(p_terms, a_terms)
     matched = first[0] - 1 if first is not None else len(p_terms)
     terminal = predicted.status == actual.status and len(p_terms) == len(a_terms)

@@ -1,0 +1,43 @@
+"""Shared fixtures."""
+
+from __future__ import annotations
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qlab import _backend
+
+KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "qlab" / "_kernel.c"
+
+_BUILD = """
+import sys
+from setuptools import Extension, setup
+source, build_lib, build_temp = sys.argv[1:]
+setup(name="qlab-kernel", ext_modules=[Extension("qlab._kernel", [source])],
+      script_args=["build_ext", "--build-lib", build_lib, "--build-temp", build_temp])
+"""
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel module: the built one when importable, otherwise
+    compiled from the C source into a temporary directory (never into src/).
+    Skips only when compiling fails, with the compiler's message."""
+    if _backend._kernel is not None:
+        return _backend._kernel
+    out = tmp_path_factory.mktemp("kernel")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUILD, str(KERNEL_SOURCE), str(out / "lib"), str(out / "tmp")],
+        cwd=out, capture_output=True, text=True,
+    )
+    built = sorted((out / "lib" / "qlab").glob("_kernel.*"))
+    if proc.returncode or not built:
+        pytest.skip(f"compiling {KERNEL_SOURCE.name} failed:\n{proc.stdout}{proc.stderr}")
+    spec = importlib.util.spec_from_file_location("qlab._kernel", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import pytest
 
-from qlab import PredictionReport
+from qlab import PredictionReport, _backend
 from qlab.cli import _verify_line, main
 from qlab.engine import SequenceStatus
 
@@ -48,6 +49,16 @@ def test_gen_csv_and_loglog(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert float(rows[2][0]) == pytest.approx(math.log10(3), abs=1e-6)
     assert float(rows[2][1]) == pytest.approx(math.log10(2), abs=1e-6)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+@pytest.mark.parametrize("max_terms", [10**13, 10**20])
+def test_gen_huge_max_dies_early(request, capsys, backend, max_terms):
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        code, out, err = run_cli(capsys, "gen", "--ic", "2,0", "--max", str(max_terms))
+    assert (code, err) == (0, "")
+    assert out == "# <2,0>: 2 terms, died at 3\n2 0\n"
 
 
 def test_loglog_requires_csv(capsys):

@@ -4,9 +4,10 @@ initial-condition grammar, quasilinear detection, and the output writers."""
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlab import (
@@ -140,24 +141,31 @@ def test_modes_agree_without_overflow(params):
     ic = InitialCondition(tuple(terms), zero)
     fast = evaluate(ic, 120, mode="fast64")
     exact = evaluate(ic, 120, mode="exact")
-    assert [int(v) for v in fast.terms] == list(exact.terms)
+    assert fast.terms == exact.terms
     assert fast.status == exact.status
 
 
-@given(small_ics)
+@given(small_ics, st.integers(min_value=2, max_value=120))
+@example(([2, 0], False), 10**13)
+@example(([2, 0], False), 10**20)  # beyond any index a list can hold
+@example(([2**62, 2**62, 3, 4], True), 120)  # overflows at 5
 @settings(max_examples=150, deadline=None)
-def test_compiled_and_fallback_kernels_agree(params):
-    if _backend.BACKEND != "compiled":
-        pytest.skip("compiled kernel not built")
-    import numpy as np
-
-    from qlab import _kernel
-
+def test_compiled_and_fallback_kernels_agree(compiled_kernel, params, max_terms):
     terms, zero = params
-    ct, cc, ca = _kernel.q_generate(np.asarray(terms, dtype=np.int64), zero, 120)
-    pt, pc, pa = _fallback.q_generate(list(terms), zero, 120)
-    assert list(ct) == pt
-    assert (cc, ca) == (pc, pa)
+    prefix = tuple(terms)
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        compiled = _backend.q_generate(prefix, zero, max_terms, "fast64")
+    assert compiled == _fallback.q_generate(prefix, zero, max_terms, checked=True)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+@pytest.mark.parametrize("mode", ["fast64", "exact"])
+def test_terms_are_a_list_of_int(request, backend, mode):
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        seq = evaluate(InitialCondition((1, 1)), 40, mode=mode)
+    assert type(seq.terms) is list
+    assert all(type(v) is int for v in seq.terms)
 
 
 @given(small_ics, st.integers(min_value=6, max_value=60), st.integers(min_value=0, max_value=60))
@@ -167,8 +175,7 @@ def test_prefix_stability(params, m, extra):
     ic = InitialCondition(tuple(terms), zero)
     short = evaluate_auto(ic, m)
     long = evaluate_auto(ic, m + extra)
-    head = [int(v) for v in long.terms[: len(short)]]
-    assert [int(v) for v in short.terms] == head
+    assert short.terms == long.terms[: len(short)]
     if not short.status.is_alive:
         assert short.status == long.status
 
