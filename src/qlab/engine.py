@@ -72,7 +72,7 @@ class InitialCondition:
     zero_extended: bool = False
 
     def __post_init__(self):
-        terms = tuple(int(v) for v in self.terms)
+        terms = tuple(map(int, self.terms))
         if not terms:
             raise ValidationError("initial condition needs at least one term")
         object.__setattr__(self, "terms", terms)
@@ -164,7 +164,8 @@ def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> G
             f"max_terms ({max_terms}) must cover the initial condition ({k} terms)"
         )
     mode = resolve_int_mode(mode)
-    if mode == "fast64":
+    if mode == "fast64" and not INT64_MIN <= min(ic.terms) <= max(ic.terms) <= INT64_MAX:
+        # walk the terms only to name the first one out of range
         for i, v in enumerate(ic.terms, start=1):
             if not INT64_MIN <= v <= INT64_MAX:
                 raise ArithmeticOverflowError(i)
@@ -229,7 +230,7 @@ def detect_quasilinear(seq, period: int, from_index: int = 1) -> list[Quasilinea
     m = period
 
     def val(n: int) -> int:
-        return int(t[n - 1])
+        return t[n - 1]
 
     def flat(n: int) -> bool:
         # the first difference at n matches the one a full period later

@@ -10,7 +10,7 @@ index) or keeps growing forever (C_j == 2, with block values driven by the
 R/S/T system).  The descent depends on N only through its base-5 digits, so
 the classification of every N can be arranged into a five-way branching tree.
 
-`abc_profile` runs the descent, `predict_sequence` emits the predicted terms,
+`abc_profile` runs the descent, `predict_sequence` builds the predicted terms,
 `verify_against_bruteforce` compares them with the actual recurrence, and
 `behavior_tree` / `tree_locate` expose the digit tree.
 """
@@ -18,12 +18,10 @@ the classification of every N can be arranged into a five-way branching tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator
 
 from .engine import GeneratedSequence, InitialCondition, SequenceStatus, evaluate_auto
 from .errors import DivisibilityError, QlabError, ValidationError
-from .rst import R, S, T
+from .rst import R, S, lam_blocks
 from .tails import AFFINE_PREFIX_28, CLOSING_TAIL_0, SPORADIC_29_34
 
 __all__ = [
@@ -125,67 +123,70 @@ def _end_index(profile: StructureProfile) -> int | None:
     return {0: a_j + 161, 2: None, 3: a_j + 5, 4: a_j + 15}[profile.classification]
 
 
-def _predicted_stream(profile: StructureProfile) -> Iterator[int]:
-    """Yield predicted terms from index 1 on.
+def _append_chunk(out: list[int], max_terms: int, length: int, first: int, step: int) -> None:
+    """Append a period-5 chunk (first + step*k, 5, step, 3, 5), k = 0, 1, ...
 
-    The stream is infinite for classification 2 unless a block fails its side
-    condition, finite (ending one short of the end index) for 0, 3 and 4, and
-    stops after the last computed chunk when the profile is truncated.
+    The chunk is clipped to the budget before it is built: a deep chunk can
+    span about 10^10 terms.  step is some A_i, which is positive for N >= 35.
+    """
+    length = min(length, max_terms - len(out))
+    if length <= 0:
+        return
+    start = len(out)
+    out += [5] * length
+    out[start::5] = range(first, first + step * len(range(0, length, 5)), step)
+    out[start + 2 :: 5] = [step] * len(range(2, length, 5))
+    out[start + 3 :: 5] = [3] * len(range(3, length, 5))
+
+
+def _predicted_terms(profile: StructureProfile, max_terms: int) -> list[int]:
+    """The first max_terms predicted terms, from index 1 on.
+
+    The prediction is infinite for classification 2 unless a block fails its
+    side condition, finite (ending one short of the end index) for 0, 3 and
+    4, and stops after the last computed chunk when the profile is truncated;
+    the list is shorter than max_terms exactly when the prediction stops.
     """
     n = profile.n_value
     a, b, cp = profile.a, profile.b, profile.c_prime
-    for v in range(1, n + 1):
-        yield v
-    for alpha, beta in AFFINE_PREFIX_28:
-        yield alpha * n + beta
-    for alpha, beta in SPORADIC_29_34:
-        yield alpha * n + beta
-    # first chunk: indices N+35 .. A_1 + C'_1, period 5 in o = index - N
-    for o in range(35, a[1] + cp[0] - n + 1):
-        k, r = divmod(o, 5)
-        yield (a[1] * k + b[0], 5, a[1], 3, 5)[r]
+    out = list(range(1, n + 1))
+    out += [alpha * n + beta for alpha, beta in AFFINE_PREFIX_28 + SPORADIC_29_34][
+        : max_terms - n
+    ]
+    # first chunk: indices N+35 .. A_1 + C'_1, period 5 in index - N from k = 7
+    _append_chunk(out, max_terms, a[1] + cp[0] - n - 34, 7 * a[1] + b[0], a[1])
     levels = profile.j if profile.j is not None else len(profile.c)
     for m in range(1, levels):
         # bridge at A_m+2 .. A_m+6, then chunk m+1 through A_{m+1} + C'_{m+1}
-        for v in (5, 8, a[m + 1], 3, 8):
-            yield v
-        for o in range(7, a[m + 1] + cp[m] - a[m] + 1):
-            k, r = divmod(o, 5)
-            yield (3, 5, a[m + 1] * k + b[m], 5, a[m + 1])[r]
-    if profile.j is None:
-        return
+        out += (5, 8, a[m + 1], 3, 8)[: max_terms - len(out)]
+        _append_chunk(
+            out, max_terms, a[m + 1] + cp[m] - a[m] - 6, a[m + 1] + b[m], a[m + 1]
+        )
+    if profile.j is None or len(out) == max_terms:
+        return out
+    # each closing is at most 158 terms, or blocks sized from the budget, so
+    # it is built whole and clipped after
     a_j, a_prev, b_j = a[-1], a[-2], b[-1]
     cls = profile.classification
     if cls == 0:
         step = _exact5(a_j - a_prev - 2)
-        for _, cc, dd, ee, ff in CLOSING_TAIL_0:
-            yield cc * (a_j * step) + dd * a_j + ee * b_j + ff
+        out += [
+            cc * (a_j * step) + dd * a_j + ee * b_j + ff
+            for _, cc, dd, ee, ff in CLOSING_TAIL_0
+        ]
     elif cls == 2:
-        yield 4
-        yield a_j * _exact5(a_j - a_prev - 4) + b_j + 2
-        yield 5 * R(1)
-        yield 5 * S(1)
-        k = 1
-        while True:
-            # block k occupies offsets 5k .. 5k+4 past A_j and is only valid
-            # while A_j * (T(k) - 1) >= 5k + 2
-            if a_j * (T(k) - 1) < 5 * k + 2:
-                return
-            yield a_j * T(k)
-            yield 4
-            yield 5 * R(k)
-            yield 5 * R(k + 1)
-            yield 5 * S(k + 1)
-            k += 1
+        # block k occupies offsets 5k .. 5k+4 past A_j
+        out += (4, a_j * _exact5(a_j - a_prev - 4) + b_j + 2, 5 * R(1), 5 * S(1))
+        blocks = lam_blocks(a_j, -(-(max_terms - len(out)) // 5))
+        blocks[:0] = out  # prepending the short prefix spares copying the blocks
+        out = blocks
     elif cls == 3:
-        yield 6
-        yield a_j + 5
-        yield a_j * _exact5(a_j - a_prev - 5) + b_j
-        yield 0
-    elif cls == 4:
+        out += (6, a_j + 5, a_j * _exact5(a_j - a_prev - 5) + b_j, 0)
+    else:
         x = a_j * _exact5(a_j - a_prev - 6) + b_j + 7
-        for v in (7, a_j + 5, 4, a_j + 2, 13, x, 5, 4, a_j + 15, x, 0):
-            yield v
+        out += (7, a_j + 5, 4, a_j + 2, 13, x, 5, 4, a_j + 15, x, 0)
+    del out[max_terms:]
+    return out
 
 
 def predict_sequence(
@@ -195,7 +196,7 @@ def predict_sequence(
 
     Mirrors evaluate(): at most max_terms terms, status ended(E) only once
     max_terms reaches the end index E.  A classification-2 block that fails
-    its side condition truncates the stream and leaves the status alive.
+    its side condition truncates the prediction and leaves the status alive.
     A depth-capped unresolved profile still predicts through its last
     resolved chunk; asking for terms past that raises QlabError.
     """
@@ -207,7 +208,7 @@ def predict_sequence(
     profile = abc_profile(n_value, max_depth=max_depth)
     if max_terms < n_value:
         raise ValidationError("max_terms must cover the identity prefix")
-    terms = list(islice(_predicted_stream(profile), max_terms))
+    terms = _predicted_terms(profile, max_terms)
     end_at = _end_index(profile)
     if len(terms) == max_terms:
         status = SequenceStatus.alive()
@@ -269,9 +270,7 @@ def verify_against_bruteforce(
     n_value: int, max_terms: int, max_depth: int = 16
 ) -> PredictionReport:
     predicted = predict_sequence(n_value, max_terms, max_depth=max_depth)
-    actual = evaluate_auto(
-        InitialCondition.identity(n_value, zero_extended=True), max_terms
-    )
+    actual = evaluate_auto(predicted.ic, max_terms)
     p_terms, a_terms = predicted.terms, actual.terms
     first = _first_difference(p_terms, a_terms)
     matched = first[0] - 1 if first is not None else len(p_terms)

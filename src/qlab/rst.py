@@ -16,6 +16,8 @@ pattern is checked by :func:`qc_pattern_check`.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .engine import (
@@ -34,6 +36,7 @@ __all__ = [
     "RSTStatus",
     "S",
     "T",
+    "lam_blocks",
     "qc_pattern_check",
     "qt_pattern_check",
     "rst_compute",
@@ -173,6 +176,34 @@ def T(n: int) -> int:
         return 0
     _ensure(n)
     return _T[n]
+
+
+# Block k >= 1 of lam_blocks, with slot 0 (lam*T(k)) left as 0 for the caller.
+_BLOCKS: list[int] = []
+# _LEAST[k-1]: the least lam for which blocks 1..k all meet their side
+# condition; non-decreasing, and infinite once some T(k) <= 1 (none does:
+# T(k) >= 2 for 1 <= k <= 10^6).
+_LEAST: list[int | float] = []
+
+
+def lam_blocks(lam: int, kmax: int) -> list[int]:
+    """Blocks (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) for k = 1..kmax, flat.
+
+    A block is valid while lam*(T(k) - 1) >= 5k + 2, i.e. while lam is at
+    least ceil((5k + 2) / (T(k) - 1)); the result stops before the first
+    block that is not.  The template of the lam-free slots and the running
+    maximum of those least values are cached and grown with R/S/T.
+    """
+    _ensure(kmax + 1)
+    for k in range(len(_LEAST) + 1, kmax + 1):
+        _BLOCKS.extend((0, 4, 5 * _R[k], 5 * _R[k + 1], 5 * _S[k + 1]))
+        least = -(-(5 * k + 2) // (_T[k] - 1)) if _T[k] > 1 else math.inf
+        _LEAST.append(max(least, _LEAST[-1]) if _LEAST else least)
+    if kmax > 0 and _LEAST[kmax - 1] > lam:
+        kmax = bisect_right(_LEAST, lam, 0, kmax)
+    blocks = _BLOCKS[: 5 * kmax]
+    blocks[0::5] = [lam * t for t in _T[1 : kmax + 1]]
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: eleven checks, one per headline guarantee.
+"""End-to-end acceptance gate: twelve checks, one per headline guarantee.
 Each prints a PASS line (visible under -s) after its assertions hold."""
 
 from __future__ import annotations
@@ -165,3 +165,20 @@ def test_11_longevity_substitutes():
         seq = evaluate(InitialCondition.identity(n), 10**6)
         assert seq.status.is_alive, n
     print("PASS: <1,1> alive through 10^7 terms; <1..N> alive through 10^6 for N in {4,5,6,7,9,10,13}")
+
+
+def test_12_oracle_sweep_to_3000():
+    # past the 35..500 sweep: every non-exceptional N in 501..3000 through
+    # 20000 terms; a mismatch here is a finding, never a new exception
+    start = time.perf_counter()
+    checked = 0
+    for n in range(501, 3001):
+        if is_exceptional(n):
+            continue
+        report = verify_against_bruteforce(n, 20_000)
+        assert report.first_mismatch is None, (n, report.first_mismatch)
+        assert report.terminal_agreement, (n, report.predicted_status, report.actual_status)
+        checked += 1
+    elapsed = time.perf_counter() - start
+    assert checked == 2500
+    print(f"PASS: predictions match brute force for all {checked} non-exceptional N in 501..3000 through 20000 terms, {elapsed:.1f}s")

@@ -126,6 +126,10 @@ def test_oversized_initial_term_rejected_up_front():
     with pytest.raises(ArithmeticOverflowError) as exc:
         evaluate(InitialCondition((1, 2**70)), 10, mode="fast64")
     assert exc.value.index == 2
+    # below the range, with a second offender after it: the first one is named
+    with pytest.raises(ArithmeticOverflowError) as exc:
+        evaluate(InitialCondition((1, 2, -(2**63) - 1, 4, 2**64)), 10, mode="fast64")
+    assert exc.value.index == 3
 
 
 small_ics = st.tuples(

@@ -1,10 +1,14 @@
 """Structure-predictor tests: the base-5 descent profile, the predicted
-term stream, brute-force cross-checks, and the classification tree."""
+terms, brute-force cross-checks, and the classification tree."""
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Iterator
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlab import (
@@ -20,8 +24,11 @@ from qlab import (
     tree_locate,
     verify_against_bruteforce,
 )
+from qlab import predictor
 from qlab.engine import SequenceStatus
-from qlab.predictor import _exact5, _first_difference
+from qlab.predictor import StructureProfile, _exact5, _first_difference
+from qlab.rst import R, S, T, lam_blocks
+from qlab.tails import AFFINE_PREFIX_28, CLOSING_TAIL_0, SPORADIC_29_34
 
 
 def test_profile_42():
@@ -291,3 +298,145 @@ def test_profile_invariants(n):
         assert cls == p.classification
         assert len(digits) == p.j
         assert int(digits, 5) == n % 5**p.j
+
+
+def _predicted_stream(profile: StructureProfile) -> Iterator[int]:
+    """Reference for the tiled predictor: the predicted terms, one at a time.
+
+    The stream is infinite for classification 2 unless a block fails its side
+    condition, finite (ending one short of the end index) for 0, 3 and 4, and
+    stops after the last computed chunk when the profile is truncated.
+    """
+    n = profile.n_value
+    a, b, cp = profile.a, profile.b, profile.c_prime
+    for v in range(1, n + 1):
+        yield v
+    for alpha, beta in AFFINE_PREFIX_28:
+        yield alpha * n + beta
+    for alpha, beta in SPORADIC_29_34:
+        yield alpha * n + beta
+    # first chunk: indices N+35 .. A_1 + C'_1, period 5 in o = index - N
+    for o in range(35, a[1] + cp[0] - n + 1):
+        k, r = divmod(o, 5)
+        yield (a[1] * k + b[0], 5, a[1], 3, 5)[r]
+    levels = profile.j if profile.j is not None else len(profile.c)
+    for m in range(1, levels):
+        # bridge at A_m+2 .. A_m+6, then chunk m+1 through A_{m+1} + C'_{m+1}
+        for v in (5, 8, a[m + 1], 3, 8):
+            yield v
+        for o in range(7, a[m + 1] + cp[m] - a[m] + 1):
+            k, r = divmod(o, 5)
+            yield (3, 5, a[m + 1] * k + b[m], 5, a[m + 1])[r]
+    if profile.j is None:
+        return
+    a_j, a_prev, b_j = a[-1], a[-2], b[-1]
+    cls = profile.classification
+    if cls == 0:
+        step = _exact5(a_j - a_prev - 2)
+        for _, cc, dd, ee, ff in CLOSING_TAIL_0:
+            yield cc * (a_j * step) + dd * a_j + ee * b_j + ff
+    elif cls == 2:
+        yield 4
+        yield a_j * _exact5(a_j - a_prev - 4) + b_j + 2
+        yield 5 * R(1)
+        yield 5 * S(1)
+        k = 1
+        while True:
+            # block k occupies offsets 5k .. 5k+4 past A_j and is only valid
+            # while A_j * (T(k) - 1) >= 5k + 2
+            if a_j * (T(k) - 1) < 5 * k + 2:
+                return
+            yield a_j * T(k)
+            yield 4
+            yield 5 * R(k)
+            yield 5 * R(k + 1)
+            yield 5 * S(k + 1)
+            k += 1
+    elif cls == 3:
+        yield 6
+        yield a_j + 5
+        yield a_j * _exact5(a_j - a_prev - 5) + b_j
+        yield 0
+    elif cls == 4:
+        x = a_j * _exact5(a_j - a_prev - 6) + b_j + 7
+        for v in (7, a_j + 5, 4, a_j + 2, 13, x, 5, 4, a_j + 15, x, 0):
+            yield v
+
+
+def _outcome(n: int, max_terms: int, max_depth: int):
+    """predict_sequence's terms and status, or its error type and message."""
+    try:
+        seq = predict_sequence(n, max_terms, max_depth=max_depth)
+    except QlabError as exc:
+        return type(exc), str(exc)
+    return seq.terms, seq.status
+
+
+def _reference_outcome(n: int, max_terms: int, max_depth: int):
+    def streamed(profile, budget):
+        return list(islice(_predicted_stream(profile), budget))
+
+    with mock.patch.object(predictor, "_predicted_terms", streamed):
+        return _outcome(n, max_terms, max_depth)
+
+
+# Largest budget drawn below: the reference costs about 0.2 us a term.
+BUDGET_CAP = 60_000
+
+
+@st.composite
+def prediction_cases(draw):
+    """(N, max_terms, max_depth) with budgets that cut the prediction inside
+    the prefix, a chunk, a bridge, the closing or a class-2 block."""
+    n = draw(
+        st.integers(min_value=35, max_value=10**5).filter(lambda v: not is_exceptional(v))
+    )
+    depth = draw(st.sampled_from((1, 2, 3, 16)))
+    profile = abc_profile(n, max_depth=depth)
+    # N+34 ends the prefix, A_m + C'_m a chunk, A_m + 6 a bridge, and
+    # A_j + 5k + 4 a class-2 block
+    marks = [n, n + 34]
+    for a_m, cp_m in zip(profile.a[1:], profile.c_prime):
+        marks += [a_m + cp_m, a_m + 6, a_m + 161]
+    marks += [profile.a[-1] + 5 * draw(st.integers(1, 200)) + 4]
+    mark = draw(st.sampled_from([m for m in marks if m <= BUDGET_CAP] or [n]))
+    max_terms = max(n, mark + draw(st.integers(min_value=-6, max_value=6)))
+    return n, max_terms, depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(prediction_cases())
+@example((42, 24860 + 3, 16))  # inside the bridge after A_3, one term short of the closing
+@example((42, 600, 2))  # past the last chunk of a depth-capped profile
+@example((182, 12121, 16))  # the whole classification-0 closing, no more
+@example((182, 12119, 16))  # cut inside that closing
+@example((39, 86, 1))  # a classification-3 run to its last term
+@example((35, 87, 1))  # a classification-4 run one term short
+def test_tiled_prediction_matches_stream(case):
+    n, max_terms, depth = case
+    assert _outcome(n, max_terms, depth) == _reference_outcome(n, max_terms, depth)
+
+
+def test_tiled_prediction_matches_stream_at_full_length():
+    # one N per classification, through the oracle's 200000-term budget
+    for n in (38, 121, 182, 39, 35, 42):
+        assert _outcome(n, 200_000, 16) == _reference_outcome(n, 200_000, 16), n
+
+
+def _literal_blocks(lam: int, kmax: int) -> list[int]:
+    out: list[int] = []
+    for k in range(1, kmax + 1):
+        if lam * (T(k) - 1) < 5 * k + 2:
+            break
+        out += (lam * T(k), 4, 5 * R(k), 5 * R(k + 1), 5 * S(k + 1))
+    return out
+
+
+def test_lam_blocks_side_condition_cut():
+    # the least valid lam runs 7 (k=1), 12 (k=2), then never needs more:
+    # every lam >= 12 passes, so no N >= 35 (A_j >= 2N+4) reaches the cut
+    for lam in range(-3, 15):
+        for kmax in range(0, 12):
+            assert lam_blocks(lam, kmax) == _literal_blocks(lam, kmax), (lam, kmax)
+    assert len(lam_blocks(11, 5)) == 5 and lam_blocks(6, 5) == []
+    assert lam_blocks(12, 40_000) == _literal_blocks(12, 40_000)
