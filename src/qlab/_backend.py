@@ -30,6 +30,7 @@ __all__ = [
     "STATUS_ENDED",
     "STATUS_OVERFLOW",
     "q_generate",
+    "rst_generate",
 ]
 
 
@@ -46,3 +47,15 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, mode: str):
         # No list can be longer than sys.maxsize, so clamping changes no result.
         return _kernel.q_generate(prefix, zero_extended, min(max_terms, sys.maxsize))
     return _fallback.q_generate(prefix, zero_extended, max_terms, checked=True)
+
+
+def rst_generate(n_max: int):
+    """The R/S/T tables through ``n_max``, as _fallback.rst_generate returns
+    them: from the compiled kernel when it is built and every value fits
+    int64, from the Python reference otherwise."""
+    if _kernel is not None:
+        # No tuple can be longer than sys.maxsize, so clamping changes no result.
+        tables = _kernel.rst_generate(min(n_max, sys.maxsize))
+        if tables is not None:  # None: a value would overflow int64
+            return tables
+    return _fallback.rst_generate(n_max)

@@ -1,7 +1,9 @@
-"""Pure-Python term generator: the reference semantics of the compiled kernel.
+"""Pure-Python generators: the reference semantics of the compiled kernel.
 
-Used for exact mode, and for fast64 when the kernel is not built.  Both
-return the terms as one list of ints.
+q_generate is used for exact mode, and for fast64 when the kernel is not
+built; both return the terms as one list of ints.  rst_generate tabulates
+the R/S/T system when the kernel is not built or its int64 values would
+overflow.
 """
 
 from __future__ import annotations
@@ -54,3 +56,46 @@ def q_generate(
             continue
         break
     return t, status, at
+
+
+def rst_generate(
+    n_max: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], str | None, int]:
+    """Tabulate R(1..n), S(0..n) and T(0..n) for n up to ``n_max`` (>= 2).
+
+    Row m computes R(m) = R(m - R(m-1)) + S(m-1), then S(m) = S(m - R(m)) +
+    S(m - R(m-1)), then T(m) = T(m - R(m)) + T(m - S(m)), reading 0 at
+    negative arguments.  Returns ``(r, s, t, which, at)``: ``which`` is None
+    and ``at`` 0 while the system lives through n_max; otherwise ``which``
+    ("r", "s" or "t") is the first of row ``at`` to need a value not yet
+    computed, and the tables stop at row at - 1.
+    """
+    if n_max < 2:
+        raise ValueError("rst_generate needs n_max >= 2")
+    r, s, t = [0, 1, 2], [1, 1, 2], [1, 2, 2]
+    which = None
+    at = 0
+    # Every value is a sum of earlier values or of zeros, so none is
+    # negative, and a reference at or past row m is one to a value <= 0.
+    for m in range(3, n_max + 1):
+        i = m - r[-1]
+        if i >= m:
+            which = "r"
+            break
+        rv = (r[i] if i >= 0 else 0) + s[-1]
+        i1 = m - rv
+        if i1 >= m:
+            which = "s"
+            break
+        sv = (s[i1] if i1 >= 0 else 0) + (s[i] if i >= 0 else 0)
+        i2 = m - sv
+        if i2 >= m:
+            which = "t"
+            break
+        r.append(rv)
+        s.append(sv)
+        t.append((t[i1] if i1 >= 0 else 0) + (t[i2] if i2 >= 0 else 0))
+    if which is not None:
+        at = m
+    del r[0]
+    return tuple(r), tuple(s), tuple(t), which, at

@@ -1,10 +1,12 @@
-/* Compiled term generator for the Q-recurrence.
+/* Compiled generators for the Q-recurrence and the R/S/T tables.
  *
  * Mirrors the contract of _fallback.q_generate in checked (int64) mode:
  * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at)
  * with terms a list of int; status 0 alive, 1 died, 2 ended, 3 overflow.
- * The terms are computed in a private int64 buffer that grows with the
- * terms produced and is freed before the call returns.
+ * rst_generate(n_max) returns what _fallback.rst_generate does, or None
+ * when a value would leave int64.  Values are computed in private int64
+ * buffers that grow with the rows produced and are freed before the call
+ * returns.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -30,13 +32,26 @@ lookup(const long long *t, Py_ssize_t n, long long v, int zero, long long *out)
     return STATUS_ALIVE;
 }
 
+/* Double the capacity of buf from cap entries; 0 (buf kept) on failure. */
+static int
+grow(long long **buf, Py_ssize_t cap)
+{
+    long long *grown = cap > PY_SSIZE_T_MAX / (2 * (Py_ssize_t)sizeof(long long))
+                           ? NULL
+                           : PyMem_Realloc(*buf, 2 * cap * sizeof(long long));
+    if (grown == NULL)
+        return 0;
+    *buf = grown;
+    return 1;
+}
+
 static PyObject *
 q_generate(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *seq, *terms = NULL;
     int zero;
     Py_ssize_t max_terms, k, cap, n, i;
-    long long *t, *grown, a, b;
+    long long *t, a, b;
     int status = STATUS_ALIVE;
 
     if (!PyArg_ParseTuple(args, "Opn:q_generate", &prefix, &zero, &max_terms))
@@ -74,14 +89,10 @@ q_generate(PyObject *self, PyObject *args)
             break;
         }
         if (n > cap) {
-            grown = cap > PY_SSIZE_T_MAX / (2 * (Py_ssize_t)sizeof(long long))
-                        ? NULL
-                        : PyMem_Realloc(t, 2 * cap * sizeof(long long));
-            if (grown == NULL) {
+            if (!grow(&t, cap)) {
                 PyErr_NoMemory();
                 goto done;
             }
-            t = grown;
             cap *= 2;
         }
         t[n - 1] = a + b;
@@ -106,10 +117,131 @@ done:
                          status == STATUS_ALIVE ? (Py_ssize_t)0 : n);
 }
 
+static PyObject *
+tuple_of(const long long *v, Py_ssize_t n)
+{
+    PyObject *tuple = PyTuple_New(n);
+    Py_ssize_t i;
+
+    for (i = 0; tuple != NULL && i < n; i++) {
+        PyObject *x = PyLong_FromLongLong(v[i]);
+        if (x == NULL)
+            Py_CLEAR(tuple);
+        else
+            PyTuple_SET_ITEM(tuple, i, x);
+    }
+    return tuple;
+}
+
+/* Argument a of table v: 0 when a is negative. */
+#define AT(v, a) ((a) >= 0 ? (v)[a] : 0)
+
+static PyObject *
+rst_generate(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n_max, cap = 1024, m;
+    long long *r, *s, *t, i, i1, i2, rv, sv, a, b;
+    const char *which = NULL;
+    int overflow = 0;
+    PyObject *rt = NULL, *st = NULL, *tt = NULL, *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "n:rst_generate", &n_max))
+        return NULL;
+    if (n_max < 2) {
+        PyErr_SetString(PyExc_ValueError, "rst_generate needs n_max >= 2");
+        return NULL;
+    }
+    r = PyMem_New(long long, cap);
+    s = PyMem_New(long long, cap);
+    t = PyMem_New(long long, cap);
+    if (r == NULL || s == NULL || t == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    r[0] = 0; r[1] = 1; r[2] = 2;
+    s[0] = 1; s[1] = 1; s[2] = 2;
+    t[0] = 1; t[1] = 2; t[2] = 2;
+
+    /* Every value is a sum of earlier values or of zeros, so none is
+     * negative, a reference at or past row m is one to a value <= 0, and a
+     * sum leaves int64 exactly when a > LLONG_MAX - b. */
+    for (m = 3; m <= n_max; m++) {
+        if (m == cap) {
+            if (!grow(&r, cap) || !grow(&s, cap) || !grow(&t, cap)) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            cap *= 2;
+        }
+        i = m - r[m - 1];
+        if (i >= m) {
+            which = "r";
+            break;
+        }
+        a = AT(r, i);
+        b = s[m - 1];
+        if ((overflow = a > LLONG_MAX - b))
+            break;
+        rv = a + b;
+        i1 = m - rv;
+        if (i1 >= m) {
+            which = "s";
+            break;
+        }
+        a = AT(s, i1);
+        b = AT(s, i);
+        if ((overflow = a > LLONG_MAX - b))
+            break;
+        sv = a + b;
+        i2 = m - sv;
+        if (i2 >= m) {
+            which = "t";
+            break;
+        }
+        a = AT(t, i1);
+        b = AT(t, i2);
+        if ((overflow = a > LLONG_MAX - b))
+            break;
+        r[m] = rv;
+        s[m] = sv;
+        t[m] = a + b;
+    }
+
+    /* Rows 0..m-1 are complete: m is the stopping row, or n_max + 1.  Each
+     * buffer is freed once its tuple is built, which lowers the peak. */
+    if (overflow) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    rt = tuple_of(r + 1, m - 1);
+    PyMem_Free(r);
+    r = NULL;
+    st = rt == NULL ? NULL : tuple_of(s, m);
+    PyMem_Free(s);
+    s = NULL;
+    tt = st == NULL ? NULL : tuple_of(t, m);
+    if (tt == NULL) {
+        Py_XDECREF(rt);
+        Py_XDECREF(st);
+    }
+    else
+        result = Py_BuildValue("(NNNzn)", rt, st, tt, which,
+                               which == NULL ? (Py_ssize_t)0 : m);
+
+done:
+    PyMem_Free(r);
+    PyMem_Free(s);
+    PyMem_Free(t);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"q_generate", q_generate, METH_VARARGS,
      "q_generate(prefix, zero_extended, max_terms) -> (terms, status, at)\n\n"
      "Extend prefix under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)) in int64."},
+    {"rst_generate", rst_generate, METH_VARARGS,
+     "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
+     "Tabulate R(1..n), S(0..n) and T(0..n) in int64; None on overflow."},
     {NULL, NULL, 0, NULL},
 };
 

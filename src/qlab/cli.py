@@ -21,6 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from . import __version__
 from .engine import (
@@ -149,19 +150,10 @@ def _run_sym(config: RunConfig) -> int:
 def _run_rst(config: RunConfig) -> int:
     state = rst_compute(config.max_terms)
     which = config.which
-    ended = None
-    if not state.status.is_alive:
-        ended = f"# ended ({state.status.which}) at {state.status.at_index}"
+    if config.format == "bfile" and which == "all":
+        raise ValidationError("--format bfile needs --which r, s or t")
     with _open_out(config.out) as out:
-        if config.format == "bfile":
-            if which == "all":
-                raise ValidationError("--format bfile needs --which r, s or t")
-            table = getattr(state, which.upper())
-            for i in range(1 if which == "r" else 0, state.n + 1):
-                out.write(f"{i} {table(i)}\n")
-            if ended:
-                out.write(ended + "\n")
-        elif config.format == "json":
+        if config.format == "json":
             payload: dict = {"n_max": state.n}
             if which in ("r", "all"):
                 payload["r"] = list(state.r)
@@ -178,15 +170,23 @@ def _run_rst(config: RunConfig) -> int:
                 }
             json.dump(payload, out)
             out.write("\n")
+            return 0
+        cols = ["r", "s", "t"] if which == "all" else [which]
+        tables = {"r": chain((0,), state.r), "s": state.s, "t": state.t}
+        rows = zip(range(state.n + 1), *(tables[c] for c in cols))
+        if config.format == "bfile":
+            sep = " "
+            if which == "r":
+                next(rows)  # R(0) is not a term of R
         else:
-            cols = ["r", "s", "t"] if which == "all" else [which]
             sep = "," if config.format == "csv" else "\t"
             out.write(sep.join(["n"] + cols) + "\n")
-            for i in range(state.n + 1):
-                cells = [str(getattr(state, c.upper())(i)) for c in cols]
-                out.write(sep.join([str(i)] + cells) + "\n")
-            if ended:
-                out.write(ended + "\n")
+        template = sep.join(["%d"] * (len(cols) + 1)) + "\n"
+        # one write per 4096 rows: larger joins raise the peak memory
+        while block := list(islice(rows, 4096)):
+            out.write("".join([template % row for row in block]))
+        if not state.status.is_alive:
+            out.write(f"# ended ({state.status.which}) at {state.status.at_index}\n")
     return 0
 
 

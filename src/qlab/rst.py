@@ -20,6 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from . import _backend
 from .engine import (
     GeneratedSequence,
     InitialCondition,
@@ -41,41 +42,6 @@ __all__ = [
     "qt_pattern_check",
     "rst_compute",
 ]
-
-
-def _advance(r: list[int], s: list[int], t: list[int]) -> str | None:
-    """Append row m = len(r) to tables holding R/S/T(0..m-1).
-
-    Returns None on success, or which sequence needed a not-yet-computed
-    value (the system then ends at m).  Negative arguments read as 0.
-    """
-    m = len(r)
-    if m == 1:
-        rv = 1
-    elif m == 2:
-        rv = 2
-    else:
-        i = m - r[m - 1]
-        if i >= m:
-            return "r"
-        rv = (r[i] if i >= 0 else 0) + s[m - 1]
-    r.append(rv)
-    if m >= 2:
-        i1, i2 = m - rv, m - r[m - 1]
-        if i1 >= m or i2 >= m:
-            r.pop()
-            return "s"
-        sv = (s[i1] if i1 >= 0 else 0) + (s[i2] if i2 >= 0 else 0)
-    else:
-        sv = 1
-    s.append(sv)
-    i1, i2 = m - rv, m - sv
-    if i1 >= m or i2 >= m:
-        r.pop()
-        s.pop()
-        return "t"
-    t.append((t[i1] if i1 >= 0 else 0) + (t[i2] if i2 >= 0 else 0))
-    return None
 
 
 @dataclass(frozen=True)
@@ -131,51 +97,40 @@ def rst_compute(n_max: int) -> RSTState:
     """
     if n_max < 2:
         raise ValidationError("rst_compute needs n_max >= 2")
-    r, s, t = [0], [1], [1]
-    status = RSTStatus.alive()
-    while len(r) <= n_max:
-        at = len(r)
-        which = _advance(r, s, t)
-        if which is not None:
-            status = RSTStatus.ended(which, at)
-            break
-    return RSTState(tuple(r[1:]), tuple(s), tuple(t), status)
+    r, s, t, which, at = _backend.rst_generate(n_max)
+    status = RSTStatus.alive() if which is None else RSTStatus.ended(which, at)
+    return RSTState(r, s, t, status)
 
 
-_R: list[int] = [0]
-_S: list[int] = [1]
-_T: list[int] = [1]
+# The tables behind R, S, T and lam_blocks: row 0 until first read, then
+# recomputed to at least double their size whenever a read passes the end.
+_TABLES = RSTState((), (1,), (1,), RSTStatus.alive())
 
 
-def _ensure(n: int) -> None:
-    while len(_R) <= n:
-        which = _advance(_R, _S, _T)
-        if which is not None:
-            raise QlabError(f"the r/s/t system ended ({which} at {len(_R)})")
+def _tables(n: int) -> RSTState:
+    """The cached tables, grown to cover row n."""
+    global _TABLES
+    if n > _TABLES.n:
+        _TABLES = rst_compute(max(n, 2 * _TABLES.n, 2))
+        if n > _TABLES.n:
+            status = _TABLES.status
+            raise QlabError(f"the r/s/t system ended ({status.which} at {status.at_index})")
+    return _TABLES
 
 
 def R(n: int) -> int:
     """R(n); 0 for n <= 0."""
-    if n <= 0:
-        return 0
-    _ensure(n)
-    return _R[n]
+    return _tables(n).R(n)
 
 
 def S(n: int) -> int:
     """S(n); 0 for n < 0."""
-    if n < 0:
-        return 0
-    _ensure(n)
-    return _S[n]
+    return _tables(n).S(n)
 
 
 def T(n: int) -> int:
     """T(n); 0 for n < 0."""
-    if n < 0:
-        return 0
-    _ensure(n)
-    return _T[n]
+    return _tables(n).T(n)
 
 
 # Block k >= 1 of lam_blocks, with slot 0 (lam*T(k)) left as 0 for the caller.
@@ -194,15 +149,16 @@ def lam_blocks(lam: int, kmax: int) -> list[int]:
     block that is not.  The template of the lam-free slots and the running
     maximum of those least values are cached and grown with R/S/T.
     """
-    _ensure(kmax + 1)
+    tables = _tables(kmax + 1)
+    r, s, t = tables.r, tables.s, tables.t  # r[k - 1] is R(k)
     for k in range(len(_LEAST) + 1, kmax + 1):
-        _BLOCKS.extend((0, 4, 5 * _R[k], 5 * _R[k + 1], 5 * _S[k + 1]))
-        least = -(-(5 * k + 2) // (_T[k] - 1)) if _T[k] > 1 else math.inf
+        _BLOCKS.extend((0, 4, 5 * r[k - 1], 5 * r[k], 5 * s[k + 1]))
+        least = -(-(5 * k + 2) // (t[k] - 1)) if t[k] > 1 else math.inf
         _LEAST.append(max(least, _LEAST[-1]) if _LEAST else least)
     if kmax > 0 and _LEAST[kmax - 1] > lam:
         kmax = bisect_right(_LEAST, lam, 0, kmax)
     blocks = _BLOCKS[: 5 * kmax]
-    blocks[0::5] = [lam * t for t in _T[1 : kmax + 1]]
+    blocks[0::5] = [lam * v for v in t[1 : kmax + 1]]
     return blocks
 
 

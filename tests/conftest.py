@@ -6,6 +6,7 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,12 +24,12 @@ setup(name="qlab-kernel", ext_modules=[Extension("qlab._kernel", [source])],
 
 
 @pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The compiled kernel module: the built one when importable, otherwise
-    compiled from the C source into a temporary directory (never into src/).
-    Skips only when compiling fails, with the compiler's message."""
+def kernel_build(tmp_path_factory):
+    """``(module, None)`` for the compiled kernel: the built one when
+    importable, otherwise compiled from the C source into a temporary
+    directory (never into src/).  ``(None, compiler output)`` when that fails."""
     if _backend._kernel is not None:
-        return _backend._kernel
+        return _backend._kernel, None
     out = tmp_path_factory.mktemp("kernel")
     proc = subprocess.run(
         [sys.executable, "-c", _BUILD, str(KERNEL_SOURCE), str(out / "lib"), str(out / "tmp")],
@@ -36,8 +37,26 @@ def compiled_kernel(tmp_path_factory):
     )
     built = sorted((out / "lib" / "qlab").glob("_kernel.*"))
     if proc.returncode or not built:
-        pytest.skip(f"compiling {KERNEL_SOURCE.name} failed:\n{proc.stdout}{proc.stderr}")
+        return None, f"compiling {KERNEL_SOURCE.name} failed:\n{proc.stdout}{proc.stderr}"
     spec = importlib.util.spec_from_file_location("qlab._kernel", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module, None
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(kernel_build):
+    """The compiled kernel module; skips only when compiling fails, with the
+    compiler's message."""
+    module, failure = kernel_build
+    if module is None:
+        pytest.skip(failure)
     return module
+
+
+@pytest.fixture
+def fastest_backend(kernel_build):
+    """Run the test on the compiled kernel when one could be built, and on
+    the Python kernel otherwise; never skips."""
+    with mock.patch.object(_backend, "_kernel", kernel_build[0]):
+        yield

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
 from test_symbolic import PREFIX_BOUNDS, PREFIX_PAIRS
 
 from qlab import (
@@ -71,6 +72,7 @@ def test_04_sporadic_terms():
     print("PASS: zero-extended offsets 29..34 are N+6, 24, 32, 2N+4, 3, 32")
 
 
+@pytest.mark.usefixtures("fastest_backend")
 def test_05_oracle_equivalence_sweep():
     start = time.perf_counter()
     checked = 0
@@ -167,6 +169,7 @@ def test_11_longevity_substitutes():
     print("PASS: <1,1> alive through 10^7 terms; <1..N> alive through 10^6 for N in {4,5,6,7,9,10,13}")
 
 
+@pytest.mark.usefixtures("fastest_backend")
 def test_12_oracle_sweep_to_3000():
     # past the 35..500 sweep: every non-exceptional N in 501..3000 through
     # 20000 terms; a mismatch here is a finding, never a new exception

@@ -148,6 +148,17 @@ def test_rst_bfile_needs_single_sequence(capsys):
     assert out == "0 1\n1 2\n2 2\n3 3\n"
 
 
+def test_rst_option_error_keeps_existing_file(tmp_path, capsys):
+    target = tmp_path / "table.txt"
+    target.write_text("kept\n")
+    code, out, err = run_cli(
+        capsys, "rst", "--max", "3", "--format", "bfile", "--out", str(target)
+    )
+    assert (code, out) == (1, "")
+    assert "--format bfile needs --which r, s or t" in err
+    assert target.read_text() == "kept\n"
+
+
 def test_predict_text(capsys):
     code, out, _ = run_cli(capsys, "predict", "--n", "39", "--max", "200")
     assert code == 0

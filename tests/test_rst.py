@@ -1,21 +1,32 @@
-"""R/S/T system tests: the three mutually-referencing tables, the cached
-accessors, and the two interleaving-pattern checkers built on them."""
+"""R/S/T system tests: the three mutually-referencing tables, both of their
+backends, the cached accessors, the `qlab rst` writer, and the two
+interleaving-pattern checkers built on them."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
+import json
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
 from qlab import (
     InitialCondition,
+    QlabError,
     ValidationError,
+    _backend,
+    _fallback,
     evaluate,
     qc_pattern_check,
     qt_pattern_check,
+    rst,
     rst_compute,
 )
-from qlab.rst import R, S, T
+from qlab.cli import main
+from qlab.rst import R, RSTState, RSTStatus, S, T
 
 
 def test_small_tables():
@@ -49,6 +60,117 @@ def test_cached_accessors_match_bulk_compute():
 def test_rst_compute_validation():
     with pytest.raises(ValidationError):
         rst_compute(1)
+
+
+def test_compiled_and_fallback_rst_agree(compiled_kernel):
+    for n_max in [*range(2, 301), 10**4, 10**5 + 3]:
+        with mock.patch.object(_backend, "_kernel", compiled_kernel):
+            compiled = _backend.rst_generate(n_max)
+        assert compiled == _fallback.rst_generate(n_max), n_max
+        assert all(type(table) is tuple for table in compiled[:3])
+    for generate in (compiled_kernel.rst_generate, _fallback.rst_generate):
+        with pytest.raises(ValueError, match="n_max >= 2"):
+            generate(1)
+
+
+def test_rst_overflow_falls_back_to_python():
+    overflowing = SimpleNamespace(rst_generate=lambda n_max: None)
+    with mock.patch.object(_backend, "_kernel", overflowing):
+        assert _backend.rst_generate(500) == _fallback.rst_generate(500)
+
+
+def test_cache_regrows_by_doubling(monkeypatch):
+    monkeypatch.setattr(rst, "_TABLES", RSTState((), (1,), (1,), RSTStatus.alive()))
+    sizes = []
+    compute = rst.rst_compute
+    monkeypatch.setattr(rst, "rst_compute", lambda n: sizes.append(n) or compute(n))
+    state = compute(1000)
+    for i in range(1, 1001):
+        assert (R(i), S(i), T(i)) == (state.R(i), state.S(i), state.T(i))
+    assert sizes == [2**e for e in range(1, 11)]
+
+
+def test_cache_reports_where_the_system_ended(monkeypatch):
+    ended = SimpleNamespace(rst_generate=lambda n_max: ((1, 2, 3), (1, 1, 2, 2), (1, 2, 2, 3), "t", 4))
+    monkeypatch.setattr(rst, "_TABLES", RSTState((), (1,), (1,), RSTStatus.alive()))
+    monkeypatch.setattr(_backend, "_kernel", ended)
+    assert R(3) == 3
+    with pytest.raises(QlabError, match=r"ended \(t at 4\)"):
+        T(4)
+
+
+def _per_cell_rst(state, which: str, fmt: str) -> str:
+    """What `qlab rst` wrote before its block writer, one cell at a time:
+    the reference for its output."""
+    out = io.StringIO()
+    ended = None
+    if not state.status.is_alive:
+        ended = f"# ended ({state.status.which}) at {state.status.at_index}"
+    if fmt == "bfile":
+        if which == "all":
+            raise ValidationError("--format bfile needs --which r, s or t")
+        table = getattr(state, which.upper())
+        for i in range(1 if which == "r" else 0, state.n + 1):
+            out.write(f"{i} {table(i)}\n")
+        if ended:
+            out.write(ended + "\n")
+    elif fmt == "json":
+        payload: dict = {"n_max": state.n}
+        if which in ("r", "all"):
+            payload["r"] = list(state.r)
+        if which in ("s", "all"):
+            payload["s"] = list(state.s)
+        if which in ("t", "all"):
+            payload["t"] = list(state.t)
+        if state.status.is_alive:
+            payload["status"] = "alive"
+        else:
+            payload["status"] = {
+                "which": state.status.which,
+                "at_index": state.status.at_index,
+            }
+        json.dump(payload, out)
+        out.write("\n")
+    else:
+        cols = ["r", "s", "t"] if which == "all" else [which]
+        sep = "," if fmt == "csv" else "\t"
+        out.write(sep.join(["n"] + cols) + "\n")
+        for i in range(state.n + 1):
+            cells = [str(getattr(state, c.upper())(i)) for c in cols]
+            out.write(sep.join([str(i)] + cells) + "\n")
+        if ended:
+            out.write(ended + "\n")
+    return out.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _state(n_max: int, ended: bool) -> RSTState:
+    """rst_compute(n_max), or its rows 0..n_max-1 as if row n_max had
+    ended the system."""
+    state = rst_compute(n_max)
+    if not ended:
+        return state
+    n = n_max - 1
+    return RSTState(state.r[:n], state.s[: n + 1], state.t[: n + 1], RSTStatus.ended("s", n_max))
+
+
+# block edges of the 4096-row writer, and rows 0..n_max that end mid-block
+@pytest.mark.parametrize("n_max", [2, 3, 4095, 4096, 4097, 20000])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "bfile"])
+@pytest.mark.parametrize("which", ["r", "s", "t", "all"])
+@pytest.mark.parametrize("ended", [False, True])
+def test_rst_output_matches_per_cell_writer(capsys, n_max, fmt, which, ended):
+    state = _state(n_max, ended)
+    try:
+        expected = (0, _per_cell_rst(state, which, fmt), "")
+    except ValidationError as exc:
+        expected = (1, "", f"qlab: error: {exc}\n")
+    # an ended state cannot be computed, so it is handed to the CLI
+    patched = mock.patch("qlab.cli.rst_compute", return_value=state)
+    with patched if ended else contextlib.nullcontext():
+        code = main(["rst", "--max", str(n_max), "--format", fmt, "--which", which])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
 
 
 def test_tables_match_independent_recursion():
