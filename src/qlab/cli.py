@@ -213,7 +213,7 @@ def _scan_worker(task: tuple[int, int]):
 def _map_tasks(worker, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(worker, tasks, chunksize=4))
 
 

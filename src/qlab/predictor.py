@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .engine import GeneratedSequence, InitialCondition, SequenceStatus, evaluate_auto
 from .errors import DivisibilityError, QlabError, ValidationError
-from .rst import R, S, lam_blocks
-from .tails import AFFINE_PREFIX_28, CLOSING_TAIL_0, SPORADIC_29_34
+from .rst import R, S, _append_chunk, _first_difference, lam_blocks
+from .symbolic import NConstraint, symbolic_extend
 
 __all__ = [
     "BehaviorTreeNode",
@@ -40,6 +40,45 @@ __all__ = [
 # N < 118 with classification 0 never follow the predicted layout, and a few
 # N that classify only at depth >= 2 fail it as well.
 _EXTRA_EXCEPTIONS = frozenset({57, 67, 82, 107, 117})
+
+# (a, b) with Q(N+k) = a*N + b for offsets k = 1..34 of <0-bar; 1..N>: 28
+# affine terms and six sporadic ones, valid for every N >= 30.
+_PREFIX = tuple(
+    (t.a, t.b) for t in symbolic_extend("zero_extended", NConstraint(35), 34).terms
+)
+
+# (c, d, f) for the 158 terms that close a classification-0 run: the term at
+# index A_j + 3 + row equals c*(A_j*D + B_j) + d*A_j + f, where
+# D = (A_j - A_{j-1} - 2) / 5.  The last row is the final 0 at A_j + 160.
+CLOSING_TAIL_0: tuple[tuple[int, int, int], ...] = (
+    (0, 0, 6), (0, 0, 7), (0, 0, 8), (0, 0, 8), (0, 0, 10), (1, 0, 3),
+    (0, 0, 5), (0, 0, 8), (0, 0, 14), (0, 0, 10), (0, 0, 11), (0, 0, 13),
+    (0, 1, 7), (0, 0, 15), (0, 1, 10), (0, 0, 14), (0, 0, 17), (0, 0, 14),
+    (0, 0, 17), (1, 0, 11), (0, 0, 8), (0, 0, 15), (0, 1, 18), (0, 0, 22),
+    (0, 0, 17), (0, 0, 22), (0, 0, 20), (1, 0, 11), (0, 0, 14), (0, 0, 14),
+    (0, 0, 34), (1, 0, 14), (0, 0, 5), (0, 0, 14), (0, 0, 22), (0, 0, 30),
+    (0, 1, 15), (0, 0, 33), (1, 0, 29), (0, 0, 5), (0, 0, 30), (0, 1, 28),
+    (0, 1, 24), (0, 0, 40), (0, 0, 33), (1, 1, 10), (0, 0, 15), (0, 0, 5),
+    (0, 0, 54), (0, 0, 36), (0, 1, 15), (0, 0, 53), (0, 1, 40), (0, 0, 22),
+    (0, 0, 22), (0, 0, 28), (0, 0, 36), (0, 0, 29), (0, 1, 32), (0, 0, 64),
+    (0, 0, 36), (1, 0, 22), (0, 0, 20), (0, 0, 40), (0, 0, 50), (0, 0, 36),
+    (0, 0, 51), (1, 0, 31), (0, 0, 14), (0, 0, 28), (0, 1, 60), (0, 0, 54),
+    (0, 0, 32), (1, 1, 39), (0, 1, 24), (0, 0, 54), (0, 1, 73), (0, 0, 29),
+    (0, 0, 44), (0, 1, 45), (0, 1, 53), (0, 0, 70), (0, 1, 39), (0, 0, 62),
+    (0, 1, 66), (0, 0, 44), (0, 1, 47), (0, 0, 83), (1, 0, 47), (0, 0, 5),
+    (0, 0, 44), (0, 1, 52), (0, 0, 97), (0, 0, 49), (2, 1, 10), (0, 0, 15),
+    (0, 0, 70), (1, 1, 50), (0, 0, 14), (0, 0, 44), (0, 1, 83), (0, 0, 50),
+    (0, 1, 62), (0, 0, 66), (1, 0, 74), (0, 0, 5), (0, 0, 50), (0, 1, 91),
+    (0, 1, 52), (0, 0, 81), (0, 0, 75), (0, 1, 49), (0, 0, 99), (0, 1, 77),
+    (0, 0, 54), (1, 0, 63), (0, 0, 20), (1, 1, 50), (0, 0, 14), (0, 0, 5),
+    (1, 0, 113), (0, 0, 20), (0, 1, 62), (0, 0, 130), (0, 1, 65), (0, 0, 66),
+    (0, 0, 100), (2, 0, 33), (0, 0, 14), (1, 0, 63), (0, 0, 20), (0, 1, 49),
+    (0, 0, 185), (0, 0, 92), (0, 2, 24), (0, 0, 40), (0, 0, 70), (2, 1, 81),
+    (0, 0, 14), (0, 0, 66), (0, 1, 124), (0, 0, 74), (0, 0, 35), (0, 1, 80),
+    (0, 0, 148), (1, 0, 68), (0, 0, 5), (0, 0, 35), (0, 2, 157), (0, 0, 54),
+    (0, 0, 70), (1, 1, 120), (0, 1, 39), (0, 0, 117), (0, 0, 151), (1, 0, 39),
+    (1, 0, 3), (0, 0, 0),
+)
 
 
 def _exact5(value: int) -> int:
@@ -123,22 +162,6 @@ def _end_index(profile: StructureProfile) -> int | None:
     return {0: a_j + 161, 2: None, 3: a_j + 5, 4: a_j + 15}[profile.classification]
 
 
-def _append_chunk(out: list[int], max_terms: int, length: int, first: int, step: int) -> None:
-    """Append a period-5 chunk (first + step*k, 5, step, 3, 5), k = 0, 1, ...
-
-    The chunk is clipped to the budget before it is built: a deep chunk can
-    span about 10^10 terms.  step is some A_i, which is positive for N >= 35.
-    """
-    length = min(length, max_terms - len(out))
-    if length <= 0:
-        return
-    start = len(out)
-    out += [5] * length
-    out[start::5] = range(first, first + step * len(range(0, length, 5)), step)
-    out[start + 2 :: 5] = [step] * len(range(2, length, 5))
-    out[start + 3 :: 5] = [3] * len(range(3, length, 5))
-
-
 def _predicted_terms(profile: StructureProfile, max_terms: int) -> list[int]:
     """The first max_terms predicted terms, from index 1 on.
 
@@ -150,9 +173,7 @@ def _predicted_terms(profile: StructureProfile, max_terms: int) -> list[int]:
     n = profile.n_value
     a, b, cp = profile.a, profile.b, profile.c_prime
     out = list(range(1, n + 1))
-    out += [alpha * n + beta for alpha, beta in AFFINE_PREFIX_28 + SPORADIC_29_34][
-        : max_terms - n
-    ]
+    out += [alpha * n + beta for alpha, beta in _PREFIX][: max_terms - n]
     # first chunk: indices N+35 .. A_1 + C'_1, period 5 in index - N from k = 7
     _append_chunk(out, max_terms, a[1] + cp[0] - n - 34, 7 * a[1] + b[0], a[1])
     levels = profile.j if profile.j is not None else len(profile.c)
@@ -169,11 +190,8 @@ def _predicted_terms(profile: StructureProfile, max_terms: int) -> list[int]:
     a_j, a_prev, b_j = a[-1], a[-2], b[-1]
     cls = profile.classification
     if cls == 0:
-        step = _exact5(a_j - a_prev - 2)
-        out += [
-            cc * (a_j * step) + dd * a_j + ee * b_j + ff
-            for _, cc, dd, ee, ff in CLOSING_TAIL_0
-        ]
+        x = a_j * _exact5(a_j - a_prev - 2) + b_j
+        out += [cc * x + dd * a_j + ff for cc, dd, ff in CLOSING_TAIL_0]
     elif cls == 2:
         # block k occupies offsets 5k .. 5k+4 past A_j
         out += (4, a_j * _exact5(a_j - a_prev - 4) + b_j + 2, 5 * R(1), 5 * S(1))
@@ -246,24 +264,6 @@ class PredictionReport:
             "actual_status": str(self.actual_status),
             "terminal_agreement": self.terminal_agreement,
         }
-
-
-def _first_difference(
-    p_terms: list[int], a_terms: list[int]
-) -> tuple[int, int | None, int | None] | None:
-    """(index, predicted, actual) at the first disagreement, None if equal.
-
-    A stream that stops early shows up as None on its side of the tuple.
-    """
-    if p_terms == a_terms:
-        return None
-    common = min(len(p_terms), len(a_terms))
-    for i in range(common):
-        if p_terms[i] != a_terms[i]:
-            return (i + 1, p_terms[i], a_terms[i])
-    if len(p_terms) > common:
-        return (common + 1, p_terms[common], None)
-    return (common + 1, None, a_terms[common])
 
 
 def verify_against_bruteforce(

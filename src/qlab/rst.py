@@ -8,10 +8,17 @@ and for larger n (computing R, then S, then T at each step):
     S(n) = S(n - R(n))   + S(n - R(n-1))
     T(n) = T(n - R(n))   + T(n - S(n))
 
-They appear as the block structure of two families of unbounded
-zero-extended sequences: one whose five-term blocks read
-(5R(k), 5S(k), lambda*T(k), 4, 5R(k)), and a quasilinear-start family whose
-pattern is checked by :func:`qc_pattern_check`.
+They appear as the block structure of unbounded zero-extended sequences:
+<0;a_1..a_K,5,lam,4,mu> continues in five-term blocks
+(5R(k), 5S(k), lam*T(k), 4, 5R(k)), checked by :func:`qt_pattern_check`.
+The class-2 closing of <0-bar; 1..N> is this qt stream with K = A_j - 2 and
+lam = A_j, so its side condition lam*T(k) >= K+5k+4 is the one
+:func:`lam_blocks` cuts at.  A second, quasilinear-start family is checked
+by :func:`qc_pattern_check`; its period-5 chunk is the predictor's.
+
+The tiles the predictor and both checkers share live here: the R/S/T block
+template (:func:`lam_blocks`), the period-5 chunk (``_append_chunk``) and the
+first-difference comparison (``_first_difference``).
 """
 
 from __future__ import annotations
@@ -141,13 +148,14 @@ _BLOCKS: list[int] = []
 _LEAST: list[int | float] = []
 
 
-def lam_blocks(lam: int, kmax: int) -> list[int]:
+def lam_blocks(lam: int, kmax: int, cut: bool = True) -> list[int]:
     """Blocks (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) for k = 1..kmax, flat.
 
     A block is valid while lam*(T(k) - 1) >= 5k + 2, i.e. while lam is at
-    least ceil((5k + 2) / (T(k) - 1)); the result stops before the first
-    block that is not.  The template of the lam-free slots and the running
-    maximum of those least values are cached and grown with R/S/T.
+    least ceil((5k + 2) / (T(k) - 1)); unless cut is False, the result stops
+    before the first block that is not.  The template of the lam-free slots
+    and the running maximum of those least values are cached and grown with
+    R/S/T.
     """
     tables = _tables(kmax + 1)
     r, s, t = tables.r, tables.s, tables.t  # r[k - 1] is R(k)
@@ -155,11 +163,46 @@ def lam_blocks(lam: int, kmax: int) -> list[int]:
         _BLOCKS.extend((0, 4, 5 * r[k - 1], 5 * r[k], 5 * s[k + 1]))
         least = -(-(5 * k + 2) // (t[k] - 1)) if t[k] > 1 else math.inf
         _LEAST.append(max(least, _LEAST[-1]) if _LEAST else least)
-    if kmax > 0 and _LEAST[kmax - 1] > lam:
+    if cut and kmax > 0 and _LEAST[kmax - 1] > lam:
         kmax = bisect_right(_LEAST, lam, 0, kmax)
     blocks = _BLOCKS[: 5 * kmax]
     blocks[0::5] = [lam * v for v in t[1 : kmax + 1]]
     return blocks
+
+
+def _append_chunk(out: list[int], max_terms: int, length: int, first: int, step: int) -> None:
+    """Append a period-5 chunk (first + step*k, 5, step, 3, 5), k = 0, 1, ...
+
+    The chunk is clipped to the budget before it is built: a deep chunk can
+    span about 10^10 terms.  step must be positive.
+    """
+    length = min(length, max_terms - len(out))
+    if length <= 0:
+        return
+    start = len(out)
+    out += [5] * length
+    out[start::5] = range(first, first + step * len(range(0, length, 5)), step)
+    out[start + 2 :: 5] = [step] * len(range(2, length, 5))
+    out[start + 3 :: 5] = [3] * len(range(3, length, 5))
+
+
+def _first_difference(
+    p_terms: list[int], a_terms: list[int]
+) -> tuple[int, int | None, int | None] | None:
+    """(index, predicted, actual) at the first disagreement, None if equal.
+
+    The index counts from 1.  A stream that stops early shows up as None on
+    its side of the tuple.
+    """
+    if p_terms == a_terms:
+        return None
+    common = min(len(p_terms), len(a_terms))
+    for i in range(common):
+        if p_terms[i] != a_terms[i]:
+            return (i + 1, p_terms[i], a_terms[i])
+    if len(p_terms) > common:
+        return (common + 1, p_terms[common], None)
+    return (common + 1, None, a_terms[common])
 
 
 @dataclass(frozen=True)
@@ -200,36 +243,31 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int, mode: str | None = N
     (5R(k), 5S(k), lam*T(k), 4, 5R(k)).  The pattern is guaranteed for
     lam >= 9 and mu >= K+6, but those are deliberately not enforced so a
     caller can probe how violations look; k_max >= 1 is.  Each block also
-    carries the growth condition lam*T(k) >= K+5k+4, whose first failure is
-    reported, not asserted.
+    carries the growth condition lam*T(k) >= K+5k+4, whose first failure
+    through the first violated block is reported, not asserted.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     big_k = len(prefix)
     ic = InitialCondition((*prefix, 5, lam, 4, mu), zero_extended=True)
     seq = _run(ic, big_k + 5 * k_max + 4, mode)
-    total = len(seq)
 
-    holds_through = 0
+    # from index K+5: 5R(1), 5S(1), then lam_blocks shifted by two slots
+    expected = lam_blocks(lam, k_max, cut=False)
+    expected[-2:] = []
+    expected[:0] = (5 * R(1), 5 * S(1))
+    first = _first_difference(expected, seq.terms[big_k + 4 :])
     first_violation = None
-    side_fail = None
-    for k in range(1, k_max + 1):
-        base = big_k + 5 * k
-        if side_fail is None and lam * T(k) < base + 4:
-            side_fail = k
-        expected = (5 * R(k), 5 * S(k), lam * T(k), 4, 5 * R(k))
-        for off, want in enumerate(expected):
-            idx = base + off
-            if idx > total:
-                first_violation = (idx, want, None)
-                break
-            got = seq.term(idx)
-            if got != want:
-                first_violation = (idx, want, got)
-                break
-        if first_violation:
-            break
-        holds_through = k
+    holds_through = last_k = k_max  # last_k: the last block compared
+    if first is not None:
+        index, want, got = first
+        first_violation = (big_k + 4 + index, want, got)
+        holds_through = (index - 1) // 5
+        last_k = holds_through + 1
+    t = _tables(last_k).t
+    side_fail = next(
+        (k for k in range(1, last_k + 1) if lam * t[k] < big_k + 5 * k + 4), None
+    )
 
     return PatternReport(
         holds_through_k=holds_through,
@@ -262,36 +300,22 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None, mode: 
     if k_max is not None:
         last = min(last, big_k + 5 * k_max + 4)
 
-    def pattern(n: int) -> int:
-        k, r = divmod(n - big_k, 5)
-        return (5, lam * k + mu, 5, lam, 3)[r]
-
     ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
     seq = _run(ic, last + 1, mode)  # one spare index to probe the boundary
-    total = len(seq)
 
-    first_violation = None
-    matched = big_k
-    for n in range(big_k + 1, last + 1):
-        want = pattern(n)
-        if n > total:
-            first_violation = (n, want, None)
-            break
-        got = seq.term(n)
-        if got != want:
-            first_violation = (n, want, got)
-            break
-        matched = n
-
-    divergence = None
-    if first_violation is None and last < lam + nu:
-        pass  # capped run; the boundary was not reached
-    elif first_violation is None:
-        want = pattern(last + 1)
-        if last + 1 > total:
-            divergence = (last + 1, want, None)
-        elif seq.term(last + 1) != want:
-            divergence = (last + 1, want, seq.term(last + 1))
+    # indices K+1 .. last+1 are the chunk (mu + lam*k, 5, lam, 3, 5)
+    expected: list[int] = []
+    _append_chunk(expected, last + 1 - big_k, last + 1 - big_k, mu, lam)
+    first = _first_difference(expected, seq.terms[big_k:])
+    if first is not None:
+        first = (big_k + first[0], *first[1:])
+    first_violation = divergence = None
+    matched = last
+    if first is not None and first[0] <= last:
+        first_violation = first
+        matched = first[0] - 1
+    elif last == lam + nu:  # a capped run never reaches the boundary
+        divergence = first
 
     return PatternReport(
         holds_through_k=max(0, (matched - 4 - big_k) // 5),

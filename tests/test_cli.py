@@ -205,6 +205,42 @@ def test_verify_workers_match_serial(capsys):
     assert parallel == serial
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def test_workers_capped_at_task_count(capsys, monkeypatch):
+    # 9 non-exceptional N in 35..45 and 3 N in 2..4: never 500 processes
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    _, serial_verify, _ = run_cli(capsys, "verify", "--n", "35", "--to", "45", "--max", "200")
+    _, serial_scan, _ = run_cli(capsys, "scan", "--from", "2", "--to", "4", "--max", "100")
+    with mock.patch("qlab.cli.ProcessPoolExecutor", _SerialPool):
+        verify = run_cli(
+            capsys, "verify", "--n", "35", "--to", "45", "--max", "200", "--workers", "500"
+        )
+        scan = run_cli(
+            capsys, "scan", "--from", "2", "--to", "4", "--max", "100", "--workers", "500"
+        )
+    assert verify == (0, serial_verify, "")
+    assert scan == (0, serial_scan, "")
+    assert _SerialPool.sizes == [9, 3]
+
+
 def test_verify_line_mismatch_rendering():
     report = PredictionReport(
         matched_through=129,

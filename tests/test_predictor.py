@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_symbolic import PREFIX_PAIRS, SPORADIC_PAIRS
 
 from qlab import (
     DivisibilityError,
@@ -26,9 +27,8 @@ from qlab import (
 )
 from qlab import predictor
 from qlab.engine import SequenceStatus
-from qlab.predictor import StructureProfile, _exact5, _first_difference
+from qlab.predictor import CLOSING_TAIL_0, StructureProfile, _exact5, _first_difference
 from qlab.rst import R, S, T, lam_blocks
-from qlab.tails import AFFINE_PREFIX_28, CLOSING_TAIL_0, SPORADIC_29_34
 
 
 def test_profile_42():
@@ -311,9 +311,8 @@ def _predicted_stream(profile: StructureProfile) -> Iterator[int]:
     a, b, cp = profile.a, profile.b, profile.c_prime
     for v in range(1, n + 1):
         yield v
-    for alpha, beta in AFFINE_PREFIX_28:
-        yield alpha * n + beta
-    for alpha, beta in SPORADIC_29_34:
+    # the frozen records of the derived prefix, not the derivation itself
+    for alpha, beta in PREFIX_PAIRS + SPORADIC_PAIRS:
         yield alpha * n + beta
     # first chunk: indices N+35 .. A_1 + C'_1, period 5 in o = index - N
     for o in range(35, a[1] + cp[0] - n + 1):
@@ -333,8 +332,8 @@ def _predicted_stream(profile: StructureProfile) -> Iterator[int]:
     cls = profile.classification
     if cls == 0:
         step = _exact5(a_j - a_prev - 2)
-        for _, cc, dd, ee, ff in CLOSING_TAIL_0:
-            yield cc * (a_j * step) + dd * a_j + ee * b_j + ff
+        for cc, dd, ff in CLOSING_TAIL_0:
+            yield cc * (a_j * step + b_j) + dd * a_j + ff
     elif cls == 2:
         yield 4
         yield a_j * _exact5(a_j - a_prev - 4) + b_j + 2

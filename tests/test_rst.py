@@ -8,6 +8,7 @@ import contextlib
 import functools
 import io
 import json
+import random
 from types import SimpleNamespace
 from unittest import mock
 
@@ -26,7 +27,7 @@ from qlab import (
     rst_compute,
 )
 from qlab.cli import main
-from qlab.rst import R, RSTState, RSTStatus, S, T
+from qlab.rst import PatternReport, R, RSTState, RSTStatus, S, T
 
 
 def test_small_tables():
@@ -324,3 +325,169 @@ def test_qc_minimal_passing_pair():
     report = qc_pattern_check((), 2, 6)
     assert report.ok
     assert report.holds_through_index == 6 + max(0, ((4 - 6) % 5) - 1)
+
+
+def _qt_per_index(prefix, lam, mu, k_max, mode=None):
+    """qt_pattern_check as it was before the shared block template: one
+    seq.term(idx) and one R(k)/S(k)/T(k) read per cell.  The reference for
+    the differential test."""
+    if k_max < 1:
+        raise ValidationError("k_max must be >= 1")
+    big_k = len(prefix)
+    ic = InitialCondition((*prefix, 5, lam, 4, mu), zero_extended=True)
+    seq = rst._run(ic, big_k + 5 * k_max + 4, mode)
+    total = len(seq)
+
+    holds_through = 0
+    first_violation = None
+    side_fail = None
+    for k in range(1, k_max + 1):
+        base = big_k + 5 * k
+        if side_fail is None and lam * T(k) < base + 4:
+            side_fail = k
+        expected = (5 * R(k), 5 * S(k), lam * T(k), 4, 5 * R(k))
+        for off, want in enumerate(expected):
+            idx = base + off
+            if idx > total:
+                first_violation = (idx, want, None)
+                break
+            got = seq.term(idx)
+            if got != want:
+                first_violation = (idx, want, got)
+                break
+        if first_violation:
+            break
+        holds_through = k
+
+    return PatternReport(
+        holds_through_k=holds_through,
+        first_violation=first_violation,
+        holds_through_index=big_k + 5 * holds_through + 4 if holds_through else None,
+        side_condition_first_failure=side_fail,
+        sequence_end=None if seq.status.is_alive else seq.status,
+    )
+
+
+def _qc_per_index(prefix, mu, lam, k_max=None, mode=None):
+    """qc_pattern_check as it was before the shared period-5 chunk: one
+    seq.term(n) read per index.  The reference for the differential test."""
+    big_k = len(prefix)
+    if lam <= big_k + 5:
+        raise ValidationError(f"lam must exceed K+5 = {big_k + 5}")
+    if lam + mu <= big_k + 6:
+        raise ValidationError(f"lam + mu must exceed K+6 = {big_k + 6}")
+    if k_max is not None and k_max < 1:
+        raise ValidationError("k_max must be >= 1 when given")
+
+    nu = max(0, ((big_k + 4 - lam) % 5) - 1)
+    last = lam + nu
+    if k_max is not None:
+        last = min(last, big_k + 5 * k_max + 4)
+
+    def pattern(n: int) -> int:
+        k, r = divmod(n - big_k, 5)
+        return (5, lam * k + mu, 5, lam, 3)[r]
+
+    ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
+    seq = rst._run(ic, last + 1, mode)
+    total = len(seq)
+
+    first_violation = None
+    matched = big_k
+    for n in range(big_k + 1, last + 1):
+        want = pattern(n)
+        if n > total:
+            first_violation = (n, want, None)
+            break
+        got = seq.term(n)
+        if got != want:
+            first_violation = (n, want, got)
+            break
+        matched = n
+
+    divergence = None
+    if first_violation is None and last < lam + nu:
+        pass
+    elif first_violation is None:
+        want = pattern(last + 1)
+        if last + 1 > total:
+            divergence = (last + 1, want, None)
+        elif seq.term(last + 1) != want:
+            divergence = (last + 1, want, seq.term(last + 1))
+
+    return PatternReport(
+        holds_through_k=max(0, (matched - 4 - big_k) // 5),
+        first_violation=first_violation,
+        holds_through_index=matched if matched > big_k else None,
+        sequence_end=None if seq.status.is_alive else seq.status,
+        post_pattern_divergence=divergence,
+    )
+
+
+def _report_or_error(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except QlabError as exc:
+        return type(exc), str(exc)
+
+
+_MODES = (None, None, "fast64", "exact", "int32")
+
+
+def _random_prefix(rng: random.Random) -> tuple[int, ...]:
+    # small and non-positive values make runs end or leave the pattern;
+    # a term past 2^63 makes fast64 refuse the condition
+    values = [rng.randint(-5, 40) for _ in range(rng.randint(0, 10))]
+    if values and rng.random() < 0.05:
+        values[rng.randrange(len(values))] = 2**63
+    return tuple(values)
+
+
+def test_qt_check_matches_per_index_reference():
+    rng = random.Random(20261018)
+    cases = [((), 9, 6, 20_000, None), ((), 8, 6, 12, None)]
+    for _ in range(1500):
+        prefix = _random_prefix(rng)
+        lam = rng.choice((rng.randint(-3, 16), rng.randint(9, 80)))
+        mu = rng.randint(-5, len(prefix) + 12)
+        k_max = rng.choice((rng.randint(-1, 3), rng.randint(1, 80)))
+        cases.append((prefix, lam, mu, k_max, rng.choice(_MODES)))
+    seen = set()
+    for prefix, lam, mu, k_max, mode in cases:
+        got = _report_or_error(qt_pattern_check, prefix, lam, mu, k_max, mode)
+        want = _report_or_error(_qt_per_index, prefix, lam, mu, k_max, mode)
+        assert got == want, (prefix, lam, mu, k_max, mode)
+        if isinstance(got, PatternReport):
+            seen.add("violation" if got.first_violation else "ok")
+            seen.add("side" if got.side_condition_first_failure else "no side")
+            seen.add("ended" if got.sequence_end else "alive")
+        else:
+            seen.add(got[0].__name__)
+    # every kind of outcome was exercised
+    assert seen >= {"ok", "violation", "side", "no side", "ended", "alive",
+                    "ValidationError", "ArithmeticOverflowError"}
+
+
+def test_qc_check_matches_per_index_reference():
+    rng = random.Random(20261019)
+    cases = [((), 1, 6, None, None), (tuple(range(1, 41)), 60, 100, 2, None)]
+    for _ in range(1500):
+        prefix = _random_prefix(rng)
+        big_k = len(prefix)
+        lam = big_k + rng.randint(4, 45)
+        mu = rng.randint(big_k + 5 - lam, 40)
+        k_max = rng.choice((None, None, rng.randint(-1, 12)))
+        cases.append((prefix, mu, lam, k_max, rng.choice(_MODES)))
+    seen = set()
+    for prefix, mu, lam, k_max, mode in cases:
+        got = _report_or_error(qc_pattern_check, prefix, mu, lam, k_max, mode)
+        want = _report_or_error(_qc_per_index, prefix, mu, lam, k_max, mode)
+        assert got == want, (prefix, mu, lam, k_max, mode)
+        if isinstance(got, PatternReport):
+            seen.add("violation" if got.first_violation else "ok")
+            seen.add("diverged" if got.post_pattern_divergence else "no divergence")
+            seen.add("ended" if got.sequence_end else "alive")
+        else:
+            seen.add(got[0].__name__)
+    assert seen >= {"ok", "violation", "diverged", "no divergence", "ended", "alive",
+                    "ValidationError", "ArithmeticOverflowError"}

@@ -29,6 +29,9 @@ PREFIX_BOUNDS = [
     2, 2, 2, 3, 3, 3, 4, 4, 5, 6, 6, 6, 7, 8,
     8, 9, 10, 10, 10, 10, 10, 10, 10, 10, 10, 12, 13, 13,
 ]
+# the six sporadic pairs that continue the same prefix through offset 34
+# for zero-extended identity conditions, N >= 35
+SPORADIC_PAIRS = [(1, 6), (0, 24), (0, 32), (2, 4), (0, 3), (0, 32)]
 
 
 def test_plain_28_offsets_complete():
