@@ -9,6 +9,11 @@ Subcommands:
   tree     print or query the base-5 classification tree
   scan     tabulate classification and observed length over a range of N
 
+Each subparser declares its options once and names its handler through
+``set_defaults(handler=...)``; the handlers read the parsed namespace.
+Integer tables (sequences in text, bfile and csv, and the R/S/T rows) are
+written by :func:`qlab.engine.write_rows`.
+
 Exit codes: 0 on success, 1 for usage and runtime problems (bad arguments,
 64-bit overflow, I/O failures), 2 for a broken internal invariant.
 """
@@ -18,10 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 from . import __version__
 from .engine import (
@@ -32,6 +35,7 @@ from .engine import (
     parse_ic,
     write_bfile,
     write_csv,
+    write_rows,
 )
 from .errors import DivisibilityError, QlabError
 from .errors import ValidationError
@@ -46,7 +50,7 @@ from .predictor import (
 from .rst import rst_compute
 from .symbolic import CONVENTIONS, NConstraint, specialize, symbolic_extend
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,32 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunConfig:
-    """Flat bag of options; each subcommand reads the fields it declares."""
-
-    command: str
-    ic: str | None = None
-    max_terms: int | None = None
-    mode: str | None = None
-    format: str = "text"
-    out: str | None = None
-    loglog: bool = False
-    convention: str = "plain"
-    nmin: int | None = None
-    nmax: int | None = None
-    offsets: int = 28
-    at: int | None = None
-    which: str = "all"
-    n: int | None = None
-    to: int | None = None
-    workers: int = 1
-    levels: int = 3
-    locate: int | None = None
-    start: int | None = None
-    stop: int | None = None
 
 
 @contextmanager
@@ -95,18 +73,21 @@ def _open_out(path: str | None):
             fh.close()
 
 
-def _check_loglog(config: RunConfig) -> None:
-    if config.loglog and config.format != "csv":
+def _check_loglog(args: argparse.Namespace) -> None:
+    if args.loglog and args.format != "csv":
         raise ValidationError("--loglog only applies to --format csv")
 
 
-def _emit_sequence(seq: GeneratedSequence, config: RunConfig) -> None:
-    with _open_out(config.out) as out:
-        if config.format == "bfile":
+_ROW_OF_TEN = " ".join(["%d"] * 10) + "\n"
+
+
+def _emit_sequence(seq: GeneratedSequence, args: argparse.Namespace) -> None:
+    with _open_out(args.out) as out:
+        if args.format == "bfile":
             write_bfile(seq, out)
-        elif config.format == "csv":
-            write_csv(seq, out, loglog=config.loglog)
-        elif config.format == "json":
+        elif args.format == "csv":
+            write_csv(seq, out, loglog=args.loglog)
+        elif args.format == "json":
             payload = {
                 "ic": str(seq.ic),
                 "status": str(seq.status),
@@ -116,30 +97,31 @@ def _emit_sequence(seq: GeneratedSequence, config: RunConfig) -> None:
             out.write("\n")
         else:
             out.write(f"# <{seq.ic}>: {len(seq)} terms, {seq.status}\n")
-            for i in range(0, len(seq), 10):
-                block = seq.terms[i : i + 10]
-                out.write(" ".join(map(str, block)) + "\n")
+            terms = seq.terms
+            write_rows(out, zip(*[iter(terms)] * 10), _ROW_OF_TEN)
+            if short := len(terms) % 10:
+                write_rows(out, [terms[-short:]], " ".join(["%d"] * short) + "\n")
 
 
-def _run_gen(config: RunConfig) -> int:
-    _check_loglog(config)
-    ic = parse_ic(config.ic)
-    seq = evaluate(ic, config.max_terms, mode=config.mode)
-    _emit_sequence(seq, config)
+def _run_gen(args: argparse.Namespace) -> int:
+    _check_loglog(args)
+    ic = parse_ic(args.ic)
+    seq = evaluate(ic, args.max_terms, mode=args.mode)
+    _emit_sequence(seq, args)
     return 0
 
 
-def _run_sym(config: RunConfig) -> int:
-    constraint = NConstraint(config.nmin, config.nmax)
-    prefix = symbolic_extend(config.convention, constraint, config.offsets)
-    if config.at is not None:
-        _check_loglog(config)
-        _emit_sequence(specialize(prefix, config.at), config)
+def _run_sym(args: argparse.Namespace) -> int:
+    _check_loglog(args)
+    constraint = NConstraint(args.nmin, args.nmax)
+    prefix = symbolic_extend(args.convention, constraint, args.offsets)
+    if args.at is not None:
+        _emit_sequence(specialize(prefix, args.at), args)
         return 0
-    if config.format in ("bfile", "csv"):
-        raise ValidationError(f"--format {config.format} needs --at to pick a concrete N")
-    with _open_out(config.out) as out:
-        if config.format == "json":
+    if args.format in ("bfile", "csv"):
+        raise ValidationError(f"--format {args.format} needs --at to pick a concrete N")
+    with _open_out(args.out) as out:
+        if args.format == "json":
             json.dump(prefix.to_json(), out)
             out.write("\n")
         else:
@@ -147,13 +129,13 @@ def _run_sym(config: RunConfig) -> int:
     return 0
 
 
-def _run_rst(config: RunConfig) -> int:
-    state = rst_compute(config.max_terms)
-    which = config.which
-    if config.format == "bfile" and which == "all":
+def _run_rst(args: argparse.Namespace) -> int:
+    state = rst_compute(args.max_terms)
+    which = args.which
+    if args.format == "bfile" and which == "all":
         raise ValidationError("--format bfile needs --which r, s or t")
-    with _open_out(config.out) as out:
-        if config.format == "json":
+    with _open_out(args.out) as out:
+        if args.format == "json":
             payload: dict = {"n_max": state.n}
             if which in ("r", "all"):
                 payload["r"] = list(state.r)
@@ -174,26 +156,23 @@ def _run_rst(config: RunConfig) -> int:
         cols = ["r", "s", "t"] if which == "all" else [which]
         tables = {"r": chain((0,), state.r), "s": state.s, "t": state.t}
         rows = zip(range(state.n + 1), *(tables[c] for c in cols))
-        if config.format == "bfile":
+        if args.format == "bfile":
             sep = " "
             if which == "r":
                 next(rows)  # R(0) is not a term of R
         else:
-            sep = "," if config.format == "csv" else "\t"
+            sep = "," if args.format == "csv" else "\t"
             out.write(sep.join(["n"] + cols) + "\n")
-        template = sep.join(["%d"] * (len(cols) + 1)) + "\n"
-        # one write per 4096 rows: larger joins raise the peak memory
-        while block := list(islice(rows, 4096)):
-            out.write("".join([template % row for row in block]))
+        write_rows(out, rows, sep.join(["%d"] * (len(cols) + 1)) + "\n")
         if not state.status.is_alive:
             out.write(f"# ended ({state.status.which}) at {state.status.at_index}\n")
     return 0
 
 
-def _run_predict(config: RunConfig) -> int:
-    _check_loglog(config)
-    seq = predict_sequence(config.n, config.max_terms)
-    _emit_sequence(seq, config)
+def _run_predict(args: argparse.Namespace) -> int:
+    _check_loglog(args)
+    seq = predict_sequence(args.n, args.max_terms)
+    _emit_sequence(seq, args)
     return 0
 
 
@@ -213,6 +192,9 @@ def _scan_worker(task: tuple[int, int]):
 def _map_tasks(worker, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    # imported here: it is a large share of the CLI's start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(worker, tasks, chunksize=4))
 
@@ -229,23 +211,24 @@ def _verify_line(n: int, report) -> str:
     )
 
 
-def _run_verify(config: RunConfig) -> int:
-    if config.to is None:
-        pairs = [(config.n, verify_against_bruteforce(config.n, config.max_terms))]
+def _run_verify(args: argparse.Namespace) -> int:
+    if args.to is None:
+        pairs = [(args.n, verify_against_bruteforce(args.n, args.max_terms))]
     else:
-        if config.to < config.n:
+        if args.to < args.n:
             raise ValidationError("--to must be >= --n")
-        if config.max_terms < config.to:
+        if args.max_terms < args.to:
             raise ValidationError("--max must cover the identity prefix of every N")
+        # no prediction below N = 35; is_exceptional rejects a negative N
         tasks = [
-            (n, config.max_terms)
-            for n in range(config.n, config.to + 1)
-            if not is_exceptional(n)
+            (n, args.max_terms)
+            for n in range(args.n, args.to + 1)
+            if not is_exceptional(n) and n >= 35
         ]
-        pairs = _map_tasks(_verify_worker, tasks, config.workers)
-    with _open_out(config.out) as out:
+        pairs = _map_tasks(_verify_worker, tasks, args.workers)
+    with _open_out(args.out) as out:
         for n, report in pairs:
-            if config.format == "json":
+            if args.format == "json":
                 json.dump({"n": n, **report.to_json()}, out)
                 out.write("\n")
             else:
@@ -253,16 +236,16 @@ def _run_verify(config: RunConfig) -> int:
     return 0
 
 
-def _run_scan(config: RunConfig) -> int:
-    if config.start < 2:
+def _run_scan(args: argparse.Namespace) -> int:
+    if args.start < 2:
         raise ValidationError("scan starts at N >= 2")
-    if config.stop < config.start:
+    if args.stop < args.start:
         raise ValidationError("--to must be >= --from")
-    if config.max_terms < config.stop:
+    if args.max_terms < args.stop:
         raise ValidationError("--max must cover the identity prefix of every N")
-    tasks = [(n, config.max_terms) for n in range(config.start, config.stop + 1)]
-    rows = _map_tasks(_scan_worker, tasks, config.workers)
-    with _open_out(config.out) as out:
+    tasks = [(n, args.max_terms) for n in range(args.start, args.stop + 1)]
+    rows = _map_tasks(_scan_worker, tasks, args.workers)
+    with _open_out(args.out) as out:
         out.write("n,j,classification,length\n")
         for n, j, classification, length in rows:
             out.write(
@@ -296,38 +279,27 @@ def _tree_json(node) -> dict:
     return payload
 
 
-def _run_tree(config: RunConfig) -> int:
-    with _open_out(config.out) as out:
-        if config.locate is not None:
-            digits, classification = tree_locate(config.locate)
-            if config.format == "json":
+def _run_tree(args: argparse.Namespace) -> int:
+    with _open_out(args.out) as out:
+        if args.locate is not None:
+            digits, classification = tree_locate(args.locate)
+            if args.format == "json":
                 json.dump(
-                    {"n": config.locate, "digits": digits, "classification": classification},
+                    {"n": args.locate, "digits": digits, "classification": classification},
                     out,
                 )
                 out.write("\n")
             else:
                 out.write(f"{digits}:{classification}\n")
         else:
-            root = behavior_tree(config.levels)
-            if config.format == "json":
+            root = behavior_tree(args.levels)
+            if args.format == "json":
                 json.dump(_tree_json(root), out)
                 out.write("\n")
             else:
                 for line in _tree_lines(root, 0):
                     out.write(line + "\n")
     return 0
-
-
-_HANDLERS = {
-    "gen": _run_gen,
-    "sym": _run_sym,
-    "rst": _run_rst,
-    "predict": _run_predict,
-    "verify": _run_verify,
-    "tree": _run_tree,
-    "scan": _run_scan,
-}
 
 
 def _output_args(parser, choices, loglog=False):
@@ -345,6 +317,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("gen", help="run the recurrence from an initial condition")
+    p.set_defaults(handler=_run_gen)
     p.add_argument("--ic", required=True, help="initial condition, e.g. '1,1' or '0;1..50'")
     p.add_argument("--max", dest="max_terms", type=int, required=True,
                    help="total terms to attempt")
@@ -353,6 +326,7 @@ def _build_parser() -> _Parser:
     _output_args(p, ("text", "bfile", "csv", "json"), loglog=True)
 
     p = sub.add_parser("sym", help="derive symbolic prefix terms Q(N+k)")
+    p.set_defaults(handler=_run_sym)
     p.add_argument("--convention", choices=CONVENTIONS, default="plain")
     p.add_argument("--nmin", type=int, required=True, help="lower bound of the N range")
     p.add_argument("--nmax", type=int, help="optional upper bound of the N range")
@@ -361,31 +335,37 @@ def _build_parser() -> _Parser:
     _output_args(p, ("text", "json", "bfile", "csv"), loglog=True)
 
     p = sub.add_parser("rst", help="tabulate the R/S/T system")
+    p.set_defaults(handler=_run_rst)
     p.add_argument("--max", dest="max_terms", type=int, required=True,
                    help="largest n to compute")
     p.add_argument("--which", choices=("r", "s", "t", "all"), default="all")
     _output_args(p, ("text", "csv", "json", "bfile"))
 
     p = sub.add_parser("predict", help="emit the predicted sequence for <0-bar; 1..N>")
+    p.set_defaults(handler=_run_predict)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max", dest="max_terms", type=int, required=True,
                    help="total terms to attempt")
     _output_args(p, ("text", "bfile", "csv", "json"), loglog=True)
 
     p = sub.add_parser("verify", help="compare predictions against the recurrence")
+    p.set_defaults(handler=_run_verify)
     p.add_argument("--n", type=int, required=True, help="first (or only) N")
-    p.add_argument("--to", type=int, help="verify the range --n..--to, skipping exceptions")
+    p.add_argument("--to", type=int,
+                   help="verify the range --n..--to, skipping exceptions and N < 35")
     p.add_argument("--max", dest="max_terms", type=int, required=True,
                    help="terms to compare per N")
     p.add_argument("--workers", type=int, default=1, help="parallel processes")
     _output_args(p, ("text", "json"))
 
     p = sub.add_parser("tree", help="print or query the classification tree")
+    p.set_defaults(handler=_run_tree)
     p.add_argument("--levels", type=int, default=3, help="depth to expand")
     p.add_argument("--locate", type=int, help="report the leaf containing this N")
     _output_args(p, ("text", "json"))
 
     p = sub.add_parser("scan", help="classification and observed length for a range of N")
+    p.set_defaults(handler=_run_scan)
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
     p.add_argument("--max", dest="max_terms", type=int, required=True,
@@ -394,10 +374,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", "-o", help="output path (default: stdout)")
 
     return parser
-
-
-def run(config: RunConfig) -> int:
-    return _HANDLERS[config.command](config)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -409,9 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
-    config = RunConfig(**vars(args))
     try:
-        return run(config)
+        return args.handler(args)
     except (DivisibilityError, AssertionError) as exc:
         print(f"qlab: internal error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import IO
+from itertools import chain, islice
+from typing import IO, Iterable, Sequence
 
 from . import _backend
 from ._backend import BACKEND, INT64_MAX, INT64_MIN
@@ -311,10 +312,20 @@ def format_ic(ic: InitialCondition) -> str:
     return f"0;{body}" if ic.zero_extended else body
 
 
+def write_rows(out: IO[str], rows: Iterable[Sequence], template: str) -> None:
+    """Write each row through ``template``, e.g. "%d %d\n" for two fields.
+
+    Rows go out 4096 at a time, each block formatted by one ``%`` over its
+    flattened values; larger blocks raise the peak memory.
+    """
+    rows = iter(rows)
+    while block := list(islice(rows, 4096)):
+        out.write((template * len(block)) % tuple(chain.from_iterable(block)))
+
+
 def write_bfile(seq: GeneratedSequence, out: IO[str]) -> None:
     """Write "n value" lines; a died/ended run gains a trailing comment."""
-    for i, v in enumerate(seq.terms, start=1):
-        out.write(f"{i} {v}\n")
+    write_rows(out, enumerate(seq.terms, start=1), "%d %d\n")
     if not seq.status.is_alive:
         out.write(f"# {seq.status.kind} at {seq.status.at_index}\n")
 
@@ -323,10 +334,10 @@ def write_csv(seq: GeneratedSequence, out: IO[str], loglog: bool = False) -> Non
     """Write "n,value" rows; with ``loglog``, log10 pairs skipping values <= 0."""
     if loglog:
         out.write("log10_n,log10_value\n")
-        for i, v in enumerate(seq.terms, start=1):
-            if v > 0:
-                out.write(f"{math.log10(i):.6f},{math.log10(v):.6f}\n")
+        rows = (
+            (math.log10(i), math.log10(v)) for i, v in enumerate(seq.terms, start=1) if v > 0
+        )
+        write_rows(out, rows, "%.6f,%.6f\n")
     else:
         out.write("n,value\n")
-        for i, v in enumerate(seq.terms, start=1):
-            out.write(f"{i},{v}\n")
+        write_rows(out, enumerate(seq.terms, start=1), "%d,%d\n")

@@ -240,11 +240,13 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int, mode: str | None = N
     """Check <0;a_1..a_K,5,lam,4,mu> against its R/S/T block pattern.
 
     Block k >= 1 should occupy indices K+5k..K+5k+4 with the values
-    (5R(k), 5S(k), lam*T(k), 4, 5R(k)).  The pattern is guaranteed for
-    lam >= 9 and mu >= K+6, but those are deliberately not enforced so a
-    caller can probe how violations look; k_max >= 1 is.  Each block also
-    carries the growth condition lam*T(k) >= K+5k+4, whose first failure
-    through the first violated block is reported, not asserted.
+    (5R(k), 5S(k), lam*T(k), 4, 5R(k)).  For K = 0 the pattern is
+    guaranteed for lam >= 9 and mu >= 6.  For K >= 1 it also needs the
+    growth condition lam*T(k) >= K+5k+4 for every k <= k_max, besides
+    lam >= 9 and mu >= K+6; that case is checked by seeded sweeps in the
+    tests, not proven.  None of these is enforced, so a caller can probe
+    how violations look; k_max >= 1 is.  The first failure of the growth
+    condition through the first violated block is reported, not asserted.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")

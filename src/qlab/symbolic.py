@@ -71,18 +71,10 @@ class AffineExpr:
 
 
 @dataclass(frozen=True)
-class AffineTerm:
+class AffineTerm(AffineExpr):
     """A derived term a*N + b, valid for every N >= min_valid_N."""
 
-    a: int
-    b: int
     min_valid_N: int
-
-    def value(self, n: int) -> int:
-        return self.a * n + self.b
-
-    def __str__(self) -> str:
-        return _affine_str(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -168,6 +160,22 @@ class SymbolicPrefix:
         }
 
 
+def _holds_from(a: int, b: int, ell: int, hi: int | None) -> int | None:
+    """The least N >= 2 from which a*N + b >= 0 holds up to hi, when that
+    N is at most ell; otherwise None.
+
+    A result proves the inequality for every N in [ell, hi].  hi=None
+    leaves the range unbounded, where a negative slope never holds.
+    """
+    if a > 0:
+        start = max(2, _ceil_div(-b, a))
+    elif a == 0:
+        start = 2 if b >= 0 else None
+    else:
+        start = 2 if hi is not None and a * hi + b >= 0 else None
+    return start if start is not None and start <= ell else None
+
+
 def _resolve(alpha, beta, k, terms, zero, lo, hi, acc):
     """Settle the reference alpha*N + beta at offset k.
 
@@ -181,47 +189,19 @@ def _resolve(alpha, beta, k, terms, zero, lo, hi, acc):
         return ("value", t.a, t.b, t.min_valid_N)
 
     # reference provably <= 0
-    claim = False
-    threshold = 2
-    if alpha == 0:
-        claim = beta <= 0
-    elif alpha < 0:
-        threshold = max(2, _ceil_div(beta, -alpha))
-        claim = threshold <= ell
-    else:
-        claim = hi is not None and alpha * hi + beta <= 0
-    if claim:
+    threshold = _holds_from(-alpha, -beta, ell, hi)
+    if threshold is not None:
         return ("value", 0, 0, threshold) if zero else ("death",)
 
     # reference provably at or past the current position N + k
-    fa, fb = alpha - 1, beta - k
-    if fa == 0:
-        fwd = fb >= 0
-    elif fa > 0:
-        fwd = fa * ell + fb >= 0
-    else:
-        fwd = hi is not None and fa * hi + fb >= 0
-    if fwd:
-        return ("death",) if not zero else ("unresolved",)
+    if _holds_from(alpha - 1, beta - k, ell, hi) is not None:
+        return ("unresolved",) if zero else ("death",)
 
     # reference provably within the identity range 1..N
-    ok = True
-    bound = 2
-    if alpha > 0:
-        bound = max(bound, _ceil_div(1 - beta, alpha))
-    elif alpha == 0:
-        ok = beta >= 1
-    else:
-        ok = hi is not None and alpha * hi + beta >= 1
-    if ok:
-        if alpha < 1:
-            bound = max(bound, _ceil_div(beta, 1 - alpha))
-        elif alpha == 1:
-            ok = beta <= 0
-        else:
-            ok = hi is not None and (alpha - 1) * hi + beta <= 0
-    if ok and bound <= ell:
-        return ("value", alpha, beta, bound)
+    above = _holds_from(alpha, beta - 1, ell, hi)
+    below = _holds_from(1 - alpha, -beta, ell, hi)
+    if above is not None and below is not None:
+        return ("value", alpha, beta, max(above, below))
     return ("unresolved",)
 
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -65,6 +69,16 @@ def test_loglog_requires_csv(capsys):
     code, out, err = run_cli(capsys, "gen", "--ic", "1,1", "--max", "5", "--loglog")
     assert code == 1 and out == ""
     assert "--loglog only applies to --format csv" in err
+    # sym checks it with or without --at
+    for argv in (
+        ("predict", "--n", "39", "--max", "50", "--loglog"),
+        ("sym", "--nmin", "14", "--loglog"),
+        ("sym", "--nmin", "14", "--loglog", "--format", "json"),
+        ("sym", "--nmin", "14", "--at", "30", "--loglog"),
+    ):
+        assert run_cli(capsys, *argv) == (
+            1, "", "qlab: error: --loglog only applies to --format csv\n"
+        )
 
 
 def test_gen_writes_file(tmp_path, capsys):
@@ -195,6 +209,30 @@ def test_verify_range_skips_exceptional(capsys):
     )
 
 
+def test_verify_range_skips_n_below_35(capsys):
+    # no N below 35 has a prediction; a range skips them like exceptions
+    _, expected, _ = run_cli(capsys, "verify", "--n", "35", "--to", "40", "--max", "100")
+    for start in ("0", "1", "2"):
+        assert run_cli(
+            capsys, "verify", "--n", start, "--to", "40", "--max", "100"
+        ) == (0, expected, "")
+    code, out, err = run_cli(capsys, "verify", "--n", "-1", "--to", "40", "--max", "100")
+    assert (code, out) == (1, "")
+    assert err == "qlab: error: n_value must be nonnegative\n"
+    code, _, err = run_cli(capsys, "verify", "--n", "0", "--max", "100")
+    assert code == 1 and "non-exceptional N >= 35" in err
+
+
+def test_cli_import_leaves_process_pool_out():
+    # the process pool is imported only when --workers starts processes
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    code = "import sys, qlab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_verify_workers_match_serial(capsys):
     code, serial, _ = run_cli(capsys, "verify", "--n", "35", "--to", "45", "--max", "200")
     assert code == 0
@@ -229,7 +267,7 @@ def test_workers_capped_at_task_count(capsys, monkeypatch):
     monkeypatch.setattr(_SerialPool, "sizes", [])
     _, serial_verify, _ = run_cli(capsys, "verify", "--n", "35", "--to", "45", "--max", "200")
     _, serial_scan, _ = run_cli(capsys, "scan", "--from", "2", "--to", "4", "--max", "100")
-    with mock.patch("qlab.cli.ProcessPoolExecutor", _SerialPool):
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", _SerialPool):
         verify = run_cli(
             capsys, "verify", "--n", "35", "--to", "45", "--max", "200", "--workers", "500"
         )

@@ -3,7 +3,11 @@ initial-condition grammar, quasilinear detection, and the output writers."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import io
+import math
+import random
 from unittest import mock
 
 import pytest
@@ -12,7 +16,9 @@ from hypothesis import strategies as st
 
 from qlab import (
     ArithmeticOverflowError,
+    GeneratedSequence,
     InitialCondition,
+    SequenceStatus,
     ValidationError,
     detect_quasilinear,
     evaluate,
@@ -24,6 +30,8 @@ from qlab import (
     write_csv,
 )
 from qlab import _backend, _fallback
+from qlab.cli import _emit_sequence
+from qlab.engine import write_rows
 
 # Q(1)=Q(2)=1: hand-unrolled prefix of the classic sequence
 CLASSIC_17 = [1, 1, 2, 3, 3, 4, 5, 5, 6, 6, 6, 8, 8, 8, 10, 9, 10]
@@ -285,3 +293,88 @@ def test_write_csv_plain_and_loglog():
     # the zero term cannot be plotted on a log axis and is dropped
     assert lines[0] == "log10_n,log10_value"
     assert len(lines) == 2 and lines[1].startswith("0.000000,")
+
+
+def _per_row_bfile(seq, out):
+    """write_bfile as it was before write_rows, one f-string per row: the
+    reference for the block writer."""
+    for i, v in enumerate(seq.terms, start=1):
+        out.write(f"{i} {v}\n")
+    if not seq.status.is_alive:
+        out.write(f"# {seq.status.kind} at {seq.status.at_index}\n")
+
+
+def _per_row_csv(seq, out, loglog=False):
+    """write_csv as it was before write_rows."""
+    if loglog:
+        out.write("log10_n,log10_value\n")
+        for i, v in enumerate(seq.terms, start=1):
+            if v > 0:
+                out.write(f"{math.log10(i):.6f},{math.log10(v):.6f}\n")
+    else:
+        out.write("n,value\n")
+        for i, v in enumerate(seq.terms, start=1):
+            out.write(f"{i},{v}\n")
+
+
+def _per_row_text(seq, out):
+    """The text layout of gen/predict/sym --at as it was before write_rows:
+    a header, then rows of ten joined one at a time."""
+    out.write(f"# <{seq.ic}>: {len(seq)} terms, {seq.status}\n")
+    for i in range(0, len(seq), 10):
+        out.write(" ".join(map(str, seq.terms[i : i + 10])) + "\n")
+
+
+def _cli_text(seq, out):
+    args = argparse.Namespace(out=None, format="text", loglog=False)
+    with contextlib.redirect_stdout(out):
+        _emit_sequence(seq, args)
+
+
+# 4096-row blocks: rows of ten put their edges at 40960 terms
+_LENGTHS = (0, 1, 9, 10, 11, 4095, 4096, 4097, 40959, 40960, 40961)
+_STATUSES = (SequenceStatus.alive(), SequenceStatus.died(7), SequenceStatus.ended(12))
+_WRITERS = [
+    (write_bfile, _per_row_bfile),
+    (write_csv, _per_row_csv),
+    (lambda seq, out: write_csv(seq, out, loglog=True),
+     lambda seq, out: _per_row_csv(seq, out, loglog=True)),
+    (_cli_text, _per_row_text),
+]
+
+
+def _terms(rng: random.Random, length: int) -> list[int]:
+    # negative, zero, small and beyond-int64 terms, so loglog drops some rows
+    pool = (0, -1, -(2**70), 2**64 + 1, 10**30)
+    return [
+        rng.choice(pool) if rng.random() < 0.1 else rng.randint(-50, 10**6)
+        for _ in range(length)
+    ]
+
+
+@pytest.mark.parametrize("length", _LENGTHS)
+def test_writers_match_per_row_reference(length):
+    rng = random.Random(length)
+    terms = _terms(rng, length)
+    ic = InitialCondition((1, 2, 3), zero_extended=True)
+    for status in _STATUSES:
+        seq = GeneratedSequence(ic, terms, status)
+        for writer, reference in _WRITERS:
+            got, want = io.StringIO(), io.StringIO()
+            writer(seq, got)
+            reference(seq, want)
+            got, want = got.getvalue(), want.getvalue()
+            if got != want:  # name the first differing byte, not a 400 kB diff
+                at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                          min(len(got), len(want)))
+                pytest.fail(f"{reference.__name__} {length} {status}: differs at {at}:"
+                            f" {got[at - 20 : at + 20]!r} != {want[at - 20 : at + 20]!r}")
+
+
+def test_write_rows_blocks_and_templates():
+    out = io.StringIO()
+    write_rows(out, ((i, -i) for i in range(10_000)), "%d:%d;")
+    assert out.getvalue() == "".join(f"{i}:{-i};" for i in range(10_000))
+    out = io.StringIO()
+    write_rows(out, [], "%d\n")
+    assert out.getvalue() == ""

@@ -252,6 +252,36 @@ def test_qt_with_nonempty_prefix():
     print("✓ qt prefix (2,2,2): lam=9 truncates in block 10, lam=15 holds")
 
 
+def test_qt_guarantee_for_empty_prefix(fastest_backend):
+    # K = 0: lam >= 9 and mu >= 6 suffice
+    failures = [
+        (lam, mu, report.first_violation)
+        for lam in range(9, 41)
+        for mu in range(6, 41)
+        if not (report := qt_pattern_check((), lam, mu, 150)).ok
+    ]
+    assert failures == []
+
+
+def test_qt_guarantee_under_side_condition(fastest_backend):
+    # K >= 1: lam >= 9, mu >= K+6 and lam*T(k) >= K+5k+4 for every k <= k_max
+    rng = random.Random(20261020)
+    met = 0
+    for _ in range(3000):
+        big_k = rng.randint(1, 8)
+        prefix = tuple(rng.randint(1, 12) for _ in range(big_k))
+        mu = rng.randint(big_k + 6, big_k + 40)
+        lam = rng.randint(9, 40)
+        k_max = rng.randint(1, 120)
+        if any(lam * T(k) < big_k + 5 * k + 4 for k in range(1, k_max + 1)):
+            continue
+        met += 1
+        report = qt_pattern_check(prefix, lam, mu, k_max)
+        assert report.ok, (prefix, lam, mu, k_max, report.first_violation)
+        assert report.side_condition_first_failure is None
+    assert met > 2500  # the side condition leaves most draws in
+
+
 def test_qt_lambda_8_breaks_quickly():
     report = qt_pattern_check((), 8, 7, 12)
     assert not report.ok

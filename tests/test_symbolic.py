@@ -3,17 +3,21 @@ validity thresholds, stop reasons, and specialization back to concrete runs."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import (
     AffineExpr,
+    AffineTerm,
     InitialCondition,
     NConstraint,
     ValidationError,
     evaluate,
     specialize,
+    symbolic,
     symbolic_extend,
 )
 
@@ -193,3 +197,101 @@ def test_specialization_always_matches_bruteforce(convention, lo, max_offsets, b
     assert seq.terms == brute.terms
     if not seq.status.is_alive:
         assert seq.status == brute.status
+
+
+def _ceil_div(p: int, q: int) -> int:
+    return -((-p) // q)
+
+
+def _resolve_four_tests(alpha, beta, k, terms, zero, lo, hi, acc):
+    """symbolic._resolve as it was with one sign test per claim, each
+    branching on the sign of its own slope: the reference for the shared
+    helper."""
+    ell = max(lo, acc)
+    if alpha == 1 and 1 <= beta < k:
+        t = terms[beta - 1]
+        return ("value", t.a, t.b, t.min_valid_N)
+
+    # reference provably <= 0
+    claim = False
+    threshold = 2
+    if alpha == 0:
+        claim = beta <= 0
+    elif alpha < 0:
+        threshold = max(2, _ceil_div(beta, -alpha))
+        claim = threshold <= ell
+    else:
+        claim = hi is not None and alpha * hi + beta <= 0
+    if claim:
+        return ("value", 0, 0, threshold) if zero else ("death",)
+
+    # reference provably at or past the current position N + k
+    fa, fb = alpha - 1, beta - k
+    if fa == 0:
+        fwd = fb >= 0
+    elif fa > 0:
+        fwd = fa * ell + fb >= 0
+    else:
+        fwd = hi is not None and fa * hi + fb >= 0
+    if fwd:
+        return ("death",) if not zero else ("unresolved",)
+
+    # reference provably within the identity range 1..N
+    ok = True
+    bound = 2
+    if alpha > 0:
+        bound = max(bound, _ceil_div(1 - beta, alpha))
+    elif alpha == 0:
+        ok = beta >= 1
+    else:
+        ok = hi is not None and alpha * hi + beta >= 1
+    if ok:
+        if alpha < 1:
+            bound = max(bound, _ceil_div(beta, 1 - alpha))
+        elif alpha == 1:
+            ok = beta <= 0
+        else:
+            ok = hi is not None and (alpha - 1) * hi + beta <= 0
+    if ok and bound <= ell:
+        return ("value", alpha, beta, bound)
+    return ("unresolved",)
+
+
+_TERMS = [AffineTerm(i % 3, 7 - i, 2 + i // 4) for i in range(64)]
+
+
+@given(
+    alpha=st.integers(min_value=-6, max_value=6),
+    beta=st.integers(min_value=-300, max_value=300),
+    k=st.integers(min_value=1, max_value=64),
+    zero=st.booleans(),
+    lo=st.integers(min_value=2, max_value=120),
+    span=st.none() | st.integers(min_value=0, max_value=200),
+    acc=st.integers(min_value=2, max_value=150),
+)
+@settings(max_examples=1000, deadline=None)
+def test_resolve_matches_four_test_reference(alpha, beta, k, zero, lo, span, acc):
+    hi = None if span is None else lo + span
+    args = (alpha, beta, k, _TERMS, zero, lo, hi, acc)
+    assert symbolic._resolve(*args) == _resolve_four_tests(*args)
+
+
+@pytest.mark.parametrize("convention", ["plain", "zero_extended"])
+def test_derivations_match_four_test_reference(convention):
+    his = (None, 2, 5, 13, 14, 20, 21, 29, 34, 35, 50, 79, 118, 500)
+    for lo in range(2, 80):
+        for hi in his:
+            if hi is not None and hi < lo:
+                continue
+            constraint = NConstraint(lo, hi)
+            got = symbolic_extend(convention, constraint, 60)
+            with mock.patch.object(symbolic, "_resolve", _resolve_four_tests):
+                want = symbolic_extend(convention, constraint, 60)
+            assert got == want, (convention, lo, hi)
+
+
+def test_affine_term_is_an_affine_expr():
+    term = AffineTerm(2, -3, 7)
+    assert isinstance(term, AffineExpr)
+    assert (term.value(10), str(term), term.min_valid_N) == (17, "2N-3", 7)
+    assert term != AffineExpr(2, -3)
