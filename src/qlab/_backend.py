@@ -29,6 +29,7 @@ __all__ = [
     "STATUS_DIED",
     "STATUS_ENDED",
     "STATUS_OVERFLOW",
+    "q_check",
     "q_generate",
     "rst_generate",
 ]
@@ -47,6 +48,16 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, mode: str):
         # No list can be longer than sys.maxsize, so clamping changes no result.
         return _kernel.q_generate(prefix, zero_extended, min(max_terms, sys.maxsize))
     return _fallback.q_generate(prefix, zero_extended, max_terms, checked=True)
+
+
+def q_check(prefix, zero_extended: bool, tiles, max_terms: int, mode: str):
+    """Run the recurrence and compare it with the prediction ``tiles``, as
+    _fallback.q_check does, dispatched on ``mode`` as q_generate is."""
+    if mode == "exact":
+        return _fallback.q_check(prefix, zero_extended, tiles, max_terms, checked=False)
+    if _kernel is not None:
+        return _kernel.q_check(prefix, zero_extended, tiles, min(max_terms, sys.maxsize))
+    return _fallback.q_check(prefix, zero_extended, tiles, max_terms, checked=True)
 
 
 def rst_generate(n_max: int):

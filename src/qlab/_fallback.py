@@ -3,7 +3,22 @@
 q_generate is used for exact mode, and for fast64 when the kernel is not
 built; both return the terms as one list of ints.  rst_generate tabulates
 the R/S/T system when the kernel is not built or its int64 values would
-overflow.
+overflow.  q_check runs the recurrence and compares it with a prediction
+given as tiles; ``materialise`` says what the tiles predict.
+
+A tile is ``(kind, start, length, a, b)``: ``length`` consecutive predicted
+terms from index ``start + 1`` on.  By kind:
+
+* TILE_RANGE: ``a, a + 1, a + 2, ...`` (``b`` unused);
+* TILE_LITERAL: the values of the tuple ``a`` (``b`` unused);
+* TILE_CHUNK: the period-5 chunk ``(a + b*k, 5, b, 3, 5)``, k = 0, 1, ...;
+* TILE_BLOCKS: the blocks ``(lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1))``,
+  k = 1, 2, ..., with ``lam = a`` and ``b = (r, s, t)`` the R/S/T tables as
+  :class:`qlab.rst.RSTState` holds them (``r[k-1]`` is R(k), ``s[k]`` is
+  S(k), ``t[k]`` is T(k)).
+
+Tiles follow each other without gaps, so ``start`` is the sum of the
+lengths before it; neither implementation reads it.
 """
 
 from __future__ import annotations
@@ -15,6 +30,11 @@ STATUS_OVERFLOW = 3
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+
+TILE_RANGE = 0
+TILE_LITERAL = 1
+TILE_CHUNK = 2
+TILE_BLOCKS = 3
 
 
 def q_generate(
@@ -99,3 +119,95 @@ def rst_generate(
         at = m
     del r[0]
     return tuple(r), tuple(s), tuple(t), which, at
+
+
+def _append_chunk(out: list[int], max_terms: int, length: int, first: int, step: int) -> None:
+    """Append a period-5 chunk (first + step*k, 5, step, 3, 5), k = 0, 1, ...
+
+    The chunk is clipped to the budget before it is built: a deep chunk can
+    span about 10^10 terms.  step must be positive.
+    """
+    length = min(length, max_terms - len(out))
+    if length <= 0:
+        return
+    start = len(out)
+    out += [5] * length
+    out[start::5] = range(first, first + step * len(range(0, length, 5)), step)
+    out[start + 2 :: 5] = [step] * len(range(2, length, 5))
+    out[start + 3 :: 5] = [3] * len(range(3, length, 5))
+
+
+def _append_blocks(out: list[int], length: int, lam: int, r, s, t) -> None:
+    """Append the first ``length`` terms of the blocks (lam*T(k), 4, 5R(k),
+    5R(k+1), 5S(k+1)), k = 1, 2, ..., read from the R/S/T tables r, s, t."""
+    kmax = -(-length // 5)
+    start = len(out)
+    out += [4] * (5 * kmax)
+    out[start::5] = [lam * v for v in t[1 : kmax + 1]]
+    five_r = [5 * v for v in r[: kmax + 1]]
+    out[start + 2 :: 5] = five_r[:-1]
+    out[start + 3 :: 5] = five_r[1:]
+    out[start + 4 :: 5] = [5 * v for v in s[2 : kmax + 2]]
+    del out[start + length :]
+
+
+def materialise(tiles, max_terms: int) -> list[int]:
+    """The terms ``tiles`` predict, as one list, clipped to max_terms."""
+    out: list[int] = []
+    for kind, _start, length, a, b in tiles:
+        room = max_terms - len(out)
+        if room <= 0:
+            break
+        length = min(length, room)
+        if kind == TILE_RANGE:
+            out += range(a, a + length)
+        elif kind == TILE_LITERAL:
+            out += a[:length]
+        elif kind == TILE_CHUNK:
+            _append_chunk(out, max_terms, length, a, b)
+        else:
+            _append_blocks(out, length, a, *b)
+    return out
+
+
+def _first_difference(
+    p_terms: list[int], a_terms: list[int]
+) -> tuple[int, int | None, int | None] | None:
+    """(index, predicted, actual) at the first disagreement, None if equal.
+
+    The index counts from 1.  A stream that stops early shows up as None on
+    its side of the tuple.
+    """
+    if p_terms == a_terms:
+        return None
+    common = min(len(p_terms), len(a_terms))
+    for i in range(common):
+        if p_terms[i] != a_terms[i]:
+            return (i + 1, p_terms[i], a_terms[i])
+    if len(p_terms) > common:
+        return (common + 1, p_terms[common], None)
+    return (common + 1, None, a_terms[common])
+
+
+def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = True):
+    """Run the recurrence as q_generate does and compare it with the terms
+    ``materialise(tiles, max_terms)`` predicts.
+
+    Returns ``(matched_through, first_mismatch, status, at, n_actual)``:
+    the count of leading terms that agree, ``_first_difference`` of the two
+    lists, q_generate's status and index, and the count of actual terms.
+    With ``checked`` the int64 kernel is simulated: when the recurrence
+    overflows, or the predicted value first_mismatch would report lies
+    outside int64, the result is ``(0, None, STATUS_OVERFLOW, at, 0)`` with
+    ``at`` the index of that term.
+    """
+    terms, status, at = q_generate(prefix, zero_extended, max_terms, checked)
+    if status == STATUS_OVERFLOW:
+        return 0, None, status, at, 0
+    predicted = materialise(tiles, max_terms)
+    first = _first_difference(predicted, terms)
+    if first is None:
+        return len(predicted), None, status, at, len(terms)
+    if checked and first[1] is not None and not INT64_MIN <= first[1] <= INT64_MAX:
+        return 0, None, STATUS_OVERFLOW, first[0], 0
+    return first[0] - 1, first, status, at, len(terms)

@@ -3,6 +3,9 @@
  * Mirrors the contract of _fallback.q_generate in checked (int64) mode:
  * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at)
  * with terms a list of int; status 0 alive, 1 died, 2 ended, 3 overflow.
+ * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
+ * and compares each term with the prediction the tiles describe, returning
+ * what _fallback.q_check does in checked mode without building a list.
  * rst_generate(n_max) returns what _fallback.rst_generate does, or None
  * when a value would leave int64.  Values are computed in private int64
  * buffers that grow with the rows produced and are freed before the call
@@ -17,6 +20,11 @@
 #define STATUS_DIED 1
 #define STATUS_ENDED 2
 #define STATUS_OVERFLOW 3
+
+#define TILE_RANGE 0
+#define TILE_LITERAL 1
+#define TILE_CHUNK 2
+#define TILE_BLOCKS 3
 
 /* Store in *out the term Q(n - v) that the value v refers to, or return the
  * status that stops the run: v <= 0 points at or past n itself, and v >= n
@@ -45,40 +53,47 @@ grow(long long **buf, Py_ssize_t cap)
     return 1;
 }
 
-static PyObject *
-q_generate(PyObject *self, PyObject *args)
+/* A new buffer holding the int64 values of prefix (at least two terms),
+ * with room for 1024 more; *k is the prefix length and *cap the capacity.
+ * NULL with an exception set on failure. */
+static long long *
+load_prefix(PyObject *prefix, Py_ssize_t *k, Py_ssize_t *cap)
 {
-    PyObject *prefix, *seq, *terms = NULL;
-    int zero;
-    Py_ssize_t max_terms, k, cap, n, i;
-    long long *t, a, b;
-    int status = STATUS_ALIVE;
+    PyObject *seq = PySequence_Fast(prefix, "prefix must be a sequence");
+    long long *t = NULL;
+    Py_ssize_t i;
 
-    if (!PyArg_ParseTuple(args, "Opn:q_generate", &prefix, &zero, &max_terms))
-        return NULL;
-    seq = PySequence_Fast(prefix, "prefix must be a sequence");
     if (seq == NULL)
         return NULL;
-    k = PySequence_Fast_GET_SIZE(seq);
-    if (k < 2) {
-        Py_DECREF(seq);
+    *k = PySequence_Fast_GET_SIZE(seq);
+    if (*k < 2)
         PyErr_SetString(PyExc_ValueError, "prefix needs at least two terms");
-        return NULL;
-    }
-    cap = k + 1024;
-    t = PyMem_New(long long, cap);
-    if (t == NULL) {
-        Py_DECREF(seq);
-        return PyErr_NoMemory();
-    }
-    for (i = 0; i < k; i++) {
+    else if ((t = PyMem_New(long long, *k + 1024)) == NULL)
+        PyErr_NoMemory();
+    for (i = 0; t != NULL && i < *k; i++) {
         t[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
         if (t[i] == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            goto done;
+            PyMem_Free(t);
+            t = NULL;
         }
     }
     Py_DECREF(seq);
+    *cap = *k + 1024;
+    return t;
+}
+
+/* Extend the k terms in *buf (capacity *cap, grown as needed) through
+ * max_terms terms.  Returns the status and sets *stop to the stopping
+ * index, or to one past the last term of an alive run (which keeps a
+ * prefix longer than max_terms); -1 with MemoryError set if the buffer
+ * cannot grow.  Q(1..*stop-1) are then in *buf. */
+static int
+extend(long long **buf, Py_ssize_t *cap, Py_ssize_t k, int zero,
+       Py_ssize_t max_terms, Py_ssize_t *stop)
+{
+    long long *t = *buf, a, b;
+    Py_ssize_t n, room = *cap;
+    int status = STATUS_ALIVE;
 
     for (n = k + 1; n <= max_terms; n++) {
         if ((status = lookup(t, n, t[n - 2], zero, &a)) ||
@@ -88,19 +103,36 @@ q_generate(PyObject *self, PyObject *args)
             status = STATUS_OVERFLOW;
             break;
         }
-        if (n > cap) {
-            if (!grow(&t, cap)) {
+        if (n > room) {
+            if (!grow(buf, room)) {
                 PyErr_NoMemory();
-                goto done;
+                status = -1;
+                break;
             }
-            cap *= 2;
+            t = *buf;
+            room *= 2;
         }
         t[n - 1] = a + b;
     }
+    *cap = room;
+    *stop = n;
+    return status;
+}
 
-    /* Q(1..n-1) are known: n is the stopping index, or one past the last
-     * term of an alive run (which keeps a prefix longer than max_terms). */
-    terms = PyList_New(n - 1);
+static PyObject *
+q_generate(PyObject *self, PyObject *args)
+{
+    PyObject *prefix, *terms = NULL;
+    int zero, status;
+    Py_ssize_t max_terms, k, cap, n, i;
+    long long *t;
+
+    if (!PyArg_ParseTuple(args, "Opn:q_generate", &prefix, &zero, &max_terms))
+        return NULL;
+    if ((t = load_prefix(prefix, &k, &cap)) == NULL)
+        return NULL;
+    status = extend(&t, &cap, k, zero, max_terms, &n);
+    terms = status < 0 ? NULL : PyList_New(n - 1);
     for (i = 0; terms != NULL && i < n - 1; i++) {
         PyObject *v = PyLong_FromLongLong(t[i]);
         if (v == NULL)
@@ -108,13 +140,222 @@ q_generate(PyObject *self, PyObject *args)
         else
             PyList_SET_ITEM(terms, i, v);
     }
-
-done:
     PyMem_Free(t);
     if (terms == NULL)
         return NULL;
     return Py_BuildValue("(Nin)", terms, status,
                          status == STATUS_ALIVE ? (Py_ssize_t)0 : n);
+}
+
+/* One tile (kind, start, length, a, b) of a prediction, clipped to the
+ * budget; _fallback.materialise says what each kind predicts. */
+typedef struct {
+    int kind;
+    Py_ssize_t length;
+    long long a, b;     /* range: first value; chunk: first and step; blocks: lam */
+    int a_big, b_big;   /* a or b lies outside int64 */
+    PyObject *values;   /* literal: a tuple of at least length ints */
+    PyObject *r, *s, *t; /* blocks: R(1..), S(0..), T(0..) as tuples */
+    long long x;        /* chunk: a + b*k for the current k */
+} Tile;
+
+/* *v = the int64 value of the int o, with *big set to 1 when o lies
+ * outside int64 and to 0 otherwise: 0, or -1 with an exception set when o
+ * is not an int. */
+static int
+read_int(PyObject *o, long long *v, int *big)
+{
+    int sign;
+
+    *v = PyLong_AsLongLongAndOverflow(o, &sign);
+    *big = sign != 0;
+    return *v == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* Read tile item, its length clipped to room; -1 with an exception set
+ * when it is malformed. */
+static int
+read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
+{
+    PyObject *a, *b;
+    Py_ssize_t start, kmax;
+
+    if (!PyTuple_Check(item)) {
+        PyErr_SetString(PyExc_TypeError, "a tile is a tuple (kind, start, length, a, b)");
+        return -1;
+    }
+    if (!PyArg_ParseTuple(item, "innOO:q_check", &tl->kind, &start, &tl->length, &a, &b))
+        return -1;
+    if (tl->length < 0) {
+        PyErr_SetString(PyExc_ValueError, "tile length must be nonnegative");
+        return -1;
+    }
+    if (tl->length > room)
+        tl->length = room;
+    kmax = (tl->length + 4) / 5;
+    tl->a_big = tl->b_big = 0;
+    switch (tl->kind) {
+    case TILE_RANGE:
+        return read_int(a, &tl->a, &tl->a_big);
+    case TILE_LITERAL:
+        if (!PyTuple_Check(a) || PyTuple_GET_SIZE(a) < tl->length) {
+            PyErr_SetString(PyExc_ValueError, "a literal tile needs a tuple of length values");
+            return -1;
+        }
+        tl->values = a;
+        return 0;
+    case TILE_CHUNK:
+        if (read_int(a, &tl->a, &tl->a_big) || read_int(b, &tl->b, &tl->b_big))
+            return -1;
+        tl->x = tl->a;
+        return 0;
+    case TILE_BLOCKS:
+        if (read_int(a, &tl->a, &tl->a_big) || !PyTuple_Check(b) ||
+            !PyArg_ParseTuple(b, "O!O!O!:q_check", &PyTuple_Type, &tl->r,
+                              &PyTuple_Type, &tl->s, &PyTuple_Type, &tl->t)) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_TypeError, "a block tile needs (r, s, t) tuples");
+            return -1;
+        }
+        /* block k reads R(k+1) = r[k], S(k+1) = s[k+1] and T(k) = t[k] */
+        if (PyTuple_GET_SIZE(tl->r) < kmax + 1 || PyTuple_GET_SIZE(tl->s) < kmax + 2 ||
+            PyTuple_GET_SIZE(tl->t) < kmax + 1) {
+            PyErr_SetString(PyExc_ValueError, "the R/S/T tables are too short for the block tile");
+            return -1;
+        }
+        return 0;
+    }
+    PyErr_Format(PyExc_ValueError, "unknown tile kind %d", tl->kind);
+    return -1;
+}
+
+/* *v = 5 * table[i]: 0, 1 when that lies outside int64, -1 on error. */
+static int
+five_times(PyObject *table, Py_ssize_t i, long long *v)
+{
+    int big;
+
+    if (read_int(PyTuple_GET_ITEM(table, i), v, &big))
+        return -1;
+    return big || __builtin_mul_overflow(*v, 5LL, v);
+}
+
+/* *v = the value tile tl predicts at offset j: 0, 1 when that value lies
+ * outside int64, -1 with an exception set.  Called for j = 0, 1, 2, ... in
+ * turn, and not again once it returned nonzero: the running value of a
+ * chunk is then exact, and a parameter outside int64 is itself the first
+ * value outside int64 that depends on it (T(k) >= 1 in every R/S/T table). */
+static int
+tile_value(Tile *tl, Py_ssize_t j, long long *v)
+{
+    Py_ssize_t k = j / 5 + 1; /* blocks: the block number */
+    long long t_k;
+    int big;
+
+    switch (tl->kind) {
+    case TILE_RANGE:
+        return tl->a_big || __builtin_add_overflow(tl->a, (long long)j, v);
+    case TILE_LITERAL:
+        if (read_int(PyTuple_GET_ITEM(tl->values, j), v, &big))
+            return -1;
+        return big;
+    case TILE_CHUNK:
+        switch (j % 5) {
+        case 0:
+            if (j > 0 && __builtin_add_overflow(tl->x, tl->b, &tl->x))
+                return 1;
+            *v = tl->x;
+            return tl->a_big;
+        case 2:
+            *v = tl->b;
+            return tl->b_big;
+        case 3:
+            *v = 3;
+            return 0;
+        default:
+            *v = 5;
+            return 0;
+        }
+    default: /* TILE_BLOCKS */
+        switch (j % 5) {
+        case 0:
+            if (read_int(PyTuple_GET_ITEM(tl->t, k), &t_k, &big))
+                return -1;
+            return tl->a_big || big || __builtin_mul_overflow(tl->a, t_k, v);
+        case 1:
+            *v = 4;
+            return 0;
+        case 2:
+            return five_times(tl->r, k - 1, v);
+        case 3:
+            return five_times(tl->r, k, v);
+        default:
+            return five_times(tl->s, k + 1, v);
+        }
+    }
+}
+
+static PyObject *
+q_check(PyObject *self, PyObject *args)
+{
+    PyObject *prefix, *tiles, *seq, *first = NULL, *result = NULL;
+    int zero, status, rc = 0, differs = 0;
+    Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, i, j;
+    long long *t = NULL, v = 0;
+    Tile tl;
+
+    if (!PyArg_ParseTuple(args, "OpOn:q_check", &prefix, &zero, &tiles, &max_terms))
+        return NULL;
+    if ((seq = PySequence_Fast(tiles, "tiles must be a sequence")) == NULL)
+        return NULL;
+    if ((t = load_prefix(prefix, &k, &cap)) == NULL)
+        goto done;
+    status = extend(&t, &cap, k, zero, max_terms, &n);
+    if (status < 0)
+        goto done;
+    if (status == STATUS_OVERFLOW) {
+        result = Py_BuildValue("(nOinn)", (Py_ssize_t)0, Py_None, status, n, (Py_ssize_t)0);
+        goto done;
+    }
+    n_act = n - 1;
+
+    /* Walk the predicted values in order to the first one that has no
+     * actual term, differs from it, or lies outside int64 (rc 1); pos ends
+     * at its offset, or at the predicted length. */
+    for (i = 0; !differs && i < PySequence_Fast_GET_SIZE(seq) && pos < max_terms; i++) {
+        if (read_tile(PySequence_Fast_GET_ITEM(seq, i), max_terms - pos, &tl) < 0)
+            goto done;
+        for (j = 0; j < tl.length; j++) {
+            if ((rc = tile_value(&tl, j, &v)) || pos + j >= n_act || v != t[pos + j])
+                break;
+        }
+        if (rc < 0)
+            goto done;
+        differs = j < tl.length;
+        pos += j;
+    }
+
+    if (rc) {
+        result = Py_BuildValue("(nOinn)", (Py_ssize_t)0, Py_None, STATUS_OVERFLOW,
+                               pos + 1, (Py_ssize_t)0);
+        goto done;
+    }
+    if (differs && pos < n_act)
+        first = Py_BuildValue("(nLL)", pos + 1, v, t[pos]);
+    else if (differs)
+        first = Py_BuildValue("(nLO)", pos + 1, v, Py_None);
+    else if (pos < n_act)
+        first = Py_BuildValue("(nOL)", pos + 1, Py_None, t[pos]);
+    else
+        first = Py_NewRef(Py_None);
+    if (first != NULL)
+        result = Py_BuildValue("(nNinn)", pos, first, status,
+                               status == STATUS_ALIVE ? (Py_ssize_t)0 : n, n_act);
+
+done:
+    Py_DECREF(seq);
+    PyMem_Free(t);
+    return result;
 }
 
 static PyObject *
@@ -239,6 +480,10 @@ static PyMethodDef methods[] = {
     {"q_generate", q_generate, METH_VARARGS,
      "q_generate(prefix, zero_extended, max_terms) -> (terms, status, at)\n\n"
      "Extend prefix under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)) in int64."},
+    {"q_check", q_check, METH_VARARGS,
+     "q_check(prefix, zero_extended, tiles, max_terms)\n"
+     "-> (matched_through, first_mismatch, status, at, n_actual)\n\n"
+     "Run q_generate's recurrence and compare each term with the tiles."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
      "Tabulate R(1..n), S(0..n) and T(0..n) in int64; None on overflow."},

@@ -148,6 +148,29 @@ class GeneratedSequence:
         return self.terms[n - 1]
 
 
+def _status_of(code: int, at: int) -> SequenceStatus:
+    """The SequenceStatus for a kernel's status code and index."""
+    if code == _backend.STATUS_DIED:
+        return SequenceStatus.died(at)
+    if code == _backend.STATUS_ENDED:
+        return SequenceStatus.ended(at)
+    return SequenceStatus.alive()
+
+
+def _check_run(ic: InitialCondition, max_terms: int) -> None:
+    k = len(ic.terms)
+    if k < 2:
+        raise ValidationError("evaluate needs an initial condition with at least two terms")
+    if max_terms < k:
+        raise ValidationError(
+            f"max_terms ({max_terms}) must cover the initial condition ({k} terms)"
+        )
+
+
+def _fits_int64(terms: tuple[int, ...]) -> bool:
+    return INT64_MIN <= min(terms) <= max(terms) <= INT64_MAX
+
+
 def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> GeneratedSequence:
     """Run the recurrence from ``ic`` for up to ``max_terms`` total terms.
 
@@ -157,15 +180,9 @@ def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> G
     index the convention could not supply.  In fast64 mode a term outside
     the 64-bit range raises ArithmeticOverflowError carrying its index.
     """
-    k = len(ic.terms)
-    if k < 2:
-        raise ValidationError("evaluate needs an initial condition with at least two terms")
-    if max_terms < k:
-        raise ValidationError(
-            f"max_terms ({max_terms}) must cover the initial condition ({k} terms)"
-        )
+    _check_run(ic, max_terms)
     mode = resolve_int_mode(mode)
-    if mode == "fast64" and not INT64_MIN <= min(ic.terms) <= max(ic.terms) <= INT64_MAX:
+    if mode == "fast64" and not _fits_int64(ic.terms):
         # walk the terms only to name the first one out of range
         for i, v in enumerate(ic.terms, start=1):
             if not INT64_MIN <= v <= INT64_MAX:
@@ -173,21 +190,21 @@ def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> G
     terms, code, at = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, mode)
     if code == _backend.STATUS_OVERFLOW:
         raise ArithmeticOverflowError(at)
-    if code == _backend.STATUS_DIED:
-        status = SequenceStatus.died(at)
-    elif code == _backend.STATUS_ENDED:
-        status = SequenceStatus.ended(at)
-    else:
-        status = SequenceStatus.alive()
-    return GeneratedSequence(ic, terms, status)
+    return GeneratedSequence(ic, terms, _status_of(code, at))
 
 
 def evaluate_auto(ic: InitialCondition, max_terms: int) -> GeneratedSequence:
-    """Evaluate in fast64 mode, retrying in exact mode on overflow."""
-    try:
-        return evaluate(ic, max_terms, "fast64")
-    except ArithmeticOverflowError:
-        return evaluate(ic, max_terms, "exact")
+    """Evaluate in fast64 mode; after an overflow, go on in exact mode from
+    the last term that fit.  The result equals evaluate(ic, max_terms,
+    "exact")."""
+    _check_run(ic, max_terms)
+    terms, code, at = ic.terms, _backend.STATUS_OVERFLOW, 0
+    if _fits_int64(ic.terms):
+        terms, code, at = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, "fast64")
+    if code == _backend.STATUS_OVERFLOW:
+        # terms holds Q(1..at-1): every term before the overflow is exact
+        terms, code, at = _backend.q_generate(terms, ic.zero_extended, max_terms, "exact")
+    return GeneratedSequence(ic, terms, _status_of(code, at))
 
 
 @dataclass(frozen=True)

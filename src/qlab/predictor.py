@@ -10,8 +10,10 @@ index) or keeps growing forever (C_j == 2, with block values driven by the
 R/S/T system).  The descent depends on N only through its base-5 digits, so
 the classification of every N can be arranged into a five-way branching tree.
 
-`abc_profile` runs the descent, `predict_sequence` builds the predicted terms,
-`verify_against_bruteforce` compares them with the actual recurrence, and
+`abc_profile` runs the descent, `predicted_tiles` describes the predicted
+terms as a short tuple of tiles, `predict_sequence` materialises them,
+`verify_against_bruteforce` compares them with the actual recurrence in the
+kernel, term by term, and
 `behavior_tree` / `tree_locate` expose the digit tree.
 """
 
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import GeneratedSequence, InitialCondition, SequenceStatus, evaluate_auto
+from . import _backend
+from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, TILE_RANGE, materialise
+from .engine import GeneratedSequence, InitialCondition, SequenceStatus, _status_of
 from .errors import DivisibilityError, QlabError, ValidationError
-from .rst import R, S, _append_chunk, _first_difference, lam_blocks
+from .rst import R, S, _block_count, _tables
 from .symbolic import NConstraint, symbolic_extend
 
 __all__ = [
@@ -32,7 +36,9 @@ __all__ = [
     "behavior_tree",
     "congruence_check",
     "is_exceptional",
+    "materialise",
     "predict_sequence",
+    "predicted_tiles",
     "tree_locate",
     "verify_against_bruteforce",
 ]
@@ -162,49 +168,88 @@ def _end_index(profile: StructureProfile) -> int | None:
     return {0: a_j + 161, 2: None, 3: a_j + 5, 4: a_j + 15}[profile.classification]
 
 
-def _predicted_terms(profile: StructureProfile, max_terms: int) -> list[int]:
-    """The first max_terms predicted terms, from index 1 on.
+def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, ...]:
+    """The first max_terms predicted terms, from index 1 on, as tiles.
 
-    The prediction is infinite for classification 2 unless a block fails its
-    side condition, finite (ending one short of the end index) for 0, 3 and
-    4, and stops after the last computed chunk when the profile is truncated;
-    the list is shorter than max_terms exactly when the prediction stops.
+    Each tile is ``(kind, start, length, a, b)`` as ``_fallback`` documents:
+    the identity range, the prefix, bridge and closing literals, period-5
+    chunks and the class-2 block run.  There are O(j + closing) tiles
+    whatever the budget.  The prediction is infinite for classification 2
+    unless a block fails its side condition, finite (ending one short of
+    the end index) for 0, 3 and 4, and stops after the last computed chunk
+    when the profile is truncated; the tiles cover fewer than max_terms
+    terms exactly when the prediction stops.
     """
     n = profile.n_value
     a, b, cp = profile.a, profile.b, profile.c_prime
-    out = list(range(1, n + 1))
-    out += [alpha * n + beta for alpha, beta in _PREFIX][: max_terms - n]
+    tiles = [(TILE_RANGE, 0, n, 1, None)]
+    end = n
+
+    def add(kind: int, length: int, first, step) -> None:
+        nonlocal end
+        length = min(length, max_terms - end)
+        if length > 0:
+            if kind == TILE_LITERAL:
+                first = first[:length]
+            tiles.append((kind, end, length, first, step))
+            end += length
+
+    add(TILE_LITERAL, 34, tuple(alpha * n + beta for alpha, beta in _PREFIX), None)
     # first chunk: indices N+35 .. A_1 + C'_1, period 5 in index - N from k = 7
-    _append_chunk(out, max_terms, a[1] + cp[0] - n - 34, 7 * a[1] + b[0], a[1])
+    add(TILE_CHUNK, a[1] + cp[0] - n - 34, 7 * a[1] + b[0], a[1])
     levels = profile.j if profile.j is not None else len(profile.c)
     for m in range(1, levels):
         # bridge at A_m+2 .. A_m+6, then chunk m+1 through A_{m+1} + C'_{m+1}
-        out += (5, 8, a[m + 1], 3, 8)[: max_terms - len(out)]
-        _append_chunk(
-            out, max_terms, a[m + 1] + cp[m] - a[m] - 6, a[m + 1] + b[m], a[m + 1]
-        )
-    if profile.j is None or len(out) == max_terms:
-        return out
-    # each closing is at most 158 terms, or blocks sized from the budget, so
-    # it is built whole and clipped after
+        add(TILE_LITERAL, 5, (5, 8, a[m + 1], 3, 8), None)
+        add(TILE_CHUNK, a[m + 1] + cp[m] - a[m] - 6, a[m + 1] + b[m], a[m + 1])
+    if profile.j is None or end == max_terms:
+        return tuple(tiles)
     a_j, a_prev, b_j = a[-1], a[-2], b[-1]
     cls = profile.classification
     if cls == 0:
         x = a_j * _exact5(a_j - a_prev - 2) + b_j
-        out += [cc * x + dd * a_j + ff for cc, dd, ff in CLOSING_TAIL_0]
+        add(TILE_LITERAL, 158, tuple(cc * x + dd * a_j + ff for cc, dd, ff in CLOSING_TAIL_0), None)
     elif cls == 2:
         # block k occupies offsets 5k .. 5k+4 past A_j
-        out += (4, a_j * _exact5(a_j - a_prev - 4) + b_j + 2, 5 * R(1), 5 * S(1))
-        blocks = lam_blocks(a_j, -(-(max_terms - len(out)) // 5))
-        blocks[:0] = out  # prepending the short prefix spares copying the blocks
-        out = blocks
+        head = (4, a_j * _exact5(a_j - a_prev - 4) + b_j + 2, 5 * R(1), 5 * S(1))
+        add(TILE_LITERAL, 4, head, None)
+        kmax = _block_count(a_j, -(-(max_terms - end) // 5))
+        tables = _tables(kmax + 1)
+        add(TILE_BLOCKS, 5 * kmax, a_j, (tables.r, tables.s, tables.t))
     elif cls == 3:
-        out += (6, a_j + 5, a_j * _exact5(a_j - a_prev - 5) + b_j, 0)
+        add(TILE_LITERAL, 4, (6, a_j + 5, a_j * _exact5(a_j - a_prev - 5) + b_j, 0), None)
     else:
         x = a_j * _exact5(a_j - a_prev - 6) + b_j + 7
-        out += (7, a_j + 5, 4, a_j + 2, 13, x, 5, 4, a_j + 15, x, 0)
-    del out[max_terms:]
-    return out
+        add(TILE_LITERAL, 11, (7, a_j + 5, 4, a_j + 2, 13, x, 5, 4, a_j + 15, x, 0), None)
+    return tuple(tiles)
+
+
+def _checked_profile(n_value: int, max_terms: int, max_depth: int) -> StructureProfile:
+    """abc_profile(n_value), once N and the budget are known to be ones
+    the prediction covers."""
+    if n_value < 35 or is_exceptional(n_value):
+        raise ValidationError(
+            f"prediction covers non-exceptional N >= 35 only, got {n_value};"
+            " use the engine (or the scan command) to observe this N"
+        )
+    profile = abc_profile(n_value, max_depth=max_depth)
+    if max_terms < n_value:
+        raise ValidationError("max_terms must cover the identity prefix")
+    return profile
+
+
+def _predicted_status(profile: StructureProfile, length: int, max_terms: int) -> SequenceStatus:
+    """The status of a prediction of ``length`` terms within max_terms."""
+    end_at = _end_index(profile)
+    if length == max_terms:
+        return SequenceStatus.alive()
+    if end_at is not None and length == end_at - 1:
+        return SequenceStatus.ended(end_at)
+    if profile.classification == 2:
+        return SequenceStatus.alive()
+    raise QlabError(
+        f"classification of {profile.n_value} unresolved at depth {len(profile.c)}"
+    )
 
 
 def predict_sequence(
@@ -218,26 +263,9 @@ def predict_sequence(
     A depth-capped unresolved profile still predicts through its last
     resolved chunk; asking for terms past that raises QlabError.
     """
-    if n_value < 35 or is_exceptional(n_value):
-        raise ValidationError(
-            f"prediction covers non-exceptional N >= 35 only, got {n_value};"
-            " use the engine (or the scan command) to observe this N"
-        )
-    profile = abc_profile(n_value, max_depth=max_depth)
-    if max_terms < n_value:
-        raise ValidationError("max_terms must cover the identity prefix")
-    terms = _predicted_terms(profile, max_terms)
-    end_at = _end_index(profile)
-    if len(terms) == max_terms:
-        status = SequenceStatus.alive()
-    elif end_at is not None and len(terms) == end_at - 1:
-        status = SequenceStatus.ended(end_at)
-    elif profile.classification == 2:
-        status = SequenceStatus.alive()
-    else:
-        raise QlabError(
-            f"classification of {n_value} unresolved at depth {max_depth}"
-        )
+    profile = _checked_profile(n_value, max_terms, max_depth)
+    terms = materialise(predicted_tiles(profile, max_terms), max_terms)
+    status = _predicted_status(profile, len(terms), max_terms)
     ic = InitialCondition.identity(n_value, zero_extended=True)
     return GeneratedSequence(ic, terms, status)
 
@@ -269,13 +297,20 @@ class PredictionReport:
 def verify_against_bruteforce(
     n_value: int, max_terms: int, max_depth: int = 16
 ) -> PredictionReport:
-    predicted = predict_sequence(n_value, max_terms, max_depth=max_depth)
-    actual = evaluate_auto(predicted.ic, max_terms)
-    p_terms, a_terms = predicted.terms, actual.terms
-    first = _first_difference(p_terms, a_terms)
-    matched = first[0] - 1 if first is not None else len(p_terms)
-    terminal = predicted.status == actual.status and len(p_terms) == len(a_terms)
-    return PredictionReport(matched, first, predicted.status, actual.status, terminal)
+    """Compare predict_sequence(n_value, max_terms) with the recurrence run
+    from <0-bar; 1..N>, term by term, without building either list."""
+    profile = _checked_profile(n_value, max_terms, max_depth)
+    tiles = predicted_tiles(profile, max_terms)
+    length = sum(tile[2] for tile in tiles)
+    predicted = _predicted_status(profile, length, max_terms)
+    prefix = tuple(range(1, n_value + 1))
+    check = _backend.q_check(prefix, True, tiles, max_terms, "fast64")
+    if check[2] == _backend.STATUS_OVERFLOW:
+        check = _backend.q_check(prefix, True, tiles, max_terms, "exact")
+    matched, first, code, at, n_actual = check
+    actual = _status_of(code, at)
+    terminal = predicted == actual and length == n_actual
+    return PredictionReport(matched, first, predicted, actual, terminal)
 
 
 @dataclass

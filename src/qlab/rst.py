@@ -16,9 +16,10 @@ lam = A_j, so its side condition lam*T(k) >= K+5k+4 is the one
 :func:`lam_blocks` cuts at.  A second, quasilinear-start family is checked
 by :func:`qc_pattern_check`; its period-5 chunk is the predictor's.
 
-The tiles the predictor and both checkers share live here: the R/S/T block
-template (:func:`lam_blocks`), the period-5 chunk (``_append_chunk``) and the
-first-difference comparison (``_first_difference``).
+Both checkers build their expected terms from the predictor's tiles (the
+R/S/T blocks of :func:`lam_blocks` and the period-5 chunk) and compare them
+through ``_first_difference``; those live in ``_fallback`` with the other
+tile references.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import _backend
+from ._fallback import _append_blocks, _append_chunk, _first_difference
 from .engine import (
     GeneratedSequence,
     InitialCondition,
@@ -140,69 +142,41 @@ def T(n: int) -> int:
     return _tables(n).T(n)
 
 
-# Block k >= 1 of lam_blocks, with slot 0 (lam*T(k)) left as 0 for the caller.
-_BLOCKS: list[int] = []
 # _LEAST[k-1]: the least lam for which blocks 1..k all meet their side
 # condition; non-decreasing, and infinite once some T(k) <= 1 (none does:
 # T(k) >= 2 for 1 <= k <= 10^6).
 _LEAST: list[int | float] = []
 
 
+def _block_count(lam: int, kmax: int) -> int:
+    """How many of the blocks 1..kmax meet their side condition for lam.
+
+    A block is valid while lam*(T(k) - 1) >= 5k + 2, i.e. while lam is at
+    least ceil((5k + 2) / (T(k) - 1)); the count stops before the first
+    block that is not.  The running maximum of those least values is cached
+    and grown with R/S/T.
+    """
+    t = _tables(kmax + 1).t
+    for k in range(len(_LEAST) + 1, kmax + 1):
+        least = -(-(5 * k + 2) // (t[k] - 1)) if t[k] > 1 else math.inf
+        _LEAST.append(max(least, _LEAST[-1]) if _LEAST else least)
+    if kmax > 0 and _LEAST[kmax - 1] > lam:
+        return bisect_right(_LEAST, lam, 0, kmax)
+    return kmax
+
+
 def lam_blocks(lam: int, kmax: int, cut: bool = True) -> list[int]:
     """Blocks (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) for k = 1..kmax, flat.
 
-    A block is valid while lam*(T(k) - 1) >= 5k + 2, i.e. while lam is at
-    least ceil((5k + 2) / (T(k) - 1)); unless cut is False, the result stops
-    before the first block that is not.  The template of the lam-free slots
-    and the running maximum of those least values are cached and grown with
-    R/S/T.
+    Unless cut is False, the result stops before the first block that
+    fails its side condition (see _block_count).
     """
+    if cut:
+        kmax = _block_count(lam, kmax)
     tables = _tables(kmax + 1)
-    r, s, t = tables.r, tables.s, tables.t  # r[k - 1] is R(k)
-    for k in range(len(_LEAST) + 1, kmax + 1):
-        _BLOCKS.extend((0, 4, 5 * r[k - 1], 5 * r[k], 5 * s[k + 1]))
-        least = -(-(5 * k + 2) // (t[k] - 1)) if t[k] > 1 else math.inf
-        _LEAST.append(max(least, _LEAST[-1]) if _LEAST else least)
-    if cut and kmax > 0 and _LEAST[kmax - 1] > lam:
-        kmax = bisect_right(_LEAST, lam, 0, kmax)
-    blocks = _BLOCKS[: 5 * kmax]
-    blocks[0::5] = [lam * v for v in t[1 : kmax + 1]]
+    blocks: list[int] = []
+    _append_blocks(blocks, 5 * kmax, lam, tables.r, tables.s, tables.t)
     return blocks
-
-
-def _append_chunk(out: list[int], max_terms: int, length: int, first: int, step: int) -> None:
-    """Append a period-5 chunk (first + step*k, 5, step, 3, 5), k = 0, 1, ...
-
-    The chunk is clipped to the budget before it is built: a deep chunk can
-    span about 10^10 terms.  step must be positive.
-    """
-    length = min(length, max_terms - len(out))
-    if length <= 0:
-        return
-    start = len(out)
-    out += [5] * length
-    out[start::5] = range(first, first + step * len(range(0, length, 5)), step)
-    out[start + 2 :: 5] = [step] * len(range(2, length, 5))
-    out[start + 3 :: 5] = [3] * len(range(3, length, 5))
-
-
-def _first_difference(
-    p_terms: list[int], a_terms: list[int]
-) -> tuple[int, int | None, int | None] | None:
-    """(index, predicted, actual) at the first disagreement, None if equal.
-
-    The index counts from 1.  A stream that stops early shows up as None on
-    its side of the tuple.
-    """
-    if p_terms == a_terms:
-        return None
-    common = min(len(p_terms), len(a_terms))
-    for i in range(common):
-        if p_terms[i] != a_terms[i]:
-            return (i + 1, p_terms[i], a_terms[i])
-    if len(p_terms) > common:
-        return (common + 1, p_terms[common], None)
-    return (common + 1, None, a_terms[common])
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
-"""End-to-end acceptance gate: twelve checks, one per headline guarantee.
+"""End-to-end acceptance gate: thirteen checks, one per headline guarantee.
 Each prints a PASS line (visible under -s) after its assertions hold."""
 
 from __future__ import annotations
 
 import random
 import time
+from unittest import mock
 
 import pytest
 from test_symbolic import PREFIX_BOUNDS, PREFIX_PAIRS, SPORADIC_PAIRS
 
+from qlab import _backend
 from qlab import (
     InitialCondition,
     NConstraint,
@@ -186,3 +188,26 @@ def test_12_oracle_sweep_to_3000():
     elapsed = time.perf_counter() - start
     assert checked == 2500
     print(f"PASS: predictions match brute force for all {checked} non-exceptional N in 501..3000 through 20000 terms, {elapsed:.1f}s")
+
+
+def test_13_oracle_full_length(compiled_kernel):
+    # every finite depth-2 run in 35..3000, through its end index and five
+    # terms past it; a mismatch here is a finding, never a new exception
+    start = time.perf_counter()
+    checked = terms = 0
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        for n in range(35, 3001):
+            profile = abc_profile(n)
+            if is_exceptional(n) or profile.j != 2 or profile.classification == 2:
+                continue
+            end = profile.a[-1] + {0: 161, 3: 5, 4: 15}[profile.classification]
+            report = verify_against_bruteforce(n, end + 5)
+            assert report.first_mismatch is None, (n, report.first_mismatch)
+            assert report.terminal_agreement, (n, report.predicted_status, report.actual_status)
+            assert report.matched_through == end - 1, n
+            assert str(report.actual_status) == f"ended at {end}", n
+            checked += 1
+            terms += end - 1
+    elapsed = time.perf_counter() - start
+    assert checked == 353
+    print(f"PASS: all {checked} finite depth-2 N in 35..3000 match brute force to their ends, {terms:.2e} terms in {elapsed:.1f}s")

@@ -130,6 +130,42 @@ def test_evaluate_auto_retries_in_exact():
     assert seq.term(5) == 2**63
 
 
+# terms that overflow int64 within a few steps, or already lie outside it
+_huge_terms = st.sampled_from((2**62, 2**62 + 1, 3 * 2**61, 2**63 - 1, -(2**62), 2**64, -(2**63) - 1))
+overflowing_ics = st.tuples(
+    st.lists(st.one_of(st.integers(min_value=-2, max_value=9), _huge_terms), min_size=2, max_size=6),
+    st.booleans(),
+)
+
+
+@given(overflowing_ics, st.integers(min_value=6, max_value=200))
+@example(([2**62, 2**62, 3, 4], True), 120)  # overflows at 5
+@example(([9, 3 * 2**61, 2, 7], True), 200)  # overflows at 56, then lives on
+@example(([1, 2**64, 3], True), 50)  # an initial term beyond int64
+@settings(max_examples=200, deadline=None)
+def test_evaluate_auto_equals_exact(compiled_kernel, params, max_terms):
+    terms, zero = params
+    ic = InitialCondition(tuple(terms), zero)
+    exact = evaluate(ic, max_terms, mode="exact")
+    for kernel in (compiled_kernel, None):
+        with mock.patch.object(_backend, "_kernel", kernel):
+            auto = evaluate_auto(ic, max_terms)
+        assert (auto.terms, auto.status) == (exact.terms, exact.status)
+
+
+def test_evaluate_auto_resumes_from_the_overflow(compiled_kernel):
+    # Q(56) is the first term past int64: exact mode starts from Q(1..55)
+    ic = InitialCondition((9, 3 * 2**61, 2, 7), zero_extended=True)
+    for kernel in (compiled_kernel, None):
+        with mock.patch.object(_backend, "_kernel", kernel), \
+                mock.patch.object(_fallback, "q_generate", wraps=_fallback.q_generate) as spy:
+            seq = evaluate_auto(ic, 200)
+        resumed = spy.call_args_list[-1]
+        assert resumed.kwargs == {"checked": False}
+        assert len(resumed.args[0]) == 55
+        assert seq.status.is_alive and len(seq) == 200 and seq.term(56) >= 2**63
+
+
 def test_oversized_initial_term_rejected_up_front():
     with pytest.raises(ArithmeticOverflowError) as exc:
         evaluate(InitialCondition((1, 2**70)), 10, mode="fast64")

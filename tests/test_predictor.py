@@ -3,6 +3,7 @@ terms, brute-force cross-checks, and the classification tree."""
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 from typing import Iterator
 from unittest import mock
@@ -25,9 +26,18 @@ from qlab import (
     tree_locate,
     verify_against_bruteforce,
 )
-from qlab import predictor
-from qlab.engine import SequenceStatus
-from qlab.predictor import CLOSING_TAIL_0, StructureProfile, _exact5, _first_difference
+from qlab import _backend, _fallback, predictor
+from qlab._fallback import (
+    STATUS_OVERFLOW,
+    TILE_BLOCKS,
+    TILE_CHUNK,
+    TILE_LITERAL,
+    TILE_RANGE,
+    _first_difference,
+    materialise,
+)
+from qlab.engine import InitialCondition, SequenceStatus, _status_of, evaluate_auto
+from qlab.predictor import CLOSING_TAIL_0, StructureProfile, _exact5, predicted_tiles
 from qlab.rst import R, S, T, lam_blocks
 
 
@@ -375,7 +385,9 @@ def _reference_outcome(n: int, max_terms: int, max_depth: int):
     def streamed(profile, budget):
         return list(islice(_predicted_stream(profile), budget))
 
-    with mock.patch.object(predictor, "_predicted_terms", streamed):
+    # the profile stands in for the tiles, and the stream materialises it
+    with mock.patch.object(predictor, "predicted_tiles", lambda profile, budget: profile), \
+            mock.patch.object(predictor, "materialise", streamed):
         return _outcome(n, max_terms, max_depth)
 
 
@@ -439,3 +451,142 @@ def test_lam_blocks_side_condition_cut():
             assert lam_blocks(lam, kmax) == _literal_blocks(lam, kmax), (lam, kmax)
     assert len(lam_blocks(11, 5)) == 5 and lam_blocks(6, 5) == []
     assert lam_blocks(12, 40_000) == _literal_blocks(12, 40_000)
+
+
+def _list_check(prefix, zero: bool, tiles, budget: int):
+    """What q_check must report, from the two lists verify used to build."""
+    predicted = materialise(tiles, budget)
+    actual = evaluate_auto(InitialCondition(prefix, zero), budget)
+    first = _first_difference(predicted, actual.terms)
+    matched = first[0] - 1 if first is not None else len(predicted)
+    return matched, first, actual.status, len(actual.terms)
+
+
+def _checks(kernel, prefix, zero: bool, tiles, budget: int):
+    """q_check through the compiled kernel and through the reference, in
+    the shape of _list_check."""
+    with mock.patch.object(_backend, "_kernel", kernel):
+        compiled = _backend.q_check(prefix, zero, tiles, budget, "fast64")
+    reference = _fallback.q_check(prefix, zero, tiles, budget)
+    for matched, first, code, at, n_actual in (compiled, reference):
+        yield matched, first, _status_of(code, at), n_actual
+
+
+def _mismatch_cases():
+    """(prefix, zero, tiles, budget): every exceptional N in 35..117, their
+    plain runs (which die while the prediction goes on), and seeded
+    non-exceptional N under depth caps that truncate the prediction."""
+    rng = random.Random(7)
+    for n in range(35, 118):
+        if is_exceptional(n):
+            for budget in (n, 300, 5000):
+                tiles = predicted_tiles(abc_profile(n), budget)
+                yield tuple(range(1, n + 1)), True, tiles, budget
+                yield tuple(range(1, n + 1)), False, tiles, budget
+    while True:
+        n = rng.randint(35, 10**4)
+        profile = abc_profile(n, max_depth=rng.randint(1, 3))
+        if is_exceptional(n) or profile.j is not None:
+            continue
+        budget = rng.randint(n, 20_000)
+        yield tuple(range(1, n + 1)), True, predicted_tiles(profile, budget), budget
+        if rng.random() < 0.02:
+            return
+
+
+def test_q_check_reports_mismatches_like_the_lists(compiled_kernel):
+    # terminal agreement follows from the actual status and length, so the
+    # oracle's report is the same whichever way these are found
+    shapes = set()
+    for prefix, zero, tiles, budget in _mismatch_cases():
+        want = _list_check(prefix, zero, tiles, budget)
+        for got in _checks(compiled_kernel, prefix, zero, tiles, budget):
+            assert got == want, (len(prefix), zero, budget)
+        first = want[1]
+        shapes.add(None if first is None else (first[1] is None, first[2] is None))
+    # values differ; the prediction stops early; the actual run stops early
+    assert {(False, False), (True, False), (False, True)} <= shapes
+
+
+def _corrupt(draw, tiles: list) -> None:
+    """Change one value or parameter of one tile, possibly to one outside int64."""
+    i = draw(st.integers(0, len(tiles) - 1))
+    kind, start, length, a, b = tiles[i]
+    new = draw(st.sampled_from((1, -1, 7))) if draw(st.booleans()) else draw(_huge)
+    if kind == TILE_LITERAL:
+        values = list(a)
+        values[draw(st.integers(0, len(values) - 1))] += new
+        a = tuple(values)
+    elif kind == TILE_CHUNK and draw(st.booleans()):
+        b = b + new if abs(new) < 10 else new
+    else:
+        a = a + new if abs(new) < 10 else new
+    tiles[i] = (kind, start, length, a, b)
+
+
+_huge = st.sampled_from((2**62, 2**63 - 1, 2**63, -(2**63) - 1, 2**64, -(2**64)))
+
+
+@st.composite
+def check_cases(draw):
+    """(prefix, zero, tiles, budget).  Either a real prediction, perhaps
+    with one tile corrupted and perhaps run under the plain convention, or
+    random tiles of every kind after a random prefix that may die, end or
+    overflow."""
+    if draw(st.booleans()):
+        n = draw(st.integers(35, 3000).filter(lambda v: not is_exceptional(v)))
+        budget = draw(st.integers(n, 6000))
+        tiles = list(predicted_tiles(abc_profile(n, draw(st.sampled_from((1, 2, 16)))), budget))
+        if draw(st.booleans()):
+            _corrupt(draw, tiles)
+        return tuple(range(1, n + 1)), draw(st.booleans()), tuple(tiles), budget
+    # the prefix fits int64, as evaluate checks before any kernel runs
+    big = st.sampled_from((2**62, 3 * 2**61, 2**63 - 1, -(2**62)))
+    prefix = tuple(draw(st.lists(st.one_of(st.integers(-6, 12), big), min_size=2, max_size=6)))
+    value = st.one_of(st.integers(-6, 60), _huge)
+    rst = predictor._tables(200)
+    tiles, end = [], 0
+    for kind in draw(st.lists(st.sampled_from((TILE_RANGE, TILE_LITERAL, TILE_CHUNK, TILE_BLOCKS)), max_size=5)):
+        length = draw(st.integers(0, 40))
+        a = draw(value)
+        b = None
+        if kind == TILE_LITERAL:
+            a = tuple(draw(st.lists(value, min_size=length, max_size=length)))
+        elif kind == TILE_CHUNK:
+            b = draw(value.filter(bool))  # the reference needs a nonzero step
+        elif kind == TILE_BLOCKS:
+            b = (rst.r, rst.s, rst.t)
+        tiles.append((kind, end, length, a, b))
+        end += length
+    return prefix, draw(st.booleans()), tuple(tiles), draw(st.integers(len(prefix), 120))
+
+
+@settings(max_examples=300, deadline=None)
+@given(check_cases())
+@example(((2**62, 2**62, 3, 4), True, ((TILE_RANGE, 0, 9, 2**62, None),), 20))  # overflows at 5
+@example(((1, 2), True, ((TILE_RANGE, 0, 3, 1, None), (TILE_CHUNK, 3, 9, 3, 2**64)), 30))
+@example(((1, 2), True, ((TILE_RANGE, 0, 3, 2**63 - 2, None),), 3))  # 2**63 at index 3
+@example(((1, 1), False, ((TILE_LITERAL, 0, 3, (1, 2, 2**70), None),), 30))  # differs first
+def test_compiled_and_fallback_q_check_agree(compiled_kernel, case):
+    prefix, zero, tiles, budget = case
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        compiled = _backend.q_check(prefix, zero, tiles, budget, "fast64")
+        exact = _backend.q_check(prefix, zero, tiles, budget, "exact")
+    assert compiled == _fallback.q_check(prefix, zero, tiles, budget, checked=True)
+    if compiled[2] != STATUS_OVERFLOW:
+        assert compiled == exact
+
+
+def test_verify_retries_in_exact_after_overflow():
+    # no real prediction overflows int64, so the kernel is made to say so
+    check = _backend.q_check
+
+    def overflowing(prefix, zero, tiles, budget, mode):
+        if mode == "fast64":
+            return 0, None, STATUS_OVERFLOW, 1, 0
+        return check(prefix, zero, tiles, budget, mode)
+
+    for n in (38, 121, 42):
+        want = verify_against_bruteforce(n, 3000)
+        with mock.patch.object(_backend, "q_check", overflowing):
+            assert verify_against_bruteforce(n, 3000) == want
