@@ -50,14 +50,21 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, mode: str):
     return _fallback.q_generate(prefix, zero_extended, max_terms, checked=True)
 
 
-def q_check(prefix, zero_extended: bool, tiles, max_terms: int, mode: str):
+def q_check(prefix, zero_extended: bool, tiles, max_terms: int):
     """Run the recurrence and compare it with the prediction ``tiles``, as
-    _fallback.q_check does, dispatched on ``mode`` as q_generate is."""
-    if mode == "exact":
-        return _fallback.q_check(prefix, zero_extended, tiles, max_terms, checked=False)
+    _fallback.q_check does unchecked: always the exact answer.  It comes
+    from the compiled kernel when int64 decides every term, and from the
+    Python reference when the kernel is not built, a prefix term lies
+    outside int64, or the kernel reports an overflow."""
     if _kernel is not None:
-        return _kernel.q_check(prefix, zero_extended, tiles, min(max_terms, sys.maxsize))
-    return _fallback.q_check(prefix, zero_extended, tiles, max_terms, checked=True)
+        try:
+            check = _kernel.q_check(prefix, zero_extended, tiles, min(max_terms, sys.maxsize))
+        except OverflowError:  # a prefix term outside int64
+            pass
+        else:
+            if check[2] != STATUS_OVERFLOW:
+                return check
+    return _fallback.q_check(prefix, zero_extended, tiles, max_terms, checked=False)
 
 
 def rst_generate(n_max: int):

@@ -4,10 +4,11 @@ q_generate is used for exact mode, and for fast64 when the kernel is not
 built; both return the terms as one list of ints.  rst_generate tabulates
 the R/S/T system when the kernel is not built or its int64 values would
 overflow.  q_check runs the recurrence and compares it with a prediction
-given as tiles; ``materialise`` says what the tiles predict.
+given as tiles; unchecked, it gives the exact answer whenever the compiled
+kernel cannot.  ``materialise`` says what the tiles predict.
 
-A tile is ``(kind, start, length, a, b)``: ``length`` consecutive predicted
-terms from index ``start + 1`` on.  By kind:
+A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
+each tile taking up where the one before it stopped.  By kind:
 
 * TILE_RANGE: ``a, a + 1, a + 2, ...`` (``b`` unused);
 * TILE_LITERAL: the values of the tuple ``a`` (``b`` unused);
@@ -16,9 +17,6 @@ terms from index ``start + 1`` on.  By kind:
   k = 1, 2, ..., with ``lam = a`` and ``b = (r, s, t)`` the R/S/T tables as
   :class:`qlab.rst.RSTState` holds them (``r[k-1]`` is R(k), ``s[k]`` is
   S(k), ``t[k]`` is T(k)).
-
-Tiles follow each other without gaps, so ``start`` is the sum of the
-lengths before it; neither implementation reads it.
 """
 
 from __future__ import annotations
@@ -121,52 +119,38 @@ def rst_generate(
     return tuple(r), tuple(s), tuple(t), which, at
 
 
-def _append_chunk(out: list[int], max_terms: int, length: int, first: int, step: int) -> None:
-    """Append a period-5 chunk (first + step*k, 5, step, 3, 5), k = 0, 1, ...
-
-    The chunk is clipped to the budget before it is built: a deep chunk can
-    span about 10^10 terms.  step must be positive.
-    """
-    length = min(length, max_terms - len(out))
-    if length <= 0:
-        return
-    start = len(out)
-    out += [5] * length
-    out[start::5] = range(first, first + step * len(range(0, length, 5)), step)
-    out[start + 2 :: 5] = [step] * len(range(2, length, 5))
-    out[start + 3 :: 5] = [3] * len(range(3, length, 5))
-
-
-def _append_blocks(out: list[int], length: int, lam: int, r, s, t) -> None:
-    """Append the first ``length`` terms of the blocks (lam*T(k), 4, 5R(k),
-    5R(k+1), 5S(k+1)), k = 1, 2, ..., read from the R/S/T tables r, s, t."""
-    kmax = -(-length // 5)
-    start = len(out)
-    out += [4] * (5 * kmax)
-    out[start::5] = [lam * v for v in t[1 : kmax + 1]]
-    five_r = [5 * v for v in r[: kmax + 1]]
-    out[start + 2 :: 5] = five_r[:-1]
-    out[start + 3 :: 5] = five_r[1:]
-    out[start + 4 :: 5] = [5 * v for v in s[2 : kmax + 2]]
-    del out[start + length :]
-
-
 def materialise(tiles, max_terms: int) -> list[int]:
-    """The terms ``tiles`` predict, as one list, clipped to max_terms."""
+    """The terms ``tiles`` predict, as one list, clipped to max_terms.
+
+    Each tile is clipped to the budget before it is built: a deep chunk can
+    span about 10^10 terms.
+    """
     out: list[int] = []
-    for kind, _start, length, a, b in tiles:
-        room = max_terms - len(out)
-        if room <= 0:
-            break
-        length = min(length, room)
+    for kind, length, a, b in tiles:
+        length = min(length, max_terms - len(out))
+        if length <= 0:
+            continue
         if kind == TILE_RANGE:
             out += range(a, a + length)
         elif kind == TILE_LITERAL:
             out += a[:length]
-        elif kind == TILE_CHUNK:
-            _append_chunk(out, max_terms, length, a, b)
         else:
-            _append_blocks(out, length, a, *b)
+            # whole five-term periods, trimmed to length below
+            start, kmax = len(out), -(-length // 5)
+            if kind == TILE_CHUNK:
+                out += [5] * (5 * kmax)
+                out[start::5] = range(a, a + b * kmax, b) if b else [a] * kmax
+                out[start + 2 :: 5] = [b] * kmax
+                out[start + 3 :: 5] = [3] * kmax
+            else:
+                r, s, t = b
+                out += [4] * (5 * kmax)
+                out[start::5] = [a * v for v in t[1 : kmax + 1]]
+                five_r = [5 * v for v in r[: kmax + 1]]
+                out[start + 2 :: 5] = five_r[:-1]
+                out[start + 3 :: 5] = five_r[1:]
+                out[start + 4 :: 5] = [5 * v for v in s[2 : kmax + 2]]
+            del out[start + length :]
     return out
 
 

@@ -147,8 +147,8 @@ q_generate(PyObject *self, PyObject *args)
                          status == STATUS_ALIVE ? (Py_ssize_t)0 : n);
 }
 
-/* One tile (kind, start, length, a, b) of a prediction, clipped to the
- * budget; _fallback.materialise says what each kind predicts. */
+/* One tile (kind, length, a, b) of a prediction, clipped to the budget;
+ * _fallback.materialise says what each kind predicts. */
 typedef struct {
     int kind;
     Py_ssize_t length;
@@ -178,13 +178,13 @@ static int
 read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
 {
     PyObject *a, *b;
-    Py_ssize_t start, kmax;
+    Py_ssize_t kmax;
 
     if (!PyTuple_Check(item)) {
-        PyErr_SetString(PyExc_TypeError, "a tile is a tuple (kind, start, length, a, b)");
+        PyErr_SetString(PyExc_TypeError, "a tile is a tuple (kind, length, a, b)");
         return -1;
     }
-    if (!PyArg_ParseTuple(item, "innOO:q_check", &tl->kind, &start, &tl->length, &a, &b))
+    if (!PyArg_ParseTuple(item, "inOO:q_check", &tl->kind, &tl->length, &a, &b))
         return -1;
     if (tl->length < 0) {
         PyErr_SetString(PyExc_ValueError, "tile length must be nonnegative");

@@ -171,7 +171,7 @@ def _end_index(profile: StructureProfile) -> int | None:
 def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, ...]:
     """The first max_terms predicted terms, from index 1 on, as tiles.
 
-    Each tile is ``(kind, start, length, a, b)`` as ``_fallback`` documents:
+    Each tile is ``(kind, length, a, b)`` as ``_fallback`` documents:
     the identity range, the prefix, bridge and closing literals, period-5
     chunks and the class-2 block run.  There are O(j + closing) tiles
     whatever the budget.  The prediction is infinite for classification 2
@@ -182,7 +182,7 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
     """
     n = profile.n_value
     a, b, cp = profile.a, profile.b, profile.c_prime
-    tiles = [(TILE_RANGE, 0, n, 1, None)]
+    tiles = [(TILE_RANGE, n, 1, None)]
     end = n
 
     def add(kind: int, length: int, first, step) -> None:
@@ -191,7 +191,7 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
         if length > 0:
             if kind == TILE_LITERAL:
                 first = first[:length]
-            tiles.append((kind, end, length, first, step))
+            tiles.append((kind, length, first, step))
             end += length
 
     add(TILE_LITERAL, 34, tuple(alpha * n + beta for alpha, beta in _PREFIX), None)
@@ -301,13 +301,10 @@ def verify_against_bruteforce(
     from <0-bar; 1..N>, term by term, without building either list."""
     profile = _checked_profile(n_value, max_terms, max_depth)
     tiles = predicted_tiles(profile, max_terms)
-    length = sum(tile[2] for tile in tiles)
+    length = sum(tile[1] for tile in tiles)
     predicted = _predicted_status(profile, length, max_terms)
     prefix = tuple(range(1, n_value + 1))
-    check = _backend.q_check(prefix, True, tiles, max_terms, "fast64")
-    if check[2] == _backend.STATUS_OVERFLOW:
-        check = _backend.q_check(prefix, True, tiles, max_terms, "exact")
-    matched, first, code, at, n_actual = check
+    matched, first, code, at, n_actual = _backend.q_check(prefix, True, tiles, max_terms)
     actual = _status_of(code, at)
     terminal = predicted == actual and length == n_actual
     return PredictionReport(matched, first, predicted, actual, terminal)

@@ -13,13 +13,13 @@ They appear as the block structure of unbounded zero-extended sequences:
 (5R(k), 5S(k), lam*T(k), 4, 5R(k)), checked by :func:`qt_pattern_check`.
 The class-2 closing of <0-bar; 1..N> is this qt stream with K = A_j - 2 and
 lam = A_j, so its side condition lam*T(k) >= K+5k+4 is the one
-:func:`lam_blocks` cuts at.  A second, quasilinear-start family is checked
+:func:`_block_count` cuts at.  A second, quasilinear-start family is checked
 by :func:`qc_pattern_check`; its period-5 chunk is the predictor's.
 
-Both checkers build their expected terms from the predictor's tiles (the
-R/S/T blocks of :func:`lam_blocks` and the period-5 chunk) and compare them
-through ``_first_difference``; those live in ``_fallback`` with the other
-tile references.
+Both checkers describe their pattern as the predictor's tiles (the R/S/T
+blocks and the period-5 chunk, documented in ``_fallback``) and compare it
+with the recurrence through ``_backend.q_check``, as the prediction oracle
+does.
 """
 
 from __future__ import annotations
@@ -29,14 +29,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import _backend
-from ._fallback import _append_blocks, _append_chunk, _first_difference
-from .engine import (
-    GeneratedSequence,
-    InitialCondition,
-    SequenceStatus,
-    evaluate,
-    evaluate_auto,
-)
+from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL
+from .engine import InitialCondition, SequenceStatus, _status_of
 from .errors import QlabError, ValidationError
 
 __all__ = [
@@ -46,7 +40,6 @@ __all__ = [
     "RSTStatus",
     "S",
     "T",
-    "lam_blocks",
     "qc_pattern_check",
     "qt_pattern_check",
     "rst_compute",
@@ -111,7 +104,7 @@ def rst_compute(n_max: int) -> RSTState:
     return RSTState(r, s, t, status)
 
 
-# The tables behind R, S, T and lam_blocks: row 0 until first read, then
+# The tables behind R, S, T and the block tiles: row 0 until first read, then
 # recomputed to at least double their size whenever a read passes the end.
 _TABLES = RSTState((), (1,), (1,), RSTStatus.alive())
 
@@ -165,20 +158,6 @@ def _block_count(lam: int, kmax: int) -> int:
     return kmax
 
 
-def lam_blocks(lam: int, kmax: int, cut: bool = True) -> list[int]:
-    """Blocks (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) for k = 1..kmax, flat.
-
-    Unless cut is False, the result stops before the first block that
-    fails its side condition (see _block_count).
-    """
-    if cut:
-        kmax = _block_count(lam, kmax)
-    tables = _tables(kmax + 1)
-    blocks: list[int] = []
-    _append_blocks(blocks, 5 * kmax, lam, tables.r, tables.s, tables.t)
-    return blocks
-
-
 @dataclass(frozen=True)
 class PatternReport:
     """Outcome of a block-pattern check against brute force.
@@ -204,13 +183,7 @@ class PatternReport:
         return self.first_violation is None
 
 
-def _run(ic: InitialCondition, max_terms: int, mode: str | None) -> GeneratedSequence:
-    if mode is None:
-        return evaluate_auto(ic, max_terms)
-    return evaluate(ic, max_terms, mode)
-
-
-def qt_pattern_check(prefix, lam: int, mu: int, k_max: int, mode: str | None = None) -> PatternReport:
+def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PatternReport:
     """Check <0;a_1..a_K,5,lam,4,mu> against its R/S/T block pattern.
 
     Block k >= 1 should occupy indices K+5k..K+5k+4 with the values
@@ -221,47 +194,48 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int, mode: str | None = N
     tests, not proven.  None of these is enforced, so a caller can probe
     how violations look; k_max >= 1 is.  The first failure of the growth
     condition through the first violated block is reported, not asserted.
+    The run is exact, however large its terms grow.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     big_k = len(prefix)
     ic = InitialCondition((*prefix, 5, lam, 4, mu), zero_extended=True)
-    seq = _run(ic, big_k + 5 * k_max + 4, mode)
-
-    # from index K+5: 5R(1), 5S(1), then lam_blocks shifted by two slots
-    expected = lam_blocks(lam, k_max, cut=False)
-    expected[-2:] = []
-    expected[:0] = (5 * R(1), 5 * S(1))
-    first = _first_difference(expected, seq.terms[big_k + 4 :])
-    first_violation = None
+    tables = _tables(k_max + 1)
+    # the condition itself, then from index K+5: 5R(1), 5S(1), and the
+    # blocks (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) through index K+5k_max+4
+    tiles = (
+        (TILE_LITERAL, big_k + 4, ic.terms, None),
+        (TILE_LITERAL, 2, (5 * R(1), 5 * S(1)), None),
+        (TILE_BLOCKS, 5 * k_max - 2, lam, (tables.r, tables.s, tables.t)),
+    )
+    matched, first, code, at, _ = _backend.q_check(ic.terms, True, tiles, big_k + 5 * k_max + 4)
     holds_through = last_k = k_max  # last_k: the last block compared
     if first is not None:
-        index, want, got = first
-        first_violation = (big_k + 4 + index, want, got)
-        holds_through = (index - 1) // 5
+        holds_through = (matched - big_k - 4) // 5
         last_k = holds_through + 1
-    t = _tables(last_k).t
     side_fail = next(
-        (k for k in range(1, last_k + 1) if lam * t[k] < big_k + 5 * k + 4), None
+        (k for k in range(1, last_k + 1) if lam * tables.t[k] < big_k + 5 * k + 4), None
     )
+    status = _status_of(code, at)
 
     return PatternReport(
         holds_through_k=holds_through,
-        first_violation=first_violation,
+        first_violation=first,
         holds_through_index=big_k + 5 * holds_through + 4 if holds_through else None,
         side_condition_first_failure=side_fail,
-        sequence_end=None if seq.status.is_alive else seq.status,
+        sequence_end=None if status.is_alive else status,
     )
 
 
-def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None, mode: str | None = None) -> PatternReport:
+def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> PatternReport:
     """Check <0;a_1..a_K,mu,5,lam,3> against its quasilinear-start pattern.
 
     Requires lam > K+5 and lam + mu > K+6.  With o = n - K, k = o // 5 and
     r = o % 5, the term at n should be (5, lam*k+mu, 5, lam, 3)[r] for every
     K+1 <= n <= lam + nu, where nu = max(0, ((K+4-lam) mod 5) - 1) measures
     how far past lam the references stay clear of the prefix.  k_max, if
-    given, caps the check at the end of block k_max.
+    given, caps the check at the end of block k_max.  The run is exact,
+    however large its terms grow.
     """
     big_k = len(prefix)
     if lam <= big_k + 5:
@@ -277,26 +251,23 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None, mode: 
         last = min(last, big_k + 5 * k_max + 4)
 
     ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
-    seq = _run(ic, last + 1, mode)  # one spare index to probe the boundary
-
-    # indices K+1 .. last+1 are the chunk (mu + lam*k, 5, lam, 3, 5)
-    expected: list[int] = []
-    _append_chunk(expected, last + 1 - big_k, last + 1 - big_k, mu, lam)
-    first = _first_difference(expected, seq.terms[big_k:])
-    if first is not None:
-        first = (big_k + first[0], *first[1:])
+    # the prefix, then indices K+1 .. last+1 are the chunk (mu + lam*k, 5,
+    # lam, 3, 5), with one spare index to probe the boundary
+    tiles = ((TILE_LITERAL, big_k, ic.terms, None), (TILE_CHUNK, last + 1 - big_k, mu, lam))
+    matched, first, code, at, _ = _backend.q_check(ic.terms, True, tiles, last + 1)
     first_violation = divergence = None
-    matched = last
     if first is not None and first[0] <= last:
         first_violation = first
-        matched = first[0] - 1
-    elif last == lam + nu:  # a capped run never reaches the boundary
-        divergence = first
+    else:
+        matched = last
+        if last == lam + nu:  # a capped run never reaches the boundary
+            divergence = first
+    status = _status_of(code, at)
 
     return PatternReport(
         holds_through_k=max(0, (matched - 4 - big_k) // 5),
         first_violation=first_violation,
         holds_through_index=matched if matched > big_k else None,
-        sequence_end=None if seq.status.is_alive else seq.status,
+        sequence_end=None if status.is_alive else status,
         post_pattern_divergence=divergence,
     )

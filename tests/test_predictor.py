@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import islice
+from types import SimpleNamespace
 from typing import Iterator
 from unittest import mock
 
@@ -38,7 +39,7 @@ from qlab._fallback import (
 )
 from qlab.engine import InitialCondition, SequenceStatus, _status_of, evaluate_auto
 from qlab.predictor import CLOSING_TAIL_0, StructureProfile, _exact5, predicted_tiles
-from qlab.rst import R, S, T, lam_blocks
+from qlab.rst import R, S, T, _block_count, _tables
 
 
 def test_profile_42():
@@ -443,14 +444,22 @@ def _literal_blocks(lam: int, kmax: int) -> list[int]:
     return out
 
 
+def _cut_blocks(lam: int, kmax: int) -> list[int]:
+    """The blocks 1..kmax that meet their side condition, as the class-2
+    closing tiles them."""
+    kmax = _block_count(lam, kmax)
+    tables = _tables(kmax + 1)
+    return materialise(((TILE_BLOCKS, 5 * kmax, lam, (tables.r, tables.s, tables.t)),), 5 * kmax)
+
+
 def test_lam_blocks_side_condition_cut():
     # the least valid lam runs 7 (k=1), 12 (k=2), then never needs more:
     # every lam >= 12 passes, so no N >= 35 (A_j >= 2N+4) reaches the cut
     for lam in range(-3, 15):
         for kmax in range(0, 12):
-            assert lam_blocks(lam, kmax) == _literal_blocks(lam, kmax), (lam, kmax)
-    assert len(lam_blocks(11, 5)) == 5 and lam_blocks(6, 5) == []
-    assert lam_blocks(12, 40_000) == _literal_blocks(12, 40_000)
+            assert _cut_blocks(lam, kmax) == _literal_blocks(lam, kmax), (lam, kmax)
+    assert len(_cut_blocks(11, 5)) == 5 and _cut_blocks(6, 5) == []
+    assert _cut_blocks(12, 40_000) == _literal_blocks(12, 40_000)
 
 
 def _list_check(prefix, zero: bool, tiles, budget: int):
@@ -465,9 +474,8 @@ def _list_check(prefix, zero: bool, tiles, budget: int):
 def _checks(kernel, prefix, zero: bool, tiles, budget: int):
     """q_check through the compiled kernel and through the reference, in
     the shape of _list_check."""
-    with mock.patch.object(_backend, "_kernel", kernel):
-        compiled = _backend.q_check(prefix, zero, tiles, budget, "fast64")
-    reference = _fallback.q_check(prefix, zero, tiles, budget)
+    compiled = kernel.q_check(prefix, zero, tiles, budget)
+    reference = _fallback.q_check(prefix, zero, tiles, budget, checked=True)
     for matched, first, code, at, n_actual in (compiled, reference):
         yield matched, first, _status_of(code, at), n_actual
 
@@ -511,7 +519,7 @@ def test_q_check_reports_mismatches_like_the_lists(compiled_kernel):
 def _corrupt(draw, tiles: list) -> None:
     """Change one value or parameter of one tile, possibly to one outside int64."""
     i = draw(st.integers(0, len(tiles) - 1))
-    kind, start, length, a, b = tiles[i]
+    kind, length, a, b = tiles[i]
     new = draw(st.sampled_from((1, -1, 7))) if draw(st.booleans()) else draw(_huge)
     if kind == TILE_LITERAL:
         values = list(a)
@@ -521,7 +529,7 @@ def _corrupt(draw, tiles: list) -> None:
         b = b + new if abs(new) < 10 else new
     else:
         a = a + new if abs(new) < 10 else new
-    tiles[i] = (kind, start, length, a, b)
+    tiles[i] = (kind, length, a, b)
 
 
 _huge = st.sampled_from((2**62, 2**63 - 1, 2**63, -(2**63) - 1, 2**64, -(2**64)))
@@ -544,8 +552,8 @@ def check_cases(draw):
     big = st.sampled_from((2**62, 3 * 2**61, 2**63 - 1, -(2**62)))
     prefix = tuple(draw(st.lists(st.one_of(st.integers(-6, 12), big), min_size=2, max_size=6)))
     value = st.one_of(st.integers(-6, 60), _huge)
-    rst = predictor._tables(200)
-    tiles, end = [], 0
+    rst = _tables(200)
+    tiles = []
     for kind in draw(st.lists(st.sampled_from((TILE_RANGE, TILE_LITERAL, TILE_CHUNK, TILE_BLOCKS)), max_size=5)):
         length = draw(st.integers(0, 40))
         a = draw(value)
@@ -553,40 +561,36 @@ def check_cases(draw):
         if kind == TILE_LITERAL:
             a = tuple(draw(st.lists(value, min_size=length, max_size=length)))
         elif kind == TILE_CHUNK:
-            b = draw(value.filter(bool))  # the reference needs a nonzero step
+            b = draw(value)
         elif kind == TILE_BLOCKS:
             b = (rst.r, rst.s, rst.t)
-        tiles.append((kind, end, length, a, b))
-        end += length
+        tiles.append((kind, length, a, b))
     return prefix, draw(st.booleans()), tuple(tiles), draw(st.integers(len(prefix), 120))
 
 
 @settings(max_examples=300, deadline=None)
 @given(check_cases())
-@example(((2**62, 2**62, 3, 4), True, ((TILE_RANGE, 0, 9, 2**62, None),), 20))  # overflows at 5
-@example(((1, 2), True, ((TILE_RANGE, 0, 3, 1, None), (TILE_CHUNK, 3, 9, 3, 2**64)), 30))
-@example(((1, 2), True, ((TILE_RANGE, 0, 3, 2**63 - 2, None),), 3))  # 2**63 at index 3
-@example(((1, 1), False, ((TILE_LITERAL, 0, 3, (1, 2, 2**70), None),), 30))  # differs first
+@example(((2**62, 2**62, 3, 4), True, ((TILE_RANGE, 9, 2**62, None),), 20))  # overflows at 5
+@example(((1, 2), True, ((TILE_RANGE, 3, 1, None), (TILE_CHUNK, 9, 3, 2**64)), 30))
+@example(((1, 2), True, ((TILE_RANGE, 3, 2**63 - 2, None),), 3))  # 2**63 at index 3
+@example(((1, 1), False, ((TILE_LITERAL, 3, (1, 2, 2**70), None),), 30))  # differs first
+@example(((3, 1), True, ((TILE_RANGE, 2, 3, None), (TILE_CHUNK, 9, 2, 0)), 30))  # step 0
 def test_compiled_and_fallback_q_check_agree(compiled_kernel, case):
     prefix, zero, tiles, budget = case
-    with mock.patch.object(_backend, "_kernel", compiled_kernel):
-        compiled = _backend.q_check(prefix, zero, tiles, budget, "fast64")
-        exact = _backend.q_check(prefix, zero, tiles, budget, "exact")
+    compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
     assert compiled == _fallback.q_check(prefix, zero, tiles, budget, checked=True)
+    exact = _fallback.q_check(prefix, zero, tiles, budget, checked=False)
     if compiled[2] != STATUS_OVERFLOW:
         assert compiled == exact
+    # the backend answers exactly either way
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        assert _backend.q_check(prefix, zero, tiles, budget) == exact
 
 
 def test_verify_retries_in_exact_after_overflow():
     # no real prediction overflows int64, so the kernel is made to say so
-    check = _backend.q_check
-
-    def overflowing(prefix, zero, tiles, budget, mode):
-        if mode == "fast64":
-            return 0, None, STATUS_OVERFLOW, 1, 0
-        return check(prefix, zero, tiles, budget, mode)
-
+    overflowing = SimpleNamespace(q_check=lambda *args: (0, None, STATUS_OVERFLOW, 1, 0))
     for n in (38, 121, 42):
         want = verify_against_bruteforce(n, 3000)
-        with mock.patch.object(_backend, "q_check", overflowing):
+        with mock.patch.object(_backend, "_kernel", overflowing):
             assert verify_against_bruteforce(n, 3000) == want

@@ -21,11 +21,13 @@ from qlab import (
     _backend,
     _fallback,
     evaluate,
+    evaluate_auto,
     qc_pattern_check,
     qt_pattern_check,
     rst,
     rst_compute,
 )
+from qlab._fallback import STATUS_OVERFLOW
 from qlab.cli import main
 from qlab.rst import PatternReport, R, RSTState, RSTStatus, S, T
 
@@ -363,7 +365,7 @@ def test_qc_minimal_passing_pair():
     assert report.holds_through_index == 6 + max(0, ((4 - 6) % 5) - 1)
 
 
-def _qt_per_index(prefix, lam, mu, k_max, mode=None):
+def _qt_per_index(prefix, lam, mu, k_max):
     """qt_pattern_check as it was before the shared block template: one
     seq.term(idx) and one R(k)/S(k)/T(k) read per cell.  The reference for
     the differential test."""
@@ -371,7 +373,7 @@ def _qt_per_index(prefix, lam, mu, k_max, mode=None):
         raise ValidationError("k_max must be >= 1")
     big_k = len(prefix)
     ic = InitialCondition((*prefix, 5, lam, 4, mu), zero_extended=True)
-    seq = rst._run(ic, big_k + 5 * k_max + 4, mode)
+    seq = evaluate_auto(ic, big_k + 5 * k_max + 4)
     total = len(seq)
 
     holds_through = 0
@@ -404,7 +406,7 @@ def _qt_per_index(prefix, lam, mu, k_max, mode=None):
     )
 
 
-def _qc_per_index(prefix, mu, lam, k_max=None, mode=None):
+def _qc_per_index(prefix, mu, lam, k_max=None):
     """qc_pattern_check as it was before the shared period-5 chunk: one
     seq.term(n) read per index.  The reference for the differential test."""
     big_k = len(prefix)
@@ -425,7 +427,7 @@ def _qc_per_index(prefix, mu, lam, k_max=None, mode=None):
         return (5, lam * k + mu, 5, lam, 3)[r]
 
     ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
-    seq = rst._run(ic, last + 1, mode)
+    seq = evaluate_auto(ic, last + 1)
     total = len(seq)
 
     first_violation = None
@@ -467,63 +469,102 @@ def _report_or_error(check, *args, **kwargs):
         return type(exc), str(exc)
 
 
-_MODES = (None, None, "fast64", "exact", "int32")
-
-
 def _random_prefix(rng: random.Random) -> tuple[int, ...]:
     # small and non-positive values make runs end or leave the pattern;
-    # a term past 2^63 makes fast64 refuse the condition
+    # a term past 2^63 keeps the condition out of the compiled kernel
     values = [rng.randint(-5, 40) for _ in range(rng.randint(0, 10))]
     if values and rng.random() < 0.05:
         values[rng.randrange(len(values))] = 2**63
     return tuple(values)
 
 
-def test_qt_check_matches_per_index_reference():
+class _ExactWays:
+    """The compiled kernel, noting each way its q_check leaves a case to the
+    exact reference: a prefix term outside int64, or an overflow."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.ways = set()
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def q_check(self, *args):
+        try:
+            check = self.kernel.q_check(*args)
+        except OverflowError:
+            self.ways.add("prefix")
+            raise
+        if check[2] == STATUS_OVERFLOW:
+            self.ways.add("overflow")
+        return check
+
+
+def _sweep(kernel, check, reference, cases, outcomes):
+    """Assert check == reference on every case, on the Python backend and
+    through the kernel; returns the outcome names ``outcomes`` gives the
+    reports, and the ways the kernel's cases reached the exact reference."""
+    recorder = _ExactWays(kernel)
+    seen = set()
+    for backend in (recorder, None):
+        with mock.patch.object(_backend, "_kernel", backend):
+            for case in cases:
+                got = _report_or_error(check, *case)
+                assert got == _report_or_error(reference, *case), case
+                seen |= outcomes(got) if isinstance(got, PatternReport) else {got[0].__name__}
+    return seen, recorder.ways
+
+
+def test_qt_check_matches_per_index_reference(compiled_kernel):
     rng = random.Random(20261018)
-    cases = [((), 9, 6, 20_000, None), ((), 8, 6, 12, None)]
+    cases = [((), 9, 6, 20_000), ((), 8, 6, 12)]
     for _ in range(1500):
         prefix = _random_prefix(rng)
-        lam = rng.choice((rng.randint(-3, 16), rng.randint(9, 80)))
+        # the largest lam take lam*T(k) out of int64
+        lam = rng.choice((rng.randint(-3, 16), rng.randint(9, 80), rng.randint(2**61, 2**63 - 1)))
         mu = rng.randint(-5, len(prefix) + 12)
         k_max = rng.choice((rng.randint(-1, 3), rng.randint(1, 80)))
-        cases.append((prefix, lam, mu, k_max, rng.choice(_MODES)))
-    seen = set()
-    for prefix, lam, mu, k_max, mode in cases:
-        got = _report_or_error(qt_pattern_check, prefix, lam, mu, k_max, mode)
-        want = _report_or_error(_qt_per_index, prefix, lam, mu, k_max, mode)
-        assert got == want, (prefix, lam, mu, k_max, mode)
-        if isinstance(got, PatternReport):
-            seen.add("violation" if got.first_violation else "ok")
-            seen.add("side" if got.side_condition_first_failure else "no side")
-            seen.add("ended" if got.sequence_end else "alive")
-        else:
-            seen.add(got[0].__name__)
-    # every kind of outcome was exercised
-    assert seen >= {"ok", "violation", "side", "no side", "ended", "alive",
-                    "ValidationError", "ArithmeticOverflowError"}
+        cases.append((prefix, lam, mu, k_max))
+
+    def outcomes(report):
+        return {
+            "violation" if report.first_violation else "ok",
+            "side" if report.side_condition_first_failure else "no side",
+            "ended" if report.sequence_end else "alive",
+        }
+
+    seen, ways = _sweep(compiled_kernel, qt_pattern_check, _qt_per_index, cases, outcomes)
+    # every kind of outcome was exercised, and both ways to the exact reference
+    assert seen >= {"ok", "violation", "side", "no side", "ended", "alive", "ValidationError"}
+    assert ways == {"prefix", "overflow"}
 
 
-def test_qc_check_matches_per_index_reference():
+def test_qc_check_matches_per_index_reference(compiled_kernel):
     rng = random.Random(20261019)
-    cases = [((), 1, 6, None, None), (tuple(range(1, 41)), 60, 100, 2, None)]
+    cases = [((), 1, 6, None), (tuple(range(1, 41)), 60, 100, 2)]
     for _ in range(1500):
         prefix = _random_prefix(rng)
         big_k = len(prefix)
+        if rng.random() < 0.2:
+            # lam*k + mu leaves int64, k_max keeps the run short, and the
+            # boundary pair lam + mu = K+7 breaks the pattern early
+            lam = rng.randint(2**61, 2**63 - 1)
+            mu = rng.choice((rng.randint(-40, 40), big_k + 7 - lam))
+            cases.append((prefix, mu, lam, rng.randint(1, 12)))
+            continue
         lam = big_k + rng.randint(4, 45)
         mu = rng.randint(big_k + 5 - lam, 40)
         k_max = rng.choice((None, None, rng.randint(-1, 12)))
-        cases.append((prefix, mu, lam, k_max, rng.choice(_MODES)))
-    seen = set()
-    for prefix, mu, lam, k_max, mode in cases:
-        got = _report_or_error(qc_pattern_check, prefix, mu, lam, k_max, mode)
-        want = _report_or_error(_qc_per_index, prefix, mu, lam, k_max, mode)
-        assert got == want, (prefix, mu, lam, k_max, mode)
-        if isinstance(got, PatternReport):
-            seen.add("violation" if got.first_violation else "ok")
-            seen.add("diverged" if got.post_pattern_divergence else "no divergence")
-            seen.add("ended" if got.sequence_end else "alive")
-        else:
-            seen.add(got[0].__name__)
+        cases.append((prefix, mu, lam, k_max))
+
+    def outcomes(report):
+        return {
+            "violation" if report.first_violation else "ok",
+            "diverged" if report.post_pattern_divergence else "no divergence",
+            "ended" if report.sequence_end else "alive",
+        }
+
+    seen, ways = _sweep(compiled_kernel, qc_pattern_check, _qc_per_index, cases, outcomes)
     assert seen >= {"ok", "violation", "diverged", "no divergence", "ended", "alive",
-                    "ValidationError", "ArithmeticOverflowError"}
+                    "ValidationError"}
+    assert ways == {"prefix", "overflow"}
