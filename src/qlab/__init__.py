@@ -19,7 +19,6 @@ from .engine import (
     SequenceStatus,
     detect_quasilinear,
     evaluate,
-    evaluate_auto,
     format_ic,
     parse_ic,
     resolve_int_mode,
@@ -90,7 +89,6 @@ __all__ = [
     "congruence_check",
     "detect_quasilinear",
     "evaluate",
-    "evaluate_auto",
     "format_ic",
     "is_exceptional",
     "parse_ic",

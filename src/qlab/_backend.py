@@ -35,35 +35,35 @@ __all__ = [
 ]
 
 
-def q_generate(prefix, zero_extended: bool, max_terms: int, mode: str):
-    """Dispatch to the kernel for ``mode``.
+def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
+    """Extend ``prefix`` as _fallback.q_generate does, checked unless
+    ``exact``; returns ``(terms, status, at)`` with ``terms`` a list of ints.
 
-    Exact mode always runs the Python generator on unbounded integers;
-    fast64 prefers the compiled kernel.  Returns ``(terms, status, at)``
-    with ``terms`` a list of ints on either path.
+    The compiled kernel runs first whenever it is built.  A term outside
+    int64 ends its run with STATUS_OVERFLOW at that term's index; an exact
+    run then goes on in Python from the terms before it, or from the whole
+    prefix when the term is one of the prefix's own.
     """
-    if mode == "exact":
-        return _fallback.q_generate(prefix, zero_extended, max_terms, checked=False)
-    if _kernel is not None:
-        # No list can be longer than sys.maxsize, so clamping changes no result.
-        return _kernel.q_generate(prefix, zero_extended, min(max_terms, sys.maxsize))
-    return _fallback.q_generate(prefix, zero_extended, max_terms, checked=True)
+    if _kernel is None:
+        return _fallback.q_generate(prefix, zero_extended, max_terms, checked=not exact)
+    # No list can be longer than sys.maxsize, so clamping changes no result.
+    terms, status, at = _kernel.q_generate(prefix, zero_extended, min(max_terms, sys.maxsize))
+    if status == STATUS_OVERFLOW and exact:
+        start = terms if at > len(prefix) else prefix
+        return _fallback.q_generate(start, zero_extended, max_terms, checked=False)
+    return terms, status, at
 
 
 def q_check(prefix, zero_extended: bool, tiles, max_terms: int):
     """Run the recurrence and compare it with the prediction ``tiles``, as
     _fallback.q_check does unchecked: always the exact answer.  It comes
     from the compiled kernel when int64 decides every term, and from the
-    Python reference when the kernel is not built, a prefix term lies
-    outside int64, or the kernel reports an overflow."""
+    Python reference when the kernel is not built or reports an overflow:
+    of a prefix term, of a term of the run or of a predicted value."""
     if _kernel is not None:
-        try:
-            check = _kernel.q_check(prefix, zero_extended, tiles, min(max_terms, sys.maxsize))
-        except OverflowError:  # a prefix term outside int64
-            pass
-        else:
-            if check[2] != STATUS_OVERFLOW:
-                return check
+        check = _kernel.q_check(prefix, zero_extended, tiles, min(max_terms, sys.maxsize))
+        if check[2] != STATUS_OVERFLOW:
+            return check
     return _fallback.q_check(prefix, zero_extended, tiles, max_terms, checked=False)
 
 

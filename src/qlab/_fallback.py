@@ -1,11 +1,12 @@
 """Pure-Python generators: the reference semantics of the compiled kernel.
 
-q_generate is used for exact mode, and for fast64 when the kernel is not
-built; both return the terms as one list of ints.  rst_generate tabulates
-the R/S/T system when the kernel is not built or its int64 values would
-overflow.  q_check runs the recurrence and compares it with a prediction
-given as tiles; unchecked, it gives the exact answer whenever the compiled
-kernel cannot.  ``materialise`` says what the tiles predict.
+Checked, q_generate and q_check simulate the kernel's int64 arithmetic and
+run when it is not built; unchecked, they go on exactly where int64 cannot,
+from the kernel's last exact term or from the start.  q_generate returns
+the terms as one list of ints, and q_check compares the recurrence with a
+prediction given as tiles.  rst_generate tabulates the R/S/T system when
+the kernel is not built or its int64 values would overflow.
+``materialise`` says what the tiles predict.
 
 A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
 each tile taking up where the one before it stopped.  By kind:
@@ -41,11 +42,16 @@ def q_generate(
     """Extend ``prefix`` under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)).
 
     Returns ``(terms, status, at_index)``.  With ``checked`` the 64-bit
-    arithmetic of the compiled kernel is simulated and a term outside the
-    int64 range yields STATUS_OVERFLOW; unchecked, integers grow without
-    bound and overflow cannot occur.
+    arithmetic of the compiled kernel is simulated: a term outside the
+    int64 range, whether of the prefix or computed, yields STATUS_OVERFLOW
+    at its index, and ``terms`` holds the terms before it.  Unchecked,
+    integers grow without bound and overflow cannot occur.
     """
     t = list(prefix)
+    if checked:
+        for i, v in enumerate(t):
+            if not INT64_MIN <= v <= INT64_MAX:
+                return t[:i], STATUS_OVERFLOW, i + 1
     zero = bool(zero_extended)
     status = STATUS_ALIVE
     at = 0

@@ -3,6 +3,8 @@
  * Mirrors the contract of _fallback.q_generate in checked (int64) mode:
  * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at)
  * with terms a list of int; status 0 alive, 1 died, 2 ended, 3 overflow.
+ * A term outside int64, whether of the prefix or computed, is an overflow
+ * at its index, and terms then holds the terms before it.
  * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
  * and compares each term with the prediction the tiles describe, returning
  * what _fallback.q_check does in checked mode without building a list.
@@ -53,32 +55,48 @@ grow(long long **buf, Py_ssize_t cap)
     return 1;
 }
 
+/* *v = the int64 value of the int o, with *big set to 1 when o lies
+ * outside int64 and to 0 otherwise: 0, or -1 with an exception set when o
+ * is not an int. */
+static int
+read_int(PyObject *o, long long *v, int *big)
+{
+    int sign;
+
+    *v = PyLong_AsLongLongAndOverflow(o, &sign);
+    *big = sign != 0;
+    return *v == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
 /* A new buffer holding the int64 values of prefix (at least two terms),
- * with room for 1024 more; *k is the prefix length and *cap the capacity.
- * NULL with an exception set on failure. */
+ * with room for 1024 more, and *cap its capacity.  *k is the prefix length;
+ * when a term lies outside int64, *big is set and *k is the count of terms
+ * before it.  NULL with an exception set on failure. */
 static long long *
-load_prefix(PyObject *prefix, Py_ssize_t *k, Py_ssize_t *cap)
+load_prefix(PyObject *prefix, Py_ssize_t *k, Py_ssize_t *cap, int *big)
 {
     PyObject *seq = PySequence_Fast(prefix, "prefix must be a sequence");
     long long *t = NULL;
     Py_ssize_t i;
 
+    *big = 0;
     if (seq == NULL)
         return NULL;
     *k = PySequence_Fast_GET_SIZE(seq);
+    *cap = *k + 1024;
     if (*k < 2)
         PyErr_SetString(PyExc_ValueError, "prefix needs at least two terms");
-    else if ((t = PyMem_New(long long, *k + 1024)) == NULL)
+    else if ((t = PyMem_New(long long, *cap)) == NULL)
         PyErr_NoMemory();
-    for (i = 0; t != NULL && i < *k; i++) {
-        t[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (t[i] == -1 && PyErr_Occurred()) {
+    for (i = 0; t != NULL && !*big && i < *k; i++) {
+        if (read_int(PySequence_Fast_GET_ITEM(seq, i), &t[i], big)) {
             PyMem_Free(t);
             t = NULL;
         }
     }
+    if (*big)
+        *k = i - 1;
     Py_DECREF(seq);
-    *cap = *k + 1024;
     return t;
 }
 
@@ -123,15 +141,16 @@ static PyObject *
 q_generate(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *terms = NULL;
-    int zero, status;
+    int zero, status, big;
     Py_ssize_t max_terms, k, cap, n, i;
     long long *t;
 
     if (!PyArg_ParseTuple(args, "Opn:q_generate", &prefix, &zero, &max_terms))
         return NULL;
-    if ((t = load_prefix(prefix, &k, &cap)) == NULL)
+    if ((t = load_prefix(prefix, &k, &cap, &big)) == NULL)
         return NULL;
-    status = extend(&t, &cap, k, zero, max_terms, &n);
+    n = k + 1; /* the index of a prefix term outside int64 */
+    status = big ? STATUS_OVERFLOW : extend(&t, &cap, k, zero, max_terms, &n);
     terms = status < 0 ? NULL : PyList_New(n - 1);
     for (i = 0; terms != NULL && i < n - 1; i++) {
         PyObject *v = PyLong_FromLongLong(t[i]);
@@ -158,19 +177,6 @@ typedef struct {
     PyObject *r, *s, *t; /* blocks: R(1..), S(0..), T(0..) as tuples */
     long long x;        /* chunk: a + b*k for the current k */
 } Tile;
-
-/* *v = the int64 value of the int o, with *big set to 1 when o lies
- * outside int64 and to 0 otherwise: 0, or -1 with an exception set when o
- * is not an int. */
-static int
-read_int(PyObject *o, long long *v, int *big)
-{
-    int sign;
-
-    *v = PyLong_AsLongLongAndOverflow(o, &sign);
-    *big = sign != 0;
-    return *v == -1 && PyErr_Occurred() ? -1 : 0;
-}
 
 /* Read tile item, its length clipped to room; -1 with an exception set
  * when it is malformed. */
@@ -299,7 +305,7 @@ static PyObject *
 q_check(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *tiles, *seq, *first = NULL, *result = NULL;
-    int zero, status, rc = 0, differs = 0;
+    int zero, status, big, rc = 0, differs = 0;
     Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, i, j;
     long long *t = NULL, v = 0;
     Tile tl;
@@ -308,9 +314,10 @@ q_check(PyObject *self, PyObject *args)
         return NULL;
     if ((seq = PySequence_Fast(tiles, "tiles must be a sequence")) == NULL)
         return NULL;
-    if ((t = load_prefix(prefix, &k, &cap)) == NULL)
+    if ((t = load_prefix(prefix, &k, &cap, &big)) == NULL)
         goto done;
-    status = extend(&t, &cap, k, zero, max_terms, &n);
+    n = k + 1;
+    status = big ? STATUS_OVERFLOW : extend(&t, &cap, k, zero, max_terms, &n);
     if (status < 0)
         goto done;
     if (status == STATUS_OVERFLOW) {

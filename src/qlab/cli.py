@@ -31,7 +31,6 @@ from .engine import (
     GeneratedSequence,
     InitialCondition,
     evaluate,
-    evaluate_auto,
     parse_ic,
     write_bfile,
     write_csv,
@@ -184,7 +183,7 @@ def _verify_worker(task: tuple[int, int]):
 def _scan_worker(task: tuple[int, int]):
     n, max_terms = task
     profile = abc_profile(n)
-    seq = evaluate_auto(InitialCondition.identity(n, zero_extended=True), max_terms)
+    seq = evaluate(InitialCondition.identity(n, zero_extended=True), max_terms, "exact")
     length = None if seq.status.is_alive else len(seq)
     return n, profile.j, profile.classification, length
 
@@ -390,7 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DivisibilityError, AssertionError) as exc:
         print(f"qlab: internal error: {exc}", file=sys.stderr)
         return 2
-    except (QlabError, OSError) as exc:
+    except (QlabError, OSError, OverflowError) as exc:
+        # OverflowError: an N or a count too large for a Python size
         print(f"qlab: error: {exc}", file=sys.stderr)
         return 1
 

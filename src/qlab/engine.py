@@ -28,7 +28,7 @@ from itertools import chain, islice
 from typing import IO, Iterable, Sequence
 
 from . import _backend
-from ._backend import BACKEND, INT64_MAX, INT64_MIN
+from ._backend import BACKEND
 from .errors import ArithmeticOverflowError, ValidationError
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "SequenceStatus",
     "detect_quasilinear",
     "evaluate",
-    "evaluate_auto",
     "format_ic",
     "parse_ic",
     "resolve_int_mode",
@@ -167,10 +166,6 @@ def _check_run(ic: InitialCondition, max_terms: int) -> None:
         )
 
 
-def _fits_int64(terms: tuple[int, ...]) -> bool:
-    return INT64_MIN <= min(terms) <= max(terms) <= INT64_MAX
-
-
 def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> GeneratedSequence:
     """Run the recurrence from ``ic`` for up to ``max_terms`` total terms.
 
@@ -178,32 +173,14 @@ def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> G
     at Q(n-1) and Q(n-2)) and ``max_terms`` must cover it.  The result is
     alive when ``max_terms`` was reached, otherwise died/ended at the first
     index the convention could not supply.  In fast64 mode a term outside
-    the 64-bit range raises ArithmeticOverflowError carrying its index.
+    the 64-bit range, initial or computed, raises ArithmeticOverflowError
+    carrying its index.
     """
     _check_run(ic, max_terms)
-    mode = resolve_int_mode(mode)
-    if mode == "fast64" and not _fits_int64(ic.terms):
-        # walk the terms only to name the first one out of range
-        for i, v in enumerate(ic.terms, start=1):
-            if not INT64_MIN <= v <= INT64_MAX:
-                raise ArithmeticOverflowError(i)
-    terms, code, at = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, mode)
+    exact = resolve_int_mode(mode) == "exact"
+    terms, code, at = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, exact)
     if code == _backend.STATUS_OVERFLOW:
         raise ArithmeticOverflowError(at)
-    return GeneratedSequence(ic, terms, _status_of(code, at))
-
-
-def evaluate_auto(ic: InitialCondition, max_terms: int) -> GeneratedSequence:
-    """Evaluate in fast64 mode; after an overflow, go on in exact mode from
-    the last term that fit.  The result equals evaluate(ic, max_terms,
-    "exact")."""
-    _check_run(ic, max_terms)
-    terms, code, at = ic.terms, _backend.STATUS_OVERFLOW, 0
-    if _fits_int64(ic.terms):
-        terms, code, at = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, "fast64")
-    if code == _backend.STATUS_OVERFLOW:
-        # terms holds Q(1..at-1): every term before the overflow is exact
-        terms, code, at = _backend.q_generate(terms, ic.zero_extended, max_terms, "exact")
     return GeneratedSequence(ic, terms, _status_of(code, at))
 
 

@@ -12,9 +12,10 @@ class ValidationError(QlabError):
 
 
 class ArithmeticOverflowError(QlabError):
-    """A term exceeded the 64-bit range in fast64 mode.
+    """A term lies outside the 64-bit range in fast64 mode.
 
-    ``index`` is the 1-based position of the term that could not be stored.
+    ``index`` is the 1-based position of that term: an initial term, or a
+    computed one that could not be stored.
     """
 
     def __init__(self, index: int, message: str | None = None):

@@ -18,7 +18,6 @@ from qlab import (
     behavior_tree,
     congruence_check,
     evaluate,
-    evaluate_auto,
     is_exceptional,
     predict_sequence,
     qc_pattern_check,
@@ -46,7 +45,7 @@ def test_01_death_length_law():
 
 def test_02_spot_values():
     for n, index, value in ((8, 420, 430), (11, 199, 206), (12, 69, 77)):
-        seq = evaluate_auto(InitialCondition.identity(n), 10**6)
+        seq = evaluate(InitialCondition.identity(n), 10**6, mode="exact")
         assert seq.status.kind == "died", n
         assert seq.term(index) == value, n
     print("PASS: Q_8(420)=430, Q_11(199)=206, Q_12(69)=77, all three die")
@@ -97,8 +96,8 @@ def test_06_classification_zero_tails():
         assert profile.classification == 0, n
         a_j = profile.a[-1]
         predicted = predict_sequence(n, a_j + 161)
-        actual = evaluate_auto(
-            InitialCondition.identity(n, zero_extended=True), a_j + 161
+        actual = evaluate(
+            InitialCondition.identity(n, zero_extended=True), a_j + 161, mode="exact"
         )
         assert predicted.term(a_j + 160) == 0, n
         assert actual.term(a_j + 160) == 0, n

@@ -355,6 +355,23 @@ def test_unwritable_out(capsys):
     assert "qlab: error:" in err
 
 
+_HUGE_N = str(10**22)
+
+
+@pytest.mark.parametrize("argv", [
+    ("predict", "--n", _HUGE_N, "--max", _HUGE_N),
+    ("verify", "--n", _HUGE_N, "--max", _HUGE_N),
+    ("sym", "--nmin", "2", "--offsets", "3", "--at", str(10**23)),
+    ("scan", "--from", _HUGE_N, "--to", _HUGE_N, "--max", _HUGE_N),
+])
+def test_n_beyond_a_python_size_is_a_runtime_error(capsys, argv):
+    # every N here exceeds sys.maxsize, so no list of that size is attempted
+    assert int(_HUGE_N) > sys.maxsize
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("qlab: error: ") and err.count("\n") == 1
+
+
 def test_version_and_usage_errors(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0 and out.startswith("qlab ")

@@ -22,7 +22,6 @@ from qlab import (
     ValidationError,
     detect_quasilinear,
     evaluate,
-    evaluate_auto,
     format_ic,
     parse_ic,
     resolve_int_mode,
@@ -125,8 +124,9 @@ def test_exact_mode_crosses_int64():
     print(f"✓ exact mode reaches {seq.term(5)} without overflow")
 
 
-def test_evaluate_auto_retries_in_exact():
-    seq = evaluate_auto(BIG, 10)
+def test_exact_mode_retries_after_a_kernel_overflow(compiled_kernel):
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        seq = evaluate(BIG, 10, mode="exact")
     assert seq.term(5) == 2**63
 
 
@@ -138,32 +138,44 @@ overflowing_ics = st.tuples(
 )
 
 
+def _run_or_overflow(ic, max_terms, mode):
+    try:
+        seq = evaluate(ic, max_terms, mode=mode)
+    except ArithmeticOverflowError as exc:
+        return exc.index
+    return seq.terms, seq.status
+
+
 @given(overflowing_ics, st.integers(min_value=6, max_value=200))
 @example(([2**62, 2**62, 3, 4], True), 120)  # overflows at 5
 @example(([9, 3 * 2**61, 2, 7], True), 200)  # overflows at 56, then lives on
 @example(([1, 2**64, 3], True), 50)  # an initial term beyond int64
 @settings(max_examples=200, deadline=None)
-def test_evaluate_auto_equals_exact(compiled_kernel, params, max_terms):
+def test_exact_mode_agrees_across_kernels(compiled_kernel, params, max_terms):
+    # exact mode runs the int64 kernel first when it is built, and Python
+    # alone when it is not; fast64 names the same overflow on both
     terms, zero = params
     ic = InitialCondition(tuple(terms), zero)
-    exact = evaluate(ic, max_terms, mode="exact")
-    for kernel in (compiled_kernel, None):
-        with mock.patch.object(_backend, "_kernel", kernel):
-            auto = evaluate_auto(ic, max_terms)
-        assert (auto.terms, auto.status) == (exact.terms, exact.status)
+    for mode in ("exact", "fast64"):
+        runs = []
+        for kernel in (compiled_kernel, None):
+            with mock.patch.object(_backend, "_kernel", kernel):
+                runs.append(_run_or_overflow(ic, max_terms, mode))
+        assert runs[0] == runs[1], mode
 
 
-def test_evaluate_auto_resumes_from_the_overflow(compiled_kernel):
-    # Q(56) is the first term past int64: exact mode starts from Q(1..55)
-    ic = InitialCondition((9, 3 * 2**61, 2, 7), zero_extended=True)
-    for kernel in (compiled_kernel, None):
-        with mock.patch.object(_backend, "_kernel", kernel), \
+def test_exact_mode_resumes_from_the_overflow(compiled_kernel):
+    # Q(56) is the first term past int64, so Python goes on from Q(1..55);
+    # Q(2) is a prefix term past int64, so Python starts from the prefix
+    for terms, resumed_from in (((9, 3 * 2**61, 2, 7), 55), ((1, 2**64, 3, 4), 4)):
+        ic = InitialCondition(terms, zero_extended=True)
+        with mock.patch.object(_backend, "_kernel", compiled_kernel), \
                 mock.patch.object(_fallback, "q_generate", wraps=_fallback.q_generate) as spy:
-            seq = evaluate_auto(ic, 200)
-        resumed = spy.call_args_list[-1]
+            seq = evaluate(ic, 200, mode="exact")
+        (resumed,) = spy.call_args_list
         assert resumed.kwargs == {"checked": False}
-        assert len(resumed.args[0]) == 55
-        assert seq.status.is_alive and len(seq) == 200 and seq.term(56) >= 2**63
+        assert len(resumed.args[0]) == resumed_from
+        assert seq.terms == _fallback.q_generate(terms, True, 200, checked=False)[0]
 
 
 def test_oversized_initial_term_rejected_up_front():
@@ -193,16 +205,17 @@ def test_modes_agree_without_overflow(params):
     assert fast.status == exact.status
 
 
-@given(small_ics, st.integers(min_value=2, max_value=120))
+@given(st.one_of(small_ics, overflowing_ics), st.integers(min_value=2, max_value=120))
 @example(([2, 0], False), 10**13)
 @example(([2, 0], False), 10**20)  # beyond any index a list can hold
 @example(([2**62, 2**62, 3, 4], True), 120)  # overflows at 5
-@settings(max_examples=150, deadline=None)
+@example(([1, 2, 2**64, 4, -(2**64)], False), 2)  # overflows at 3, past max_terms
+@settings(max_examples=300, deadline=None)
 def test_compiled_and_fallback_kernels_agree(compiled_kernel, params, max_terms):
     terms, zero = params
     prefix = tuple(terms)
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
-        compiled = _backend.q_generate(prefix, zero, max_terms, "fast64")
+        compiled = _backend.q_generate(prefix, zero, max_terms, exact=False)
     assert compiled == _fallback.q_generate(prefix, zero, max_terms, checked=True)
 
 
@@ -221,8 +234,8 @@ def test_terms_are_a_list_of_int(request, backend, mode):
 def test_prefix_stability(params, m, extra):
     terms, zero = params
     ic = InitialCondition(tuple(terms), zero)
-    short = evaluate_auto(ic, m)
-    long = evaluate_auto(ic, m + extra)
+    short = evaluate(ic, m, mode="exact")
+    long = evaluate(ic, m + extra, mode="exact")
     assert short.terms == long.terms[: len(short)]
     if not short.status.is_alive:
         assert short.status == long.status

@@ -37,7 +37,7 @@ from qlab._fallback import (
     _first_difference,
     materialise,
 )
-from qlab.engine import InitialCondition, SequenceStatus, _status_of, evaluate_auto
+from qlab.engine import InitialCondition, SequenceStatus, _status_of, evaluate
 from qlab.predictor import CLOSING_TAIL_0, StructureProfile, _exact5, predicted_tiles
 from qlab.rst import R, S, T, _block_count, _tables
 
@@ -465,7 +465,7 @@ def test_lam_blocks_side_condition_cut():
 def _list_check(prefix, zero: bool, tiles, budget: int):
     """What q_check must report, from the two lists verify used to build."""
     predicted = materialise(tiles, budget)
-    actual = evaluate_auto(InitialCondition(prefix, zero), budget)
+    actual = evaluate(InitialCondition(prefix, zero), budget, mode="exact")
     first = _first_difference(predicted, actual.terms)
     matched = first[0] - 1 if first is not None else len(predicted)
     return matched, first, actual.status, len(actual.terms)
@@ -548,9 +548,8 @@ def check_cases(draw):
         if draw(st.booleans()):
             _corrupt(draw, tiles)
         return tuple(range(1, n + 1)), draw(st.booleans()), tuple(tiles), budget
-    # the prefix fits int64, as evaluate checks before any kernel runs
     big = st.sampled_from((2**62, 3 * 2**61, 2**63 - 1, -(2**62)))
-    prefix = tuple(draw(st.lists(st.one_of(st.integers(-6, 12), big), min_size=2, max_size=6)))
+    prefix = tuple(draw(st.lists(st.one_of(st.integers(-6, 12), big, _huge), min_size=2, max_size=6)))
     value = st.one_of(st.integers(-6, 60), _huge)
     rst = _tables(200)
     tiles = []
@@ -575,6 +574,7 @@ def check_cases(draw):
 @example(((1, 2), True, ((TILE_RANGE, 3, 2**63 - 2, None),), 3))  # 2**63 at index 3
 @example(((1, 1), False, ((TILE_LITERAL, 3, (1, 2, 2**70), None),), 30))  # differs first
 @example(((3, 1), True, ((TILE_RANGE, 2, 3, None), (TILE_CHUNK, 9, 2, 0)), 30))  # step 0
+@example(((1, 2, 3, 2**64), True, ((TILE_RANGE, 3, 1, None),), 2))  # prefix overflows past the budget
 def test_compiled_and_fallback_q_check_agree(compiled_kernel, case):
     prefix, zero, tiles, budget = case
     compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)

@@ -21,7 +21,6 @@ from qlab import (
     _backend,
     _fallback,
     evaluate,
-    evaluate_auto,
     qc_pattern_check,
     qt_pattern_check,
     rst,
@@ -373,7 +372,7 @@ def _qt_per_index(prefix, lam, mu, k_max):
         raise ValidationError("k_max must be >= 1")
     big_k = len(prefix)
     ic = InitialCondition((*prefix, 5, lam, 4, mu), zero_extended=True)
-    seq = evaluate_auto(ic, big_k + 5 * k_max + 4)
+    seq = evaluate(ic, big_k + 5 * k_max + 4, mode="exact")
     total = len(seq)
 
     holds_through = 0
@@ -427,7 +426,7 @@ def _qc_per_index(prefix, mu, lam, k_max=None):
         return (5, lam * k + mu, 5, lam, 3)[r]
 
     ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
-    seq = evaluate_auto(ic, last + 1)
+    seq = evaluate(ic, last + 1, mode="exact")
     total = len(seq)
 
     first_violation = None
@@ -471,7 +470,8 @@ def _report_or_error(check, *args, **kwargs):
 
 def _random_prefix(rng: random.Random) -> tuple[int, ...]:
     # small and non-positive values make runs end or leave the pattern;
-    # a term past 2^63 keeps the condition out of the compiled kernel
+    # a term past 2^63 makes the compiled kernel report an overflow in the
+    # prefix
     values = [rng.randint(-5, 40) for _ in range(rng.randint(0, 10))]
     if values and rng.random() < 0.05:
         values[rng.randrange(len(values))] = 2**63
@@ -480,7 +480,7 @@ def _random_prefix(rng: random.Random) -> tuple[int, ...]:
 
 class _ExactWays:
     """The compiled kernel, noting each way its q_check leaves a case to the
-    exact reference: a prefix term outside int64, or an overflow."""
+    exact reference: an overflow at a prefix term, or at a later one."""
 
     def __init__(self, kernel):
         self.kernel = kernel
@@ -489,14 +489,10 @@ class _ExactWays:
     def __getattr__(self, name):
         return getattr(self.kernel, name)
 
-    def q_check(self, *args):
-        try:
-            check = self.kernel.q_check(*args)
-        except OverflowError:
-            self.ways.add("prefix")
-            raise
+    def q_check(self, prefix, *args):
+        check = self.kernel.q_check(prefix, *args)
         if check[2] == STATUS_OVERFLOW:
-            self.ways.add("overflow")
+            self.ways.add("prefix" if check[3] <= len(prefix) else "overflow")
         return check
 
 
