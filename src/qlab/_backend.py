@@ -29,6 +29,7 @@ __all__ = [
     "STATUS_DIED",
     "STATUS_ENDED",
     "STATUS_OVERFLOW",
+    "format_rows",
     "q_check",
     "q_generate",
     "rst_generate",
@@ -77,3 +78,14 @@ def rst_generate(n_max: int):
         if tables is not None:  # None: a value would overflow int64
             return tables
     return _fallback.rst_generate(n_max)
+
+
+def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str:
+    """Rows ``lo..hi-1`` of ``columns`` as _fallback.format_rows writes
+    them: from the compiled kernel when it is built and every value and
+    index of the rows fits int64, from the Python reference otherwise."""
+    if _kernel is not None:
+        text = _kernel.format_rows(columns, first, sep, per_row, lo, hi)
+        if text is not None:  # None: a value or an index outside int64
+            return text
+    return _fallback.format_rows(columns, first, sep, per_row, lo, hi)

@@ -4,9 +4,10 @@ Checked, q_generate and q_check simulate the kernel's int64 arithmetic and
 run when it is not built; unchecked, they go on exactly where int64 cannot,
 from the kernel's last exact term or from the start.  q_generate returns
 the terms as one list of ints, and q_check compares the recurrence with a
-prediction given as tiles.  rst_generate tabulates the R/S/T system when
-the kernel is not built or its int64 values would overflow.
-``materialise`` says what the tiles predict.
+prediction given as tiles.  rst_generate tabulates the R/S/T system, and
+format_rows writes rows of ints as text, when the kernel is not built or
+its int64 values would overflow.  ``materialise`` says what the tiles
+predict.
 
 A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
 each tile taking up where the one before it stopped.  By kind:
@@ -45,9 +46,12 @@ def q_generate(
     arithmetic of the compiled kernel is simulated: a term outside the
     int64 range, whether of the prefix or computed, yields STATUS_OVERFLOW
     at its index, and ``terms`` holds the terms before it.  Unchecked,
-    integers grow without bound and overflow cannot occur.
+    integers grow without bound and overflow cannot occur.  A prefix of
+    fewer than two terms raises ValueError.
     """
     t = list(prefix)
+    if len(t) < 2:
+        raise ValueError("prefix needs at least two terms")
     if checked:
         for i, v in enumerate(t):
             if not INT64_MIN <= v <= INT64_MAX:
@@ -158,6 +162,35 @@ def materialise(tiles, max_terms: int) -> list[int]:
                 out[start + 4 :: 5] = [5 * v for v in s[2 : kmax + 2]]
             del out[start + length :]
     return out
+
+
+def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str:
+    """Rows ``lo..hi-1`` of the int sequences ``columns`` as text.
+
+    Row i holds ``columns[c][i]`` for each column, led by its index
+    ``first + i`` unless ``first`` is None, the fields joined by ``sep`` and
+    the row ended by "\n".  With ``per_row > 1`` (one column, no index)
+    the values go ``per_row`` to a line instead, the last line possibly
+    short.  Raises ValueError on a malformed call.
+    """
+    if not sep.isascii():
+        raise ValueError("sep must be ASCII")
+    if not columns or per_row < 1 or (per_row > 1 and (len(columns) > 1 or first is not None)):
+        raise ValueError("format_rows needs a column, and per_row > 1 only for one unindexed column")
+    if not all(0 <= lo <= hi <= len(column) for column in columns):
+        raise ValueError("rows lo..hi-1 lie outside a column")
+    fields = [column[lo:hi] for column in columns]
+    if first is not None:
+        fields.insert(0, range(first + lo, first + hi))
+    # int.__repr__: the digits of any int, and TypeError for anything else
+    texts = [map(int.__repr__, field) for field in fields]
+    if per_row > 1:
+        values = list(texts[0])
+        lines = (values[i : i + per_row] for i in range(0, hi - lo, per_row))
+    else:
+        lines = zip(*texts)
+    text = "\n".join(map(sep.join, lines))
+    return text + "\n" if text else text
 
 
 def _first_difference(

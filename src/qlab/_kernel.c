@@ -12,6 +12,10 @@
  * when a value would leave int64.  Values are computed in private int64
  * buffers that grow with the rows produced and are freed before the call
  * returns.
+ * format_rows(columns, first, sep, per_row, lo, hi) returns the text
+ * _fallback.format_rows does, written as ASCII straight into one new str,
+ * or None when a value or an index of the rows lies outside int64.  It is
+ * the one formatter of qlab's integer tables.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -483,6 +487,160 @@ done:
     return result;
 }
 
+/* POW10[n] = 10^n, the least magnitude of n + 1 digits */
+static const unsigned long long POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL, 10000000000000000000ULL,
+};
+
+/* The magnitude of v in unsigned arithmetic, where -LLONG_MIN is defined. */
+static unsigned long long
+magnitude(long long v)
+{
+    return v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+}
+
+/* The length of the decimal form of v, its sign included. */
+static Py_ssize_t
+decimal_length(long long v)
+{
+    unsigned long long u = magnitude(v);
+    Py_ssize_t n = 1;
+
+    while (n < 20 && u >= POW10[n])
+        n++;
+    return n + (v < 0);
+}
+
+/* Write the decimal form of v, decimal_length(v) characters, ending at end. */
+static void
+put_decimal(Py_UCS1 *end, long long v)
+{
+    unsigned long long u = magnitude(v);
+
+    do {
+        *--end = (Py_UCS1)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        *--end = '-';
+}
+
+static PyObject *
+format_rows(PyObject *self, PyObject *args)
+{
+    PyObject *columns, *first, *sep, *cols = NULL, **fast = NULL, *text = NULL;
+    Py_ssize_t per_row, lo, hi, ncol, width, nfield, nline, i, c, k, len = 0, seplen;
+    long long *field = NULL, index = 0, last;
+    const Py_UCS1 *sepdata;
+    Py_UCS1 *p;
+    int indexed, big = 0;
+
+    if (!PyArg_ParseTuple(args, "OOUnnn:format_rows", &columns, &first, &sep, &per_row, &lo, &hi))
+        return NULL;
+    if (!PyUnicode_IS_ASCII(sep)) {
+        PyErr_SetString(PyExc_ValueError, "sep must be ASCII");
+        return NULL;
+    }
+    if ((cols = PySequence_Fast(columns, "columns must be a sequence")) == NULL)
+        return NULL;
+    ncol = PySequence_Fast_GET_SIZE(cols);
+    indexed = first != Py_None;
+    if (ncol < 1 || per_row < 1 || (per_row > 1 && (ncol > 1 || indexed))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "format_rows needs a column, and per_row > 1 only for one unindexed column");
+        goto done;
+    }
+    if ((fast = PyMem_New(PyObject *, ncol)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (c = 0; c < ncol; c++)
+        fast[c] = NULL;
+    for (c = 0; c < ncol; c++) {
+        fast[c] = PySequence_Fast(PySequence_Fast_GET_ITEM(cols, c), "a column must be a sequence");
+        if (fast[c] == NULL)
+            goto done;
+        if (lo < 0 || lo > hi || hi > PySequence_Fast_GET_SIZE(fast[c])) {
+            PyErr_SetString(PyExc_ValueError, "rows lo..hi-1 lie outside a column");
+            goto done;
+        }
+    }
+    /* row i has the index first + i, the last one first + hi - 1 */
+    if (indexed && read_int(first, &index, &big))
+        goto done;
+    if (indexed && hi > lo && (big || __builtin_add_overflow(index, (long long)(hi - 1), &last)))
+        goto done; /* an index outside int64: None */
+    big = 0;
+
+    /* The fields in output order, row by row and the index first: each is
+     * followed by sep or, when it ends a line of width fields, by "\n". */
+    width = per_row > 1 ? per_row : ncol + indexed;
+    nfield = (hi - lo) * (ncol + indexed);
+    nline = (nfield + width - 1) / width;
+    seplen = PyUnicode_GET_LENGTH(sep);
+    if ((field = PyMem_New(long long, nfield)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = lo, k = 0; !big && i < hi; i++) {
+        if (indexed)
+            field[k++] = index + i;
+        for (c = 0; !big && c < ncol; c++, k++) {
+            PyObject *v = PySequence_Fast_GET_ITEM(fast[c], i);
+            if (!PyLong_Check(v)) {
+                PyErr_SetString(PyExc_TypeError, "format_rows formats ints");
+                goto done;
+            }
+            if (read_int(v, &field[k], &big))
+                goto done;
+        }
+    }
+    if (big)
+        goto done; /* a value outside int64: None */
+    for (k = 0; k < nfield; k++)
+        len += decimal_length(field[k]);
+    if (nfield > 0 && seplen > (PY_SSIZE_T_MAX - len - nline) / nfield) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    len += nline + (nfield - nline) * seplen;
+
+    if ((text = PyUnicode_New(len, 127)) == NULL)
+        goto done;
+    p = PyUnicode_1BYTE_DATA(text);
+    sepdata = PyUnicode_1BYTE_DATA(sep);
+    for (k = 0, c = 1; k < nfield; k++, c++) { /* c: the field's place in its line */
+        Py_ssize_t n = decimal_length(field[k]);
+        put_decimal(p + n, field[k]);
+        p += n;
+        if (c == width || k + 1 == nfield) {
+            *p++ = '\n';
+            c = 0;
+        }
+        else if (seplen == 1)
+            *p++ = sepdata[0];
+        else {
+            memcpy(p, sepdata, seplen);
+            p += seplen;
+        }
+    }
+
+done:
+    if (fast != NULL) {
+        for (c = 0; c < ncol; c++)
+            Py_XDECREF(fast[c]);
+        PyMem_Free(fast);
+    }
+    Py_DECREF(cols);
+    PyMem_Free(field);
+    if (text == NULL && !PyErr_Occurred())
+        Py_RETURN_NONE;
+    return text;
+}
+
 static PyMethodDef methods[] = {
     {"q_generate", q_generate, METH_VARARGS,
      "q_generate(prefix, zero_extended, max_terms) -> (terms, status, at)\n\n"
@@ -494,6 +652,9 @@ static PyMethodDef methods[] = {
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
      "Tabulate R(1..n), S(0..n) and T(0..n) in int64; None on overflow."},
+    {"format_rows", format_rows, METH_VARARGS,
+     "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"
+     "Rows lo..hi-1 of the int columns as text; None outside int64."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -11,8 +11,9 @@ Subcommands:
 
 Each subparser declares its options once and names its handler through
 ``set_defaults(handler=...)``; the handlers read the parsed namespace.
-Integer tables (sequences in text, bfile and csv, and the R/S/T rows) are
-written by :func:`qlab.engine.write_rows`.
+Integer tables (sequences in text, bfile, csv and json, and the R/S/T rows)
+are formatted by :func:`qlab._backend.format_rows`, through the writers of
+:mod:`qlab.engine`.
 
 Exit codes: 0 on success, 1 for usage and runtime problems (bad arguments,
 64-bit overflow, I/O failures), 2 for a broken internal invariant.
@@ -24,17 +25,18 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from itertools import chain
 
 from . import __version__
 from .engine import (
+    ROWS_PER_CALL,
     GeneratedSequence,
     InitialCondition,
     evaluate,
     parse_ic,
     write_bfile,
     write_csv,
-    write_rows,
+    write_json,
+    write_table,
 )
 from .errors import DivisibilityError, QlabError
 from .errors import ValidationError
@@ -77,9 +79,6 @@ def _check_loglog(args: argparse.Namespace) -> None:
         raise ValidationError("--loglog only applies to --format csv")
 
 
-_ROW_OF_TEN = " ".join(["%d"] * 10) + "\n"
-
-
 def _emit_sequence(seq: GeneratedSequence, args: argparse.Namespace) -> None:
     with _open_out(args.out) as out:
         if args.format == "bfile":
@@ -87,19 +86,10 @@ def _emit_sequence(seq: GeneratedSequence, args: argparse.Namespace) -> None:
         elif args.format == "csv":
             write_csv(seq, out, loglog=args.loglog)
         elif args.format == "json":
-            payload = {
-                "ic": str(seq.ic),
-                "status": str(seq.status),
-                "terms": seq.terms,
-            }
-            json.dump(payload, out)
-            out.write("\n")
+            write_json(seq, out)
         else:
             out.write(f"# <{seq.ic}>: {len(seq)} terms, {seq.status}\n")
-            terms = seq.terms
-            write_rows(out, zip(*[iter(terms)] * 10), _ROW_OF_TEN)
-            if short := len(terms) % 10:
-                write_rows(out, [terms[-short:]], " ".join(["%d"] * short) + "\n")
+            write_table(out, (seq.terms,), None, " ", per_row=10)
 
 
 def _run_gen(args: argparse.Namespace) -> int:
@@ -153,19 +143,33 @@ def _run_rst(args: argparse.Namespace) -> int:
             out.write("\n")
             return 0
         cols = ["r", "s", "t"] if which == "all" else [which]
-        tables = {"r": chain((0,), state.r), "s": state.s, "t": state.t}
-        rows = zip(range(state.n + 1), *(tables[c] for c in cols))
         if args.format == "bfile":
-            sep = " "
-            if which == "r":
-                next(rows)  # R(0) is not a term of R
+            sep, start = " ", 1 if which == "r" else 0  # R(0) is not a term of R
         else:
-            sep = "," if args.format == "csv" else "\t"
+            sep, start = "," if args.format == "csv" else "\t", 0
             out.write(sep.join(["n"] + cols) + "\n")
-        write_rows(out, rows, sep.join(["%d"] * (len(cols) + 1)) + "\n")
+        _write_rst_rows(out, state, cols, sep, start)
         if not state.status.is_alive:
             out.write(f"# ended ({state.status.which}) at {state.status.at_index}\n")
     return 0
+
+
+def _write_rst_rows(out, state, cols: list[str], sep: str, start: int) -> None:
+    """Rows start..n of the R/S/T columns cols, each led by its row number.
+
+    Row i holds R(i), S(i), T(i), while state.r starts at R(1): R(0) = 0
+    gets a row of its own, and each block reads its rows of the tables as
+    slices, one block at a time, so no table is copied whole.
+    """
+    tables = {"r": state.r, "s": state.s, "t": state.t}
+    shift = {"r": 1, "s": 0, "t": 0}  # row i of column c is tables[c][i - shift[c]]
+    if start == 0 and "r" in cols:
+        write_table(out, [(0,) if c == "r" else tables[c][:1] for c in cols], 0, sep)
+        start = 1
+    for lo in range(start, state.n + 1, ROWS_PER_CALL):
+        hi = min(lo + ROWS_PER_CALL, state.n + 1)
+        block = [tables[c][lo - shift[c] : hi - shift[c]] for c in cols]
+        write_table(out, block, lo, sep)
 
 
 def _run_predict(args: argparse.Namespace) -> int:
@@ -392,6 +396,10 @@ def main(argv: list[str] | None = None) -> int:
     except (QlabError, OSError, OverflowError) as exc:
         # OverflowError: an N or a count too large for a Python size
         print(f"qlab: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # an N or a --max whose terms do not fit in memory
+        print("qlab: error: out of memory", file=sys.stderr)
         return 1
 
 

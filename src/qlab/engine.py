@@ -21,11 +21,12 @@ so ``"0;1..4,9"`` is the zero-extended condition (1, 2, 3, 4, 9) and
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from . import _backend
 from ._backend import BACKEND
@@ -44,6 +45,7 @@ __all__ = [
     "resolve_int_mode",
     "write_bfile",
     "write_csv",
+    "write_json",
 ]
 
 _MODES = ("fast64", "exact")
@@ -72,7 +74,9 @@ class InitialCondition:
     zero_extended: bool = False
 
     def __post_init__(self):
-        terms = tuple(map(int, self.terms))
+        # a range holds only ints: identity's own skips the conversion
+        terms = self.terms
+        terms = tuple(terms) if type(terms) is range else tuple(map(int, terms))
         if not terms:
             raise ValidationError("initial condition needs at least one term")
         object.__setattr__(self, "terms", terms)
@@ -83,7 +87,7 @@ class InitialCondition:
         """The condition Q(i) = i for 1 <= i <= k."""
         if k < 1:
             raise ValidationError("identity condition needs k >= 1")
-        return cls(tuple(range(1, k + 1)), zero_extended)
+        return cls(range(1, k + 1), zero_extended)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -306,20 +310,24 @@ def format_ic(ic: InitialCondition) -> str:
     return f"0;{body}" if ic.zero_extended else body
 
 
-def write_rows(out: IO[str], rows: Iterable[Sequence], template: str) -> None:
-    """Write each row through ``template``, e.g. "%d %d\n" for two fields.
+# Rows per formatter call: a larger block raises the peak memory.
+ROWS_PER_CALL = 4096
 
-    Rows go out 4096 at a time, each block formatted by one ``%`` over its
-    flattened values; larger blocks raise the peak memory.
-    """
-    rows = iter(rows)
-    while block := list(islice(rows, 4096)):
-        out.write((template * len(block)) % tuple(chain.from_iterable(block)))
+
+def write_table(out: IO[str], columns: Sequence[Sequence[int]], first: int | None, sep: str,
+                per_row: int = 1) -> None:
+    """Write every row of the int sequences ``columns`` (of equal length),
+    laid out as :func:`qlab._backend.format_rows` says, ROWS_PER_CALL lines
+    at a time: the one writer of qlab's integer tables."""
+    step = ROWS_PER_CALL * per_row
+    total = len(columns[0])
+    for lo in range(0, total, step):
+        out.write(_backend.format_rows(columns, first, sep, per_row, lo, min(lo + step, total)))
 
 
 def write_bfile(seq: GeneratedSequence, out: IO[str]) -> None:
     """Write "n value" lines; a died/ended run gains a trailing comment."""
-    write_rows(out, enumerate(seq.terms, start=1), "%d %d\n")
+    write_table(out, (seq.terms,), 1, " ")
     if not seq.status.is_alive:
         out.write(f"# {seq.status.kind} at {seq.status.at_index}\n")
 
@@ -331,7 +339,25 @@ def write_csv(seq: GeneratedSequence, out: IO[str], loglog: bool = False) -> Non
         rows = (
             (math.log10(i), math.log10(v)) for i, v in enumerate(seq.terms, start=1) if v > 0
         )
-        write_rows(out, rows, "%.6f,%.6f\n")
+        while block := list(islice(rows, ROWS_PER_CALL)):
+            out.write(("%.6f,%.6f\n" * len(block)) % tuple(chain.from_iterable(block)))
     else:
         out.write("n,value\n")
-        write_rows(out, enumerate(seq.terms, start=1), "%d,%d\n")
+        write_table(out, (seq.terms,), 1, ",")
+
+
+def write_json(seq: GeneratedSequence, out: IO[str]) -> None:
+    """Write {"ic", "status", "terms"} and a newline, byte for byte as
+    json.dump would, the terms formatted ROWS_PER_CALL * 10 at a time:
+    json.dump encodes a list in pure Python, and json.dumps would hold the
+    whole text at once."""
+    head = json.dumps({"ic": str(seq.ic), "status": str(seq.status), "terms": []})
+    out.write(head[:-2])  # through the "[" of the empty terms
+    terms, step = seq.terms, ROWS_PER_CALL * 10
+    for lo in range(0, len(terms), step):
+        hi = min(lo + step, len(terms))
+        if lo:
+            out.write(", ")
+        # the values as one line, its "\n" dropped
+        out.write(_backend.format_rows((terms,), None, ", ", hi - lo, lo, hi)[:-1])
+    out.write("]}\n")

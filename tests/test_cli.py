@@ -381,3 +381,14 @@ def test_version_and_usage_errors(capsys):
     assert code == 1 and "required" in err
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("predict", "--n", "39", "--max", "500"), "qlab.predictor.materialise"),
+    (("scan", "--from", "35", "--to", "36", "--max", "200"), "qlab.engine.InitialCondition.identity"),
+])
+def test_out_of_memory_is_a_runtime_error(capsys, argv, target):
+    # what an N or a --max too large for memory raises, without allocating it
+    with mock.patch(target, side_effect=MemoryError):
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "qlab: error: out of memory\n")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import math
 import random
 from unittest import mock
@@ -30,7 +31,8 @@ from qlab import (
 )
 from qlab import _backend, _fallback
 from qlab.cli import _emit_sequence
-from qlab.engine import write_rows
+from qlab._fallback import INT64_MAX, INT64_MIN
+from qlab.engine import ROWS_PER_CALL, write_table
 
 # Q(1)=Q(2)=1: hand-unrolled prefix of the classic sequence
 CLASSIC_17 = [1, 1, 2, 3, 3, 4, 5, 5, 6, 6, 6, 8, 8, 8, 10, 9, 10]
@@ -210,13 +212,23 @@ def test_modes_agree_without_overflow(params):
 @example(([2, 0], False), 10**20)  # beyond any index a list can hold
 @example(([2**62, 2**62, 3, 4], True), 120)  # overflows at 5
 @example(([1, 2, 2**64, 4, -(2**64)], False), 2)  # overflows at 3, past max_terms
+@example(([1], False), 5)  # too short: both raise the same ValueError
+@example(([2**64], True), 5)
 @settings(max_examples=300, deadline=None)
 def test_compiled_and_fallback_kernels_agree(compiled_kernel, params, max_terms):
     terms, zero = params
     prefix = tuple(terms)
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
-        compiled = _backend.q_generate(prefix, zero, max_terms, exact=False)
-    assert compiled == _fallback.q_generate(prefix, zero, max_terms, checked=True)
+        compiled = _outcome(_backend.q_generate, prefix, zero, max_terms, exact=False)
+    assert compiled == _outcome(_fallback.q_generate, prefix, zero, max_terms, checked=True)
+
+
+def _outcome(f, *args, **kwargs):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("backend", ["compiled", "python"])
@@ -345,8 +357,8 @@ def test_write_csv_plain_and_loglog():
 
 
 def _per_row_bfile(seq, out):
-    """write_bfile as it was before write_rows, one f-string per row: the
-    reference for the block writer."""
+    """write_bfile as it was before the block writer, one f-string per row:
+    the reference for the formatter."""
     for i, v in enumerate(seq.terms, start=1):
         out.write(f"{i} {v}\n")
     if not seq.status.is_alive:
@@ -354,7 +366,7 @@ def _per_row_bfile(seq, out):
 
 
 def _per_row_csv(seq, out, loglog=False):
-    """write_csv as it was before write_rows."""
+    """write_csv as it was before the block writer."""
     if loglog:
         out.write("log10_n,log10_value\n")
         for i, v in enumerate(seq.terms, start=1):
@@ -367,20 +379,29 @@ def _per_row_csv(seq, out, loglog=False):
 
 
 def _per_row_text(seq, out):
-    """The text layout of gen/predict/sym --at as it was before write_rows:
-    a header, then rows of ten joined one at a time."""
+    """The text layout of gen/predict/sym --at as it was before the block
+    writer: a header, then rows of ten joined one at a time."""
     out.write(f"# <{seq.ic}>: {len(seq)} terms, {seq.status}\n")
     for i in range(0, len(seq), 10):
         out.write(" ".join(map(str, seq.terms[i : i + 10])) + "\n")
 
 
-def _cli_text(seq, out):
-    args = argparse.Namespace(out=None, format="text", loglog=False)
-    with contextlib.redirect_stdout(out):
-        _emit_sequence(seq, args)
+def _json_dump(seq, out):
+    """gen --format json as json.dump writes its payload."""
+    json.dump({"ic": str(seq.ic), "status": str(seq.status), "terms": seq.terms}, out)
+    out.write("\n")
 
 
-# 4096-row blocks: rows of ten put their edges at 40960 terms
+def _cli_writer(fmt):
+    def write(seq, out):
+        args = argparse.Namespace(out=None, format=fmt, loglog=False)
+        with contextlib.redirect_stdout(out):
+            _emit_sequence(seq, args)
+
+    return write
+
+
+# 4096-row blocks: rows of ten, and the json terms, put their edges at 40960 terms
 _LENGTHS = (0, 1, 9, 10, 11, 4095, 4096, 4097, 40959, 40960, 40961)
 _STATUSES = (SequenceStatus.alive(), SequenceStatus.died(7), SequenceStatus.ended(12))
 _WRITERS = [
@@ -388,8 +409,10 @@ _WRITERS = [
     (write_csv, _per_row_csv),
     (lambda seq, out: write_csv(seq, out, loglog=True),
      lambda seq, out: _per_row_csv(seq, out, loglog=True)),
-    (_cli_text, _per_row_text),
+    (_cli_writer("text"), _per_row_text),
+    (_cli_writer("json"), _json_dump),
 ]
+_INT64_EDGES = (INT64_MIN, INT64_MIN + 1, -1, 0, 9, 10, 99, 100, INT64_MAX - 1, INT64_MAX)
 
 
 def _terms(rng: random.Random, length: int) -> list[int]:
@@ -401,29 +424,115 @@ def _terms(rng: random.Random, length: int) -> list[int]:
     ]
 
 
+def _term_lists(length: int):
+    """Terms with values past int64 in about every block, which the Python
+    formatter writes; int64 terms, which the compiled one writes; and those
+    with one value past int64 midway, which sends one block to Python."""
+    rng = random.Random(length)
+    yield _terms(rng, length)
+    terms = [
+        rng.choice(_INT64_EDGES) if rng.random() < 0.1 else rng.randint(-50, 10**6)
+        for _ in range(length)
+    ]
+    yield terms
+    if length:
+        yield terms[: length // 2] + [INT64_MAX + 1] + terms[length // 2 + 1 :]
+
+
+@pytest.mark.usefixtures("fastest_backend")
 @pytest.mark.parametrize("length", _LENGTHS)
 def test_writers_match_per_row_reference(length):
-    rng = random.Random(length)
-    terms = _terms(rng, length)
     ic = InitialCondition((1, 2, 3), zero_extended=True)
-    for status in _STATUSES:
-        seq = GeneratedSequence(ic, terms, status)
-        for writer, reference in _WRITERS:
-            got, want = io.StringIO(), io.StringIO()
-            writer(seq, got)
-            reference(seq, want)
-            got, want = got.getvalue(), want.getvalue()
-            if got != want:  # name the first differing byte, not a 400 kB diff
-                at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                          min(len(got), len(want)))
-                pytest.fail(f"{reference.__name__} {length} {status}: differs at {at}:"
-                            f" {got[at - 20 : at + 20]!r} != {want[at - 20 : at + 20]!r}")
+    for k, terms in enumerate(_term_lists(length)):
+        # every status on the first list; one is enough to cover the others' blocks
+        for status in _STATUSES if k == 0 else _STATUSES[:1]:
+            seq = GeneratedSequence(ic, terms, status)
+            for writer, reference in _WRITERS:
+                got, want = io.StringIO(), io.StringIO()
+                writer(seq, got)
+                reference(seq, want)
+                got, want = got.getvalue(), want.getvalue()
+                if got != want:  # name the first differing byte, not a 400 kB diff
+                    at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                              min(len(got), len(want)))
+                    pytest.fail(f"{reference.__name__} {length} list {k} {status}: differs at"
+                                f" {at}: {got[at - 20 : at + 20]!r} != {want[at - 20 : at + 20]!r}")
 
 
-def test_write_rows_blocks_and_templates():
+def test_write_table_blocks_and_layouts():
+    rows = ROWS_PER_CALL * 2 + 1
     out = io.StringIO()
-    write_rows(out, ((i, -i) for i in range(10_000)), "%d:%d;")
-    assert out.getvalue() == "".join(f"{i}:{-i};" for i in range(10_000))
+    write_table(out, (range(rows), [-i for i in range(rows)]), 5, ":")
+    assert out.getvalue() == "".join(f"{i + 5}:{i}:{-i}\n" for i in range(rows))
     out = io.StringIO()
-    write_rows(out, [], "%d\n")
+    write_table(out, ([],), None, " ", per_row=10)
     assert out.getvalue() == ""
+    out = io.StringIO()
+    write_table(out, (list(range(23)),), None, ", ", per_row=10)
+    assert out.getvalue().splitlines()[2:] == ["20, 21, 22"]
+
+
+# Values of each kind the formatter sees: small, at the int64 edges, anywhere
+# in int64, and beyond it (for which the kernel hands the block to Python).
+_small = st.integers(-(10**6), 10**6)
+_int64 = st.one_of(_small, st.sampled_from(_INT64_EDGES), st.integers(INT64_MIN, INT64_MAX))
+_beyond = st.sampled_from((INT64_MIN - 1, INT64_MAX + 1, -(2**70), 10**30))
+
+
+@st.composite
+def format_calls(draw):
+    """Arguments (columns, first, sep, per_row, lo, hi) of a well-formed call."""
+    per_row = draw(st.sampled_from((1, 10)))
+    ncol = 1 if per_row > 1 else draw(st.integers(1, 3))
+    first = None
+    if per_row == 1:
+        first = draw(st.sampled_from((None, 0, 1, -7, INT64_MAX - 3, INT64_MIN, INT64_MAX + 1)))
+    value = draw(st.sampled_from((_int64, _int64 | _beyond)))
+    length = draw(st.integers(0, 30))
+    columns = [draw(st.lists(value, min_size=length, max_size=length)) for _ in range(ncol)]
+    if draw(st.booleans()):
+        columns = tuple(map(tuple, columns))
+    lo = draw(st.integers(0, length))
+    hi = draw(st.integers(lo, length))
+    return columns, first, draw(st.sampled_from((" ", ",", "\t", ", "))), per_row, lo, hi
+
+
+_EDGE_COLUMN = [INT64_MIN, *range(-ROWS_PER_CALL, ROWS_PER_CALL), INT64_MAX]
+
+
+@given(format_calls())
+@example(([_EDGE_COLUMN], 0, ",", 1, 0, ROWS_PER_CALL))
+@example(([_EDGE_COLUMN], 1, " ", 1, ROWS_PER_CALL - 1, ROWS_PER_CALL + 1))
+@example(([_EDGE_COLUMN], None, " ", 10, ROWS_PER_CALL, len(_EDGE_COLUMN)))
+@example(([_EDGE_COLUMN, _EDGE_COLUMN[::-1]], INT64_MAX - len(_EDGE_COLUMN), "\t", 1, 0,
+          len(_EDGE_COLUMN)))  # the last index is INT64_MAX - 1
+@example(([[1, 2]], INT64_MAX, " ", 1, 0, 2))  # the second index is past int64
+@settings(max_examples=400, deadline=None)
+def test_compiled_and_fallback_formatters_agree(compiled_kernel, call):
+    columns, first, sep, per_row, lo, hi = call
+    want = _fallback.format_rows(*call)
+    fields = [v for column in columns for v in column[lo:hi]]
+    if first is not None and hi > lo:
+        fields += [first + lo, first + hi - 1]
+    beyond = any(not INT64_MIN <= v <= INT64_MAX for v in fields)
+    assert compiled_kernel.format_rows(*call) == (None if beyond else want)
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        assert _backend.format_rows(*call) == want
+
+
+@pytest.mark.parametrize("call, error", [
+    (((), None, " ", 1, 0, 0), ValueError),  # no column
+    ((([1],), None, " ", 0, 0, 1), ValueError),  # per_row < 1
+    ((([1], [2]), None, " ", 10, 0, 1), ValueError),  # per_row > 1 with two columns
+    ((([1],), 1, " ", 10, 0, 1), ValueError),  # per_row > 1 with an index
+    ((([1], [2, 3]), None, " ", 1, 0, 2), ValueError),  # hi past a column
+    ((([1, 2],), None, " ", 1, 2, 1), ValueError),  # lo > hi
+    ((([1, 2],), None, " ", 1, -1, 1), ValueError),  # lo < 0
+    ((([1],), None, "\u00b7", 1, 0, 1), ValueError),  # a non-ASCII sep
+    ((([1.0],), None, " ", 1, 0, 1), TypeError),  # not an int
+    ((([1, "2"],), None, " ", 1, 0, 2), TypeError),
+])
+def test_formatters_reject_the_same_calls(compiled_kernel, call, error):
+    for format_rows in (compiled_kernel.format_rows, _fallback.format_rows):
+        with pytest.raises(error):
+            format_rows(*call)

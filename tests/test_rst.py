@@ -161,6 +161,7 @@ def _state(n_max: int, ended: bool) -> RSTState:
 @pytest.mark.parametrize("fmt", ["text", "csv", "json", "bfile"])
 @pytest.mark.parametrize("which", ["r", "s", "t", "all"])
 @pytest.mark.parametrize("ended", [False, True])
+@pytest.mark.usefixtures("fastest_backend")
 def test_rst_output_matches_per_cell_writer(capsys, n_max, fmt, which, ended):
     state = _state(n_max, ended)
     try:
