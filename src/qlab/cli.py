@@ -13,7 +13,10 @@ Each subparser declares its options once and names its handler through
 ``set_defaults(handler=...)``; the handlers read the parsed namespace.
 Integer tables (sequences in text, bfile, csv and json, and the R/S/T rows)
 are formatted by :func:`qlab._backend.format_rows`, through the writers of
-:mod:`qlab.engine`.
+:mod:`qlab.engine`; every ``--format json`` goes through
+:func:`qlab.engine.write_json`.  ``scan`` takes each run's status and
+length from :func:`qlab._backend.q_check`, as ``verify`` runs it, and
+builds no list of terms.
 
 Exit codes: 0 on success, 1 for usage and runtime problems (bad arguments,
 64-bit overflow, I/O failures), 2 for a broken internal invariant.
@@ -22,15 +25,13 @@ Exit codes: 0 on success, 1 for usage and runtime problems (bad arguments,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 
-from . import __version__
+from . import __version__, _backend
 from .engine import (
     ROWS_PER_CALL,
     GeneratedSequence,
-    InitialCondition,
     evaluate,
     parse_ic,
     write_bfile,
@@ -86,7 +87,7 @@ def _emit_sequence(seq: GeneratedSequence, args: argparse.Namespace) -> None:
         elif args.format == "csv":
             write_csv(seq, out, loglog=args.loglog)
         elif args.format == "json":
-            write_json(seq, out)
+            write_json(out, {"ic": str(seq.ic), "status": str(seq.status), "terms": seq.terms})
         else:
             out.write(f"# <{seq.ic}>: {len(seq)} terms, {seq.status}\n")
             write_table(out, (seq.terms,), None, " ", per_row=10)
@@ -111,8 +112,7 @@ def _run_sym(args: argparse.Namespace) -> int:
         raise ValidationError(f"--format {args.format} needs --at to pick a concrete N")
     with _open_out(args.out) as out:
         if args.format == "json":
-            json.dump(prefix.to_json(), out)
-            out.write("\n")
+            write_json(out, prefix.to_json())
         else:
             out.write(prefix.to_text() + "\n")
     return 0
@@ -126,12 +126,9 @@ def _run_rst(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         if args.format == "json":
             payload: dict = {"n_max": state.n}
-            if which in ("r", "all"):
-                payload["r"] = list(state.r)
-            if which in ("s", "all"):
-                payload["s"] = list(state.s)
-            if which in ("t", "all"):
-                payload["t"] = list(state.t)
+            for c in ("r", "s", "t"):
+                if which in (c, "all"):
+                    payload[c] = getattr(state, c)
             if state.status.is_alive:
                 payload["status"] = "alive"
             else:
@@ -139,8 +136,7 @@ def _run_rst(args: argparse.Namespace) -> int:
                     "which": state.status.which,
                     "at_index": state.status.at_index,
                 }
-            json.dump(payload, out)
-            out.write("\n")
+            write_json(out, payload)
             return 0
         cols = ["r", "s", "t"] if which == "all" else [which]
         if args.format == "bfile":
@@ -187,8 +183,9 @@ def _verify_worker(task: tuple[int, int]):
 def _scan_worker(task: tuple[int, int]):
     n, max_terms = task
     profile = abc_profile(n)
-    seq = evaluate(InitialCondition.identity(n, zero_extended=True), max_terms, "exact")
-    length = None if seq.status.is_alive else len(seq)
+    # the run's status and length, without its terms: what verify runs, with no tiles
+    _, _, code, _, n_actual = _backend.q_check(tuple(range(1, n + 1)), True, (), max_terms)
+    length = None if code == _backend.STATUS_ALIVE else n_actual
     return n, profile.j, profile.classification, length
 
 
@@ -232,8 +229,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         for n, report in pairs:
             if args.format == "json":
-                json.dump({"n": n, **report.to_json()}, out)
-                out.write("\n")
+                write_json(out, {"n": n, **report.to_json()})
             else:
                 out.write(_verify_line(n, report) + "\n")
     return 0
@@ -287,18 +283,14 @@ def _run_tree(args: argparse.Namespace) -> int:
         if args.locate is not None:
             digits, classification = tree_locate(args.locate)
             if args.format == "json":
-                json.dump(
-                    {"n": args.locate, "digits": digits, "classification": classification},
-                    out,
-                )
-                out.write("\n")
+                write_json(out, {"n": args.locate, "digits": digits,
+                                 "classification": classification})
             else:
                 out.write(f"{digits}:{classification}\n")
         else:
             root = behavior_tree(args.levels)
             if args.format == "json":
-                json.dump(_tree_json(root), out)
-                out.write("\n")
+                write_json(out, _tree_json(root))
             else:
                 for line in _tree_lines(root, 0):
                     out.write(line + "\n")

@@ -346,18 +346,25 @@ def write_csv(seq: GeneratedSequence, out: IO[str], loglog: bool = False) -> Non
         write_table(out, (seq.terms,), 1, ",")
 
 
-def write_json(seq: GeneratedSequence, out: IO[str]) -> None:
-    """Write {"ic", "status", "terms"} and a newline, byte for byte as
-    json.dump would, the terms formatted ROWS_PER_CALL * 10 at a time:
-    json.dump encodes a list in pure Python, and json.dumps would hold the
-    whole text at once."""
-    head = json.dumps({"ic": str(seq.ic), "status": str(seq.status), "terms": []})
-    out.write(head[:-2])  # through the "[" of the empty terms
-    terms, step = seq.terms, ROWS_PER_CALL * 10
-    for lo in range(0, len(terms), step):
-        hi = min(lo + step, len(terms))
-        if lo:
-            out.write(", ")
-        # the values as one line, its "\n" dropped
-        out.write(_backend.format_rows((terms,), None, ", ", hi - lo, lo, hi)[:-1])
-    out.write("]}\n")
+def write_json(out: IO[str], payload: dict) -> None:
+    """Write ``payload`` and a newline, byte for byte as json.dump would:
+    the one JSON writer of qlab.  A value that is a list or tuple led by an
+    int is taken to hold only ints, and is formatted ROWS_PER_CALL * 10 at
+    a time (json.dump encodes a list in pure Python, and json.dumps would
+    hold the whole text at once); every other value goes through json.dumps."""
+    step = ROWS_PER_CALL * 10
+    out.write("{")
+    for i, (key, value) in enumerate(payload.items()):
+        out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
+            out.write(json.dumps(value))
+            continue
+        out.write("[")
+        for lo in range(0, len(value), step):
+            hi = min(lo + step, len(value))
+            if lo:
+                out.write(", ")
+            # the values as one line, its "\n" dropped
+            out.write(_backend.format_rows((value,), None, ", ", hi - lo, lo, hi)[:-1])
+        out.write("]")
+    out.write("}\n")

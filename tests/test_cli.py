@@ -13,9 +13,9 @@ from unittest import mock
 
 import pytest
 
-from qlab import PredictionReport, _backend
+from qlab import PredictionReport, _backend, abc_profile
 from qlab.cli import _verify_line, main
-from qlab.engine import SequenceStatus
+from qlab.engine import InitialCondition, SequenceStatus, evaluate
 
 
 def run_cli(capsys, *args):
@@ -318,6 +318,26 @@ def test_tree_render(capsys):
     )
 
 
+@pytest.mark.usefixtures("fastest_backend")
+@pytest.mark.parametrize("argv", [
+    ("gen", "--ic", "1,1", "--max", "40961"),
+    ("gen", "--ic", f"0;{2**62},{2**62},3,4", "--max", "9", "--mode", "exact"),
+    ("predict", "--n", "39", "--max", "200"),
+    ("sym", "--nmin", "14"),
+    ("sym", "--nmin", "14", "--at", "30"),
+    *(("rst", "--max", "41000", "--which", which) for which in ("r", "s", "t", "all")),
+    ("verify", "--n", "121", "--max", "500"),
+    ("verify", "--n", "35", "--to", "45", "--max", "300"),
+    ("tree", "--levels", "2"),
+    ("tree", "--locate", "42"),
+])
+def test_json_lines_are_what_json_dump_writes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "") and out.endswith("\n")
+    for line in out.splitlines():
+        assert line == json.dumps(json.loads(line))
+
+
 def test_tree_json(capsys):
     code, out, _ = run_cli(capsys, "tree", "--levels", "1", "--format", "json")
     assert code == 0
@@ -339,6 +359,25 @@ def test_scan_csv(capsys):
     code, out, _ = run_cli(capsys, "scan", "--from", "35", "--to", "37", "--max", "500")
     assert code == 0
     assert out == "n,j,classification,length\n35,1,4,88\n36,1,0,alive\n37,2,3,277\n"
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+@pytest.mark.parametrize("start, stop", [(2, 60), (1000, 1099)])
+def test_scan_matches_the_per_n_runs(request, capsys, backend, start, stop):
+    # 2..60 holds N < 35 and exceptional N; the reference keeps every term
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        code, out, err = run_cli(
+            capsys, "scan", "--from", str(start), "--to", str(stop), "--max", "20000"
+        )
+        want = ["n,j,classification,length"]
+        for n in range(start, stop + 1):
+            profile = abc_profile(n)
+            seq = evaluate(InitialCondition.identity(n, zero_extended=True), 20000, "exact")
+            j, cls = ("" if v is None else v for v in (profile.j, profile.classification))
+            want.append(f"{n},{j},{cls},{'alive' if seq.status.is_alive else len(seq)}")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == want
 
 
 def test_scan_range_validation(capsys):
@@ -385,7 +424,7 @@ def test_version_and_usage_errors(capsys):
 
 @pytest.mark.parametrize("argv, target", [
     (("predict", "--n", "39", "--max", "500"), "qlab.predictor.materialise"),
-    (("scan", "--from", "35", "--to", "36", "--max", "200"), "qlab.engine.InitialCondition.identity"),
+    (("scan", "--from", "35", "--to", "36", "--max", "200"), "qlab._backend.q_check"),
 ])
 def test_out_of_memory_is_a_runtime_error(capsys, argv, target):
     # what an N or a --max too large for memory raises, without allocating it

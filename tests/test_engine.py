@@ -19,20 +19,26 @@ from qlab import (
     ArithmeticOverflowError,
     GeneratedSequence,
     InitialCondition,
+    NConstraint,
+    PredictionReport,
     SequenceStatus,
     ValidationError,
+    behavior_tree,
     detect_quasilinear,
     evaluate,
     format_ic,
     parse_ic,
     resolve_int_mode,
+    rst_compute,
+    symbolic_extend,
+    verify_against_bruteforce,
     write_bfile,
     write_csv,
 )
 from qlab import _backend, _fallback
-from qlab.cli import _emit_sequence
+from qlab.cli import _emit_sequence, _tree_json
 from qlab._fallback import INT64_MAX, INT64_MIN
-from qlab.engine import ROWS_PER_CALL, write_table
+from qlab.engine import ROWS_PER_CALL, write_json, write_table
 
 # Q(1)=Q(2)=1: hand-unrolled prefix of the classic sequence
 CLASSIC_17 = [1, 1, 2, 3, 3, 4, 5, 5, 6, 6, 6, 8, 8, 8, 10, 9, 10]
@@ -451,12 +457,57 @@ def test_writers_match_per_row_reference(length):
                 got, want = io.StringIO(), io.StringIO()
                 writer(seq, got)
                 reference(seq, want)
-                got, want = got.getvalue(), want.getvalue()
-                if got != want:  # name the first differing byte, not a 400 kB diff
-                    at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                              min(len(got), len(want)))
-                    pytest.fail(f"{reference.__name__} {length} list {k} {status}: differs at"
-                                f" {at}: {got[at - 20 : at + 20]!r} != {want[at - 20 : at + 20]!r}")
+                _assert_same_text(got.getvalue(), want.getvalue(),
+                                  f"{reference.__name__} {length} list {k} {status}")
+
+
+def _assert_same_text(got: str, want: str, label: str) -> None:
+    """Fail naming the first differing byte, not with a 400 kB diff."""
+    if got != want:
+        at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                  min(len(got), len(want)))
+        pytest.fail(f"{label}: differs at {at}:"
+                    f" {got[at - 20 : at + 20]!r} != {want[at - 20 : at + 20]!r}")
+
+
+def _json_payloads():
+    """(label, payload) for each shape of payload qlab writes as json."""
+    rng = random.Random(5)
+    # gen: the int lists go out in blocks of 40960 values
+    for length in (0, 1, 40959, 40960, 40961):
+        terms = [rng.randint(-50, 10**6) for _ in range(length)]
+        yield f"gen {length}", {"ic": "0;1..3", "status": "alive", "terms": terms}
+    past = evaluate(parse_ic(f"0;{2**62},{2**62},3,4"), 9, "exact")
+    assert max(past.terms) > INT64_MAX
+    yield "gen past int64", {"ic": str(past.ic), "status": str(past.status), "terms": past.terms}
+    # rst: the tables are tuples, and R has one row fewer than S and T
+    state = rst_compute(ROWS_PER_CALL * 10 + 7)
+    for which in ("r", "s", "t"):
+        yield f"rst {which}", {"n_max": state.n, which: getattr(state, which), "status": "alive"}
+    yield "rst all", {"n_max": state.n, "r": state.r, "s": state.s, "t": state.t,
+                      "status": {"which": "S", "at_index": 12}}
+    # sym: "terms" is a list of dicts
+    for prefix in (symbolic_extend("zero_extended", NConstraint(35), 40),
+                   symbolic_extend("plain", NConstraint(14, 20), 28)):
+        yield f"sym {prefix.convention}", prefix.to_json()
+    for n, budget in ((39, 500), (121, 300)):
+        yield f"verify {n}", {"n": n, **verify_against_bruteforce(n, budget).to_json()}
+    report = PredictionReport(129, (130, 53, 52), SequenceStatus.ended(237),
+                              SequenceStatus.alive(), False)
+    yield "verify mismatch", {"n": 36, **report.to_json()}
+    yield "tree", _tree_json(behavior_tree(3))
+    yield "tree --locate", {"n": 42, "digits": "132", "classification": 2}
+    yield "empty", {}
+
+
+@pytest.mark.usefixtures("fastest_backend")
+def test_write_json_matches_json_dump():
+    for label, payload in _json_payloads():
+        got, want = io.StringIO(), io.StringIO()
+        write_json(got, payload)
+        json.dump(payload, want)
+        want.write("\n")
+        _assert_same_text(got.getvalue(), want.getvalue(), label)
 
 
 def test_write_table_blocks_and_layouts():

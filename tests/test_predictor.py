@@ -125,6 +125,48 @@ def test_exceptional_set():
     print("✓ 444 non-exceptional N in 35..500")
 
 
+def _old_exception_rule(n: int) -> bool:
+    """is_exceptional as a stored list, before the rule was derived from
+    the classification: frozen here as a cross-check."""
+    return 2 <= n <= 34 or (n % 5 == 1 and n < 118) or n in {57, 67, 82, 107, 117}
+
+
+def test_exception_rule_matches_the_stored_list():
+    differ = [n for n in range(10**4 + 1) if is_exceptional(n) != _old_exception_rule(n)]
+    assert differ == []
+
+
+# N -> (1-based row of the 158-row class-0 closing, predicted value) at the
+# first term where the run from <0-bar; 1..N> leaves the prediction: the
+# target a derivation of the exception rule has to meet.  117, whose end
+# index is about 3.3e12, is out of brute-force reach.
+EXCEPTION_ROWS = {
+    36: (52, 53),
+    41: (76, 54), 46: (76, 54), 51: (76, 54),
+    56: (110, 81), 57: (110, 81),
+    61: (113, 99),
+    66: (114, 213),
+    67: (133, 185), 71: (133, 185), 76: (133, 185), 81: (133, 185), 82: (133, 185),
+    86: (134, 92),
+    91: (154, 117), 96: (154, 117), 101: (154, 117), 106: (154, 117), 107: (154, 117),
+    111: (154, 117), 116: (154, 117),
+}
+
+
+@pytest.mark.usefixtures("fastest_backend")
+def test_each_exception_fails_inside_the_class_zero_closing():
+    exceptions = [n for n in range(35, 118) if is_exceptional(n)]
+    assert exceptions == sorted(EXCEPTION_ROWS) + [117]
+    for n, (row, value) in EXCEPTION_ROWS.items():
+        profile = abc_profile(n)
+        assert profile.classification == 0
+        end = profile.a[-1] + 161
+        tiles = predicted_tiles(profile, end)
+        _, first, _, _, _ = _backend.q_check(tuple(range(1, n + 1)), True, tiles, end)
+        index, predicted, _ = first
+        assert (index - profile.a[-1] - 2, predicted) == (row, value), n
+
+
 def test_predicted_end_indices():
     # classification 0 ends at A_j+161, 3 at A_j+5, 4 at A_j+15
     seq = predict_sequence(121, 500)
