@@ -1,8 +1,15 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise."""
+"""Kernel selection: compiled extension when built, pure Python otherwise.
+
+Both backends hand back the same types.  Terms and R/S/T tables whose
+values all fit int64 are one ``array('q')`` each: the compiled kernel fills
+the array in place, and the Python one's lists are converted.  Only an
+exact run that goes past int64 comes back as a list of Python ints.
+"""
 
 from __future__ import annotations
 
 import sys
+from array import array
 
 from . import _fallback
 from ._fallback import (
@@ -36,9 +43,19 @@ __all__ = [
 ]
 
 
+def _int64_array(values: list[int]):
+    """``values`` as an ``array('q')``, or the list itself when a value lies
+    outside int64."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
+
+
 def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
     """Extend ``prefix`` as _fallback.q_generate does, checked unless
-    ``exact``; returns ``(terms, status, at)`` with ``terms`` a list of ints.
+    ``exact``; returns ``(terms, status, at)`` with ``terms`` an
+    ``array('q')``, or a list of ints for an exact run past int64.
 
     The compiled kernel runs first whenever it is built.  A term outside
     int64 ends its run with STATUS_OVERFLOW at that term's index; an exact
@@ -46,10 +63,13 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
     prefix when the term is one of the prefix's own.
     """
     if _kernel is None:
-        return _fallback.q_generate(prefix, zero_extended, max_terms, checked=not exact)
-    # No list can be longer than sys.maxsize, so clamping changes no result.
+        terms, status, at = _fallback.q_generate(prefix, zero_extended, max_terms,
+                                                 checked=not exact)
+        return _int64_array(terms), status, at
+    # No array can be longer than sys.maxsize, so clamping changes no result.
     terms, status, at = _kernel.q_generate(prefix, zero_extended, min(max_terms, sys.maxsize))
     if status == STATUS_OVERFLOW and exact:
+        # the exact run recomputes the term that left int64, so it is a list
         start = terms if at > len(prefix) else prefix
         return _fallback.q_generate(start, zero_extended, max_terms, checked=False)
     return terms, status, at
@@ -70,14 +90,16 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int):
 
 def rst_generate(n_max: int):
     """The R/S/T tables through ``n_max``, as _fallback.rst_generate returns
-    them: from the compiled kernel when it is built and every value fits
-    int64, from the Python reference otherwise."""
+    them but each an ``array('q')`` while its values fit int64: from the
+    compiled kernel when it is built and every value fits int64, from the
+    Python reference otherwise."""
     if _kernel is not None:
-        # No tuple can be longer than sys.maxsize, so clamping changes no result.
+        # No array can be longer than sys.maxsize, so clamping changes no result.
         tables = _kernel.rst_generate(min(n_max, sys.maxsize))
         if tables is not None:  # None: a value would overflow int64
             return tables
-    return _fallback.rst_generate(n_max)
+    r, s, t, which, at = _fallback.rst_generate(n_max)
+    return _int64_array(r), _int64_array(s), _int64_array(t), which, at
 
 
 def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str:

@@ -4,9 +4,11 @@ Checked, q_generate and q_check simulate the kernel's int64 arithmetic and
 run when it is not built; unchecked, they go on exactly where int64 cannot,
 from the kernel's last exact term or from the start.  q_generate returns
 the terms as one list of ints, and q_check compares the recurrence with a
-prediction given as tiles.  rst_generate tabulates the R/S/T system, and
-format_rows writes rows of ints as text, when the kernel is not built or
-its int64 values would overflow.  ``materialise`` says what the tiles
+prediction given as tiles.  rst_generate tabulates the R/S/T system as
+three lists, and format_rows writes rows of ints as text, when the kernel
+is not built or its int64 values would overflow.  These lists are the
+reference values: ``_backend`` hands them on as ``array('q')`` whenever
+they fit int64, as the kernel does.  ``materialise`` says what the tiles
 predict.
 
 A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
@@ -18,10 +20,14 @@ each tile taking up where the one before it stopped.  By kind:
 * TILE_BLOCKS: the blocks ``(lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1))``,
   k = 1, 2, ..., with ``lam = a`` and ``b = (r, s, t)`` the R/S/T tables as
   :class:`qlab.rst.RSTState` holds them (``r[k-1]`` is R(k), ``s[k]`` is
-  S(k), ``t[k]`` is T(k)).
+  S(k), ``t[k]`` is T(k)): sequences of ints, read from their buffers by
+  the kernel when they are ``array('q')``.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import chain
 
 STATUS_ALIVE = 0
 STATUS_DIED = 1
@@ -86,9 +92,7 @@ def q_generate(
     return t, status, at
 
 
-def rst_generate(
-    n_max: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], str | None, int]:
+def rst_generate(n_max: int) -> tuple[list[int], list[int], list[int], str | None, int]:
     """Tabulate R(1..n), S(0..n) and T(0..n) for n up to ``n_max`` (>= 2).
 
     Row m computes R(m) = R(m - R(m-1)) + S(m-1), then S(m) = S(m - R(m)) +
@@ -126,7 +130,7 @@ def rst_generate(
     if which is not None:
         at = m
     del r[0]
-    return tuple(r), tuple(s), tuple(t), which, at
+    return r, s, t, which, at
 
 
 def materialise(tiles, max_terms: int) -> list[int]:
@@ -171,7 +175,8 @@ def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str
     ``first + i`` unless ``first`` is None, the fields joined by ``sep`` and
     the row ended by "\n".  With ``per_row > 1`` (one column, no index)
     the values go ``per_row`` to a line instead, the last line possibly
-    short.  Raises ValueError on a malformed call.
+    short.  Raises ValueError on a malformed call, and TypeError when a
+    value is not an int.
     """
     if not sep.isascii():
         raise ValueError("sep must be ASCII")
@@ -180,23 +185,27 @@ def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str
     if not all(0 <= lo <= hi <= len(column) for column in columns):
         raise ValueError("rows lo..hi-1 lie outside a column")
     fields = [column[lo:hi] for column in columns]
+    for field in fields:
+        # "%d" would also format a float; an array('q') holds only ints
+        if not (type(field) is array and field.typecode == "q"):
+            if not all(issubclass(kind, int) for kind in set(map(type, field))):
+                raise TypeError("a column holds only ints")
     if first is not None:
         fields.insert(0, range(first + lo, first + hi))
-    # int.__repr__: the digits of any int, and TypeError for anything else
-    texts = [map(int.__repr__, field) for field in fields]
-    if per_row > 1:
-        values = list(texts[0])
-        lines = (values[i : i + per_row] for i in range(0, hi - lo, per_row))
-    else:
-        lines = zip(*texts)
-    text = "\n".join(map(sep.join, lines))
-    return text + "\n" if text else text
+    values = tuple(fields[0] if len(fields) == 1 else chain.from_iterable(zip(*fields)))
+    # one "%d" per value: the fastest way to write many ints from Python
+    width = per_row if per_row > 1 else len(fields)
+    full, rest = divmod(len(values), width)
+    sep = sep.replace("%", "%%")
+    template = (sep.join(["%d"] * width) + "\n") * full
+    if rest:
+        template += sep.join(["%d"] * rest) + "\n"
+    return template % values
 
 
-def _first_difference(
-    p_terms: list[int], a_terms: list[int]
-) -> tuple[int, int | None, int | None] | None:
-    """(index, predicted, actual) at the first disagreement, None if equal.
+def _first_difference(p_terms, a_terms) -> tuple[int, int | None, int | None] | None:
+    """(index, predicted, actual) at the first disagreement of two sequences
+    of ints, None if they hold the same values.
 
     The index counts from 1.  A stream that stops early shows up as None on
     its side of the tuple.
@@ -209,7 +218,9 @@ def _first_difference(
             return (i + 1, p_terms[i], a_terms[i])
     if len(p_terms) > common:
         return (common + 1, p_terms[common], None)
-    return (common + 1, None, a_terms[common])
+    if len(a_terms) > common:
+        return (common + 1, None, a_terms[common])
+    return None  # equal values in sequences of different types
 
 
 def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = True):

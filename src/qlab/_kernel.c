@@ -2,20 +2,21 @@
  *
  * Mirrors the contract of _fallback.q_generate in checked (int64) mode:
  * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at)
- * with terms a list of int; status 0 alive, 1 died, 2 ended, 3 overflow.
+ * with terms an array('q'); status 0 alive, 1 died, 2 ended, 3 overflow.
  * A term outside int64, whether of the prefix or computed, is an overflow
  * at its index, and terms then holds the terms before it.
  * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
  * and compares each term with the prediction the tiles describe, returning
  * what _fallback.q_check does in checked mode without building a list.
- * rst_generate(n_max) returns what _fallback.rst_generate does, or None
- * when a value would leave int64.  Values are computed in private int64
- * buffers that grow with the rows produced and are freed before the call
- * returns.
+ * rst_generate(n_max) returns the tables of _fallback.rst_generate as three
+ * array('q'), or None when a value would leave int64.  Values are computed
+ * in place in the arrays' buffers (see Store), which grow with the rows
+ * produced and are never copied into another container.
  * format_rows(columns, first, sep, per_row, lo, hi) returns the text
  * _fallback.format_rows does, written as ASCII straight into one new str,
  * or None when a value or an index of the rows lies outside int64.  It is
- * the one formatter of qlab's integer tables.
+ * the one formatter of qlab's integer tables, and it reads a column that
+ * exports an int64 buffer, such as an array('q'), from that buffer.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -46,17 +47,79 @@ lookup(const long long *t, Py_ssize_t n, long long v, int zero, long long *out)
     return STATUS_ALIVE;
 }
 
-/* Double the capacity of buf from cap entries; 0 (buf kept) on failure. */
+/* array('q', [0]): every store starts as a repeat of it. */
+static PyObject *ZERO;
+
+/* An int64 store: an array('q') whose values v[0..cap-1] are written in
+ * place while its buffer is held.  It grows by doubling and is cut to its
+ * final rows when taken, so its values are never copied into a second
+ * container.  arr is NULL once the store is freed or taken. */
+typedef struct {
+    PyObject *arr;
+    Py_buffer view;
+    long long *v;
+    Py_ssize_t cap;
+} Store;
+
+/* Hold the buffer of s->arr: 0, or -1 with an exception set and s freed. */
 static int
-grow(long long **buf, Py_ssize_t cap)
+store_hold(Store *s)
 {
-    long long *grown = cap > PY_SSIZE_T_MAX / (2 * (Py_ssize_t)sizeof(long long))
-                           ? NULL
-                           : PyMem_Realloc(*buf, 2 * cap * sizeof(long long));
-    if (grown == NULL)
-        return 0;
-    *buf = grown;
-    return 1;
+    if (PyObject_GetBuffer(s->arr, &s->view, PyBUF_WRITABLE) < 0) {
+        Py_CLEAR(s->arr);
+        return -1;
+    }
+    s->v = s->view.buf;
+    s->cap = s->view.len / (Py_ssize_t)sizeof(long long);
+    return 0;
+}
+
+/* A new store of cap zeros: 0, or -1 with an exception set. */
+static int
+store_new(Store *s, Py_ssize_t cap)
+{
+    s->arr = PySequence_Repeat(ZERO, cap);
+    return s->arr == NULL ? -1 : store_hold(s);
+}
+
+/* Double the capacity of s by repeating its values, which the rows to come
+ * overwrite: an array resizes only through its own methods, and only while
+ * no buffer of it is held.  0, or -1 with an exception set and s freed. */
+static int
+store_grow(Store *s)
+{
+    PyObject *grown;
+
+    PyBuffer_Release(&s->view);
+    grown = PySequence_InPlaceRepeat(s->arr, 2); /* s->arr itself */
+    Py_DECREF(s->arr);
+    s->arr = grown;
+    return grown == NULL ? -1 : store_hold(s);
+}
+
+static void
+store_free(Store *s)
+{
+    if (s->arr != NULL) {
+        PyBuffer_Release(&s->view);
+        Py_CLEAR(s->arr);
+    }
+}
+
+/* The array of s cut to its values lo..hi-1, s taken; NULL with an
+ * exception set on failure or when s was freed. */
+static PyObject *
+store_take(Store *s, Py_ssize_t lo, Py_ssize_t hi)
+{
+    PyObject *arr = s->arr;
+
+    if (arr == NULL)
+        return NULL;
+    PyBuffer_Release(&s->view);
+    s->arr = NULL;
+    if (PySequence_DelSlice(arr, hi, s->cap) < 0 || (lo > 0 && PySequence_DelSlice(arr, 0, lo) < 0))
+        Py_CLEAR(arr);
+    return arr;
 }
 
 /* *v = the int64 value of the int o, with *big set to 1 when o lies
@@ -70,6 +133,19 @@ read_int(PyObject *o, long long *v, int *big)
     *v = PyLong_AsLongLongAndOverflow(o, &sign);
     *big = sign != 0;
     return *v == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* Double the capacity of buf from cap entries; 0 (buf kept) on failure. */
+static int
+grow(long long **buf, Py_ssize_t cap)
+{
+    long long *grown = cap > PY_SSIZE_T_MAX / (2 * (Py_ssize_t)sizeof(long long))
+                           ? NULL
+                           : PyMem_Realloc(*buf, 2 * cap * sizeof(long long));
+    if (grown == NULL)
+        return 0;
+    *buf = grown;
+    return 1;
 }
 
 /* A new buffer holding the int64 values of prefix (at least two terms),
@@ -104,70 +180,122 @@ load_prefix(PyObject *prefix, Py_ssize_t *k, Py_ssize_t *cap, int *big)
     return t;
 }
 
-/* Extend the k terms in *buf (capacity *cap, grown as needed) through
- * max_terms terms.  Returns the status and sets *stop to the stopping
- * index, or to one past the last term of an alive run (which keeps a
- * prefix longer than max_terms); -1 with MemoryError set if the buffer
- * cannot grow.  Q(1..*stop-1) are then in *buf. */
+/* Extend the terms Q(1..*n-1) in t, which has room for cap terms, through
+ * Q(min(max_terms, cap)).  Returns the status and sets *n to the stopping
+ * index, or to one past the last term of an alive run: the caller grows t
+ * and calls again while *n is within max_terms.  A prefix longer than
+ * max_terms is kept whole. */
 static int
-extend(long long **buf, Py_ssize_t *cap, Py_ssize_t k, int zero,
-       Py_ssize_t max_terms, Py_ssize_t *stop)
+extend(long long *t, Py_ssize_t cap, int zero, Py_ssize_t max_terms, Py_ssize_t *n)
 {
-    long long *t = *buf, a, b;
-    Py_ssize_t n, room = *cap;
+    Py_ssize_t m, last = max_terms < cap ? max_terms : cap;
+    long long a, b;
     int status = STATUS_ALIVE;
 
-    for (n = k + 1; n <= max_terms; n++) {
-        if ((status = lookup(t, n, t[n - 2], zero, &a)) ||
-            (status = lookup(t, n, t[n - 3], zero, &b)))
+    for (m = *n; m <= last; m++) {
+        if ((status = lookup(t, m, t[m - 2], zero, &a)) ||
+            (status = lookup(t, m, t[m - 3], zero, &b)))
             break;
         if ((b > 0 && a > LLONG_MAX - b) || (b < 0 && a < LLONG_MIN - b)) {
             status = STATUS_OVERFLOW;
             break;
         }
-        if (n > room) {
-            if (!grow(buf, room)) {
-                PyErr_NoMemory();
-                status = -1;
-                break;
-            }
-            t = *buf;
-            room *= 2;
-        }
-        t[n - 1] = a + b;
+        t[m - 1] = a + b;
     }
-    *cap = room;
-    *stop = n;
+    *n = m;
     return status;
 }
 
+/* The terms are computed in place in the array('q') they are returned as,
+ * grown by doubling; the prefix is copied in from load_prefix's buffer. */
 static PyObject *
 q_generate(PyObject *self, PyObject *args)
 {
-    PyObject *prefix, *terms = NULL;
+    PyObject *prefix;
     int zero, status, big;
-    Py_ssize_t max_terms, k, cap, n, i;
+    Py_ssize_t max_terms, k, cap, n;
     long long *t;
+    Store st;
 
     if (!PyArg_ParseTuple(args, "Opn:q_generate", &prefix, &zero, &max_terms))
         return NULL;
     if ((t = load_prefix(prefix, &k, &cap, &big)) == NULL)
         return NULL;
-    n = k + 1; /* the index of a prefix term outside int64 */
-    status = big ? STATUS_OVERFLOW : extend(&t, &cap, k, zero, max_terms, &n);
-    terms = status < 0 ? NULL : PyList_New(n - 1);
-    for (i = 0; terms != NULL && i < n - 1; i++) {
-        PyObject *v = PyLong_FromLongLong(t[i]);
-        if (v == NULL)
-            Py_CLEAR(terms);
-        else
-            PyList_SET_ITEM(terms, i, v);
-    }
+    if (store_new(&st, cap) == 0)
+        memcpy(st.v, t, k * sizeof(long long));
     PyMem_Free(t);
-    if (terms == NULL)
+    if (st.arr == NULL)
         return NULL;
-    return Py_BuildValue("(Nin)", terms, status,
+    n = k + 1; /* the index of a prefix term outside int64 */
+    status = big ? STATUS_OVERFLOW : STATUS_ALIVE;
+    while (status == STATUS_ALIVE && n <= max_terms) {
+        if (n > st.cap && store_grow(&st) < 0)
+            return NULL;
+        status = extend(st.v, st.cap, zero, max_terms, &n);
+    }
+    return Py_BuildValue("(Nin)", store_take(&st, 0, n - 1), status,
                          status == STATUS_ALIVE ? (Py_ssize_t)0 : n);
+}
+
+/* A column of ints read by row: straight from its buffer when the object
+ * exports a C-contiguous int64 one (format "q", itemsize 8), such as an
+ * array('q'), and through the sequence protocol otherwise.  A zeroed
+ * Column is closed. */
+typedef struct {
+    Py_buffer view; /* view.obj is set while the buffer is held */
+    PyObject *seq;  /* otherwise, PySequence_Fast of the object */
+    Py_ssize_t len;
+} Column;
+
+/* Open o as col: 0, or -1 with an exception set when o is not a sequence. */
+static int
+column_open(PyObject *o, Column *col)
+{
+    col->seq = NULL;
+    col->view.obj = NULL;
+    if (PyObject_CheckBuffer(o)) {
+        if (PyObject_GetBuffer(o, &col->view, PyBUF_FORMAT | PyBUF_ND) < 0)
+            PyErr_Clear(); /* not C-contiguous (view.obj is NULL): read as a sequence */
+        else if (col->view.ndim == 1 && col->view.itemsize == 8 &&
+                 strcmp(col->view.format, "q") == 0) {
+            col->len = col->view.len / 8;
+            return 0;
+        }
+        else
+            PyBuffer_Release(&col->view);
+    }
+    if ((col->seq = PySequence_Fast(o, "a column must be a sequence")) == NULL)
+        return -1;
+    col->len = PySequence_Fast_GET_SIZE(col->seq);
+    return 0;
+}
+
+static void
+column_close(Column *col)
+{
+    if (col->view.obj != NULL)
+        PyBuffer_Release(&col->view);
+    Py_CLEAR(col->seq);
+}
+
+/* *v = row i of col, *big as read_int sets it: 0, or -1 with a TypeError
+ * set when the row does not hold an int. */
+static int
+column_get(const Column *col, Py_ssize_t i, long long *v, int *big)
+{
+    PyObject *o;
+
+    if (col->view.obj != NULL) {
+        *v = ((const long long *)col->view.buf)[i];
+        *big = 0;
+        return 0;
+    }
+    o = PySequence_Fast_GET_ITEM(col->seq, i);
+    if (!PyLong_Check(o)) {
+        PyErr_SetString(PyExc_TypeError, "a column holds only ints");
+        return -1;
+    }
+    return read_int(o, v, big);
 }
 
 /* One tile (kind, length, a, b) of a prediction, clipped to the budget;
@@ -178,18 +306,19 @@ typedef struct {
     long long a, b;     /* range: first value; chunk: first and step; blocks: lam */
     int a_big, b_big;   /* a or b lies outside int64 */
     PyObject *values;   /* literal: a tuple of at least length ints */
-    PyObject *r, *s, *t; /* blocks: R(1..), S(0..), T(0..) as tuples */
+    Column tab[3];      /* blocks: R(1..), S(0..), T(0..) */
     long long x;        /* chunk: a + b*k for the current k */
 } Tile;
 
 /* Read tile item, its length clipped to room; -1 with an exception set
- * when it is malformed. */
+ * when it is malformed.  Close it with tile_close either way. */
 static int
 read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
 {
-    PyObject *a, *b;
+    PyObject *a, *b, *r, *s, *t;
     Py_ssize_t kmax;
 
+    memset(tl->tab, 0, sizeof tl->tab);
     if (!PyTuple_Check(item)) {
         PyErr_SetString(PyExc_TypeError, "a tile is a tuple (kind, length, a, b)");
         return -1;
@@ -221,15 +350,16 @@ read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
         return 0;
     case TILE_BLOCKS:
         if (read_int(a, &tl->a, &tl->a_big) || !PyTuple_Check(b) ||
-            !PyArg_ParseTuple(b, "O!O!O!:q_check", &PyTuple_Type, &tl->r,
-                              &PyTuple_Type, &tl->s, &PyTuple_Type, &tl->t)) {
+            !PyArg_ParseTuple(b, "OOO:q_check", &r, &s, &t)) {
             if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError, "a block tile needs (r, s, t) tuples");
+                PyErr_SetString(PyExc_TypeError, "a block tile needs a tuple (r, s, t) of tables");
             return -1;
         }
+        if (column_open(r, &tl->tab[0]) < 0 || column_open(s, &tl->tab[1]) < 0 ||
+            column_open(t, &tl->tab[2]) < 0)
+            return -1;
         /* block k reads R(k+1) = r[k], S(k+1) = s[k+1] and T(k) = t[k] */
-        if (PyTuple_GET_SIZE(tl->r) < kmax + 1 || PyTuple_GET_SIZE(tl->s) < kmax + 2 ||
-            PyTuple_GET_SIZE(tl->t) < kmax + 1) {
+        if (tl->tab[0].len < kmax + 1 || tl->tab[1].len < kmax + 2 || tl->tab[2].len < kmax + 1) {
             PyErr_SetString(PyExc_ValueError, "the R/S/T tables are too short for the block tile");
             return -1;
         }
@@ -239,13 +369,21 @@ read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
     return -1;
 }
 
+static void
+tile_close(Tile *tl)
+{
+    column_close(&tl->tab[0]);
+    column_close(&tl->tab[1]);
+    column_close(&tl->tab[2]);
+}
+
 /* *v = 5 * table[i]: 0, 1 when that lies outside int64, -1 on error. */
 static int
-five_times(PyObject *table, Py_ssize_t i, long long *v)
+five_times(const Column *table, Py_ssize_t i, long long *v)
 {
     int big;
 
-    if (read_int(PyTuple_GET_ITEM(table, i), v, &big))
+    if (column_get(table, i, v, &big))
         return -1;
     return big || __builtin_mul_overflow(*v, 5LL, v);
 }
@@ -289,18 +427,18 @@ tile_value(Tile *tl, Py_ssize_t j, long long *v)
     default: /* TILE_BLOCKS */
         switch (j % 5) {
         case 0:
-            if (read_int(PyTuple_GET_ITEM(tl->t, k), &t_k, &big))
+            if (column_get(&tl->tab[2], k, &t_k, &big))
                 return -1;
             return tl->a_big || big || __builtin_mul_overflow(tl->a, t_k, v);
         case 1:
             *v = 4;
             return 0;
         case 2:
-            return five_times(tl->r, k - 1, v);
+            return five_times(&tl->tab[0], k - 1, v);
         case 3:
-            return five_times(tl->r, k, v);
+            return five_times(&tl->tab[0], k, v);
         default:
-            return five_times(tl->s, k + 1, v);
+            return five_times(&tl->tab[1], k + 1, v);
         }
     }
 }
@@ -321,9 +459,17 @@ q_check(PyObject *self, PyObject *args)
     if ((t = load_prefix(prefix, &k, &cap, &big)) == NULL)
         goto done;
     n = k + 1;
-    status = big ? STATUS_OVERFLOW : extend(&t, &cap, k, zero, max_terms, &n);
-    if (status < 0)
-        goto done;
+    status = big ? STATUS_OVERFLOW : STATUS_ALIVE;
+    while (status == STATUS_ALIVE && n <= max_terms) {
+        if (n > cap) {
+            if (!grow(&t, cap)) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            cap *= 2;
+        }
+        status = extend(t, cap, zero, max_terms, &n);
+    }
     if (status == STATUS_OVERFLOW) {
         result = Py_BuildValue("(nOinn)", (Py_ssize_t)0, Py_None, status, n, (Py_ssize_t)0);
         goto done;
@@ -334,12 +480,15 @@ q_check(PyObject *self, PyObject *args)
      * actual term, differs from it, or lies outside int64 (rc 1); pos ends
      * at its offset, or at the predicted length. */
     for (i = 0; !differs && i < PySequence_Fast_GET_SIZE(seq) && pos < max_terms; i++) {
-        if (read_tile(PySequence_Fast_GET_ITEM(seq, i), max_terms - pos, &tl) < 0)
+        if (read_tile(PySequence_Fast_GET_ITEM(seq, i), max_terms - pos, &tl) < 0) {
+            tile_close(&tl);
             goto done;
+        }
         for (j = 0; j < tl.length; j++) {
             if ((rc = tile_value(&tl, j, &v)) || pos + j >= n_act || v != t[pos + j])
                 break;
         }
+        tile_close(&tl);
         if (rc < 0)
             goto done;
         differs = j < tl.length;
@@ -369,33 +518,18 @@ done:
     return result;
 }
 
-static PyObject *
-tuple_of(const long long *v, Py_ssize_t n)
-{
-    PyObject *tuple = PyTuple_New(n);
-    Py_ssize_t i;
-
-    for (i = 0; tuple != NULL && i < n; i++) {
-        PyObject *x = PyLong_FromLongLong(v[i]);
-        if (x == NULL)
-            Py_CLEAR(tuple);
-        else
-            PyTuple_SET_ITEM(tuple, i, x);
-    }
-    return tuple;
-}
-
 /* Argument a of table v: 0 when a is negative. */
 #define AT(v, a) ((a) >= 0 ? (v)[a] : 0)
 
 static PyObject *
 rst_generate(PyObject *self, PyObject *args)
 {
-    Py_ssize_t n_max, cap = 1024, m;
+    Py_ssize_t n_max, m;
     long long *r, *s, *t, i, i1, i2, rv, sv, a, b;
     const char *which = NULL;
     int overflow = 0;
-    PyObject *rt = NULL, *st = NULL, *tt = NULL, *result = NULL;
+    PyObject *rt, *st, *tt, *result = NULL;
+    Store rs = {NULL}, ss = {NULL}, ts = {NULL};
 
     if (!PyArg_ParseTuple(args, "n:rst_generate", &n_max))
         return NULL;
@@ -403,13 +537,11 @@ rst_generate(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "rst_generate needs n_max >= 2");
         return NULL;
     }
-    r = PyMem_New(long long, cap);
-    s = PyMem_New(long long, cap);
-    t = PyMem_New(long long, cap);
-    if (r == NULL || s == NULL || t == NULL) {
-        PyErr_NoMemory();
+    if (store_new(&rs, 1024) || store_new(&ss, 1024) || store_new(&ts, 1024))
         goto done;
-    }
+    r = rs.v;
+    s = ss.v;
+    t = ts.v;
     r[0] = 0; r[1] = 1; r[2] = 2;
     s[0] = 1; s[1] = 1; s[2] = 2;
     t[0] = 1; t[1] = 2; t[2] = 2;
@@ -418,12 +550,12 @@ rst_generate(PyObject *self, PyObject *args)
      * negative, a reference at or past row m is one to a value <= 0, and a
      * sum leaves int64 exactly when a > LLONG_MAX - b. */
     for (m = 3; m <= n_max; m++) {
-        if (m == cap) {
-            if (!grow(&r, cap) || !grow(&s, cap) || !grow(&t, cap)) {
-                PyErr_NoMemory();
+        if (m == rs.cap) {
+            if (store_grow(&rs) || store_grow(&ss) || store_grow(&ts))
                 goto done;
-            }
-            cap *= 2;
+            r = rs.v;
+            s = ss.v;
+            t = ts.v;
         }
         i = m - r[m - 1];
         if (i >= m) {
@@ -459,31 +591,28 @@ rst_generate(PyObject *self, PyObject *args)
         t[m] = a + b;
     }
 
-    /* Rows 0..m-1 are complete: m is the stopping row, or n_max + 1.  Each
-     * buffer is freed once its tuple is built, which lowers the peak. */
+    /* Rows 0..m-1 are complete: m is the stopping row, or n_max + 1.  R(0)
+     * is not a row of the R table. */
     if (overflow) {
         result = Py_NewRef(Py_None);
         goto done;
     }
-    rt = tuple_of(r + 1, m - 1);
-    PyMem_Free(r);
-    r = NULL;
-    st = rt == NULL ? NULL : tuple_of(s, m);
-    PyMem_Free(s);
-    s = NULL;
-    tt = st == NULL ? NULL : tuple_of(t, m);
-    if (tt == NULL) {
-        Py_XDECREF(rt);
-        Py_XDECREF(st);
-    }
-    else
+    rt = store_take(&rs, 1, m);
+    st = store_take(&ss, 0, m);
+    tt = store_take(&ts, 0, m);
+    if (rt != NULL && st != NULL && tt != NULL)
         result = Py_BuildValue("(NNNzn)", rt, st, tt, which,
                                which == NULL ? (Py_ssize_t)0 : m);
+    else {
+        Py_XDECREF(rt);
+        Py_XDECREF(st);
+        Py_XDECREF(tt);
+    }
 
 done:
-    PyMem_Free(r);
-    PyMem_Free(s);
-    PyMem_Free(t);
+    store_free(&rs);
+    store_free(&ss);
+    store_free(&ts);
     return result;
 }
 
@@ -531,7 +660,8 @@ put_decimal(Py_UCS1 *end, long long v)
 static PyObject *
 format_rows(PyObject *self, PyObject *args)
 {
-    PyObject *columns, *first, *sep, *cols = NULL, **fast = NULL, *text = NULL;
+    PyObject *columns, *first, *sep, *cols = NULL, *text = NULL;
+    Column *col = NULL;
     Py_ssize_t per_row, lo, hi, ncol, width, nfield, nline, i, c, k, len = 0, seplen;
     long long *field = NULL, index = 0, last;
     const Py_UCS1 *sepdata;
@@ -553,17 +683,14 @@ format_rows(PyObject *self, PyObject *args)
                         "format_rows needs a column, and per_row > 1 only for one unindexed column");
         goto done;
     }
-    if ((fast = PyMem_New(PyObject *, ncol)) == NULL) {
+    if ((col = PyMem_Calloc(ncol, sizeof(Column))) == NULL) { /* every column closed */
         PyErr_NoMemory();
         goto done;
     }
-    for (c = 0; c < ncol; c++)
-        fast[c] = NULL;
     for (c = 0; c < ncol; c++) {
-        fast[c] = PySequence_Fast(PySequence_Fast_GET_ITEM(cols, c), "a column must be a sequence");
-        if (fast[c] == NULL)
+        if (column_open(PySequence_Fast_GET_ITEM(cols, c), &col[c]) < 0)
             goto done;
-        if (lo < 0 || lo > hi || hi > PySequence_Fast_GET_SIZE(fast[c])) {
+        if (lo < 0 || lo > hi || hi > col[c].len) {
             PyErr_SetString(PyExc_ValueError, "rows lo..hi-1 lie outside a column");
             goto done;
         }
@@ -589,12 +716,7 @@ format_rows(PyObject *self, PyObject *args)
         if (indexed)
             field[k++] = index + i;
         for (c = 0; !big && c < ncol; c++, k++) {
-            PyObject *v = PySequence_Fast_GET_ITEM(fast[c], i);
-            if (!PyLong_Check(v)) {
-                PyErr_SetString(PyExc_TypeError, "format_rows formats ints");
-                goto done;
-            }
-            if (read_int(v, &field[k], &big))
+            if (column_get(&col[c], i, &field[k], &big))
                 goto done;
         }
     }
@@ -629,10 +751,10 @@ format_rows(PyObject *self, PyObject *args)
     }
 
 done:
-    if (fast != NULL) {
+    if (col != NULL) {
         for (c = 0; c < ncol; c++)
-            Py_XDECREF(fast[c]);
-        PyMem_Free(fast);
+            column_close(&col[c]);
+        PyMem_Free(col);
     }
     Py_DECREF(cols);
     PyMem_Free(field);
@@ -644,14 +766,16 @@ done:
 static PyMethodDef methods[] = {
     {"q_generate", q_generate, METH_VARARGS,
      "q_generate(prefix, zero_extended, max_terms) -> (terms, status, at)\n\n"
-     "Extend prefix under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)) in int64."},
+     "Extend prefix under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)) in int64;\n"
+     "terms is an array('q')."},
     {"q_check", q_check, METH_VARARGS,
      "q_check(prefix, zero_extended, tiles, max_terms)\n"
      "-> (matched_through, first_mismatch, status, at, n_actual)\n\n"
      "Run q_generate's recurrence and compare each term with the tiles."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
-     "Tabulate R(1..n), S(0..n) and T(0..n) in int64; None on overflow."},
+     "Tabulate R(1..n), S(0..n) and T(0..n) in int64, as three array('q');\n"
+     "None on overflow."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"
      "Rows lo..hi-1 of the int columns as text; None outside int64."},
@@ -665,5 +789,11 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    return PyModule_Create(&module);
+    PyObject *array = PyImport_ImportModule("array");
+
+    if (array == NULL)
+        return NULL;
+    Py_XSETREF(ZERO, PyObject_CallMethod(array, "array", "s[i]", "q", 0));
+    Py_DECREF(array);
+    return ZERO == NULL ? NULL : PyModule_Create(&module);
 }

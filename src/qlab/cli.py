@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from . import __version__, _backend
 from .engine import (
@@ -306,7 +307,10 @@ def _output_args(parser, choices, loglog=False):
         )
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and each main call gets a fresh namespace."""
     parser = _Parser(prog="qlab", description="Hofstadter Q-recurrence laboratory")
     parser.add_argument("--version", action="version", version=f"qlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

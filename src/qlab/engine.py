@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import IO, Sequence
@@ -133,12 +134,14 @@ class SequenceStatus:
 class GeneratedSequence:
     """A finite run: the condition, every produced term, and the stop state.
 
-    ``terms`` is a list of ints, 1-indexed by convention (terms[0] is Q(1)),
-    whichever kernel produced it.
+    ``terms`` is a sequence of ints, 1-indexed by convention (terms[0] is
+    Q(1)).  From :func:`evaluate` it is an ``array('q')`` on either backend,
+    or a list of ints for an exact run past int64; compare its values with
+    ``list(terms)``, as an array never equals a list.
     """
 
     ic: InitialCondition
-    terms: list[int]
+    terms: Sequence[int]
     status: SequenceStatus
 
     def __len__(self) -> int:
@@ -348,15 +351,17 @@ def write_csv(seq: GeneratedSequence, out: IO[str], loglog: bool = False) -> Non
 
 def write_json(out: IO[str], payload: dict) -> None:
     """Write ``payload`` and a newline, byte for byte as json.dump would:
-    the one JSON writer of qlab.  A value that is a list or tuple led by an
-    int is taken to hold only ints, and is formatted ROWS_PER_CALL * 10 at
-    a time (json.dump encodes a list in pure Python, and json.dumps would
-    hold the whole text at once); every other value goes through json.dumps."""
+    the one JSON writer of qlab.  An ``array`` is written as the list of
+    its values, and a list or tuple led by an int is taken to hold only
+    ints; either is formatted ROWS_PER_CALL * 10 values at a time (json.dump
+    encodes a list in pure Python, and json.dumps would hold the whole text
+    at once).  Every other value goes through json.dumps."""
     step = ROWS_PER_CALL * 10
     out.write("{")
     for i, (key, value) in enumerate(payload.items()):
         out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
+        if not (isinstance(value, array)
+                or (isinstance(value, (list, tuple)) and value and type(value[0]) is int)):
             out.write(json.dumps(value))
             continue
         out.write("[")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import _backend
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL
@@ -69,11 +70,15 @@ class RSTStatus:
 
 @dataclass(frozen=True)
 class RSTState:
-    """Computed tables: r = R(1..n), s = S(0..n), t = T(0..n)."""
+    """Computed tables: r = R(1..n), s = S(0..n), t = T(0..n).
 
-    r: tuple[int, ...]
-    s: tuple[int, ...]
-    t: tuple[int, ...]
+    Each table is a sequence of ints: an ``array('q')`` from
+    :func:`rst_compute`, on either backend, while its values fit int64.
+    """
+
+    r: Sequence[int]
+    s: Sequence[int]
+    t: Sequence[int]
     status: RSTStatus
 
     @property

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 from qlab import PredictionReport, _backend, abc_profile
-from qlab.cli import _verify_line, main
+from qlab.cli import _build_parser, _verify_line, main
 from qlab.engine import InitialCondition, SequenceStatus, evaluate
 
 
@@ -28,6 +28,28 @@ def test_gen_text(capsys):
     code, out, err = run_cli(capsys, "gen", "--ic", "1,1", "--max", "6")
     assert code == 0 and err == ""
     assert out == "# <1,1>: 6 terms, alive\n1 1 2 3 3 4\n"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built once per process; each call must still see its own
+    # options and the defaults, as a freshly built parser would
+    monkeypatch.delenv("QLAB_INT_MODE", raising=False)
+    big = f"0;{2**62},{2**62},3,4"
+    calls = [
+        ("gen", "--ic", big, "--max", "9", "--mode", "exact"),
+        ("--version",),
+        ("gen", "--ic", big, "--max", "9", "--mode", "decimal"),  # a usage error
+        ("gen", "--ic", big, "--max", "9"),  # fast64 again: overflows at 5
+    ]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert _build_parser() is _build_parser()
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 1]
+    assert "overflow" in shared[3][2] and shared[3][1] == ""
 
 
 def test_gen_bfile(capsys):

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -37,7 +38,7 @@ from qlab import (
 )
 from qlab import _backend, _fallback
 from qlab.cli import _emit_sequence, _tree_json
-from qlab._fallback import INT64_MAX, INT64_MIN
+from qlab._fallback import INT64_MAX, INT64_MIN, STATUS_OVERFLOW, TILE_BLOCKS, TILE_LITERAL
 from qlab.engine import ROWS_PER_CALL, write_json, write_table
 
 # Q(1)=Q(2)=1: hand-unrolled prefix of the classic sequence
@@ -230,21 +231,39 @@ def test_compiled_and_fallback_kernels_agree(compiled_kernel, params, max_terms)
 
 
 def _outcome(f, *args, **kwargs):
-    """f's result, or the type and message of what it raised."""
+    """f's result with its terms as a list, or the type and message of what
+    it raised: the backend's array('q') holds the reference's values."""
     try:
-        return f(*args, **kwargs)
+        terms, *rest = f(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+    return (terms.tolist() if isinstance(terms, array) else terms, *rest)
 
 
 @pytest.mark.parametrize("backend", ["compiled", "python"])
 @pytest.mark.parametrize("mode", ["fast64", "exact"])
-def test_terms_are_a_list_of_int(request, backend, mode):
+def test_terms_are_an_int64_array(request, backend, mode):
+    # the values fit int64, so both backends hand back one array('q')
     kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
     with mock.patch.object(_backend, "_kernel", kernel):
         seq = evaluate(InitialCondition((1, 1)), 40, mode=mode)
-    assert type(seq.terms) is list
-    assert all(type(v) is int for v in seq.terms)
+        died = evaluate(InitialCondition((2, 0)), 10, mode=mode)
+    for terms in (seq.terms, died.terms):
+        assert type(terms) is array and terms.typecode == "q"
+    assert seq.terms.tolist()[:17] == CLASSIC_17
+    assert died.terms.tolist() == [2, 0]
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_exact_run_past_int64_is_a_list_of_int(request, backend):
+    # a computed term (index 5) and a prefix term past int64
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        for ic in (BIG, InitialCondition((1, 2**64, 3, 4), zero_extended=True)):
+            seq = evaluate(ic, 40, mode="exact")
+            assert type(seq.terms) is list
+            assert all(type(v) is int for v in seq.terms)
+            assert max(seq.terms) > INT64_MAX
 
 
 @given(small_ics, st.integers(min_value=6, max_value=60), st.integers(min_value=0, max_value=60))
@@ -394,7 +413,8 @@ def _per_row_text(seq, out):
 
 def _json_dump(seq, out):
     """gen --format json as json.dump writes its payload."""
-    json.dump({"ic": str(seq.ic), "status": str(seq.status), "terms": seq.terms}, out)
+    payload = {"ic": str(seq.ic), "status": str(seq.status), "terms": seq.terms}
+    json.dump(payload, out, default=list)  # an array is written as its list
     out.write("\n")
 
 
@@ -441,6 +461,7 @@ def _term_lists(length: int):
         for _ in range(length)
     ]
     yield terms
+    yield array("q", terms)  # as evaluate returns them
     if length:
         yield terms[: length // 2] + [INT64_MAX + 1] + terms[length // 2 + 1 :]
 
@@ -477,10 +498,12 @@ def _json_payloads():
     for length in (0, 1, 40959, 40960, 40961):
         terms = [rng.randint(-50, 10**6) for _ in range(length)]
         yield f"gen {length}", {"ic": "0;1..3", "status": "alive", "terms": terms}
+        yield f"gen array {length}", {"ic": "0;1..3", "status": "alive",
+                                      "terms": array("q", terms)}
     past = evaluate(parse_ic(f"0;{2**62},{2**62},3,4"), 9, "exact")
     assert max(past.terms) > INT64_MAX
     yield "gen past int64", {"ic": str(past.ic), "status": str(past.status), "terms": past.terms}
-    # rst: the tables are tuples, and R has one row fewer than S and T
+    # rst: the tables are arrays, and R has one row fewer than S and T
     state = rst_compute(ROWS_PER_CALL * 10 + 7)
     for which in ("r", "s", "t"):
         yield f"rst {which}", {"n_max": state.n, which: getattr(state, which), "status": "alive"}
@@ -505,7 +528,7 @@ def test_write_json_matches_json_dump():
     for label, payload in _json_payloads():
         got, want = io.StringIO(), io.StringIO()
         write_json(got, payload)
-        json.dump(payload, want)
+        json.dump(payload, want, default=list)  # an array is written as its list
         want.write("\n")
         _assert_same_text(got.getvalue(), want.getvalue(), label)
 
@@ -587,3 +610,123 @@ def test_formatters_reject_the_same_calls(compiled_kernel, call, error):
     for format_rows in (compiled_kernel.format_rows, _fallback.format_rows):
         with pytest.raises(error):
             format_rows(*call)
+
+
+# The kernel reads a column that is an array('q') from its buffer, and any
+# other column as a sequence; either way the text is the reference's.
+_COLUMN_TYPES = (list, tuple, lambda values: array("q", values))
+
+
+@st.composite
+def buffer_format_calls(draw):
+    """Arguments of a well-formed call whose int64 columns are arrays,
+    tuples and lists, mixed, with lo and hi often at the edge of a line."""
+    per_row = draw(st.integers(1, 10))
+    ncol = 1 if per_row > 1 else draw(st.integers(1, 3))
+    first = None
+    if per_row == 1:
+        # INT64_MAX - 20: the last index leaves int64 for some hi, and the
+        # kernel answers None
+        first = draw(st.sampled_from((None, 0, 1, INT64_MIN, INT64_MAX - 20, INT64_MAX)))
+    length = draw(st.integers(0, 45))
+    value = _int64 | st.sampled_from((INT64_MIN, INT64_MAX))
+    columns = [
+        draw(st.sampled_from(_COLUMN_TYPES))(draw(st.lists(value, min_size=length, max_size=length)))
+        for _ in range(ncol)
+    ]
+    edges = sorted({min(length, max(0, k * per_row + d))
+                    for k in range(length // per_row + 2) for d in (-1, 0, 1)})
+    lo = draw(st.sampled_from(edges) | st.integers(0, length))
+    hi = draw(st.sampled_from([e for e in edges if e >= lo]) | st.integers(lo, length))
+    return columns, first, draw(st.sampled_from((" ", ",", "\t", ", ", "%d"))), per_row, lo, hi
+
+
+@given(buffer_format_calls())
+@example(([array("q", [INT64_MIN, INT64_MAX])], None, " ", 1, 0, 2))
+@example(([array("q", [INT64_MIN, INT64_MAX, 0]), (1, 2, 3), [4, 5, 6]], INT64_MIN, ",", 1, 0, 3))
+@example(([array("q", range(25))], None, " ", 10, 10, 21))
+@example(([array("q", [7, 8])], INT64_MAX, " ", 1, 0, 2))  # the second index is past int64
+@settings(max_examples=400, deadline=None)
+def test_buffer_columns_format_as_the_reference(compiled_kernel, call):
+    columns, first, sep, per_row, lo, hi = call
+    want = _fallback.format_rows(*call)
+    assert want == _fallback.format_rows([list(c) for c in columns], first, sep, per_row, lo, hi)
+    beyond = first is not None and hi > lo and first + hi - 1 > INT64_MAX
+    assert compiled_kernel.format_rows(*call) == (None if beyond else want)
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        assert _backend.format_rows(*call) == want
+
+
+def _text_or_error(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("column", [
+    b"\x00\x07\xff",
+    bytearray(b"\x01\x02"),
+    array("i", [-5, 0, 7]),
+    array("Q", [0, 2**64 - 1]),  # unsigned: the second value is past int64
+    array("d", [1.0, 2.5]),
+    array("q"),
+    memoryview(array("q", [1, 2, 3, 4, 5]))[::2],  # int64, but not contiguous
+    memoryview(array("q", [INT64_MIN, 3])),
+], ids=["bytes", "bytearray", "i", "Q", "d", "empty", "strided", "memoryview"])
+def test_other_buffers_format_or_fail_alike(compiled_kernel, column):
+    call = ((column,), 1, " ", 1, 0, len(column))
+    want = _text_or_error(_fallback.format_rows, *call)
+    assert want == _text_or_error(_fallback.format_rows, (list(column),), *call[1:])
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        assert _text_or_error(_backend.format_rows, *call) == want
+    assert _text_or_error(compiled_kernel.format_rows, *call) in (want, None)
+
+
+def _assert_released(arr: array) -> None:
+    """A buffer of arr still held would make append raise BufferError."""
+    arr.append(0)
+    arr.pop()
+
+
+def test_buffers_are_released(compiled_kernel):
+    arr = array("q", range(1, 41))
+    calls = [
+        ((arr,), 1, " ", 1, 0, 40),  # text
+        ((arr,), INT64_MAX, " ", 1, 0, 40),  # None: an index past int64
+        ((arr,), None, " ", 1, 5, 41),  # hi past the column
+        ((arr,), None, " ", 1, 3, 2),  # lo > hi
+        ((arr, [1.5] * 40), None, " ", 1, 0, 40),  # a float in another column
+        ((arr, 5), None, " ", 1, 0, 40),  # another column is not a sequence
+        ((arr, arr), 1, " ", 10, 0, 40),  # per_row > 1 with two columns
+    ]
+    for call, want in zip(calls, [str, type(None), ValueError, ValueError, TypeError,
+                                  TypeError, ValueError]):
+        got = _text_or_error(compiled_kernel.format_rows, *call)
+        assert got is want or type(got) is want
+        _assert_released(arr)
+    # <0;5,12,4,6> follows its R/S/T blocks (qt_pattern_check's tiles), so
+    # each call reads the tables before it returns
+    state = rst_compute(200)
+    r, s, t = (array("q", table) for table in (state.r, state.s, state.t))
+    prefix = (5, 12, 4, 6)
+    head = ((TILE_LITERAL, 4, prefix, None), (TILE_LITERAL, 2, (5, 5), None))
+
+    def blocks(lam=12, length=98, tables=(r, s, t)):
+        return (*head, (TILE_BLOCKS, length, lam, tables))
+
+    checks = [
+        (blocks(), 104, (104, None, 0, 0, 104)),  # all 104 terms match
+        (blocks(lam=2**64), 104, (0, None, STATUS_OVERFLOW, 7, 0)),
+        (blocks(length=1500), 2000, ValueError),  # the tables are too short
+        ((*blocks(), (9, 1, 0, None)), 200, ValueError),  # a malformed tile after them
+        (blocks(tables=(r, 5, t)), 104, TypeError),  # s is not a sequence
+        (blocks(tables=(r, s, [1.5] * 300)), 104, TypeError),  # t holds a float
+    ]
+    for tiles, budget, want in checks:
+        assert _text_or_error(compiled_kernel.q_check, prefix, True, tiles, budget) == want
+        for table in (r, s, t):
+            _assert_released(table)
+    # the arrays the kernel builds hold no buffer of their own once returned
+    for table in (*compiled_kernel.rst_generate(300)[:3], compiled_kernel.q_generate((1, 1), True, 5000)[0]):
+        _assert_released(table)
