@@ -3,7 +3,9 @@
 Both backends hand back the same types.  Terms and R/S/T tables whose
 values all fit int64 are one ``array('q')`` each: the compiled kernel fills
 the array in place, and the Python one's lists are converted.  Only an
-exact run that goes past int64 comes back as a list of Python ints.
+exact run that goes past int64 comes back as a list of Python ints.  The
+compiled kernel reads a table only from an int64 buffer; whatever it
+declines or cannot decide in int64, the Python reference answers.
 """
 
 from __future__ import annotations
@@ -104,10 +106,12 @@ def rst_generate(n_max: int):
 
 def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str:
     """Rows ``lo..hi-1`` of ``columns`` as _fallback.format_rows writes
-    them: from the compiled kernel when it is built and every value and
-    index of the rows fits int64, from the Python reference otherwise."""
+    them, or its error: from the compiled kernel when it is built and can
+    write them (every column an ``array('q')`` or another int64 buffer, every
+    index within int64, a well-formed call), from the Python reference
+    otherwise."""
     if _kernel is not None:
         text = _kernel.format_rows(columns, first, sep, per_row, lo, hi)
-        if text is not None:  # None: a value or an index outside int64
+        if text is not None:  # None: the kernel declines the call
             return text
     return _fallback.format_rows(columns, first, sep, per_row, lo, hi)

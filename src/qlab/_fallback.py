@@ -20,8 +20,9 @@ each tile taking up where the one before it stopped.  By kind:
 * TILE_BLOCKS: the blocks ``(lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1))``,
   k = 1, 2, ..., with ``lam = a`` and ``b = (r, s, t)`` the R/S/T tables as
   :class:`qlab.rst.RSTState` holds them (``r[k-1]`` is R(k), ``s[k]`` is
-  S(k), ``t[k]`` is T(k)): sequences of ints, read from their buffers by
-  the kernel when they are ``array('q')``.
+  S(k), ``t[k]`` is T(k)): sequences of ints.  The kernel reads only
+  ``array('q')`` tables, from their buffers; for any other it answers as for
+  a value outside int64, and ``_backend`` asks this module.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str
     the row ended by "\n".  With ``per_row > 1`` (one column, no index)
     the values go ``per_row`` to a line instead, the last line possibly
     short.  Raises ValueError on a malformed call, and TypeError when a
-    value is not an int.
+    value is not an int: the one owner of these errors, as the kernel
+    declines every call it cannot write and ``_backend`` then calls this.
     """
     if not sep.isascii():
         raise ValueError("sep must be ASCII")

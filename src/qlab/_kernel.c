@@ -14,9 +14,13 @@
  * produced and are never copied into another container.
  * format_rows(columns, first, sep, per_row, lo, hi) returns the text
  * _fallback.format_rows does, written as ASCII straight into one new str,
- * or None when a value or an index of the rows lies outside int64.  It is
- * the one formatter of qlab's integer tables, and it reads a column that
- * exports an int64 buffer, such as an array('q'), from that buffer.
+ * or None when it declines: a column that is not an int64 buffer, an index
+ * outside int64, or a malformed call.  It raises nothing but MemoryError:
+ * the Python reference owns every formatter error.
+ * A table the kernel reads (a column of format_rows, an R/S/T table of a
+ * block tile) is a C-contiguous int64 buffer, such as an array('q'), read in
+ * place (see Column); for any other table q_check answers as it does for a
+ * value outside int64, and _backend then runs the Python reference.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -237,65 +241,38 @@ q_generate(PyObject *self, PyObject *args)
                          status == STATUS_ALIVE ? (Py_ssize_t)0 : n);
 }
 
-/* A column of ints read by row: straight from its buffer when the object
- * exports a C-contiguous int64 one (format "q", itemsize 8), such as an
- * array('q'), and through the sequence protocol otherwise.  A zeroed
- * Column is closed. */
+/* A table read in place: the buffer of an object that exports a C-contiguous
+ * int64 one (format "q", itemsize 8), such as an array('q').  view.obj is
+ * NULL while no buffer is held, and column_close is then a no-op. */
 typedef struct {
-    Py_buffer view; /* view.obj is set while the buffer is held */
-    PyObject *seq;  /* otherwise, PySequence_Fast of the object */
+    Py_buffer view;
+    const long long *v;
     Py_ssize_t len;
 } Column;
 
-/* Open o as col: 0, or -1 with an exception set when o is not a sequence. */
+/* Hold the int64 buffer of o in col: 1, or 0 with nothing held and no
+ * exception set when o exports none. */
 static int
 column_open(PyObject *o, Column *col)
 {
-    col->seq = NULL;
     col->view.obj = NULL;
-    if (PyObject_CheckBuffer(o)) {
-        if (PyObject_GetBuffer(o, &col->view, PyBUF_FORMAT | PyBUF_ND) < 0)
-            PyErr_Clear(); /* not C-contiguous (view.obj is NULL): read as a sequence */
-        else if (col->view.ndim == 1 && col->view.itemsize == 8 &&
-                 strcmp(col->view.format, "q") == 0) {
-            col->len = col->view.len / 8;
-            return 0;
-        }
-        else
-            PyBuffer_Release(&col->view);
+    if (!PyObject_CheckBuffer(o) || PyObject_GetBuffer(o, &col->view, PyBUF_FORMAT | PyBUF_ND) < 0) {
+        PyErr_Clear(); /* no buffer, or not a C-contiguous one */
+        return 0;
     }
-    if ((col->seq = PySequence_Fast(o, "a column must be a sequence")) == NULL)
-        return -1;
-    col->len = PySequence_Fast_GET_SIZE(col->seq);
-    return 0;
+    if (col->view.ndim != 1 || col->view.itemsize != 8 || strcmp(col->view.format, "q") != 0) {
+        PyBuffer_Release(&col->view);
+        return 0;
+    }
+    col->v = col->view.buf;
+    col->len = col->view.len / 8;
+    return 1;
 }
 
 static void
 column_close(Column *col)
 {
-    if (col->view.obj != NULL)
-        PyBuffer_Release(&col->view);
-    Py_CLEAR(col->seq);
-}
-
-/* *v = row i of col, *big as read_int sets it: 0, or -1 with a TypeError
- * set when the row does not hold an int. */
-static int
-column_get(const Column *col, Py_ssize_t i, long long *v, int *big)
-{
-    PyObject *o;
-
-    if (col->view.obj != NULL) {
-        *v = ((const long long *)col->view.buf)[i];
-        *big = 0;
-        return 0;
-    }
-    o = PySequence_Fast_GET_ITEM(col->seq, i);
-    if (!PyLong_Check(o)) {
-        PyErr_SetString(PyExc_TypeError, "a column holds only ints");
-        return -1;
-    }
-    return read_int(o, v, big);
+    PyBuffer_Release(&col->view);
 }
 
 /* One tile (kind, length, a, b) of a prediction, clipped to the budget;
@@ -310,8 +287,9 @@ typedef struct {
     long long x;        /* chunk: a + b*k for the current k */
 } Tile;
 
-/* Read tile item, its length clipped to room; -1 with an exception set
- * when it is malformed.  Close it with tile_close either way. */
+/* Read tile item, its length clipped to room: 0, 1 when an R/S/T table of
+ * it is not an int64 buffer, or -1 with an exception set when it is
+ * malformed.  Close it with tile_close either way. */
 static int
 read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
 {
@@ -355,9 +333,9 @@ read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
                 PyErr_SetString(PyExc_TypeError, "a block tile needs a tuple (r, s, t) of tables");
             return -1;
         }
-        if (column_open(r, &tl->tab[0]) < 0 || column_open(s, &tl->tab[1]) < 0 ||
-            column_open(t, &tl->tab[2]) < 0)
-            return -1;
+        if (!column_open(r, &tl->tab[0]) || !column_open(s, &tl->tab[1]) ||
+            !column_open(t, &tl->tab[2]))
+            return 1;
         /* block k reads R(k+1) = r[k], S(k+1) = s[k+1] and T(k) = t[k] */
         if (tl->tab[0].len < kmax + 1 || tl->tab[1].len < kmax + 2 || tl->tab[2].len < kmax + 1) {
             PyErr_SetString(PyExc_ValueError, "the R/S/T tables are too short for the block tile");
@@ -377,17 +355,6 @@ tile_close(Tile *tl)
     column_close(&tl->tab[2]);
 }
 
-/* *v = 5 * table[i]: 0, 1 when that lies outside int64, -1 on error. */
-static int
-five_times(const Column *table, Py_ssize_t i, long long *v)
-{
-    int big;
-
-    if (column_get(table, i, v, &big))
-        return -1;
-    return big || __builtin_mul_overflow(*v, 5LL, v);
-}
-
 /* *v = the value tile tl predicts at offset j: 0, 1 when that value lies
  * outside int64, -1 with an exception set.  Called for j = 0, 1, 2, ... in
  * turn, and not again once it returned nonzero: the running value of a
@@ -397,7 +364,6 @@ static int
 tile_value(Tile *tl, Py_ssize_t j, long long *v)
 {
     Py_ssize_t k = j / 5 + 1; /* blocks: the block number */
-    long long t_k;
     int big;
 
     switch (tl->kind) {
@@ -424,21 +390,19 @@ tile_value(Tile *tl, Py_ssize_t j, long long *v)
             *v = 5;
             return 0;
         }
-    default: /* TILE_BLOCKS */
+    default: /* TILE_BLOCKS: lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1) */
         switch (j % 5) {
         case 0:
-            if (column_get(&tl->tab[2], k, &t_k, &big))
-                return -1;
-            return tl->a_big || big || __builtin_mul_overflow(tl->a, t_k, v);
+            return tl->a_big || __builtin_mul_overflow(tl->a, tl->tab[2].v[k], v);
         case 1:
             *v = 4;
             return 0;
         case 2:
-            return five_times(&tl->tab[0], k - 1, v);
+            return __builtin_mul_overflow(tl->tab[0].v[k - 1], 5LL, v);
         case 3:
-            return five_times(&tl->tab[0], k, v);
+            return __builtin_mul_overflow(tl->tab[0].v[k], 5LL, v);
         default:
-            return five_times(&tl->tab[1], k + 1, v);
+            return __builtin_mul_overflow(tl->tab[1].v[k + 1], 5LL, v);
         }
     }
 }
@@ -477,14 +441,12 @@ q_check(PyObject *self, PyObject *args)
     n_act = n - 1;
 
     /* Walk the predicted values in order to the first one that has no
-     * actual term, differs from it, or lies outside int64 (rc 1); pos ends
-     * at its offset, or at the predicted length. */
-    for (i = 0; !differs && i < PySequence_Fast_GET_SIZE(seq) && pos < max_terms; i++) {
-        if (read_tile(PySequence_Fast_GET_ITEM(seq, i), max_terms - pos, &tl) < 0) {
-            tile_close(&tl);
-            goto done;
-        }
-        for (j = 0; j < tl.length; j++) {
+     * actual term, differs from it, or lies outside int64 or in a table that
+     * is not an int64 buffer (rc 1); pos ends at its offset, or at the
+     * predicted length. */
+    for (i = 0; !differs && !rc && i < PySequence_Fast_GET_SIZE(seq) && pos < max_terms; i++) {
+        rc = read_tile(PySequence_Fast_GET_ITEM(seq, i), max_terms - pos, &tl);
+        for (j = 0; rc == 0 && j < tl.length; j++) {
             if ((rc = tile_value(&tl, j, &v)) || pos + j >= n_act || v != t[pos + j])
                 break;
         }
@@ -631,16 +593,16 @@ magnitude(long long v)
     return v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
 }
 
-/* The length of the decimal form of v, its sign included. */
+/* The length of the decimal form of v, its sign included.  A magnitude of
+ * b bits has t or t + 1 digits, t = floor(b log10 2), which is b * 1233 >> 12
+ * for every b <= 64; u | 1 has the digits of u and at least one bit. */
 static Py_ssize_t
 decimal_length(long long v)
 {
-    unsigned long long u = magnitude(v);
-    Py_ssize_t n = 1;
+    unsigned long long u = magnitude(v) | 1;
+    int t = (64 - __builtin_clzll(u)) * 1233 >> 12;
 
-    while (n < 20 && u >= POW10[n])
-        n++;
-    return n + (v < 0);
+    return t + (u >= POW10[t]) + (v < 0);
 }
 
 /* Write the decimal form of v, decimal_length(v) characters, ending at end. */
@@ -657,50 +619,50 @@ put_decimal(Py_UCS1 *end, long long v)
         *--end = '-';
 }
 
+/* Two passes over the columns' buffers: one adds up the length of the text
+ * and one writes it.  No Python code runs between them, so the second reads
+ * the values the first measured. */
 static PyObject *
 format_rows(PyObject *self, PyObject *args)
 {
-    PyObject *columns, *first, *sep, *cols = NULL, *text = NULL;
+    PyObject *columns, *first, *sep, *cols, *text = NULL;
     Column *col = NULL;
-    Py_ssize_t per_row, lo, hi, ncol, width, nfield, nline, i, c, k, len = 0, seplen;
-    long long *field = NULL, index = 0, last;
+    Py_ssize_t per_row, lo, hi, ncol, width, nfield, nline, i, c, f, n, len = 0, seplen;
+    long long index = 0, last, v;
     const Py_UCS1 *sepdata;
     Py_UCS1 *p;
     int indexed, big = 0;
 
-    if (!PyArg_ParseTuple(args, "OOUnnn:format_rows", &columns, &first, &sep, &per_row, &lo, &hi))
-        return NULL;
-    if (!PyUnicode_IS_ASCII(sep)) {
-        PyErr_SetString(PyExc_ValueError, "sep must be ASCII");
-        return NULL;
+    /* A malformed call is declined, and _fallback.format_rows raises its
+     * error; columns that are not a list or a tuple are left unread. */
+    if (!PyArg_ParseTuple(args, "OOUnnn", &columns, &first, &sep, &per_row, &lo, &hi)) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
     }
-    if ((cols = PySequence_Fast(columns, "columns must be a sequence")) == NULL)
+    if (!PyList_Check(columns) && !PyTuple_Check(columns))
+        Py_RETURN_NONE;
+    if ((cols = PySequence_Tuple(columns)) == NULL) /* a list copied: no call below changes it */
         return NULL;
-    ncol = PySequence_Fast_GET_SIZE(cols);
+    ncol = PyTuple_GET_SIZE(cols);
     indexed = first != Py_None;
-    if (ncol < 1 || per_row < 1 || (per_row > 1 && (ncol > 1 || indexed))) {
-        PyErr_SetString(PyExc_ValueError,
-                        "format_rows needs a column, and per_row > 1 only for one unindexed column");
+    if (!PyUnicode_IS_ASCII(sep) || ncol < 1 || per_row < 1 ||
+        (per_row > 1 && (ncol > 1 || indexed)) || lo < 0 || lo > hi)
+        goto done;
+    /* row i has the index first + i, the last one first + hi - 1 */
+    if (indexed && read_int(first, &index, &big) < 0) {
+        PyErr_Clear();
         goto done;
     }
+    if (indexed && hi > lo && (big || __builtin_add_overflow(index, (long long)(hi - 1), &last)))
+        goto done;
     if ((col = PyMem_Calloc(ncol, sizeof(Column))) == NULL) { /* every column closed */
         PyErr_NoMemory();
         goto done;
     }
     for (c = 0; c < ncol; c++) {
-        if (column_open(PySequence_Fast_GET_ITEM(cols, c), &col[c]) < 0)
+        if (!column_open(PyTuple_GET_ITEM(cols, c), &col[c]) || hi > col[c].len)
             goto done;
-        if (lo < 0 || lo > hi || hi > col[c].len) {
-            PyErr_SetString(PyExc_ValueError, "rows lo..hi-1 lie outside a column");
-            goto done;
-        }
     }
-    /* row i has the index first + i, the last one first + hi - 1 */
-    if (indexed && read_int(first, &index, &big))
-        goto done;
-    if (indexed && hi > lo && (big || __builtin_add_overflow(index, (long long)(hi - 1), &last)))
-        goto done; /* an index outside int64: None */
-    big = 0;
 
     /* The fields in output order, row by row and the index first: each is
      * followed by sep or, when it ends a line of width fields, by "\n". */
@@ -708,22 +670,12 @@ format_rows(PyObject *self, PyObject *args)
     nfield = (hi - lo) * (ncol + indexed);
     nline = (nfield + width - 1) / width;
     seplen = PyUnicode_GET_LENGTH(sep);
-    if ((field = PyMem_New(long long, nfield)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
+    for (i = lo; indexed && i < hi; i++)
+        len += decimal_length(index + i);
+    for (c = 0; c < ncol; c++) {
+        for (i = lo; i < hi; i++)
+            len += decimal_length(col[c].v[i]);
     }
-    for (i = lo, k = 0; !big && i < hi; i++) {
-        if (indexed)
-            field[k++] = index + i;
-        for (c = 0; !big && c < ncol; c++, k++) {
-            if (column_get(&col[c], i, &field[k], &big))
-                goto done;
-        }
-    }
-    if (big)
-        goto done; /* a value outside int64: None */
-    for (k = 0; k < nfield; k++)
-        len += decimal_length(field[k]);
     if (nfield > 0 && seplen > (PY_SSIZE_T_MAX - len - nline) / nfield) {
         PyErr_NoMemory();
         goto done;
@@ -734,19 +686,22 @@ format_rows(PyObject *self, PyObject *args)
         goto done;
     p = PyUnicode_1BYTE_DATA(text);
     sepdata = PyUnicode_1BYTE_DATA(sep);
-    for (k = 0, c = 1; k < nfield; k++, c++) { /* c: the field's place in its line */
-        Py_ssize_t n = decimal_length(field[k]);
-        put_decimal(p + n, field[k]);
-        p += n;
-        if (c == width || k + 1 == nfield) {
-            *p++ = '\n';
-            c = 0;
-        }
-        else if (seplen == 1)
-            *p++ = sepdata[0];
-        else {
-            memcpy(p, sepdata, seplen);
-            p += seplen;
+    for (i = lo, f = 0; i < hi; i++) {
+        for (c = -indexed; c < ncol; c++) { /* c = -1: the index */
+            v = c < 0 ? index + i : col[c].v[i];
+            n = decimal_length(v);
+            put_decimal(p + n, v);
+            p += n;
+            if (++f == width || (i + 1 == hi && c + 1 == ncol)) { /* f: the fields of the line */
+                *p++ = '\n';
+                f = 0;
+            }
+            else if (seplen == 1)
+                *p++ = sepdata[0];
+            else {
+                memcpy(p, sepdata, seplen);
+                p += seplen;
+            }
         }
     }
 
@@ -757,7 +712,6 @@ done:
         PyMem_Free(col);
     }
     Py_DECREF(cols);
-    PyMem_Free(field);
     if (text == NULL && !PyErr_Occurred())
         Py_RETURN_NONE;
     return text;
@@ -778,7 +732,7 @@ static PyMethodDef methods[] = {
      "None on overflow."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"
-     "Rows lo..hi-1 of the int columns as text; None outside int64."},
+     "Rows lo..hi-1 of the int64 buffer columns as text; None when declined."},
     {NULL, NULL, 0, NULL},
 };
 

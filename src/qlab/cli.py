@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from array import array
 from contextlib import contextmanager
 from functools import cache
 
@@ -161,7 +162,7 @@ def _write_rst_rows(out, state, cols: list[str], sep: str, start: int) -> None:
     tables = {"r": state.r, "s": state.s, "t": state.t}
     shift = {"r": 1, "s": 0, "t": 0}  # row i of column c is tables[c][i - shift[c]]
     if start == 0 and "r" in cols:
-        write_table(out, [(0,) if c == "r" else tables[c][:1] for c in cols], 0, sep)
+        write_table(out, [array("q", [0]) if c == "r" else tables[c][:1] for c in cols], 0, sep)
         start = 1
     for lo in range(start, state.n + 1, ROWS_PER_CALL):
         hi = min(lo + ROWS_PER_CALL, state.n + 1)

@@ -135,9 +135,11 @@ class GeneratedSequence:
     """A finite run: the condition, every produced term, and the stop state.
 
     ``terms`` is a sequence of ints, 1-indexed by convention (terms[0] is
-    Q(1)).  From :func:`evaluate` it is an ``array('q')`` on either backend,
-    or a list of ints for an exact run past int64; compare its values with
-    ``list(terms)``, as an array never equals a list.
+    Q(1)).  From :func:`evaluate`, ``predict_sequence`` and ``specialize`` it
+    is an ``array('q')`` on either backend while its values fit int64, and a
+    list of ints only past int64 (an exact run, a prediction or a
+    specialization at a huge N); compare its values with ``list(terms)``, as
+    an array never equals a list.
     """
 
     ic: InitialCondition
@@ -351,17 +353,15 @@ def write_csv(seq: GeneratedSequence, out: IO[str], loglog: bool = False) -> Non
 
 def write_json(out: IO[str], payload: dict) -> None:
     """Write ``payload`` and a newline, byte for byte as json.dump would:
-    the one JSON writer of qlab.  An ``array`` is written as the list of
-    its values, and a list or tuple led by an int is taken to hold only
-    ints; either is formatted ROWS_PER_CALL * 10 values at a time (json.dump
-    encodes a list in pure Python, and json.dumps would hold the whole text
-    at once).  Every other value goes through json.dumps."""
+    the one JSON writer of qlab.  An ``array('q')`` is written as the list
+    of its values, formatted ROWS_PER_CALL * 10 values at a time (json.dumps
+    would hold the whole text at once).  Every other value, such as the list
+    of ints of an exact run past int64, goes through json.dumps."""
     step = ROWS_PER_CALL * 10
     out.write("{")
     for i, (key, value) in enumerate(payload.items()):
         out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if not (isinstance(value, array)
-                or (isinstance(value, (list, tuple)) and value and type(value[0]) is int)):
+        if not isinstance(value, array):
             out.write(json.dumps(value))
             continue
         out.write("[")

@@ -256,10 +256,11 @@ def predict_sequence(
     max_terms reaches the end index E.  A classification-2 block that fails
     its side condition truncates the prediction and leaves the status alive.
     A depth-capped unresolved profile still predicts through its last
-    resolved chunk; asking for terms past that raises QlabError.
+    resolved chunk; asking for terms past that raises QlabError.  The terms
+    are an ``array('q')`` while they fit int64, as evaluate() returns them.
     """
     profile = _checked_profile(n_value, max_terms, max_depth)
-    terms = materialise(predicted_tiles(profile, max_terms), max_terms)
+    terms = _backend._int64_array(materialise(predicted_tiles(profile, max_terms), max_terms))
     status = _predicted_status(profile, len(terms), max_terms)
     ic = InitialCondition.identity(n_value, zero_extended=True)
     return GeneratedSequence(ic, terms, status)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _backend
 from .engine import GeneratedSequence, InitialCondition, SequenceStatus
 from .errors import ValidationError
 
@@ -262,7 +263,7 @@ def specialize(prefix: SymbolicPrefix, n: int) -> GeneratedSequence:
     bound; it may lie below the interval the prefix was derived over, since
     the recorded thresholds are what the terms actually require.  The
     result covers Q(1..N+n_offsets), with died status when the prefix ends
-    in symbolic death.
+    in symbolic death; its terms are an ``array('q')`` while they fit int64.
     """
     if n < 2:
         raise ValidationError("specialize needs N >= 2")
@@ -273,7 +274,7 @@ def specialize(prefix: SymbolicPrefix, n: int) -> GeneratedSequence:
         if n < t.min_valid_N:
             raise ValidationError(f"term at offset {k} requires N >= {t.min_valid_N}, got N={n}")
     ic = InitialCondition.identity(n, prefix.convention == "zero_extended")
-    terms = list(range(1, n + 1)) + [t.value(n) for t in prefix.terms]
+    terms = _backend._int64_array(list(range(1, n + 1)) + [t.value(n) for t in prefix.terms])
     if prefix.stop_reason.kind == "symbolic_death":
         status = SequenceStatus.died(n + prefix.stop_reason.index)
     else:

@@ -102,7 +102,7 @@ def test_06_classification_zero_tails():
         assert predicted.term(a_j + 160) == 0, n
         assert actual.term(a_j + 160) == 0, n
         assert str(predicted.status) == str(actual.status) == f"ended at {a_j + 161}", n
-        assert list(actual.terms[-158:]) == predicted.terms[-158:], n
+        assert list(actual.terms[-158:]) == list(predicted.terms[-158:]), n
     print("PASS: classification-0 tails for N=121/126/182 end in 0 at A_j+160, Ended(A_j+161)")
 
 

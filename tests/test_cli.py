@@ -3,19 +3,29 @@ and stream routing are covered without spawning subprocesses."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from qlab import PredictionReport, _backend, abc_profile
-from qlab.cli import _build_parser, _verify_line, main
-from qlab.engine import InitialCondition, SequenceStatus, evaluate
+from qlab import (
+    NConstraint,
+    PredictionReport,
+    _backend,
+    abc_profile,
+    predict_sequence,
+    specialize,
+    symbolic_extend,
+)
+from qlab.cli import _build_parser, _emit_sequence, _verify_line, main
+from qlab.engine import GeneratedSequence, InitialCondition, SequenceStatus, evaluate
 
 
 def run_cli(capsys, *args):
@@ -201,6 +211,25 @@ def test_predict_text(capsys):
     assert out.startswith("# <0;1..39>: 86 terms, ended at 87\n")
 
 
+@pytest.mark.usefixtures("fastest_backend")
+@pytest.mark.parametrize("argv, seq", [
+    (("predict", "--n", "2907", "--max", "41000"), lambda: predict_sequence(2907, 41000)),
+    (("sym", "--nmin", "5", "--at", "40", "--offsets", "28"),
+     lambda: specialize(symbolic_extend("plain", NConstraint(5), 28), 40)),
+], ids=["predict", "sym-at"])
+@pytest.mark.parametrize("fmt", [("text",), ("bfile",), ("csv",), ("json",), ("csv", "--loglog")],
+                         ids=["text", "bfile", "csv", "json", "loglog"])
+def test_predicted_terms_write_as_their_list(capsys, argv, seq, fmt):
+    # the array('q') of terms gives the bytes the same terms give as a list
+    seq = seq()
+    assert type(seq.terms) is array
+    code, out, err = run_cli(capsys, *argv, "--format", *fmt)
+    assert (code, err) == (0, "")
+    args = argparse.Namespace(out=None, format=fmt[0], loglog=len(fmt) > 1)
+    _emit_sequence(GeneratedSequence(seq.ic, list(seq.terms), seq.status), args)
+    assert out == capsys.readouterr().out
+
+
 def test_predict_rejects_exceptional(capsys):
     code, _, err = run_cli(capsys, "predict", "--n", "36", "--max", "100")
     assert code == 1
@@ -352,6 +381,7 @@ def test_tree_render(capsys):
     ("verify", "--n", "35", "--to", "45", "--max", "300"),
     ("tree", "--levels", "2"),
     ("tree", "--locate", "42"),
+    ("gen", "--ic", "0;9223372036854775808,1", "--max", "30", "--mode", "exact"),
 ])
 def test_json_lines_are_what_json_dump_writes(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json")

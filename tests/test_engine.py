@@ -574,6 +574,19 @@ def format_calls(draw):
 _EDGE_COLUMN = [INT64_MIN, *range(-ROWS_PER_CALL, ROWS_PER_CALL), INT64_MAX]
 
 
+def _int64_arrays(columns):
+    """columns as array('q'), or None when a value is not an int64."""
+    try:
+        return [array("q", column) for column in columns]
+    except (OverflowError, TypeError):
+        return None
+
+
+def _index_beyond(first, lo, hi) -> bool:
+    """Whether an index of rows lo..hi-1 lies outside int64."""
+    return first is not None and hi > lo and not INT64_MIN <= first + hi - 1 <= INT64_MAX
+
+
 @given(format_calls())
 @example(([_EDGE_COLUMN], 0, ",", 1, 0, ROWS_PER_CALL))
 @example(([_EDGE_COLUMN], 1, " ", 1, ROWS_PER_CALL - 1, ROWS_PER_CALL + 1))
@@ -585,13 +598,16 @@ _EDGE_COLUMN = [INT64_MIN, *range(-ROWS_PER_CALL, ROWS_PER_CALL), INT64_MAX]
 def test_compiled_and_fallback_formatters_agree(compiled_kernel, call):
     columns, first, sep, per_row, lo, hi = call
     want = _fallback.format_rows(*call)
-    fields = [v for column in columns for v in column[lo:hi]]
-    if first is not None and hi > lo:
-        fields += [first + lo, first + hi - 1]
-    beyond = any(not INT64_MIN <= v <= INT64_MAX for v in fields)
-    assert compiled_kernel.format_rows(*call) == (None if beyond else want)
+    # the kernel reads only int64 buffers: it declines list and tuple columns
+    assert compiled_kernel.format_rows(*call) is None
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
         assert _backend.format_rows(*call) == want
+    # the same rows from arrays: the kernel's own text, unless an index lies
+    # outside int64
+    arrays = _int64_arrays(columns)
+    if arrays is not None:
+        got = compiled_kernel.format_rows(arrays, first, sep, per_row, lo, hi)
+        assert got == (None if _index_beyond(first, lo, hi) else want)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -607,13 +623,22 @@ def test_compiled_and_fallback_formatters_agree(compiled_kernel, call):
     ((([1, "2"],), None, " ", 1, 0, 2), TypeError),
 ])
 def test_formatters_reject_the_same_calls(compiled_kernel, call, error):
-    for format_rows in (compiled_kernel.format_rows, _fallback.format_rows):
-        with pytest.raises(error):
-            format_rows(*call)
+    """The Python reference owns every error: the kernel declines the call,
+    with list columns and with int64 arrays alike, and _backend raises the
+    reference's error."""
+    with pytest.raises(error):
+        _fallback.format_rows(*call)
+    with mock.patch.object(_backend, "_kernel", compiled_kernel), pytest.raises(error):
+        _backend.format_rows(*call)
+    assert compiled_kernel.format_rows(*call) is None
+    arrays = _int64_arrays(call[0])
+    if arrays is not None:
+        assert compiled_kernel.format_rows(arrays, *call[1:]) is None
 
 
-# The kernel reads a column that is an array('q') from its buffer, and any
-# other column as a sequence; either way the text is the reference's.
+# The kernel reads a column that is an array('q') from its buffer, and
+# declines a call with any other column; either way _backend writes the
+# reference's text.
 _COLUMN_TYPES = (list, tuple, lambda values: array("q", values))
 
 
@@ -644,6 +669,7 @@ def buffer_format_calls(draw):
 @given(buffer_format_calls())
 @example(([array("q", [INT64_MIN, INT64_MAX])], None, " ", 1, 0, 2))
 @example(([array("q", [INT64_MIN, INT64_MAX, 0]), (1, 2, 3), [4, 5, 6]], INT64_MIN, ",", 1, 0, 3))
+@example(([array("q", [INT64_MIN, INT64_MAX, 0]), array("q", [1, 2, 3])], INT64_MIN, ",", 1, 0, 3))
 @example(([array("q", range(25))], None, " ", 10, 10, 21))
 @example(([array("q", [7, 8])], INT64_MAX, " ", 1, 0, 2))  # the second index is past int64
 @settings(max_examples=400, deadline=None)
@@ -651,8 +677,8 @@ def test_buffer_columns_format_as_the_reference(compiled_kernel, call):
     columns, first, sep, per_row, lo, hi = call
     want = _fallback.format_rows(*call)
     assert want == _fallback.format_rows([list(c) for c in columns], first, sep, per_row, lo, hi)
-    beyond = first is not None and hi > lo and first + hi - 1 > INT64_MAX
-    assert compiled_kernel.format_rows(*call) == (None if beyond else want)
+    declined = _index_beyond(first, lo, hi) or not all(type(c) is array for c in columns)
+    assert compiled_kernel.format_rows(*call) == (None if declined else want)
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
         assert _backend.format_rows(*call) == want
 
@@ -664,23 +690,25 @@ def _text_or_error(f, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize("column", [
-    b"\x00\x07\xff",
-    bytearray(b"\x01\x02"),
-    array("i", [-5, 0, 7]),
-    array("Q", [0, 2**64 - 1]),  # unsigned: the second value is past int64
-    array("d", [1.0, 2.5]),
-    array("q"),
-    memoryview(array("q", [1, 2, 3, 4, 5]))[::2],  # int64, but not contiguous
-    memoryview(array("q", [INT64_MIN, 3])),
+@pytest.mark.parametrize("column, read", [
+    (b"\x00\x07\xff", False),
+    (bytearray(b"\x01\x02"), False),
+    (array("i", [-5, 0, 7]), False),
+    (array("Q", [0, 2**64 - 1]), False),  # unsigned: the second value is past int64
+    (array("d", [1.0, 2.5]), False),
+    (array("q"), True),
+    (memoryview(array("q", [1, 2, 3, 4, 5]))[::2], False),  # int64, but not contiguous
+    (memoryview(array("q", [INT64_MIN, 3])), True),
 ], ids=["bytes", "bytearray", "i", "Q", "d", "empty", "strided", "memoryview"])
-def test_other_buffers_format_or_fail_alike(compiled_kernel, column):
+def test_other_buffers_format_or_fail_alike(compiled_kernel, column, read):
+    """The kernel writes a C-contiguous int64 buffer and declines any other;
+    _backend gives the reference's text or error either way."""
     call = ((column,), 1, " ", 1, 0, len(column))
     want = _text_or_error(_fallback.format_rows, *call)
     assert want == _text_or_error(_fallback.format_rows, (list(column),), *call[1:])
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
         assert _text_or_error(_backend.format_rows, *call) == want
-    assert _text_or_error(compiled_kernel.format_rows, *call) in (want, None)
+    assert compiled_kernel.format_rows(*call) == (want if read else None)
 
 
 def _assert_released(arr: array) -> None:
@@ -689,39 +717,52 @@ def _assert_released(arr: array) -> None:
     arr.pop()
 
 
+def _pattern_tiles(prefix, lam, mu, length, tables):
+    """qt_pattern_check's condition <0;prefix,5,lam,4,mu> and its tiles: the
+    condition, 5R(1) and 5S(1), then ``length`` terms of R/S/T blocks."""
+    ic = (*prefix, 5, lam, 4, mu)
+    return ic, ((TILE_LITERAL, len(ic), ic, None), (TILE_LITERAL, 2, (5, 5), None),
+                (TILE_BLOCKS, length, lam, tables))
+
+
 def test_buffers_are_released(compiled_kernel):
     arr = array("q", range(1, 41))
     calls = [
         ((arr,), 1, " ", 1, 0, 40),  # text
-        ((arr,), INT64_MAX, " ", 1, 0, 40),  # None: an index past int64
+        ((arr,), INT64_MAX, " ", 1, 0, 40),  # an index past int64
         ((arr,), None, " ", 1, 5, 41),  # hi past the column
+        ((arr, arr[:5]), None, " ", 1, 0, 40),  # hi past the second column
         ((arr,), None, " ", 1, 3, 2),  # lo > hi
         ((arr, [1.5] * 40), None, " ", 1, 0, 40),  # a float in another column
         ((arr, 5), None, " ", 1, 0, 40),  # another column is not a sequence
+        ((arr, list(range(40))), None, " ", 1, 0, 40),  # another column is a list
+        ((tuple(range(40)), arr), 1, ",", 1, 0, 40),  # a tuple column before it
         ((arr, arr), 1, " ", 10, 0, 40),  # per_row > 1 with two columns
+        ((arr,), None, "\u00b7", 1, 0, 40),  # a non-ASCII sep
+        (iter([arr]), None, " ", 1, 0, 40),  # columns neither a list nor a tuple
     ]
-    for call, want in zip(calls, [str, type(None), ValueError, ValueError, TypeError,
-                                  TypeError, ValueError]):
-        got = _text_or_error(compiled_kernel.format_rows, *call)
-        assert got is want or type(got) is want
+    for k, call in enumerate(calls):
+        assert (compiled_kernel.format_rows(*call) is None) == (k > 0)
         _assert_released(arr)
-    # <0;5,12,4,6> follows its R/S/T blocks (qt_pattern_check's tiles), so
-    # each call reads the tables before it returns
+    # <0;5,12,4,6> follows its R/S/T blocks, so each call reads the tables
+    # before it returns
     state = rst_compute(200)
     r, s, t = (array("q", table) for table in (state.r, state.s, state.t))
-    prefix = (5, 12, 4, 6)
-    head = ((TILE_LITERAL, 4, prefix, None), (TILE_LITERAL, 2, (5, 5), None))
+    declined = (0, None, STATUS_OVERFLOW, 7, 0)  # at the block tile's first term
+
+    prefix, (*head, _) = _pattern_tiles((), 12, 6, 98, (r, s, t))
 
     def blocks(lam=12, length=98, tables=(r, s, t)):
         return (*head, (TILE_BLOCKS, length, lam, tables))
 
     checks = [
         (blocks(), 104, (104, None, 0, 0, 104)),  # all 104 terms match
-        (blocks(lam=2**64), 104, (0, None, STATUS_OVERFLOW, 7, 0)),
+        (blocks(lam=2**64), 104, declined),  # lam*T(1) is past int64
         (blocks(length=1500), 2000, ValueError),  # the tables are too short
         ((*blocks(), (9, 1, 0, None)), 200, ValueError),  # a malformed tile after them
-        (blocks(tables=(r, 5, t)), 104, TypeError),  # s is not a sequence
-        (blocks(tables=(r, s, [1.5] * 300)), 104, TypeError),  # t holds a float
+        (blocks(tables=(r, 5, t)), 104, declined),  # s is not a sequence
+        (blocks(tables=(r, list(s), t)), 104, declined),  # s is a list
+        (blocks(tables=(r, s, [1.5] * 300)), 104, declined),  # t holds a float
     ]
     for tiles, budget, want in checks:
         assert _text_or_error(compiled_kernel.q_check, prefix, True, tiles, budget) == want
@@ -730,3 +771,28 @@ def test_buffers_are_released(compiled_kernel):
     # the arrays the kernel builds hold no buffer of their own once returned
     for table in (*compiled_kernel.rst_generate(300)[:3], compiled_kernel.q_generate((1, 1), True, 5000)[0]):
         _assert_released(table)
+
+
+@pytest.mark.parametrize("prefix, lam, mu, length, budget", [
+    ((), 12, 6, 98, 104),  # the pattern holds through the budget
+    ((), 12, 6, 1400, 1500),
+    ((), 12, 6, 98, 3),  # the budget ends before the blocks
+    ((), 7, 6, 500, 600),  # lam < 9: the pattern fails
+    ((1, 2, 3), 9, 9, 600, 700),  # K = 3, the side condition fails
+    ((), 12, 10**15, 600, 700),  # the prediction ends before the run
+    ((), 2**64, 6, 98, 104),  # lam*T(k) past int64: only Python answers
+])
+def test_q_check_reads_tables_of_any_sequence_type(compiled_kernel, prefix, lam, mu, length,
+                                                   budget):
+    """The kernel reads only int64 tables and declines tuples and lists, for
+    which _backend.q_check answers in Python: the same 5-tuple either way."""
+    state = rst_compute(400)
+    results = set()
+    for kernel in (compiled_kernel, None):
+        with mock.patch.object(_backend, "_kernel", kernel):
+            for kind in _COLUMN_TYPES:
+                tables = tuple(map(kind, (state.r, state.s, state.t)))
+                ic, tiles = _pattern_tiles(prefix, lam, mu, length, tables)
+                results.add(_backend.q_check(ic, True, tiles, budget))
+    ic, tiles = _pattern_tiles(prefix, lam, mu, length, (state.r, state.s, state.t))
+    assert results == {_fallback.q_check(ic, True, tiles, budget, checked=False)}

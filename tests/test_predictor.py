@@ -4,6 +4,7 @@ terms, brute-force cross-checks, and the classification tree."""
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import islice
 from types import SimpleNamespace
 from typing import Iterator
@@ -177,6 +178,14 @@ def test_predicted_end_indices():
     assert predict_sequence(39, 200).status.at_index == 87  # A_1=82, class 3
     assert predict_sequence(35, 200).status.at_index == 89  # A_1=74, class 4
     print("✓ predicted end indices: 407 / 417 / 12121 / 87 / 89")
+
+
+def test_predicted_terms_are_an_int64_array():
+    # as evaluate returns them, so the writers read every table from one buffer
+    for n, budget in ((121, 500), (38, 2000), (42, 120)):
+        seq = predict_sequence(n, budget)
+        assert type(seq.terms) is array and seq.terms.typecode == "q"
+        assert list(seq.terms) == _fallback.materialise(predicted_tiles(abc_profile(n), budget), budget)
 
 
 def test_predict_truncation_statuses():

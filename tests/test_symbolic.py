@@ -3,6 +3,7 @@ validity thresholds, stop reasons, and specialization back to concrete runs."""
 
 from __future__ import annotations
 
+from array import array
 from unittest import mock
 
 import pytest
@@ -108,11 +109,18 @@ def test_specialize_below_derivation_interval():
     p = symbolic_extend("plain", NConstraint(14), 28)
     seq = specialize(p, 13)
     brute = evaluate(InitialCondition.identity(13), 13 + 28)
-    assert seq.terms == brute.terms.tolist()
+    assert list(seq.terms) == brute.terms.tolist()
     assert seq.status.is_alive
     with pytest.raises(ValidationError, match="offset 27 requires N >= 13"):
         specialize(p, 12)
     print("✓ specialize honors per-term thresholds, not the derivation interval")
+
+
+def test_specialized_terms_are_an_int64_array():
+    for convention, lo, n in (("plain", 14, 13), ("zero_extended", 35, 100)):
+        seq = specialize(symbolic_extend(convention, NConstraint(lo), 28), n)
+        assert type(seq.terms) is array and seq.terms.typecode == "q"
+        assert list(seq.terms[:n]) == list(range(1, n + 1))
 
 
 def test_specialize_death_matches_bruteforce():
@@ -120,7 +128,7 @@ def test_specialize_death_matches_bruteforce():
     for n in range(14, 21):
         seq = specialize(p, n)
         brute = evaluate(InitialCondition.identity(n), n + 40)
-        assert seq.terms == brute.terms.tolist()
+        assert list(seq.terms) == brute.terms.tolist()
         assert seq.status == brute.status
         assert seq.status.at_index == n + 33
 
@@ -139,7 +147,7 @@ def test_specialize_zero_extended_sample():
     for n in (30, 50, 100, 130):
         seq = specialize(p, n)
         brute = evaluate(InitialCondition.identity(n, zero_extended=True), n + 34)
-        assert seq.terms == brute.terms.tolist()
+        assert list(seq.terms) == brute.terms.tolist()
 
 
 def test_constraint_and_expr_rendering():
@@ -194,7 +202,7 @@ def test_specialization_always_matches_bruteforce(convention, lo, max_offsets, b
     brute = evaluate(
         InitialCondition.identity(n, convention == "zero_extended"), n + prefix.n_offsets
     )
-    assert seq.terms == brute.terms.tolist()
+    assert list(seq.terms) == brute.terms.tolist()
     if not seq.status.is_alive:
         assert seq.status == brute.status
 
