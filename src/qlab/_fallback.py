@@ -9,7 +9,7 @@ three lists, and format_rows writes rows of ints as text, when the kernel
 is not built or its int64 values would overflow.  These lists are the
 reference values: ``_backend`` hands them on as ``array('q')`` whenever
 they fit int64, as the kernel does.  ``materialise`` says what the tiles
-predict.
+predict, as a list or in the container it is given.
 
 A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
 each tile taking up where the one before it stopped.  By kind:
@@ -19,10 +19,11 @@ each tile taking up where the one before it stopped.  By kind:
 * TILE_CHUNK: the period-5 chunk ``(a + b*k, 5, b, 3, 5)``, k = 0, 1, ...;
 * TILE_BLOCKS: the blocks ``(lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1))``,
   k = 1, 2, ..., with ``lam = a`` and ``b = (r, s, t)`` the R/S/T tables as
-  :class:`qlab.rst.RSTState` holds them (``r[k-1]`` is R(k), ``s[k]`` is
-  S(k), ``t[k]`` is T(k)): sequences of ints.  The kernel reads only
-  ``array('q')`` tables, from their buffers; for any other it answers as for
-  a value outside int64, and ``_backend`` asks this module.
+  :class:`qlab.rst.RSTState` holds them, row k of each at index k:
+  sequences of ints, of which kmax blocks read rows 0..kmax+1 of r and s and
+  rows 0..kmax of t.  The kernel reads only ``array('q')`` tables, from
+  their buffers; for any other it answers as for a value outside int64, and
+  ``_backend`` asks this module.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def q_generate(
 
 
 def rst_generate(n_max: int) -> tuple[list[int], list[int], list[int], str | None, int]:
-    """Tabulate R(1..n), S(0..n) and T(0..n) for n up to ``n_max`` (>= 2).
+    """Tabulate R(0..n), S(0..n) and T(0..n) for n up to ``n_max`` (>= 2),
+    row k of each at index k.
 
     Row m computes R(m) = R(m - R(m-1)) + S(m-1), then S(m) = S(m - R(m)) +
     S(m - R(m-1)), then T(m) = T(m - R(m)) + T(m - S(m)), reading 0 at
@@ -130,41 +132,45 @@ def rst_generate(n_max: int) -> tuple[list[int], list[int], list[int], str | Non
         t.append((t[i1] if i1 >= 0 else 0) + (t[i2] if i2 >= 0 else 0))
     if which is not None:
         at = m
-    del r[0]
     return r, s, t, which, at
 
 
-def materialise(tiles, max_terms: int) -> list[int]:
-    """The terms ``tiles`` predict, as one list, clipped to max_terms.
+def materialise(tiles, max_terms: int, make=list):
+    """The terms ``tiles`` predict, clipped to max_terms, as one container
+    built by ``make`` from an iterable of ints: a list by default, or for
+    instance an ``array('q')``, which raises OverflowError on a value
+    outside int64.
 
     Each tile is clipped to the budget before it is built: a deep chunk can
     span about 10^10 terms.
     """
-    out: list[int] = []
+    out = make(())
     for kind, length, a, b in tiles:
         length = min(length, max_terms - len(out))
         if length <= 0:
             continue
         if kind == TILE_RANGE:
-            out += range(a, a + length)
+            terms = range(a, a + length)
+            len(terms)  # OverflowError past sys.maxsize terms, before array.extend tries them
+            out.extend(terms)
         elif kind == TILE_LITERAL:
-            out += a[:length]
+            out.extend(a[:length])
         else:
             # whole five-term periods, trimmed to length below
             start, kmax = len(out), -(-length // 5)
             if kind == TILE_CHUNK:
-                out += [5] * (5 * kmax)
-                out[start::5] = range(a, a + b * kmax, b) if b else [a] * kmax
-                out[start + 2 :: 5] = [b] * kmax
-                out[start + 3 :: 5] = [3] * kmax
+                out += make((5,)) * (5 * kmax)
+                out[start::5] = make(range(a, a + b * kmax, b)) if b else make((a,)) * kmax
+                out[start + 2 :: 5] = make((b,)) * kmax
+                out[start + 3 :: 5] = make((3,)) * kmax
             else:
                 r, s, t = b
-                out += [4] * (5 * kmax)
-                out[start::5] = [a * v for v in t[1 : kmax + 1]]
-                five_r = [5 * v for v in r[: kmax + 1]]
+                out += make((4,)) * (5 * kmax)
+                out[start::5] = make([a * v for v in t[1 : kmax + 1]])
+                five_r = make([5 * v for v in r[1 : kmax + 2]])
                 out[start + 2 :: 5] = five_r[:-1]
                 out[start + 3 :: 5] = five_r[1:]
-                out[start + 4 :: 5] = [5 * v for v in s[2 : kmax + 2]]
+                out[start + 4 :: 5] = make([5 * v for v in s[2 : kmax + 2]])
             del out[start + length :]
     return out
 
@@ -188,8 +194,9 @@ def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str
         raise ValueError("rows lo..hi-1 lie outside a column")
     fields = [column[lo:hi] for column in columns]
     for field in fields:
-        # "%d" would also format a float; an array('q') holds only ints
-        if not (type(field) is array and field.typecode == "q"):
+        # "%d" would also format a float; an array('q'), or a view of one,
+        # holds only ints
+        if type(field) not in (array, memoryview) or memoryview(field).format != "q":
             if not all(issubclass(kind, int) for kind in set(map(type, field))):
                 raise TypeError("a column holds only ints")
     if first is not None:

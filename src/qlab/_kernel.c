@@ -9,7 +9,8 @@
  * and compares each term with the prediction the tiles describe, returning
  * what _fallback.q_check does in checked mode without building a list.
  * rst_generate(n_max) returns the tables of _fallback.rst_generate as three
- * array('q'), or None when a value would leave int64.  Values are computed
+ * array('q'), R(0..n), S(0..n) and T(0..n), so that row k of each is at
+ * index k, or None when a value would leave int64.  Values are computed
  * in place in the arrays' buffers (see Store), which grow with the rows
  * produced and are never copied into another container.
  * format_rows(columns, first, sep, per_row, lo, hi) returns the text
@@ -110,10 +111,10 @@ store_free(Store *s)
     }
 }
 
-/* The array of s cut to its values lo..hi-1, s taken; NULL with an
+/* The array of s cut to its values 0..n-1, s taken; NULL with an
  * exception set on failure or when s was freed. */
 static PyObject *
-store_take(Store *s, Py_ssize_t lo, Py_ssize_t hi)
+store_take(Store *s, Py_ssize_t n)
 {
     PyObject *arr = s->arr;
 
@@ -121,7 +122,7 @@ store_take(Store *s, Py_ssize_t lo, Py_ssize_t hi)
         return NULL;
     PyBuffer_Release(&s->view);
     s->arr = NULL;
-    if (PySequence_DelSlice(arr, hi, s->cap) < 0 || (lo > 0 && PySequence_DelSlice(arr, 0, lo) < 0))
+    if (PySequence_DelSlice(arr, n, s->cap) < 0)
         Py_CLEAR(arr);
     return arr;
 }
@@ -237,7 +238,7 @@ q_generate(PyObject *self, PyObject *args)
             return NULL;
         status = extend(st.v, st.cap, zero, max_terms, &n);
     }
-    return Py_BuildValue("(Nin)", store_take(&st, 0, n - 1), status,
+    return Py_BuildValue("(Nin)", store_take(&st, n - 1), status,
                          status == STATUS_ALIVE ? (Py_ssize_t)0 : n);
 }
 
@@ -283,7 +284,7 @@ typedef struct {
     long long a, b;     /* range: first value; chunk: first and step; blocks: lam */
     int a_big, b_big;   /* a or b lies outside int64 */
     PyObject *values;   /* literal: a tuple of at least length ints */
-    Column tab[3];      /* blocks: R(1..), S(0..), T(0..) */
+    Column tab[3];      /* blocks: R(0..), S(0..), T(0..) */
     long long x;        /* chunk: a + b*k for the current k */
 } Tile;
 
@@ -336,8 +337,8 @@ read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
         if (!column_open(r, &tl->tab[0]) || !column_open(s, &tl->tab[1]) ||
             !column_open(t, &tl->tab[2]))
             return 1;
-        /* block k reads R(k+1) = r[k], S(k+1) = s[k+1] and T(k) = t[k] */
-        if (tl->tab[0].len < kmax + 1 || tl->tab[1].len < kmax + 2 || tl->tab[2].len < kmax + 1) {
+        /* kmax blocks read rows 0..kmax+1 of r and s and 0..kmax of t */
+        if (tl->tab[0].len < kmax + 2 || tl->tab[1].len < kmax + 2 || tl->tab[2].len < kmax + 1) {
             PyErr_SetString(PyExc_ValueError, "the R/S/T tables are too short for the block tile");
             return -1;
         }
@@ -398,9 +399,9 @@ tile_value(Tile *tl, Py_ssize_t j, long long *v)
             *v = 4;
             return 0;
         case 2:
-            return __builtin_mul_overflow(tl->tab[0].v[k - 1], 5LL, v);
-        case 3:
             return __builtin_mul_overflow(tl->tab[0].v[k], 5LL, v);
+        case 3:
+            return __builtin_mul_overflow(tl->tab[0].v[k + 1], 5LL, v);
         default:
             return __builtin_mul_overflow(tl->tab[1].v[k + 1], 5LL, v);
         }
@@ -553,15 +554,14 @@ rst_generate(PyObject *self, PyObject *args)
         t[m] = a + b;
     }
 
-    /* Rows 0..m-1 are complete: m is the stopping row, or n_max + 1.  R(0)
-     * is not a row of the R table. */
+    /* Rows 0..m-1 are complete: m is the stopping row, or n_max + 1. */
     if (overflow) {
         result = Py_NewRef(Py_None);
         goto done;
     }
-    rt = store_take(&rs, 1, m);
-    st = store_take(&ss, 0, m);
-    tt = store_take(&ts, 0, m);
+    rt = store_take(&rs, m);
+    st = store_take(&ss, m);
+    tt = store_take(&ts, m);
     if (rt != NULL && st != NULL && tt != NULL)
         result = Py_BuildValue("(NNNzn)", rt, st, tt, which,
                                which == NULL ? (Py_ssize_t)0 : m);
@@ -728,7 +728,7 @@ static PyMethodDef methods[] = {
      "Run q_generate's recurrence and compare each term with the tiles."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
-     "Tabulate R(1..n), S(0..n) and T(0..n) in int64, as three array('q');\n"
+     "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q');\n"
      "None on overflow."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"

@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from array import array
 from contextlib import contextmanager
 from functools import cache
 
 from . import __version__, _backend
 from .engine import (
-    ROWS_PER_CALL,
     GeneratedSequence,
     evaluate,
     parse_ic,
@@ -121,16 +119,18 @@ def _run_sym(args: argparse.Namespace) -> int:
 
 
 def _run_rst(args: argparse.Namespace) -> int:
-    state = rst_compute(args.max_terms)
-    which = args.which
-    if args.format == "bfile" and which == "all":
+    cols = ["r", "s", "t"] if args.which == "all" else [args.which]
+    if args.format == "bfile" and len(cols) > 1:
         raise ValidationError("--format bfile needs --which r, s or t")
+    state = rst_compute(args.max_terms)
+    # Row 0 of each table is n = 0, where R(0) = 0 is not a term of R:
+    # the sequences (bfile, json) take R from R(1), through a view of the
+    # table, and S and T from row 0.
+    terms = {"r": memoryview(state.r)[1:], "s": state.s, "t": state.t}
     with _open_out(args.out) as out:
         if args.format == "json":
             payload: dict = {"n_max": state.n}
-            for c in ("r", "s", "t"):
-                if which in (c, "all"):
-                    payload[c] = getattr(state, c)
+            payload.update((c, terms[c]) for c in cols)
             if state.status.is_alive:
                 payload["status"] = "alive"
             else:
@@ -140,34 +140,15 @@ def _run_rst(args: argparse.Namespace) -> int:
                 }
             write_json(out, payload)
             return 0
-        cols = ["r", "s", "t"] if which == "all" else [which]
         if args.format == "bfile":
-            sep, start = " ", 1 if which == "r" else 0  # R(0) is not a term of R
+            write_table(out, [terms[args.which]], 1 if args.which == "r" else 0, " ")
         else:
-            sep, start = "," if args.format == "csv" else "\t", 0
+            sep = "," if args.format == "csv" else "\t"
             out.write(sep.join(["n"] + cols) + "\n")
-        _write_rst_rows(out, state, cols, sep, start)
+            write_table(out, [getattr(state, c) for c in cols], 0, sep)
         if not state.status.is_alive:
             out.write(f"# ended ({state.status.which}) at {state.status.at_index}\n")
     return 0
-
-
-def _write_rst_rows(out, state, cols: list[str], sep: str, start: int) -> None:
-    """Rows start..n of the R/S/T columns cols, each led by its row number.
-
-    Row i holds R(i), S(i), T(i), while state.r starts at R(1): R(0) = 0
-    gets a row of its own, and each block reads its rows of the tables as
-    slices, one block at a time, so no table is copied whole.
-    """
-    tables = {"r": state.r, "s": state.s, "t": state.t}
-    shift = {"r": 1, "s": 0, "t": 0}  # row i of column c is tables[c][i - shift[c]]
-    if start == 0 and "r" in cols:
-        write_table(out, [array("q", [0]) if c == "r" else tables[c][:1] for c in cols], 0, sep)
-        start = 1
-    for lo in range(start, state.n + 1, ROWS_PER_CALL):
-        hi = min(lo + ROWS_PER_CALL, state.n + 1)
-        block = [tables[c][lo - shift[c] : hi - shift[c]] for c in cols]
-        write_table(out, block, lo, sep)
 
 
 def _run_predict(args: argparse.Namespace) -> int:

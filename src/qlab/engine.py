@@ -353,15 +353,16 @@ def write_csv(seq: GeneratedSequence, out: IO[str], loglog: bool = False) -> Non
 
 def write_json(out: IO[str], payload: dict) -> None:
     """Write ``payload`` and a newline, byte for byte as json.dump would:
-    the one JSON writer of qlab.  An ``array('q')`` is written as the list
-    of its values, formatted ROWS_PER_CALL * 10 values at a time (json.dumps
-    would hold the whole text at once).  Every other value, such as the list
-    of ints of an exact run past int64, goes through json.dumps."""
+    the one JSON writer of qlab.  An ``array('q')``, or a memoryview of
+    one, is written as the list of its values, formatted ROWS_PER_CALL * 10
+    values at a time (json.dumps would hold the whole text at once).  Every
+    other value, such as the list of ints of an exact run past int64, goes
+    through json.dumps."""
     step = ROWS_PER_CALL * 10
     out.write("{")
     for i, (key, value) in enumerate(payload.items()):
         out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if not isinstance(value, array):
+        if not isinstance(value, (array, memoryview)):
             out.write(json.dumps(value))
             continue
         out.write("[")

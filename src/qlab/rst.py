@@ -70,7 +70,8 @@ class RSTStatus:
 
 @dataclass(frozen=True)
 class RSTState:
-    """Computed tables: r = R(1..n), s = S(0..n), t = T(0..n).
+    """Computed tables: r = R(0..n), s = S(0..n), t = T(0..n), row k of
+    each at index k.
 
     Each table is a sequence of ints: an ``array('q')`` from
     :func:`rst_compute`, on either backend, while its values fit int64.
@@ -86,7 +87,7 @@ class RSTState:
         return len(self.s) - 1
 
     def R(self, i: int) -> int:
-        return self.r[i - 1] if i >= 1 else 0
+        return self.r[i] if i >= 0 else 0
 
     def S(self, i: int) -> int:
         return self.s[i] if i >= 0 else 0
@@ -111,7 +112,7 @@ def rst_compute(n_max: int) -> RSTState:
 
 # The tables behind R, S, T and the block tiles: row 0 until first read, then
 # recomputed to at least double their size whenever a read passes the end.
-_TABLES = RSTState((), (1,), (1,), RSTStatus.alive())
+_TABLES = RSTState((0,), (1,), (1,), RSTStatus.alive())
 
 
 def _tables(n: int) -> RSTState:

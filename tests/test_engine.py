@@ -503,12 +503,13 @@ def _json_payloads():
     past = evaluate(parse_ic(f"0;{2**62},{2**62},3,4"), 9, "exact")
     assert max(past.terms) > INT64_MAX
     yield "gen past int64", {"ic": str(past.ic), "status": str(past.status), "terms": past.terms}
-    # rst: the tables are arrays, and R has one row fewer than S and T
+    # rst: the tables are arrays of rows 0..n, and the "r" list, R(1..n), a
+    # memoryview of its table past row 0
     state = rst_compute(ROWS_PER_CALL * 10 + 7)
     for which in ("r", "s", "t"):
         yield f"rst {which}", {"n_max": state.n, which: getattr(state, which), "status": "alive"}
-    yield "rst all", {"n_max": state.n, "r": state.r, "s": state.s, "t": state.t,
-                      "status": {"which": "S", "at_index": 12}}
+    yield "rst all", {"n_max": state.n, "r": memoryview(state.r)[1:], "s": state.s,
+                      "t": state.t, "status": {"which": "S", "at_index": 12}}
     # sym: "terms" is a list of dicts
     for prefix in (symbolic_extend("zero_extended", NConstraint(35), 40),
                    symbolic_extend("plain", NConstraint(14, 20), 28)):

@@ -434,8 +434,8 @@ def _outcome(n: int, max_terms: int, max_depth: int):
 
 
 def _reference_outcome(n: int, max_terms: int, max_depth: int):
-    def streamed(profile, budget):
-        return list(islice(_predicted_stream(profile), budget))
+    def streamed(profile, budget, make=list):
+        return make(islice(_predicted_stream(profile), budget))
 
     # the profile stands in for the tiles, and the stream materialises it
     with mock.patch.object(predictor, "predicted_tiles", lambda profile, budget: profile), \

@@ -27,7 +27,7 @@ from qlab import (
     rst,
     rst_compute,
 )
-from qlab._fallback import STATUS_OVERFLOW
+from qlab._fallback import STATUS_OVERFLOW, TILE_BLOCKS, TILE_LITERAL
 from qlab.cli import main
 from qlab.rst import PatternReport, R, RSTState, RSTStatus, S, T
 
@@ -35,7 +35,7 @@ from qlab.rst import PatternReport, R, RSTState, RSTStatus, S, T
 def test_small_tables():
     # hand-unrolled: R uses S(n-1), S uses R(n) of the same row, T uses both
     state = rst_compute(4)
-    assert state.r.tolist() == [1, 2, 3, 3]
+    assert state.r.tolist() == [0, 1, 2, 3, 3]
     assert state.s.tolist() == [1, 1, 2, 2, 2]
     assert state.t.tolist() == [1, 2, 2, 3, 4]
     assert state.status.is_alive
@@ -83,6 +83,30 @@ def test_compiled_and_fallback_rst_agree(compiled_kernel):
             generate(1)
 
 
+@pytest.mark.parametrize("length", [1, 3, 4, 5, 6, 98, 500])
+@pytest.mark.parametrize("lam", [7, 12])
+def test_block_tile_reads_exactly_its_rows(compiled_kernel, lam, length):
+    # block k is (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)): kmax blocks read
+    # rows 0..kmax+1 of r and s and rows 0..kmax of t, and no row past them
+    kmax = -(-length // 5)
+    state = rst_compute(kmax + 1)
+    r, s, t = state.r, state.s, state.t[: kmax + 1]
+    ic = (5, lam, 4, 6)
+
+    def tiles(tables):
+        return ((TILE_LITERAL, 4, ic, None), (TILE_LITERAL, 2, (5, 5), None),
+                (TILE_BLOCKS, length, lam, tables))
+
+    budget = 6 + length
+    want = _fallback.q_check(ic, True, tiles((r, s, t)), budget)
+    assert compiled_kernel.q_check(ic, True, tiles((r, s, t)), budget) == want
+    # a table one row short is refused before it is read, which neither
+    # UBSan nor PYTHONMALLOC=debug would catch as a read past its end
+    for short in ((r[:-1], s, t), (r, s[:-1], t), (r, s, t[:-1])):
+        with pytest.raises(ValueError, match="too short"):
+            compiled_kernel.q_check(ic, True, tiles(short), budget)
+
+
 def test_rst_overflow_falls_back_to_python():
     overflowing = SimpleNamespace(rst_generate=lambda n_max: None)
     with mock.patch.object(_backend, "_kernel", overflowing):
@@ -90,7 +114,7 @@ def test_rst_overflow_falls_back_to_python():
 
 
 def test_cache_regrows_by_doubling(monkeypatch):
-    monkeypatch.setattr(rst, "_TABLES", RSTState((), (1,), (1,), RSTStatus.alive()))
+    monkeypatch.setattr(rst, "_TABLES", RSTState((0,), (1,), (1,), RSTStatus.alive()))
     sizes = []
     compute = rst.rst_compute
     monkeypatch.setattr(rst, "rst_compute", lambda n: sizes.append(n) or compute(n))
@@ -101,8 +125,9 @@ def test_cache_regrows_by_doubling(monkeypatch):
 
 
 def test_cache_reports_where_the_system_ended(monkeypatch):
-    ended = SimpleNamespace(rst_generate=lambda n_max: ((1, 2, 3), (1, 1, 2, 2), (1, 2, 2, 3), "t", 4))
-    monkeypatch.setattr(rst, "_TABLES", RSTState((), (1,), (1,), RSTStatus.alive()))
+    ended = SimpleNamespace(
+        rst_generate=lambda n_max: ((0, 1, 2, 3), (1, 1, 2, 2), (1, 2, 2, 3), "t", 4))
+    monkeypatch.setattr(rst, "_TABLES", RSTState((0,), (1,), (1,), RSTStatus.alive()))
     monkeypatch.setattr(_backend, "_kernel", ended)
     assert R(3) == 3
     with pytest.raises(QlabError, match=r"ended \(t at 4\)"):
@@ -127,7 +152,7 @@ def _per_cell_rst(state, which: str, fmt: str) -> str:
     elif fmt == "json":
         payload: dict = {"n_max": state.n}
         if which in ("r", "all"):
-            payload["r"] = list(state.r)
+            payload["r"] = [state.R(i) for i in range(1, state.n + 1)]
         if which in ("s", "all"):
             payload["s"] = list(state.s)
         if which in ("t", "all"):
@@ -161,7 +186,8 @@ def _state(n_max: int, ended: bool) -> RSTState:
     if not ended:
         return state
     n = n_max - 1
-    return RSTState(state.r[:n], state.s[: n + 1], state.t[: n + 1], RSTStatus.ended("s", n_max))
+    return RSTState(state.r[: n + 1], state.s[: n + 1], state.t[: n + 1],
+                    RSTStatus.ended("s", n_max))
 
 
 # block edges of the 4096-row writer, and rows 0..n_max that end mid-block
@@ -190,8 +216,9 @@ def test_rst_output_matches_per_cell_writer(capsys, n_max, fmt, which, ended):
                     f" != {want[max(at - 20, 0) : at + 20]!r}")
 
 
-def test_tables_match_independent_recursion():
-    # direct memoized transcription of the three rules, no shared code
+def _independent_rst(n_max: int) -> tuple[list[int], list[int], list[int]]:
+    """R(0..n_max), S(0..n_max) and T(0..n_max) from a direct memoized
+    transcription of the three rules, sharing no code with qlab."""
     @functools.lru_cache(maxsize=None)
     def rr(n: int) -> int:
         if n <= 0:
@@ -216,13 +243,34 @@ def test_tables_match_independent_recursion():
             return 1
         return tt(n - rr(n)) + tt(n - ss(n))
 
-    for i in range(201):  # ascending warm-up keeps recursion shallow
-        rr(i), ss(i), tt(i)
+    # ascending rows keep the recursion shallow
+    rows = [(rr(i), ss(i), tt(i)) for i in range(n_max + 1)]
+    return tuple(list(column) for column in zip(*rows))
+
+
+def test_rst_usage_error_comes_before_the_tables(capsys):
+    with mock.patch("qlab.cli.rst_compute", side_effect=lambda n: pytest.fail("tables computed")):
+        code = main(["rst", "--max", "20000000", "--format", "bfile"])
+    assert (code, *capsys.readouterr()) == (
+        1, "", "qlab: error: --format bfile needs --which r, s or t\n")
+
+
+def test_tables_match_independent_recursion():
+    rr, ss, tt = _independent_rst(200)
     state = rst_compute(200)
-    assert all(state.R(i) == rr(i) for i in range(1, 201))
-    assert all(state.S(i) == ss(i) for i in range(201))
-    assert all(state.T(i) == tt(i) for i in range(201))
+    assert all(state.R(i) == rr[i] for i in range(1, 201))
+    assert all(state.S(i) == ss[i] for i in range(201))
+    assert all(state.T(i) == tt[i] for i in range(201))
     print("✓ R/S/T through 200 match an independent recursion")
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_row_k_of_every_table_is_at_index_k(request, backend):
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        state = rst_compute(200)
+    assert len(state.r) == len(state.s) == len(state.t) == 201
+    assert (state.r.tolist(), state.s.tolist(), state.t.tolist()) == _independent_rst(200)
 
 
 def test_t_starts_slow():
