@@ -100,8 +100,10 @@ def rst_generate(n_max: int):
         tables = _kernel.rst_generate(min(n_max, sys.maxsize))
         if tables is not None:  # None: a value would overflow int64
             return tables
-    r, s, t, which, at = _fallback.rst_generate(n_max)
-    return _int64_array(r), _int64_array(s), _int64_array(t), which, at
+    tables = list(_fallback.rst_generate(n_max))
+    for i in range(3):  # one list at a time, each freed once converted
+        tables[i] = _int64_array(tables[i])
+    return tuple(tables)
 
 
 def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str:

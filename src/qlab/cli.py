@@ -173,7 +173,9 @@ def _scan_worker(task: tuple[int, int]):
 
 
 def _map_tasks(worker, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+    if workers < 1:
+        raise ValidationError("--workers must be at least 1")
+    if workers == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     # imported here: it is a large share of the CLI's start-up
     from concurrent.futures import ProcessPoolExecutor

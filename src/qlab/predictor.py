@@ -3,11 +3,12 @@
 For most N >= 35 the sequence generated from <0-bar; 1, 2, ..., N> follows a
 rigid layout: the identity prefix, 28 affine terms, six sporadic values, then
 a chain of period-5 quasilinear chunks whose extents are governed by nested
-markers A_1 < A_2 < ... computed by a base-5 descent on N.  Each level i of
-the descent carries a residue C_i; the first level j with C_j != 1 decides
-how the run closes (C_j in {0, 3, 4}: the sequence ends at a predictable
-index) or keeps growing forever (C_j == 2, with block values driven by the
-R/S/T system).  The descent depends on N only through its base-5 digits, so
+markers A_1 < A_2 < ... computed by a base-5 descent on N.  Each level m of
+the descent carries a residue C_m, and chunk m is followed by the terms of
+`CLOSINGS[C_m]`: a bridge to chunk m+1 while C_m == 1; at the first level j
+with C_j != 1, either the end of the run, one index past its last term
+(C_j in {0, 3, 4}), or the head of blocks that grow forever from the R/S/T
+system (C_j == 2).  The descent depends on N only through its base-5 digits, so
 the classification of every N can be arranged into a five-way branching tree.
 
 `abc_profile` runs the descent, `predicted_tiles` describes the predicted
@@ -27,7 +28,7 @@ from . import _backend
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, TILE_RANGE, materialise
 from .engine import GeneratedSequence, InitialCondition, SequenceStatus, _status_of
 from .errors import DivisibilityError, QlabError, ValidationError
-from .rst import R, S, _block_count, _tables
+from .rst import _block_count, _tables
 from .symbolic import NConstraint, symbolic_extend
 
 __all__ = [
@@ -51,37 +52,45 @@ _PREFIX = tuple(
     (t.a, t.b) for t in symbolic_extend("zero_extended", NConstraint(35), 34).terms
 )
 
-# (c, d, f) for the 158 terms that close a classification-0 run: the term at
-# index A_j + 3 + row equals c*(A_j*D + B_j) + d*A_j + f, where
-# D = (A_j - A_{j-1} - 2) / 5.  The last row is the final 0 at A_j + 160.
-CLOSING_TAIL_0: tuple[tuple[int, int, int], ...] = (
-    (0, 0, 6), (0, 0, 7), (0, 0, 8), (0, 0, 8), (0, 0, 10), (1, 0, 3),
-    (0, 0, 5), (0, 0, 8), (0, 0, 14), (0, 0, 10), (0, 0, 11), (0, 0, 13),
-    (0, 1, 7), (0, 0, 15), (0, 1, 10), (0, 0, 14), (0, 0, 17), (0, 0, 14),
-    (0, 0, 17), (1, 0, 11), (0, 0, 8), (0, 0, 15), (0, 1, 18), (0, 0, 22),
-    (0, 0, 17), (0, 0, 22), (0, 0, 20), (1, 0, 11), (0, 0, 14), (0, 0, 14),
-    (0, 0, 34), (1, 0, 14), (0, 0, 5), (0, 0, 14), (0, 0, 22), (0, 0, 30),
-    (0, 1, 15), (0, 0, 33), (1, 0, 29), (0, 0, 5), (0, 0, 30), (0, 1, 28),
-    (0, 1, 24), (0, 0, 40), (0, 0, 33), (1, 1, 10), (0, 0, 15), (0, 0, 5),
-    (0, 0, 54), (0, 0, 36), (0, 1, 15), (0, 0, 53), (0, 1, 40), (0, 0, 22),
-    (0, 0, 22), (0, 0, 28), (0, 0, 36), (0, 0, 29), (0, 1, 32), (0, 0, 64),
-    (0, 0, 36), (1, 0, 22), (0, 0, 20), (0, 0, 40), (0, 0, 50), (0, 0, 36),
-    (0, 0, 51), (1, 0, 31), (0, 0, 14), (0, 0, 28), (0, 1, 60), (0, 0, 54),
-    (0, 0, 32), (1, 1, 39), (0, 1, 24), (0, 0, 54), (0, 1, 73), (0, 0, 29),
-    (0, 0, 44), (0, 1, 45), (0, 1, 53), (0, 0, 70), (0, 1, 39), (0, 0, 62),
-    (0, 1, 66), (0, 0, 44), (0, 1, 47), (0, 0, 83), (1, 0, 47), (0, 0, 5),
-    (0, 0, 44), (0, 1, 52), (0, 0, 97), (0, 0, 49), (2, 1, 10), (0, 0, 15),
-    (0, 0, 70), (1, 1, 50), (0, 0, 14), (0, 0, 44), (0, 1, 83), (0, 0, 50),
-    (0, 1, 62), (0, 0, 66), (1, 0, 74), (0, 0, 5), (0, 0, 50), (0, 1, 91),
-    (0, 1, 52), (0, 0, 81), (0, 0, 75), (0, 1, 49), (0, 0, 99), (0, 1, 77),
-    (0, 0, 54), (1, 0, 63), (0, 0, 20), (1, 1, 50), (0, 0, 14), (0, 0, 5),
-    (1, 0, 113), (0, 0, 20), (0, 1, 62), (0, 0, 130), (0, 1, 65), (0, 0, 66),
-    (0, 0, 100), (2, 0, 33), (0, 0, 14), (1, 0, 63), (0, 0, 20), (0, 1, 49),
-    (0, 0, 185), (0, 0, 92), (0, 2, 24), (0, 0, 40), (0, 0, 70), (2, 1, 81),
-    (0, 0, 14), (0, 0, 66), (0, 1, 124), (0, 0, 74), (0, 0, 35), (0, 1, 80),
-    (0, 0, 148), (1, 0, 68), (0, 0, 5), (0, 0, 35), (0, 2, 157), (0, 0, 54),
-    (0, 0, 70), (1, 1, 120), (0, 1, 39), (0, 0, 117), (0, 0, 151), (1, 0, 39),
-    (1, 0, 3), (0, 0, 0),
+# CLOSINGS[c]: the (c, d, f) rows of the terms that close a level m of the
+# descent with residue C_m = c, starting just past chunk m: row i is the term
+# at A_m + C'_m + 1 + i, equal to c*x_m + d*A_m + f, where x_m = A_m*D_m + B_m
+# and D_m = (A_m - A_{m-1} - C_m - 2) / 5.  Row set 1 is the bridge to chunk
+# m+1 (its third term is A_{m+1} = x_m + A_m), row set 2 the head of the
+# R/S/T blocks (5R(1) = 5S(1) = 5), and 0, 3 and 4 end the run.
+CLOSINGS: tuple[tuple[tuple[int, int, int], ...], ...] = (
+    ((0, 0, 6), (0, 0, 7), (0, 0, 8), (0, 0, 8), (0, 0, 10), (1, 0, 3),
+     (0, 0, 5), (0, 0, 8), (0, 0, 14), (0, 0, 10), (0, 0, 11), (0, 0, 13),
+     (0, 1, 7), (0, 0, 15), (0, 1, 10), (0, 0, 14), (0, 0, 17), (0, 0, 14),
+     (0, 0, 17), (1, 0, 11), (0, 0, 8), (0, 0, 15), (0, 1, 18), (0, 0, 22),
+     (0, 0, 17), (0, 0, 22), (0, 0, 20), (1, 0, 11), (0, 0, 14), (0, 0, 14),
+     (0, 0, 34), (1, 0, 14), (0, 0, 5), (0, 0, 14), (0, 0, 22), (0, 0, 30),
+     (0, 1, 15), (0, 0, 33), (1, 0, 29), (0, 0, 5), (0, 0, 30), (0, 1, 28),
+     (0, 1, 24), (0, 0, 40), (0, 0, 33), (1, 1, 10), (0, 0, 15), (0, 0, 5),
+     (0, 0, 54), (0, 0, 36), (0, 1, 15), (0, 0, 53), (0, 1, 40), (0, 0, 22),
+     (0, 0, 22), (0, 0, 28), (0, 0, 36), (0, 0, 29), (0, 1, 32), (0, 0, 64),
+     (0, 0, 36), (1, 0, 22), (0, 0, 20), (0, 0, 40), (0, 0, 50), (0, 0, 36),
+     (0, 0, 51), (1, 0, 31), (0, 0, 14), (0, 0, 28), (0, 1, 60), (0, 0, 54),
+     (0, 0, 32), (1, 1, 39), (0, 1, 24), (0, 0, 54), (0, 1, 73), (0, 0, 29),
+     (0, 0, 44), (0, 1, 45), (0, 1, 53), (0, 0, 70), (0, 1, 39), (0, 0, 62),
+     (0, 1, 66), (0, 0, 44), (0, 1, 47), (0, 0, 83), (1, 0, 47), (0, 0, 5),
+     (0, 0, 44), (0, 1, 52), (0, 0, 97), (0, 0, 49), (2, 1, 10), (0, 0, 15),
+     (0, 0, 70), (1, 1, 50), (0, 0, 14), (0, 0, 44), (0, 1, 83), (0, 0, 50),
+     (0, 1, 62), (0, 0, 66), (1, 0, 74), (0, 0, 5), (0, 0, 50), (0, 1, 91),
+     (0, 1, 52), (0, 0, 81), (0, 0, 75), (0, 1, 49), (0, 0, 99), (0, 1, 77),
+     (0, 0, 54), (1, 0, 63), (0, 0, 20), (1, 1, 50), (0, 0, 14), (0, 0, 5),
+     (1, 0, 113), (0, 0, 20), (0, 1, 62), (0, 0, 130), (0, 1, 65), (0, 0, 66),
+     (0, 0, 100), (2, 0, 33), (0, 0, 14), (1, 0, 63), (0, 0, 20), (0, 1, 49),
+     (0, 0, 185), (0, 0, 92), (0, 2, 24), (0, 0, 40), (0, 0, 70), (2, 1, 81),
+     (0, 0, 14), (0, 0, 66), (0, 1, 124), (0, 0, 74), (0, 0, 35), (0, 1, 80),
+     (0, 0, 148), (1, 0, 68), (0, 0, 5), (0, 0, 35), (0, 2, 157), (0, 0, 54),
+     (0, 0, 70), (1, 1, 120), (0, 1, 39), (0, 0, 117), (0, 0, 151), (1, 0, 39),
+     (1, 0, 3), (0, 0, 0)),
+    ((0, 0, 5), (0, 0, 8), (1, 1, 0), (0, 0, 3), (0, 0, 8)),
+    ((0, 0, 4), (1, 0, 2), (0, 0, 5), (0, 0, 5)),
+    ((0, 0, 6), (0, 1, 5), (1, 0, 0), (0, 0, 0)),
+    ((0, 0, 7), (0, 1, 5), (0, 0, 4), (0, 1, 2), (0, 0, 13), (1, 0, 7),
+     (0, 0, 5), (0, 0, 4), (0, 1, 15), (1, 0, 7), (0, 0, 0)),
 )
 
 
@@ -157,28 +166,21 @@ def is_exceptional(n_value: int) -> bool:
     return 2 <= n_value <= 34 or (n_value < 118 and abc_profile(n_value).classification == 0)
 
 
-def _end_index(profile: StructureProfile) -> int | None:
-    """Index at which the predicted sequence ends, None if it never does."""
-    if profile.j is None:
-        return None
-    a_j = profile.a[-1]
-    return {0: a_j + 161, 2: None, 3: a_j + 5, 4: a_j + 15}[profile.classification]
-
-
 def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, ...]:
     """The first max_terms predicted terms, from index 1 on, as tiles.
 
-    Each tile is ``(kind, length, a, b)`` as ``_fallback`` documents:
-    the identity range, the prefix, bridge and closing literals, period-5
-    chunks and the class-2 block run.  There are O(j + closing) tiles
-    whatever the budget.  The prediction is infinite for classification 2
-    unless a block fails its side condition, finite (ending one short of
-    the end index) for 0, 3 and 4, and stops after the last computed chunk
-    when the profile is truncated; the tiles cover fewer than max_terms
-    terms exactly when the prediction stops.
+    Each tile is ``(kind, length, a, b)`` as ``_fallback`` documents: the
+    identity range, the prefix literal, then chunk 1 and, for each level m
+    of the descent, the literal of ``CLOSINGS[C_m]`` followed by chunk m+1
+    when C_m = 1 or by the run of R/S/T blocks when C_m = 2.  There are
+    O(j + closing) tiles whatever the budget.  The prediction is infinite
+    for classification 2 unless a block fails its side condition, ends one
+    short of its end index after the closing of classification 0, 3 or 4,
+    and stops after the last computed chunk when the profile is truncated;
+    the tiles cover fewer than max_terms terms exactly when it stops.
     """
     n = profile.n_value
-    a, b, cp = profile.a, profile.b, profile.c_prime
+    a, b, c, cp = profile.a, profile.b, profile.c, profile.c_prime
     tiles = [(TILE_RANGE, n, 1, None)]
     end = n
 
@@ -186,38 +188,29 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
         nonlocal end
         length = min(length, max_terms - end)
         if length > 0:
-            if kind == TILE_LITERAL:
-                first = first[:length]
             tiles.append((kind, length, first, step))
             end += length
 
-    add(TILE_LITERAL, 34, tuple(alpha * n + beta for alpha, beta in _PREFIX), None)
-    # first chunk: indices N+35 .. A_1 + C'_1, period 5 in index - N from k = 7
-    add(TILE_CHUNK, a[1] + cp[0] - n - 34, 7 * a[1] + b[0], a[1])
-    levels = profile.j if profile.j is not None else len(profile.c)
-    for m in range(1, levels):
-        # bridge at A_m+2 .. A_m+6, then chunk m+1 through A_{m+1} + C'_{m+1}
-        add(TILE_LITERAL, 5, (5, 8, a[m + 1], 3, 8), None)
-        add(TILE_CHUNK, a[m + 1] + cp[m] - a[m] - 6, a[m + 1] + b[m], a[m + 1])
-    if profile.j is None or end == max_terms:
-        return tuple(tiles)
-    a_j, a_prev, b_j = a[-1], a[-2], b[-1]
-    cls = profile.classification
-    if cls == 0:
-        x = a_j * _exact5(a_j - a_prev - 2) + b_j
-        add(TILE_LITERAL, 158, tuple(cc * x + dd * a_j + ff for cc, dd, ff in CLOSING_TAIL_0), None)
-    elif cls == 2:
-        # block k occupies offsets 5k .. 5k+4 past A_j
-        head = (4, a_j * _exact5(a_j - a_prev - 4) + b_j + 2, 5 * R(1), 5 * S(1))
-        add(TILE_LITERAL, 4, head, None)
-        kmax = _block_count(a_j, -(-(max_terms - end) // 5))
-        tables = _tables(kmax + 1)
-        add(TILE_BLOCKS, 5 * kmax, a_j, (tables.r, tables.s, tables.t))
-    elif cls == 3:
-        add(TILE_LITERAL, 4, (6, a_j + 5, a_j * _exact5(a_j - a_prev - 5) + b_j, 0), None)
-    else:
-        x = a_j * _exact5(a_j - a_prev - 6) + b_j + 7
-        add(TILE_LITERAL, 11, (7, a_j + 5, 4, a_j + 2, 13, x, 5, 4, a_j + 15, x, 0), None)
+    # each literal evaluates only the rows the budget keeps
+    pairs = _PREFIX[: max_terms - end]
+    add(TILE_LITERAL, len(pairs), tuple([alpha * n + beta for alpha, beta in pairs]), None)
+    # chunk m runs through index A_m + C'_m, chunk 1 from index N + 35 on
+    add(TILE_CHUNK, a[1] + cp[0] - end, 7 * a[1] + b[0], a[1])
+    levels = profile.j if profile.j is not None else len(c) - 1
+    for m in range(1, levels + 1):
+        if end >= max_terms:
+            break
+        a_m, c_m = a[m], c[m - 1]
+        x = a_m * _exact5(a_m - a[m - 1] - c_m - 2) + b[m - 1]
+        rows = CLOSINGS[c_m][: max_terms - end]
+        add(TILE_LITERAL, len(rows), tuple([cc * x + dd * a_m + ff for cc, dd, ff in rows]), None)
+        if c_m == 1:
+            add(TILE_CHUNK, a[m + 1] + cp[m] - end, a[m + 1] + b[m], a[m + 1])
+        elif c_m == 2:
+            # block k occupies offsets 5k .. 5k+4 past A_m
+            kmax = _block_count(a_m, -(-(max_terms - end) // 5))
+            tables = _tables(kmax + 1)
+            add(TILE_BLOCKS, 5 * kmax, a_m, (tables.r, tables.s, tables.t))
     return tuple(tiles)
 
 
@@ -236,17 +229,16 @@ def _checked_profile(n_value: int, max_terms: int, max_depth: int) -> StructureP
 
 
 def _predicted_status(profile: StructureProfile, length: int, max_terms: int) -> SequenceStatus:
-    """The status of a prediction of ``length`` terms within max_terms."""
-    end_at = _end_index(profile)
-    if length == max_terms:
+    """The status of a prediction of ``length`` terms within max_terms: one
+    cut by the budget, or of classification 2 (a block failed its side
+    condition), is alive; a finite one has ended one past its last term."""
+    if length == max_terms or profile.classification == 2:
         return SequenceStatus.alive()
-    if end_at is not None and length == end_at - 1:
-        return SequenceStatus.ended(end_at)
-    if profile.classification == 2:
-        return SequenceStatus.alive()
-    raise QlabError(
-        f"classification of {profile.n_value} unresolved at depth {len(profile.c)}"
-    )
+    if profile.j is None:
+        raise QlabError(
+            f"classification of {profile.n_value} unresolved at depth {len(profile.c)}"
+        )
+    return SequenceStatus.ended(length + 1)
 
 
 def predict_sequence(

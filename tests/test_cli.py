@@ -330,6 +330,16 @@ def test_workers_capped_at_task_count(capsys, monkeypatch):
     assert _SerialPool.sizes == [9, 3]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "35", "--to", "40", "--max", "40"),
+    ("scan", "--from", "2", "--to", "5", "--max", "10"),
+])
+@pytest.mark.parametrize("workers", ["0", "-1", "-3"])
+def test_workers_below_one_are_a_usage_error(capsys, argv, workers):
+    result = run_cli(capsys, *argv, "--workers", workers)
+    assert result == (1, "", "qlab: error: --workers must be at least 1\n")
+
+
 def test_verify_line_mismatch_rendering():
     report = PredictionReport(
         matched_through=129,

@@ -11,7 +11,7 @@ from typing import Iterator
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_symbolic import PREFIX_PAIRS, SPORADIC_PAIRS
 
@@ -39,7 +39,7 @@ from qlab._fallback import (
     materialise,
 )
 from qlab.engine import InitialCondition, SequenceStatus, _status_of, evaluate
-from qlab.predictor import CLOSING_TAIL_0, StructureProfile, _exact5, predicted_tiles
+from qlab.predictor import CLOSINGS, StructureProfile, _exact5, predicted_tiles
 from qlab.rst import R, S, T, _block_count, _tables
 
 
@@ -394,7 +394,7 @@ def _predicted_stream(profile: StructureProfile) -> Iterator[int]:
     cls = profile.classification
     if cls == 0:
         step = _exact5(a_j - a_prev - 2)
-        for cc, dd, ff in CLOSING_TAIL_0:
+        for cc, dd, ff in CLOSINGS[0]:
             yield cc * (a_j * step + b_j) + dd * a_j + ff
     elif cls == 2:
         yield 4
@@ -484,6 +484,134 @@ def test_tiled_prediction_matches_stream_at_full_length():
     # one N per classification, through the oracle's 200000-term budget
     for n in (38, 121, 182, 39, 35, 42):
         assert _outcome(n, 200_000, 16) == _reference_outcome(n, 200_000, 16), n
+
+
+def _per_class_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, ...]:
+    """predicted_tiles as it was before every level closed through CLOSINGS:
+    a bridge literal per level and one branch per classification, frozen
+    here as the reference for the table."""
+    n = profile.n_value
+    a, b, cp = profile.a, profile.b, profile.c_prime
+    tiles = [(TILE_RANGE, n, 1, None)]
+    end = n
+
+    def add(kind: int, length: int, first, step) -> None:
+        nonlocal end
+        length = min(length, max_terms - end)
+        if length > 0:
+            if kind == TILE_LITERAL:
+                first = first[:length]
+            tiles.append((kind, length, first, step))
+            end += length
+
+    add(TILE_LITERAL, 34, tuple(alpha * n + beta for alpha, beta in PREFIX_PAIRS + SPORADIC_PAIRS), None)
+    add(TILE_CHUNK, a[1] + cp[0] - n - 34, 7 * a[1] + b[0], a[1])
+    levels = profile.j if profile.j is not None else len(profile.c)
+    for m in range(1, levels):
+        add(TILE_LITERAL, 5, (5, 8, a[m + 1], 3, 8), None)
+        add(TILE_CHUNK, a[m + 1] + cp[m] - a[m] - 6, a[m + 1] + b[m], a[m + 1])
+    if profile.j is None or end == max_terms:
+        return tuple(tiles)
+    a_j, a_prev, b_j = a[-1], a[-2], b[-1]
+    cls = profile.classification
+    if cls == 0:
+        x = a_j * _exact5(a_j - a_prev - 2) + b_j
+        add(TILE_LITERAL, 158, tuple(cc * x + dd * a_j + ff for cc, dd, ff in CLOSINGS[0]), None)
+    elif cls == 2:
+        head = (4, a_j * _exact5(a_j - a_prev - 4) + b_j + 2, 5 * R(1), 5 * S(1))
+        add(TILE_LITERAL, 4, head, None)
+        kmax = _block_count(a_j, -(-(max_terms - end) // 5))
+        tables = _tables(kmax + 1)
+        add(TILE_BLOCKS, 5 * kmax, a_j, (tables.r, tables.s, tables.t))
+    elif cls == 3:
+        add(TILE_LITERAL, 4, (6, a_j + 5, a_j * _exact5(a_j - a_prev - 5) + b_j, 0), None)
+    else:
+        x = a_j * _exact5(a_j - a_prev - 6) + b_j + 7
+        add(TILE_LITERAL, 11, (7, a_j + 5, 4, a_j + 2, 13, x, 5, 4, a_j + 15, x, 0), None)
+    return tuple(tiles)
+
+
+def _leaves() -> dict[tuple[int, int], list[int]]:
+    """(classification, j) -> the residues r mod 5^4 whose descent resolves
+    at level j <= 4 with that classification: every N = r + 5^4 q shares them."""
+    leaves: dict[tuple[int, int], list[int]] = {}
+    for r in range(5**4):
+        profile = abc_profile(r + 5**5, max_depth=4)
+        if profile.j is not None:
+            leaves.setdefault((profile.classification, profile.j), []).append(r)
+    return leaves
+
+
+_LEAVES = _leaves()
+
+# The end index past A_j of each finite classification, frozen.
+_END_PAST_A_J = {0: 161, 3: 5, 4: 15}
+
+
+@st.composite
+def stratified_n(draw, tops: dict[int, int]):
+    """A non-exceptional N of a classification drawn from ``tops``, in
+    35..tops[classification], resolved at a level j in 1..4 drawn evenly, so
+    that deep profiles and huge N are common."""
+    cls = draw(st.sampled_from(sorted(tops)))
+    r = draw(st.sampled_from(_LEAVES[cls, draw(st.integers(1, 4))]))
+    n = 5**4 * draw(st.integers(0, (tops[cls] - r) // 5**4)) + r
+    assume(n >= 35 and not is_exceptional(n))
+    return n
+
+
+_FINITE_TO_10_30 = {0: 10**30, 3: 10**30, 4: 10**30}
+
+
+@st.composite
+def closing_cases(draw):
+    """(N, depth, max_terms) for N up to 10^30, with budgets that cut the
+    prediction inside the prefix, a chunk, a bridge, the closing or a
+    class-2 block.  Class 2 is drawn with N and budgets up to BUDGET_CAP
+    only: the R/S/T tables grow with the budget."""
+    n = draw(stratified_n({**_FINITE_TO_10_30, 2: BUDGET_CAP}))
+    depth = draw(st.one_of(st.just(16), st.integers(1, 3)))
+    profile = abc_profile(n, max_depth=depth)
+    # most often the last level's marks, where the closing is
+    m = draw(st.one_of(st.just(len(profile.c)), st.integers(1, len(profile.c))))
+    a_m = profile.a[m]
+    marks = (
+        n + draw(st.integers(-6, 40)),  # in or just past the 34-term prefix
+        # the end of chunk m, then its bridge or a class-3/4 closing
+        a_m + profile.c_prime[m - 1] + draw(st.integers(-6, 14)),
+        a_m + draw(st.integers(0, 170)),  # in or just past the class-0 closing
+        a_m + 5 * draw(st.integers(1, 200)) + draw(st.integers(-1, 4)),  # class-2 block k
+    )
+    max_terms = max(n, marks[draw(st.integers(0, 3))])
+    if profile.classification == 2:
+        max_terms = min(max_terms, BUDGET_CAP)
+    return n, depth, max_terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(closing_cases())
+@example((42, 16, 396 + 4))  # inside the bridge after A_2
+@example((42, 16, 24860 + 3))  # inside the class-2 head after A_3
+@example((182, 16, 12119))  # cut inside the classification-0 closing
+@example((10**30 + 4, 1, 2 * (10**30 + 4) + 4 + 10))  # a classification-3 run, A_1 + 10
+@example((10**22 + 17, 16, abc_profile(10**22 + 17).a[-1] + 20))  # class 4 at depth 3, whole
+def test_closings_give_the_per_class_tiles(case):
+    n, depth, max_terms = case
+    profile = abc_profile(n, max_depth=depth)
+    assert predicted_tiles(profile, max_terms) == _per_class_tiles(profile, max_terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stratified_n(_FINITE_TO_10_30))
+@example(121)
+@example(10**22 + 67)  # classification 0 at depth 3
+def test_finite_predictions_end_one_past_their_last_tile(n):
+    profile = abc_profile(n)
+    end = profile.a[-1] + _END_PAST_A_J[profile.classification]
+    tiles = predicted_tiles(profile, end + 5)
+    length = sum(tile[1] for tile in tiles)
+    assert length == end - 1
+    assert predictor._predicted_status(profile, length, end + 5) == SequenceStatus.ended(end)
 
 
 def _literal_blocks(lam: int, kmax: int) -> list[int]:
