@@ -59,6 +59,9 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
     ``exact``; returns ``(terms, status, at)`` with ``terms`` an
     ``array('q')``, or a list of ints for an exact run past int64.
 
+    ``prefix`` is a sequence of ints, a ``range`` among them: the compiled
+    kernel reads a range whose start and step fit int64 from those two and
+    its length, with no int per term, and answers for it as for its tuple.
     The compiled kernel runs first whenever it is built.  A term outside
     int64 ends its run with STATUS_OVERFLOW at that term's index; an exact
     run then goes on in Python from the terms before it, or from the whole
@@ -82,7 +85,9 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int):
     _fallback.q_check does unchecked: always the exact answer.  It comes
     from the compiled kernel when int64 decides every term, and from the
     Python reference when the kernel is not built or reports an overflow:
-    of a prefix term, of a term of the run or of a predicted value."""
+    of a prefix term, of a term of the run or of a predicted value.
+    ``prefix`` is read as q_generate reads it: ``verify`` and ``scan`` pass
+    ``range(1, N + 1)``, which the kernel reads without an int per term."""
     if _kernel is not None:
         check = _kernel.q_check(prefix, zero_extended, tiles, min(max_terms, sys.maxsize))
         if check[2] != STATUS_OVERFLOW:

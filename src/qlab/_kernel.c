@@ -4,7 +4,11 @@
  * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at)
  * with terms an array('q'); status 0 alive, 1 died, 2 ended, 3 overflow.
  * A term outside int64, whether of the prefix or computed, is an overflow
- * at its index, and terms then holds the terms before it.
+ * at its index, and terms then holds the terms before it.  A prefix is any
+ * sequence of ints; a range of them, such as range(1, N + 1) for <0;1..N>,
+ * is read from its start, step and length with no int object per term, and
+ * gives what its tuple gives (see load_prefix).  The recurrence keeps its
+ * last two terms in registers (see extend).
  * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
  * and compares each term with the prediction the tiles describe, returning
  * what _fallback.q_check does in checked mode without building a list.
@@ -153,35 +157,67 @@ grow(long long **buf, Py_ssize_t cap)
     return 1;
 }
 
+/* *v = the int64 value of the int attribute name of o, *big as read_int
+ * sets it: 0, or -1 with an exception set. */
+static int
+read_attr(PyObject *o, const char *name, long long *v, int *big)
+{
+    PyObject *a = PyObject_GetAttrString(o, name);
+    int rc;
+
+    if (a == NULL)
+        return -1;
+    rc = read_int(a, v, big);
+    Py_DECREF(a);
+    return rc;
+}
+
 /* A new buffer holding the int64 values of prefix (at least two terms),
  * with room for 1024 more, and *cap its capacity.  *k is the prefix length;
  * when a term lies outside int64, *big is set and *k is the count of terms
- * before it.  NULL with an exception set on failure. */
+ * before it.  A range whose start and step fit int64 is read in place, each
+ * term the one before plus step, with no int object per term; any other
+ * prefix, a range such as range(-2**63, 1, 2**63) among them, is read as a
+ * sequence.  Both reads give what the tuple of the prefix gives.  NULL with
+ * an exception set on failure. */
 static long long *
 load_prefix(PyObject *prefix, Py_ssize_t *k, Py_ssize_t *cap, int *big)
 {
-    PyObject *seq = PySequence_Fast(prefix, "prefix must be a sequence");
-    long long *t = NULL;
+    PyObject *seq = NULL;
+    long long *t = NULL, start = 0, step = 0;
     Py_ssize_t i;
+    int range = PyRange_Check(prefix), wide = 0;
 
     *big = 0;
-    if (seq == NULL)
+    if (range && (read_attr(prefix, "start", &start, &wide) ||
+                  (!wide && read_attr(prefix, "step", &step, &wide))))
         return NULL;
-    *k = PySequence_Fast_GET_SIZE(seq);
-    *cap = *k + 1024;
+    range = range && !wide;
+    if (!range && (seq = PySequence_Fast(prefix, "prefix must be a sequence")) == NULL)
+        return NULL;
+    *k = range ? PyObject_Size(prefix) : PySequence_Fast_GET_SIZE(seq);
+    if (*k < 0)
+        return NULL; /* a range longer than a Python size: OverflowError, as tuple() raises */
+    *cap = Py_MIN(*k, PY_SSIZE_T_MAX - 1024) + 1024; /* too large for PyMem_New past that */
     if (*k < 2)
         PyErr_SetString(PyExc_ValueError, "prefix needs at least two terms");
     else if ((t = PyMem_New(long long, *cap)) == NULL)
         PyErr_NoMemory();
     for (i = 0; t != NULL && !*big && i < *k; i++) {
-        if (read_int(PySequence_Fast_GET_ITEM(seq, i), &t[i], big)) {
-            PyMem_Free(t);
-            t = NULL;
+        if (!range) {
+            if (read_int(PySequence_Fast_GET_ITEM(seq, i), &t[i], big)) {
+                PyMem_Free(t);
+                t = NULL;
+            }
         }
+        else if (i == 0)
+            t[0] = start;
+        else
+            *big = __builtin_add_overflow(t[i - 1], step, &t[i]);
     }
     if (*big)
         *k = i - 1;
-    Py_DECREF(seq);
+    Py_XDECREF(seq);
     return t;
 }
 
@@ -189,23 +225,26 @@ load_prefix(PyObject *prefix, Py_ssize_t *k, Py_ssize_t *cap, int *big)
  * Q(min(max_terms, cap)).  Returns the status and sets *n to the stopping
  * index, or to one past the last term of an alive run: the caller grows t
  * and calls again while *n is within max_terms.  A prefix longer than
- * max_terms is kept whole. */
+ * max_terms is kept whole.  The last two terms, Q(m-1) and Q(m-2), ride in
+ * locals: a term is read back from t only where a later one refers to it,
+ * never as the argument of the next. */
 static int
 extend(long long *t, Py_ssize_t cap, int zero, Py_ssize_t max_terms, Py_ssize_t *n)
 {
-    Py_ssize_t m, last = max_terms < cap ? max_terms : cap;
-    long long a, b;
+    Py_ssize_t m = *n, last = max_terms < cap ? max_terms : cap;
+    long long a, b, q1 = t[m - 2], q2 = t[m - 3];
     int status = STATUS_ALIVE;
 
-    for (m = *n; m <= last; m++) {
-        if ((status = lookup(t, m, t[m - 2], zero, &a)) ||
-            (status = lookup(t, m, t[m - 3], zero, &b)))
+    for (; m <= last; m++) {
+        if ((status = lookup(t, m, q1, zero, &a)) ||
+            (status = lookup(t, m, q2, zero, &b)))
             break;
-        if ((b > 0 && a > LLONG_MAX - b) || (b < 0 && a < LLONG_MIN - b)) {
+        q2 = q1;
+        if (__builtin_add_overflow(a, b, &q1)) {
             status = STATUS_OVERFLOW;
             break;
         }
-        t[m - 1] = a + b;
+        t[m - 1] = q1;
     }
     *n = m;
     return status;

@@ -167,14 +167,17 @@ def _scan_worker(task: tuple[int, int]):
     n, max_terms = task
     profile = abc_profile(n)
     # the run's status and length, without its terms: what verify runs, with no tiles
-    _, _, code, _, n_actual = _backend.q_check(tuple(range(1, n + 1)), True, (), max_terms)
+    _, _, code, _, n_actual = _backend.q_check(range(1, n + 1), True, (), max_terms)
     length = None if code == _backend.STATUS_ALIVE else n_actual
     return n, profile.j, profile.classification, length
 
 
-def _map_tasks(worker, tasks, workers: int):
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValidationError("--workers must be at least 1")
+
+
+def _map_tasks(worker, tasks, workers: int):
     if workers == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     # imported here: it is a large share of the CLI's start-up
@@ -197,6 +200,7 @@ def _verify_line(n: int, report) -> str:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     if args.to is None:
         pairs = [(args.n, verify_against_bruteforce(args.n, args.max_terms))]
     else:
@@ -221,6 +225,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_scan(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     if args.start < 2:
         raise ValidationError("scan starts at N >= 2")
     if args.stop < args.start:

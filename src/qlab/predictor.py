@@ -297,8 +297,9 @@ def verify_against_bruteforce(
     tiles = predicted_tiles(profile, max_terms)
     length = sum(tile[1] for tile in tiles)
     predicted = _predicted_status(profile, length, max_terms)
-    prefix = tuple(range(1, n_value + 1))
-    matched, first, code, at, n_actual = _backend.q_check(prefix, True, tiles, max_terms)
+    matched, first, code, at, n_actual = _backend.q_check(
+        range(1, n_value + 1), True, tiles, max_terms
+    )
     actual = _status_of(code, at)
     terminal = predicted == actual and length == n_actual
     return PredictionReport(matched, first, predicted, actual, terminal)

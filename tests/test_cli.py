@@ -331,6 +331,7 @@ def test_workers_capped_at_task_count(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "--n", "35", "--max", "100"),
     ("verify", "--n", "35", "--to", "40", "--max", "40"),
     ("scan", "--from", "2", "--to", "5", "--max", "10"),
 ])
@@ -440,6 +441,24 @@ def test_scan_matches_the_per_n_runs(request, capsys, backend, start, stop):
             want.append(f"{n},{j},{cls},{'alive' if seq.status.is_alive else len(seq)}")
     assert (code, err) == (0, "")
     assert out.splitlines() == want
+
+
+@pytest.mark.usefixtures("fastest_backend")
+@pytest.mark.parametrize("argv, finite, alive", [
+    (("scan", "--from", "1000", "--to", "1019", "--max", "20000"),
+     "1000,1,4,2018\n", "1002,2,2,alive\n"),
+    (("verify", "--n", "1000", "--to", "1019", "--max", "20000"),
+     "n=1000 ok (2018 terms, ended at 2019)\n", "n=1002 ok (20000 terms, alive)\n"),
+], ids=["scan", "verify"])
+def test_benchmark_sized_blocks_match_the_python_backend(capsys, argv, finite, alive):
+    # the scan benchmark's size: runs of about 2N terms and runs alive at
+    # the budget, each from an identity prefix the kernel reads as a range
+    compiled = run_cli(capsys, *argv)
+    with mock.patch.object(_backend, "_kernel", None):
+        assert run_cli(capsys, *argv) == compiled
+    code, out, err = compiled
+    assert (code, err, len(out.splitlines())) == (0, "", 20 + (argv[0] == "scan"))
+    assert finite in out and alive in out
 
 
 def test_scan_range_validation(capsys):

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+import sys
 from array import array
 from unittest import mock
 
@@ -230,9 +231,59 @@ def test_compiled_and_fallback_kernels_agree(compiled_kernel, params, max_terms)
     assert compiled == _outcome(_fallback.q_generate, prefix, zero, max_terms, checked=True)
 
 
+# A range prefix, which the kernel reads in place: either step sign, a start
+# near either end of int64 or past it, and steps that leave int64 at once,
+# after a few terms or never; ranges of fewer than two terms are drawn too.
+range_prefixes = st.builds(
+    lambda start, step, length: range(start, start + step * length, step),
+    st.one_of(
+        st.integers(min_value=-6, max_value=12),
+        st.sampled_from((INT64_MIN, INT64_MAX)).flatmap(
+            lambda edge: st.integers(min_value=edge - 6, max_value=edge + 6)
+        ),
+    ),
+    st.one_of(
+        st.integers(min_value=-3, max_value=3).filter(bool),
+        st.sampled_from((2**62, -(2**62), INT64_MAX, INT64_MIN, 2**63, -(2**63) - 1, 2**64)),
+    ),
+    st.integers(min_value=0, max_value=8),
+)
+
+
+@given(range_prefixes, st.booleans(), st.integers(min_value=2, max_value=120))
+@example(range(INT64_MAX - 2, INT64_MAX + 4), True, 20)  # the 4th term leaves int64
+@example(range(INT64_MIN + 1, INT64_MIN - 4, -1), False, 20)  # the 3rd term, downwards
+@example(range(INT64_MAX + 1, INT64_MAX + 5), True, 20)  # the start lies outside int64
+@example(range(INT64_MIN, 1, 2**63), True, 20)  # a step outside int64, both terms in it
+@example(range(1, 2), True, 20)  # too short: the same ValueError as the tuple's
+@example(range(0), False, 20)
+@settings(max_examples=300, deadline=None)
+def test_compiled_q_generate_reads_a_range_as_its_tuple(compiled_kernel, prefix, zero, max_terms):
+    compiled = _outcome(compiled_kernel.q_generate, prefix, zero, max_terms)
+    assert compiled == _outcome(compiled_kernel.q_generate, tuple(prefix), zero, max_terms)
+    assert compiled == _outcome(_fallback.q_generate, prefix, zero, max_terms, checked=True)
+    # an exact run past int64 goes on in Python from the range's terms
+    with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        exact = _outcome(_backend.q_generate, prefix, zero, max_terms, exact=True)
+    assert exact == _outcome(_fallback.q_generate, prefix, zero, max_terms, checked=False)
+
+
+def test_a_range_too_long_for_memory_is_a_memory_error(compiled_kernel):
+    # its length is a Python size, but no buffer of that many terms can be
+    # allocated, as no tuple of them can
+    prefix = range(sys.maxsize)
+    with pytest.raises(MemoryError):
+        tuple(prefix)
+    with pytest.raises(MemoryError):
+        compiled_kernel.q_generate(prefix, True, 20)
+    with pytest.raises(MemoryError):
+        compiled_kernel.q_check(prefix, True, (), 20)
+
+
 def _outcome(f, *args, **kwargs):
-    """f's result with its terms as a list, or the type and message of what
-    it raised: the backend's array('q') holds the reference's values."""
+    """f's result with its terms (its first item) as a list, or the type and
+    message of what it raised: the backend's array('q') holds the
+    reference's values."""
     try:
         terms, *rest = f(*args, **kwargs)
     except Exception as exc:

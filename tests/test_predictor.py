@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_engine import _outcome as _answer, range_prefixes
 from test_symbolic import PREFIX_PAIRS, SPORADIC_PAIRS
 
 from qlab import (
@@ -719,16 +720,18 @@ def check_cases(draw):
     """(prefix, zero, tiles, budget).  Either a real prediction, perhaps
     with one tile corrupted and perhaps run under the plain convention, or
     random tiles of every kind after a random prefix that may die, end or
-    overflow."""
+    overflow.  Either prefix may be a range."""
     if draw(st.booleans()):
         n = draw(st.integers(35, 3000).filter(lambda v: not is_exceptional(v)))
         budget = draw(st.integers(n, 6000))
         tiles = list(predicted_tiles(abc_profile(n, draw(st.sampled_from((1, 2, 16)))), budget))
         if draw(st.booleans()):
             _corrupt(draw, tiles)
-        return tuple(range(1, n + 1)), draw(st.booleans()), tuple(tiles), budget
+        prefix = range(1, n + 1)
+        return draw(st.sampled_from((prefix, tuple(prefix)))), draw(st.booleans()), tuple(tiles), budget
     big = st.sampled_from((2**62, 3 * 2**61, 2**63 - 1, -(2**62)))
-    prefix = tuple(draw(st.lists(st.one_of(st.integers(-6, 12), big, _huge), min_size=2, max_size=6)))
+    terms = st.lists(st.one_of(st.integers(-6, 12), big, _huge), min_size=2, max_size=6)
+    prefix = draw(st.one_of(terms.map(tuple), range_prefixes))
     value = st.one_of(st.integers(-6, 60), _huge)
     rst = _tables(200)
     tiles = []
@@ -754,16 +757,22 @@ def check_cases(draw):
 @example(((1, 1), False, ((TILE_LITERAL, 3, (1, 2, 2**70), None),), 30))  # differs first
 @example(((3, 1), True, ((TILE_RANGE, 2, 3, None), (TILE_CHUNK, 9, 2, 0)), 30))  # step 0
 @example(((1, 2, 3, 2**64), True, ((TILE_RANGE, 3, 1, None),), 2))  # prefix overflows past the budget
+@example((range(2**63 - 3, 2**63 + 3), True, ((TILE_RANGE, 9, 1, None),), 20))  # its 4th term leaves int64
+@example((range(2**63, 2**63 + 4), True, ((TILE_RANGE, 9, 1, None),), 20))  # its start is outside int64
+@example((range(-(2**63), 1, 2**63), True, ((TILE_RANGE, 9, 1, None),), 20))  # so is its step, not its terms
+@example((range(1, 2), True, ((TILE_RANGE, 9, 1, None),), 20))  # too short: the tuple's ValueError
+@example((range(0), False, (), 20))
 def test_compiled_and_fallback_q_check_agree(compiled_kernel, case):
     prefix, zero, tiles, budget = case
-    compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
-    assert compiled == _fallback.q_check(prefix, zero, tiles, budget, checked=True)
-    exact = _fallback.q_check(prefix, zero, tiles, budget, checked=False)
-    if compiled[2] != STATUS_OVERFLOW:
-        assert compiled == exact
+    compiled = _answer(compiled_kernel.q_check, prefix, zero, tiles, budget)
+    # a range is read in place, and answers as its tuple does
+    assert compiled == _answer(compiled_kernel.q_check, tuple(prefix), zero, tiles, budget)
+    assert compiled == _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=True)
+    exact = _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=False)
+    assert compiled == exact or compiled[2] == STATUS_OVERFLOW
     # the backend answers exactly either way
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
-        assert _backend.q_check(prefix, zero, tiles, budget) == exact
+        assert _answer(_backend.q_check, prefix, zero, tiles, budget) == exact
 
 
 def test_verify_retries_in_exact_after_overflow():
