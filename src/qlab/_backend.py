@@ -1,17 +1,17 @@
 """Kernel selection: compiled extension when built, pure Python otherwise.
 
-Both backends hand back the same types.  Terms and R/S/T tables whose
-values all fit int64 are one ``array('q')`` each: the compiled kernel fills
-the array in place, and the Python one's lists are converted.  Only an
-exact run that goes past int64 comes back as a list of Python ints.  The
-compiled kernel reads a table only from an int64 buffer; whatever it
-declines or cannot decide in int64, the Python reference answers.
+Both backends hand back the same types, and this module only chooses
+which one runs.  Terms and R/S/T tables whose values all fit int64 are one
+``array('q')`` each, filled in place by the compiled kernel and by the
+Python reference alike; only an exact run that goes past int64 comes back
+as a list of Python ints.  The compiled kernel reads a table only from an
+int64 buffer; whatever it declines or cannot decide in int64, the Python
+reference answers.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
 
 from . import _fallback
 from ._fallback import (
@@ -45,15 +45,6 @@ __all__ = [
 ]
 
 
-def _int64_array(values: list[int]):
-    """``values`` as an ``array('q')``, or the list itself when a value lies
-    outside int64."""
-    try:
-        return array("q", values)
-    except OverflowError:
-        return values
-
-
 def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
     """Extend ``prefix`` as _fallback.q_generate does, checked unless
     ``exact``; returns ``(terms, status, at)`` with ``terms`` an
@@ -68,13 +59,11 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
     prefix when the term is one of the prefix's own.
     """
     if _kernel is None:
-        terms, status, at = _fallback.q_generate(prefix, zero_extended, max_terms,
-                                                 checked=not exact)
-        return _int64_array(terms), status, at
+        return _fallback.q_generate(prefix, zero_extended, max_terms, checked=not exact)
     # No array can be longer than sys.maxsize, so clamping changes no result.
     terms, status, at = _kernel.q_generate(prefix, zero_extended, min(max_terms, sys.maxsize))
     if status == STATUS_OVERFLOW and exact:
-        # the exact run recomputes the term that left int64, so it is a list
+        # the exact run recomputes the term that left int64, so it ends as a list
         start = terms if at > len(prefix) else prefix
         return _fallback.q_generate(start, zero_extended, max_terms, checked=False)
     return terms, status, at
@@ -96,19 +85,15 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int):
 
 
 def rst_generate(n_max: int):
-    """The R/S/T tables through ``n_max``, as _fallback.rst_generate returns
-    them but each an ``array('q')`` while its values fit int64: from the
-    compiled kernel when it is built and every value fits int64, from the
-    Python reference otherwise."""
+    """The R/S/T tables through ``n_max`` as _fallback.rst_generate returns
+    them, three ``array('q')``: from the compiled kernel when it is built
+    and every value fits int64, from the Python reference otherwise."""
     if _kernel is not None:
         # No array can be longer than sys.maxsize, so clamping changes no result.
         tables = _kernel.rst_generate(min(n_max, sys.maxsize))
         if tables is not None:  # None: a value would overflow int64
             return tables
-    tables = list(_fallback.rst_generate(n_max))
-    for i in range(3):  # one list at a time, each freed once converted
-        tables[i] = _int64_array(tables[i])
-    return tuple(tables)
+    return _fallback.rst_generate(n_max)
 
 
 def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str:

@@ -2,14 +2,14 @@
 
 Checked, q_generate and q_check simulate the kernel's int64 arithmetic and
 run when it is not built; unchecked, they go on exactly where int64 cannot,
-from the kernel's last exact term or from the start.  q_generate returns
-the terms as one list of ints, and q_check compares the recurrence with a
-prediction given as tiles.  rst_generate tabulates the R/S/T system as
-three lists, and format_rows writes rows of ints as text, when the kernel
-is not built or its int64 values would overflow.  These lists are the
-reference values: ``_backend`` hands them on as ``array('q')`` whenever
-they fit int64, as the kernel does.  ``materialise`` says what the tiles
-predict, as a list or in the container it is given.
+from the kernel's last exact term or from the start.  q_check compares the
+recurrence with a prediction given as tiles, and format_rows writes rows of
+ints as text, when the kernel is not built or its int64 values would
+overflow.  Terms and tables come back as the kernel returns them, one
+``array('q')`` each while the values fit int64: q_generate's terms,
+rst_generate's three R/S/T tables, and the terms ``materialise`` says the
+tiles predict.  Only an exact run, or a prediction, with a value past int64
+is a list of ints.  This module is the one owner of that rule.
 
 A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
 each tile taking up where the one before it stopped.  By kind:
@@ -29,6 +29,7 @@ each tile taking up where the one before it stopped.  By kind:
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from itertools import chain
 
 STATUS_ALIVE = 0
@@ -45,58 +46,61 @@ TILE_CHUNK = 2
 TILE_BLOCKS = 3
 
 
-def q_generate(
-    prefix, zero_extended: bool, max_terms: int, checked: bool = True
-) -> tuple[list[int], int, int]:
+def q_generate(prefix, zero_extended: bool, max_terms: int, checked: bool = True):
     """Extend ``prefix`` under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)).
 
-    Returns ``(terms, status, at_index)``.  With ``checked`` the 64-bit
-    arithmetic of the compiled kernel is simulated: a term outside the
-    int64 range, whether of the prefix or computed, yields STATUS_OVERFLOW
-    at its index, and ``terms`` holds the terms before it.  Unchecked,
-    integers grow without bound and overflow cannot occur.  A prefix of
-    fewer than two terms raises ValueError.
+    Returns ``(terms, status, at_index)``, ``terms`` an ``array('q')``.
+    With ``checked`` the 64-bit arithmetic of the compiled kernel is
+    simulated: a term outside the int64 range, whether of the prefix or
+    computed, yields STATUS_OVERFLOW at its index, and ``terms`` holds the
+    terms before it.  Unchecked, integers grow without bound and overflow
+    cannot occur: from the first term outside int64 on, and only then, the
+    terms go on as a list of ints.  A prefix of fewer than two terms raises
+    ValueError.
     """
-    t = list(prefix)
-    if len(t) < 2:
+    if len(prefix) < 2:
         raise ValueError("prefix needs at least two terms")
-    if checked:
-        for i, v in enumerate(t):
-            if not INT64_MIN <= v <= INT64_MAX:
-                return t[:i], STATUS_OVERFLOW, i + 1
+    t = array("q")
+    try:
+        t.extend(prefix)
+    except OverflowError:  # t holds the prefix terms before the one outside int64
+        if checked:
+            return t, STATUS_OVERFLOW, len(t) + 1
+        t = list(prefix)
     zero = bool(zero_extended)
     status = STATUS_ALIVE
     at = 0
+    append = t.append
+    q1, q2 = t[-1], t[-2]
+    # q1 = Q(n-1) and q2 = Q(n-2), and t holds Q(1..n-1), so Q(n-v) is t[-v]
+    # for v in 1..n-1.  A value v <= 0 points at or past n itself, v >= n at
+    # a nonpositive index.
     for n in range(len(t) + 1, max_terms + 1):
-        total = 0
-        # A stored value v is referenced as index n - v: v <= 0 points at or
-        # past n itself, v >= n points at a nonpositive index.
-        for v in (t[n - 2], t[n - 3]):
-            if v <= 0:
-                status = STATUS_ENDED if zero else STATUS_DIED
-                at = n
-                break
-            if v >= n:
-                if not zero:
-                    status = STATUS_DIED
-                    at = n
-                    break
-            else:
-                total += t[n - 1 - v]
+        if 0 < q1 < n and 0 < q2 < n:
+            total = t[-q1] + t[-q2]
+        elif zero and q1 > 0 and q2 > 0:
+            total = (t[-q1] if q1 < n else 0) + (t[-q2] if q2 < n else 0)
         else:
-            if checked and not INT64_MIN <= total <= INT64_MAX:
+            status = STATUS_ENDED if zero else STATUS_DIED
+            at = n
+            break
+        try:
+            append(total)
+        except OverflowError:  # only the array raises it: total lies outside int64
+            if checked:
                 status = STATUS_OVERFLOW
                 at = n
                 break
-            t.append(total)
-            continue
-        break
+            t = t.tolist()
+            append = t.append
+            append(total)
+        q1, q2 = total, q1
     return t, status, at
 
 
-def rst_generate(n_max: int) -> tuple[list[int], list[int], list[int], str | None, int]:
+def rst_generate(n_max: int):
     """Tabulate R(0..n), S(0..n) and T(0..n) for n up to ``n_max`` (>= 2),
-    row k of each at index k.
+    row k of each at index k, as three ``array('q')``.
 
     Row m computes R(m) = R(m - R(m-1)) + S(m-1), then S(m) = S(m - R(m)) +
     S(m - R(m-1)), then T(m) = T(m - R(m)) + T(m - S(m)), reading 0 at
@@ -104,10 +108,13 @@ def rst_generate(n_max: int) -> tuple[list[int], list[int], list[int], str | Non
     and ``at`` 0 while the system lives through n_max; otherwise ``which``
     ("r", "s" or "t") is the first of row ``at`` to need a value not yet
     computed, and the tables stop at row at - 1.
+
+    T grows about as n^1.5 (T(10^7) = 3,276,099,248), so no value reaches
+    int64 before about 10^13 rows, far past any table memory can hold.
     """
     if n_max < 2:
         raise ValueError("rst_generate needs n_max >= 2")
-    r, s, t = [0, 1, 2], [1, 1, 2], [1, 2, 2]
+    r, s, t = array("q", (0, 1, 2)), array("q", (1, 1, 2)), array("q", (1, 2, 2))
     which = None
     at = 0
     # Every value is a sum of earlier values or of zeros, so none is
@@ -135,15 +142,22 @@ def rst_generate(n_max: int) -> tuple[list[int], list[int], list[int], str | Non
     return r, s, t, which, at
 
 
-def materialise(tiles, max_terms: int, make=list):
-    """The terms ``tiles`` predict, clipped to max_terms, as one container
-    built by ``make`` from an iterable of ints: a list by default, or for
-    instance an ``array('q')``, which raises OverflowError on a value
-    outside int64.
+def materialise(tiles, max_terms: int):
+    """The terms ``tiles`` predict, clipped to max_terms: an ``array('q')``
+    while every value fits int64, a list of ints otherwise.
 
     Each tile is clipped to the budget before it is built: a deep chunk can
     span about 10^10 terms.
     """
+    try:
+        return _build(tiles, max_terms, partial(array, "q"))
+    except OverflowError:  # a value outside int64, or a range past sys.maxsize terms
+        return _build(tiles, max_terms, list)
+
+
+def _build(tiles, max_terms: int, make):
+    """materialise's terms in one container that ``make`` builds from an
+    iterable of ints."""
     out = make(())
     for kind, length, a, b in tiles:
         length = min(length, max_terms - len(out))

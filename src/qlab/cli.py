@@ -25,6 +25,7 @@ Exit codes: 0 on success, 1 for usage and runtime problems (bad arguments,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -178,12 +179,14 @@ def _check_workers(workers: int) -> None:
 
 
 def _map_tasks(worker, tasks, workers: int):
-    if workers == 1 or len(tasks) <= 1:
+    # no more processes than tasks or than the machine has CPUs
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
     # imported here: it is a large share of the CLI's start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=4))
 
 

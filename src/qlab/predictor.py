@@ -20,9 +20,7 @@ kernel, term by term, and
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import _backend
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, TILE_RANGE, materialise
@@ -255,10 +253,7 @@ def predict_sequence(
     """
     profile = _checked_profile(n_value, max_terms, max_depth)
     tiles = predicted_tiles(profile, max_terms)
-    try:
-        terms = materialise(tiles, max_terms, partial(array, "q"))
-    except OverflowError:  # a term outside int64
-        terms = materialise(tiles, max_terms)
+    terms = materialise(tiles, max_terms)
     status = _predicted_status(profile, len(terms), max_terms)
     ic = InitialCondition.identity(n_value, zero_extended=True)
     return GeneratedSequence(ic, terms, status)

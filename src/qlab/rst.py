@@ -73,8 +73,9 @@ class RSTState:
     """Computed tables: r = R(0..n), s = S(0..n), t = T(0..n), row k of
     each at index k.
 
-    Each table is a sequence of ints: an ``array('q')`` from
-    :func:`rst_compute`, on either backend, while its values fit int64.
+    Each table is a sequence of ints, and an ``array('q')`` from
+    :func:`rst_compute` on either backend: no value reaches int64 within
+    any table memory can hold.
     """
 
     r: Sequence[int]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _backend
+from ._fallback import TILE_LITERAL, TILE_RANGE, materialise
 from .engine import GeneratedSequence, InitialCondition, SequenceStatus
 from .errors import ValidationError
 
@@ -274,7 +274,9 @@ def specialize(prefix: SymbolicPrefix, n: int) -> GeneratedSequence:
         if n < t.min_valid_N:
             raise ValidationError(f"term at offset {k} requires N >= {t.min_valid_N}, got N={n}")
     ic = InitialCondition.identity(n, prefix.convention == "zero_extended")
-    terms = _backend._int64_array(list(range(1, n + 1)) + [t.value(n) for t in prefix.terms])
+    derived = tuple([t.value(n) for t in prefix.terms])
+    tiles = ((TILE_RANGE, n, 1, None), (TILE_LITERAL, len(derived), derived, None))
+    terms = materialise(tiles, n + len(derived))
     if prefix.stop_reason.kind == "symbolic_death":
         status = SequenceStatus.died(n + prefix.stop_reason.index)
     else:

@@ -314,8 +314,10 @@ class _SerialPool:
 
 
 def test_workers_capped_at_task_count(capsys, monkeypatch):
-    # 9 non-exceptional N in 35..45 and 3 N in 2..4: never 500 processes
+    # 9 non-exceptional N in 35..45 and 3 N in 2..4: never 500 processes,
+    # on a machine with more CPUs than either
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
     _, serial_verify, _ = run_cli(capsys, "verify", "--n", "35", "--to", "45", "--max", "200")
     _, serial_scan, _ = run_cli(capsys, "scan", "--from", "2", "--to", "4", "--max", "100")
     with mock.patch("concurrent.futures.ProcessPoolExecutor", _SerialPool):
@@ -328,6 +330,23 @@ def test_workers_capped_at_task_count(capsys, monkeypatch):
     assert verify == (0, serial_verify, "")
     assert scan == (0, serial_scan, "")
     assert _SerialPool.sizes == [9, 3]
+
+
+@pytest.mark.parametrize("cpus, sizes", [(3, [3, 3]), (1, []), (None, [])])
+def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, sizes):
+    # 11 N in 2..12 and 9 in 35..45 asking for 100000 processes: one per CPU
+    # at most, and a serial run in this process when that is one (or the
+    # count is unknown)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    scan = ("scan", "--from", "2", "--to", "12", "--max", "100")
+    verify = ("verify", "--n", "35", "--to", "45", "--max", "200")
+    serial = [run_cli(capsys, *argv) for argv in (scan, verify)]
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", _SerialPool):
+        parallel = [run_cli(capsys, *argv, "--workers", "100000") for argv in (scan, verify)]
+    assert parallel == serial
+    assert serial[0][0] == serial[1][0] == 0
+    assert _SerialPool.sizes == sizes
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from array import array
 from unittest import mock
 
@@ -39,7 +40,15 @@ from qlab import (
 )
 from qlab import _backend, _fallback
 from qlab.cli import _emit_sequence, _tree_json
-from qlab._fallback import INT64_MAX, INT64_MIN, STATUS_OVERFLOW, TILE_BLOCKS, TILE_LITERAL
+from qlab._fallback import (
+    INT64_MAX,
+    INT64_MIN,
+    STATUS_OVERFLOW,
+    TILE_BLOCKS,
+    TILE_CHUNK,
+    TILE_LITERAL,
+    TILE_RANGE,
+)
 from qlab.engine import ROWS_PER_CALL, write_json, write_table
 
 # Q(1)=Q(2)=1: hand-unrolled prefix of the classic sequence
@@ -291,18 +300,48 @@ def _outcome(f, *args, **kwargs):
     return (terms.tolist() if isinstance(terms, array) else terms, *rest)
 
 
-@pytest.mark.parametrize("backend", ["compiled", "python"])
+def _reference_containers(checked: bool):
+    """What the Python reference itself returns: q_generate's terms of
+    <1,1> and <2,0>, the R/S/T tables, the terms tiles of every kind
+    predict, all within int64; then q_generate's terms of a run whose 56th
+    term leaves int64, and a prediction with a value past it."""
+    fits = [_fallback.q_generate(ic, False, budget, checked)[0]
+            for ic, budget in (((1, 1), 40), ((2, 0), 10))]
+    tables = _fallback.rst_generate(300)[:3]
+    tiles = ((TILE_RANGE, 5, 1, None), (TILE_LITERAL, 2, (7, 8), None),
+             (TILE_CHUNK, 12, 3, 4), (TILE_BLOCKS, 10, 12, tables))
+    fits += [*tables, _fallback.materialise(tiles, 29)]
+    past = [_fallback.q_generate((9, 3 * 2**61, 2, 7), True, 200, checked),
+            _fallback.materialise(((TILE_LITERAL, 2, (1, INT64_MAX + 1), None),), 2)]
+    return fits, past
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python", "reference"])
 @pytest.mark.parametrize("mode", ["fast64", "exact"])
 def test_terms_are_an_int64_array(request, backend, mode):
-    # the values fit int64, so both backends hand back one array('q')
-    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
-    with mock.patch.object(_backend, "_kernel", kernel):
-        seq = evaluate(InitialCondition((1, 1)), 40, mode=mode)
-        died = evaluate(InitialCondition((2, 0)), 10, mode=mode)
-    for terms in (seq.terms, died.terms):
+    # the values fit int64, so both backends, and the Python reference they
+    # share, hand back one array('q'); only an exact run past int64 is a list
+    if backend == "reference":
+        fits, (run, predicted) = _reference_containers(checked=mode == "fast64")
+        assert fits[0].tolist()[:17] == CLASSIC_17
+        assert fits[1].tolist() == [2, 0]
+        assert len(fits[-1]) == 29
+        if mode == "exact":
+            assert type(run[0]) is list and len(run[0]) == 200 and max(run[0]) > INT64_MAX
+        else:
+            assert type(run[0]) is array and run[1:] == (STATUS_OVERFLOW, 56)
+            assert len(run[0]) == 55
+        assert type(predicted) is list and predicted == [1, INT64_MAX + 1]
+    else:
+        kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+        with mock.patch.object(_backend, "_kernel", kernel):
+            seq = evaluate(InitialCondition((1, 1)), 40, mode=mode)
+            died = evaluate(InitialCondition((2, 0)), 10, mode=mode)
+        fits = [seq.terms, died.terms]
+        assert seq.terms.tolist()[:17] == CLASSIC_17
+        assert died.terms.tolist() == [2, 0]
+    for terms in fits:
         assert type(terms) is array and terms.typecode == "q"
-    assert seq.terms.tolist()[:17] == CLASSIC_17
-    assert died.terms.tolist() == [2, 0]
 
 
 @pytest.mark.parametrize("backend", ["compiled", "python"])
@@ -315,6 +354,23 @@ def test_exact_run_past_int64_is_a_list_of_int(request, backend):
             assert type(seq.terms) is list
             assert all(type(v) is int for v in seq.terms)
             assert max(seq.terms) > INT64_MAX
+
+
+def test_python_backend_peaks_near_its_arrays():
+    # the reference fills its arrays itself: no list of ints, about five
+    # times their bytes, lives beside them at any point of the run
+    runs = (lambda: _backend.rst_generate(10**5)[:3],
+            lambda: _backend.q_generate((1, 1), False, 200_000, False)[:1])
+    for run in runs:
+        with mock.patch.object(_backend, "_kernel", None):
+            tracemalloc.start()
+            try:
+                arrays = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(type(a) is array for a in arrays)
+        assert peak <= 2 * sum(a.itemsize * len(a) for a in arrays)
 
 
 @given(small_ics, st.integers(min_value=6, max_value=60), st.integers(min_value=0, max_value=60))

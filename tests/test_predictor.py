@@ -186,7 +186,8 @@ def test_predicted_terms_are_an_int64_array():
     for n, budget in ((121, 500), (38, 2000), (42, 120)):
         seq = predict_sequence(n, budget)
         assert type(seq.terms) is array and seq.terms.typecode == "q"
-        assert list(seq.terms) == _fallback.materialise(predicted_tiles(abc_profile(n), budget), budget)
+        reference = _fallback.materialise(predicted_tiles(abc_profile(n), budget), budget)
+        assert seq.terms.tolist() == reference.tolist()
 
 
 def test_predict_truncation_statuses():
@@ -435,8 +436,9 @@ def _outcome(n: int, max_terms: int, max_depth: int):
 
 
 def _reference_outcome(n: int, max_terms: int, max_depth: int):
-    def streamed(profile, budget, make=list):
-        return make(islice(_predicted_stream(profile), budget))
+    def streamed(profile, budget):
+        # every value these tests reach fits int64, as materialise's array
+        return array("q", islice(_predicted_stream(profile), budget))
 
     # the profile stands in for the tiles, and the stream materialises it
     with mock.patch.object(predictor, "predicted_tiles", lambda profile, budget: profile), \
@@ -629,7 +631,8 @@ def _cut_blocks(lam: int, kmax: int) -> list[int]:
     closing tiles them."""
     kmax = _block_count(lam, kmax)
     tables = _tables(kmax + 1)
-    return materialise(((TILE_BLOCKS, 5 * kmax, lam, (tables.r, tables.s, tables.t)),), 5 * kmax)
+    tiles = ((TILE_BLOCKS, 5 * kmax, lam, (tables.r, tables.s, tables.t)),)
+    return materialise(tiles, 5 * kmax).tolist()
 
 
 def test_lam_blocks_side_condition_cut():
