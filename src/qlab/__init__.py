@@ -12,96 +12,22 @@ growing branch of that structure and two families of provable patterns.
 from __future__ import annotations
 
 from ._backend import BACKEND
-from .engine import (
-    GeneratedSequence,
-    InitialCondition,
-    QuasilinearSegment,
-    SequenceStatus,
-    detect_quasilinear,
-    evaluate,
-    format_ic,
-    parse_ic,
-    resolve_int_mode,
-    write_bfile,
-    write_csv,
-)
-from .errors import (
-    ArithmeticOverflowError,
-    DivisibilityError,
-    QlabError,
-    ValidationError,
-)
-from .predictor import (
-    BehaviorTreeNode,
-    PredictionReport,
-    StructureProfile,
-    abc_profile,
-    behavior_tree,
-    congruence_check,
-    is_exceptional,
-    predict_sequence,
-    tree_locate,
-    verify_against_bruteforce,
-)
-from .rst import (
-    PatternReport,
-    RSTState,
-    RSTStatus,
-    qc_pattern_check,
-    qt_pattern_check,
-    rst_compute,
-)
-from .symbolic import (
-    AffineExpr,
-    AffineTerm,
-    NConstraint,
-    StopReason,
-    SymbolicPrefix,
-    specialize,
-    symbolic_extend,
-)
+from . import engine, errors, predictor, rst, symbolic
+from .engine import *
+from .errors import *
+from .predictor import *
+from .rst import *
+from .symbolic import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ declares what it adds to the package
 __all__ = [
-    "ArithmeticOverflowError",
     "BACKEND",
-    "BehaviorTreeNode",
-    "DivisibilityError",
-    "GeneratedSequence",
-    "InitialCondition",
-    "NConstraint",
-    "PatternReport",
-    "PredictionReport",
-    "QlabError",
-    "QuasilinearSegment",
-    "RSTState",
-    "RSTStatus",
-    "SequenceStatus",
-    "StopReason",
-    "StructureProfile",
-    "SymbolicPrefix",
-    "AffineExpr",
-    "AffineTerm",
-    "ValidationError",
-    "abc_profile",
-    "behavior_tree",
-    "congruence_check",
-    "detect_quasilinear",
-    "evaluate",
-    "format_ic",
-    "is_exceptional",
-    "parse_ic",
-    "predict_sequence",
-    "qc_pattern_check",
-    "qt_pattern_check",
-    "resolve_int_mode",
-    "rst_compute",
-    "specialize",
-    "symbolic_extend",
-    "tree_locate",
-    "verify_against_bruteforce",
-    "write_bfile",
-    "write_csv",
     "__version__",
+    *engine.__all__,
+    *errors.__all__,
+    *predictor.__all__,
+    *rst.__all__,
+    *symbolic.__all__,
 ]

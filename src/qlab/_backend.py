@@ -14,14 +14,7 @@ from __future__ import annotations
 import sys
 
 from . import _fallback
-from ._fallback import (
-    INT64_MAX,
-    INT64_MIN,
-    STATUS_ALIVE,
-    STATUS_DIED,
-    STATUS_ENDED,
-    STATUS_OVERFLOW,
-)
+from ._fallback import STATUS_ALIVE, STATUS_DIED, STATUS_ENDED, STATUS_OVERFLOW
 
 try:
     from . import _kernel  # type: ignore[no-redef]
@@ -30,19 +23,7 @@ except ImportError:
 
 BACKEND = "compiled" if _kernel is not None else "python"
 
-__all__ = [
-    "BACKEND",
-    "INT64_MAX",
-    "INT64_MIN",
-    "STATUS_ALIVE",
-    "STATUS_DIED",
-    "STATUS_ENDED",
-    "STATUS_OVERFLOW",
-    "format_rows",
-    "q_check",
-    "q_generate",
-    "rst_generate",
-]
+__all__ = ["BACKEND", "format_rows", "q_check", "q_generate", "rst_generate"]
 
 
 def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):

@@ -104,6 +104,7 @@ def _run_gen(args: argparse.Namespace) -> int:
 
 def _run_sym(args: argparse.Namespace) -> int:
     _check_loglog(args)
+    _check_size("--at", args.at)
     constraint = NConstraint(args.nmin, args.nmax)
     prefix = symbolic_extend(args.convention, constraint, args.offsets)
     if args.at is not None:
@@ -154,6 +155,7 @@ def _run_rst(args: argparse.Namespace) -> int:
 
 def _run_predict(args: argparse.Namespace) -> int:
     _check_loglog(args)
+    _check_size("--n", args.n)
     seq = predict_sequence(args.n, args.max_terms)
     _emit_sequence(seq, args)
     return 0
@@ -176,6 +178,12 @@ def _scan_worker(task: tuple[int, int]):
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValidationError("--workers must be at least 1")
+
+
+def _check_size(option: str, value: int | None) -> None:
+    # an N past sys.maxsize cannot index a run, nor be counted by a range
+    if value is not None and value > sys.maxsize:
+        raise ValidationError(f"{option} must be at most {sys.maxsize}")
 
 
 def _map_tasks(worker, tasks, workers: int):
@@ -204,6 +212,8 @@ def _verify_line(n: int, report) -> str:
 
 def _run_verify(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
+    _check_size("--n", args.n)
+    _check_size("--to", args.to)
     if args.to is None:
         pairs = [(args.n, verify_against_bruteforce(args.n, args.max_terms))]
     else:
@@ -229,6 +239,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_scan(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
+    _check_size("--from", args.start)
+    _check_size("--to", args.stop)
     if args.start < 2:
         raise ValidationError("scan starts at N >= 2")
     if args.stop < args.start:

@@ -24,17 +24,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import IO, Sequence
 
 from . import _backend
-from ._backend import BACKEND
 from .errors import ArithmeticOverflowError, ValidationError
 
 __all__ = [
-    "BACKEND",
     "GeneratedSequence",
     "InitialCondition",
     "QuasilinearSegment",
@@ -46,7 +45,6 @@ __all__ = [
     "resolve_int_mode",
     "write_bfile",
     "write_csv",
-    "write_json",
 ]
 
 _MODES = ("fast64", "exact")
@@ -236,31 +234,21 @@ def detect_quasilinear(seq, period: int, from_index: int = 1) -> list[Quasilinea
     def val(n: int) -> int:
         return t[n - 1]
 
-    def flat(n: int) -> bool:
-        # the first difference at n matches the one a full period later
-        return val(n + m) - val(n) == val(n + 2 * m) - val(n + m)
-
     hi = total - 2 * m  # last index with a testable window
-    found: list[tuple[int, int]] = []
-    n = from_index
-    while n <= hi:
-        if flat(n):
-            start = n
-            while n + 1 <= hi and flat(n + 1):
-                n += 1
-            found.append((start, n + 2 * m))
-        n += 1
-    # Length-2m segments carry no interior window; they are maximal exactly
-    # when both extensions are blocked by a failing window or the boundary.
-    for x in range(from_index, total - 2 * m + 2):
-        left_blocked = x == from_index or not flat(x - 1)
-        right_blocked = x > hi or not flat(x)
-        if left_blocked and right_blocked:
-            found.append((x, x + 2 * m - 1))
-    found.sort()
-
+    # flat[x - from_index]: window x is flat, its first difference at x
+    # matching the one a full period later
+    flat = [val(x + m) - val(x) == val(x + 2 * m) - val(x + m)
+            for x in range(from_index, hi + 1)]
     segments = []
-    for s, e in found:
+    for s in range(from_index, hi + 2):
+        i = s - from_index
+        if i and flat[i - 1]:
+            continue  # a run of flat windows from before s covers it
+        # extend the run of flat windows from s; with none, the lone 2m terms
+        j = i
+        while j < len(flat) and flat[j]:
+            j += 1
+        e = s + j - i + 2 * m - 1
         residues = []
         for r in range(m):
             n0 = s + (r - s) % m
@@ -289,6 +277,9 @@ def parse_ic(text: str) -> InitialCondition:
                 a, b = int(lo), int(hi)
                 if b < a:
                     raise ValidationError(f"descending run {item!r} in {text!r}")
+                if b - a >= sys.maxsize:
+                    raise ValidationError(
+                        f"run {item!r} in {text!r} is longer than {sys.maxsize} terms")
                 terms.extend(range(a, b + 1))
             else:
                 terms.append(int(item))

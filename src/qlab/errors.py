@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ArithmeticOverflowError", "DivisibilityError", "QlabError", "ValidationError"]
+
 
 class QlabError(Exception):
     """Base class for all package-specific errors."""

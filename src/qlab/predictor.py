@@ -37,9 +37,7 @@ __all__ = [
     "behavior_tree",
     "congruence_check",
     "is_exceptional",
-    "materialise",
     "predict_sequence",
-    "predicted_tiles",
     "tree_locate",
     "verify_against_bruteforce",
 ]

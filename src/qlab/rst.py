@@ -36,11 +36,8 @@ from .errors import QlabError, ValidationError
 
 __all__ = [
     "PatternReport",
-    "R",
     "RSTState",
     "RSTStatus",
-    "S",
-    "T",
     "qc_pattern_check",
     "qt_pattern_check",
     "rst_compute",

@@ -511,6 +511,37 @@ def test_n_beyond_a_python_size_is_a_runtime_error(capsys, argv):
     assert err.startswith("qlab: error: ") and err.count("\n") == 1
 
 
+_PAST_MAXSIZE = str(sys.maxsize + 1)
+
+
+def _too_large(option):
+    return f"qlab: error: {option} must be at most {sys.maxsize}\n"
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+@pytest.mark.parametrize("argv, err", [
+    (("predict", "--n", _HUGE_N, "--max", _HUGE_N), _too_large("--n")),
+    (("predict", "--n", _PAST_MAXSIZE, "--max", "5"), _too_large("--n")),
+    (("verify", "--n", _HUGE_N, "--max", _HUGE_N), _too_large("--n")),
+    (("verify", "--n", "40", "--to", _HUGE_N, "--max", _HUGE_N), _too_large("--to")),
+    (("scan", "--from", _HUGE_N, "--to", str(10**22 + 1), "--max", str(10**22 + 2)),
+     _too_large("--from")),
+    (("scan", "--from", "40", "--to", _HUGE_N, "--max", _HUGE_N), _too_large("--to")),
+    (("sym", "--nmin", "14", "--offsets", "4", "--at", _HUGE_N, "--format", "bfile"),
+     _too_large("--at")),
+    (("gen", "--ic", f"0;1..{_HUGE_N}", "--max", "5"),
+     f"qlab: error: run '1..{_HUGE_N}' in '0;1..{_HUGE_N}' is longer than {sys.maxsize}"
+     " terms\n"),
+    # sys.maxsize itself passes the size check, and fails the next one
+    (("predict", "--n", str(sys.maxsize), "--max", "5"),
+     "qlab: error: max_terms must cover the identity prefix\n"),
+])
+def test_n_past_a_python_size_names_its_option(request, capsys, backend, argv, err):
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        assert run_cli(capsys, *argv) == (1, "", err)
+
+
 def test_version_and_usage_errors(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0 and out.startswith("qlab ")

@@ -24,6 +24,7 @@ from qlab import (
     InitialCondition,
     NConstraint,
     PredictionReport,
+    QuasilinearSegment,
     SequenceStatus,
     ValidationError,
     behavior_tree,
@@ -396,7 +397,9 @@ def test_parse_ic_grammar():
     assert parse_ic("0;1..200").terms == tuple(range(1, 201))
 
 
-@pytest.mark.parametrize("bad", ["", "0;", "1,", ",1", "a", "1..2..3", "1.5", "5..3", "0;x"])
+@pytest.mark.parametrize("bad", ["", "0;", "1,", ",1", "a", "1..2..3", "1.5", "5..3", "0;x",
+                                 # runs of sys.maxsize + 1 terms
+                                 f"1..{sys.maxsize + 1}", f"0;2,-5..{sys.maxsize - 5}"])
 def test_parse_ic_rejects(bad):
     with pytest.raises(ValidationError):
         parse_ic(bad)
@@ -466,6 +469,87 @@ def test_quasilinear_validation():
         detect_quasilinear(seq, 1, from_index=0)
     with pytest.raises(ValidationError):
         detect_quasilinear(seq, 1, from_index=11)
+
+
+def _quasilinear_two_pass(seq, period, from_index=1):
+    """detect_quasilinear as it was before it walked its windows once: the
+    runs of flat windows in one loop, then the lone 2m-term segments in a
+    second that tests each window again.  The reference for the
+    differential test."""
+    if period < 1:
+        raise ValidationError("period must be >= 1")
+    if from_index < 1:
+        raise ValidationError("from_index must be >= 1")
+    t = seq.terms if isinstance(seq, GeneratedSequence) else seq
+    total = len(t)
+    if from_index > total:
+        raise ValidationError(f"from_index {from_index} is past the last term ({total})")
+    m = period
+
+    def val(n):
+        return t[n - 1]
+
+    def flat(n):
+        return val(n + m) - val(n) == val(n + 2 * m) - val(n + m)
+
+    hi = total - 2 * m
+    found = []
+    n = from_index
+    while n <= hi:
+        if flat(n):
+            start = n
+            while n + 1 <= hi and flat(n + 1):
+                n += 1
+            found.append((start, n + 2 * m))
+        n += 1
+    for x in range(from_index, total - 2 * m + 2):
+        left_blocked = x == from_index or not flat(x - 1)
+        right_blocked = x > hi or not flat(x)
+        if left_blocked and right_blocked:
+            found.append((x, x + 2 * m - 1))
+    found.sort()
+
+    segments = []
+    for s, e in found:
+        residues = []
+        for r in range(m):
+            n0 = s + (r - s) % m
+            k0, v0 = n0 // m, val(n0)
+            c = val(n0 + m) - v0
+            residues.append((c, v0 - c * k0))
+        segments.append(QuasilinearSegment(s, e, m, tuple(residues)))
+    return segments
+
+
+def test_quasilinear_matches_two_pass_reference():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(4000):
+        # quasilinear terms of a random period, each term perturbed with a
+        # random probability, so that runs, lone segments and both meet
+        shape = rng.randint(1, 5)
+        cs = [rng.randint(-3, 3) for _ in range(shape)]
+        ds = [rng.randint(-3, 3) for _ in range(shape)]
+        noise = rng.choice((0.0, 0.05, 0.2, 0.5, 1.0))
+        terms = [cs[n % shape] * (n // shape) + ds[n % shape]
+                 + (rng.randint(1, 3) if rng.random() < noise else 0)
+                 for n in range(1, rng.randint(1, 40) + 1)]
+        period = rng.randint(0, 5)
+        from_index = rng.randint(-1, len(terms) + 2)
+        outcomes = []
+        for detect in (detect_quasilinear, _quasilinear_two_pass):
+            try:
+                outcomes.append(detect(terms, period, from_index))
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (terms, period, from_index)
+        if isinstance(outcomes[0], str):
+            seen.add("ValidationError")
+        else:
+            seen.update("run" if seg.end - seg.start + 1 > 2 * period else "lone"
+                        for seg in outcomes[0])
+            seen.add("segments" if outcomes[0] else "none")
+    assert seen == {"ValidationError", "run", "lone", "segments", "none"}
 
 
 def test_write_bfile():
