@@ -11,6 +11,9 @@ Subcommands:
 
 Each subparser declares its options once and names its handler through
 ``set_defaults(handler=...)``; the handlers read the parsed namespace.
+Importing this module loads only argparse and :mod:`qlab.errors`: each
+handler imports the modules it runs, so that ``gen`` never loads the
+predictor.
 Integer tables (sequences in text, bfile, csv and json, and the R/S/T rows)
 are formatted by :func:`qlab._backend.format_rows`, through the writers of
 :mod:`qlab.engine`; every ``--format json`` goes through
@@ -28,30 +31,10 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 
-from . import __version__, _backend
-from .engine import (
-    GeneratedSequence,
-    evaluate,
-    parse_ic,
-    write_bfile,
-    write_csv,
-    write_json,
-    write_table,
-)
-from .errors import DivisibilityError, QlabError
-from .errors import ValidationError
-from .predictor import (
-    abc_profile,
-    behavior_tree,
-    is_exceptional,
-    predict_sequence,
-    tree_locate,
-    verify_against_bruteforce,
-)
-from .rst import rst_compute
-from .symbolic import CONVENTIONS, NConstraint, specialize, symbolic_extend
+from . import __version__
+from .errors import DivisibilityError, QlabError, ValidationError
 
 __all__ = ["main"]
 
@@ -81,7 +64,9 @@ def _check_loglog(args: argparse.Namespace) -> None:
         raise ValidationError("--loglog only applies to --format csv")
 
 
-def _emit_sequence(seq: GeneratedSequence, args: argparse.Namespace) -> None:
+def _emit_sequence(seq, args: argparse.Namespace) -> None:
+    from .engine import write_bfile, write_csv, write_json, write_table
+
     with _open_out(args.out) as out:
         if args.format == "bfile":
             write_bfile(seq, out)
@@ -95,6 +80,8 @@ def _emit_sequence(seq: GeneratedSequence, args: argparse.Namespace) -> None:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
+    from .engine import evaluate, parse_ic
+
     _check_loglog(args)
     ic = parse_ic(args.ic)
     seq = evaluate(ic, args.max_terms, mode=args.mode)
@@ -103,6 +90,9 @@ def _run_gen(args: argparse.Namespace) -> int:
 
 
 def _run_sym(args: argparse.Namespace) -> int:
+    from .engine import write_json
+    from .symbolic import NConstraint, specialize, symbolic_extend
+
     _check_loglog(args)
     _check_size("--at", args.at)
     constraint = NConstraint(args.nmin, args.nmax)
@@ -121,6 +111,9 @@ def _run_sym(args: argparse.Namespace) -> int:
 
 
 def _run_rst(args: argparse.Namespace) -> int:
+    from .engine import write_json, write_table
+    from .rst import rst_compute
+
     cols = ["r", "s", "t"] if args.which == "all" else [args.which]
     if args.format == "bfile" and len(cols) > 1:
         raise ValidationError("--format bfile needs --which r, s or t")
@@ -154,6 +147,8 @@ def _run_rst(args: argparse.Namespace) -> int:
 
 
 def _run_predict(args: argparse.Namespace) -> int:
+    from .predictor import predict_sequence
+
     _check_loglog(args)
     _check_size("--n", args.n)
     seq = predict_sequence(args.n, args.max_terms)
@@ -161,18 +156,14 @@ def _run_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_worker(task: tuple[int, int]):
-    n, max_terms = task
-    return n, verify_against_bruteforce(n, max_terms)
-
-
-def _scan_worker(task: tuple[int, int]):
-    n, max_terms = task
+def _scan_worker(abc_profile, q_check, max_terms: int, n: int):
+    """The descent of N, and the status and length of its run without its
+    terms: what verify runs, with no tiles.  The handler binds the functions
+    it imported, so that no call imports and a worker process unpickles them
+    by name."""
     profile = abc_profile(n)
-    # the run's status and length, without its terms: what verify runs, with no tiles
-    _, _, code, _, n_actual = _backend.q_check(range(1, n + 1), True, (), max_terms)
-    length = None if code == _backend.STATUS_ALIVE else n_actual
-    return n, profile.j, profile.classification, length
+    _, _, code, _, n_actual = q_check(range(1, n + 1), True, (), max_terms)
+    return n, profile.j, profile.classification, code, n_actual
 
 
 def _check_workers(workers: int) -> None:
@@ -187,7 +178,8 @@ def _check_size(option: str, value: int | None) -> None:
 
 
 def _map_tasks(worker, tasks, workers: int):
-    # no more processes than tasks or than the machine has CPUs
+    # worker is a module-level function or a partial of some, which a worker
+    # process unpickles by name; no more processes than tasks or than CPUs
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(t) for t in tasks]
@@ -211,6 +203,9 @@ def _verify_line(n: int, report) -> str:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .engine import write_json
+    from .predictor import is_exceptional, verify_against_bruteforce
+
     _check_workers(args.workers)
     _check_size("--n", args.n)
     _check_size("--to", args.to)
@@ -222,12 +217,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         if args.max_terms < args.to:
             raise ValidationError("--max must cover the identity prefix of every N")
         # no prediction below N = 35; is_exceptional rejects a negative N
-        tasks = [
-            (n, args.max_terms)
-            for n in range(args.n, args.to + 1)
-            if not is_exceptional(n) and n >= 35
-        ]
-        pairs = _map_tasks(_verify_worker, tasks, args.workers)
+        ns = [n for n in range(args.n, args.to + 1) if not is_exceptional(n) and n >= 35]
+        worker = partial(verify_against_bruteforce, max_terms=args.max_terms)
+        pairs = zip(ns, _map_tasks(worker, ns, args.workers))
     with _open_out(args.out) as out:
         for n, report in pairs:
             if args.format == "json":
@@ -238,6 +230,9 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_scan(args: argparse.Namespace) -> int:
+    from . import _backend
+    from .predictor import abc_profile
+
     _check_workers(args.workers)
     _check_size("--from", args.start)
     _check_size("--to", args.stop)
@@ -247,15 +242,15 @@ def _run_scan(args: argparse.Namespace) -> int:
         raise ValidationError("--to must be >= --from")
     if args.max_terms < args.stop:
         raise ValidationError("--max must cover the identity prefix of every N")
-    tasks = [(n, args.max_terms) for n in range(args.start, args.stop + 1)]
-    rows = _map_tasks(_scan_worker, tasks, args.workers)
+    worker = partial(_scan_worker, abc_profile, _backend.q_check, args.max_terms)
+    rows = _map_tasks(worker, range(args.start, args.stop + 1), args.workers)
     with _open_out(args.out) as out:
         out.write("n,j,classification,length\n")
-        for n, j, classification, length in rows:
+        for n, j, classification, code, length in rows:
             out.write(
                 f"{n},{'' if j is None else j},"
                 f"{'' if classification is None else classification},"
-                f"{'alive' if length is None else length}\n"
+                f"{'alive' if code == _backend.STATUS_ALIVE else length}\n"
             )
     return 0
 
@@ -284,6 +279,9 @@ def _tree_json(node) -> dict:
 
 
 def _run_tree(args: argparse.Namespace) -> int:
+    from .engine import write_json
+    from .predictor import behavior_tree, tree_locate
+
     with _open_out(args.out) as out:
         if args.locate is not None:
             digits, classification = tree_locate(args.locate)
@@ -330,7 +328,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sym", help="derive symbolic prefix terms Q(N+k)")
     p.set_defaults(handler=_run_sym)
-    p.add_argument("--convention", choices=CONVENTIONS, default="plain")
+    # symbolic.CONVENTIONS, written out so that building the parser imports nothing
+    p.add_argument("--convention", choices=("plain", "zero_extended"), default="plain")
     p.add_argument("--nmin", type=int, required=True, help="lower bound of the N range")
     p.add_argument("--nmax", type=int, help="optional upper bound of the N range")
     p.add_argument("--offsets", type=int, default=28, help="how many offsets to attempt")

@@ -27,7 +27,8 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, groupby, islice
+from operator import sub
 from typing import IO, Sequence
 
 from . import _backend
@@ -268,7 +269,7 @@ def parse_ic(text: str) -> InitialCondition:
         s = s[2:]
     if not s:
         raise ValidationError(f"malformed initial condition {text!r}")
-    terms: list[int] = []
+    items: list = []  # a range for each run, a 1-tuple for each single term
     for item in s.split(","):
         item = item.strip()
         lo, sep, hi = item.partition("..")
@@ -280,12 +281,14 @@ def parse_ic(text: str) -> InitialCondition:
                 if b - a >= sys.maxsize:
                     raise ValidationError(
                         f"run {item!r} in {text!r} is longer than {sys.maxsize} terms")
-                terms.extend(range(a, b + 1))
+                items.append(range(a, b + 1))
             else:
-                terms.append(int(item))
+                items.append((int(item),))
         except ValueError:
             raise ValidationError(f"malformed initial condition {text!r}") from None
-    return InitialCondition(tuple(terms), zero)
+    # a lone run stays a range, which InitialCondition takes with no int() per term
+    terms = items[0] if len(items) == 1 else tuple(chain.from_iterable(items))
+    return InitialCondition(terms, zero)
 
 
 def format_ic(ic: InitialCondition) -> str:
@@ -293,15 +296,15 @@ def format_ic(ic: InitialCondition) -> str:
     parts: list[str] = []
     terms = ic.terms
     i = 0
-    while i < len(terms):
-        j = i
-        while j + 1 < len(terms) and terms[j + 1] == terms[j] + 1:
-            j += 1
-        if j - i >= 2:
-            parts.append(f"{terms[i]}..{terms[j]}")
+    # terms[i] - i is the same along a run ascending by one, so groupby finds
+    # each run's length with no Python code per term
+    for _, run in groupby(map(sub, terms, count())):
+        j = i + len(list(run))
+        if j - i >= 3:
+            parts.append(f"{terms[i]}..{terms[j - 1]}")
         else:
-            parts.extend(str(v) for v in terms[i : j + 1])
-        i = j + 1
+            parts.extend(map(str, terms[i:j]))
+        i = j
     body = ",".join(parts)
     return f"0;{body}" if ic.zero_extended else body
 

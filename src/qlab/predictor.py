@@ -21,13 +21,13 @@ kernel, term by term, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import _backend
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, TILE_RANGE, materialise
 from .engine import GeneratedSequence, InitialCondition, SequenceStatus, _status_of
 from .errors import DivisibilityError, QlabError, ValidationError
 from .rst import _block_count, _tables
-from .symbolic import NConstraint, symbolic_extend
 
 __all__ = [
     "BehaviorTreeNode",
@@ -42,11 +42,16 @@ __all__ = [
     "verify_against_bruteforce",
 ]
 
-# (a, b) with Q(N+k) = a*N + b for offsets k = 1..34 of <0-bar; 1..N>: 28
-# affine terms and six sporadic ones, valid for every N >= 30.
-_PREFIX = tuple(
-    (t.a, t.b) for t in symbolic_extend("zero_extended", NConstraint(35), 34).terms
-)
+
+@cache
+def _prefix() -> tuple[tuple[int, int], ...]:
+    """(a, b) with Q(N+k) = a*N + b for offsets k = 1..34 of <0-bar; 1..N>:
+    28 affine terms and six sporadic ones, valid for every N >= 30.  Derived
+    on first use, so that only a prediction loads the symbolic module."""
+    from .symbolic import NConstraint, symbolic_extend
+
+    return tuple((t.a, t.b) for t in symbolic_extend("zero_extended", NConstraint(35), 34).terms)
+
 
 # CLOSINGS[c]: the (c, d, f) rows of the terms that close a level m of the
 # descent with residue C_m = c, starting just past chunk m: row i is the term
@@ -188,7 +193,7 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
             end += length
 
     # each literal evaluates only the rows the budget keeps
-    pairs = _PREFIX[: max_terms - end]
+    pairs = _prefix()[: max_terms - end]
     add(TILE_LITERAL, len(pairs), tuple([alpha * n + beta for alpha, beta in pairs]), None)
     # chunk m runs through index A_m + C'_m, chunk 1 from index N + 35 on
     add(TILE_CHUNK, a[1] + cp[0] - end, 7 * a[1] + b[0], a[1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 
 from qlab import _backend
 
-KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "qlab" / "_kernel.c"
+SRC = Path(__file__).resolve().parent.parent / "src"
+KERNEL_SOURCE = SRC / "qlab" / "_kernel.c"
 
 _BUILD = """
 import sys
@@ -60,3 +62,20 @@ def fastest_backend(kernel_build):
     the Python kernel otherwise; never skips."""
     with mock.patch.object(_backend, "_kernel", kernel_build[0]):
         yield
+
+
+@pytest.fixture
+def fresh_python():
+    """Run Python source in a new interpreter that imports qlab from src/,
+    as a fresh command would; returns its stdout, and fails the test on a
+    nonzero exit or on anything written to stderr."""
+
+    def run(code: str) -> str:
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return proc.stdout
+
+    return run

@@ -6,6 +6,8 @@ from __future__ import annotations
 import importlib
 import inspect
 
+import pytest
+
 import qlab
 
 # qlab.__all__ as it stood when each name was still listed by hand
@@ -61,3 +63,38 @@ def test_each_module_lists_only_what_it_defines():
 def test_no_name_is_declared_twice():
     declared = [name for module in DECLARING for name in _module(module).__all__]
     assert len(declared) == len(set(declared))
+
+
+def test_package_import_loads_no_module(fresh_python):
+    # each submodule, BACKEND and each public name is imported on first access
+    code = (
+        "import sys, qlab\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('qlab.')"
+        " and m != 'qlab._kernel')\n"
+        "print(loaded(), 'engine' in vars(qlab))\n"
+        "print(qlab.engine.__name__, loaded())\n"
+        "print(qlab.QlabError.__module__, qlab.BACKEND in ('compiled', 'python'))\n"
+    )
+    assert fresh_python(code).splitlines() == [
+        "[] False",
+        "qlab.engine ['qlab._backend', 'qlab._fallback', 'qlab.engine', 'qlab.errors']",
+        "qlab.errors True",
+    ]
+
+
+def test_first_access_binds_the_name():
+    assert qlab.evaluate is _module("engine").evaluate
+    assert vars(qlab)["evaluate"] is qlab.evaluate
+
+
+def test_dir_lists_the_public_names_and_modules():
+    listed = set(dir(qlab))
+    assert set(PUBLIC) <= listed
+    assert set(EXPORTED) <= listed
+
+
+@pytest.mark.parametrize("name", ["nope", "_nope", "cli_main", "_kernel_source"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(qlab, name)
+    assert not hasattr(qlab, name)

@@ -1,16 +1,14 @@
 """Command-line interface tests, driven through cli.main() so exit codes
-and stream routing are covered without spawning subprocesses."""
+and stream routing are covered without spawning subprocesses; only the
+checks of what a command imports start a fresh interpreter."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
-import subprocess
 import sys
 from array import array
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -26,6 +24,7 @@ from qlab import (
 )
 from qlab.cli import _build_parser, _emit_sequence, _verify_line, main
 from qlab.engine import GeneratedSequence, InitialCondition, SequenceStatus, evaluate
+from qlab.symbolic import CONVENTIONS
 
 
 def run_cli(capsys, *args):
@@ -274,14 +273,42 @@ def test_verify_range_skips_n_below_35(capsys):
     assert code == 1 and "non-exceptional N >= 35" in err
 
 
-def test_cli_import_leaves_process_pool_out():
+def test_cli_import_leaves_process_pool_out(fresh_python):
     # the process pool is imported only when --workers starts processes
-    src = Path(__file__).resolve().parent.parent / "src"
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
     code = "import sys, qlab.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert fresh_python(code) == "False\n"
+
+
+# prints the qlab modules that a fresh process has loaded after the code before it
+_LOADED = "; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'qlab'))"
+
+
+def test_cli_import_loads_only_the_cli(fresh_python):
+    assert fresh_python("import sys, qlab.cli" + _LOADED) == "qlab qlab.cli qlab.errors\n"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["gen", "--ic", "0;1..40", "--max", "60", "--format", "json"], {"engine"}),
+    (["rst", "--max", "50"], {"engine", "rst"}),
+    (["scan", "--from", "35", "--to", "40", "--max", "100"], {"engine", "predictor", "rst"}),
+    (["tree", "--levels", "2"], {"engine", "predictor", "rst"}),
+    (["predict", "--n", "40", "--max", "100"], {"engine", "predictor", "rst", "symbolic"}),
+    (["verify", "--n", "40", "--max", "100"], {"engine", "predictor", "rst", "symbolic"}),
+    (["sym", "--nmin", "10", "--offsets", "5"], {"engine", "symbolic"}),
+])
+def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
+    # every command also needs the kernel: _backend, and _fallback behind it
+    code = f"import os, sys, qlab.cli; qlab.cli.main({argv!r} + ['--out', os.devnull])" + _LOADED
+    modules = set(fresh_python(code).split()) - {"qlab._kernel"}
+    expected = {"qlab", "qlab.cli", "qlab.errors", "qlab._backend", "qlab._fallback"}
+    assert modules == expected | {f"qlab.{name}" for name in loaded}
+
+
+def test_convention_choices_are_the_symbolic_ones():
+    sym = _build_parser()._subparsers._group_actions[0].choices["sym"]
+    (convention,) = [a for a in sym._actions if a.dest == "convention"]
+    assert convention.choices == CONVENTIONS
+    assert convention.default == CONVENTIONS[0]
 
 
 def test_verify_workers_match_serial(capsys):
@@ -292,6 +319,14 @@ def test_verify_workers_match_serial(capsys):
     )
     assert code == 0
     assert parallel == serial
+
+
+def test_scan_workers_match_serial(capsys):
+    # two real processes: the worker, and the functions bound to it, must pickle
+    argv = ("scan", "--from", "30", "--to", "45", "--max", "200")
+    code, serial, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--workers", "2") == (0, serial, "")
 
 
 class _SerialPool:

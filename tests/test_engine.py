@@ -412,6 +412,36 @@ def test_format_ic_compresses_runs():
     assert str(InitialCondition((3, 2, 1))) == "3,2,1"
 
 
+def _format_ic_by_term(ic: InitialCondition) -> str:
+    """format_ic as a loop over the terms: the reference for its runs."""
+    parts, terms, i = [], ic.terms, 0
+    while i < len(terms):
+        j = i
+        while j + 1 < len(terms) and terms[j + 1] == terms[j] + 1:
+            j += 1
+        parts += [f"{terms[i]}..{terms[j]}"] if j - i >= 2 else map(str, terms[i : j + 1])
+        i = j + 1
+    return ("0;" if ic.zero_extended else "") + ",".join(parts)
+
+
+@given(st.lists(st.tuples(st.integers(-20, 2**70), st.integers(1, 5)), min_size=1, max_size=8),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_format_ic_matches_term_loop(runs, zero):
+    # adjacent runs may join into one, or ascend into each other
+    terms = tuple(v for start, length in runs for v in range(start, start + length))
+    ic = InitialCondition(terms, zero)
+    text = format_ic(ic)
+    assert text == _format_ic_by_term(ic)
+    assert parse_ic(text) == ic
+
+
+def test_parse_ic_keeps_a_lone_run_as_a_tuple():
+    ic = parse_ic("0;1..3000")
+    assert type(ic.terms) is tuple and ic.terms == tuple(range(1, 3001))
+    assert ic == InitialCondition.identity(3000, zero_extended=True)
+
+
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_parse_format_roundtrip(terms, zero):

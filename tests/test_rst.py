@@ -203,7 +203,7 @@ def test_rst_output_matches_per_cell_writer(capsys, n_max, fmt, which, ended):
     except ValidationError as exc:
         expected = (1, "", f"qlab: error: {exc}\n")
     # an ended state cannot be computed, so it is handed to the CLI
-    patched = mock.patch("qlab.cli.rst_compute", return_value=state)
+    patched = mock.patch("qlab.rst.rst_compute", return_value=state)
     with patched if ended else contextlib.nullcontext():
         code = main(["rst", "--max", str(n_max), "--format", fmt, "--which", which])
     captured = capsys.readouterr()
@@ -249,7 +249,7 @@ def _independent_rst(n_max: int) -> tuple[list[int], list[int], list[int]]:
 
 
 def test_rst_usage_error_comes_before_the_tables(capsys):
-    with mock.patch("qlab.cli.rst_compute", side_effect=lambda n: pytest.fail("tables computed")):
+    with mock.patch("qlab.rst.rst_compute", side_effect=lambda n: pytest.fail("tables computed")):
         code = main(["rst", "--max", "20000000", "--format", "bfile"])
     assert (code, *capsys.readouterr()) == (
         1, "", "qlab: error: --format bfile needs --which r, s or t\n")
