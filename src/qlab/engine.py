@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 from array import array
@@ -37,6 +38,7 @@ from .errors import ArithmeticOverflowError, ValidationError
 __all__ = [
     "GeneratedSequence",
     "InitialCondition",
+    "PredictionReport",
     "QuasilinearSegment",
     "SequenceStatus",
     "detect_quasilinear",
@@ -76,7 +78,7 @@ class InitialCondition:
     def __post_init__(self):
         # a range holds only ints: identity's own skips the conversion
         terms = self.terms
-        terms = tuple(terms) if type(terms) is range else tuple(map(int, terms))
+        terms = tuple(terms) if type(terms) is range else tuple(map(_term, terms))
         if not terms:
             raise ValidationError("initial condition needs at least one term")
         object.__setattr__(self, "terms", terms)
@@ -94,6 +96,14 @@ class InitialCondition:
 
     def __str__(self) -> str:
         return format_ic(self)
+
+
+def _term(value) -> int:
+    """A term read through ``__index__`` (an int, or numpy's): a float, str
+    or bool is refused, never truncated or parsed."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"initial-condition term {value!r} is not an integer")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,42 @@ def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> G
     if code == _backend.STATUS_OVERFLOW:
         raise ArithmeticOverflowError(at)
     return GeneratedSequence(ic, terms, _status_of(code, at))
+
+
+@dataclass(frozen=True)
+class PredictionReport:
+    """Outcome of comparing a prediction against the actual recurrence."""
+
+    matched_through: int
+    first_mismatch: tuple[int, int | None, int | None] | None
+    predicted_status: SequenceStatus
+    actual_status: SequenceStatus
+    terminal_agreement: bool
+
+    def to_json(self) -> dict:
+        mismatch = None
+        if self.first_mismatch is not None:
+            index, predicted, actual = self.first_mismatch
+            mismatch = {"index": index, "predicted": predicted, "actual": actual}
+        return {
+            "matched_through": self.matched_through,
+            "first_mismatch": mismatch,
+            "predicted_status": str(self.predicted_status),
+            "actual_status": str(self.actual_status),
+            "terminal_agreement": self.terminal_agreement,
+        }
+
+
+def _check(prefix, tiles, max_terms: int, predicted: SequenceStatus) -> PredictionReport:
+    """Compare the run from ``prefix`` under zero extension, term by term and
+    exactly, with the terms ``tiles`` predict, whose run stops as
+    ``predicted`` says: the one comparison of a prediction with brute force,
+    for every family of initial conditions."""
+    matched, first, code, at, n_actual = _backend.q_check(prefix, True, tiles, max_terms)
+    actual = _status_of(code, at)
+    length = sum(tile[1] for tile in tiles)
+    return PredictionReport(matched, first, predicted, actual,
+                            predicted == actual and length == n_actual)
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from . import _backend
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, TILE_RANGE, materialise
-from .engine import GeneratedSequence, InitialCondition, SequenceStatus, _status_of
+from .engine import GeneratedSequence, InitialCondition, PredictionReport, SequenceStatus, _check
 from .errors import DivisibilityError, QlabError, ValidationError
 from .rst import _block_count, _tables
 
 __all__ = [
     "BehaviorTreeNode",
-    "PredictionReport",
     "StructureProfile",
     "abc_profile",
     "behavior_tree",
@@ -262,30 +260,6 @@ def predict_sequence(
     return GeneratedSequence(ic, terms, status)
 
 
-@dataclass(frozen=True)
-class PredictionReport:
-    """Outcome of comparing a prediction against the actual recurrence."""
-
-    matched_through: int
-    first_mismatch: tuple[int, int | None, int | None] | None
-    predicted_status: SequenceStatus
-    actual_status: SequenceStatus
-    terminal_agreement: bool
-
-    def to_json(self) -> dict:
-        mismatch = None
-        if self.first_mismatch is not None:
-            index, predicted, actual = self.first_mismatch
-            mismatch = {"index": index, "predicted": predicted, "actual": actual}
-        return {
-            "matched_through": self.matched_through,
-            "first_mismatch": mismatch,
-            "predicted_status": str(self.predicted_status),
-            "actual_status": str(self.actual_status),
-            "terminal_agreement": self.terminal_agreement,
-        }
-
-
 def verify_against_bruteforce(
     n_value: int, max_terms: int, max_depth: int = 16
 ) -> PredictionReport:
@@ -295,12 +269,7 @@ def verify_against_bruteforce(
     tiles = predicted_tiles(profile, max_terms)
     length = sum(tile[1] for tile in tiles)
     predicted = _predicted_status(profile, length, max_terms)
-    matched, first, code, at, n_actual = _backend.q_check(
-        range(1, n_value + 1), True, tiles, max_terms
-    )
-    actual = _status_of(code, at)
-    terminal = predicted == actual and length == n_actual
-    return PredictionReport(matched, first, predicted, actual, terminal)
+    return _check(range(1, n_value + 1), tiles, max_terms, predicted)
 
 
 @dataclass

@@ -17,9 +17,9 @@ lam = A_j, so its side condition lam*T(k) >= K+5k+4 is the one
 by :func:`qc_pattern_check`; its period-5 chunk is the predictor's.
 
 Both checkers describe their pattern as the predictor's tiles (the R/S/T
-blocks and the period-5 chunk, documented in ``_fallback``) and compare it
-with the recurrence through ``_backend.q_check``, as the prediction oracle
-does.
+blocks and the period-5 chunk, documented in ``_fallback``) and return the
+:class:`PredictionReport` of the prediction oracle's comparison with the
+recurrence, ``engine._check``, as ``verify_against_bruteforce`` does.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from typing import Sequence
 
 from . import _backend
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL
-from .engine import InitialCondition, SequenceStatus, _status_of
+from .engine import InitialCondition, PredictionReport, SequenceStatus, _check
 from .errors import QlabError, ValidationError
 
 __all__ = [
-    "PatternReport",
     "RSTState",
     "RSTStatus",
     "qc_pattern_check",
@@ -162,32 +161,7 @@ def _block_count(lam: int, kmax: int) -> int:
     return kmax
 
 
-@dataclass(frozen=True)
-class PatternReport:
-    """Outcome of a block-pattern check against brute force.
-
-    holds_through_k counts complete five-term blocks verified;
-    holds_through_index is the last matching index.  first_violation is
-    (index, expected, actual), with actual None when the brute-forced
-    sequence stopped before that index.  side_condition_first_failure and
-    post_pattern_divergence are informational: the first block whose growth
-    condition failed, and the first index past the guaranteed range where
-    the pattern stops matching (None if it happened to continue).
-    """
-
-    holds_through_k: int
-    first_violation: tuple[int, int, int | None] | None
-    holds_through_index: int | None = None
-    side_condition_first_failure: int | None = None
-    sequence_end: SequenceStatus | None = None
-    post_pattern_divergence: tuple[int, int, int | None] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_violation is None
-
-
-def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PatternReport:
+def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PredictionReport:
     """Check <0;a_1..a_K,5,lam,4,mu> against its R/S/T block pattern.
 
     Block k >= 1 should occupy indices K+5k..K+5k+4 with the values
@@ -196,9 +170,9 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PatternReport:
     growth condition lam*T(k) >= K+5k+4 for every k <= k_max, besides
     lam >= 9 and mu >= K+6; that case is checked by seeded sweeps in the
     tests, not proven.  None of these is enforced, so a caller can probe
-    how violations look; k_max >= 1 is.  The first failure of the growth
-    condition through the first violated block is reported, not asserted.
-    The run is exact, however large its terms grow.
+    how violations look; k_max >= 1 is.  The run is compared, exactly, with
+    the pattern through index K+5k_max+4, where it predicts a live run;
+    after a violation, (matched_through - K - 4) // 5 blocks held.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
@@ -212,34 +186,18 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PatternReport:
         (TILE_LITERAL, 2, (5 * R(1), 5 * S(1)), None),
         (TILE_BLOCKS, 5 * k_max - 2, lam, (tables.r, tables.s, tables.t)),
     )
-    matched, first, code, at, _ = _backend.q_check(ic.terms, True, tiles, big_k + 5 * k_max + 4)
-    holds_through = last_k = k_max  # last_k: the last block compared
-    if first is not None:
-        holds_through = (matched - big_k - 4) // 5
-        last_k = holds_through + 1
-    side_fail = next(
-        (k for k in range(1, last_k + 1) if lam * tables.t[k] < big_k + 5 * k + 4), None
-    )
-    status = _status_of(code, at)
-
-    return PatternReport(
-        holds_through_k=holds_through,
-        first_violation=first,
-        holds_through_index=big_k + 5 * holds_through + 4 if holds_through else None,
-        side_condition_first_failure=side_fail,
-        sequence_end=None if status.is_alive else status,
-    )
+    return _check(ic.terms, tiles, big_k + 5 * k_max + 4, SequenceStatus.alive())
 
 
-def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> PatternReport:
+def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> PredictionReport:
     """Check <0;a_1..a_K,mu,5,lam,3> against its quasilinear-start pattern.
 
     Requires lam > K+5 and lam + mu > K+6.  With o = n - K, k = o // 5 and
     r = o % 5, the term at n should be (5, lam*k+mu, 5, lam, 3)[r] for every
-    K+1 <= n <= lam + nu, where nu = max(0, ((K+4-lam) mod 5) - 1) measures
-    how far past lam the references stay clear of the prefix.  k_max, if
-    given, caps the check at the end of block k_max.  The run is exact,
-    however large its terms grow.
+    K+1 <= n <= last = lam + nu, where nu = max(0, ((K+4-lam) mod 5) - 1)
+    measures how far past lam the references stay clear of the prefix.
+    k_max, if given, caps last at the end of block k_max.  The run is
+    compared, exactly, with the pattern through last and no further.
     """
     big_k = len(prefix)
     if lam <= big_k + 5:
@@ -255,23 +213,6 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> Pat
         last = min(last, big_k + 5 * k_max + 4)
 
     ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
-    # the prefix, then indices K+1 .. last+1 are the chunk (mu + lam*k, 5,
-    # lam, 3, 5), with one spare index to probe the boundary
-    tiles = ((TILE_LITERAL, big_k, ic.terms, None), (TILE_CHUNK, last + 1 - big_k, mu, lam))
-    matched, first, code, at, _ = _backend.q_check(ic.terms, True, tiles, last + 1)
-    first_violation = divergence = None
-    if first is not None and first[0] <= last:
-        first_violation = first
-    else:
-        matched = last
-        if last == lam + nu:  # a capped run never reaches the boundary
-            divergence = first
-    status = _status_of(code, at)
-
-    return PatternReport(
-        holds_through_k=max(0, (matched - 4 - big_k) // 5),
-        first_violation=first_violation,
-        holds_through_index=matched if matched > big_k else None,
-        sequence_end=None if status.is_alive else status,
-        post_pattern_divergence=divergence,
-    )
+    # the prefix, then indices K+1 .. last are the chunk (mu + lam*k, 5, lam, 3, 5)
+    tiles = ((TILE_LITERAL, big_k, ic.terms, None), (TILE_CHUNK, last - big_k, mu, lam))
+    return _check(ic.terms, tiles, last, SequenceStatus.alive())

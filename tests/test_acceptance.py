@@ -108,12 +108,13 @@ def test_06_classification_zero_tails():
 
 def test_07_rst_interleaving():
     report = qt_pattern_check((), 9, 6, 20_000)
-    assert report.ok
-    assert report.holds_through_index == 5 * 20_000 + 4
+    assert report.first_mismatch is None
+    assert report.matched_through == 5 * 20_000 + 4
     short = qt_pattern_check((), 8, 6, 12)
-    assert not short.ok
-    assert short.first_violation[0] <= 60
-    print(f"PASS: (5R,5S,9T,4,5R) holds for k<=20000; lam=8 breaks at index {short.first_violation[0]}")
+    assert short.first_mismatch is not None
+    assert short.first_mismatch[0] == 53 <= 60
+    assert short.matched_through == 52
+    print(f"PASS: (5R,5S,9T,4,5R) holds for k<=20000; lam=8 breaks at index {short.first_mismatch[0]}")
 
 
 def test_08_qc_persistence_randomized():
@@ -127,8 +128,8 @@ def test_08_qc_persistence_randomized():
         mu = rng.randint(k + 8 - lam, 60)
         nu = max(0, ((k + 4 - lam) % 5) - 1)
         report = qc_pattern_check(prefix, mu, lam)
-        assert report.ok, (k, lam, mu, report.first_violation)
-        assert report.holds_through_index == lam + nu, (k, lam, mu)
+        assert report.first_mismatch is None, (k, lam, mu, report.first_mismatch)
+        assert report.matched_through == lam + nu, (k, lam, mu)
     print("PASS: 50 randomized (K, lam, mu) runs hold exactly through lam+nu")
 
 

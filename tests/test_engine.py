@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 from array import array
@@ -112,6 +113,19 @@ def test_evaluate_validation():
         evaluate(InitialCondition((1, 1)), 10, mode="decimal")
     with pytest.raises(ValidationError):
         InitialCondition(())
+
+
+def test_initial_condition_refuses_non_integer_terms():
+    # each term is read through __index__: nothing is truncated or parsed
+    np = pytest.importorskip("numpy")
+    for bad, terms in (("1.9", (1.9, 2.7)), ("'3'", ("3", True)), ("True", (3, True)),
+                       ("np.float64(2.0)", (1, np.float64(2.0)))):
+        with pytest.raises(ValidationError, match=rf"^initial-condition term {re.escape(bad)} is"):
+            InitialCondition(terms)
+    ic = InitialCondition((np.int64(3), np.uint8(4), 5), zero_extended=True)
+    assert ic.terms == (3, 4, 5) and {type(term) for term in ic.terms} == {int}
+    assert str(ic) == "0;3..5"
+    assert list(evaluate(ic, 6).terms) == list(evaluate(parse_ic("0;3..5"), 6).terms)
 
 
 def test_resolve_int_mode(monkeypatch):

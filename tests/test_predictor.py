@@ -39,7 +39,7 @@ from qlab._fallback import (
     _first_difference,
     materialise,
 )
-from qlab.engine import InitialCondition, SequenceStatus, _status_of, evaluate
+from qlab.engine import InitialCondition, SequenceStatus, _check, _status_of, evaluate
 from qlab.predictor import CLOSINGS, StructureProfile, _exact5, predicted_tiles
 from qlab.rst import R, S, T, _block_count, _tables
 
@@ -281,6 +281,17 @@ def test_report_json_shape():
     assert broken["first_mismatch"] == {"index": 130, "predicted": 53, "actual": 52}
     assert broken["predicted_status"] == "ended at 237"
     assert broken["terminal_agreement"] is False
+
+
+def test_check_agrees_at_the_end_only_with_equal_lengths():
+    # a prediction that stops short of the budget while both statuses read
+    # alive (a class-2 run cut by its side condition) disagrees at its end
+    tiles = ((TILE_RANGE, 5, 1, None), (TILE_LITERAL, 3, (3, 6, 7), None))
+    short = _check(range(1, 6), tiles, 20, SequenceStatus.alive())
+    assert (short.matched_through, short.first_mismatch) == (8, (9, None, 5))
+    assert short.actual_status == short.predicted_status and not short.terminal_agreement
+    full = _check(range(1, 6), tiles, 8, SequenceStatus.alive())
+    assert (full.matched_through, full.first_mismatch, full.terminal_agreement) == (8, None, True)
 
 
 def test_behavior_tree_levels():

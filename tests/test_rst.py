@@ -10,6 +10,7 @@ import io
 import json
 import random
 from array import array
+from itertools import count
 from types import SimpleNamespace
 from unittest import mock
 
@@ -17,7 +18,9 @@ import pytest
 
 from qlab import (
     InitialCondition,
+    PredictionReport,
     QlabError,
+    SequenceStatus,
     ValidationError,
     _backend,
     _fallback,
@@ -29,7 +32,7 @@ from qlab import (
 )
 from qlab._fallback import STATUS_OVERFLOW, TILE_BLOCKS, TILE_LITERAL
 from qlab.cli import main
-from qlab.rst import PatternReport, R, RSTState, RSTStatus, S, T
+from qlab.rst import R, RSTState, RSTStatus, S, T
 
 
 def test_small_tables():
@@ -287,42 +290,45 @@ def test_qt_first_block_values():
     seq = evaluate(InitialCondition((5, 9, 4, 7), zero_extended=True), 9)
     assert [seq.term(i) for i in range(5, 10)] == [5, 5, 18, 4, 5]
     report = qt_pattern_check((), 9, 7, 1)
-    assert report.ok
-    assert report.holds_through_k == 1
-    assert report.holds_through_index == 9
+    assert report.first_mismatch is None
+    assert report.matched_through == 9
+    assert report.terminal_agreement
     print("✓ qt block 1 equals (5,5,18,4,5)")
 
 
 def test_qt_holds_for_sixty_blocks():
     report = qt_pattern_check((), 9, 7, 60)
-    assert report.ok
-    assert report.holds_through_k == 60
-    assert report.holds_through_index == 304
-    assert report.side_condition_first_failure is None
-    assert report.sequence_end is None
+    assert report.first_mismatch is None
+    assert report.matched_through == 304
+    assert report.actual_status == report.predicted_status == SequenceStatus.alive()
+    assert report.terminal_agreement
+    # and every block meets the side condition
+    assert all(9 * T(k) >= 5 * k + 4 for k in range(1, 61))
 
 
 def test_qt_with_nonempty_prefix():
     # lam=9 is too short for K=3: 9*T(10) = 54 < 3+50+4, and the pattern
     # really breaks in block 10 at the "4" slot (index 3+5*10+3 = 56)
+    assert next(k for k in count(1) if 9 * T(k) < 3 + 5 * k + 4) == 10
     report = qt_pattern_check((2, 2, 2), 9, 9, 40)
-    assert not report.ok
-    assert report.side_condition_first_failure == 10
-    assert report.first_violation == (56, 4, 6)
+    assert report.first_mismatch == (56, 4, 6)
+    assert report.matched_through == 55
+    assert (report.matched_through - 3 - 4) // 5 == 9  # blocks 1..9 held
     # a longer lam clears the side condition for every k <= 40
+    assert all(15 * T(k) >= 3 + 5 * k + 4 for k in range(1, 41))
     report = qt_pattern_check((2, 2, 2), 15, 9, 40)
-    assert report.ok
-    assert report.holds_through_index == 3 + 5 * 40 + 4
+    assert report.first_mismatch is None
+    assert report.matched_through == 3 + 5 * 40 + 4
     print("✓ qt prefix (2,2,2): lam=9 truncates in block 10, lam=15 holds")
 
 
 def test_qt_guarantee_for_empty_prefix(fastest_backend):
     # K = 0: lam >= 9 and mu >= 6 suffice
     failures = [
-        (lam, mu, report.first_violation)
+        (lam, mu, report.first_mismatch)
         for lam in range(9, 41)
         for mu in range(6, 41)
-        if not (report := qt_pattern_check((), lam, mu, 150)).ok
+        if (report := qt_pattern_check((), lam, mu, 150)).first_mismatch is not None
     ]
     assert failures == []
 
@@ -341,56 +347,64 @@ def test_qt_guarantee_under_side_condition(fastest_backend):
             continue
         met += 1
         report = qt_pattern_check(prefix, lam, mu, k_max)
-        assert report.ok, (prefix, lam, mu, k_max, report.first_violation)
-        assert report.side_condition_first_failure is None
+        assert report.first_mismatch is None, (prefix, lam, mu, k_max, report.first_mismatch)
+        assert report.matched_through == big_k + 5 * k_max + 4
     assert met > 2500  # the side condition leaves most draws in
 
 
 def test_qt_lambda_8_breaks_quickly():
     report = qt_pattern_check((), 8, 7, 12)
-    assert not report.ok
-    index, want, got = report.first_violation
+    index, want, got = report.first_mismatch
     assert index <= 60
     assert (index, want, got) == (53, 4, 9)
-    assert report.holds_through_k == 9
+    assert report.matched_through == 52
+    assert (report.matched_through - 4) // 5 == 9  # blocks 1..9 held
     print(f"✓ lam=8 first violation at index {index} (want {want}, got {got})")
 
 
 def test_qt_validation():
     with pytest.raises(ValidationError):
         qt_pattern_check((), 9, 7, 0)
+    # a fractional lam is refused with the condition, before any tile holds it
+    with pytest.raises(ValidationError, match="term 9.5 is not an integer"):
+        qt_pattern_check((), 9.5, 7, 2)
 
 
 def test_qc_long_prefix_sizes():
     report = qc_pattern_check(tuple(range(1, 41)), 60, 100)
-    assert report.ok
-    assert report.holds_through_index == 103  # lam + nu with nu = 3
-    assert report.holds_through_k == 11
-    assert report.post_pattern_divergence is not None
-    assert report.post_pattern_divergence[0] == 104
-    print("✓ qc K=40, lam=100, mu=60 holds through 103 and diverges at 104")
+    assert report.first_mismatch is None
+    assert report.matched_through == 103  # lam + nu with nu = 3
+    assert (report.matched_through - 4 - 40) // 5 == 11  # complete blocks
+    assert report.terminal_agreement
+    print("✓ qc K=40, lam=100, mu=60 holds through 103")
 
 
 def test_qc_pattern_values_match_engine():
-    prefix = tuple(range(1, 41))
-    seq = evaluate(InitialCondition((*prefix, 60, 5, 100, 3), zero_extended=True), 103)
-    for n in range(41, 104):
+    # the pattern holds through lam + nu = 103, and the run leaves it at 104
+    def pattern(n):
         k, r = divmod(n - 40, 5)
-        assert seq.term(n) == (5, 100 * k + 60, 5, 100, 3)[r]
+        return (5, 100 * k + 60, 5, 100, 3)[r]
+
+    prefix = tuple(range(1, 41))
+    seq = evaluate(InitialCondition((*prefix, 60, 5, 100, 3), zero_extended=True), 104)
+    for n in range(41, 104):
+        assert seq.term(n) == pattern(n)
+    assert len(seq) == 104 and seq.term(104) != pattern(104)
 
 
 def test_qc_arbitrary_prefix_values():
     # the guaranteed range never references into the prefix, so junk is fine
     report = qc_pattern_check((-7, 0, 900, 3), 30, 40)
-    assert report.ok
+    assert report.first_mismatch is None
+    assert report.matched_through == 42  # lam + nu with nu = 2
 
 
 def test_qc_k_max_caps_the_range():
     report = qc_pattern_check(tuple(range(1, 41)), 60, 100, k_max=2)
-    assert report.ok
-    assert report.holds_through_index == 54
-    assert report.holds_through_k == 2
-    assert report.post_pattern_divergence is None  # capped before the boundary
+    assert report.first_mismatch is None
+    assert report.matched_through == 54
+    assert (report.matched_through - 4 - 40) // 5 == 2  # complete blocks
+    assert report.terminal_agreement
 
 
 def test_qc_preconditions():
@@ -407,9 +421,8 @@ def test_qc_boundary_pair_reported_honestly():
     # block 1 then reads index K+8-(lam+mu) = 1 instead of falling off the
     # left edge: Q(8) = Q(3)+Q(1) = 6+1 = 7, not lam = 6 (hand-checked)
     report = qc_pattern_check((), 1, 6)
-    assert not report.ok
-    assert report.first_violation == (8, 6, 7)
-    assert report.holds_through_index == 7
+    assert report.first_mismatch == (8, 6, 7)
+    assert report.matched_through == 7
     print("✓ qc boundary pair (mu=1, lam=6) breaks at index 8 as computed")
 
 
@@ -417,54 +430,46 @@ def test_qc_minimal_passing_pair():
     # lam+mu = K+8 is the least sum whose block-1 references all clear the
     # left edge; the pattern then holds through lam+nu exactly
     report = qc_pattern_check((), 2, 6)
-    assert report.ok
-    assert report.holds_through_index == 6 + max(0, ((4 - 6) % 5) - 1)
+    assert report.first_mismatch is None
+    assert report.matched_through == 6 + max(0, ((4 - 6) % 5) - 1)
 
 
 def _qt_per_index(prefix, lam, mu, k_max):
-    """qt_pattern_check as it was before the shared block template: one
-    seq.term(idx) and one R(k)/S(k)/T(k) read per cell.  The reference for
-    the differential test."""
+    """qt_pattern_check as it was before the shared block template, with its
+    outcome as a PredictionReport: one seq.term(idx) and one R(k)/S(k)/T(k)
+    read per cell.  The reference for the differential test."""
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     big_k = len(prefix)
     ic = InitialCondition((*prefix, 5, lam, 4, mu), zero_extended=True)
-    seq = evaluate(ic, big_k + 5 * k_max + 4, mode="exact")
+    last = big_k + 5 * k_max + 4
+    seq = evaluate(ic, last, mode="exact")
     total = len(seq)
 
-    holds_through = 0
-    first_violation = None
-    side_fail = None
+    matched = last
+    first_mismatch = None
     for k in range(1, k_max + 1):
         base = big_k + 5 * k
-        if side_fail is None and lam * T(k) < base + 4:
-            side_fail = k
         expected = (5 * R(k), 5 * S(k), lam * T(k), 4, 5 * R(k))
         for off, want in enumerate(expected):
             idx = base + off
-            if idx > total:
-                first_violation = (idx, want, None)
-                break
-            got = seq.term(idx)
+            got = seq.term(idx) if idx <= total else None
             if got != want:
-                first_violation = (idx, want, got)
+                first_mismatch = (idx, want, got)
+                matched = idx - 1
                 break
-        if first_violation:
+        if first_mismatch:
             break
-        holds_through = k
 
-    return PatternReport(
-        holds_through_k=holds_through,
-        first_violation=first_violation,
-        holds_through_index=big_k + 5 * holds_through + 4 if holds_through else None,
-        side_condition_first_failure=side_fail,
-        sequence_end=None if seq.status.is_alive else seq.status,
-    )
+    alive = SequenceStatus.alive()
+    return PredictionReport(matched, first_mismatch, alive, seq.status,
+                            seq.status == alive and total == last)
 
 
 def _qc_per_index(prefix, mu, lam, k_max=None):
-    """qc_pattern_check as it was before the shared period-5 chunk: one
-    seq.term(n) read per index.  The reference for the differential test."""
+    """qc_pattern_check as it was before the shared period-5 chunk, with its
+    outcome as a PredictionReport: one seq.term(n) read per index.  The
+    reference for the differential test."""
     big_k = len(prefix)
     if lam <= big_k + 5:
         raise ValidationError(f"lam must exceed K+5 = {big_k + 5}")
@@ -483,39 +488,22 @@ def _qc_per_index(prefix, mu, lam, k_max=None):
         return (5, lam * k + mu, 5, lam, 3)[r]
 
     ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
-    seq = evaluate(ic, last + 1, mode="exact")
+    seq = evaluate(ic, last, mode="exact")
     total = len(seq)
 
-    first_violation = None
-    matched = big_k
+    matched = last
+    first_mismatch = None
     for n in range(big_k + 1, last + 1):
         want = pattern(n)
-        if n > total:
-            first_violation = (n, want, None)
-            break
-        got = seq.term(n)
+        got = seq.term(n) if n <= total else None
         if got != want:
-            first_violation = (n, want, got)
+            first_mismatch = (n, want, got)
+            matched = n - 1
             break
-        matched = n
 
-    divergence = None
-    if first_violation is None and last < lam + nu:
-        pass
-    elif first_violation is None:
-        want = pattern(last + 1)
-        if last + 1 > total:
-            divergence = (last + 1, want, None)
-        elif seq.term(last + 1) != want:
-            divergence = (last + 1, want, seq.term(last + 1))
-
-    return PatternReport(
-        holds_through_k=max(0, (matched - 4 - big_k) // 5),
-        first_violation=first_violation,
-        holds_through_index=matched if matched > big_k else None,
-        sequence_end=None if seq.status.is_alive else seq.status,
-        post_pattern_divergence=divergence,
-    )
+    alive = SequenceStatus.alive()
+    return PredictionReport(matched, first_mismatch, alive, seq.status,
+                            seq.status == alive and total == last)
 
 
 def _report_or_error(check, *args, **kwargs):
@@ -553,10 +541,18 @@ class _ExactWays:
         return check
 
 
-def _sweep(kernel, check, reference, cases, outcomes):
+def _outcomes(report):
+    return {
+        "violation" if report.first_mismatch else "ok",
+        "alive" if report.actual_status.is_alive else "ended",
+    }
+
+
+def _sweep(kernel, check, reference, cases):
     """Assert check == reference on every case, on the Python backend and
-    through the kernel; returns the outcome names ``outcomes`` gives the
-    reports, and the ways the kernel's cases reached the exact reference."""
+    through the kernel; returns the outcomes seen (ok or violation, alive or
+    ended, or the error raised), and the ways the kernel's cases reached the
+    exact reference."""
     recorder = _ExactWays(kernel)
     seen = set()
     for backend in (recorder, None):
@@ -564,7 +560,7 @@ def _sweep(kernel, check, reference, cases, outcomes):
             for case in cases:
                 got = _report_or_error(check, *case)
                 assert got == _report_or_error(reference, *case), case
-                seen |= outcomes(got) if isinstance(got, PatternReport) else {got[0].__name__}
+                seen |= _outcomes(got) if isinstance(got, PredictionReport) else {got[0].__name__}
     return seen, recorder.ways
 
 
@@ -579,16 +575,9 @@ def test_qt_check_matches_per_index_reference(compiled_kernel):
         k_max = rng.choice((rng.randint(-1, 3), rng.randint(1, 80)))
         cases.append((prefix, lam, mu, k_max))
 
-    def outcomes(report):
-        return {
-            "violation" if report.first_violation else "ok",
-            "side" if report.side_condition_first_failure else "no side",
-            "ended" if report.sequence_end else "alive",
-        }
-
-    seen, ways = _sweep(compiled_kernel, qt_pattern_check, _qt_per_index, cases, outcomes)
+    seen, ways = _sweep(compiled_kernel, qt_pattern_check, _qt_per_index, cases)
     # every kind of outcome was exercised, and both ways to the exact reference
-    assert seen >= {"ok", "violation", "side", "no side", "ended", "alive", "ValidationError"}
+    assert seen >= {"ok", "violation", "ended", "alive", "ValidationError"}
     assert ways == {"prefix", "overflow"}
 
 
@@ -610,14 +599,6 @@ def test_qc_check_matches_per_index_reference(compiled_kernel):
         k_max = rng.choice((None, None, rng.randint(-1, 12)))
         cases.append((prefix, mu, lam, k_max))
 
-    def outcomes(report):
-        return {
-            "violation" if report.first_violation else "ok",
-            "diverged" if report.post_pattern_divergence else "no divergence",
-            "ended" if report.sequence_end else "alive",
-        }
-
-    seen, ways = _sweep(compiled_kernel, qc_pattern_check, _qc_per_index, cases, outcomes)
-    assert seen >= {"ok", "violation", "diverged", "no divergence", "ended", "alive",
-                    "ValidationError"}
+    seen, ways = _sweep(compiled_kernel, qc_pattern_check, _qc_per_index, cases)
+    assert seen >= {"ok", "violation", "ended", "alive", "ValidationError"}
     assert ways == {"prefix", "overflow"}
