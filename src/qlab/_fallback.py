@@ -1,15 +1,16 @@
 """Pure-Python generators: the reference semantics of the compiled kernel.
 
-Checked, q_generate and q_check simulate the kernel's int64 arithmetic and
-run when it is not built; unchecked, they go on exactly where int64 cannot,
-from the kernel's last exact term or from the start.  q_check compares the
-recurrence with a prediction given as tiles, and format_rows writes rows of
-ints as text, when the kernel is not built or its int64 values would
-overflow.  Terms and tables come back as the kernel returns them, one
-``array('q')`` each while the values fit int64: q_generate's terms,
-rst_generate's three R/S/T tables, and the terms ``materialise`` says the
-tiles predict.  Only an exact run, or a prediction, with a value past int64
-is a list of ints.  This module is the one owner of that rule.
+Every function here runs when the kernel is not built or declines a call
+(returns None), and is the one owner of every error: the kernel raises
+nothing but MemoryError.  Checked, q_generate and q_check simulate the
+kernel's int64 arithmetic, and q_check returns None where the kernel
+declines; unchecked, they go on exactly where int64 cannot, from the
+kernel's last exact term or from the start.  Terms and tables come back as
+the kernel returns them, one ``array('q')`` each while the values fit
+int64: q_generate's terms, rst_generate's three R/S/T tables, and the terms
+``materialise`` says the tiles predict.  Only an exact run, or a
+prediction, with a value past int64 is a list of ints.  This module is the
+one owner of that rule.
 
 A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
 each tile taking up where the one before it stopped.  By kind:
@@ -22,8 +23,7 @@ each tile taking up where the one before it stopped.  By kind:
   :class:`qlab.rst.RSTState` holds them, row k of each at index k:
   sequences of ints, of which kmax blocks read rows 0..kmax+1 of r and s and
   rows 0..kmax of t.  The kernel reads only ``array('q')`` tables, from
-  their buffers; for any other it answers as for a value outside int64, and
-  ``_backend`` asks this module.
+  their buffers, and declines any other.
 """
 
 from __future__ import annotations
@@ -255,16 +255,15 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
     lists, q_generate's status and index, and the count of actual terms.
     With ``checked`` the int64 kernel is simulated: when the recurrence
     overflows, or the predicted value first_mismatch would report lies
-    outside int64, the result is ``(0, None, STATUS_OVERFLOW, at, 0)`` with
-    ``at`` the index of that term.
+    outside int64, the result is None, as the kernel declines the call.
     """
     terms, status, at = q_generate(prefix, zero_extended, max_terms, checked)
     if status == STATUS_OVERFLOW:
-        return 0, None, status, at, 0
+        return None
     predicted = materialise(tiles, max_terms)
     first = _first_difference(predicted, terms)
     if first is None:
         return len(predicted), None, status, at, len(terms)
     if checked and first[1] is not None and not INT64_MIN <= first[1] <= INT64_MAX:
-        return 0, None, STATUS_OVERFLOW, first[0], 0
+        return None
     return first[0] - 1, first, status, at, len(terms)

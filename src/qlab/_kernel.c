@@ -1,31 +1,24 @@
-/* Compiled generators for the Q-recurrence and the R/S/T tables.
- *
- * Mirrors the contract of _fallback.q_generate in checked (int64) mode:
- * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at)
- * with terms an array('q'); status 0 alive, 1 died, 2 ended, 3 overflow.
- * A term outside int64, whether of the prefix or computed, is an overflow
- * at its index, and terms then holds the terms before it.  A prefix is any
- * sequence of ints; a range of them, such as range(1, N + 1) for <0;1..N>,
- * is read from its start, step and length with no int object per term, and
- * gives what its tuple gives (see load_prefix).  The recurrence keeps its
- * last two terms in registers (see extend).
+/* Compiled generators for the Q-recurrence and the R/S/T tables: a pure
+ * accelerator of _fallback, the Python reference.  Each entry point returns
+ * what its _fallback namesake does (checked, that is in int64, for
+ * q_generate and q_check), or None when it declines the call: when it
+ * cannot read it or decide it in int64.  _backend then asks _fallback,
+ * which owns every error, and the kernel raises nothing but MemoryError.
+ * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at),
+ * terms an array('q').  A term outside int64, of the prefix or computed, is
+ * STATUS_OVERFLOW at its index, and terms holds the terms before it.  A
+ * prefix is a range, a tuple or a list of ints; a range such as
+ * range(1, N + 1) is read from its start, step and length (see load_prefix).
  * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
- * and compares each term with the prediction the tiles describe, returning
- * what _fallback.q_check does in checked mode without building a list.
- * rst_generate(n_max) returns the tables of _fallback.rst_generate as three
- * array('q'), R(0..n), S(0..n) and T(0..n), so that row k of each is at
- * index k, or None when a value would leave int64.  Values are computed
- * in place in the arrays' buffers (see Store), which grow with the rows
- * produced and are never copied into another container.
- * format_rows(columns, first, sep, per_row, lo, hi) returns the text
- * _fallback.format_rows does, written as ASCII straight into one new str,
- * or None when it declines: a column that is not an int64 buffer, an index
- * outside int64, or a malformed call.  It raises nothing but MemoryError:
- * the Python reference owns every formatter error.
- * A table the kernel reads (a column of format_rows, an R/S/T table of a
- * block tile) is a C-contiguous int64 buffer, such as an array('q'), read in
- * place (see Column); for any other table q_check answers as it does for a
- * value outside int64, and _backend then runs the Python reference.
+ * (see extend) and compares it with the tiles without building a list.
+ * rst_generate(n_max) computes R(0..n), S(0..n) and T(0..n), row k at index
+ * k, in place in three array('q') (see Store).
+ * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
+ * straight into one new str.
+ * max_terms and n_max are clipped to Py_ssize_t (see clipped_size).  A table
+ * (a column of format_rows, an R/S/T table of a block tile) is read in place
+ * from a C-contiguous int64 buffer, such as an array('q') (see Column), and
+ * any other is declined.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -41,6 +34,26 @@
 #define TILE_LITERAL 1
 #define TILE_CHUNK 2
 #define TILE_BLOCKS 3
+
+/* The answer to a call the kernel declines: None, with any exception
+ * cleared but MemoryError, which is raised as it is. */
+static PyObject *
+declined(void)
+{
+    if (PyErr_Occurred() && PyErr_ExceptionMatches(PyExc_MemoryError))
+        return NULL;
+    PyErr_Clear();
+    Py_RETURN_NONE;
+}
+
+/* A PyArg converter: *n = the int o clipped to the range of Py_ssize_t,
+ * which no array outgrows, so the clip changes no answer. */
+static int
+clipped_size(PyObject *o, Py_ssize_t *n)
+{
+    *n = PyNumber_AsSsize_t(o, NULL);
+    return *n != -1 || !PyErr_Occurred();
+}
 
 /* Store in *out the term Q(n - v) that the value v refers to, or return the
  * status that stops the run: v <= 0 points at or past n itself, and v >= n
@@ -172,14 +185,14 @@ read_attr(PyObject *o, const char *name, long long *v, int *big)
     return rc;
 }
 
-/* A new buffer holding the int64 values of prefix (at least two terms),
- * with room for 1024 more, and *cap its capacity.  *k is the prefix length;
- * when a term lies outside int64, *big is set and *k is the count of terms
- * before it.  A range whose start and step fit int64 is read in place, each
- * term the one before plus step, with no int object per term; any other
- * prefix, a range such as range(-2**63, 1, 2**63) among them, is read as a
- * sequence.  Both reads give what the tuple of the prefix gives.  NULL with
- * an exception set on failure. */
+/* A new buffer holding the int64 values of prefix, a range, a tuple or a
+ * list of at least two ints, with room for 1024 more, and *cap its
+ * capacity.  *k is the prefix length; when a term lies outside int64, *big
+ * is set and *k is the count of terms before it.  A range whose start and
+ * step fit int64 is read in place, each term the one before plus step, with
+ * no int object per term; any other prefix, a range such as
+ * range(-2**63, 1, 2**63) among them, is read as its tuple.  Both reads give
+ * what the tuple of the prefix gives.  NULL to decline. */
 static long long *
 load_prefix(PyObject *prefix, Py_ssize_t *k, Py_ssize_t *cap, int *big)
 {
@@ -189,23 +202,20 @@ load_prefix(PyObject *prefix, Py_ssize_t *k, Py_ssize_t *cap, int *big)
     int range = PyRange_Check(prefix), wide = 0;
 
     *big = 0;
-    if (range && (read_attr(prefix, "start", &start, &wide) ||
-                  (!wide && read_attr(prefix, "step", &step, &wide))))
+    if ((!range && !PyTuple_Check(prefix) && !PyList_Check(prefix)) ||
+        (range && (read_attr(prefix, "start", &start, &wide) ||
+                   (!wide && read_attr(prefix, "step", &step, &wide)))))
         return NULL;
     range = range && !wide;
-    if (!range && (seq = PySequence_Fast(prefix, "prefix must be a sequence")) == NULL)
+    if (!range && (seq = PySequence_Tuple(prefix)) == NULL) /* a list copied: no call below changes it */
         return NULL;
-    *k = range ? PyObject_Size(prefix) : PySequence_Fast_GET_SIZE(seq);
-    if (*k < 0)
-        return NULL; /* a range longer than a Python size: OverflowError, as tuple() raises */
+    *k = range ? PyObject_Size(prefix) : PyTuple_GET_SIZE(seq); /* -1 past a Python size */
     *cap = Py_MIN(*k, PY_SSIZE_T_MAX - 1024) + 1024; /* too large for PyMem_New past that */
-    if (*k < 2)
-        PyErr_SetString(PyExc_ValueError, "prefix needs at least two terms");
-    else if ((t = PyMem_New(long long, *cap)) == NULL)
+    if (*k >= 2 && (t = PyMem_New(long long, *cap)) == NULL)
         PyErr_NoMemory();
     for (i = 0; t != NULL && !*big && i < *k; i++) {
         if (!range) {
-            if (read_int(PySequence_Fast_GET_ITEM(seq, i), &t[i], big)) {
+            if (read_int(PyTuple_GET_ITEM(seq, i), &t[i], big)) {
                 PyMem_Free(t);
                 t = NULL;
             }
@@ -261,20 +271,19 @@ q_generate(PyObject *self, PyObject *args)
     long long *t;
     Store st;
 
-    if (!PyArg_ParseTuple(args, "Opn:q_generate", &prefix, &zero, &max_terms))
-        return NULL;
-    if ((t = load_prefix(prefix, &k, &cap, &big)) == NULL)
-        return NULL;
+    if (!PyArg_ParseTuple(args, "OpO&", &prefix, &zero, clipped_size, &max_terms) ||
+        (t = load_prefix(prefix, &k, &cap, &big)) == NULL)
+        return declined();
     if (store_new(&st, cap) == 0)
         memcpy(st.v, t, k * sizeof(long long));
     PyMem_Free(t);
     if (st.arr == NULL)
-        return NULL;
+        return declined();
     n = k + 1; /* the index of a prefix term outside int64 */
     status = big ? STATUS_OVERFLOW : STATUS_ALIVE;
     while (status == STATUS_ALIVE && n <= max_terms) {
         if (n > st.cap && store_grow(&st) < 0)
-            return NULL;
+            return declined();
         status = extend(st.v, st.cap, zero, max_terms, &n);
     }
     return Py_BuildValue("(Nin)", store_take(&st, n - 1), status,
@@ -290,16 +299,14 @@ typedef struct {
     Py_ssize_t len;
 } Column;
 
-/* Hold the int64 buffer of o in col: 1, or 0 with nothing held and no
- * exception set when o exports none. */
+/* Hold the int64 buffer of o in col: 1, or 0 with nothing held when o
+ * exports none, and the call is declined. */
 static int
 column_open(PyObject *o, Column *col)
 {
     col->view.obj = NULL;
-    if (!PyObject_CheckBuffer(o) || PyObject_GetBuffer(o, &col->view, PyBUF_FORMAT | PyBUF_ND) < 0) {
-        PyErr_Clear(); /* no buffer, or not a C-contiguous one */
-        return 0;
-    }
+    if (PyObject_GetBuffer(o, &col->view, PyBUF_FORMAT | PyBUF_ND) < 0)
+        return 0; /* no buffer, or not a C-contiguous one */
     if (col->view.ndim != 1 || col->view.itemsize != 8 || strcmp(col->view.format, "q") != 0) {
         PyBuffer_Release(&col->view);
         return 0;
@@ -327,64 +334,49 @@ typedef struct {
     long long x;        /* chunk: a + b*k for the current k */
 } Tile;
 
-/* Read tile item, its length clipped to room: 0, 1 when an R/S/T table of
- * it is not an int64 buffer, or -1 with an exception set when it is
- * malformed.  Close it with tile_close either way. */
+/* Read tile item, its length clipped to room: 0, or 1 to decline a
+ * malformed tile, a literal value that is not an int, or an R/S/T table
+ * that is not an int64 buffer long enough for the tile.  Close it with
+ * tile_close either way. */
 static int
 read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
 {
     PyObject *a, *b, *r, *s, *t;
-    Py_ssize_t kmax;
+    Py_ssize_t kmax, i;
+    long long v;
+    int big;
 
-    memset(tl->tab, 0, sizeof tl->tab);
-    if (!PyTuple_Check(item)) {
-        PyErr_SetString(PyExc_TypeError, "a tile is a tuple (kind, length, a, b)");
-        return -1;
-    }
-    if (!PyArg_ParseTuple(item, "inOO:q_check", &tl->kind, &tl->length, &a, &b))
-        return -1;
-    if (tl->length < 0) {
-        PyErr_SetString(PyExc_ValueError, "tile length must be nonnegative");
-        return -1;
-    }
-    if (tl->length > room)
-        tl->length = room;
+    memset(tl, 0, sizeof *tl);
+    if (!PyTuple_Check(item) || !PyArg_ParseTuple(item, "inOO", &tl->kind, &tl->length, &a, &b) ||
+        tl->length < 0)
+        return 1;
+    tl->length = Py_MAX(Py_MIN(tl->length, room), 0);
     kmax = (tl->length + 4) / 5;
-    tl->a_big = tl->b_big = 0;
     switch (tl->kind) {
     case TILE_RANGE:
-        return read_int(a, &tl->a, &tl->a_big);
+        return read_int(a, &tl->a, &tl->a_big) < 0;
     case TILE_LITERAL:
-        if (!PyTuple_Check(a) || PyTuple_GET_SIZE(a) < tl->length) {
-            PyErr_SetString(PyExc_ValueError, "a literal tile needs a tuple of length values");
-            return -1;
+        if (!PyTuple_Check(a) || PyTuple_GET_SIZE(a) < tl->length)
+            return 1;
+        for (i = 0; i < tl->length; i++) {
+            if (read_int(PyTuple_GET_ITEM(a, i), &v, &big))
+                return 1;
         }
         tl->values = a;
         return 0;
     case TILE_CHUNK:
         if (read_int(a, &tl->a, &tl->a_big) || read_int(b, &tl->b, &tl->b_big))
-            return -1;
+            return 1;
         tl->x = tl->a;
         return 0;
     case TILE_BLOCKS:
-        if (read_int(a, &tl->a, &tl->a_big) || !PyTuple_Check(b) ||
-            !PyArg_ParseTuple(b, "OOO:q_check", &r, &s, &t)) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError, "a block tile needs a tuple (r, s, t) of tables");
-            return -1;
-        }
-        if (!column_open(r, &tl->tab[0]) || !column_open(s, &tl->tab[1]) ||
-            !column_open(t, &tl->tab[2]))
-            return 1;
         /* kmax blocks read rows 0..kmax+1 of r and s and 0..kmax of t */
-        if (tl->tab[0].len < kmax + 2 || tl->tab[1].len < kmax + 2 || tl->tab[2].len < kmax + 1) {
-            PyErr_SetString(PyExc_ValueError, "the R/S/T tables are too short for the block tile");
-            return -1;
-        }
-        return 0;
+        return read_int(a, &tl->a, &tl->a_big) || !PyTuple_Check(b) ||
+               !PyArg_ParseTuple(b, "OOO", &r, &s, &t) || !column_open(r, &tl->tab[0]) ||
+               !column_open(s, &tl->tab[1]) || !column_open(t, &tl->tab[2]) ||
+               tl->tab[0].len < kmax + 2 || tl->tab[1].len < kmax + 2 || tl->tab[2].len < kmax + 1;
     }
-    PyErr_Format(PyExc_ValueError, "unknown tile kind %d", tl->kind);
-    return -1;
+    return 1;
 }
 
 static void
@@ -395,11 +387,11 @@ tile_close(Tile *tl)
     column_close(&tl->tab[2]);
 }
 
-/* *v = the value tile tl predicts at offset j: 0, 1 when that value lies
- * outside int64, -1 with an exception set.  Called for j = 0, 1, 2, ... in
- * turn, and not again once it returned nonzero: the running value of a
- * chunk is then exact, and a parameter outside int64 is itself the first
- * value outside int64 that depends on it (T(k) >= 1 in every R/S/T table). */
+/* *v = the value tile tl predicts at offset j: 0, or 1 when that value lies
+ * outside int64 or cannot be read.  Called for j = 0, 1, 2, ... in turn,
+ * and not again once it returned 1: the running value of a chunk is then
+ * exact, and a parameter outside int64 is itself the first value outside
+ * int64 that depends on it (T(k) >= 1 in every R/S/T table). */
 static int
 tile_value(Tile *tl, Py_ssize_t j, long long *v)
 {
@@ -410,9 +402,7 @@ tile_value(Tile *tl, Py_ssize_t j, long long *v)
     case TILE_RANGE:
         return tl->a_big || __builtin_add_overflow(tl->a, (long long)j, v);
     case TILE_LITERAL:
-        if (read_int(PyTuple_GET_ITEM(tl->values, j), v, &big))
-            return -1;
-        return big;
+        return read_int(PyTuple_GET_ITEM(tl->values, j), v, &big) || big;
     case TILE_CHUNK:
         switch (j % 5) {
         case 0:
@@ -450,17 +440,16 @@ tile_value(Tile *tl, Py_ssize_t j, long long *v)
 static PyObject *
 q_check(PyObject *self, PyObject *args)
 {
-    PyObject *prefix, *tiles, *seq, *first = NULL, *result = NULL;
+    PyObject *prefix, *tiles, *seq = NULL, *first = NULL, *result = NULL;
     int zero, status, big, rc = 0, differs = 0;
-    Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, i, j;
+    Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, end = 0, i, j;
     long long *t = NULL, v = 0;
     Tile tl;
 
-    if (!PyArg_ParseTuple(args, "OpOn:q_check", &prefix, &zero, &tiles, &max_terms))
-        return NULL;
-    if ((seq = PySequence_Fast(tiles, "tiles must be a sequence")) == NULL)
-        return NULL;
-    if ((t = load_prefix(prefix, &k, &cap, &big)) == NULL)
+    /* a list of tiles copied: no call below changes it */
+    if (!PyArg_ParseTuple(args, "OpOO&", &prefix, &zero, &tiles, clipped_size, &max_terms) ||
+        (!PyTuple_Check(tiles) && !PyList_Check(tiles)) || (seq = PySequence_Tuple(tiles)) == NULL ||
+        (t = load_prefix(prefix, &k, &cap, &big)) == NULL)
         goto done;
     n = k + 1;
     status = big ? STATUS_OVERFLOW : STATUS_ALIVE;
@@ -474,50 +463,42 @@ q_check(PyObject *self, PyObject *args)
         }
         status = extend(t, cap, zero, max_terms, &n);
     }
-    if (status == STATUS_OVERFLOW) {
-        result = Py_BuildValue("(nOinn)", (Py_ssize_t)0, Py_None, status, n, (Py_ssize_t)0);
+    if (status == STATUS_OVERFLOW)
         goto done;
-    }
     n_act = n - 1;
 
-    /* Walk the predicted values in order to the first one that has no
-     * actual term, differs from it, or lies outside int64 or in a table that
-     * is not an int64 buffer (rc 1); pos ends at its offset, or at the
-     * predicted length. */
-    for (i = 0; !differs && !rc && i < PySequence_Fast_GET_SIZE(seq) && pos < max_terms; i++) {
-        rc = read_tile(PySequence_Fast_GET_ITEM(seq, i), max_terms - pos, &tl);
-        for (j = 0; rc == 0 && j < tl.length; j++) {
-            if ((rc = tile_value(&tl, j, &v)) || pos + j >= n_act || v != t[pos + j])
-                break;
+    /* Read every tile, as _fallback.materialise builds them all, each
+     * clipped to the budget: end is the predicted length.  Walk the
+     * predicted values in order to the first one that has no actual term or
+     * differs from it: pos ends at its offset, or at end.  A tile that
+     * cannot be read, or a value outside int64 up to that one, declines the
+     * call (rc 1). */
+    for (i = 0; !rc && i < PyTuple_GET_SIZE(seq); i++) {
+        rc = read_tile(PyTuple_GET_ITEM(seq, i), max_terms - end, &tl);
+        for (j = 0; !rc && !differs && j < tl.length; j++) {
+            if (!(rc = tile_value(&tl, j, &v)) && !(differs = pos >= n_act || v != t[pos]))
+                pos++;
         }
+        end += tl.length;
         tile_close(&tl);
-        if (rc < 0)
-            goto done;
-        differs = j < tl.length;
-        pos += j;
     }
 
-    if (rc) {
-        result = Py_BuildValue("(nOinn)", (Py_ssize_t)0, Py_None, STATUS_OVERFLOW,
-                               pos + 1, (Py_ssize_t)0);
+    if (rc)
         goto done;
-    }
-    if (differs && pos < n_act)
-        first = Py_BuildValue("(nLL)", pos + 1, v, t[pos]);
-    else if (differs)
-        first = Py_BuildValue("(nLO)", pos + 1, v, Py_None);
-    else if (pos < n_act)
-        first = Py_BuildValue("(nOL)", pos + 1, Py_None, t[pos]);
-    else
+    /* (index, predicted, actual), None on the side that has no value */
+    if (!differs && pos == n_act)
         first = Py_NewRef(Py_None);
+    else
+        first = Py_BuildValue("(nNN)", pos + 1, differs ? PyLong_FromLongLong(v) : Py_NewRef(Py_None),
+                              pos < n_act ? PyLong_FromLongLong(t[pos]) : Py_NewRef(Py_None));
     if (first != NULL)
         result = Py_BuildValue("(nNinn)", pos, first, status,
                                status == STATUS_ALIVE ? (Py_ssize_t)0 : n, n_act);
 
 done:
-    Py_DECREF(seq);
+    Py_XDECREF(seq);
     PyMem_Free(t);
-    return result;
+    return result != NULL ? result : declined();
 }
 
 /* Argument a of table v: 0 when a is negative. */
@@ -533,12 +514,8 @@ rst_generate(PyObject *self, PyObject *args)
     PyObject *rt, *st, *tt, *result = NULL;
     Store rs = {NULL}, ss = {NULL}, ts = {NULL};
 
-    if (!PyArg_ParseTuple(args, "n:rst_generate", &n_max))
-        return NULL;
-    if (n_max < 2) {
-        PyErr_SetString(PyExc_ValueError, "rst_generate needs n_max >= 2");
-        return NULL;
-    }
+    if (!PyArg_ParseTuple(args, "O&", clipped_size, &n_max) || n_max < 2)
+        return declined();
     if (store_new(&rs, 1024) || store_new(&ss, 1024) || store_new(&ts, 1024))
         goto done;
     r = rs.v;
@@ -614,7 +591,7 @@ done:
     store_free(&rs);
     store_free(&ss);
     store_free(&ts);
-    return result;
+    return result != NULL ? result : declined();
 }
 
 /* POW10[n] = 10^n, the least magnitude of n + 1 digits */
@@ -672,26 +649,19 @@ format_rows(PyObject *self, PyObject *args)
     Py_UCS1 *p;
     int indexed, big = 0;
 
-    /* A malformed call is declined, and _fallback.format_rows raises its
-     * error; columns that are not a list or a tuple are left unread. */
-    if (!PyArg_ParseTuple(args, "OOUnnn", &columns, &first, &sep, &per_row, &lo, &hi)) {
-        PyErr_Clear();
-        Py_RETURN_NONE;
-    }
-    if (!PyList_Check(columns) && !PyTuple_Check(columns))
-        Py_RETURN_NONE;
-    if ((cols = PySequence_Tuple(columns)) == NULL) /* a list copied: no call below changes it */
-        return NULL;
+    /* columns that are not a list or a tuple are left unread */
+    if (!PyArg_ParseTuple(args, "OOUnnn", &columns, &first, &sep, &per_row, &lo, &hi) ||
+        (!PyList_Check(columns) && !PyTuple_Check(columns)) ||
+        (cols = PySequence_Tuple(columns)) == NULL) /* a list copied: no call below changes it */
+        return declined();
     ncol = PyTuple_GET_SIZE(cols);
     indexed = first != Py_None;
     if (!PyUnicode_IS_ASCII(sep) || ncol < 1 || per_row < 1 ||
         (per_row > 1 && (ncol > 1 || indexed)) || lo < 0 || lo > hi)
         goto done;
     /* row i has the index first + i, the last one first + hi - 1 */
-    if (indexed && read_int(first, &index, &big) < 0) {
-        PyErr_Clear();
+    if (indexed && read_int(first, &index, &big) < 0)
         goto done;
-    }
     if (indexed && hi > lo && (big || __builtin_add_overflow(index, (long long)(hi - 1), &last)))
         goto done;
     if ((col = PyMem_Calloc(ncol, sizeof(Column))) == NULL) { /* every column closed */
@@ -751,24 +721,23 @@ done:
         PyMem_Free(col);
     }
     Py_DECREF(cols);
-    if (text == NULL && !PyErr_Occurred())
-        Py_RETURN_NONE;
-    return text;
+    return text != NULL ? text : declined();
 }
 
 static PyMethodDef methods[] = {
     {"q_generate", q_generate, METH_VARARGS,
-     "q_generate(prefix, zero_extended, max_terms) -> (terms, status, at)\n\n"
+     "q_generate(prefix, zero_extended, max_terms) -> (terms, status, at) or None\n\n"
      "Extend prefix under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)) in int64;\n"
-     "terms is an array('q')."},
+     "terms is an array('q').  None when declined."},
     {"q_check", q_check, METH_VARARGS,
      "q_check(prefix, zero_extended, tiles, max_terms)\n"
-     "-> (matched_through, first_mismatch, status, at, n_actual)\n\n"
-     "Run q_generate's recurrence and compare each term with the tiles."},
+     "-> (matched_through, first_mismatch, status, at, n_actual) or None\n\n"
+     "Run q_generate's recurrence and compare each term with the tiles;\n"
+     "None when declined."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
      "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q');\n"
-     "None on overflow."},
+     "None when declined."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"
      "Rows lo..hi-1 of the int64 buffer columns as text; None when declined."},

@@ -26,7 +26,6 @@ from functools import cache
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, TILE_RANGE, materialise
 from .engine import GeneratedSequence, InitialCondition, PredictionReport, SequenceStatus, _check
 from .errors import DivisibilityError, QlabError, ValidationError
-from .rst import _block_count, _tables
 
 __all__ = [
     "BehaviorTreeNode",
@@ -206,7 +205,10 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
         if c_m == 1:
             add(TILE_CHUNK, a[m + 1] + cp[m] - end, a[m + 1] + b[m], a[m + 1])
         elif c_m == 2:
-            # block k occupies offsets 5k .. 5k+4 past A_m
+            # block k occupies offsets 5k .. 5k+4 past A_m; only a class-2
+            # prediction loads the R/S/T module
+            from .rst import _block_count, _tables
+
             kmax = _block_count(a_m, -(-(max_terms - end) // 5))
             tables = _tables(kmax + 1)
             add(TILE_BLOCKS, 5 * kmax, a_m, (tables.r, tables.s, tables.t))

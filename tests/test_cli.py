@@ -290,10 +290,12 @@ def test_cli_import_loads_only_the_cli(fresh_python):
 @pytest.mark.parametrize("argv, loaded", [
     (["gen", "--ic", "0;1..40", "--max", "60", "--format", "json"], {"engine"}),
     (["rst", "--max", "50"], {"engine", "rst"}),
-    (["scan", "--from", "35", "--to", "40", "--max", "100"], {"engine", "predictor", "rst"}),
-    (["tree", "--levels", "2"], {"engine", "predictor", "rst"}),
-    (["predict", "--n", "40", "--max", "100"], {"engine", "predictor", "rst", "symbolic"}),
-    (["verify", "--n", "40", "--max", "100"], {"engine", "predictor", "rst", "symbolic"}),
+    (["scan", "--from", "35", "--to", "40", "--max", "100"], {"engine", "predictor"}),
+    (["tree", "--levels", "2"], {"engine", "predictor"}),
+    (["predict", "--n", "40", "--max", "100"], {"engine", "predictor", "symbolic"}),  # class 4
+    (["verify", "--n", "40", "--max", "100"], {"engine", "predictor", "symbolic"}),
+    # class 2: its R/S/T blocks load rst
+    (["predict", "--n", "38", "--max", "100"], {"engine", "predictor", "rst", "symbolic"}),
     (["sym", "--nmin", "10", "--offsets", "5"], {"engine", "symbolic"}),
 ])
 def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
@@ -515,10 +517,20 @@ def test_benchmark_sized_blocks_match_the_python_backend(capsys, argv, finite, a
     assert finite in out and alive in out
 
 
-def test_scan_range_validation(capsys):
-    code, _, err = run_cli(capsys, "scan", "--from", "10", "--to", "5", "--max", "100")
-    assert code == 1
-    assert "--to must be >= --from" in err
+@pytest.mark.parametrize("argv, message", [
+    (("scan", "--from", "10", "--to", "5", "--max", "100"), "--to must be >= --from"),
+    (("verify", "--n", "40", "--to", "35", "--max", "100"), "--to must be >= --n"),
+    (("verify", "--n", "35", "--to", "60", "--max", "50"),
+     "--max must cover the identity prefix of every N"),
+    (("scan", "--from", "1", "--to", "5", "--max", "100"), "scan starts at N >= 2"),
+    (("scan", "--from", "35", "--to", "60", "--max", "50"),
+     "--max must cover the identity prefix of every N"),
+], ids=["scan-to-below-from", "verify-to-below-n", "verify-max-below-n", "scan-from-below-2",
+        "scan-max-below-n"])
+def test_scan_range_validation(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"qlab: error: {message}\n"
 
 
 def test_unwritable_out(capsys):

@@ -279,15 +279,18 @@ range_prefixes = st.builds(
 @example(range(INT64_MIN + 1, INT64_MIN - 4, -1), False, 20)  # the 3rd term, downwards
 @example(range(INT64_MAX + 1, INT64_MAX + 5), True, 20)  # the start lies outside int64
 @example(range(INT64_MIN, 1, 2**63), True, 20)  # a step outside int64, both terms in it
-@example(range(1, 2), True, 20)  # too short: the same ValueError as the tuple's
+@example(range(1, 2), True, 20)  # too short: declined, and the tuple's ValueError
 @example(range(0), False, 20)
 @settings(max_examples=300, deadline=None)
 def test_compiled_q_generate_reads_a_range_as_its_tuple(compiled_kernel, prefix, zero, max_terms):
     compiled = _outcome(compiled_kernel.q_generate, prefix, zero, max_terms)
     assert compiled == _outcome(compiled_kernel.q_generate, tuple(prefix), zero, max_terms)
-    assert compiled == _outcome(_fallback.q_generate, prefix, zero, max_terms, checked=True)
-    # an exact run past int64 goes on in Python from the range's terms
+    checked = _outcome(_fallback.q_generate, prefix, zero, max_terms, checked=True)
+    assert compiled == _declined_where_raised(checked)
+    # the backend gives the reference's answer or error; an exact run past
+    # int64 goes on in Python from the range's terms
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
+        assert _outcome(_backend.q_generate, prefix, zero, max_terms, exact=False) == checked
         exact = _outcome(_backend.q_generate, prefix, zero, max_terms, exact=True)
     assert exact == _outcome(_fallback.q_generate, prefix, zero, max_terms, checked=False)
 
@@ -305,14 +308,93 @@ def test_a_range_too_long_for_memory_is_a_memory_error(compiled_kernel):
 
 
 def _outcome(f, *args, **kwargs):
-    """f's result with its terms (its first item) as a list, or the type and
-    message of what it raised: the backend's array('q') holds the
-    reference's values."""
+    """f's result with its terms (its first item) as a list, None when f is
+    the kernel and declines the call, or the type and message of what f
+    raised: the backend's array('q') holds the reference's values."""
     try:
-        terms, *rest = f(*args, **kwargs)
+        result = f(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+    if result is None:
+        return None
+    terms, *rest = result
     return (terms.tolist() if isinstance(terms, array) else terms, *rest)
+
+
+def _declined_where_raised(reference):
+    """What the compiled kernel gives where the reference's _outcome is
+    ``reference``: the same answer, and None, its decline, where the
+    reference raises or declines."""
+    return None if reference is None or isinstance(reference[0], type) else reference
+
+
+_RST_TABLES = _fallback.rst_generate(50)[:3]
+
+
+# Each call is made twice, so generators are built anew by each factory.
+@pytest.mark.parametrize("name, args", [
+    ("q_check", lambda: ((1, 2), True, ((TILE_RANGE, -1, 5, None),), 20)),
+    ("q_check", lambda: ((1, 2), True, ((9, 3, 1, None),), 20)),
+    ("q_check", lambda: ((1, 2), True, ((TILE_LITERAL, 3, (1, 2), None),), 20)),
+    ("q_check", lambda: ((1, 2), True, ([TILE_RANGE, 3, 1, None],), 20)),
+    ("q_check", lambda: ((1, 2), True, ((TILE_BLOCKS, 5, 12, _RST_TABLES[:2]),), 20)),
+    ("q_check", lambda: ((1, 2), True, ((TILE_CHUNK, 5, 2.5, 3),), 20)),
+    ("q_check", lambda: ((1, 2), True, ((TILE_RANGE, 1, 7, None), (TILE_LITERAL, 1, (1.5,), None)),
+                         20)),
+    ("q_check", lambda: ((1, 2), True, ((TILE_RANGE, 3, 1, None), (TILE_RANGE, 1, 4)), 3)),
+    ("q_check", lambda: ((1, 2), True, iter(((TILE_RANGE, 3, 1, None),)), 20)),
+    ("q_generate", lambda: (iter((1, 1)), False, 10)),
+    ("q_generate", lambda: (5, False, 10)),
+    ("q_generate", lambda: ((1,), False, 10)),
+    ("q_generate", lambda: ((1, 1.5), False, 10)),
+    ("q_generate", lambda: ((1, 1), False, 10.0)),
+    ("rst_generate", lambda: (1,)),
+], ids=["negative-length", "kind-9", "short-literal", "list-tile", "two-tables", "float-chunk",
+        "float-after-mismatch", "three-item-tile-past-budget", "tile-generator", "prefix-generator",
+        "int-prefix", "one-term-prefix", "float-term", "float-budget", "rst-n-max-1"])
+def test_backends_answer_or_fail_alike_on_unreadable_calls(compiled_kernel, name, args):
+    """The kernel declines a call it cannot read, wherever the run and the
+    prediction part, and _backend answers or raises what the Python
+    reference does."""
+    kernel_args = args()[:3] if name == "q_generate" else args()
+    assert getattr(compiled_kernel, name)(*kernel_args) is None
+    extra = (False,) if name == "q_generate" else ()  # exact
+    outcomes = []
+    for kernel in (compiled_kernel, None):
+        with mock.patch.object(_backend, "_kernel", kernel):
+            outcomes.append(_outcome(getattr(_backend, name), *args(), *extra))
+    assert outcomes[0] == outcomes[1]
+
+
+# a value of any type a call might carry, a few of them outside int64
+_any_value = st.integers(-5, 40) | st.sampled_from(
+    (INT64_MAX + 1, INT64_MIN - 1, None, 2.5, "x", (), [1, 2], True))
+# the tables whole, two of them, r as a list, r too short
+_any_tables = st.sampled_from((
+    _RST_TABLES, _RST_TABLES[:2], (list(_RST_TABLES[0]), *_RST_TABLES[1:]),
+    (_RST_TABLES[0][:3], *_RST_TABLES[1:]),
+))
+_any_tile = st.one_of(
+    st.tuples(st.integers(-1, 4) | _any_value, st.integers(-3, 30) | _any_value,
+              _any_value | st.lists(_any_value, max_size=8).map(tuple), _any_value | _any_tables),
+    st.lists(_any_value, max_size=5).map(tuple),
+    _any_value,
+)
+
+
+@given(st.one_of(st.lists(_any_value, max_size=6).map(tuple), range_prefixes, _any_value),
+       st.booleans(), st.lists(_any_tile, max_size=4).map(tuple) | _any_value,
+       st.integers(-2, 60) | st.sampled_from((None, 2.5)))
+@settings(max_examples=500, deadline=None)
+def test_backends_agree_on_calls_of_any_type(compiled_kernel, prefix, zero, tiles, budget):
+    """Well-formed or not: the same answer, or the same error, through
+    _backend with the kernel and without it."""
+    outcomes = []
+    for kernel in (compiled_kernel, None):
+        with mock.patch.object(_backend, "_kernel", kernel):
+            outcomes.append((_outcome(_backend.q_generate, prefix, zero, budget, exact=False),
+                             _outcome(_backend.q_check, prefix, zero, tiles, budget)))
+    assert outcomes[0] == outcomes[1]
 
 
 def _reference_containers(checked: bool):
@@ -984,7 +1066,6 @@ def test_buffers_are_released(compiled_kernel):
     # before it returns
     state = rst_compute(200)
     r, s, t = (array("q", table) for table in (state.r, state.s, state.t))
-    declined = (0, None, STATUS_OVERFLOW, 7, 0)  # at the block tile's first term
 
     prefix, (*head, _) = _pattern_tiles((), 12, 6, 98, (r, s, t))
 
@@ -993,17 +1074,21 @@ def test_buffers_are_released(compiled_kernel):
 
     checks = [
         (blocks(), 104, (104, None, 0, 0, 104)),  # all 104 terms match
-        (blocks(lam=2**64), 104, declined),  # lam*T(1) is past int64
-        (blocks(length=1500), 2000, ValueError),  # the tables are too short
-        ((*blocks(), (9, 1, 0, None)), 200, ValueError),  # a malformed tile after them
-        (blocks(tables=(r, 5, t)), 104, declined),  # s is not a sequence
-        (blocks(tables=(r, list(s), t)), 104, declined),  # s is a list
-        (blocks(tables=(r, s, [1.5] * 300)), 104, declined),  # t holds a float
+        (blocks(lam=2**64), 104, None),  # lam*T(1) is past int64
+        (blocks(length=1500), 2000, None),  # the tables are too short
+        ((*blocks(), (9, 1, 0, None)), 200, None),  # a malformed tile after them
+        (blocks(tables=(r, 5, t)), 104, None),  # s is not a sequence
+        (blocks(tables=(r, list(s), t)), 104, None),  # s is a list
+        (blocks(tables=(r, s, [1.5] * 300)), 104, None),  # t holds a float
     ]
     for tiles, budget, want in checks:
-        assert _text_or_error(compiled_kernel.q_check, prefix, True, tiles, budget) == want
+        assert compiled_kernel.q_check(prefix, True, tiles, budget) == want
         for table in (r, s, t):
             _assert_released(table)
+        # a declined call is the reference's: its answer, or its error
+        reference = _outcome(_fallback.q_check, prefix, True, tiles, budget, checked=False)
+        with mock.patch.object(_backend, "_kernel", compiled_kernel):
+            assert _outcome(_backend.q_check, prefix, True, tiles, budget) == reference
     # the arrays the kernel builds hold no buffer of their own once returned
     for table in (*compiled_kernel.rst_generate(300)[:3], compiled_kernel.q_generate((1, 1), True, 5000)[0]):
         _assert_released(table)

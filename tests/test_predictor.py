@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_engine import _outcome as _answer, range_prefixes
+from test_engine import _declined_where_raised, _outcome as _answer, range_prefixes
 from test_symbolic import PREFIX_PAIRS, SPORADIC_PAIRS
 
 from qlab import (
@@ -31,7 +31,6 @@ from qlab import (
 )
 from qlab import _backend, _fallback, predictor
 from qlab._fallback import (
-    STATUS_OVERFLOW,
     TILE_BLOCKS,
     TILE_CHUNK,
     TILE_LITERAL,
@@ -774,24 +773,25 @@ def check_cases(draw):
 @example((range(2**63 - 3, 2**63 + 3), True, ((TILE_RANGE, 9, 1, None),), 20))  # its 4th term leaves int64
 @example((range(2**63, 2**63 + 4), True, ((TILE_RANGE, 9, 1, None),), 20))  # its start is outside int64
 @example((range(-(2**63), 1, 2**63), True, ((TILE_RANGE, 9, 1, None),), 20))  # so is its step, not its terms
-@example((range(1, 2), True, ((TILE_RANGE, 9, 1, None),), 20))  # too short: the tuple's ValueError
+@example((range(1, 2), True, ((TILE_RANGE, 9, 1, None),), 20))  # too short: declined, ValueError
 @example((range(0), False, (), 20))
 def test_compiled_and_fallback_q_check_agree(compiled_kernel, case):
     prefix, zero, tiles, budget = case
     compiled = _answer(compiled_kernel.q_check, prefix, zero, tiles, budget)
     # a range is read in place, and answers as its tuple does
     assert compiled == _answer(compiled_kernel.q_check, tuple(prefix), zero, tiles, budget)
-    assert compiled == _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=True)
+    checked = _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=True)
+    assert compiled == _declined_where_raised(checked)
     exact = _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=False)
-    assert compiled == exact or compiled[2] == STATUS_OVERFLOW
-    # the backend answers exactly either way
+    assert compiled in (exact, None)
+    # the backend answers exactly, or raises the reference's error, either way
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
         assert _answer(_backend.q_check, prefix, zero, tiles, budget) == exact
 
 
 def test_verify_retries_in_exact_after_overflow():
-    # no real prediction overflows int64, so the kernel is made to say so
-    overflowing = SimpleNamespace(q_check=lambda *args: (0, None, STATUS_OVERFLOW, 1, 0))
+    # no real prediction overflows int64, so the kernel is made to decline
+    overflowing = SimpleNamespace(q_check=lambda *args: None)
     for n in (38, 121, 42):
         want = verify_against_bruteforce(n, 3000)
         with mock.patch.object(_backend, "_kernel", overflowing):

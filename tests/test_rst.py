@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from test_engine import _outcome
 
 from qlab import (
     InitialCondition,
@@ -30,7 +31,7 @@ from qlab import (
     rst,
     rst_compute,
 )
-from qlab._fallback import STATUS_OVERFLOW, TILE_BLOCKS, TILE_LITERAL
+from qlab._fallback import INT64_MAX, INT64_MIN, TILE_BLOCKS, TILE_LITERAL
 from qlab.cli import main
 from qlab.rst import R, RSTState, RSTStatus, S, T
 
@@ -81,8 +82,11 @@ def test_compiled_and_fallback_rst_agree(compiled_kernel):
         with mock.patch.object(_backend, "_kernel", compiled_kernel):
             compiled = _backend.rst_generate(n_max)
         assert _as_lists(compiled) == _as_lists(_fallback.rst_generate(n_max)), n_max
-    for generate in (compiled_kernel.rst_generate, _fallback.rst_generate):
-        with pytest.raises(ValueError, match="n_max >= 2"):
+    # the kernel declines n_max < 2, and the backend raises the reference's error
+    assert compiled_kernel.rst_generate(1) is None
+    for generate in (_backend.rst_generate, _fallback.rst_generate):
+        with mock.patch.object(_backend, "_kernel", compiled_kernel), \
+                pytest.raises(ValueError, match="n_max >= 2"):
             generate(1)
 
 
@@ -103,11 +107,15 @@ def test_block_tile_reads_exactly_its_rows(compiled_kernel, lam, length):
     budget = 6 + length
     want = _fallback.q_check(ic, True, tiles((r, s, t)), budget)
     assert compiled_kernel.q_check(ic, True, tiles((r, s, t)), budget) == want
-    # a table one row short is refused before it is read, which neither
-    # UBSan nor PYTHONMALLOC=debug would catch as a read past its end
+    # a table one row short is declined before it is read: neither UBSan nor
+    # PYTHONMALLOC=debug would catch that read past its end, and only the
+    # AddressSanitizer build of the CI asan job does.  The backend then gives
+    # the reference's answer or error.
     for short in ((r[:-1], s, t), (r, s[:-1], t), (r, s, t[:-1])):
-        with pytest.raises(ValueError, match="too short"):
-            compiled_kernel.q_check(ic, True, tiles(short), budget)
+        assert compiled_kernel.q_check(ic, True, tiles(short), budget) is None
+        reference = _outcome(_fallback.q_check, ic, True, tiles(short), budget, checked=False)
+        with mock.patch.object(_backend, "_kernel", compiled_kernel):
+            assert _outcome(_backend.q_check, ic, True, tiles(short), budget) == reference
 
 
 def test_rst_overflow_falls_back_to_python():
@@ -416,6 +424,17 @@ def test_qc_preconditions():
         qc_pattern_check((), 10, 7, k_max=0)
 
 
+@pytest.mark.parametrize("check, args", [
+    (qt_pattern_check, ((), 9, 7)),
+    (qc_pattern_check, ((), 60, 100)),
+], ids=["qt", "qc"])
+@pytest.mark.parametrize("k_max", [2.5, "3", 2.0])
+def test_pattern_checks_refuse_a_k_max_that_is_no_integer(check, args, k_max):
+    # read through __index__, as an initial-condition term is: never truncated
+    with pytest.raises(ValidationError, match="k_max"):
+        check(*args, k_max)
+
+
 def test_qc_boundary_pair_reported_honestly():
     # lam+mu = K+7 passes the declared preconditions, but the mod-3 slot of
     # block 1 then reads index K+8-(lam+mu) = 1 instead of falling off the
@@ -525,7 +544,8 @@ def _random_prefix(rng: random.Random) -> tuple[int, ...]:
 
 class _ExactWays:
     """The compiled kernel, noting each way its q_check leaves a case to the
-    exact reference: an overflow at a prefix term, or at a later one."""
+    exact reference: it declines a prefix term outside int64, or a later
+    term or predicted value outside it."""
 
     def __init__(self, kernel):
         self.kernel = kernel
@@ -536,8 +556,9 @@ class _ExactWays:
 
     def q_check(self, prefix, *args):
         check = self.kernel.q_check(prefix, *args)
-        if check[2] == STATUS_OVERFLOW:
-            self.ways.add("prefix" if check[3] <= len(prefix) else "overflow")
+        if check is None:
+            fits = all(INT64_MIN <= v <= INT64_MAX for v in prefix)
+            self.ways.add("overflow" if fits else "prefix")
         return check
 
 
