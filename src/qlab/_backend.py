@@ -5,9 +5,9 @@ which one runs.  Terms and R/S/T tables whose values all fit int64 are one
 ``array('q')`` each, filled in place by the compiled kernel and by the
 Python reference alike; only an exact run that goes past int64 comes back
 as a list of Python ints.  The compiled kernel answers a call or returns
-None, and raises nothing but MemoryError.  Each function here returns the
-kernel's answer or, when the kernel is not built or returns None, the
-Python reference's answer or error (see ``_answer``).
+None, and raises nothing but MemoryError or an interrupt.  Each function
+here returns the kernel's answer or, when the kernel is not built or
+returns None, the Python reference's answer or error (see ``_answer``).
 """
 
 from __future__ import annotations

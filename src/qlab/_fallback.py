@@ -2,15 +2,15 @@
 
 Every function here runs when the kernel is not built or declines a call
 (returns None), and is the one owner of every error: the kernel raises
-nothing but MemoryError.  Checked, q_generate and q_check simulate the
-kernel's int64 arithmetic, and q_check returns None where the kernel
-declines; unchecked, they go on exactly where int64 cannot, from the
-kernel's last exact term or from the start.  Terms and tables come back as
-the kernel returns them, one ``array('q')`` each while the values fit
-int64: q_generate's terms, rst_generate's three R/S/T tables, and the terms
-``materialise`` says the tiles predict.  Only an exact run, or a
-prediction, with a value past int64 is a list of ints.  This module is the
-one owner of that rule.
+nothing but MemoryError, or an interrupt that is no Exception.  Checked,
+q_generate and q_check simulate the kernel's int64 arithmetic, and q_check
+returns None where the kernel declines; unchecked, they go on exactly where
+int64 cannot, from the kernel's last exact term or from the start.  Terms
+and tables come back as the kernel returns them, one ``array('q')`` each
+while the values fit int64: q_generate's terms, rst_generate's three R/S/T
+tables, and the terms ``materialise`` says the tiles predict.  Only an
+exact run, or a prediction, with a value past int64 is a list of ints.
+This module is the one owner of that rule.
 
 A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
 each tile taking up where the one before it stopped.  By kind:
@@ -169,6 +169,8 @@ def _build(tiles, max_terms: int, make):
             out.extend(terms)
         elif kind == TILE_LITERAL:
             out.extend(a[:length])
+        elif kind not in (TILE_CHUNK, TILE_BLOCKS):
+            raise ValueError(f"unknown tile kind {kind!r}")
         else:
             # whole five-term periods, trimmed to length below
             start, kmax = len(out), -(-length // 5)
@@ -179,6 +181,9 @@ def _build(tiles, max_terms: int, make):
                 out[start + 3 :: 5] = make((3,)) * kmax
             else:
                 r, s, t = b
+                if len(r) < kmax + 2 or len(s) < kmax + 2 or len(t) < kmax + 1:
+                    # a slice of a short table would shorten the prediction
+                    raise ValueError("the R/S/T tables are too short for the block tile")
                 out += make((4,)) * (5 * kmax)
                 out[start::5] = make([a * v for v in t[1 : kmax + 1]])
                 five_r = make([5 * v for v in r[1 : kmax + 2]])

@@ -3,7 +3,7 @@
  * what its _fallback namesake does (checked, that is in int64, for
  * q_generate and q_check), or None when it declines the call: when it
  * cannot read it or decide it in int64.  _backend then asks _fallback,
- * which owns every error, and the kernel raises nothing but MemoryError.
+ * which owns every error: the kernel raises only MemoryError and interrupts.
  * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at),
  * terms an array('q').  A term outside int64, of the prefix or computed, is
  * STATUS_OVERFLOW at its index, and terms holds the terms before it.  A
@@ -35,12 +35,13 @@
 #define TILE_CHUNK 2
 #define TILE_BLOCKS 3
 
-/* The answer to a call the kernel declines: None, with any exception
- * cleared but MemoryError, which is raised as it is. */
+/* The answer to a call the kernel declines: None, with any Exception but
+ * MemoryError cleared.  MemoryError and interrupts are raised as they are. */
 static PyObject *
 declined(void)
 {
-    if (PyErr_Occurred() && PyErr_ExceptionMatches(PyExc_MemoryError))
+    if (PyErr_Occurred() &&
+        (PyErr_ExceptionMatches(PyExc_MemoryError) || !PyErr_ExceptionMatches(PyExc_Exception)))
         return NULL;
     PyErr_Clear();
     Py_RETURN_NONE;
@@ -476,8 +477,12 @@ q_check(PyObject *self, PyObject *args)
     for (i = 0; !rc && i < PyTuple_GET_SIZE(seq); i++) {
         rc = read_tile(PyTuple_GET_ITEM(seq, i), max_terms - end, &tl);
         for (j = 0; !rc && !differs && j < tl.length; j++) {
-            if (!(rc = tile_value(&tl, j, &v)) && !(differs = pos >= n_act || v != t[pos]))
-                pos++;
+            if ((rc = tile_value(&tl, j, &v)) || pos + j >= n_act || v != t[pos + j])
+                break;
+        }
+        if (!differs) {
+            differs = j < tl.length;
+            pos += j;
         }
         end += tl.length;
         tile_close(&tl);

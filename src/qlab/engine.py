@@ -98,11 +98,12 @@ class InitialCondition:
         return format_ic(self)
 
 
-def _term(value) -> int:
-    """A term read through ``__index__`` (an int, or numpy's): a float, str
-    or bool is refused, never truncated or parsed."""
+def _term(value, what: str = "initial-condition term") -> int:
+    """A term, or the integer ``what`` names, read through ``__index__`` (an
+    int, or numpy's): a float, str or bool is refused, never truncated or
+    parsed."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValidationError(f"initial-condition term {value!r} is not an integer")
+        raise ValidationError(f"{what} {value!r} is not an integer")
     return operator.index(value)
 
 

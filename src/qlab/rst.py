@@ -25,14 +25,13 @@ recurrence, ``engine._check``, as ``verify_against_bruteforce`` does.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL
-from .engine import InitialCondition, PredictionReport, SequenceStatus, _check
+from .engine import InitialCondition, PredictionReport, SequenceStatus, _check, _term
 from .errors import QlabError, ValidationError
 
 __all__ = [
@@ -162,15 +161,6 @@ def _block_count(lam: int, kmax: int) -> int:
     return kmax
 
 
-def _read_k_max(k_max) -> int:
-    """k_max read through ``__index__``, as ``engine._term`` reads a term: a
-    float or str is refused, never truncated."""
-    try:
-        return operator.index(k_max)
-    except TypeError:
-        raise ValidationError(f"k_max {k_max!r} is not an integer") from None
-
-
 def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PredictionReport:
     """Check <0;a_1..a_K,5,lam,4,mu> against its R/S/T block pattern.
 
@@ -184,7 +174,7 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PredictionReport:
     the pattern through index K+5k_max+4, where it predicts a live run;
     after a violation, (matched_through - K - 4) // 5 blocks held.
     """
-    k_max = _read_k_max(k_max)
+    k_max = _term(k_max, "k_max")
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     big_k = len(prefix)
@@ -215,7 +205,7 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> Pre
         raise ValidationError(f"lam must exceed K+5 = {big_k + 5}")
     if lam + mu <= big_k + 6:
         raise ValidationError(f"lam + mu must exceed K+6 = {big_k + 6}")
-    k_max = None if k_max is None else _read_k_max(k_max)
+    k_max = None if k_max is None else _term(k_max, "k_max")
     if k_max is not None and k_max < 1:
         raise ValidationError("k_max must be >= 1 when given")
 

@@ -366,6 +366,36 @@ def test_backends_answer_or_fail_alike_on_unreadable_calls(compiled_kernel, name
     assert outcomes[0] == outcomes[1]
 
 
+class _Interrupting:
+    """An argument whose __index__ and __bool__ raise ``exc``, as a Ctrl-C
+    or sys.exit() landing inside Python code the kernel calls would."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def __index__(self):
+        raise self.exc
+
+    __bool__ = __index__
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+@pytest.mark.parametrize("name, args", [
+    ("q_generate", lambda x: ((1, 1), False, x)),
+    ("q_generate", lambda x: ((1, 1), x, 10)),
+    ("q_check", lambda x: ((1, 1), False, ((TILE_RANGE, x, 1, None),), 10)),
+    ("rst_generate", lambda x: (x,)),
+], ids=["max-terms", "zero-extended", "tile-length", "n-max"])
+def test_kernel_passes_on_what_is_no_exception(compiled_kernel, name, args, exc):
+    """The kernel declines an Exception but never swallows an interrupt:
+    _backend does not rerun the call in Python."""
+    with pytest.raises(exc):
+        getattr(compiled_kernel, name)(*args(_Interrupting(exc)))
+    with mock.patch.object(_backend, "_fallback", None), \
+            mock.patch.object(_backend, "_kernel", compiled_kernel), pytest.raises(exc):
+        getattr(_backend, name)(*args(_Interrupting(exc)), *((False,) if name == "q_generate" else ()))
+
+
 # a value of any type a call might carry, a few of them outside int64
 _any_value = st.integers(-5, 40) | st.sampled_from(
     (INT64_MAX + 1, INT64_MIN - 1, None, 2.5, "x", (), [1, 2], True))
@@ -1089,6 +1119,12 @@ def test_buffers_are_released(compiled_kernel):
         reference = _outcome(_fallback.q_check, prefix, True, tiles, budget, checked=False)
         with mock.patch.object(_backend, "_kernel", compiled_kernel):
             assert _outcome(_backend.q_check, prefix, True, tiles, budget) == reference
+    # the kernel declines a short table and an unknown kind: the reference refuses them
+    for (tiles, budget, _), message in zip(checks[2:4], ("the R/S/T tables are too short for the block tile",
+                                                         "unknown tile kind 9")):
+        for kernel in (compiled_kernel, None):
+            with mock.patch.object(_backend, "_kernel", kernel):
+                assert _outcome(_backend.q_check, prefix, True, tiles, budget) == (ValueError, message)
     # the arrays the kernel builds hold no buffer of their own once returned
     for table in (*compiled_kernel.rst_generate(300)[:3], compiled_kernel.q_generate((1, 1), True, 5000)[0]):
         _assert_released(table)
