@@ -24,6 +24,13 @@ each tile taking up where the one before it stopped.  By kind:
   sequences of ints, of which kmax blocks read rows 0..kmax+1 of r and s and
   rows 0..kmax of t.  The kernel reads only ``array('q')`` tables, from
   their buffers, and declines any other.
+
+q_check compares the run with the prediction tile by tile, and builds a
+tile only as far as the compare reaches (see its docstring), so a tile far
+longer than the run costs no more than the run; the kernel compares a
+range, chunk or block tile five terms at a time, in place.  Every tile is
+read all the same, and a value that is not an int raises TypeError whether
+or not another value lies past int64.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 from array import array
 from functools import partial
 from itertools import chain
+from operator import index
 
 STATUS_ALIVE = 0
 STATUS_DIED = 1
@@ -152,7 +160,13 @@ def materialise(tiles, max_terms: int):
     try:
         return _build(tiles, max_terms, partial(array, "q"))
     except OverflowError:  # a value outside int64, or a range past sys.maxsize terms
-        return _build(tiles, max_terms, list)
+        return _build(tiles, max_terms, _ints)
+
+
+def _ints(values) -> list:
+    """A list of the ints ``values``: TypeError for any other value, as
+    ``array('q')`` raises it."""
+    return list(map(index, values))
 
 
 def _build(tiles, max_terms: int, make):
@@ -161,36 +175,47 @@ def _build(tiles, max_terms: int, make):
     out = make(())
     for kind, length, a, b in tiles:
         length = min(length, max_terms - len(out))
-        if length <= 0:
-            continue
-        if kind == TILE_RANGE:
-            terms = range(a, a + length)
-            len(terms)  # OverflowError past sys.maxsize terms, before array.extend tries them
-            out.extend(terms)
-        elif kind == TILE_LITERAL:
-            out.extend(a[:length])
-        elif kind not in (TILE_CHUNK, TILE_BLOCKS):
-            raise ValueError(f"unknown tile kind {kind!r}")
-        else:
-            # whole five-term periods, trimmed to length below
-            start, kmax = len(out), -(-length // 5)
-            if kind == TILE_CHUNK:
-                out += make((5,)) * (5 * kmax)
-                out[start::5] = make(range(a, a + b * kmax, b)) if b else make((a,)) * kmax
-                out[start + 2 :: 5] = make((b,)) * kmax
-                out[start + 3 :: 5] = make((3,)) * kmax
-            else:
-                r, s, t = b
-                if len(r) < kmax + 2 or len(s) < kmax + 2 or len(t) < kmax + 1:
-                    # a slice of a short table would shorten the prediction
-                    raise ValueError("the R/S/T tables are too short for the block tile")
-                out += make((4,)) * (5 * kmax)
-                out[start::5] = make([a * v for v in t[1 : kmax + 1]])
-                five_r = make([5 * v for v in r[1 : kmax + 2]])
-                out[start + 2 :: 5] = five_r[:-1]
-                out[start + 3 :: 5] = five_r[1:]
-                out[start + 4 :: 5] = make([5 * v for v in s[2 : kmax + 2]])
-            del out[start + length :]
+        if length > 0:
+            out += _tile(kind, length, a, b, length, make)
+    return out
+
+
+def _tile(kind, length: int, a, b, stop: int, make):
+    """The first ``stop`` (at most ``length``) values of the tile ``(kind,
+    length, a, b)``, in one container that ``make`` builds from an iterable
+    of ints; a literal comes whole, as its values are in memory already.
+
+    Raises ValueError for an unknown kind, and for R/S/T tables shorter than
+    the ``length`` values of a block tile read.
+    """
+    if kind == TILE_RANGE:
+        values = range(a, a + stop)
+        len(values)  # OverflowError past sys.maxsize terms, before make tries them
+        return make(values)
+    if kind == TILE_LITERAL:
+        return make(tuple(a[:length]))  # a str too is refused value by value
+    if kind not in (TILE_CHUNK, TILE_BLOCKS):
+        raise ValueError(f"unknown tile kind {kind!r}")
+    # whole five-term periods, trimmed to stop below
+    kmax = -(-stop // 5)
+    if kind == TILE_CHUNK:
+        out = make((5,)) * (5 * kmax)
+        out[::5] = make(range(a, a + b * kmax, b)) if b else make((a,)) * kmax
+        out[2::5] = make((b,)) * kmax
+        out[3::5] = make((3,)) * kmax
+    else:
+        r, s, t = b
+        need = -(-length // 5)
+        if len(r) < need + 2 or len(s) < need + 2 or len(t) < need + 1:
+            # a slice of a short table would shorten the prediction
+            raise ValueError("the R/S/T tables are too short for the block tile")
+        out = make((4,)) * (5 * kmax)
+        out[::5] = make([a * v for v in t[1 : kmax + 1]])
+        five_r = make([5 * v for v in r[1 : kmax + 2]])
+        out[2::5] = five_r[:-1]
+        out[3::5] = five_r[1:]
+        out[4::5] = make([5 * v for v in s[2 : kmax + 2]])
+    del out[stop:]
     return out
 
 
@@ -252,23 +277,47 @@ def _first_difference(p_terms, a_terms) -> tuple[int, int | None, int | None] | 
 
 
 def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = True):
-    """Run the recurrence as q_generate does and compare it with the terms
-    ``materialise(tiles, max_terms)`` predicts.
+    """Run the recurrence as q_generate does and compare it, tile by tile,
+    with the terms ``materialise(tiles, max_terms)`` predicts.
 
     Returns ``(matched_through, first_mismatch, status, at, n_actual)``:
-    the count of leading terms that agree, ``_first_difference`` of the two
-    lists, q_generate's status and index, and the count of actual terms.
-    With ``checked`` the int64 kernel is simulated: when the recurrence
-    overflows, or the predicted value first_mismatch would report lies
-    outside int64, the result is None, as the kernel declines the call.
+    the count of leading terms that agree, ``_first_difference`` of the
+    prediction and the run, q_generate's status and index, and the count of
+    actual terms.  With ``checked`` the int64 kernel is simulated: when the
+    recurrence overflows, or the predicted value first_mismatch would report
+    lies outside int64, the result is None, as the kernel declines the call.
+
+    A tile is built only as far as the compare needs it: to one value past
+    the end of the run, and past the first difference only its first
+    period, which reads each of its parameters.  So a prediction far longer
+    than the run is never built, yet every tile is read: an unknown kind,
+    R/S/T tables too short for their tile, and a literal value or a
+    parameter that is not an int are refused as materialise refuses them.
     """
     terms, status, at = q_generate(prefix, zero_extended, max_terms, checked)
     if status == STATUS_OVERFLOW:
         return None
-    predicted = materialise(tiles, max_terms)
-    first = _first_difference(predicted, terms)
+    pos, first = 0, None  # pos: the count of predicted values before the tile
+    for kind, length, a, b in tiles:
+        length = min(length, max_terms - pos)
+        if length <= 0:
+            continue
+        reach = len(terms) - pos + 1 if first is None else 0
+        stop = min(length, max(reach, 5))
+        try:
+            values = _tile(kind, length, a, b, stop, partial(array, "q"))
+        except OverflowError:  # a value outside int64
+            values = _tile(kind, length, a, b, stop, _ints)
+        if first is None:
+            first = _first_difference(values, terms[pos : pos + len(values)])
+            if first is not None:
+                first = (pos + first[0], *first[1:])
+        # a literal shorter than its length predicts only its own values
+        pos += len(values) if kind == TILE_LITERAL else length
+    if first is None and pos < len(terms):
+        first = (pos + 1, None, terms[pos])
     if first is None:
-        return len(predicted), None, status, at, len(terms)
+        return pos, None, status, at, len(terms)
     if checked and first[1] is not None and not INT64_MIN <= first[1] <= INT64_MAX:
         return None
     return first[0] - 1, first, status, at, len(terms)

@@ -10,7 +10,9 @@
  * prefix is a range, a tuple or a list of ints; a range such as
  * range(1, N + 1) is read from its start, step and length (see load_prefix).
  * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
- * (see extend) and compares it with the tiles without building a list.
+ * (see extend) and compares it with the tiles without building a list: a
+ * range, chunk or block tile five terms at a time (see tile_groups), and
+ * value by value only a literal and the group where the walk stops.
  * rst_generate(n_max) computes R(0..n), S(0..n) and T(0..n), row k at index
  * k, in place in three array('q') (see Store).
  * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
@@ -389,10 +391,12 @@ tile_close(Tile *tl)
 }
 
 /* *v = the value tile tl predicts at offset j: 0, or 1 when that value lies
- * outside int64 or cannot be read.  Called for j = 0, 1, 2, ... in turn,
- * and not again once it returned 1: the running value of a chunk is then
- * exact, and a parameter outside int64 is itself the first value outside
- * int64 that depends on it (T(k) >= 1 in every R/S/T table). */
+ * outside int64 or cannot be read.  It walks a literal, and of the other
+ * kinds only the group where tile_groups stops: it is called for j = 5g,
+ * 5g + 1, ... in turn, after tile_groups matched groups 0..g-1, and not
+ * again once it returned 1.  The running value of a chunk is then exact,
+ * and a parameter outside int64 is itself the first value outside int64
+ * that depends on it (T(k) >= 1 in every R/S/T table). */
 static int
 tile_value(Tile *tl, Py_ssize_t j, long long *v)
 {
@@ -438,12 +442,54 @@ tile_value(Tile *tl, Py_ssize_t j, long long *v)
     }
 }
 
+/* The count g of the leading five-term groups of tile tl that match
+ * u[0..5g-1] with every value within int64, at most whole: the groups that
+ * lie whole within the tile and the actual run.  A range, a chunk and the
+ * blocks repeat with period 5, so a group is five compares; a literal has
+ * no groups (0). */
+static Py_ssize_t
+tile_groups(Tile *tl, const long long *u, Py_ssize_t whole)
+{
+    const long long *r = tl->tab[0].v, *s = tl->tab[1].v, *t = tl->tab[2].v;
+    long long a = tl->a, b = tl->b, x = tl->x, v0 = x, v2, v3, v4;
+    Py_ssize_t g = 0;
+
+    if (tl->a_big || tl->b_big)
+        return 0;
+    switch (tl->kind) {
+    case TILE_RANGE: /* a + 5g .. a + 5g + 4 */
+        for (; g < whole && !__builtin_add_overflow(a, (long long)(5 * g + 4), &v4); g++, u += 5) {
+            if (u[0] != v4 - 4 || u[1] != v4 - 3 || u[2] != v4 - 2 || u[3] != v4 - 1 || u[4] != v4)
+                break;
+        }
+        return g;
+    case TILE_CHUNK: /* (x, 5, b, 3, 5), x = a + b*g; tl->x stays that of group g - 1 */
+        for (; g < whole && !(g > 0 && __builtin_add_overflow(x, b, &v0)); g++, u += 5) {
+            if (u[0] != v0 || u[1] != 5 || u[2] != b || u[3] != 3 || u[4] != 5)
+                break;
+            x = v0;
+        }
+        tl->x = x;
+        return g;
+    case TILE_BLOCKS: /* block k = g + 1 reads rows k and k + 1 */
+        for (; g < whole && !__builtin_mul_overflow(a, t[g + 1], &v0) &&
+               !__builtin_mul_overflow(r[g + 1], 5LL, &v2) && !__builtin_mul_overflow(r[g + 2], 5LL, &v3) &&
+               !__builtin_mul_overflow(s[g + 2], 5LL, &v4);
+             g++, u += 5) {
+            if (u[0] != v0 || u[1] != 4 || u[2] != v2 || u[3] != v3 || u[4] != v4)
+                break;
+        }
+        return g;
+    }
+    return 0; /* a literal */
+}
+
 static PyObject *
 q_check(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *tiles, *seq = NULL, *first = NULL, *result = NULL;
     int zero, status, big, rc = 0, differs = 0;
-    Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, end = 0, i, j;
+    Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, end = 0, i, j, stop;
     long long *t = NULL, v = 0;
     Tile tl;
 
@@ -468,19 +514,25 @@ q_check(PyObject *self, PyObject *args)
         goto done;
     n_act = n - 1;
 
-    /* Read every tile, as _fallback.materialise builds them all, each
-     * clipped to the budget: end is the predicted length.  Walk the
-     * predicted values in order to the first one that has no actual term or
-     * differs from it: pos ends at its offset, or at end.  A tile that
-     * cannot be read, or a value outside int64 up to that one, declines the
-     * call (rc 1). */
+    /* Read every tile, as _fallback.q_check does, each clipped to the
+     * budget: end is the predicted length.  Walk the predicted values in
+     * order to the first one that has no actual term or differs from it:
+     * pos ends at its offset, or at end.  tile_groups matches whole groups
+     * while the actual run lasts; tile_value walks the group where it stops
+     * (a literal whole), which holds the first difference, the end of the
+     * run or of the tile, or a value outside int64: it computes each value,
+     * declines it outside int64, then tests the end of the actual run, then
+     * compares.  A tile that cannot be read, or a value outside int64 up to
+     * that one, declines the call (rc 1). */
     for (i = 0; !rc && i < PyTuple_GET_SIZE(seq); i++) {
         rc = read_tile(PyTuple_GET_ITEM(seq, i), max_terms - end, &tl);
-        for (j = 0; !rc && !differs && j < tl.length; j++) {
-            if ((rc = tile_value(&tl, j, &v)) || pos + j >= n_act || v != t[pos + j])
-                break;
-        }
-        if (!differs) {
+        if (!rc && !differs) {
+            j = 5 * tile_groups(&tl, t + pos, Py_MIN(tl.length, n_act - pos) / 5);
+            stop = tl.kind == TILE_LITERAL ? tl.length : Py_MIN(tl.length, j + 5);
+            for (; j < stop; j++) {
+                if ((rc = tile_value(&tl, j, &v)) || pos + j >= n_act || v != t[pos + j])
+                    break;
+            }
             differs = j < tl.length;
             pos += j;
         }
@@ -737,8 +789,8 @@ static PyMethodDef methods[] = {
     {"q_check", q_check, METH_VARARGS,
      "q_check(prefix, zero_extended, tiles, max_terms)\n"
      "-> (matched_through, first_mismatch, status, at, n_actual) or None\n\n"
-     "Run q_generate's recurrence and compare each term with the tiles;\n"
-     "None when declined."},
+     "Run q_generate's recurrence and compare it with the tiles, five\n"
+     "terms at a time; None when declined."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
      "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q');\n"

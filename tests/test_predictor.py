@@ -31,6 +31,7 @@ from qlab import (
 )
 from qlab import _backend, _fallback, predictor
 from qlab._fallback import (
+    INT64_MAX,
     TILE_BLOCKS,
     TILE_CHUNK,
     TILE_LITERAL,
@@ -707,6 +708,114 @@ def test_q_check_reports_mismatches_like_the_lists(compiled_kernel):
         shapes.add(None if first is None else (first[1] is None, first[2] is None))
     # values differ; the prediction stops early; the actual run stops early
     assert {(False, False), (True, False), (False, True)} <= shapes
+
+
+def _exact_tables(tile: tuple) -> tuple:
+    """A block tile whose R/S/T tables hold exactly the rows its blocks read:
+    0..kmax+1 of r and s, 0..kmax of t."""
+    kind, length, lam, (r, s, t) = tile
+    kmax = -(-length // 5)
+    return kind, length, lam, (array("q", r[: kmax + 2]), array("q", s[: kmax + 2]), array("q", t[: kmax + 1]))
+
+
+def _crossing(tile: tuple, g: int) -> tuple:
+    """The tile with its step (a chunk) raised to about 2**63 / g, or its
+    lam (blocks) to about 2**63 / T(g + 1), so that its values first leave
+    int64 in group g: at residue 0, or at residue 2 of a chunk's group 0,
+    its step itself."""
+    kind, length, a, b = tile
+    if kind == TILE_CHUNK:
+        return kind, length, a, -(-(2**63 - a) // g) if g else 2**63
+    return kind, length, -(-(2**63) // b[2][g + 1]), b
+
+
+def _group_cases():
+    """(event, r, p, prefix, zero, tiles, budget) at predicted offset p,
+    residue r of the first, a middle and the last group of each chunk and
+    block tile of a real prediction of classification 2, 0, 3 and 4: the
+    value at p differs, the budget ends at p, the actual run is cut to the
+    values before p, or the value at p is the first outside int64.  The
+    block tile's tables hold exactly the rows it reads."""
+    for n, budget in ((38, 239), (132, 6190), (37, 277), (47, 553)):
+        tiles = tuple(_exact_tables(tile) if tile[0] == TILE_BLOCKS else tile
+                      for tile in predicted_tiles(abc_profile(n), budget))
+        predicted = materialise(tiles, budget).tolist()
+        start = 0
+        for i, tile in enumerate(tiles):
+            kind, length = tile[:2]
+            groups = -(-length // 5)
+            for g in sorted({0, groups // 2, groups - 1}) if kind in (TILE_CHUNK, TILE_BLOCKS) else ():
+                for p in range(start + 5 * g, min(start + 5 * g + 5, start + length)):
+                    head, r = tuple(predicted[:p]), (p - start) % 5
+                    yield "differs", r, p, head + (predicted[p] + 1,), True, tiles, budget
+                    yield "budget", r, p, range(1, n + 1), True, tiles, p + 1
+                    yield "ends", r, p, head, False, tiles, budget
+                crossed = (*tiles[:i], _crossing(tile, g), *tiles[i + 1:])
+                big = materialise(crossed, start + length)
+                p = next(k for k, v in enumerate(big) if v > INT64_MAX)
+                # the whole run is the prefix: the values before p, then zeros
+                yield "int64", (p - start) % 5, p, tuple(big[:p]) + (0,) * 6, True, crossed, p + 6
+            start += length
+
+
+def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
+    """The compiled kernel compares a chunk or block tile five values at a
+    time and the group where the walk stops value by value: wherever the
+    stop falls in its group, it answers as the reference and the lists do."""
+    seen = set()
+    for event, r, p, prefix, zero, tiles, budget in _group_cases():
+        compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
+        assert compiled == _fallback.q_check(prefix, zero, tiles, budget, checked=True), (event, p)
+        want = _list_check(prefix, zero, tiles, budget)
+        matched, first = want[:2]
+        if event == "int64":  # declined: the value to report lies outside int64
+            assert compiled is None and first[1] > INT64_MAX
+        else:
+            assert (*compiled[:2], _status_of(*compiled[2:4]), compiled[4]) == want, (event, p)
+        if (first is None and matched == p + 1) if event == "budget" else matched == p:
+            seen.add((event, r))
+    # a plain run dies only on a value <= 0 or past its index, which a
+    # chunk's 5 and 3 before residue 0 never are
+    assert seen >= {(event, r) for event in ("differs", "budget") for r in range(5)}
+    assert seen >= {("ends", 1), ("ends", 2), ("ends", 3), ("ends", 4), ("int64", 0), ("int64", 2)}
+
+
+def test_q_check_builds_only_what_the_run_reaches(compiled_kernel):
+    """Both backends stop at the first difference, and the reference builds
+    each tile only to one value past the end of the run: a chunk of 10**12
+    terms after a run of two, and a class-2 prediction of 200000 terms whose
+    run dies early under the plain convention."""
+    tiles = predicted_tiles(abc_profile(38), 200_000)
+    for kernel in (compiled_kernel, None):
+        with mock.patch.object(_backend, "_kernel", kernel):
+            assert _backend.q_check((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12) == (0, (1, 1, 2), 1, 3, 2)
+            assert _backend.q_check(range(1, 39), False, tiles, 200_000) == (66, (67, 44, None), 1, 67, 66)
+
+
+def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
+    """The reference builds a tile past the first difference only through
+    its first period, yet reads every tile as the kernel does: each
+    malformed tile there, which the kernel declines, it refuses with the
+    error that building the tile whole raises."""
+    rst = _fallback.rst_generate(40)[:3]  # rows 0..40
+    differs = (TILE_RANGE, 3, 7, None)  # 7 against the run's 2 at once
+    for tile, error in (
+        ((9, 5, 1, None), ValueError),  # an unknown kind
+        ((TILE_BLOCKS, 500, 12, rst), ValueError),  # tables too short for 100 blocks
+        ((TILE_LITERAL, 7, (9,) * 6 + (1.5,), None), TypeError),  # a float past the first period
+        ((TILE_LITERAL, 2, (2**64, 1.5), None), TypeError),  # a float beside a value past int64
+        ((TILE_BLOCKS, 10, 2.5, rst), TypeError),  # lam
+        ((TILE_CHUNK, 10**12, 3, 2.5), TypeError),  # the step
+    ):
+        assert compiled_kernel.q_check((2, 0), False, (differs, tile), 10**12) is None
+        for checked in (True, False):
+            with pytest.raises(error):
+                _fallback.q_check((2, 0), False, (differs, tile), 10**12, checked=checked)
+    # a literal shorter than its length predicts only its own values, and
+    # the next tile starts after them: 2, then 0, 1, 2, 3 against 2, 0
+    tiles = ((TILE_LITERAL, 3, (2,), None), (TILE_RANGE, 4, 0, None))
+    assert compiled_kernel.q_check((2, 0), False, tiles, 20) is None
+    assert _fallback.q_check((2, 0), False, tiles, 20) == (2, (3, 1, None), 1, 3, 2)
 
 
 def _corrupt(draw, tiles: list) -> None:
