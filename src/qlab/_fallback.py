@@ -16,7 +16,8 @@ A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
 each tile taking up where the one before it stopped.  By kind:
 
 * TILE_RANGE: ``a, a + 1, a + 2, ...`` (``b`` unused);
-* TILE_LITERAL: the values of the tuple ``a`` (``b`` unused);
+* TILE_LITERAL: the first ``length`` values of the tuple ``a``, which
+  holds at least that many (``b`` unused);
 * TILE_CHUNK: the period-5 chunk ``(a + b*k, 5, b, 3, 5)``, k = 0, 1, ...;
 * TILE_BLOCKS: the blocks ``(lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1))``,
   k = 1, 2, ..., with ``lam = a`` and ``b = (r, s, t)`` the R/S/T tables as
@@ -27,10 +28,10 @@ each tile taking up where the one before it stopped.  By kind:
 
 q_check compares the run with the prediction tile by tile, and builds a
 tile only as far as the compare reaches (see its docstring), so a tile far
-longer than the run costs no more than the run; the kernel compares a
-range, chunk or block tile five terms at a time, in place.  Every tile is
-read all the same, and a value that is not an int raises TypeError whether
-or not another value lies past int64.
+longer than the run costs no more than the run; the kernel compares every
+tile, of any kind, five terms at a time, in place.  Every tile is read all
+the same, and a value that is not an int raises TypeError whether or not
+another value lies past int64.
 """
 
 from __future__ import annotations
@@ -185,14 +186,17 @@ def _tile(kind, length: int, a, b, stop: int, make):
     length, a, b)``, in one container that ``make`` builds from an iterable
     of ints; a literal comes whole, as its values are in memory already.
 
-    Raises ValueError for an unknown kind, and for R/S/T tables shorter than
-    the ``length`` values of a block tile read.
+    Raises ValueError for an unknown kind, for a literal of fewer than
+    ``length`` values, and for R/S/T tables shorter than the ``length``
+    values of a block tile read.
     """
     if kind == TILE_RANGE:
         values = range(a, a + stop)
         len(values)  # OverflowError past sys.maxsize terms, before make tries them
         return make(values)
     if kind == TILE_LITERAL:
+        if len(a) < length:  # its length is binding, as every other tile's is
+            raise ValueError("the literal tile holds fewer values than its length")
         return make(tuple(a[:length]))  # a str too is refused value by value
     if kind not in (TILE_CHUNK, TILE_BLOCKS):
         raise ValueError(f"unknown tile kind {kind!r}")
@@ -291,8 +295,9 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
     the end of the run, and past the first difference only its first
     period, which reads each of its parameters.  So a prediction far longer
     than the run is never built, yet every tile is read: an unknown kind,
-    R/S/T tables too short for their tile, and a literal value or a
-    parameter that is not an int are refused as materialise refuses them.
+    a literal of fewer values than its length, R/S/T tables too short for
+    their tile, and a literal value or a parameter that is not an int are
+    refused as materialise refuses them.
     """
     terms, status, at = q_generate(prefix, zero_extended, max_terms, checked)
     if status == STATUS_OVERFLOW:
@@ -312,8 +317,7 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
             first = _first_difference(values, terms[pos : pos + len(values)])
             if first is not None:
                 first = (pos + first[0], *first[1:])
-        # a literal shorter than its length predicts only its own values
-        pos += len(values) if kind == TILE_LITERAL else length
+        pos += length
     if first is None and pos < len(terms):
         first = (pos + 1, None, terms[pos])
     if first is None:

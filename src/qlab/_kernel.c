@@ -10,9 +10,9 @@
  * prefix is a range, a tuple or a list of ints; a range such as
  * range(1, N + 1) is read from its start, step and length (see load_prefix).
  * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
- * (see extend) and compares it with the tiles without building a list: a
- * range, chunk or block tile five terms at a time (see tile_groups), and
- * value by value only a literal and the group where the walk stops.
+ * (see extend) and compares it with the tiles without building a list:
+ * every tile, of any kind, five terms at a time (see tile_group), and value
+ * by value only the group where the walk stops.
  * rst_generate(n_max) computes R(0..n), S(0..n) and T(0..n), row k at index
  * k, in place in three array('q') (see Store).
  * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
@@ -332,9 +332,10 @@ typedef struct {
     Py_ssize_t length;
     long long a, b;     /* range: first value; chunk: first and step; blocks: lam */
     int a_big, b_big;   /* a or b lies outside int64 */
-    PyObject *values;   /* literal: a tuple of at least length ints */
+    /* literal: values[0..fit-1], its values before the first outside int64 */
+    long long *values;
+    Py_ssize_t fit;
     Column tab[3];      /* blocks: R(0..), S(0..), T(0..) */
-    long long x;        /* chunk: a + b*k for the current k */
 } Tile;
 
 /* Read tile item, its length clipped to room: 0, or 1 to decline a
@@ -358,20 +359,22 @@ read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
     switch (tl->kind) {
     case TILE_RANGE:
         return read_int(a, &tl->a, &tl->a_big) < 0;
-    case TILE_LITERAL:
+    case TILE_LITERAL: /* each value read once, here */
         if (!PyTuple_Check(a) || PyTuple_GET_SIZE(a) < tl->length)
             return 1;
+        if ((tl->values = PyMem_New(long long, tl->length)) == NULL) {
+            PyErr_NoMemory();
+            return 1;
+        }
         for (i = 0; i < tl->length; i++) {
             if (read_int(PyTuple_GET_ITEM(a, i), &v, &big))
                 return 1;
+            if (!big && tl->fit == i)
+                tl->values[tl->fit++] = v;
         }
-        tl->values = a;
         return 0;
     case TILE_CHUNK:
-        if (read_int(a, &tl->a, &tl->a_big) || read_int(b, &tl->b, &tl->b_big))
-            return 1;
-        tl->x = tl->a;
-        return 0;
+        return read_int(a, &tl->a, &tl->a_big) || read_int(b, &tl->b, &tl->b_big);
     case TILE_BLOCKS:
         /* kmax blocks read rows 0..kmax+1 of r and s and 0..kmax of t */
         return read_int(a, &tl->a, &tl->a_big) || !PyTuple_Check(b) ||
@@ -385,112 +388,95 @@ read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
 static void
 tile_close(Tile *tl)
 {
+    PyMem_Free(tl->values);
     column_close(&tl->tab[0]);
     column_close(&tl->tab[1]);
     column_close(&tl->tab[2]);
 }
 
-/* *v = the value tile tl predicts at offset j: 0, or 1 when that value lies
- * outside int64 or cannot be read.  It walks a literal, and of the other
- * kinds only the group where tile_groups stops: it is called for j = 5g,
- * 5g + 1, ... in turn, after tile_groups matched groups 0..g-1, and not
- * again once it returned 1.  The running value of a chunk is then exact,
- * and a parameter outside int64 is itself the first value outside int64
- * that depends on it (T(k) >= 1 in every R/S/T table). */
-static int
-tile_value(Tile *tl, Py_ssize_t j, long long *v)
+/* Store in v[0..4] the values tile tl, of kind kind, predicts at offsets
+ * 5g..5g+4 (5g < tl->length), in order, stopping at the first that lies
+ * outside int64 or past the end of a literal: returns how many it stored,
+ * 5 when it did not stop.  This is the one place in C that says what each
+ * kind predicts.  Each value is computed exactly, with no state kept from
+ * another group: x holds the first value of a range's or a chunk's group
+ * in 128 bits, which no int64 parameters overflow.  A parameter outside
+ * int64 is itself the first value outside int64 that depends on it
+ * (T(k) >= 1 in every R/S/T table). */
+static inline __attribute__((always_inline)) int
+tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
 {
-    Py_ssize_t k = j / 5 + 1; /* blocks: the block number */
-    int big;
+    const long long *r = tl->tab[0].v, *s = tl->tab[1].v, *t = tl->tab[2].v;
+    __int128 x;
+    int i;
 
-    switch (tl->kind) {
-    case TILE_RANGE:
-        return tl->a_big || __builtin_add_overflow(tl->a, (long long)j, v);
+    switch (kind) {
+    case TILE_RANGE: /* x, x + 1, ..., x + 4: one bound for the group */
+        x = (__int128)tl->a + 5 * g;
+        for (i = 0; i < 5; i++)
+            v[i] = (long long)(x + i);
+        return tl->a_big || x > LLONG_MAX ? 0 : (int)Py_MIN(LLONG_MAX - x + 1, 5);
     case TILE_LITERAL:
-        return read_int(PyTuple_GET_ITEM(tl->values, j), v, &big) || big;
-    case TILE_CHUNK:
-        switch (j % 5) {
-        case 0:
-            if (j > 0 && __builtin_add_overflow(tl->x, tl->b, &tl->x))
-                return 1;
-            *v = tl->x;
-            return tl->a_big;
-        case 2:
-            *v = tl->b;
-            return tl->b_big;
-        case 3:
-            *v = 3;
-            return 0;
-        default:
-            *v = 5;
-            return 0;
-        }
-    default: /* TILE_BLOCKS: lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1) */
-        switch (j % 5) {
-        case 0:
-            return tl->a_big || __builtin_mul_overflow(tl->a, tl->tab[2].v[k], v);
-        case 1:
-            *v = 4;
-            return 0;
-        case 2:
-            return __builtin_mul_overflow(tl->tab[0].v[k], 5LL, v);
-        case 3:
-            return __builtin_mul_overflow(tl->tab[0].v[k + 1], 5LL, v);
-        default:
-            return __builtin_mul_overflow(tl->tab[1].v[k + 1], 5LL, v);
-        }
+        for (i = 0; i < 5 && 5 * g + i < tl->fit; i++)
+            v[i] = tl->values[5 * g + i];
+        return i;
+    case TILE_CHUNK: /* (a + b*g, 5, b, 3, 5): past g = 0 only with b in int64 */
+        x = (__int128)tl->a + (__int128)tl->b * g;
+        v[0] = (long long)x;
+        v[1] = 5;
+        v[2] = tl->b;
+        v[3] = 3;
+        v[4] = 5;
+        return tl->a_big || (tl->b_big && g > 0) || v[0] != x ? 0 : tl->b_big ? 2 : 5;
+    default: /* TILE_BLOCKS, block k = g + 1: (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) */
+        v[1] = 4;
+        return tl->a_big || __builtin_mul_overflow(tl->a, t[g + 1], &v[0]) ? 0
+               : __builtin_mul_overflow(r[g + 1], 5LL, &v[2]) ? 2
+               : __builtin_mul_overflow(r[g + 2], 5LL, &v[3]) ? 3
+               : __builtin_mul_overflow(s[g + 2], 5LL, &v[4]) ? 4
+               : 5;
     }
 }
 
-/* The count g of the leading five-term groups of tile tl that match
- * u[0..5g-1] with every value within int64, at most whole: the groups that
- * lie whole within the tile and the actual run.  A range, a chunk and the
- * blocks repeat with period 5, so a group is five compares; a literal has
- * no groups (0). */
-static Py_ssize_t
-tile_groups(Tile *tl, const long long *u, Py_ssize_t whole)
+/* The count of the leading groups of tile tl that match u[0..5g-1], every
+ * value within int64, at most whole, for kind = tl->kind. */
+static inline __attribute__((always_inline)) Py_ssize_t
+kind_groups(const Tile *tl, int kind, const long long *u, Py_ssize_t whole)
 {
-    const long long *r = tl->tab[0].v, *s = tl->tab[1].v, *t = tl->tab[2].v;
-    long long a = tl->a, b = tl->b, x = tl->x, v0 = x, v2, v3, v4;
-    Py_ssize_t g = 0;
+    long long v[5];
+    Py_ssize_t g;
 
-    if (tl->a_big || tl->b_big)
-        return 0;
-    switch (tl->kind) {
-    case TILE_RANGE: /* a + 5g .. a + 5g + 4 */
-        for (; g < whole && !__builtin_add_overflow(a, (long long)(5 * g + 4), &v4); g++, u += 5) {
-            if (u[0] != v4 - 4 || u[1] != v4 - 3 || u[2] != v4 - 2 || u[3] != v4 - 1 || u[4] != v4)
-                break;
-        }
-        return g;
-    case TILE_CHUNK: /* (x, 5, b, 3, 5), x = a + b*g; tl->x stays that of group g - 1 */
-        for (; g < whole && !(g > 0 && __builtin_add_overflow(x, b, &v0)); g++, u += 5) {
-            if (u[0] != v0 || u[1] != 5 || u[2] != b || u[3] != 3 || u[4] != 5)
-                break;
-            x = v0;
-        }
-        tl->x = x;
-        return g;
-    case TILE_BLOCKS: /* block k = g + 1 reads rows k and k + 1 */
-        for (; g < whole && !__builtin_mul_overflow(a, t[g + 1], &v0) &&
-               !__builtin_mul_overflow(r[g + 1], 5LL, &v2) && !__builtin_mul_overflow(r[g + 2], 5LL, &v3) &&
-               !__builtin_mul_overflow(s[g + 2], 5LL, &v4);
-             g++, u += 5) {
-            if (u[0] != v0 || u[1] != 4 || u[2] != v2 || u[3] != v3 || u[4] != v4)
-                break;
-        }
-        return g;
+    for (g = 0; g < whole && tile_group(tl, kind, g, v) == 5; g++, u += 5) {
+        if (u[0] != v[0] || u[1] != v[1] || u[2] != v[2] || u[3] != v[3] || u[4] != v[4])
+            break;
     }
-    return 0; /* a literal */
+    return g;
+}
+
+/* kind_groups with a constant kind at each call, so that each kind gets a
+ * loop of its own around its tile_group; kept out of q_check, whose locals
+ * would push the loops' own out of registers. */
+static __attribute__((noinline)) Py_ssize_t
+matched_groups(const Tile *tl, const long long *u, Py_ssize_t whole)
+{
+    switch (tl->kind) {
+    case TILE_RANGE:
+        return kind_groups(tl, TILE_RANGE, u, whole);
+    case TILE_LITERAL:
+        return kind_groups(tl, TILE_LITERAL, u, whole);
+    case TILE_CHUNK:
+        return kind_groups(tl, TILE_CHUNK, u, whole);
+    }
+    return kind_groups(tl, TILE_BLOCKS, u, whole);
 }
 
 static PyObject *
 q_check(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *tiles, *seq = NULL, *first = NULL, *result = NULL;
-    int zero, status, big, rc = 0, differs = 0;
-    Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, end = 0, i, j, stop;
-    long long *t = NULL, v = 0;
+    int zero, status, big, rc = 0, differs = 0, stored;
+    Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, end = 0, i, j = 0, g;
+    long long *t = NULL, v[5];
     Tile tl;
 
     /* a list of tiles copied: no call below changes it */
@@ -517,23 +503,25 @@ q_check(PyObject *self, PyObject *args)
     /* Read every tile, as _fallback.q_check does, each clipped to the
      * budget: end is the predicted length.  Walk the predicted values in
      * order to the first one that has no actual term or differs from it:
-     * pos ends at its offset, or at end.  tile_groups matches whole groups
-     * while the actual run lasts; tile_value walks the group where it stops
-     * (a literal whole), which holds the first difference, the end of the
-     * run or of the tile, or a value outside int64: it computes each value,
-     * declines it outside int64, then tests the end of the actual run, then
-     * compares.  A tile that cannot be read, or a value outside int64 up to
-     * that one, declines the call (rc 1). */
+     * pos ends at its offset, or at end.  Each tile, of any kind, is matched
+     * five values at a time while its groups lie within it and the actual
+     * run; the group where that stops holds the first difference, the end of
+     * the run or of the tile, or a value outside int64, and is walked value
+     * by value: a value outside int64 is declined, then the end of the
+     * actual run tested, then the value compared.  A tile that cannot be
+     * read, or a value outside int64 up to that one, declines the call
+     * (rc 1). */
     for (i = 0; !rc && i < PyTuple_GET_SIZE(seq); i++) {
         rc = read_tile(PyTuple_GET_ITEM(seq, i), max_terms - end, &tl);
         if (!rc && !differs) {
-            j = 5 * tile_groups(&tl, t + pos, Py_MIN(tl.length, n_act - pos) / 5);
-            stop = tl.kind == TILE_LITERAL ? tl.length : Py_MIN(tl.length, j + 5);
-            for (; j < stop; j++) {
-                if ((rc = tile_value(&tl, j, &v)) || pos + j >= n_act || v != t[pos + j])
+            g = matched_groups(&tl, t + pos, Py_MIN(tl.length, n_act - pos) / 5);
+            pos += 5 * g;
+            stored = 5 * g < tl.length ? tile_group(&tl, tl.kind, g, v) : 0;
+            for (j = 0; j < Py_MIN(tl.length - 5 * g, 5); j++) {
+                if ((rc = j >= stored) || pos + j >= n_act || v[j] != t[pos + j])
                     break;
             }
-            differs = j < tl.length;
+            differs = 5 * g + j < tl.length; /* then v[j] differs */
             pos += j;
         }
         end += tl.length;
@@ -546,7 +534,7 @@ q_check(PyObject *self, PyObject *args)
     if (!differs && pos == n_act)
         first = Py_NewRef(Py_None);
     else
-        first = Py_BuildValue("(nNN)", pos + 1, differs ? PyLong_FromLongLong(v) : Py_NewRef(Py_None),
+        first = Py_BuildValue("(nNN)", pos + 1, differs ? PyLong_FromLongLong(v[j]) : Py_NewRef(Py_None),
                               pos < n_act ? PyLong_FromLongLong(t[pos]) : Py_NewRef(Py_None));
     if (first != NULL)
         result = Py_BuildValue("(nNinn)", pos, first, status,
@@ -789,8 +777,8 @@ static PyMethodDef methods[] = {
     {"q_check", q_check, METH_VARARGS,
      "q_check(prefix, zero_extended, tiles, max_terms)\n"
      "-> (matched_through, first_mismatch, status, at, n_actual) or None\n\n"
-     "Run q_generate's recurrence and compare it with the tiles, five\n"
-     "terms at a time; None when declined."},
+     "Run q_generate's recurrence and compare it with the tiles, each\n"
+     "five terms at a time; None when declined."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
      "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q');\n"

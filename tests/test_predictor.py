@@ -780,6 +780,61 @@ def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
     assert seen >= {("ends", 1), ("ends", 2), ("ends", 3), ("ends", 4), ("int64", 0), ("int64", 2)}
 
 
+def _int64_edge_cases():
+    """(kind, p, prefix, zero, tiles, budget, length): a range tile that
+    matches a run ending at 2**63 - 1, its value at offset p (0..14), at
+    residue p % 5 of group p // 5, the first outside int64; a chunk of step
+    -2**62 whose value at p = 5g (g = 1..4) is the first below int64, after
+    a run that has a 0 there (for g = 4, b*3 leaves int64 but a + 3b does
+    not); and a literal whose value at offset p (0..11) is the first
+    outside int64, on either side.  A leading literal of 0, 1 or 3 terms
+    shifts the groups against the run.  The range and chunk tiles are p,
+    p + 1 or p + 6 long, the literal p + 1 or 12: a tile of length p ends
+    before the value outside int64."""
+    for lead in ((), (1,), (1, 3, 2)):
+        for zero in (True, False):
+            for p in range(15):
+                for length in (p, p + 1, p + 6):
+                    tiles = ((TILE_LITERAL, len(lead), lead, None), (TILE_RANGE, length, 2**63 - p, None))
+                    prefix = lead + tuple(range(2**63 - p, 2**63))
+                    yield TILE_RANGE, p, prefix, zero, tiles, len(lead) + length + 3, length
+            for g in range(1, 5):
+                a, b = -(2**63) + (g - 1) * 2**62 + 9, -(2**62)
+                # the 0 ends the run before a sum can leave int64
+                prefix = lead + tuple(materialise(((TILE_CHUNK, 5 * g, a, b),), 5 * g)) + (0,)
+                for length in (5 * g, 5 * g + 1, 5 * g + 6):
+                    tiles = ((TILE_LITERAL, len(lead), lead, None), (TILE_CHUNK, length, a, b))
+                    yield TILE_CHUNK, 5 * g, prefix, zero, tiles, len(lead) + length + 3, length
+            for p in range(12):
+                values = tuple(range(4, 4 + p)) + ((2**63, -(2**63) - 1)[p % 2],) + (7,) * 11
+                for length in (p + 1, 12):
+                    tiles = ((TILE_LITERAL, len(lead), lead, None), (TILE_LITERAL, length, values, None))
+                    yield TILE_LITERAL, p, lead + values[:p], zero, tiles, len(lead) + length + 3, length
+
+
+def test_q_check_declines_at_each_offset_where_a_tile_leaves_int64(compiled_kernel):
+    """tile_group stores a range's group whole when its last value fits
+    int64, a chunk's first value when a + b*g does, and a literal's values
+    up to the first that does not: wherever that value falls in its group,
+    the kernel answers as the checked reference, declining exactly where
+    the run reaches it, and the backend as the exact reference."""
+    declined = set()
+    for kind, p, prefix, zero, tiles, budget, length in _int64_edge_cases():
+        case = (kind, p, len(prefix), zero, length)
+        compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
+        checked = _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=True)
+        assert compiled == _declined_where_raised(checked), case
+        with mock.patch.object(_backend, "_kernel", compiled_kernel):
+            exact = _answer(_backend.q_check, prefix, zero, tiles, budget)
+        assert exact == _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=False), case
+        if len(prefix) >= 2:  # a shorter prefix is refused
+            assert (compiled is None) == (length > p), case
+            if compiled is None:
+                declined.add((kind, p))
+    assert declined >= ({(TILE_RANGE, p) for p in range(15)} | {(TILE_CHUNK, 5 * g) for g in range(1, 5)}
+                        | {(TILE_LITERAL, p) for p in range(12)})
+
+
 def test_q_check_builds_only_what_the_run_reaches(compiled_kernel):
     """Both backends stop at the first difference, and the reference builds
     each tile only to one value past the end of the run: a chunk of 10**12
@@ -806,16 +861,21 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
         ((TILE_LITERAL, 2, (2**64, 1.5), None), TypeError),  # a float beside a value past int64
         ((TILE_BLOCKS, 10, 2.5, rst), TypeError),  # lam
         ((TILE_CHUNK, 10**12, 3, 2.5), TypeError),  # the step
+        ((TILE_LITERAL, 3, (2,), None), ValueError),  # fewer values than its length
     ):
         assert compiled_kernel.q_check((2, 0), False, (differs, tile), 10**12) is None
         for checked in (True, False):
             with pytest.raises(error):
                 _fallback.q_check((2, 0), False, (differs, tile), 10**12, checked=checked)
-    # a literal shorter than its length predicts only its own values, and
-    # the next tile starts after them: 2, then 0, 1, 2, 3 against 2, 0
+    # a literal's length is binding where the run reaches it too, on both
+    # backends, and clipped to the budget before it is
     tiles = ((TILE_LITERAL, 3, (2,), None), (TILE_RANGE, 4, 0, None))
-    assert compiled_kernel.q_check((2, 0), False, tiles, 20) is None
-    assert _fallback.q_check((2, 0), False, tiles, 20) == (2, (3, 1, None), 1, 3, 2)
+    for kernel in (compiled_kernel, None):
+        with mock.patch.object(_backend, "_kernel", kernel), pytest.raises(ValueError):
+            _backend.q_check((2, 0), False, tiles, 20)
+    with pytest.raises(ValueError):
+        materialise(tiles, 20)
+    assert materialise(tiles, 1).tolist() == [2]
 
 
 def _corrupt(draw, tiles: list) -> None:
