@@ -16,7 +16,9 @@
  * rst_generate(n_max) computes R(0..n), S(0..n) and T(0..n), row k at index
  * k, in place in three array('q') (see Store).
  * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
- * straight into one new str.
+ * straight into one new str, in one pass over the values: the str is
+ * allocated at an upper bound, 20 characters a field, each field is written
+ * once, two digits a step, and the str is cut to what was written.
  * max_terms and n_max are clipped to Py_ssize_t (see clipped_size).  A table
  * (a column of format_rows, an R/S/T table of a block tile) is read in place
  * from a C-contiguous int64 buffer, such as an array('q') (see Column), and
@@ -666,32 +668,50 @@ decimal_length(long long v)
     return t + (u >= POW10[t]) + (v < 0);
 }
 
-/* Write the decimal form of v, decimal_length(v) characters, ending at end. */
+/* DIGITS[2d], DIGITS[2d + 1]: the two digits of d = 0..99 */
+static const char DIGITS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Write the decimal form of v, decimal_length(v) characters, ending at end,
+ * two digits a step. */
 static void
 put_decimal(Py_UCS1 *end, long long v)
 {
     unsigned long long u = magnitude(v);
 
-    do {
-        *--end = (Py_UCS1)('0' + u % 10);
-        u /= 10;
-    } while (u);
+    for (; u >= 100; u /= 100) {
+        end -= 2;
+        memcpy(end, DIGITS + 2 * (u % 100), 2);
+    }
+    if (u >= 10) {
+        end -= 2;
+        memcpy(end, DIGITS + 2 * u, 2);
+    }
+    else
+        *--end = (Py_UCS1)('0' + u);
     if (v < 0)
         *--end = '-';
 }
 
-/* Two passes over the columns' buffers: one adds up the length of the text
- * and one writes it.  No Python code runs between them, so the second reads
- * the values the first measured. */
+/* The widest field: INT64_MIN, a sign and 19 digits */
+#define FIELD_MAX 20
+
+/* One pass over the columns' buffers: the str is allocated at an upper
+ * bound, FIELD_MAX characters a field and its sep or newline, each field is
+ * written once, and the str is then cut to what was written. */
 static PyObject *
 format_rows(PyObject *self, PyObject *args)
 {
     PyObject *columns, *first, *sep, *cols, *text = NULL;
     Column *col = NULL;
-    Py_ssize_t per_row, lo, hi, ncol, width, nfield, nline, i, c, f, n, len = 0, seplen;
+    Py_ssize_t per_row, lo, hi, ncol, width, nfield, nline, i, c, f, n, seplen;
     long long index = 0, last, v;
     const Py_UCS1 *sepdata;
-    Py_UCS1 *p;
+    Py_UCS1 *start, *p;
     int indexed, big = 0;
 
     /* columns that are not a list or a tuple are left unread */
@@ -724,21 +744,14 @@ format_rows(PyObject *self, PyObject *args)
     nfield = (hi - lo) * (ncol + indexed);
     nline = (nfield + width - 1) / width;
     seplen = PyUnicode_GET_LENGTH(sep);
-    for (i = lo; indexed && i < hi; i++)
-        len += decimal_length(index + i);
-    for (c = 0; c < ncol; c++) {
-        for (i = lo; i < hi; i++)
-            len += decimal_length(col[c].v[i]);
-    }
-    if (nfield > 0 && seplen > (PY_SSIZE_T_MAX - len - nline) / nfield) {
+    if (nfield > 0 && FIELD_MAX + 1 + seplen > PY_SSIZE_T_MAX / nfield) {
         PyErr_NoMemory();
         goto done;
     }
-    len += nline + (nfield - nline) * seplen;
-
-    if ((text = PyUnicode_New(len, 127)) == NULL)
+    text = PyUnicode_New(nfield * FIELD_MAX + nline + (nfield - nline) * seplen, 127);
+    if (text == NULL)
         goto done;
-    p = PyUnicode_1BYTE_DATA(text);
+    p = start = PyUnicode_1BYTE_DATA(text);
     sepdata = PyUnicode_1BYTE_DATA(sep);
     for (i = lo, f = 0; i < hi; i++) {
         for (c = -indexed; c < ncol; c++) { /* c = -1: the index */
@@ -758,6 +771,8 @@ format_rows(PyObject *self, PyObject *args)
             }
         }
     }
+    if (PyUnicode_Resize(&text, p - start) < 0)
+        Py_CLEAR(text);
 
 done:
     if (col != NULL) {
@@ -785,7 +800,9 @@ static PyMethodDef methods[] = {
      "None when declined."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"
-     "Rows lo..hi-1 of the int64 buffer columns as text; None when declined."},
+     "Rows lo..hi-1 of the int64 buffer columns as text, written in one\n"
+     "pass into a str allocated at 20 characters a field and then cut to\n"
+     "the text; None when declined."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -984,6 +984,49 @@ def test_formatters_reject_the_same_calls(compiled_kernel, call, error):
         assert compiled_kernel.format_rows(arrays, *call[1:]) is None
 
 
+# The kernel allocates its str at an upper bound, 20 characters a field (the
+# width of INT64_MIN) and its sep or newline, writes each field once and cuts
+# the str to what it wrote.  A block of INT64_MIN alone, led by the index
+# INT64_MIN, fills that bound: with a bound any smaller the kernel writes past
+# its str, which corrupts the text or the heap, and which PYTHONMALLOC=debug
+# and AddressSanitizer report.
+_WIDEST = array("q", [INT64_MIN]) * (ROWS_PER_CALL * 10)
+
+
+@pytest.mark.parametrize("call", [
+    *(((_WIDEST,) * 3, INT64_MIN, sep, 1, 0, ROWS_PER_CALL) for sep in (",", " ", "\t", ", ")),
+    ((_WIDEST,), None, " ", 10, 0, ROWS_PER_CALL * 10),
+], ids=["csv", "bfile", "tab", "comma-space", "per_row=10"])
+def test_widest_block_fills_the_bound(compiled_kernel, call):
+    got = compiled_kernel.format_rows(*call)
+    assert got is not None
+    _assert_same_text(got, _fallback.format_rows(*call), "widest block")
+
+
+# +-(10^k - 1) and +-10^k for k = 0..18: every count of digits at both of its
+# ends, so the kernel's two-digit steps end on one digit and on two
+_DIGIT_EDGES = array("q", sorted({s * (10**k - d) for k in range(19) for d in (0, 1)
+                                  for s in (1, -1)}))
+
+
+def test_each_digit_count_formats_as_the_reference(compiled_kernel):
+    column = (_DIGIT_EDGES,)
+    calls = [(column, None, ",", 1, 0, len(_DIGIT_EDGES)),
+             (column, None, ", ", 10, 0, len(_DIGIT_EDGES))]
+    # each value alone after an index of 20 characters: the row of -10^18
+    # fills the bound, as a row of the widest block does
+    calls += [(column, INT64_MIN, " ", 1, i, i + 1) for i in range(len(_DIGIT_EDGES))]
+    for call in calls:
+        assert compiled_kernel.format_rows(*call) == _fallback.format_rows(*call), call[1:]
+
+
+def test_empty_block_is_the_empty_str(compiled_kernel):
+    for call in (((_WIDEST,) * 3, INT64_MIN, ",", 1, 7, 7),
+                 ((_WIDEST,), None, " ", 10, 0, 0),
+                 ((array("q"),), 1, ", ", 1, 0, 0)):
+        assert compiled_kernel.format_rows(*call) == "" == _fallback.format_rows(*call)
+
+
 # The kernel reads a column that is an array('q') from its buffer, and
 # declines a call with any other column; either way _backend writes the
 # reference's text.
