@@ -28,8 +28,8 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import eq, sub
+from itertools import chain, count, groupby, islice
+from operator import sub
 from typing import IO, Sequence
 
 from . import _backend
@@ -340,22 +340,18 @@ def parse_ic(text: str) -> InitialCondition:
 
 def format_ic(ic: InitialCondition) -> str:
     """Render ``ic`` in the parse_ic grammar, compressing ascending runs."""
-    terms = ic.terms
-    # step[i] is 1 where terms[i + 1] == terms[i] + 1, so a run of three or
-    # more terms is a stretch of two or more 1s: bytes.find walks the runs,
-    # and the terms between them are joined whole
-    step = bytes(map(eq, map(sub, islice(terms, 1, None), terms), repeat(1)))
     parts: list[str] = []
-    i = 0  # terms[:i] are written
-    while (at := step.find(b"\1\1", i)) >= 0:
-        end = step.find(b"\0", at)  # the run is terms[at : end + 1]
-        end = len(step) if end < 0 else end
-        if i < at:
-            parts.append(",".join(map(str, terms[i:at])))
-        parts.append(f"{terms[at]}..{terms[end]}")
-        i = end + 1
-    if i < len(terms):
-        parts.append(",".join(map(str, terms[i:])))
+    terms = ic.terms
+    i = 0
+    # terms[i] - i is the same along a run ascending by one, so groupby finds
+    # each run's length with no Python code per term
+    for _, run in groupby(map(sub, terms, count())):
+        j = i + len(list(run))
+        if j - i >= 3:
+            parts.append(f"{terms[i]}..{terms[j - 1]}")
+        else:
+            parts.extend(map(str, terms[i:j]))
+        i = j
     body = ",".join(parts)
     return f"0;{body}" if ic.zero_extended else body
 
