@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, TILE_RANGE, materialise
-from .engine import GeneratedSequence, InitialCondition, PredictionReport, SequenceStatus, _check
+from .engine import (
+    GeneratedSequence, InitialCondition, PredictionReport, SequenceStatus, _check, _term
+)
 from .errors import DivisibilityError, QlabError, ValidationError
 
 __all__ = [
@@ -131,6 +133,7 @@ class StructureProfile:
 
 
 def abc_profile(n_value: int, max_depth: int = 16) -> StructureProfile:
+    n_value, max_depth = _term(n_value, "n_value"), _term(max_depth, "max_depth")
     if n_value < 0:
         raise ValidationError("n_value must be nonnegative")
     if max_depth < 1:
@@ -159,6 +162,7 @@ def is_exceptional(n_value: int) -> bool:
     in 2..34, and for an N below 118 of classification 0, whose run fails
     inside the 158-row closing (tests/test_predictor.py names the row for
     each one brute force reaches)."""
+    n_value = _term(n_value, "n_value")
     if n_value < 0:
         raise ValidationError("n_value must be nonnegative")
     return 2 <= n_value <= 34 or (n_value < 118 and abc_profile(n_value).classification == 0)
@@ -172,10 +176,10 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
     of the descent, the literal of ``CLOSINGS[C_m]`` followed by chunk m+1
     when C_m = 1 or by the run of R/S/T blocks when C_m = 2.  There are
     O(j + closing) tiles whatever the budget.  The prediction is infinite
-    for classification 2 unless a block fails its side condition, ends one
-    short of its end index after the closing of classification 0, 3 or 4,
-    and stops after the last computed chunk when the profile is truncated;
-    the tiles cover fewer than max_terms terms exactly when it stops.
+    for classification 2, ends one short of its end index after the closing
+    of classification 0, 3 or 4, and stops after the last computed chunk
+    when the profile is truncated; the tiles cover fewer than max_terms
+    terms exactly when it stops.
     """
     n = profile.n_value
     a, b, c, cp = profile.a, profile.b, profile.c, profile.c_prime
@@ -205,11 +209,19 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
         if c_m == 1:
             add(TILE_CHUNK, a[m + 1] + cp[m] - end, a[m + 1] + b[m], a[m + 1])
         elif c_m == 2:
-            # block k occupies offsets 5k .. 5k+4 past A_m; only a class-2
-            # prediction loads the R/S/T module
-            from .rst import _block_count, _tables
+            # block k occupies offsets 5k .. 5k+4 past A_m, and holds while
+            # lam*(T(k) - 1) >= 5k + 2 with lam = A_m; no N >= 35 fails that,
+            # so every block the budget reaches is emitted.  The descent makes
+            # A strictly increasing: with C_1 = 1, x_1 = (2N+4)(N+3)/5 - 11N
+            # - 22 >= 195 for every N >= 37; then x_{m-1} >= 3 gives
+            # D_m = (x_{m-1} - 3)/5 >= 0, as B_m = x_{m-1}, so
+            # x_m = A_m*D_m + x_{m-1} >= 3 and A_m = A_{m-1} + x_{m-1}.  Hence
+            # lam = A_m >= A_1 = 2N+4 >= 74, while through 10^6 blocks the
+            # largest least valid lam is 12, at k = 2.  Only a class-2
+            # prediction loads the R/S/T module.
+            from .rst import _tables
 
-            kmax = _block_count(a_m, -(-(max_terms - end) // 5))
+            kmax = -(-(max_terms - end) // 5)
             tables = _tables(kmax + 1)
             add(TILE_BLOCKS, 5 * kmax, a_m, (tables.r, tables.s, tables.t))
     return tuple(tiles)
@@ -218,6 +230,7 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
 def _checked_profile(n_value: int, max_terms: int, max_depth: int) -> StructureProfile:
     """abc_profile(n_value), once N and the budget are known to be ones
     the prediction covers."""
+    n_value, max_terms = _term(n_value, "n_value"), _term(max_terms, "max_terms")
     if n_value < 35 or is_exceptional(n_value):
         raise ValidationError(
             f"prediction covers non-exceptional N >= 35 only, got {n_value};"
@@ -231,9 +244,9 @@ def _checked_profile(n_value: int, max_terms: int, max_depth: int) -> StructureP
 
 def _predicted_status(profile: StructureProfile, length: int, max_terms: int) -> SequenceStatus:
     """The status of a prediction of ``length`` terms within max_terms: one
-    cut by the budget, or of classification 2 (a block failed its side
-    condition), is alive; a finite one has ended one past its last term."""
-    if length == max_terms or profile.classification == 2:
+    cut by the budget, as every classification-2 prediction is, is alive; a
+    finite one has ended one past its last term."""
+    if length == max_terms:
         return SequenceStatus.alive()
     if profile.j is None:
         raise QlabError(
@@ -248,11 +261,11 @@ def predict_sequence(
     """Emit the predicted sequence for <0-bar; 1..N> without running Q.
 
     Mirrors evaluate(): at most max_terms terms, status ended(E) only once
-    max_terms reaches the end index E.  A classification-2 block that fails
-    its side condition truncates the prediction and leaves the status alive.
-    A depth-capped unresolved profile still predicts through its last
-    resolved chunk; asking for terms past that raises QlabError.  The terms
-    are an ``array('q')`` while they fit int64, as evaluate() returns them.
+    max_terms reaches the end index E; a classification-2 prediction always
+    fills max_terms and stays alive.  A depth-capped unresolved profile
+    still predicts through its last resolved chunk; asking for terms past
+    that raises QlabError.  The terms are an ``array('q')`` while they fit
+    int64, as evaluate() returns them.
     """
     profile = _checked_profile(n_value, max_terms, max_depth)
     tiles = predicted_tiles(profile, max_terms)
@@ -290,6 +303,7 @@ class BehaviorTreeNode:
 
 
 def behavior_tree(max_level: int) -> BehaviorTreeNode:
+    max_level = _term(max_level, "max_level")
     if max_level < 1:
         raise ValidationError("max_level must be at least 1")
     root = BehaviorTreeNode(digits="", kind="internal")
@@ -328,6 +342,7 @@ def congruence_check(n_value: int, multiplier: int, max_depth: int = 16) -> bool
     The shifted value must keep every residue C_i, the depth j, and satisfy
     A_i(shifted) == A_i(N) modulo 5^(j - i + 1) for i = 1..j.
     """
+    multiplier = _term(multiplier, "multiplier")
     if multiplier < 1:
         raise ValidationError("multiplier must be at least 1")
     base = abc_profile(n_value, max_depth=max_depth)

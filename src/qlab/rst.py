@@ -12,9 +12,9 @@ They appear as the block structure of unbounded zero-extended sequences:
 <0;a_1..a_K,5,lam,4,mu> continues in five-term blocks
 (5R(k), 5S(k), lam*T(k), 4, 5R(k)), checked by :func:`qt_pattern_check`.
 The class-2 closing of <0-bar; 1..N> is this qt stream with K = A_j - 2 and
-lam = A_j, so its side condition lam*T(k) >= K+5k+4 is the one
-:func:`_block_count` cuts at.  A second, quasilinear-start family is checked
-by :func:`qc_pattern_check`; its period-5 chunk is the predictor's.
+lam = A_j, whose side condition lam*T(k) >= K+5k+4 no N >= 35 can fail
+(``predictor.predicted_tiles`` says why).  A second, quasilinear-start family
+is checked by :func:`qc_pattern_check`; its period-5 chunk is the predictor's.
 
 Both checkers describe their pattern as the predictor's tiles (the R/S/T
 blocks and the period-5 chunk, documented in ``_fallback``) and return the
@@ -24,8 +24,6 @@ recurrence, ``engine._check``, as ``verify_against_bruteforce`` does.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,7 +105,7 @@ def rst_compute(n_max: int) -> RSTState:
     return RSTState(r, s, t, status)
 
 
-# The tables behind R, S, T and the block tiles: row 0 until first read, then
+# The tables behind the block tiles: row 0 until first read, then
 # recomputed to at least double their size whenever a read passes the end.
 _TABLES = RSTState((0,), (1,), (1,), RSTStatus.alive())
 
@@ -121,44 +119,6 @@ def _tables(n: int) -> RSTState:
             status = _TABLES.status
             raise QlabError(f"the r/s/t system ended ({status.which} at {status.at_index})")
     return _TABLES
-
-
-def R(n: int) -> int:
-    """R(n); 0 for n <= 0."""
-    return _tables(n).R(n)
-
-
-def S(n: int) -> int:
-    """S(n); 0 for n < 0."""
-    return _tables(n).S(n)
-
-
-def T(n: int) -> int:
-    """T(n); 0 for n < 0."""
-    return _tables(n).T(n)
-
-
-# _LEAST[k-1]: the least lam for which blocks 1..k all meet their side
-# condition; non-decreasing, and infinite once some T(k) <= 1 (none does:
-# T(k) >= 2 for 1 <= k <= 10^6).
-_LEAST: list[int | float] = []
-
-
-def _block_count(lam: int, kmax: int) -> int:
-    """How many of the blocks 1..kmax meet their side condition for lam.
-
-    A block is valid while lam*(T(k) - 1) >= 5k + 2, i.e. while lam is at
-    least ceil((5k + 2) / (T(k) - 1)); the count stops before the first
-    block that is not.  The running maximum of those least values is cached
-    and grown with R/S/T.
-    """
-    t = _tables(kmax + 1).t
-    for k in range(len(_LEAST) + 1, kmax + 1):
-        least = -(-(5 * k + 2) // (t[k] - 1)) if t[k] > 1 else math.inf
-        _LEAST.append(max(least, _LEAST[-1]) if _LEAST else least)
-    if kmax > 0 and _LEAST[kmax - 1] > lam:
-        return bisect_right(_LEAST, lam, 0, kmax)
-    return kmax
 
 
 def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PredictionReport:
@@ -184,7 +144,7 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PredictionReport:
     # blocks (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) through index K+5k_max+4
     tiles = (
         (TILE_LITERAL, big_k + 4, ic.terms, None),
-        (TILE_LITERAL, 2, (5 * R(1), 5 * S(1)), None),
+        (TILE_LITERAL, 2, (5 * tables.r[1], 5 * tables.s[1]), None),
         (TILE_BLOCKS, 5 * k_max - 2, lam, (tables.r, tables.s, tables.t)),
     )
     return _check(ic.terms, tiles, big_k + 5 * k_max + 4, SequenceStatus.alive())

@@ -41,7 +41,7 @@ from qlab._fallback import (
 )
 from qlab.engine import InitialCondition, SequenceStatus, _check, _status_of, evaluate
 from qlab.predictor import CLOSINGS, StructureProfile, _exact5, predicted_tiles
-from qlab.rst import R, S, T, _block_count, _tables
+from qlab.rst import _tables, rst_compute
 
 
 def test_profile_42():
@@ -111,6 +111,25 @@ def test_abc_profile_validation():
         abc_profile(-1)
     with pytest.raises(ValidationError):
         abc_profile(42, max_depth=0)
+
+
+@pytest.mark.parametrize("value", [42.0, 37.5, True, "42"])
+@pytest.mark.parametrize("call", [
+    lambda v: abc_profile(v),
+    lambda v: abc_profile(42, max_depth=v),
+    lambda v: is_exceptional(v),
+    lambda v: tree_locate(v),
+    lambda v: behavior_tree(v),
+    lambda v: congruence_check(42, v),
+    lambda v: predict_sequence(v, 100),
+    lambda v: predict_sequence(42, v),
+    lambda v: verify_against_bruteforce(v, 100),
+    lambda v: verify_against_bruteforce(42, v),
+])
+def test_predictor_reads_integers_only(call, value):
+    # a float, bool or str is refused, never truncated or compared as is
+    with pytest.raises(ValidationError, match="is not an integer"):
+        call(value)
 
 
 def test_exceptional_set():
@@ -285,7 +304,7 @@ def test_report_json_shape():
 
 def test_check_agrees_at_the_end_only_with_equal_lengths():
     # a prediction that stops short of the budget while both statuses read
-    # alive (a class-2 run cut by its side condition) disagrees at its end
+    # alive disagrees at its end
     tiles = ((TILE_RANGE, 5, 1, None), (TILE_LITERAL, 3, (3, 6, 7), None))
     short = _check(range(1, 6), tiles, 20, SequenceStatus.alive())
     assert (short.matched_through, short.first_mismatch) == (8, (9, None, 5))
@@ -412,19 +431,20 @@ def _predicted_stream(profile: StructureProfile) -> Iterator[int]:
     elif cls == 2:
         yield 4
         yield a_j * _exact5(a_j - a_prev - 4) + b_j + 2
-        yield 5 * R(1)
-        yield 5 * S(1)
+        yield 5 * _tables(1).R(1)
+        yield 5 * _tables(1).S(1)
         k = 1
         while True:
             # block k occupies offsets 5k .. 5k+4 past A_j and is only valid
             # while A_j * (T(k) - 1) >= 5k + 2
-            if a_j * (T(k) - 1) < 5 * k + 2:
+            tables = _tables(k + 1)
+            if a_j * (tables.T(k) - 1) < 5 * k + 2:
                 return
-            yield a_j * T(k)
+            yield a_j * tables.T(k)
             yield 4
-            yield 5 * R(k)
-            yield 5 * R(k + 1)
-            yield 5 * S(k + 1)
+            yield 5 * tables.R(k)
+            yield 5 * tables.R(k + 1)
+            yield 5 * tables.S(k + 1)
             k += 1
     elif cls == 3:
         yield 6
@@ -532,10 +552,12 @@ def _per_class_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, 
         x = a_j * _exact5(a_j - a_prev - 2) + b_j
         add(TILE_LITERAL, 158, tuple(cc * x + dd * a_j + ff for cc, dd, ff in CLOSINGS[0]), None)
     elif cls == 2:
-        head = (4, a_j * _exact5(a_j - a_prev - 4) + b_j + 2, 5 * R(1), 5 * S(1))
+        head = (4, a_j * _exact5(a_j - a_prev - 4) + b_j + 2, 5 * _tables(1).R(1), 5 * _tables(1).S(1))
         add(TILE_LITERAL, 4, head, None)
-        kmax = _block_count(a_j, -(-(max_terms - end) // 5))
+        kmax = -(-(max_terms - end) // 5)
         tables = _tables(kmax + 1)
+        # the blocks before the first that fails its side condition
+        kmax = next((k - 1 for k in range(1, kmax + 1) if a_j * (tables.T(k) - 1) < 5 * k + 2), kmax)
         add(TILE_BLOCKS, 5 * kmax, a_j, (tables.r, tables.s, tables.t))
     elif cls == 3:
         add(TILE_LITERAL, 4, (6, a_j + 5, a_j * _exact5(a_j - a_prev - 5) + b_j, 0), None)
@@ -629,31 +651,39 @@ def test_finite_predictions_end_one_past_their_last_tile(n):
 
 
 def _literal_blocks(lam: int, kmax: int) -> list[int]:
+    """Blocks 1..kmax of lam, one value at a time, up to the first that fails
+    its side condition lam*(T(k) - 1) >= 5k + 2."""
+    tables = _tables(kmax + 1)
     out: list[int] = []
     for k in range(1, kmax + 1):
-        if lam * (T(k) - 1) < 5 * k + 2:
+        if lam * (tables.T(k) - 1) < 5 * k + 2:
             break
-        out += (lam * T(k), 4, 5 * R(k), 5 * R(k + 1), 5 * S(k + 1))
+        out += (lam * tables.T(k), 4, 5 * tables.R(k), 5 * tables.R(k + 1), 5 * tables.S(k + 1))
     return out
 
 
-def _cut_blocks(lam: int, kmax: int) -> list[int]:
-    """The blocks 1..kmax that meet their side condition, as the class-2
-    closing tiles them."""
-    kmax = _block_count(lam, kmax)
-    tables = _tables(kmax + 1)
-    tiles = ((TILE_BLOCKS, 5 * kmax, lam, (tables.r, tables.s, tables.t)),)
-    return materialise(tiles, 5 * kmax).tolist()
-
-
-def test_lam_blocks_side_condition_cut():
-    # the least valid lam runs 7 (k=1), 12 (k=2), then never needs more:
-    # every lam >= 12 passes, so no N >= 35 (A_j >= 2N+4) reaches the cut
-    for lam in range(-3, 15):
-        for kmax in range(0, 12):
-            assert _cut_blocks(lam, kmax) == _literal_blocks(lam, kmax), (lam, kmax)
-    assert len(_cut_blocks(11, 5)) == 5 and _cut_blocks(6, 5) == []
-    assert _cut_blocks(12, 40_000) == _literal_blocks(12, 40_000)
+def test_class2_lam_clears_the_side_condition(fastest_backend):
+    # the premise behind predicted_tiles emitting every class-2 block the
+    # budget reaches: the least lam block k needs, ceil((5k+2)/(T(k)-1)),
+    # is at most 12 through 10^6 blocks, reached first at k = 2 ...
+    t = rst_compute(10**6).t
+    assert max((-(-(5 * k + 2) // (t[k] - 1)), -k) for k in range(1, 10**6 + 1)) == (12, -2)
+    # ... while every class-2 N >= 35 has lam = A_j >= A_1 = 2N+4, as A
+    # strictly increases along the descent
+    for n in range(35, 10**4 + 1):
+        profile = abc_profile(n)
+        a = profile.a
+        if profile.classification == 2:
+            assert all(x < y for x, y in zip(a, a[1:])) and a[-1] >= 2 * n + 4, n
+    # so lam = 12 already keeps every block, and N = 38 (lam = 80) holds for
+    # 400000 blocks, ten times the oracle's budget
+    tables = _tables(40_001)
+    tiles = ((TILE_BLOCKS, 200_000, 12, (tables.r, tables.s, tables.t)),)
+    assert materialise(tiles, 200_000).tolist() == _literal_blocks(12, 40_000)
+    report = verify_against_bruteforce(38, 2_000_000)
+    assert (report.matched_through, report.first_mismatch) == (2_000_000, None)
+    assert report.actual_status == report.predicted_status == SequenceStatus.alive()
+    assert report.terminal_agreement
 
 
 def _list_check(prefix, zero: bool, tiles, budget: int):

@@ -10,7 +10,6 @@ import io
 import json
 import random
 from array import array
-from itertools import count
 from types import SimpleNamespace
 from unittest import mock
 
@@ -32,7 +31,7 @@ from qlab import (
 )
 from qlab._fallback import INT64_MAX, INT64_MIN, TILE_BLOCKS, TILE_LITERAL
 from qlab.cli import main
-from qlab.rst import R, RSTState, RSTStatus, S, T
+from qlab.rst import RSTState, RSTStatus, _tables
 
 
 def test_small_tables():
@@ -51,16 +50,14 @@ def test_out_of_range_reads_are_zero():
     assert state.R(0) == 0 and state.R(-3) == 0
     assert state.S(-1) == 0
     assert state.T(-1) == 0
-    assert S(-2) == 0 and T(-5) == 0 and R(0) == 0
 
 
 def test_cached_accessors_match_bulk_compute():
     state = rst_compute(300)
     assert state.status.is_alive
+    cached = _tables(300)
     for i in range(1, 301):
-        assert R(i) == state.R(i)
-        assert S(i) == state.S(i)
-        assert T(i) == state.T(i)
+        assert (cached.R(i), cached.S(i), cached.T(i)) == (state.R(i), state.S(i), state.T(i))
 
 
 def test_rst_compute_validation():
@@ -131,7 +128,8 @@ def test_cache_regrows_by_doubling(monkeypatch):
     monkeypatch.setattr(rst, "rst_compute", lambda n: sizes.append(n) or compute(n))
     state = compute(1000)
     for i in range(1, 1001):
-        assert (R(i), S(i), T(i)) == (state.R(i), state.S(i), state.T(i))
+        cached = _tables(i)
+        assert (cached.R(i), cached.S(i), cached.T(i)) == (state.R(i), state.S(i), state.T(i))
     assert sizes == [2**e for e in range(1, 11)]
 
 
@@ -140,9 +138,9 @@ def test_cache_reports_where_the_system_ended(monkeypatch):
         rst_generate=lambda n_max: ((0, 1, 2, 3), (1, 1, 2, 2), (1, 2, 2, 3), "t", 4))
     monkeypatch.setattr(rst, "_TABLES", RSTState((0,), (1,), (1,), RSTStatus.alive()))
     monkeypatch.setattr(_backend, "_kernel", ended)
-    assert R(3) == 3
+    assert _tables(3).R(3) == 3
     with pytest.raises(QlabError, match=r"ended \(t at 4\)"):
-        T(4)
+        _tables(4)
 
 
 def _per_cell_rst(state, which: str, fmt: str) -> str:
@@ -311,13 +309,15 @@ def test_qt_holds_for_sixty_blocks():
     assert report.actual_status == report.predicted_status == SequenceStatus.alive()
     assert report.terminal_agreement
     # and every block meets the side condition
+    T = _tables(60).T
     assert all(9 * T(k) >= 5 * k + 4 for k in range(1, 61))
 
 
 def test_qt_with_nonempty_prefix():
     # lam=9 is too short for K=3: 9*T(10) = 54 < 3+50+4, and the pattern
     # really breaks in block 10 at the "4" slot (index 3+5*10+3 = 56)
-    assert next(k for k in count(1) if 9 * T(k) < 3 + 5 * k + 4) == 10
+    T = _tables(40).T
+    assert next(k for k in range(1, 41) if 9 * T(k) < 3 + 5 * k + 4) == 10
     report = qt_pattern_check((2, 2, 2), 9, 9, 40)
     assert report.first_mismatch == (56, 4, 6)
     assert report.matched_through == 55
@@ -344,6 +344,7 @@ def test_qt_guarantee_for_empty_prefix(fastest_backend):
 def test_qt_guarantee_under_side_condition(fastest_backend):
     # K >= 1: lam >= 9, mu >= K+6 and lam*T(k) >= K+5k+4 for every k <= k_max
     rng = random.Random(20261020)
+    T = _tables(120).T
     met = 0
     for _ in range(3000):
         big_k = rng.randint(1, 8)
@@ -467,9 +468,10 @@ def _qt_per_index(prefix, lam, mu, k_max):
 
     matched = last
     first_mismatch = None
+    tables = _tables(k_max)
     for k in range(1, k_max + 1):
         base = big_k + 5 * k
-        expected = (5 * R(k), 5 * S(k), lam * T(k), 4, 5 * R(k))
+        expected = (5 * tables.R(k), 5 * tables.S(k), lam * tables.T(k), 4, 5 * tables.R(k))
         for off, want in enumerate(expected):
             idx = base + off
             got = seq.term(idx) if idx <= total else None
