@@ -65,7 +65,9 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int):
 
 def rst_generate(n_max: int):
     """The R/S/T tables through ``n_max`` as _fallback.rst_generate returns
-    them, three ``array('q')``."""
+    them, three ``array('q')``, each allocated once at its n_max + 1 rows
+    and cut only where the system ends: a table that memory cannot hold is
+    a MemoryError at once, from either backend."""
     return _answer("rst_generate", n_max)
 
 

@@ -36,6 +36,7 @@ another value lies past int64.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import partial
 from itertools import chain
@@ -118,22 +119,29 @@ def rst_generate(n_max: int):
     ("r", "s" or "t") is the first of row ``at`` to need a value not yet
     computed, and the tables stop at row at - 1.
 
+    Each table is allocated once, at n_max + 1 rows (n_max clipped as the
+    kernel clips it, so that a table memory cannot hold is a MemoryError at
+    once), written row by row, and cut only where the system ends.
     T grows about as n^1.5 (T(10^7) = 3,276,099,248), so no value reaches
     int64 before about 10^13 rows, far past any table memory can hold.
     """
     if n_max < 2:
         raise ValueError("rst_generate needs n_max >= 2")
-    r, s, t = array("q", (0, 1, 2)), array("q", (1, 1, 2)), array("q", (1, 2, 2))
+    rows = min(n_max, sys.maxsize - 1) + 1
+    r, s, t = (array("q", [0]) * rows for _ in range(3))
+    r[1], r[2] = 1, 2
+    s[0], s[1], s[2] = 1, 1, 2
+    t[0], t[1], t[2] = 1, 2, 2
     which = None
     at = 0
     # Every value is a sum of earlier values or of zeros, so none is
     # negative, and a reference at or past row m is one to a value <= 0.
-    for m in range(3, n_max + 1):
-        i = m - r[-1]
+    for m in range(3, rows):
+        i = m - r[m - 1]
         if i >= m:
             which = "r"
             break
-        rv = (r[i] if i >= 0 else 0) + s[-1]
+        rv = (r[i] if i >= 0 else 0) + s[m - 1]
         i1 = m - rv
         if i1 >= m:
             which = "s"
@@ -143,11 +151,12 @@ def rst_generate(n_max: int):
         if i2 >= m:
             which = "t"
             break
-        r.append(rv)
-        s.append(sv)
-        t.append((t[i1] if i1 >= 0 else 0) + (t[i2] if i2 >= 0 else 0))
+        r[m] = rv
+        s[m] = sv
+        t[m] = (t[i1] if i1 >= 0 else 0) + (t[i2] if i2 >= 0 else 0)
     if which is not None:
         at = m
+        del r[at:], s[at:], t[at:]
     return r, s, t, which, at
 
 

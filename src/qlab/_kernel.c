@@ -14,7 +14,8 @@
  * every tile, of any kind, five terms at a time (see tile_group), and value
  * by value only the group where the walk stops.
  * rst_generate(n_max) computes R(0..n), S(0..n) and T(0..n), row k at index
- * k, in place in three array('q') (see Store).
+ * k, in place in three array('q') allocated once, at n_max + 1 rows, and cut
+ * only where the system ends (see Store).
  * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
  * straight into one new str, in one pass over the values: the str is
  * allocated at an upper bound, 20 characters a field, each field is written
@@ -52,7 +53,9 @@ declined(void)
 }
 
 /* A PyArg converter: *n = the int o clipped to the range of Py_ssize_t,
- * which no array outgrows, so the clip changes no answer. */
+ * which no array outgrows, so the clip changes no answer.  The clip may
+ * size an allocation: a size computed from *n, such as rst_generate's
+ * n_max + 1 rows, is clipped again before it can overflow. */
 static int
 clipped_size(PyObject *o, Py_ssize_t *n)
 {
@@ -78,9 +81,11 @@ lookup(const long long *t, Py_ssize_t n, long long v, int zero, long long *out)
 static PyObject *ZERO;
 
 /* An int64 store: an array('q') whose values v[0..cap-1] are written in
- * place while its buffer is held.  It grows by doubling and is cut to its
- * final rows when taken, so its values are never copied into a second
- * container.  arr is NULL once the store is freed or taken. */
+ * place while its buffer is held, so its values are never copied into a
+ * second container.  rst_generate allocates its stores at their final
+ * size.  Only q_generate, whose run length is not known in advance, grows
+ * its store by doubling and cuts it to its final rows when taken.  arr is
+ * NULL once the store is freed or taken. */
 typedef struct {
     PyObject *arr;
     Py_buffer view;
@@ -554,7 +559,7 @@ done:
 static PyObject *
 rst_generate(PyObject *self, PyObject *args)
 {
-    Py_ssize_t n_max, m;
+    Py_ssize_t n_max, rows, m;
     long long *r, *s, *t, i, i1, i2, rv, sv, a, b;
     const char *which = NULL;
     int overflow = 0;
@@ -563,7 +568,10 @@ rst_generate(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "O&", clipped_size, &n_max) || n_max < 2)
         return declined();
-    if (store_new(&rs, 1024) || store_new(&ss, 1024) || store_new(&ts, 1024))
+    /* n_max + 1 rows, clipped before the sum can overflow: no memory holds
+     * PY_SSIZE_T_MAX rows, so that store is a MemoryError all the same */
+    rows = Py_MIN(n_max, PY_SSIZE_T_MAX - 1) + 1;
+    if (store_new(&rs, rows) || store_new(&ss, rows) || store_new(&ts, rows))
         goto done;
     r = rs.v;
     s = ss.v;
@@ -576,13 +584,6 @@ rst_generate(PyObject *self, PyObject *args)
      * negative, a reference at or past row m is one to a value <= 0, and a
      * sum leaves int64 exactly when a > LLONG_MAX - b. */
     for (m = 3; m <= n_max; m++) {
-        if (m == rs.cap) {
-            if (store_grow(&rs) || store_grow(&ss) || store_grow(&ts))
-                goto done;
-            r = rs.v;
-            s = ss.v;
-            t = ts.v;
-        }
         i = m - r[m - 1];
         if (i >= m) {
             which = "r";
@@ -617,7 +618,8 @@ rst_generate(PyObject *self, PyObject *args)
         t[m] = a + b;
     }
 
-    /* Rows 0..m-1 are complete: m is the stopping row, or n_max + 1. */
+    /* Rows 0..m-1 are complete: m is the stopping row, where the tables are
+     * cut, or n_max + 1, where they end already. */
     if (overflow) {
         result = Py_NewRef(Py_None);
         goto done;

@@ -114,6 +114,7 @@ def _run_rst(args: argparse.Namespace) -> int:
     from .engine import write_json, write_table
     from .rst import rst_compute
 
+    _check_size("--max", args.max_terms)
     cols = ["r", "s", "t"] if args.which == "all" else [args.which]
     if args.format == "bfile" and len(cols) > 1:
         raise ValidationError("--format bfile needs --which r, s or t")

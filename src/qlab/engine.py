@@ -21,7 +21,6 @@ so ``"0;1..4,9"`` is the zero-extended condition (1, 2, 3, 4, 9) and
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -398,7 +397,10 @@ def write_json(out: IO[str], payload: dict) -> None:
     one, is written as the list of its values, formatted ROWS_PER_CALL * 10
     values at a time (json.dumps would hold the whole text at once).  Every
     other value, such as the list of ints of an exact run past int64, goes
-    through json.dumps."""
+    through json.dumps.  json is imported here, its one user, so that only
+    --format json loads it."""
+    import json
+
     step = ROWS_PER_CALL * 10
     out.write("{")
     for i, (key, value) in enumerate(payload.items()):

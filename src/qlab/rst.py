@@ -69,7 +69,8 @@ class RSTState:
 
     Each table is a sequence of ints, and an ``array('q')`` from
     :func:`rst_compute` on either backend: no value reaches int64 within
-    any table memory can hold.
+    any table memory can hold.  Each array holds exactly its rows: it is
+    allocated once at n_max + 1 rows, and cut where the system ends.
     """
 
     r: Sequence[int]

@@ -306,6 +306,14 @@ def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
     assert modules == expected | {f"qlab.{name}" for name in loaded}
 
 
+@pytest.mark.parametrize("fmt, loaded", [("csv", False), ("json", True)])
+def test_only_json_output_loads_json(fresh_python, fmt, loaded):
+    # engine imports json inside write_json, its one user
+    code = (f"import os, sys, qlab.cli; qlab.cli.main(['rst', '--max', '3', '--format', {fmt!r},"
+            " '--out', os.devnull]); print('json' in sys.modules)")
+    assert fresh_python(code) == f"{loaded}\n"
+
+
 def test_convention_choices_are_the_symbolic_ones():
     sym = _build_parser()._subparsers._group_actions[0].choices["sym"]
     (convention,) = [a for a in sym._actions if a.dest == "convention"]
@@ -582,11 +590,24 @@ def _too_large(option):
     # sys.maxsize itself passes the size check, and fails the next one
     (("predict", "--n", str(sys.maxsize), "--max", "5"),
      "qlab: error: max_terms must cover the identity prefix\n"),
+    # rst checks its --max as the others check theirs, before any table
+    (("rst", "--max", _PAST_MAXSIZE), _too_large("--max")),
+    (("rst", "--max", str(10**20), "--format", "csv"), _too_large("--max")),
 ])
 def test_n_past_a_python_size_names_its_option(request, capsys, backend, argv, err):
     kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
     with mock.patch.object(_backend, "_kernel", kernel):
         assert run_cli(capsys, *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_rst_past_memory_is_out_of_memory(request, capsys, backend):
+    # each R/S/T table is allocated at its 10^17 + 1 rows at once: 8e17
+    # bytes, past any address space, fail at once on either backend
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        assert run_cli(capsys, "rst", "--max", str(10**17), "--format", "csv") == (
+            1, "", "qlab: error: out of memory\n")
 
 
 def test_version_and_usage_errors(capsys):

@@ -9,6 +9,7 @@ import functools
 import io
 import json
 import random
+import sys
 from array import array
 from types import SimpleNamespace
 from unittest import mock
@@ -84,6 +85,29 @@ def test_compiled_and_fallback_rst_agree(compiled_kernel):
         with mock.patch.object(_backend, "_kernel", compiled_kernel), \
                 pytest.raises(ValueError, match="n_max >= 2"):
             generate(1)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_each_table_is_allocated_once_at_its_size(request, backend):
+    # n_max + 1 rows in one block, with no spare capacity left by doubling,
+    # at sizes around a power of two and at the rst_table benchmark's 10^5
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else _fallback
+    empty = array("q").__sizeof__()
+    for n_max in (2, 1023, 1024, 1025, 10**5):
+        for table in kernel.rst_generate(n_max)[:3]:
+            assert len(table) == n_max + 1
+            assert table.__sizeof__() - empty == 8 * len(table), n_max
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+@pytest.mark.parametrize("n_max", [10**17, sys.maxsize, 10**20])
+def test_a_table_memory_cannot_hold_is_a_memory_error(request, backend, n_max):
+    # allocated at its full size at once, not grown until memory runs out:
+    # 8e17 bytes lie past any address space, and past sys.maxsize n_max is
+    # clipped before its row count n_max + 1 can overflow
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel), pytest.raises(MemoryError):
+        rst_compute(n_max)
 
 
 @pytest.mark.parametrize("length", [1, 3, 4, 5, 6, 98, 500])
