@@ -38,9 +38,7 @@ __all__ = [
     "GeneratedSequence",
     "InitialCondition",
     "PredictionReport",
-    "QuasilinearSegment",
     "SequenceStatus",
-    "detect_quasilinear",
     "evaluate",
     "format_ic",
     "parse_ic",
@@ -86,6 +84,7 @@ class InitialCondition:
     @classmethod
     def identity(cls, k: int, zero_extended: bool = False) -> "InitialCondition":
         """The condition Q(i) = i for 1 <= i <= k."""
+        k = _term(k, "k")
         if k < 1:
             raise ValidationError("identity condition needs k >= 1")
         return cls(range(1, k + 1), zero_extended)
@@ -194,6 +193,7 @@ def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> G
     the 64-bit range, initial or computed, raises ArithmeticOverflowError
     carrying its index.
     """
+    max_terms = _term(max_terms, "max_terms")
     _check_run(ic, max_terms)
     exact = resolve_int_mode(mode) == "exact"
     terms, code, at = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, exact)
@@ -236,74 +236,6 @@ def _check(prefix, tiles, max_terms: int, predicted: SequenceStatus) -> Predicti
     length = sum(tile[1] for tile in tiles)
     return PredictionReport(matched, first, predicted, actual,
                             predicted == actual and length == n_actual)
-
-
-@dataclass(frozen=True)
-class QuasilinearSegment:
-    """Maximal index range [start, end] on which the terms are quasilinear.
-
-    Within the range, the term at n equals c*k + d where k = n // period
-    and (c, d) = residues[n % period].
-    """
-
-    start: int
-    end: int
-    period: int
-    residues: tuple[tuple[int, int], ...]
-
-    def value_at(self, n: int) -> int:
-        if not self.start <= n <= self.end:
-            raise IndexError(f"index {n} outside segment [{self.start}, {self.end}]")
-        c, d = self.residues[n % self.period]
-        return c * (n // self.period) + d
-
-
-def detect_quasilinear(seq, period: int, from_index: int = 1) -> list[QuasilinearSegment]:
-    """Find every maximal quasilinear segment of the given period.
-
-    ``seq`` is a GeneratedSequence or a plain sequence of terms (1-indexed
-    by convention).  A segment [s, e] qualifies when e - s + 1 >= 2*period
-    and every residue class mod period is affine in n // period across it;
-    maximality is judged within [from_index, len(seq)].  Any 2*period
-    consecutive terms are vacuously quasilinear, so maximal segments of
-    exactly that length can overlap each other.
-    """
-    if period < 1:
-        raise ValidationError("period must be >= 1")
-    if from_index < 1:
-        raise ValidationError("from_index must be >= 1")
-    t = seq.terms if isinstance(seq, GeneratedSequence) else seq
-    total = len(t)
-    if from_index > total:
-        raise ValidationError(f"from_index {from_index} is past the last term ({total})")
-    m = period
-
-    def val(n: int) -> int:
-        return t[n - 1]
-
-    hi = total - 2 * m  # last index with a testable window
-    # flat[x - from_index]: window x is flat, its first difference at x
-    # matching the one a full period later
-    flat = [val(x + m) - val(x) == val(x + 2 * m) - val(x + m)
-            for x in range(from_index, hi + 1)]
-    segments = []
-    for s in range(from_index, hi + 2):
-        i = s - from_index
-        if i and flat[i - 1]:
-            continue  # a run of flat windows from before s covers it
-        # extend the run of flat windows from s; with none, the lone 2m terms
-        j = i
-        while j < len(flat) and flat[j]:
-            j += 1
-        e = s + j - i + 2 * m - 1
-        residues = []
-        for r in range(m):
-            n0 = s + (r - s) % m
-            k0, v0 = n0 // m, val(n0)
-            c = val(n0 + m) - v0
-            residues.append((c, v0 - c * k0))
-        segments.append(QuasilinearSegment(s, e, m, tuple(residues)))
-    return segments
 
 
 def parse_ic(text: str) -> InitialCondition:

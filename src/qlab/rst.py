@@ -99,6 +99,7 @@ def rst_compute(n_max: int) -> RSTState:
     stops at the previous index with an ended status; the partial row is
     dropped so all three tables cover the same range.
     """
+    n_max = _term(n_max, "n_max")
     if n_max < 2:
         raise ValidationError("rst_compute needs n_max >= 2")
     r, s, t, which, at = _backend.rst_generate(n_max)
@@ -161,6 +162,7 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> Pre
     k_max, if given, caps last at the end of block k_max.  The run is
     compared, exactly, with the pattern through last and no further.
     """
+    mu, lam = _term(mu, "mu"), _term(lam, "lam")
     big_k = len(prefix)
     if lam <= big_k + 5:
         raise ValidationError(f"lam must exceed K+5 = {big_k + 5}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._fallback import TILE_LITERAL, TILE_RANGE, materialise
-from .engine import GeneratedSequence, InitialCondition, SequenceStatus
+from .engine import GeneratedSequence, InitialCondition, SequenceStatus, _term
 from .errors import ValidationError
 
 __all__ = [
@@ -86,8 +86,11 @@ class NConstraint:
     hi: int | None = None
 
     def __post_init__(self):
-        if self.hi is not None and self.hi < self.lo:
-            raise ValidationError(f"empty constraint [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "lo", _term(self.lo, "lo"))
+        if self.hi is not None:
+            object.__setattr__(self, "hi", _term(self.hi, "hi"))
+            if self.hi < self.lo:
+                raise ValidationError(f"empty constraint [{self.lo}, {self.hi}]")
 
     def __contains__(self, n: int) -> bool:
         return n >= self.lo and (self.hi is None or n <= self.hi)
@@ -219,6 +222,7 @@ def symbolic_extend(convention: str, constraint: NConstraint, max_offsets: int) 
         raise ValidationError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     if constraint.lo < 2:
         raise ValidationError("symbolic derivation needs constraint.lo >= 2")
+    max_offsets = _term(max_offsets, "max_offsets")
     if max_offsets < 1:
         raise ValidationError("max_offsets must be >= 1")
 
@@ -265,6 +269,7 @@ def specialize(prefix: SymbolicPrefix, n: int) -> GeneratedSequence:
     result covers Q(1..N+n_offsets), with died status when the prefix ends
     in symbolic death; its terms are an ``array('q')`` while they fit int64.
     """
+    n = _term(n, "n")
     if n < 2:
         raise ValidationError("specialize needs N >= 2")
     hi = prefix.constraint.hi

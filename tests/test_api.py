@@ -11,14 +11,15 @@ import pytest
 import qlab
 
 # qlab.__all__ as it stood when each name was still listed by hand, less
-# PatternReport: the pattern checkers now return PredictionReport
+# PatternReport (the pattern checkers now return PredictionReport) and less
+# QuasilinearSegment and detect_quasilinear, which no command used
 PUBLIC = [
     "AffineExpr", "AffineTerm", "ArithmeticOverflowError", "BACKEND", "BehaviorTreeNode",
     "DivisibilityError", "GeneratedSequence", "InitialCondition", "NConstraint",
-    "PredictionReport", "QlabError", "QuasilinearSegment", "RSTState",
+    "PredictionReport", "QlabError", "RSTState",
     "RSTStatus", "SequenceStatus", "StopReason", "StructureProfile", "SymbolicPrefix",
     "ValidationError", "__version__", "abc_profile", "behavior_tree", "congruence_check",
-    "detect_quasilinear", "evaluate", "format_ic", "is_exceptional", "parse_ic",
+    "evaluate", "format_ic", "is_exceptional", "parse_ic",
     "predict_sequence", "qc_pattern_check", "qt_pattern_check", "resolve_int_mode",
     "rst_compute", "specialize", "symbolic_extend", "tree_locate",
     "verify_against_bruteforce", "write_bfile", "write_csv",
@@ -99,3 +100,21 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
         getattr(qlab, name)
     assert not hasattr(qlab, name)
+
+
+@pytest.mark.parametrize("value", [30.0, 14.5, True, "50"])
+@pytest.mark.parametrize("call", [
+    lambda v: qlab.evaluate(qlab.InitialCondition((1, 1)), v),
+    lambda v: qlab.InitialCondition.identity(v),
+    lambda v: qlab.rst_compute(v),
+    lambda v: qlab.NConstraint(v),
+    lambda v: qlab.NConstraint(2, v),
+    lambda v: qlab.symbolic_extend("plain", qlab.NConstraint(2), v),
+    lambda v: qlab.specialize(qlab.symbolic_extend("plain", qlab.NConstraint(2), 5), v),
+    lambda v: qlab.qc_pattern_check((), v, 50),
+    lambda v: qlab.qc_pattern_check((), 3, v),
+])
+def test_integer_arguments_are_read_as_integers(call, value):
+    # a float, bool or str is refused, never truncated, compared or stored as is
+    with pytest.raises(qlab.ValidationError, match="is not an integer"):
+        call(value)

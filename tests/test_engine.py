@@ -1,5 +1,5 @@
 """Engine tests: generation under both conventions, integer modes, the
-initial-condition grammar, quasilinear detection, and the output writers."""
+initial-condition grammar, and the output writers."""
 
 from __future__ import annotations
 
@@ -25,11 +25,9 @@ from qlab import (
     InitialCondition,
     NConstraint,
     PredictionReport,
-    QuasilinearSegment,
     SequenceStatus,
     ValidationError,
     behavior_tree,
-    detect_quasilinear,
     evaluate,
     format_ic,
     parse_ic,
@@ -583,129 +581,17 @@ def test_term_accessor_bounds():
         seq.term(11)
 
 
-def test_quasilinear_three_interleaved_lines():
-    seq = evaluate(InitialCondition((3, 2, 1)), 100)
-    segs = detect_quasilinear(seq, 3)
-    assert [(s.start, s.end) for s in segs] == [(1, 100)]
-    assert segs[0].residues == ((3, -2), (0, 3), (3, 2))
-    for n in (1, 2, 3, 50, 99, 100):
-        assert segs[0].value_at(n) == seq.term(n)
-    print("✓ <3,2,1> is quasilinear(3) across all 100 terms")
-
-
-def test_quasilinear_degenerate_windows_may_overlap():
-    # no two consecutive first differences agree, so every 2-term window is
-    # maximal on its own
-    segs = detect_quasilinear([0, 5, 6, 9, 14, 21], 1)
-    assert [(s.start, s.end) for s in segs] == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
-
-
-def test_quasilinear_classic_prefix_has_no_full_cover():
-    seq = evaluate(InitialCondition((1, 1)), 10)
-    segs = detect_quasilinear(seq, 1)
-    assert all(not (s.start == 1 and s.end == 10) for s in segs)
-
-
-def test_quasilinear_identity_42():
-    seq = evaluate(InitialCondition.identity(42, zero_extended=True), 200)
-    segs = detect_quasilinear(seq, 5, from_index=77)
-    assert (segs[0].start, segs[0].end) == (77, 89)
-    assert (segs[-1].start, segs[-1].end) == (95, 200)
-    for seg in segs:
-        for n in range(seg.start, seg.end + 1):
-            assert seg.value_at(n) == seq.term(n)
-    print(f"✓ identity(42) period-5 segments: first ends 89, last spans 95..200")
-
-
-def test_quasilinear_validation():
-    seq = evaluate(InitialCondition((1, 1)), 10)
-    with pytest.raises(ValidationError):
-        detect_quasilinear(seq, 0)
-    with pytest.raises(ValidationError):
-        detect_quasilinear(seq, 1, from_index=0)
-    with pytest.raises(ValidationError):
-        detect_quasilinear(seq, 1, from_index=11)
-
-
-def _quasilinear_two_pass(seq, period, from_index=1):
-    """detect_quasilinear as it was before it walked its windows once: the
-    runs of flat windows in one loop, then the lone 2m-term segments in a
-    second that tests each window again.  The reference for the
-    differential test."""
-    if period < 1:
-        raise ValidationError("period must be >= 1")
-    if from_index < 1:
-        raise ValidationError("from_index must be >= 1")
-    t = seq.terms if isinstance(seq, GeneratedSequence) else seq
-    total = len(t)
-    if from_index > total:
-        raise ValidationError(f"from_index {from_index} is past the last term ({total})")
-    m = period
-
-    def val(n):
-        return t[n - 1]
-
-    def flat(n):
-        return val(n + m) - val(n) == val(n + 2 * m) - val(n + m)
-
-    hi = total - 2 * m
-    found = []
-    n = from_index
-    while n <= hi:
-        if flat(n):
-            start = n
-            while n + 1 <= hi and flat(n + 1):
-                n += 1
-            found.append((start, n + 2 * m))
-        n += 1
-    for x in range(from_index, total - 2 * m + 2):
-        left_blocked = x == from_index or not flat(x - 1)
-        right_blocked = x > hi or not flat(x)
-        if left_blocked and right_blocked:
-            found.append((x, x + 2 * m - 1))
-    found.sort()
-
-    segments = []
-    for s, e in found:
-        residues = []
-        for r in range(m):
-            n0 = s + (r - s) % m
-            k0, v0 = n0 // m, val(n0)
-            c = val(n0 + m) - v0
-            residues.append((c, v0 - c * k0))
-        segments.append(QuasilinearSegment(s, e, m, tuple(residues)))
-    return segments
-
-
-def test_quasilinear_matches_two_pass_reference():
-    rng = random.Random(20261019)
-    seen = set()
-    for _ in range(4000):
-        # quasilinear terms of a random period, each term perturbed with a
-        # random probability, so that runs, lone segments and both meet
-        shape = rng.randint(1, 5)
-        cs = [rng.randint(-3, 3) for _ in range(shape)]
-        ds = [rng.randint(-3, 3) for _ in range(shape)]
-        noise = rng.choice((0.0, 0.05, 0.2, 0.5, 1.0))
-        terms = [cs[n % shape] * (n // shape) + ds[n % shape]
-                 + (rng.randint(1, 3) if rng.random() < noise else 0)
-                 for n in range(1, rng.randint(1, 40) + 1)]
-        period = rng.randint(0, 5)
-        from_index = rng.randint(-1, len(terms) + 2)
-        outcomes = []
-        for detect in (detect_quasilinear, _quasilinear_two_pass):
-            try:
-                outcomes.append(detect(terms, period, from_index))
-            except ValidationError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], (terms, period, from_index)
-        if isinstance(outcomes[0], str):
-            seen.add("ValidationError")
-        else:
-            seen.update("run" if seg.end - seg.start + 1 > 2 * period else "lone"
-                        for seg in outcomes[0])
-            seen.add("segments" if outcomes[0] else "none")
-    assert seen == {"ValidationError", "run", "lone", "segments", "none"}
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+@pytest.mark.parametrize("zero", [False, True], ids=["plain", "zero_extended"])
+def test_three_two_one_interleaves_three_lines(request, backend, zero):
+    # <3,2,1> runs as three interleaved lines, one per residue mod 3, under
+    # either convention: 3k - 2, 3 and 3k + 2 at n = 3k, 3k + 1 and 3k + 2
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        seq = evaluate(InitialCondition((3, 2, 1), zero), 10**5)
+    assert seq.status.is_alive and len(seq) == 10**5
+    lines = (lambda k: 3 * k - 2, lambda k: 3, lambda k: 3 * k + 2)
+    assert seq.terms.tolist() == [lines[n % 3](n // 3) for n in range(1, 10**5 + 1)]
 
 
 def test_write_bfile():
