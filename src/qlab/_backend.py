@@ -56,8 +56,8 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
 
 
 def q_check(prefix, zero_extended: bool, tiles, max_terms: int):
-    """Run the recurrence and compare it with the prediction ``tiles``, as
-    _fallback.q_check does unchecked: always the exact answer.  ``prefix``
+    """Run the recurrence and compare it past ``prefix`` with the ``tiles``,
+    as _fallback.q_check does unchecked: always the exact answer.  ``prefix``
     is read as q_generate reads it: ``verify`` and ``scan`` pass
     ``range(1, N + 1)``, which the kernel reads without an int per term."""
     return _answer("q_check", prefix, zero_extended, tiles, max_terms, checked=False)

@@ -13,9 +13,9 @@ exact run, or a prediction, with a value past int64 is a list of ints.
 This module is the one owner of that rule.
 
 A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
-each tile taking up where the one before it stopped.  By kind:
+the first tile taking up past the prefix (the initial condition itself, which
+no tile restates) and each later one where the one before it stopped.  By kind:
 
-* TILE_RANGE: ``a, a + 1, a + 2, ...`` (``b`` unused);
 * TILE_LITERAL: the first ``length`` values of the tuple ``a``, which
   holds at least that many (``b`` unused);
 * TILE_CHUNK: the period-5 chunk ``(a + b*k, 5, b, 3, 5)``, k = 0, 1, ...;
@@ -50,7 +50,6 @@ STATUS_OVERFLOW = 3
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-TILE_RANGE = 0
 TILE_LITERAL = 1
 TILE_CHUNK = 2
 TILE_BLOCKS = 3
@@ -160,17 +159,18 @@ def rst_generate(n_max: int):
     return r, s, t, which, at
 
 
-def materialise(tiles, max_terms: int):
-    """The terms ``tiles`` predict, clipped to max_terms: an ``array('q')``
-    while every value fits int64, a list of ints otherwise.
+def materialise(prefix, tiles, max_terms: int):
+    """The terms of ``prefix``, kept whole as q_generate keeps it, then
+    those ``tiles`` predict after it, clipped to max_terms: an
+    ``array('q')`` while every value fits int64, a list of ints otherwise.
 
     Each tile is clipped to the budget before it is built: a deep chunk can
     span about 10^10 terms.
     """
     try:
-        return _build(tiles, max_terms, partial(array, "q"))
-    except OverflowError:  # a value outside int64, or a range past sys.maxsize terms
-        return _build(tiles, max_terms, _ints)
+        return _build(prefix, tiles, max_terms, partial(array, "q"))
+    except OverflowError:  # a value outside int64, or a prefix past sys.maxsize terms
+        return _build(prefix, tiles, max_terms, _ints)
 
 
 def _ints(values) -> list:
@@ -179,10 +179,11 @@ def _ints(values) -> list:
     return list(map(index, values))
 
 
-def _build(tiles, max_terms: int, make):
+def _build(prefix, tiles, max_terms: int, make):
     """materialise's terms in one container that ``make`` builds from an
     iterable of ints."""
-    out = make(())
+    len(prefix)  # OverflowError past sys.maxsize terms, before make tries them
+    out = make(prefix)
     for kind, length, a, b in tiles:
         length = min(length, max_terms - len(out))
         if length > 0:
@@ -199,10 +200,6 @@ def _tile(kind, length: int, a, b, stop: int, make):
     ``length`` values, and for R/S/T tables shorter than the ``length``
     values of a block tile read.
     """
-    if kind == TILE_RANGE:
-        values = range(a, a + stop)
-        len(values)  # OverflowError past sys.maxsize terms, before make tries them
-        return make(values)
     if kind == TILE_LITERAL:
         if len(a) < length:  # its length is binding, as every other tile's is
             raise ValueError("the literal tile holds fewer values than its length")
@@ -291,7 +288,8 @@ def _first_difference(p_terms, a_terms) -> tuple[int, int | None, int | None] | 
 
 def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = True):
     """Run the recurrence as q_generate does and compare it, tile by tile,
-    with the terms ``materialise(tiles, max_terms)`` predicts.
+    with the terms ``materialise(prefix, tiles, max_terms)`` predicts: the
+    run holds the prefix itself, so the walk starts just past it.
 
     Returns ``(matched_through, first_mismatch, status, at, n_actual)``:
     the count of leading terms that agree, ``_first_difference`` of the
@@ -311,7 +309,7 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
     terms, status, at = q_generate(prefix, zero_extended, max_terms, checked)
     if status == STATUS_OVERFLOW:
         return None
-    pos, first = 0, None  # pos: the count of predicted values before the tile
+    pos, first = len(prefix), None  # pos: the count of predicted values before the tile
     for kind, length, a, b in tiles:
         length = min(length, max_terms - pos)
         if length <= 0:

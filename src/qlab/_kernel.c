@@ -10,9 +10,10 @@
  * prefix is a range, a tuple or a list of ints; a range such as
  * range(1, N + 1) is read from its start, step and length (see load_prefix).
  * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
- * (see extend) and compares it with the tiles without building a list:
- * every tile, of any kind, five terms at a time (see tile_group), and value
- * by value only the group where the walk stops.
+ * (see extend) and compares it with the tiles, which predict the terms past
+ * the prefix, without building a list: every tile, of any kind, five terms
+ * at a time (see tile_group), and value by value only the group where the
+ * walk stops.
  * rst_generate(n_max) computes R(0..n), S(0..n) and T(0..n), row k at index
  * k, in place in three array('q') allocated once, at n_max + 1 rows, and cut
  * only where the system ends (see Store).
@@ -35,7 +36,6 @@
 #define STATUS_ENDED 2
 #define STATUS_OVERFLOW 3
 
-#define TILE_RANGE 0
 #define TILE_LITERAL 1
 #define TILE_CHUNK 2
 #define TILE_BLOCKS 3
@@ -337,7 +337,7 @@ column_close(Column *col)
 typedef struct {
     int kind;
     Py_ssize_t length;
-    long long a, b;     /* range: first value; chunk: first and step; blocks: lam */
+    long long a, b;     /* chunk: first value and step; blocks: lam */
     int a_big, b_big;   /* a or b lies outside int64 */
     /* literal: values[0..fit-1], its values before the first outside int64 */
     long long *values;
@@ -364,8 +364,6 @@ read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
     tl->length = Py_MAX(Py_MIN(tl->length, room), 0);
     kmax = (tl->length + 4) / 5;
     switch (tl->kind) {
-    case TILE_RANGE:
-        return read_int(a, &tl->a, &tl->a_big) < 0;
     case TILE_LITERAL: /* each value read once, here */
         if (!PyTuple_Check(a) || PyTuple_GET_SIZE(a) < tl->length)
             return 1;
@@ -406,10 +404,10 @@ tile_close(Tile *tl)
  * outside int64 or past the end of a literal: returns how many it stored,
  * 5 when it did not stop.  This is the one place in C that says what each
  * kind predicts.  Each value is computed exactly, with no state kept from
- * another group: x holds the first value of a range's or a chunk's group
- * in 128 bits, which no int64 parameters overflow.  A parameter outside
- * int64 is itself the first value outside int64 that depends on it
- * (T(k) >= 1 in every R/S/T table). */
+ * another group: x holds the first value of a chunk's group in 128 bits,
+ * which no int64 parameters overflow.  A parameter outside int64 is itself
+ * the first value outside int64 that depends on it (T(k) >= 1 in every
+ * R/S/T table). */
 static inline __attribute__((always_inline)) int
 tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
 {
@@ -418,11 +416,6 @@ tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
     int i;
 
     switch (kind) {
-    case TILE_RANGE: /* x, x + 1, ..., x + 4: one bound for the group */
-        x = (__int128)tl->a + 5 * g;
-        for (i = 0; i < 5; i++)
-            v[i] = (long long)(x + i);
-        return tl->a_big || x > LLONG_MAX ? 0 : (int)Py_MIN(LLONG_MAX - x + 1, 5);
     case TILE_LITERAL:
         for (i = 0; i < 5 && 5 * g + i < tl->fit; i++)
             v[i] = tl->values[5 * g + i];
@@ -467,8 +460,6 @@ static __attribute__((noinline)) Py_ssize_t
 matched_groups(const Tile *tl, const long long *u, Py_ssize_t whole)
 {
     switch (tl->kind) {
-    case TILE_RANGE:
-        return kind_groups(tl, TILE_RANGE, u, whole);
     case TILE_LITERAL:
         return kind_groups(tl, TILE_LITERAL, u, whole);
     case TILE_CHUNK:
@@ -482,7 +473,7 @@ q_check(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *tiles, *seq = NULL, *first = NULL, *result = NULL;
     int zero, status, big, rc = 0, differs = 0, stored;
-    Py_ssize_t max_terms, k, cap, n, n_act, pos = 0, end = 0, i, j = 0, g;
+    Py_ssize_t max_terms, k, cap, n, n_act, pos, end, i, j = 0, g;
     long long *t = NULL, v[5];
     Tile tl;
 
@@ -506,11 +497,13 @@ q_check(PyObject *self, PyObject *args)
     if (status == STATUS_OVERFLOW)
         goto done;
     n_act = n - 1;
+    pos = end = k; /* the run holds the prefix: the tiles predict past it */
 
     /* Read every tile, as _fallback.q_check does, each clipped to the
-     * budget: end is the predicted length.  Walk the predicted values in
-     * order to the first one that has no actual term or differs from it:
-     * pos ends at its offset, or at end.  Each tile, of any kind, is matched
+     * budget: end is the predicted length, the prefix's own included.  Walk
+     * the predicted values past the prefix in order to the first one that
+     * has no actual term or differs from it: pos ends at its offset, or at
+     * end.  Each tile, of any kind, is matched
      * five values at a time while its groups lie within it and the actual
      * run; the group where that stops holds the first difference, the end of
      * the run or of the tile, or a value outside int64, and is walked value

@@ -324,7 +324,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max", dest="max_terms", type=int, required=True,
                    help="total terms to attempt")
     p.add_argument("--mode", choices=("fast64", "exact"),
-                   help="integer mode (default: QLAB_INT_MODE or fast64)")
+                   help="integer mode (default: fast64)")
     _output_args(p, ("text", "bfile", "csv", "json"), loglog=True)
 
     p = sub.add_parser("sym", help="derive symbolic prefix terms Q(N+k)")

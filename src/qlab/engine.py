@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import sys
 from array import array
 from dataclasses import dataclass
@@ -51,15 +50,12 @@ _MODES = ("fast64", "exact")
 
 
 def resolve_int_mode(mode: str | None = None) -> str:
-    """Return the effective integer mode.
-
-    Explicit argument first, then the QLAB_INT_MODE environment variable,
-    then "fast64".  "fast64" uses 64-bit arithmetic and raises
+    """Return the effective integer mode: ``mode``, or "fast64" when it is
+    None.  "fast64" uses 64-bit arithmetic and raises
     ArithmeticOverflowError when a term leaves that range; "exact" uses
     unbounded Python integers.
     """
-    if mode is None:
-        mode = os.environ.get("QLAB_INT_MODE") or "fast64"
+    mode = "fast64" if mode is None else mode
     if mode not in _MODES:
         raise ValidationError(f"unknown integer mode {mode!r}; expected one of {_MODES}")
     return mode
@@ -78,8 +74,9 @@ class InitialCondition:
         terms = tuple(terms) if type(terms) is range else tuple(map(_term, terms))
         if not terms:
             raise ValidationError("initial condition needs at least one term")
+        if not isinstance(self.zero_extended, bool):
+            raise ValidationError(f"zero_extended {self.zero_extended!r} is not True or False")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "zero_extended", bool(self.zero_extended))
 
     @classmethod
     def identity(cls, k: int, zero_extended: bool = False) -> "InitialCondition":
@@ -117,6 +114,8 @@ class SequenceStatus:
             raise ValidationError(f"unknown status kind {self.kind!r}")
         if (self.at_index is None) != (self.kind == "alive"):
             raise ValidationError("at_index is required exactly for died/ended")
+        if self.at_index is not None:
+            object.__setattr__(self, "at_index", _term(self.at_index, "at_index"))
 
     @classmethod
     def alive(cls) -> "SequenceStatus":
@@ -159,6 +158,7 @@ class GeneratedSequence:
 
     def term(self, n: int) -> int:
         """Q(n) for 1 <= n <= len(self)."""
+        n = _term(n, "term index")
         if not 1 <= n <= len(self.terms):
             raise IndexError(f"term index {n} outside 1..{len(self.terms)}")
         return self.terms[n - 1]
@@ -226,16 +226,17 @@ class PredictionReport:
         }
 
 
-def _check(prefix, tiles, max_terms: int, predicted: SequenceStatus) -> PredictionReport:
+def _check(prefix, tiles, max_terms: int, predicted=None) -> PredictionReport:
     """Compare the run from ``prefix`` under zero extension, term by term and
-    exactly, with the terms ``tiles`` predict, whose run stops as
-    ``predicted`` says: the one comparison of a prediction with brute force,
-    for every family of initial conditions."""
+    exactly, with the prefix and then the terms ``tiles`` predict after it:
+    the one comparison of a prediction with brute force, for every family
+    of initial conditions.  ``predicted(length)`` is the status of the
+    prediction, ``length`` its count of terms; alive when it is None."""
+    length = len(prefix) + sum(tile[1] for tile in tiles)
+    status = SequenceStatus.alive() if predicted is None else predicted(length)
     matched, first, code, at, n_actual = _backend.q_check(prefix, True, tiles, max_terms)
     actual = _status_of(code, at)
-    length = sum(tile[1] for tile in tiles)
-    return PredictionReport(matched, first, predicted, actual,
-                            predicted == actual and length == n_actual)
+    return PredictionReport(matched, first, status, actual, status == actual and length == n_actual)
 
 
 def parse_ic(text: str) -> InitialCondition:

@@ -11,8 +11,8 @@ with C_j != 1, either the end of the run, one index past its last term
 system (C_j == 2).  The descent depends on N only through its base-5 digits, so
 the classification of every N can be arranged into a five-way branching tree.
 
-`abc_profile` runs the descent, `predicted_tiles` describes the predicted
-terms as a short tuple of tiles, `predict_sequence` materialises them,
+`abc_profile` runs the descent, `predicted_tiles` describes the terms past
+1..N as a short tuple of tiles, `predict_sequence` materialises them,
 `verify_against_bruteforce` compares them with the actual recurrence in the
 kernel, term by term, and
 `behavior_tree` / `tree_locate` expose the digit tree.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, TILE_RANGE, materialise
+from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, materialise
 from .engine import (
     GeneratedSequence, InitialCondition, PredictionReport, SequenceStatus, _check, _term
 )
@@ -169,22 +169,21 @@ def is_exceptional(n_value: int) -> bool:
 
 
 def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, ...]:
-    """The first max_terms predicted terms, from index 1 on, as tiles.
+    """The predicted terms from index N + 1 through max_terms, as tiles.
 
     Each tile is ``(kind, length, a, b)`` as ``_fallback`` documents: the
-    identity range, the prefix literal, then chunk 1 and, for each level m
-    of the descent, the literal of ``CLOSINGS[C_m]`` followed by chunk m+1
-    when C_m = 1 or by the run of R/S/T blocks when C_m = 2.  There are
-    O(j + closing) tiles whatever the budget.  The prediction is infinite
-    for classification 2, ends one short of its end index after the closing
-    of classification 0, 3 or 4, and stops after the last computed chunk
-    when the profile is truncated; the tiles cover fewer than max_terms
-    terms exactly when it stops.
+    34-term literal, then chunk 1 and, for each level m of the descent, the
+    literal of ``CLOSINGS[C_m]`` followed by chunk m+1 when C_m = 1 or by
+    the run of R/S/T blocks when C_m = 2.  There are O(j + closing) tiles
+    whatever the budget.  The prediction is infinite for classification 2,
+    ends one short of its end index after the closing of classification 0,
+    3 or 4, and stops after the last computed chunk when the profile is
+    truncated: exactly then the tiles end short of max_terms.
     """
     n = profile.n_value
     a, b, c, cp = profile.a, profile.b, profile.c, profile.c_prime
-    tiles = [(TILE_RANGE, n, 1, None)]
-    end = n
+    tiles = []
+    end = n  # the index of the last term the tiles so far predict
 
     def add(kind: int, length: int, first, step) -> None:
         nonlocal end
@@ -269,7 +268,7 @@ def predict_sequence(
     """
     profile = _checked_profile(n_value, max_terms, max_depth)
     tiles = predicted_tiles(profile, max_terms)
-    terms = materialise(tiles, max_terms)
+    terms = materialise(range(1, profile.n_value + 1), tiles, max_terms)
     status = _predicted_status(profile, len(terms), max_terms)
     ic = InitialCondition.identity(n_value, zero_extended=True)
     return GeneratedSequence(ic, terms, status)
@@ -282,9 +281,8 @@ def verify_against_bruteforce(
     from <0-bar; 1..N>, term by term, without building either list."""
     profile = _checked_profile(n_value, max_terms, max_depth)
     tiles = predicted_tiles(profile, max_terms)
-    length = sum(tile[1] for tile in tiles)
-    predicted = _predicted_status(profile, length, max_terms)
-    return _check(range(1, n_value + 1), tiles, max_terms, predicted)
+    return _check(range(1, n_value + 1), tiles, max_terms,
+                  lambda length: _predicted_status(profile, length, max_terms))
 
 
 @dataclass

@@ -16,8 +16,8 @@ lam = A_j, whose side condition lam*T(k) >= K+5k+4 no N >= 35 can fail
 (``predictor.predicted_tiles`` says why).  A second, quasilinear-start family
 is checked by :func:`qc_pattern_check`; its period-5 chunk is the predictor's.
 
-Both checkers describe their pattern as the predictor's tiles (the R/S/T
-blocks and the period-5 chunk, documented in ``_fallback``) and return the
+Both checkers describe the terms past their condition as the predictor's
+tiles (R/S/T blocks, the period-5 chunk; see ``_fallback``) and return the
 :class:`PredictionReport` of the prediction oracle's comparison with the
 recurrence, ``engine._check``, as ``verify_against_bruteforce`` does.
 """
@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import _backend
 from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL
-from .engine import InitialCondition, PredictionReport, SequenceStatus, _check, _term
+from .engine import InitialCondition, PredictionReport, _check, _term
 from .errors import QlabError, ValidationError
 
 __all__ = [
@@ -83,12 +83,15 @@ class RSTState:
         return len(self.s) - 1
 
     def R(self, i: int) -> int:
+        i = _term(i, "index")
         return self.r[i] if i >= 0 else 0
 
     def S(self, i: int) -> int:
+        i = _term(i, "index")
         return self.s[i] if i >= 0 else 0
 
     def T(self, i: int) -> int:
+        i = _term(i, "index")
         return self.t[i] if i >= 0 else 0
 
 
@@ -142,14 +145,13 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PredictionReport:
     big_k = len(prefix)
     ic = InitialCondition((*prefix, 5, lam, 4, mu), zero_extended=True)
     tables = _tables(k_max + 1)
-    # the condition itself, then from index K+5: 5R(1), 5S(1), and the
-    # blocks (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) through index K+5k_max+4
+    # from index K+5: 5R(1), 5S(1), and the blocks
+    # (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) through index K+5k_max+4
     tiles = (
-        (TILE_LITERAL, big_k + 4, ic.terms, None),
         (TILE_LITERAL, 2, (5 * tables.r[1], 5 * tables.s[1]), None),
         (TILE_BLOCKS, 5 * k_max - 2, lam, (tables.r, tables.s, tables.t)),
     )
-    return _check(ic.terms, tiles, big_k + 5 * k_max + 4, SequenceStatus.alive())
+    return _check(ic.terms, tiles, big_k + 5 * k_max + 4)
 
 
 def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> PredictionReport:
@@ -178,6 +180,7 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> Pre
         last = min(last, big_k + 5 * k_max + 4)
 
     ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
-    # the prefix, then indices K+1 .. last are the chunk (mu + lam*k, 5, lam, 3, 5)
-    tiles = ((TILE_LITERAL, big_k, ic.terms, None), (TILE_CHUNK, last - big_k, mu, lam))
-    return _check(ic.terms, tiles, last, SequenceStatus.alive())
+    # indices K+1 .. last are the chunk (mu + lam*k, 5, lam, 3, 5), which
+    # the condition starts: its 5 at K+5, then k = 1, 2, ... from K+6
+    tiles = ((TILE_LITERAL, 1, (5,), None), (TILE_CHUNK, last - big_k - 5, mu + lam, lam))
+    return _check(ic.terms, tiles, last)

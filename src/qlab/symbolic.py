@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._fallback import TILE_LITERAL, TILE_RANGE, materialise
+from ._fallback import TILE_LITERAL, materialise
 from .engine import GeneratedSequence, InitialCondition, SequenceStatus, _term
 from .errors import ValidationError
 
@@ -280,8 +280,8 @@ def specialize(prefix: SymbolicPrefix, n: int) -> GeneratedSequence:
             raise ValidationError(f"term at offset {k} requires N >= {t.min_valid_N}, got N={n}")
     ic = InitialCondition.identity(n, prefix.convention == "zero_extended")
     derived = tuple([t.value(n) for t in prefix.terms])
-    tiles = ((TILE_RANGE, n, 1, None), (TILE_LITERAL, len(derived), derived, None))
-    terms = materialise(tiles, n + len(derived))
+    tiles = ((TILE_LITERAL, len(derived), derived, None),)
+    terms = materialise(range(1, n + 1), tiles, n + len(derived))
     if prefix.stop_reason.kind == "symbolic_death":
         status = SequenceStatus.died(n + prefix.stop_reason.index)
     else:

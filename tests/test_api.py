@@ -118,3 +118,32 @@ def test_integer_arguments_are_read_as_integers(call, value):
     # a float, bool or str is refused, never truncated, compared or stored as is
     with pytest.raises(qlab.ValidationError, match="is not an integer"):
         call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qlab.InitialCondition((1, 1), "False"),
+    lambda: qlab.InitialCondition((1, 1), 2),
+    lambda: qlab.InitialCondition((1, 1), None),
+    lambda: qlab.evaluate(qlab.InitialCondition((1, 1)), 10).term(2.0),
+    lambda: qlab.evaluate(qlab.InitialCondition((1, 1)), 10).term(True),
+    lambda: qlab.rst_compute(10).R(2.0),
+    lambda: qlab.rst_compute(10).S(True),
+    lambda: qlab.rst_compute(10).T("3"),
+    lambda: qlab.SequenceStatus.died(2.5),
+    lambda: qlab.SequenceStatus.ended("7"),
+    lambda: qlab.SequenceStatus("died", True),
+], ids=["zero-extended-str", "zero-extended-2", "zero-extended-none", "term-float", "term-bool",
+        "R-float", "S-bool", "T-str", "died-float", "ended-str", "at-index-bool"])
+def test_flags_and_indices_are_read_strictly(call):
+    # a flag is True or False and an index an integer: nothing is truncated,
+    # parsed, or read for its truth value
+    with pytest.raises(qlab.ValidationError, match=r" is not (True or False|an integer)$"):
+        call()
+
+
+def test_strict_reads_keep_every_valid_argument():
+    seq = qlab.evaluate(qlab.InitialCondition((1, 1), False), 10)
+    state = qlab.rst_compute(10)
+    assert seq.term(3) == 2 and state.T(3) == state.t[3]
+    assert (state.R(-1), state.S(-2), state.T(-3)) == (0, 0, 0)  # a negative index reads 0
+    assert qlab.SequenceStatus.died(7) == qlab.SequenceStatus("died", 7)

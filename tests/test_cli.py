@@ -39,10 +39,9 @@ def test_gen_text(capsys):
     assert out == "# <1,1>: 6 terms, alive\n1 1 2 3 3 4\n"
 
 
-def test_one_parser_serves_every_call(capsys, monkeypatch):
+def test_one_parser_serves_every_call(capsys):
     # the parser is built once per process; each call must still see its own
     # options and the defaults, as a freshly built parser would
-    monkeypatch.delenv("QLAB_INT_MODE", raising=False)
     big = f"0;{2**62},{2**62},3,4"
     calls = [
         ("gen", "--ic", big, "--max", "9", "--mode", "exact"),

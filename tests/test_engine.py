@@ -47,7 +47,6 @@ from qlab._fallback import (
     TILE_BLOCKS,
     TILE_CHUNK,
     TILE_LITERAL,
-    TILE_RANGE,
 )
 from qlab.engine import ROWS_PER_CALL, write_json, write_table
 
@@ -126,16 +125,22 @@ def test_initial_condition_refuses_non_integer_terms():
     assert list(evaluate(ic, 6).terms) == list(evaluate(parse_ic("0;3..5"), 6).terms)
 
 
-def test_resolve_int_mode(monkeypatch):
-    monkeypatch.delenv("QLAB_INT_MODE", raising=False)
+def test_resolve_int_mode():
     assert resolve_int_mode() == "fast64"
     assert resolve_int_mode("exact") == "exact"
-    monkeypatch.setenv("QLAB_INT_MODE", "exact")
-    assert resolve_int_mode() == "exact"
     assert resolve_int_mode("fast64") == "fast64"
-    monkeypatch.setenv("QLAB_INT_MODE", "nonsense")
     with pytest.raises(ValidationError):
-        resolve_int_mode()
+        resolve_int_mode("nonsense")
+
+
+def test_the_environment_sets_no_integer_mode(monkeypatch):
+    # the mode is --mode or evaluate(mode=...), and fast64 otherwise: no
+    # variable of the environment turns a run past int64 exact
+    monkeypatch.setenv("QLAB_INT_MODE", "exact")
+    assert resolve_int_mode() == "fast64"
+    with pytest.raises(ArithmeticOverflowError) as exc:
+        evaluate(InitialCondition((2**62, 2**62, 3, 4), zero_extended=True), 10)
+    assert exc.value.index == 5
 
 
 BIG = InitialCondition((2**62, 2**62, 3, 4), zero_extended=True)
@@ -331,16 +336,17 @@ _RST_TABLES = _fallback.rst_generate(50)[:3]
 
 # Each call is made twice, so generators are built anew by each factory.
 @pytest.mark.parametrize("name, args", [
-    ("q_check", lambda: ((1, 2), True, ((TILE_RANGE, -1, 5, None),), 20)),
+    ("q_check", lambda: ((1, 2), True, ((TILE_CHUNK, -1, 5, 3),), 20)),
     ("q_check", lambda: ((1, 2), True, ((9, 3, 1, None),), 20)),
     ("q_check", lambda: ((1, 2), True, ((TILE_LITERAL, 3, (1, 2), None),), 20)),
-    ("q_check", lambda: ((1, 2), True, ([TILE_RANGE, 3, 1, None],), 20)),
+    ("q_check", lambda: ((1, 2), True, ([TILE_CHUNK, 3, 1, 2],), 20)),
     ("q_check", lambda: ((1, 2), True, ((TILE_BLOCKS, 5, 12, _RST_TABLES[:2]),), 20)),
     ("q_check", lambda: ((1, 2), True, ((TILE_CHUNK, 5, 2.5, 3),), 20)),
-    ("q_check", lambda: ((1, 2), True, ((TILE_RANGE, 1, 7, None), (TILE_LITERAL, 1, (1.5,), None)),
+    # Q(3) = 3 follows the prefix (1, 2): the literal's 7 differs at once
+    ("q_check", lambda: ((1, 2), True, ((TILE_LITERAL, 1, (7,), None), (TILE_LITERAL, 1, (1.5,), None)),
                          20)),
-    ("q_check", lambda: ((1, 2), True, ((TILE_RANGE, 3, 1, None), (TILE_RANGE, 1, 4)), 3)),
-    ("q_check", lambda: ((1, 2), True, iter(((TILE_RANGE, 3, 1, None),)), 20)),
+    ("q_check", lambda: ((1, 2), True, ((TILE_LITERAL, 1, (3,), None), (TILE_CHUNK, 1, 4)), 3)),
+    ("q_check", lambda: ((1, 2), True, iter(((TILE_LITERAL, 1, (3,), None),)), 20)),
     ("q_generate", lambda: (iter((1, 1)), False, 10)),
     ("q_generate", lambda: (5, False, 10)),
     ("q_generate", lambda: ((1,), False, 10)),
@@ -381,7 +387,7 @@ class _Interrupting:
 @pytest.mark.parametrize("name, args", [
     ("q_generate", lambda x: ((1, 1), False, x)),
     ("q_generate", lambda x: ((1, 1), x, 10)),
-    ("q_check", lambda x: ((1, 1), False, ((TILE_RANGE, x, 1, None),), 10)),
+    ("q_check", lambda x: ((1, 1), False, ((TILE_CHUNK, x, 1, 2),), 10)),
     ("rst_generate", lambda x: (x,)),
 ], ids=["max-terms", "zero-extended", "tile-length", "n-max"])
 def test_kernel_passes_on_what_is_no_exception(compiled_kernel, name, args, exc):
@@ -427,17 +433,17 @@ def test_backends_agree_on_calls_of_any_type(compiled_kernel, prefix, zero, tile
 
 def _reference_containers(checked: bool):
     """What the Python reference itself returns: q_generate's terms of
-    <1,1> and <2,0>, the R/S/T tables, the terms tiles of every kind
-    predict, all within int64; then q_generate's terms of a run whose 56th
-    term leaves int64, and a prediction with a value past it."""
+    <1,1> and <2,0>, the R/S/T tables, a prefix and the terms tiles of every
+    kind predict after it, all within int64; then q_generate's terms of a
+    run whose 56th term leaves int64, and a prediction with a value past
+    it."""
     fits = [_fallback.q_generate(ic, False, budget, checked)[0]
             for ic, budget in (((1, 1), 40), ((2, 0), 10))]
     tables = _fallback.rst_generate(300)[:3]
-    tiles = ((TILE_RANGE, 5, 1, None), (TILE_LITERAL, 2, (7, 8), None),
-             (TILE_CHUNK, 12, 3, 4), (TILE_BLOCKS, 10, 12, tables))
-    fits += [*tables, _fallback.materialise(tiles, 29)]
+    tiles = ((TILE_LITERAL, 2, (7, 8), None), (TILE_CHUNK, 12, 3, 4), (TILE_BLOCKS, 10, 12, tables))
+    fits += [*tables, _fallback.materialise(range(1, 6), tiles, 29)]
     past = [_fallback.q_generate((9, 3 * 2**61, 2, 7), True, 200, checked),
-            _fallback.materialise(((TILE_LITERAL, 2, (1, INT64_MAX + 1), None),), 2)]
+            _fallback.materialise((1,), ((TILE_LITERAL, 1, (INT64_MAX + 1,), None),), 2)]
     return fits, past
 
 
@@ -995,11 +1001,10 @@ def _assert_released(arr: array) -> None:
 
 
 def _pattern_tiles(prefix, lam, mu, length, tables):
-    """qt_pattern_check's condition <0;prefix,5,lam,4,mu> and its tiles: the
-    condition, 5R(1) and 5S(1), then ``length`` terms of R/S/T blocks."""
+    """qt_pattern_check's condition <0;prefix,5,lam,4,mu> and its tiles past
+    it: 5R(1) and 5S(1), then ``length`` terms of R/S/T blocks."""
     ic = (*prefix, 5, lam, 4, mu)
-    return ic, ((TILE_LITERAL, len(ic), ic, None), (TILE_LITERAL, 2, (5, 5), None),
-                (TILE_BLOCKS, length, lam, tables))
+    return ic, ((TILE_LITERAL, 2, (5, 5), None), (TILE_BLOCKS, length, lam, tables))
 
 
 def test_buffers_are_released(compiled_kernel):

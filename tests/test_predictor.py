@@ -35,7 +35,6 @@ from qlab._fallback import (
     TILE_BLOCKS,
     TILE_CHUNK,
     TILE_LITERAL,
-    TILE_RANGE,
     _first_difference,
     materialise,
 )
@@ -205,7 +204,7 @@ def test_predicted_terms_are_an_int64_array():
     for n, budget in ((121, 500), (38, 2000), (42, 120)):
         seq = predict_sequence(n, budget)
         assert type(seq.terms) is array and seq.terms.typecode == "q"
-        reference = _fallback.materialise(predicted_tiles(abc_profile(n), budget), budget)
+        reference = _fallback.materialise(range(1, n + 1), predicted_tiles(abc_profile(n), budget), budget)
         assert seq.terms.tolist() == reference.tolist()
 
 
@@ -305,11 +304,11 @@ def test_report_json_shape():
 def test_check_agrees_at_the_end_only_with_equal_lengths():
     # a prediction that stops short of the budget while both statuses read
     # alive disagrees at its end
-    tiles = ((TILE_RANGE, 5, 1, None), (TILE_LITERAL, 3, (3, 6, 7), None))
-    short = _check(range(1, 6), tiles, 20, SequenceStatus.alive())
+    tiles = ((TILE_LITERAL, 3, (3, 6, 7), None),)
+    short = _check(range(1, 6), tiles, 20)
     assert (short.matched_through, short.first_mismatch) == (8, (9, None, 5))
     assert short.actual_status == short.predicted_status and not short.terminal_agreement
-    full = _check(range(1, 6), tiles, 8, SequenceStatus.alive())
+    full = _check(range(1, 6), tiles, 8)
     assert (full.matched_through, full.first_mismatch, full.terminal_agreement) == (8, None, True)
 
 
@@ -467,8 +466,10 @@ def _outcome(n: int, max_terms: int, max_depth: int):
 
 
 def _reference_outcome(n: int, max_terms: int, max_depth: int):
-    def streamed(profile, budget):
-        # every value these tests reach fits int64, as materialise's array
+    def streamed(prefix, profile, budget):
+        # the stream restates the prefix; every value these tests reach fits
+        # int64, as materialise's array
+        assert prefix == range(1, profile.n_value + 1)
         return array("q", islice(_predicted_stream(profile), budget))
 
     # the profile stands in for the tiles, and the stream materialises it
@@ -526,7 +527,7 @@ def _per_class_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, 
     here as the reference for the table."""
     n = profile.n_value
     a, b, cp = profile.a, profile.b, profile.c_prime
-    tiles = [(TILE_RANGE, n, 1, None)]
+    tiles = []
     end = n
 
     def add(kind: int, length: int, first, step) -> None:
@@ -645,9 +646,25 @@ def test_finite_predictions_end_one_past_their_last_tile(n):
     profile = abc_profile(n)
     end = profile.a[-1] + _END_PAST_A_J[profile.classification]
     tiles = predicted_tiles(profile, end + 5)
-    length = sum(tile[1] for tile in tiles)
+    length = n + sum(tile[1] for tile in tiles)
     assert length == end - 1
     assert predictor._predicted_status(profile, length, end + 5) == SequenceStatus.ended(end)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stratified_n({**_FINITE_TO_10_30, 2: BUDGET_CAP}), st.integers(0, 400), st.booleans())
+@example(121, 0, False)  # the budget ends at N: no tile
+@example(121, 200, True)  # the whole classification-0 run, 406 terms
+@example(38, 400, False)  # classification 2
+def test_tiles_predict_only_past_the_identity_prefix(n, extra, near_end):
+    """The tiles hold the predicted terms past N and no more: their lengths
+    sum to min(max_terms, E - 1) - N, E the end index, which classification
+    2 lacks."""
+    profile = abc_profile(n)
+    end = None if profile.classification == 2 else profile.a[-1] + _END_PAST_A_J[profile.classification]
+    max_terms = max(n, end - 200 + extra if near_end and end is not None else n + extra)
+    tiles = predicted_tiles(profile, max_terms)
+    assert sum(tile[1] for tile in tiles) == (max_terms if end is None else min(max_terms, end - 1)) - n
 
 
 def _literal_blocks(lam: int, kmax: int) -> list[int]:
@@ -679,7 +696,7 @@ def test_class2_lam_clears_the_side_condition(fastest_backend):
     # 400000 blocks, ten times the oracle's budget
     tables = _tables(40_001)
     tiles = ((TILE_BLOCKS, 200_000, 12, (tables.r, tables.s, tables.t)),)
-    assert materialise(tiles, 200_000).tolist() == _literal_blocks(12, 40_000)
+    assert materialise((), tiles, 200_000).tolist() == _literal_blocks(12, 40_000)
     report = verify_against_bruteforce(38, 2_000_000)
     assert (report.matched_through, report.first_mismatch) == (2_000_000, None)
     assert report.actual_status == report.predicted_status == SequenceStatus.alive()
@@ -688,7 +705,7 @@ def test_class2_lam_clears_the_side_condition(fastest_backend):
 
 def _list_check(prefix, zero: bool, tiles, budget: int):
     """What q_check must report, from the two lists verify used to build."""
-    predicted = materialise(tiles, budget)
+    predicted = materialise(prefix, tiles, budget)
     actual = evaluate(InitialCondition(prefix, zero), budget, mode="exact")
     first = _first_difference(predicted, actual.terms)
     matched = first[0] - 1 if first is not None else len(predicted)
@@ -748,52 +765,124 @@ def _exact_tables(tile: tuple) -> tuple:
     return kind, length, lam, (array("q", r[: kmax + 2]), array("q", s[: kmax + 2]), array("q", t[: kmax + 1]))
 
 
-def _crossing(tile: tuple, g: int) -> tuple:
-    """The tile with its step (a chunk) raised to about 2**63 / g, or its
-    lam (blocks) to about 2**63 / T(g + 1), so that its values first leave
-    int64 in group g: at residue 0, or at residue 2 of a chunk's group 0,
-    its step itself."""
+def _changed(tile: tuple, g: int, r: int, event: str) -> tuple | None:
+    """The tile with its value at residue r of group g, and no value before
+    it, changed: one more for "differs", outside int64 for "int64".  The
+    change is to a literal's value, a chunk's first value or step (group 0
+    only: each later group repeats them), or the row of T, R or S that
+    residue 0, 3 or 4 of block group g reads first (R(1) for residue 2 of
+    group 0).  None where the tile holds no such value: a chunk's 5, 3 and
+    5, the 4 of every block, and the residue-2 value of a later block
+    group, 5R(g + 1), which residue 3 of group g - 1 reads first."""
     kind, length, a, b = tile
+    if kind == TILE_LITERAL:
+        i = 5 * g + r
+        return kind, length, (*a[:i], 2**63 if event == "int64" else a[i] + 1, *a[i + 1:]), b
     if kind == TILE_CHUNK:
-        return kind, length, a, -(-(2**63 - a) // g) if g else 2**63
-    return kind, length, -(-(2**63) // b[2][g + 1]), b
+        if g or r not in (0, 2):
+            return None
+        value = 2**63 if event == "int64" else (b if r else a) + 1
+        return (kind, length, a, value) if r else (kind, length, value, b)
+    # a row of 2**62 takes lam*T(k) and 5R(k), 5S(k) past int64
+    which, row = {0: (2, g + 1), 2: (0, 1), 3: (0, g + 2), 4: (1, g + 2)}.get(r, (None, None))
+    if which is None or (r == 2 and g):
+        return None
+    tables = [array("q", table) for table in b]
+    tables[which][row] = 2**62 if event == "int64" else tables[which][row] + 1
+    return kind, length, a, tuple(tables)
 
 
 def _group_cases():
-    """(event, r, p, prefix, zero, tiles, budget) at predicted offset p,
-    residue r of the first, a middle and the last group of each chunk and
-    block tile of a real prediction of classification 2, 0, 3 and 4: the
-    value at p differs, the budget ends at p, the actual run is cut to the
-    values before p, or the value at p is the first outside int64.  The
-    block tile's tables hold exactly the rows it reads."""
+    """(event, kind, r, g, p, prefix, zero, tiles, budget) at predicted
+    offset p, residue r of the first, a middle or the last group g of a
+    tile of a real prediction of classification 2, 0, 3 and 4: the budget
+    ends at p, the tile's value at p differs or is the first outside int64
+    (see _changed), or the plain run from the values before the tile dies
+    at p, inside it; then the stops of _RUN_STOPS, where the run leaves a
+    value the tile fixes or ends, and the ends of a literal at every
+    residue of groups 0, 1 and 2.  Each block tile's tables hold exactly
+    the rows it reads."""
     for n, budget in ((38, 239), (132, 6190), (37, 277), (47, 553)):
+        identity = range(1, n + 1)
         tiles = tuple(_exact_tables(tile) if tile[0] == TILE_BLOCKS else tile
                       for tile in predicted_tiles(abc_profile(n), budget))
-        predicted = materialise(tiles, budget).tolist()
-        start = 0
+        predicted = materialise(identity, tiles, budget).tolist()
+        start = n
         for i, tile in enumerate(tiles):
             kind, length = tile[:2]
             groups = -(-length // 5)
-            for g in sorted({0, groups // 2, groups - 1}) if kind in (TILE_CHUNK, TILE_BLOCKS) else ():
+            for g in sorted({0, groups // 2, groups - 1}):
                 for p in range(start + 5 * g, min(start + 5 * g + 5, start + length)):
-                    head, r = tuple(predicted[:p]), (p - start) % 5
-                    yield "differs", r, p, head + (predicted[p] + 1,), True, tiles, budget
-                    yield "budget", r, p, range(1, n + 1), True, tiles, p + 1
-                    yield "ends", r, p, head, False, tiles, budget
-                crossed = (*tiles[:i], _crossing(tile, g), *tiles[i + 1:])
-                big = materialise(crossed, start + length)
-                p = next(k for k, v in enumerate(big) if v > INT64_MAX)
-                # the whole run is the prefix: the values before p, then zeros
-                yield "int64", (p - start) % 5, p, tuple(big[:p]) + (0,) * 6, True, crossed, p + 6
+                    r = (p - start) % 5
+                    yield "budget", kind, r, g, p, identity, True, tiles, p + 1
+                    for event in ("differs", "int64"):
+                        changed = _changed(tile, g, r, event)
+                        if changed is not None:
+                            changed = (*tiles[:i], changed, *tiles[i + 1:])
+                            yield event, kind, r, g, p, identity, True, changed, budget
+            head = tuple(predicted[:start])
+            p = len(_fallback.q_generate(head, False, budget)[0])
+            if p < start + length:
+                yield "ends", kind, (p - start) % 5, (p - start) // 5, p, head, False, tiles[i:], budget
             start += length
+    for kind, event, g, r, prefix, zero in _RUN_STOPS:
+        k = len(prefix)
+        run = _fallback.q_generate(prefix, zero, k + 10)[0][k:]
+        yield event, kind, r, g, k + 5 * g + r, prefix, zero, (_following(kind, run),), k + 20
+    # the plain run of <1,2,1> ends after 14 values: behind a literal of j
+    # of them, a literal ends at offset 14 - j
+    run = tuple(_fallback.q_generate((1, 2, 1), False, 40)[0][3:])
+    for j in range(15):
+        tiles = ((TILE_LITERAL, j, run[:j], None), (TILE_LITERAL, 17 - j, run[j:] + (1, 1, 1), None))
+        yield "ends", TILE_LITERAL, (14 - j) % 5, (14 - j) // 5, 17, (1, 2, 1), False, tiles, 40
+
+
+# (kind, event, g, r, prefix, zero): the run from the prefix follows the
+# tile _following builds from it up to residue r of group g, and there
+# differs from a value the tile fixes (a chunk's 5, 3 and 5, a block's 4)
+# or ends.  Each prefix was found by a search of short prefixes.  A run
+# ends only past a value <= 0 or, under the plain convention, one that
+# reaches its next index, which a chunk's 3 (before residue 4) and a
+# block's 4 (before residue 2) never do.
+_RUN_STOPS = (
+    (TILE_CHUNK, "differs", 0, 1, (1, 1), True),  # Q(3) = 2, then Q(4) = 3
+    (TILE_CHUNK, "differs", 0, 3, (2, 3), True),
+    (TILE_CHUNK, "differs", 0, 4, (2, 1), True),
+    (TILE_BLOCKS, "differs", 0, 1, (1, 1), True),
+    (TILE_CHUNK, "differs", 1, 1, (2, 0, 2, 1, 0, 7, 2, 1), False),
+    (TILE_CHUNK, "differs", 1, 3, (6, 5, 8, 6, 7, 1, 9, 3, 14), True),
+    (TILE_CHUNK, "differs", 1, 4, (2, 0, 5, 10, 14, 3, 6), True),
+    (TILE_BLOCKS, "differs", 1, 1, (2, 9, 1, 5), True),
+    (TILE_CHUNK, "ends", 0, 0, (1, 0), True),
+    (TILE_BLOCKS, "ends", 0, 0, (1, 0), True),
+    (TILE_CHUNK, "ends", 0, 1, (2, 2), False),
+    (TILE_BLOCKS, "ends", 0, 1, (2, 2), False),
+    (TILE_CHUNK, "ends", 0, 2, (2, 1), False),
+    (TILE_CHUNK, "ends", 0, 3, (6, 2, 1), False),
+    (TILE_BLOCKS, "ends", 0, 3, (1, 0, 3, 2, 6, 5), False),
+    (TILE_BLOCKS, "ends", 0, 4, (11, 9, 4, 0, 2, 5, 4), False),
+    (TILE_CHUNK, "ends", 1, 1, (5, 5, 0, 0, 8, 1, 3, 8), False),
+    (TILE_BLOCKS, "ends", 1, 1, (2, 4, 1, 0, 9, 10, 1, 9), True),
+)
+
+
+def _following(kind: int, run) -> tuple:
+    """A chunk or block tile of two groups whose free values are the run's:
+    a chunk's first value and step; a block's lam = Q(k + 1), with T(1) = 1
+    and T(2), R(1..3) and S(2..3) read from the run, 5 past its end."""
+    v = (*run, *(5,) * 10)
+    if kind == TILE_CHUNK:
+        return kind, 10, v[0], v[2]
+    r, s, t = (0, v[2] // 5, v[3] // 5, v[8] // 5), (0, 0, v[4] // 5, v[9] // 5), (0, 1, v[5] // v[0])
+    return kind, 10, v[0], tuple(array("q", table) for table in (r, s, t))
 
 
 def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
-    """The compiled kernel compares a chunk or block tile five values at a
-    time and the group where the walk stops value by value: wherever the
-    stop falls in its group, it answers as the reference and the lists do."""
+    """The compiled kernel compares a tile five values at a time and the
+    group where the walk stops value by value: wherever the stop falls in
+    its group, it answers as the reference and the lists do."""
     seen = set()
-    for event, r, p, prefix, zero, tiles, budget in _group_cases():
+    for event, kind, r, g, p, prefix, zero, tiles, budget in _group_cases():
         compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
         assert compiled == _fallback.q_check(prefix, zero, tiles, budget, checked=True), (event, p)
         want = _list_check(prefix, zero, tiles, budget)
@@ -803,51 +892,61 @@ def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
         else:
             assert (*compiled[:2], _status_of(*compiled[2:4]), compiled[4]) == want, (event, p)
         if (first is None and matched == p + 1) if event == "budget" else matched == p:
-            seen.add((event, r))
-    # a plain run dies only on a value <= 0 or past its index, which a
-    # chunk's 5 and 3 before residue 0 never are
-    assert seen >= {(event, r) for event in ("differs", "budget") for r in range(5)}
-    assert seen >= {("ends", 1), ("ends", 2), ("ends", 3), ("ends", 4), ("int64", 0), ("int64", 2)}
+            seen.add((event, kind, r, g > 0))
+    for kind in (TILE_LITERAL, TILE_CHUNK, TILE_BLOCKS):
+        assert seen >= {("budget", kind, r, later) for r in range(5) for later in (False, True)}
+        assert seen >= {("differs", kind, r, False) for r in range(5)}
+    for event in ("differs", "int64"):
+        assert seen >= {(event, TILE_LITERAL, r, later) for r in range(5) for later in (False, True)}
+        assert seen >= {(event, TILE_CHUNK, 0, False), (event, TILE_CHUNK, 2, False),
+                        (event, TILE_BLOCKS, 2, False)}
+        assert seen >= {(event, TILE_BLOCKS, r, later) for r in (0, 3, 4) for later in (False, True)}
+    assert seen >= {("differs", TILE_CHUNK, r, True) for r in (1, 3, 4)} | {("differs", TILE_BLOCKS, 1, True)}
+    assert seen >= {("ends", TILE_LITERAL, r, later) for r in range(5) for later in (False, True)}
+    assert seen >= {("ends", TILE_CHUNK, r, False) for r in range(4)} | {("ends", TILE_BLOCKS, r, False) for r in (0, 1, 3, 4)}
+    assert seen >= {("ends", TILE_CHUNK, 1, True), ("ends", TILE_BLOCKS, 1, True)}
+
+
+# Q(1..60) of <1,1>, the run the literal cases below follow
+_HOFSTADTER = tuple(_fallback.q_generate((1, 1), False, 60)[0])
 
 
 def _int64_edge_cases():
-    """(kind, p, prefix, zero, tiles, budget, length): a range tile that
-    matches a run ending at 2**63 - 1, its value at offset p (0..14), at
-    residue p % 5 of group p // 5, the first outside int64; a chunk of step
-    -2**62 whose value at p = 5g (g = 1..4) is the first below int64, after
-    a run that has a 0 there (for g = 4, b*3 leaves int64 but a + 3b does
-    not); and a literal whose value at offset p (0..11) is the first
-    outside int64, on either side.  A leading literal of 0, 1 or 3 terms
-    shifts the groups against the run.  The range and chunk tiles are p,
-    p + 1 or p + 6 long, the literal p + 1 or 12: a tile of length p ends
-    before the value outside int64."""
-    for lead in ((), (1,), (1, 3, 2)):
+    """(kind, p, prefix, zero, tiles, budget, length): after the prefix
+    <1,1>, a literal that matches its run up to offset p (0..11), where its
+    value is the first outside int64, on either side; and after
+    <0;1,...,1,mu,5,lam,3> with K = 0, 1 or 3 ones, the 5 and the chunk
+    (mu + lam*k, 5, lam, 3, 5), k = 1, 2, ..., that the run follows, lam
+    chosen so that the chunk's value at p = 5g (g = 1..4), residue 0 of its
+    group g, is the first outside int64.  A leading literal of 0, 1 or 3
+    terms of the run, or the K ones, shift the groups against the run.  The
+    literal is p + 1 or 12 long, the chunk p, p + 1 or p + 6: a chunk of
+    length p ends before the value outside int64, and the budget with it."""
+    for lead in (0, 1, 3):
         for zero in (True, False):
-            for p in range(15):
-                for length in (p, p + 1, p + 6):
-                    tiles = ((TILE_LITERAL, len(lead), lead, None), (TILE_RANGE, length, 2**63 - p, None))
-                    prefix = lead + tuple(range(2**63 - p, 2**63))
-                    yield TILE_RANGE, p, prefix, zero, tiles, len(lead) + length + 3, length
-            for g in range(1, 5):
-                a, b = -(2**63) + (g - 1) * 2**62 + 9, -(2**62)
-                # the 0 ends the run before a sum can leave int64
-                prefix = lead + tuple(materialise(((TILE_CHUNK, 5 * g, a, b),), 5 * g)) + (0,)
-                for length in (5 * g, 5 * g + 1, 5 * g + 6):
-                    tiles = ((TILE_LITERAL, len(lead), lead, None), (TILE_CHUNK, length, a, b))
-                    yield TILE_CHUNK, 5 * g, prefix, zero, tiles, len(lead) + length + 3, length
+            head = _HOFSTADTER[2 : 2 + lead]
             for p in range(12):
-                values = tuple(range(4, 4 + p)) + ((2**63, -(2**63) - 1)[p % 2],) + (7,) * 11
+                values = _HOFSTADTER[2 + lead : 2 + lead + p] + ((2**63, -(2**63) - 1)[p % 2],) + (7,) * 11
                 for length in (p + 1, 12):
-                    tiles = ((TILE_LITERAL, len(lead), lead, None), (TILE_LITERAL, length, values, None))
-                    yield TILE_LITERAL, p, lead + values[:p], zero, tiles, len(lead) + length + 3, length
+                    tiles = ((TILE_LITERAL, lead, head, None), (TILE_LITERAL, length, values, None))
+                    yield TILE_LITERAL, p, (1, 1), zero, tiles, 2 + lead + length + 3, length
+        mu = 9
+        for g in range(1, 5):
+            lam = -(-(2**63 - mu) // (g + 1))  # mu + lam*k leaves int64 at k = g + 1
+            prefix = (1,) * lead + (mu, 5, lam, 3)
+            for length in (5 * g, 5 * g + 1, 5 * g + 6):
+                tiles = ((TILE_LITERAL, 1, (5,), None), (TILE_CHUNK, length, mu + lam, lam))
+                yield TILE_CHUNK, 5 * g, prefix, True, tiles, len(prefix) + 1 + length, length
 
 
 def test_q_check_declines_at_each_offset_where_a_tile_leaves_int64(compiled_kernel):
-    """tile_group stores a range's group whole when its last value fits
-    int64, a chunk's first value when a + b*g does, and a literal's values
-    up to the first that does not: wherever that value falls in its group,
-    the kernel answers as the checked reference, declining exactly where
-    the run reaches it, and the backend as the exact reference."""
+    """tile_group stores a literal's values up to the first that lies
+    outside int64: wherever that value falls in its group, the kernel
+    answers as the checked reference, declining exactly where the walk
+    reaches it, and the backend as the exact reference.  The run computes
+    each value of a chunk it follows, so a chunk's value past group 0 that
+    leaves int64 leaves it in the run too, and the kernel declines exactly
+    where the run reaches it."""
     declined = set()
     for kind, p, prefix, zero, tiles, budget, length in _int64_edge_cases():
         case = (kind, p, len(prefix), zero, length)
@@ -857,23 +956,44 @@ def test_q_check_declines_at_each_offset_where_a_tile_leaves_int64(compiled_kern
         with mock.patch.object(_backend, "_kernel", compiled_kernel):
             exact = _answer(_backend.q_check, prefix, zero, tiles, budget)
         assert exact == _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=False), case
-        if len(prefix) >= 2:  # a shorter prefix is refused
-            assert (compiled is None) == (length > p), case
-            if compiled is None:
-                declined.add((kind, p))
-    assert declined >= ({(TILE_RANGE, p) for p in range(15)} | {(TILE_CHUNK, 5 * g) for g in range(1, 5)}
-                        | {(TILE_LITERAL, p) for p in range(12)})
+        assert (compiled is None) == (length > p), case
+        if compiled is None:
+            declined.add((kind, p))
+    assert declined == {(TILE_CHUNK, 5 * g) for g in range(1, 5)} | {(TILE_LITERAL, p) for p in range(12)}
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+@pytest.mark.parametrize("prefix", [(1, 1), (3, 6, 5, 3, 6, 8), range(1, 39)], ids=["1,1", "fibonacci", "1..38"])
+def test_tiles_start_just_past_the_prefix(request, backend, prefix):
+    """The run holds its prefix, and the first tile predicts Q(k + 1), k the
+    prefix length: q_check reports 1-based indices from there on, and
+    materialise keeps the prefix whole, as the run does."""
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    k, budget = len(prefix), len(prefix) + 40
+    run = evaluate(InitialCondition(prefix, True), budget).terms.tolist()  # alive through the budget
+    after = ((TILE_LITERAL, 40, tuple(run[k:]), None),)
+    q = run[k]  # Q(k + 1)
+    with mock.patch.object(_backend, "_kernel", kernel):
+        assert _backend.q_check(prefix, True, after, budget) == (budget, None, 0, 0, budget)
+        wrong = ((TILE_LITERAL, 1, (q + 1,), None),)
+        assert _backend.q_check(prefix, True, wrong, budget) == (k, (k + 1, q + 1, q), 0, 0, budget)
+        # no tiles, as scan's call: the run's next term goes unpredicted
+        assert _backend.q_check(prefix, True, (), budget) == (k, (k + 1, None, q), 0, 0, budget)
+        # a budget short of the prefix: no tile is compared
+        assert _backend.q_check(prefix, True, wrong, k - 1) == (k, None, 0, 0, k)
+    assert materialise(prefix, after, budget).tolist() == run
+    assert materialise(prefix, after, k - 1).tolist() == list(prefix)
 
 
 def test_q_check_builds_only_what_the_run_reaches(compiled_kernel):
     """Both backends stop at the first difference, and the reference builds
     each tile only to one value past the end of the run: a chunk of 10**12
-    terms after a run of two, and a class-2 prediction of 200000 terms whose
-    run dies early under the plain convention."""
+    terms after a run of two, which dies at once, and a class-2 prediction
+    of 200000 terms whose run dies early under the plain convention."""
     tiles = predicted_tiles(abc_profile(38), 200_000)
     for kernel in (compiled_kernel, None):
         with mock.patch.object(_backend, "_kernel", kernel):
-            assert _backend.q_check((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12) == (0, (1, 1, 2), 1, 3, 2)
+            assert _backend.q_check((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12) == (2, (3, 1, None), 1, 3, 2)
             assert _backend.q_check(range(1, 39), False, tiles, 200_000) == (66, (67, 44, None), 1, 67, 66)
 
 
@@ -883,7 +1003,7 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
     malformed tile there, which the kernel declines, it refuses with the
     error that building the tile whole raises."""
     rst = _fallback.rst_generate(40)[:3]  # rows 0..40
-    differs = (TILE_RANGE, 3, 7, None)  # 7 against the run's 2 at once
+    differs = (TILE_LITERAL, 3, (7, 8, 9), None)  # 7 at index 3, where the run has died
     for tile, error in (
         ((9, 5, 1, None), ValueError),  # an unknown kind
         ((TILE_BLOCKS, 500, 12, rst), ValueError),  # tables too short for 100 blocks
@@ -899,13 +1019,13 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
                 _fallback.q_check((2, 0), False, (differs, tile), 10**12, checked=checked)
     # a literal's length is binding where the run reaches it too, on both
     # backends, and clipped to the budget before it is
-    tiles = ((TILE_LITERAL, 3, (2,), None), (TILE_RANGE, 4, 0, None))
+    tiles = ((TILE_LITERAL, 3, (2,), None), (TILE_CHUNK, 4, 0, 1))
     for kernel in (compiled_kernel, None):
         with mock.patch.object(_backend, "_kernel", kernel), pytest.raises(ValueError):
             _backend.q_check((2, 0), False, tiles, 20)
     with pytest.raises(ValueError):
-        materialise(tiles, 20)
-    assert materialise(tiles, 1).tolist() == [2]
+        materialise((2, 0), tiles, 20)
+    assert materialise((2, 0), tiles, 3).tolist() == [2, 0, 2]
 
 
 def _corrupt(draw, tiles: list) -> None:
@@ -937,7 +1057,7 @@ def check_cases(draw):
         n = draw(st.integers(35, 3000).filter(lambda v: not is_exceptional(v)))
         budget = draw(st.integers(n, 6000))
         tiles = list(predicted_tiles(abc_profile(n, draw(st.sampled_from((1, 2, 16)))), budget))
-        if draw(st.booleans()):
+        if tiles and draw(st.booleans()):  # none when the budget ends at N
             _corrupt(draw, tiles)
         prefix = range(1, n + 1)
         return draw(st.sampled_from((prefix, tuple(prefix)))), draw(st.booleans()), tuple(tiles), budget
@@ -947,7 +1067,7 @@ def check_cases(draw):
     value = st.one_of(st.integers(-6, 60), _huge)
     rst = _tables(200)
     tiles = []
-    for kind in draw(st.lists(st.sampled_from((TILE_RANGE, TILE_LITERAL, TILE_CHUNK, TILE_BLOCKS)), max_size=5)):
+    for kind in draw(st.lists(st.sampled_from((TILE_LITERAL, TILE_CHUNK, TILE_BLOCKS)), max_size=5)):
         length = draw(st.integers(0, 40))
         a = draw(value)
         b = None
@@ -958,21 +1078,23 @@ def check_cases(draw):
         elif kind == TILE_BLOCKS:
             b = (rst.r, rst.s, rst.t)
         tiles.append((kind, length, a, b))
-    return prefix, draw(st.booleans()), tuple(tiles), draw(st.integers(len(prefix), 120))
+    # a budget may fall short of the prefix, which the run keeps whole
+    return prefix, draw(st.booleans()), tuple(tiles), draw(st.integers(0, 120))
 
 
 @settings(max_examples=300, deadline=None)
 @given(check_cases())
-@example(((2**62, 2**62, 3, 4), True, ((TILE_RANGE, 9, 2**62, None),), 20))  # overflows at 5
-@example(((1, 2), True, ((TILE_RANGE, 3, 1, None), (TILE_CHUNK, 9, 3, 2**64)), 30))
-@example(((1, 2), True, ((TILE_RANGE, 3, 2**63 - 2, None),), 3))  # 2**63 at index 3
-@example(((1, 1), False, ((TILE_LITERAL, 3, (1, 2, 2**70), None),), 30))  # differs first
-@example(((3, 1), True, ((TILE_RANGE, 2, 3, None), (TILE_CHUNK, 9, 2, 0)), 30))  # step 0
-@example(((1, 2, 3, 2**64), True, ((TILE_RANGE, 3, 1, None),), 2))  # prefix overflows past the budget
-@example((range(2**63 - 3, 2**63 + 3), True, ((TILE_RANGE, 9, 1, None),), 20))  # its 4th term leaves int64
-@example((range(2**63, 2**63 + 4), True, ((TILE_RANGE, 9, 1, None),), 20))  # its start is outside int64
-@example((range(-(2**63), 1, 2**63), True, ((TILE_RANGE, 9, 1, None),), 20))  # so is its step, not its terms
-@example((range(1, 2), True, ((TILE_RANGE, 9, 1, None),), 20))  # too short: declined, ValueError
+@example(((2**62, 2**62, 3, 4), True, ((TILE_CHUNK, 9, 2**63, 1),), 20))  # overflows at 5
+@example(((1, 2), True, ((TILE_LITERAL, 1, (3,), None), (TILE_CHUNK, 9, 3, 2**64)), 30))
+@example(((1, 2), True, ((TILE_LITERAL, 1, (2**63,), None),), 3))  # 2**63 at index 3
+@example(((1, 1), False, ((TILE_LITERAL, 3, (2, 4, 2**70), None),), 30))  # differs first
+@example(((3, 1), True, ((TILE_CHUNK, 9, 2, 0),), 30))  # step 0
+@example(((1, 2, 3, 2**64), True, ((TILE_CHUNK, 3, 1, 2),), 2))  # prefix overflows past the budget
+@example(((1, 2, 3, 4), True, ((TILE_CHUNK, 3, 1, 2),), 2))  # the prefix is longer than the budget
+@example((range(2**63 - 3, 2**63 + 3), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # its 4th term leaves int64
+@example((range(2**63, 2**63 + 4), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # its start is outside int64
+@example((range(-(2**63), 1, 2**63), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # so is its step, not its terms
+@example((range(1, 2), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # too short: declined, ValueError
 @example((range(0), False, (), 20))
 def test_compiled_and_fallback_q_check_agree(compiled_kernel, case):
     prefix, zero, tiles, budget = case

@@ -32,6 +32,7 @@ from qlab import (
 )
 from qlab._fallback import INT64_MAX, INT64_MIN, TILE_BLOCKS, TILE_LITERAL
 from qlab.cli import main
+from qlab.engine import _check
 from qlab.rst import RSTState, RSTStatus, _tables
 
 
@@ -120,9 +121,8 @@ def test_block_tile_reads_exactly_its_rows(compiled_kernel, lam, length):
     r, s, t = state.r, state.s, state.t[: kmax + 1]
     ic = (5, lam, 4, 6)
 
-    def tiles(tables):
-        return ((TILE_LITERAL, 4, ic, None), (TILE_LITERAL, 2, (5, 5), None),
-                (TILE_BLOCKS, length, lam, tables))
+    def tiles(tables):  # the terms past the condition: 5R(1), 5S(1), then the blocks
+        return ((TILE_LITERAL, 2, (5, 5), None), (TILE_BLOCKS, length, lam, tables))
 
     budget = 6 + length
     want = _fallback.q_check(ic, True, tiles((r, s, t)), budget)
@@ -137,6 +137,22 @@ def test_block_tile_reads_exactly_its_rows(compiled_kernel, lam, length):
             with mock.patch.object(_backend, "_kernel", kernel), \
                     pytest.raises(ValueError, match="too short"):
                 _backend.q_check(ic, True, tiles(short), budget)
+
+
+@pytest.mark.parametrize("check, args, length", [
+    (qt_pattern_check, ((), 9, 7, 60), 300),  # 5 k_max
+    (qt_pattern_check, ((2, 2, 2), 9, 9, 40), 200),
+    (qc_pattern_check, ((), 1, 6), 4),  # last - K - 4, last = lam + nu = 6 + 2
+    (qc_pattern_check, (tuple(range(1, 41)), 60, 100), 59),  # last = 100 + 3
+    (qc_pattern_check, (tuple(range(1, 41)), 60, 100, 2), 10),  # last = K + 5k_max + 4
+])
+def test_pattern_tiles_predict_only_past_the_condition(check, args, length):
+    # the condition is the prefix of the comparison, and no tile restates it
+    with mock.patch.object(rst, "_check", wraps=_check) as spy:
+        check(*args)
+    prefix, tiles = spy.call_args.args[:2]
+    assert len(prefix) == len(args[0]) + 4
+    assert sum(tile[1] for tile in tiles) == length
 
 
 def test_rst_overflow_falls_back_to_python():
