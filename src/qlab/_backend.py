@@ -35,22 +35,22 @@ def _answer(name: str, *args, **reference_options):
 
 def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
     """Extend ``prefix`` as _fallback.q_generate does, checked unless
-    ``exact``; returns ``(terms, status, at)`` with ``terms`` an
+    ``exact``; returns ``(terms, status)`` with ``terms`` an
     ``array('q')``, or a list of ints for an exact run past int64.
 
     ``prefix`` is a sequence of ints: the compiled kernel reads a ``range``
     whose start and step fit int64 from those two and its length, with no
     int per term.  A term outside int64 ends the kernel's run with
-    STATUS_OVERFLOW at that term's index; an exact run then goes on in
-    Python from the terms before it, or from the whole prefix when the term
-    is one of the prefix's own.
+    STATUS_OVERFLOW; an exact run then goes on in Python from the terms
+    before it, or from the whole prefix when the term is one of the
+    prefix's own, which the terms then fall short of.
     """
-    terms, status, at = run = _answer("q_generate", prefix, zero_extended, max_terms,
-                                      checked=not exact)
+    terms, status = run = _answer("q_generate", prefix, zero_extended, max_terms,
+                                  checked=not exact)
     if status == STATUS_OVERFLOW and exact:
         # only the kernel's run overflows here; Python recomputes the term
         # that left int64, so the exact run ends as a list
-        start = terms if at > len(prefix) else prefix
+        start = terms if len(terms) >= len(prefix) else prefix
         return _fallback.q_generate(start, zero_extended, max_terms, checked=False)
     return run
 

@@ -58,13 +58,13 @@ TILE_BLOCKS = 3
 def q_generate(prefix, zero_extended: bool, max_terms: int, checked: bool = True):
     """Extend ``prefix`` under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)).
 
-    Returns ``(terms, status, at_index)``, ``terms`` an ``array('q')``.
-    With ``checked`` the 64-bit arithmetic of the compiled kernel is
-    simulated: a term outside the int64 range, whether of the prefix or
-    computed, yields STATUS_OVERFLOW at its index, and ``terms`` holds the
-    terms before it.  Unchecked, integers grow without bound and overflow
-    cannot occur: from the first term outside int64 on, and only then, the
-    terms go on as a list of ints.  A prefix of fewer than two terms raises
+    Returns ``(terms, status)``, ``terms`` an ``array('q')``: a run that
+    stops, stops at index ``len(terms) + 1``.  With ``checked`` the 64-bit
+    arithmetic of the compiled kernel is simulated: a term outside the int64
+    range, whether of the prefix or computed, yields STATUS_OVERFLOW, and
+    ``terms`` holds the terms before it.  Unchecked, integers grow without
+    bound and overflow cannot occur: from the first term outside int64 on,
+    and only then, the terms go on as a list of ints.  A prefix of fewer than two terms raises
     ValueError.
     """
     if len(prefix) < 2:
@@ -74,11 +74,10 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, checked: bool = True
         t.extend(prefix)
     except OverflowError:  # t holds the prefix terms before the one outside int64
         if checked:
-            return t, STATUS_OVERFLOW, len(t) + 1
+            return t, STATUS_OVERFLOW
         t = list(prefix)
     zero = bool(zero_extended)
     status = STATUS_ALIVE
-    at = 0
     append = t.append
     q1, q2 = t[-1], t[-2]
     # q1 = Q(n-1) and q2 = Q(n-2), and t holds Q(1..n-1), so Q(n-v) is t[-v]
@@ -91,20 +90,18 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, checked: bool = True
             total = (t[-q1] if q1 < n else 0) + (t[-q2] if q2 < n else 0)
         else:
             status = STATUS_ENDED if zero else STATUS_DIED
-            at = n
             break
         try:
             append(total)
         except OverflowError:  # only the array raises it: total lies outside int64
             if checked:
                 status = STATUS_OVERFLOW
-                at = n
                 break
             t = t.tolist()
             append = t.append
             append(total)
         q1, q2 = total, q1
-    return t, status, at
+    return t, status
 
 
 def rst_generate(n_max: int):
@@ -113,10 +110,10 @@ def rst_generate(n_max: int):
 
     Row m computes R(m) = R(m - R(m-1)) + S(m-1), then S(m) = S(m - R(m)) +
     S(m - R(m-1)), then T(m) = T(m - R(m)) + T(m - S(m)), reading 0 at
-    negative arguments.  Returns ``(r, s, t, which, at)``: ``which`` is None
-    and ``at`` 0 while the system lives through n_max; otherwise ``which``
-    ("r", "s" or "t") is the first of row ``at`` to need a value not yet
-    computed, and the tables stop at row at - 1.
+    negative arguments.  Returns ``(r, s, t, which)``: ``which`` is None
+    while the system lives through n_max; otherwise ``which`` ("r", "s" or
+    "t") is the first of row ``len(s)`` to need a value not yet computed,
+    and the tables stop at the row before it.
 
     Each table is allocated once, at n_max + 1 rows (n_max clipped as the
     kernel clips it, so that a table memory cannot hold is a MemoryError at
@@ -132,7 +129,6 @@ def rst_generate(n_max: int):
     s[0], s[1], s[2] = 1, 1, 2
     t[0], t[1], t[2] = 1, 2, 2
     which = None
-    at = 0
     # Every value is a sum of earlier values or of zeros, so none is
     # negative, and a reference at or past row m is one to a value <= 0.
     for m in range(3, rows):
@@ -154,9 +150,8 @@ def rst_generate(n_max: int):
         s[m] = sv
         t[m] = (t[i1] if i1 >= 0 else 0) + (t[i2] if i2 >= 0 else 0)
     if which is not None:
-        at = m
-        del r[at:], s[at:], t[at:]
-    return r, s, t, which, at
+        del r[m:], s[m:], t[m:]
+    return r, s, t, which
 
 
 def materialise(prefix, tiles, max_terms: int):
@@ -291,9 +286,8 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
     with the terms ``materialise(prefix, tiles, max_terms)`` predicts: the
     run holds the prefix itself, so the walk starts just past it.
 
-    Returns ``(matched_through, first_mismatch, status, at, n_actual)``:
-    the count of leading terms that agree, ``_first_difference`` of the
-    prediction and the run, q_generate's status and index, and the count of
+    Returns ``(first_mismatch, status, n_actual)``: ``_first_difference``
+    of the prediction and the run, q_generate's status, and the count of
     actual terms.  With ``checked`` the int64 kernel is simulated: when the
     recurrence overflows, or the predicted value first_mismatch would report
     lies outside int64, the result is None, as the kernel declines the call.
@@ -306,7 +300,7 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
     their tile, and a literal value or a parameter that is not an int are
     refused as materialise refuses them.
     """
-    terms, status, at = q_generate(prefix, zero_extended, max_terms, checked)
+    terms, status = q_generate(prefix, zero_extended, max_terms, checked)
     if status == STATUS_OVERFLOW:
         return None
     pos, first = len(prefix), None  # pos: the count of predicted values before the tile
@@ -327,8 +321,6 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
         pos += length
     if first is None and pos < len(terms):
         first = (pos + 1, None, terms[pos])
-    if first is None:
-        return pos, None, status, at, len(terms)
-    if checked and first[1] is not None and not INT64_MIN <= first[1] <= INT64_MAX:
+    if checked and first and first[1] is not None and not INT64_MIN <= first[1] <= INT64_MAX:
         return None
-    return first[0] - 1, first, status, at, len(terms)
+    return first, status, len(terms)

@@ -4,19 +4,22 @@
  * q_generate and q_check), or None when it declines the call: when it
  * cannot read it or decide it in int64.  _backend then asks _fallback,
  * which owns every error: the kernel raises only MemoryError and interrupts.
- * q_generate(prefix, zero_extended, max_terms) returns (terms, status, at),
- * terms an array('q').  A term outside int64, of the prefix or computed, is
- * STATUS_OVERFLOW at its index, and terms holds the terms before it.  A
- * prefix is a range, a tuple or a list of ints; a range such as
- * range(1, N + 1) is read from its start, step and length (see load_prefix).
- * q_check(prefix, zero_extended, tiles, max_terms) runs the same recurrence
- * (see extend) and compares it with the tiles, which predict the terms past
- * the prefix, without building a list: every tile, of any kind, five terms
- * at a time (see tile_group), and value by value only the group where the
- * walk stops.
- * rst_generate(n_max) computes R(0..n), S(0..n) and T(0..n), row k at index
- * k, in place in three array('q') allocated once, at n_max + 1 rows, and cut
- * only where the system ends (see Store).
+ * q_generate(prefix, zero_extended, max_terms) returns (terms, status),
+ * terms an array('q'); a run that stops, stops at len(terms) + 1 (see
+ * engine._status_of).  A term outside int64, of the prefix or computed, is
+ * STATUS_OVERFLOW, and terms holds the terms before it.  A prefix is a
+ * range, a tuple or a list of ints; a range such as range(1, N + 1) is read
+ * from its start, step and length (see load_prefix).
+ * q_check(prefix, zero_extended, tiles, max_terms) returns (first_mismatch,
+ * status, n_actual): it runs the same recurrence (see extend), n_actual
+ * terms, and compares it with the tiles, which predict the terms past the
+ * prefix, without building a list: every tile, of any kind, five terms at a
+ * time (see tile_group), and value by value only the group where the walk
+ * stops.
+ * rst_generate(n_max) returns (r, s, t, which): R(0..n), S(0..n) and
+ * T(0..n), row k at index k, in place in three array('q') allocated once,
+ * at n_max + 1 rows, and cut only where which ends the system, at row
+ * len(s) (see Store).
  * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
  * straight into one new str, in one pass over the values: the str is
  * allocated at an upper bound, 20 characters a field, each field is written
@@ -289,15 +292,14 @@ q_generate(PyObject *self, PyObject *args)
     PyMem_Free(t);
     if (st.arr == NULL)
         return declined();
-    n = k + 1; /* the index of a prefix term outside int64 */
+    n = k + 1;
     status = big ? STATUS_OVERFLOW : STATUS_ALIVE;
     while (status == STATUS_ALIVE && n <= max_terms) {
         if (n > st.cap && store_grow(&st) < 0)
             return declined();
         status = extend(st.v, st.cap, zero, max_terms, &n);
     }
-    return Py_BuildValue("(Nin)", store_take(&st, n - 1), status,
-                         status == STATUS_ALIVE ? (Py_ssize_t)0 : n);
+    return Py_BuildValue("(Ni)", store_take(&st, n - 1), status);
 }
 
 /* A table read in place: the buffer of an object that exports a C-contiguous
@@ -404,15 +406,15 @@ tile_close(Tile *tl)
  * outside int64 or past the end of a literal: returns how many it stored,
  * 5 when it did not stop.  This is the one place in C that says what each
  * kind predicts.  Each value is computed exactly, with no state kept from
- * another group: x holds the first value of a chunk's group in 128 bits,
- * which no int64 parameters overflow.  A parameter outside int64 is itself
- * the first value outside int64 that depends on it (T(k) >= 1 in every
- * R/S/T table). */
+ * another group.  A chunk's group g > 0 is asked for only once the run has
+ * matched group 0, in which a and b each precede a later term, so both are
+ * positive: a + b*g leaves int64 exactly when b*g or the sum does.  A big b
+ * stops group 0 at 2 values.  A parameter outside int64 is itself the first
+ * value outside int64 that depends on it (T(k) >= 1 in every R/S/T table). */
 static inline __attribute__((always_inline)) int
 tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
 {
     const long long *r = tl->tab[0].v, *s = tl->tab[1].v, *t = tl->tab[2].v;
-    __int128 x;
     int i;
 
     switch (kind) {
@@ -420,14 +422,13 @@ tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
         for (i = 0; i < 5 && 5 * g + i < tl->fit; i++)
             v[i] = tl->values[5 * g + i];
         return i;
-    case TILE_CHUNK: /* (a + b*g, 5, b, 3, 5): past g = 0 only with b in int64 */
-        x = (__int128)tl->a + (__int128)tl->b * g;
-        v[0] = (long long)x;
+    case TILE_CHUNK: /* (a + b*g, 5, b, 3, 5) */
         v[1] = 5;
         v[2] = tl->b;
         v[3] = 3;
         v[4] = 5;
-        return tl->a_big || (tl->b_big && g > 0) || v[0] != x ? 0 : tl->b_big ? 2 : 5;
+        return tl->a_big || __builtin_mul_overflow(tl->b, g, &v[0]) ||
+               __builtin_add_overflow(tl->a, v[0], &v[0]) ? 0 : tl->b_big ? 2 : 5;
     default: /* TILE_BLOCKS, block k = g + 1: (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) */
         v[1] = 4;
         return tl->a_big || __builtin_mul_overflow(tl->a, t[g + 1], &v[0]) ? 0
@@ -537,8 +538,7 @@ q_check(PyObject *self, PyObject *args)
         first = Py_BuildValue("(nNN)", pos + 1, differs ? PyLong_FromLongLong(v[j]) : Py_NewRef(Py_None),
                               pos < n_act ? PyLong_FromLongLong(t[pos]) : Py_NewRef(Py_None));
     if (first != NULL)
-        result = Py_BuildValue("(nNinn)", pos, first, status,
-                               status == STATUS_ALIVE ? (Py_ssize_t)0 : n, n_act);
+        result = Py_BuildValue("(Nin)", first, status, n_act);
 
 done:
     Py_XDECREF(seq);
@@ -621,8 +621,7 @@ rst_generate(PyObject *self, PyObject *args)
     st = store_take(&ss, m);
     tt = store_take(&ts, m);
     if (rt != NULL && st != NULL && tt != NULL)
-        result = Py_BuildValue("(NNNzn)", rt, st, tt, which,
-                               which == NULL ? (Py_ssize_t)0 : m);
+        result = Py_BuildValue("(NNNz)", rt, st, tt, which);
     else {
         Py_XDECREF(rt);
         Py_XDECREF(st);
@@ -781,18 +780,19 @@ done:
 
 static PyMethodDef methods[] = {
     {"q_generate", q_generate, METH_VARARGS,
-     "q_generate(prefix, zero_extended, max_terms) -> (terms, status, at) or None\n\n"
+     "q_generate(prefix, zero_extended, max_terms) -> (terms, status) or None\n\n"
      "Extend prefix under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)) in int64;\n"
-     "terms is an array('q').  None when declined."},
+     "terms is an array('q'), and a run that stops, stops at\n"
+     "len(terms) + 1.  None when declined."},
     {"q_check", q_check, METH_VARARGS,
      "q_check(prefix, zero_extended, tiles, max_terms)\n"
-     "-> (matched_through, first_mismatch, status, at, n_actual) or None\n\n"
-     "Run q_generate's recurrence and compare it with the tiles, each\n"
-     "five terms at a time; None when declined."},
+     "-> (first_mismatch, status, n_actual) or None\n\n"
+     "Run q_generate's recurrence, n_actual terms, and compare it with the\n"
+     "tiles, each five terms at a time; None when declined."},
     {"rst_generate", rst_generate, METH_VARARGS,
-     "rst_generate(n_max) -> (r, s, t, which, at) or None\n\n"
-     "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q');\n"
-     "None when declined."},
+     "rst_generate(n_max) -> (r, s, t, which) or None\n\n"
+     "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q'),\n"
+     "cut at row len(s) where which ends the system; None when declined."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"
      "Rows lo..hi-1 of the int64 buffer columns as text, written in one\n"

@@ -163,7 +163,7 @@ def _scan_worker(abc_profile, q_check, max_terms: int, n: int):
     it imported, so that no call imports and a worker process unpickles them
     by name."""
     profile = abc_profile(n)
-    _, _, code, _, n_actual = q_check(range(1, n + 1), True, (), max_terms)
+    _, code, n_actual = q_check(range(1, n + 1), True, (), max_terms)
     return n, profile.j, profile.classification, code, n_actual
 
 

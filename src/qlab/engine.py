@@ -164,13 +164,17 @@ class GeneratedSequence:
         return self.terms[n - 1]
 
 
-def _status_of(code: int, at: int) -> SequenceStatus:
-    """The SequenceStatus for a kernel's status code and index."""
+def _status_of(code: int, length: int) -> SequenceStatus:
+    """The status of a run of ``length`` terms that stopped as the kernel's
+    ``code`` says: the one rule for where, at the index past its last term.
+    STATUS_OVERFLOW raises ArithmeticOverflowError naming that index."""
+    if code == _backend.STATUS_ALIVE:
+        return SequenceStatus.alive()
     if code == _backend.STATUS_DIED:
-        return SequenceStatus.died(at)
+        return SequenceStatus.died(length + 1)
     if code == _backend.STATUS_ENDED:
-        return SequenceStatus.ended(at)
-    return SequenceStatus.alive()
+        return SequenceStatus.ended(length + 1)
+    raise ArithmeticOverflowError(length + 1)
 
 
 def _check_run(ic: InitialCondition, max_terms: int) -> None:
@@ -196,10 +200,8 @@ def evaluate(ic: InitialCondition, max_terms: int, mode: str | None = None) -> G
     max_terms = _term(max_terms, "max_terms")
     _check_run(ic, max_terms)
     exact = resolve_int_mode(mode) == "exact"
-    terms, code, at = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, exact)
-    if code == _backend.STATUS_OVERFLOW:
-        raise ArithmeticOverflowError(at)
-    return GeneratedSequence(ic, terms, _status_of(code, at))
+    terms, code = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, exact)
+    return GeneratedSequence(ic, terms, _status_of(code, len(terms)))
 
 
 @dataclass(frozen=True)
@@ -231,11 +233,13 @@ def _check(prefix, tiles, max_terms: int, predicted=None) -> PredictionReport:
     exactly, with the prefix and then the terms ``tiles`` predict after it:
     the one comparison of a prediction with brute force, for every family
     of initial conditions.  ``predicted(length)`` is the status of the
-    prediction, ``length`` its count of terms; alive when it is None."""
+    prediction, ``length`` its count of terms; alive when it is None.  The
+    terms agree through the first mismatch, or through the whole run."""
     length = len(prefix) + sum(tile[1] for tile in tiles)
     status = SequenceStatus.alive() if predicted is None else predicted(length)
-    matched, first, code, at, n_actual = _backend.q_check(prefix, True, tiles, max_terms)
-    actual = _status_of(code, at)
+    first, code, n_actual = _backend.q_check(prefix, True, tiles, max_terms)
+    matched = n_actual if first is None else first[0] - 1
+    actual = _status_of(code, n_actual)
     return PredictionReport(matched, first, status, actual, status == actual and length == n_actual)
 
 

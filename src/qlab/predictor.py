@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from ._fallback import TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, materialise
+from ._fallback import STATUS_ENDED, TILE_BLOCKS, TILE_CHUNK, TILE_LITERAL, materialise
 from .engine import (
-    GeneratedSequence, InitialCondition, PredictionReport, SequenceStatus, _check, _term
+    GeneratedSequence, InitialCondition, PredictionReport, SequenceStatus, _check, _status_of,
+    _term,
 )
 from .errors import DivisibilityError, QlabError, ValidationError
 
@@ -251,7 +252,7 @@ def _predicted_status(profile: StructureProfile, length: int, max_terms: int) ->
         raise QlabError(
             f"classification of {profile.n_value} unresolved at depth {len(profile.c)}"
         )
-    return SequenceStatus.ended(length + 1)
+    return _status_of(STATUS_ENDED, length)
 
 
 def predict_sequence(
@@ -267,11 +268,12 @@ def predict_sequence(
     int64, as evaluate() returns them.
     """
     profile = _checked_profile(n_value, max_terms, max_depth)
+    # the condition first: its tuple of N terms is sized at once, so an N
+    # too large for memory is a MemoryError before any term is built
+    ic = InitialCondition.identity(n_value, zero_extended=True)
     tiles = predicted_tiles(profile, max_terms)
     terms = materialise(range(1, profile.n_value + 1), tiles, max_terms)
-    status = _predicted_status(profile, len(terms), max_terms)
-    ic = InitialCondition.identity(n_value, zero_extended=True)
-    return GeneratedSequence(ic, terms, status)
+    return GeneratedSequence(ic, terms, _predicted_status(profile, len(terms), max_terms))
 
 
 def verify_against_bruteforce(

@@ -105,8 +105,8 @@ def rst_compute(n_max: int) -> RSTState:
     n_max = _term(n_max, "n_max")
     if n_max < 2:
         raise ValidationError("rst_compute needs n_max >= 2")
-    r, s, t, which, at = _backend.rst_generate(n_max)
-    status = RSTStatus.alive() if which is None else RSTStatus.ended(which, at)
+    r, s, t, which = _backend.rst_generate(n_max)
+    status = RSTStatus.alive() if which is None else RSTStatus.ended(which, len(s))
     return RSTState(r, s, t, status)
 
 

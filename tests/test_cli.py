@@ -609,6 +609,17 @@ def test_rst_past_memory_is_out_of_memory(request, capsys, backend):
             1, "", "qlab: error: out of memory\n")
 
 
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_predict_past_memory_is_out_of_memory(request, capsys, backend):
+    # the identity condition of 10^17 terms is sized at once, 8e17 bytes,
+    # before a predicted term is built, instead of growing term by term
+    # toward the memory of the machine
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        assert run_cli(capsys, "predict", "--n", str(10**17), "--max", str(10**17 + 60)) == (
+            1, "", "qlab: error: out of memory\n")
+
+
 def test_version_and_usage_errors(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0 and out.startswith("qlab ")

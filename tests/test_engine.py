@@ -48,7 +48,7 @@ from qlab._fallback import (
     TILE_CHUNK,
     TILE_LITERAL,
 )
-from qlab.engine import ROWS_PER_CALL, write_json, write_table
+from qlab.engine import ROWS_PER_CALL, _check, write_json, write_table
 
 # Q(1)=Q(2)=1: hand-unrolled prefix of the classic sequence
 CLASSIC_17 = [1, 1, 2, 3, 3, 4, 5, 5, 6, 6, 6, 8, 8, 8, 10, 9, 10]
@@ -223,6 +223,46 @@ def test_oversized_initial_term_rejected_up_front():
     with pytest.raises(ArithmeticOverflowError) as exc:
         evaluate(InitialCondition((1, 2, -(2**63) - 1, 4, 2**64)), 10, mode="fast64")
     assert exc.value.index == 3
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+@pytest.mark.parametrize("ic, max_terms, mode, want", [
+    (InitialCondition((2, 0)), 10, "fast64", SequenceStatus.died(3)),
+    (InitialCondition((1, 2, 1)), 40, "fast64", SequenceStatus.died(18)),
+    (InitialCondition((1, 0), True), 10, "fast64", SequenceStatus.ended(3)),
+    (InitialCondition.identity(37, True), 5000, "fast64", SequenceStatus.ended(278)),
+    (InitialCondition((1, 2**70)), 10, "fast64", 2),
+    (InitialCondition((4, 3 * 2**61, 4, 8), True), 200, "fast64", 10),
+    (InitialCondition((9, 3 * 2**61, 2, 7), True), 200, "fast64", 56),
+    (InitialCondition((4, 3 * 2**61, 4, 8), True), 200, "exact", SequenceStatus.ended(20)),
+    (InitialCondition((1, 2**64, 3, 4)), 50, "exact", SequenceStatus.died(6)),
+    (InitialCondition((1, 2, 3, 4), True), 4, "fast64", SequenceStatus.alive()),
+    (InitialCondition.identity(38, True), 20, "fast64", SequenceStatus.alive()),
+], ids=["died-at-once", "died", "ended-at-once", "ended", "prefix-past-int64", "computed-past-int64",
+        "computed-past-int64-later", "exact-resumed-then-ended", "exact-from-the-prefix-then-died",
+        "prefix-fills-budget", "prefix-past-budget"])
+def test_a_run_stops_one_past_its_last_term(request, backend, ic, max_terms, mode, want):
+    """The kernels return a run's terms and status only: every way a run
+    stops is at the index one past its last term, a SequenceStatus or the
+    index an ArithmeticOverflowError names (an int in want), on each
+    backend.  A run resumed in Python past int64 stops by its own length."""
+    kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
+    with mock.patch.object(_backend, "_kernel", kernel):
+        if max_terms < len(ic):
+            # a budget short of the prefix, which evaluate refuses: only the
+            # check's run has one, and it keeps the prefix whole
+            report = _check(ic.terms, (), max_terms)
+            assert (report.actual_status, report.matched_through) == (want, len(ic))
+        elif isinstance(want, int):
+            with pytest.raises(ArithmeticOverflowError) as exc:
+                evaluate(ic, max_terms, mode=mode)
+            assert exc.value.index == want
+            terms, code = _backend.q_generate(ic.terms, ic.zero_extended, max_terms, False)
+            assert (code, len(terms)) == (STATUS_OVERFLOW, want - 1)
+        else:
+            seq = evaluate(ic, max_terms, mode=mode)
+            assert seq.status == want
+            assert len(seq) == (max_terms if want.is_alive else want.at_index - 1)
 
 
 small_ics = st.tuples(
@@ -460,7 +500,7 @@ def test_terms_are_an_int64_array(request, backend, mode):
         if mode == "exact":
             assert type(run[0]) is list and len(run[0]) == 200 and max(run[0]) > INT64_MAX
         else:
-            assert type(run[0]) is array and run[1:] == (STATUS_OVERFLOW, 56)
+            assert type(run[0]) is array and run[1] == STATUS_OVERFLOW
             assert len(run[0]) == 55
         assert type(predicted) is list and predicted == [1, INT64_MAX + 1]
     else:
@@ -1037,7 +1077,7 @@ def test_buffers_are_released(compiled_kernel):
         return (*head, (TILE_BLOCKS, length, lam, tables))
 
     checks = [
-        (blocks(), 104, (104, None, 0, 0, 104)),  # all 104 terms match
+        (blocks(), 104, (None, 0, 104)),  # all 104 terms match
         (blocks(lam=2**64), 104, None),  # lam*T(1) is past int64
         (blocks(length=1500), 2000, None),  # the tables are too short
         ((*blocks(), (9, 1, 0, None)), 200, None),  # a malformed tile after them
@@ -1076,7 +1116,7 @@ def test_buffers_are_released(compiled_kernel):
 def test_q_check_reads_tables_of_any_sequence_type(compiled_kernel, prefix, lam, mu, length,
                                                    budget):
     """The kernel reads only int64 tables and declines tuples and lists, for
-    which _backend.q_check answers in Python: the same 5-tuple either way."""
+    which _backend.q_check answers in Python: the same 3-tuple either way."""
     state = rst_compute(400)
     results = set()
     for kernel in (compiled_kernel, None):

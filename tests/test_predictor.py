@@ -182,7 +182,7 @@ def test_each_exception_fails_inside_the_class_zero_closing():
         assert profile.classification == 0
         end = profile.a[-1] + 161
         tiles = predicted_tiles(profile, end)
-        _, first, _, _, _ = _backend.q_check(tuple(range(1, n + 1)), True, tiles, end)
+        first, _, _ = _backend.q_check(tuple(range(1, n + 1)), True, tiles, end)
         index, predicted, _ = first
         assert (index - profile.a[-1] - 2, predicted) == (row, value), n
 
@@ -704,7 +704,8 @@ def test_class2_lam_clears_the_side_condition(fastest_backend):
 
 
 def _list_check(prefix, zero: bool, tiles, budget: int):
-    """What q_check must report, from the two lists verify used to build."""
+    """What q_check must report, from the two lists verify used to build,
+    led by the count of leading terms that agree, which _check reports."""
     predicted = materialise(prefix, tiles, budget)
     actual = evaluate(InitialCondition(prefix, zero), budget, mode="exact")
     first = _first_difference(predicted, actual.terms)
@@ -714,11 +715,18 @@ def _list_check(prefix, zero: bool, tiles, budget: int):
 
 def _checks(kernel, prefix, zero: bool, tiles, budget: int):
     """q_check through the compiled kernel and through the reference, in
-    the shape of _list_check."""
+    the shape of _list_check after its count."""
     compiled = kernel.q_check(prefix, zero, tiles, budget)
     reference = _fallback.q_check(prefix, zero, tiles, budget, checked=True)
-    for matched, first, code, at, n_actual in (compiled, reference):
-        yield matched, first, _status_of(code, at), n_actual
+    for first, code, n_actual in (compiled, reference):
+        yield first, _status_of(code, n_actual), n_actual
+
+
+def _check_count(kernel, prefix, tiles, budget: int) -> int:
+    """The count of leading terms that agree, as _check derives it from
+    q_check's result."""
+    with mock.patch.object(_backend, "_kernel", kernel):
+        return _check(prefix, tiles, budget).matched_through
 
 
 def _mismatch_cases():
@@ -750,7 +758,9 @@ def test_q_check_reports_mismatches_like_the_lists(compiled_kernel):
     for prefix, zero, tiles, budget in _mismatch_cases():
         want = _list_check(prefix, zero, tiles, budget)
         for got in _checks(compiled_kernel, prefix, zero, tiles, budget):
-            assert got == want, (len(prefix), zero, budget)
+            assert got == want[1:], (len(prefix), zero, budget)
+        if zero:  # _check runs the zero-extended convention only
+            assert _check_count(compiled_kernel, prefix, tiles, budget) == want[0]
         first = want[1]
         shapes.add(None if first is None else (first[1] is None, first[2] is None))
     # values differ; the prediction stops early; the actual run stops early
@@ -890,7 +900,9 @@ def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
         if event == "int64":  # declined: the value to report lies outside int64
             assert compiled is None and first[1] > INT64_MAX
         else:
-            assert (*compiled[:2], _status_of(*compiled[2:4]), compiled[4]) == want, (event, p)
+            assert (compiled[0], _status_of(*compiled[1:]), compiled[2]) == want[1:], (event, p)
+            if zero:
+                assert _check_count(compiled_kernel, prefix, tiles, budget) == matched, (event, p)
         if (first is None and matched == p + 1) if event == "budget" else matched == p:
             seen.add((event, kind, r, g > 0))
     for kind in (TILE_LITERAL, TILE_CHUNK, TILE_BLOCKS):
@@ -973,14 +985,22 @@ def test_tiles_start_just_past_the_prefix(request, backend, prefix):
     run = evaluate(InitialCondition(prefix, True), budget).terms.tolist()  # alive through the budget
     after = ((TILE_LITERAL, 40, tuple(run[k:]), None),)
     q = run[k]  # Q(k + 1)
-    with mock.patch.object(_backend, "_kernel", kernel):
-        assert _backend.q_check(prefix, True, after, budget) == (budget, None, 0, 0, budget)
-        wrong = ((TILE_LITERAL, 1, (q + 1,), None),)
-        assert _backend.q_check(prefix, True, wrong, budget) == (k, (k + 1, q + 1, q), 0, 0, budget)
+    wrong = ((TILE_LITERAL, 1, (q + 1,), None),)
+    # (tiles, budget, _check's matched_through, first_mismatch, n_actual)
+    checks = (
+        (after, budget, budget, None, budget),
+        (wrong, budget, k, (k + 1, q + 1, q), budget),
         # no tiles, as scan's call: the run's next term goes unpredicted
-        assert _backend.q_check(prefix, True, (), budget) == (k, (k + 1, None, q), 0, 0, budget)
+        ((), budget, k, (k + 1, None, q), budget),
         # a budget short of the prefix: no tile is compared
-        assert _backend.q_check(prefix, True, wrong, k - 1) == (k, None, 0, 0, k)
+        (wrong, k - 1, k, None, k),
+    )
+    with mock.patch.object(_backend, "_kernel", kernel):
+        for tiles, limit, matched, first, n_actual in checks:
+            assert _backend.q_check(prefix, True, tiles, limit) == (first, 0, n_actual)
+            report = _check(prefix, tiles, limit)
+            assert (report.matched_through, report.first_mismatch) == (matched, first)
+            assert report.actual_status == SequenceStatus.alive()
     assert materialise(prefix, after, budget).tolist() == run
     assert materialise(prefix, after, k - 1).tolist() == list(prefix)
 
@@ -993,8 +1013,8 @@ def test_q_check_builds_only_what_the_run_reaches(compiled_kernel):
     tiles = predicted_tiles(abc_profile(38), 200_000)
     for kernel in (compiled_kernel, None):
         with mock.patch.object(_backend, "_kernel", kernel):
-            assert _backend.q_check((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12) == (2, (3, 1, None), 1, 3, 2)
-            assert _backend.q_check(range(1, 39), False, tiles, 200_000) == (66, (67, 44, None), 1, 67, 66)
+            assert _backend.q_check((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12) == ((3, 1, None), 1, 2)
+            assert _backend.q_check(range(1, 39), False, tiles, 200_000) == ((67, 44, None), 1, 66)
 
 
 def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):

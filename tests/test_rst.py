@@ -175,7 +175,7 @@ def test_cache_regrows_by_doubling(monkeypatch):
 
 def test_cache_reports_where_the_system_ended(monkeypatch):
     ended = SimpleNamespace(
-        rst_generate=lambda n_max: ((0, 1, 2, 3), (1, 1, 2, 2), (1, 2, 2, 3), "t", 4))
+        rst_generate=lambda n_max: ((0, 1, 2, 3), (1, 1, 2, 2), (1, 2, 2, 3), "t"))
     monkeypatch.setattr(rst, "_TABLES", RSTState((0,), (1,), (1,), RSTStatus.alive()))
     monkeypatch.setattr(_backend, "_kernel", ended)
     assert _tables(3).R(3) == 3
