@@ -4,9 +4,9 @@ For most N >= 35 the sequence generated from <0-bar; 1, 2, ..., N> follows a
 rigid layout: the identity prefix, 28 affine terms, six sporadic values, then
 a chain of period-5 quasilinear chunks whose extents are governed by nested
 markers A_1 < A_2 < ... computed by a base-5 descent on N.  Each level m of
-the descent carries a residue C_m, and chunk m is followed by the terms of
-`CLOSINGS[C_m]`: a bridge to chunk m+1 while C_m == 1; at the first level j
-with C_j != 1, either the end of the run, one index past its last term
+the descent carries a residue C_m, and chunk m is followed by the rows that
+`_closing(C_m)` derives: a bridge to chunk m+1 while C_m == 1; at the first
+level j with C_j != 1, either the end of the run, one index past its last term
 (C_j in {0, 3, 4}), or the head of blocks that grow forever from the R/S/T
 system (C_j == 2).  The descent depends on N only through its base-5 digits, so
 the classification of every N can be arranged into a five-way branching tree.
@@ -53,46 +53,45 @@ def _prefix() -> tuple[tuple[int, int], ...]:
     return tuple((t.a, t.b) for t in symbolic_extend("zero_extended", NConstraint(35), 34).terms)
 
 
-# CLOSINGS[c]: the (c, d, f) rows of the terms that close a level m of the
-# descent with residue C_m = c, starting just past chunk m: row i is the term
-# at A_m + C'_m + 1 + i, equal to c*x_m + d*A_m + f, where x_m = A_m*D_m + B_m
-# and D_m = (A_m - A_{m-1} - C_m - 2) / 5.  Row set 1 is the bridge to chunk
-# m+1 (its third term is A_{m+1} = x_m + A_m), row set 2 the head of the
-# R/S/T blocks (5R(1) = 5S(1) = 5), and 0, 3 and 4 end the run.
-CLOSINGS: tuple[tuple[tuple[int, int, int], ...], ...] = (
-    ((0, 0, 6), (0, 0, 7), (0, 0, 8), (0, 0, 8), (0, 0, 10), (1, 0, 3),
-     (0, 0, 5), (0, 0, 8), (0, 0, 14), (0, 0, 10), (0, 0, 11), (0, 0, 13),
-     (0, 1, 7), (0, 0, 15), (0, 1, 10), (0, 0, 14), (0, 0, 17), (0, 0, 14),
-     (0, 0, 17), (1, 0, 11), (0, 0, 8), (0, 0, 15), (0, 1, 18), (0, 0, 22),
-     (0, 0, 17), (0, 0, 22), (0, 0, 20), (1, 0, 11), (0, 0, 14), (0, 0, 14),
-     (0, 0, 34), (1, 0, 14), (0, 0, 5), (0, 0, 14), (0, 0, 22), (0, 0, 30),
-     (0, 1, 15), (0, 0, 33), (1, 0, 29), (0, 0, 5), (0, 0, 30), (0, 1, 28),
-     (0, 1, 24), (0, 0, 40), (0, 0, 33), (1, 1, 10), (0, 0, 15), (0, 0, 5),
-     (0, 0, 54), (0, 0, 36), (0, 1, 15), (0, 0, 53), (0, 1, 40), (0, 0, 22),
-     (0, 0, 22), (0, 0, 28), (0, 0, 36), (0, 0, 29), (0, 1, 32), (0, 0, 64),
-     (0, 0, 36), (1, 0, 22), (0, 0, 20), (0, 0, 40), (0, 0, 50), (0, 0, 36),
-     (0, 0, 51), (1, 0, 31), (0, 0, 14), (0, 0, 28), (0, 1, 60), (0, 0, 54),
-     (0, 0, 32), (1, 1, 39), (0, 1, 24), (0, 0, 54), (0, 1, 73), (0, 0, 29),
-     (0, 0, 44), (0, 1, 45), (0, 1, 53), (0, 0, 70), (0, 1, 39), (0, 0, 62),
-     (0, 1, 66), (0, 0, 44), (0, 1, 47), (0, 0, 83), (1, 0, 47), (0, 0, 5),
-     (0, 0, 44), (0, 1, 52), (0, 0, 97), (0, 0, 49), (2, 1, 10), (0, 0, 15),
-     (0, 0, 70), (1, 1, 50), (0, 0, 14), (0, 0, 44), (0, 1, 83), (0, 0, 50),
-     (0, 1, 62), (0, 0, 66), (1, 0, 74), (0, 0, 5), (0, 0, 50), (0, 1, 91),
-     (0, 1, 52), (0, 0, 81), (0, 0, 75), (0, 1, 49), (0, 0, 99), (0, 1, 77),
-     (0, 0, 54), (1, 0, 63), (0, 0, 20), (1, 1, 50), (0, 0, 14), (0, 0, 5),
-     (1, 0, 113), (0, 0, 20), (0, 1, 62), (0, 0, 130), (0, 1, 65), (0, 0, 66),
-     (0, 0, 100), (2, 0, 33), (0, 0, 14), (1, 0, 63), (0, 0, 20), (0, 1, 49),
-     (0, 0, 185), (0, 0, 92), (0, 2, 24), (0, 0, 40), (0, 0, 70), (2, 1, 81),
-     (0, 0, 14), (0, 0, 66), (0, 1, 124), (0, 0, 74), (0, 0, 35), (0, 1, 80),
-     (0, 0, 148), (1, 0, 68), (0, 0, 5), (0, 0, 35), (0, 2, 157), (0, 0, 54),
-     (0, 0, 70), (1, 1, 120), (0, 1, 39), (0, 0, 117), (0, 0, 151), (1, 0, 39),
-     (1, 0, 3), (0, 0, 0)),
-    ((0, 0, 5), (0, 0, 8), (1, 1, 0), (0, 0, 3), (0, 0, 8)),
-    ((0, 0, 4), (1, 0, 2), (0, 0, 5), (0, 0, 5)),
-    ((0, 0, 6), (0, 1, 5), (1, 0, 0), (0, 0, 0)),
-    ((0, 0, 7), (0, 1, 5), (0, 0, 4), (0, 1, 2), (0, 0, 13), (1, 0, 7),
-     (0, 0, 5), (0, 0, 4), (0, 1, 15), (1, 0, 7), (0, 0, 0)),
-)
+@cache
+def _closing(c: int) -> tuple[int, tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """(C'_m, rows, reach) for a level m of the descent with C_m = c: chunk m
+    runs through A_m + C'_m, row i is the term at A_m + C'_m + 1 + i, held as
+    (c, d, f) for c*x_m + d*A_m + f, where x_m = A_m*D_m + B_m and
+    5*D_m = A_m - A_{m-1} - c - 2, and rows 0..i read at most Q(reach[i]).
+    The recurrence runs on such forms, ordered x_m >> A_m >> 1, from A_m - c,
+    where chunk m holds (x_m + A_m*j, 5, A_m, 3, 5)[r] at A_m - c + 5j + r, to
+    the end of the run (c = 0, 3, 4), chunk m+1 at A_m + 7 (c = 1) or R/S/T
+    block 1 at A_m + 5 (c = 2).  For c = 0 this assumes x_m >= A_m + 157, and
+    chunk m back to A_m - 49; neither is recorded as a threshold.
+    """
+
+    def term(k: int) -> tuple[int, int, int]:  # the term at A_m + k
+        if k in run:
+            return run[k]
+        j, r = divmod(k + c, 5)
+        return ((1, j, 0), (0, 0, 5), (0, 1, 0), (0, 0, 3), (0, 0, 5))[r]
+
+    run, rows, reach, top, k, stop = {}, [], [], 0, -c, {1: 7, 2: 5}.get(c)
+    while k != stop:
+        value = (0, 0, 0)
+        for back in (1, 2):
+            p, q, r = term(k - back)
+            p, q, r = -p, 1 - q, k - r  # the index read, p*x_m + q*A_m + r
+            read = (0, 0, 0)  # what an index <= 0 reads, unless placed below
+            if (p, q) == (0, 1) and r < k:  # a term already derived, or chunk m
+                read = term(r)
+            elif (p, q) == (0, 0) and r >= 1:  # the identity, for N >= r
+                read, top = (0, 0, r), max(top, r)
+            elif (p, q) >= (0, 1):  # at or past A_m + k: the run ends
+                return k - len(rows) - 1, tuple(rows), tuple(reach)
+            value = tuple(u + v for u, v in zip(value, read))
+        if rows or value != term(k):  # chunk m ends at its first departure
+            rows.append(value)
+            reach.append(top)
+        run[k] = value
+        k += 1
+    return k - len(rows) - 1, tuple(rows), tuple(reach)
 
 
 def _exact5(value: int) -> int:
@@ -148,7 +147,7 @@ def abc_profile(n_value: int, max_depth: int = 16) -> StructureProfile:
         a.append(nxt)
         b.append(nxt - a[i])
         c.append((nxt + 2 * (i + 1) + 1) % 5)
-    c_prime = tuple(max(0, ((3 - ci) % 5) - 1) for ci in c)
+    c_prime = tuple(_closing(ci)[0] for ci in c)
     if c[-1] != 1:
         j, classification = len(c), c[-1]
     else:
@@ -159,14 +158,15 @@ def abc_profile(n_value: int, max_depth: int = 16) -> StructureProfile:
 
 
 def is_exceptional(n_value: int) -> bool:
-    """True when the predicted layout is known not to hold for N: for N
-    in 2..34, and for an N below 118 of classification 0, whose run fails
-    inside the 158-row closing (tests/test_predictor.py names the row for
-    each one brute force reaches)."""
+    """True when the predicted layout is known not to hold for N: N in 2..34,
+    and N below 118 of classification 0, whose run fails at the first row of
+    the class-0 closing that reads past Q(N): that closing reads up to Q(118).
+    The other closings read at most Q(7): no N >= 35 of those classes fails."""
     n_value = _term(n_value, "n_value")
     if n_value < 0:
         raise ValidationError("n_value must be nonnegative")
-    return 2 <= n_value <= 34 or (n_value < 118 and abc_profile(n_value).classification == 0)
+    cutoff = _closing(0)[2][-1]
+    return 2 <= n_value <= 34 or (n_value < cutoff and abc_profile(n_value).classification == 0)
 
 
 def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, ...]:
@@ -174,12 +174,12 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
 
     Each tile is ``(kind, length, a, b)`` as ``_fallback`` documents: the
     34-term literal, then chunk 1 and, for each level m of the descent, the
-    literal of ``CLOSINGS[C_m]`` followed by chunk m+1 when C_m = 1 or by
-    the run of R/S/T blocks when C_m = 2.  There are O(j + closing) tiles
-    whatever the budget.  The prediction is infinite for classification 2,
-    ends one short of its end index after the closing of classification 0,
-    3 or 4, and stops after the last computed chunk when the profile is
-    truncated: exactly then the tiles end short of max_terms.
+    literal of the rows ``_closing(C_m)`` derives, followed by chunk m+1 when
+    C_m = 1 or by the run of R/S/T blocks when C_m = 2.  There are O(j +
+    closing) tiles whatever the budget.  The prediction is infinite for
+    classification 2, ends one short of its end index after the closing of
+    classification 0, 3 or 4, and stops after the last computed chunk when
+    the profile is truncated: exactly then the tiles end short of max_terms.
     """
     n = profile.n_value
     a, b, c, cp = profile.a, profile.b, profile.c, profile.c_prime
@@ -204,7 +204,7 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
             break
         a_m, c_m = a[m], c[m - 1]
         x = a_m * _exact5(a_m - a[m - 1] - c_m - 2) + b[m - 1]
-        rows = CLOSINGS[c_m][: max_terms - end]
+        rows = _closing(c_m)[1][: max_terms - end]
         add(TILE_LITERAL, len(rows), tuple([cc * x + dd * a_m + ff for cc, dd, ff in rows]), None)
         if c_m == 1:
             add(TILE_CHUNK, a[m + 1] + cp[m] - end, a[m + 1] + b[m], a[m + 1])

@@ -39,8 +39,63 @@ from qlab._fallback import (
     materialise,
 )
 from qlab.engine import InitialCondition, SequenceStatus, _check, _status_of, evaluate
-from qlab.predictor import CLOSINGS, StructureProfile, _exact5, predicted_tiles
+from qlab.predictor import StructureProfile, _exact5, predicted_tiles
 from qlab.rst import _tables, rst_compute
+
+
+# The (c, d, f) rows of the terms that close a level m of the descent with
+# C_m = c, as predictor stored them before _closing derived them, frozen here
+# as the reference: row i is the term at A_m + C'_m + 1 + i, equal to
+# c*x_m + d*A_m + f.  Rows 1 are the bridge to chunk m+1, rows 2 the head of
+# the R/S/T blocks, and rows 0, 3 and 4 end the run.
+CLOSINGS = (
+    ((0, 0, 6), (0, 0, 7), (0, 0, 8), (0, 0, 8), (0, 0, 10), (1, 0, 3),
+     (0, 0, 5), (0, 0, 8), (0, 0, 14), (0, 0, 10), (0, 0, 11), (0, 0, 13),
+     (0, 1, 7), (0, 0, 15), (0, 1, 10), (0, 0, 14), (0, 0, 17), (0, 0, 14),
+     (0, 0, 17), (1, 0, 11), (0, 0, 8), (0, 0, 15), (0, 1, 18), (0, 0, 22),
+     (0, 0, 17), (0, 0, 22), (0, 0, 20), (1, 0, 11), (0, 0, 14), (0, 0, 14),
+     (0, 0, 34), (1, 0, 14), (0, 0, 5), (0, 0, 14), (0, 0, 22), (0, 0, 30),
+     (0, 1, 15), (0, 0, 33), (1, 0, 29), (0, 0, 5), (0, 0, 30), (0, 1, 28),
+     (0, 1, 24), (0, 0, 40), (0, 0, 33), (1, 1, 10), (0, 0, 15), (0, 0, 5),
+     (0, 0, 54), (0, 0, 36), (0, 1, 15), (0, 0, 53), (0, 1, 40), (0, 0, 22),
+     (0, 0, 22), (0, 0, 28), (0, 0, 36), (0, 0, 29), (0, 1, 32), (0, 0, 64),
+     (0, 0, 36), (1, 0, 22), (0, 0, 20), (0, 0, 40), (0, 0, 50), (0, 0, 36),
+     (0, 0, 51), (1, 0, 31), (0, 0, 14), (0, 0, 28), (0, 1, 60), (0, 0, 54),
+     (0, 0, 32), (1, 1, 39), (0, 1, 24), (0, 0, 54), (0, 1, 73), (0, 0, 29),
+     (0, 0, 44), (0, 1, 45), (0, 1, 53), (0, 0, 70), (0, 1, 39), (0, 0, 62),
+     (0, 1, 66), (0, 0, 44), (0, 1, 47), (0, 0, 83), (1, 0, 47), (0, 0, 5),
+     (0, 0, 44), (0, 1, 52), (0, 0, 97), (0, 0, 49), (2, 1, 10), (0, 0, 15),
+     (0, 0, 70), (1, 1, 50), (0, 0, 14), (0, 0, 44), (0, 1, 83), (0, 0, 50),
+     (0, 1, 62), (0, 0, 66), (1, 0, 74), (0, 0, 5), (0, 0, 50), (0, 1, 91),
+     (0, 1, 52), (0, 0, 81), (0, 0, 75), (0, 1, 49), (0, 0, 99), (0, 1, 77),
+     (0, 0, 54), (1, 0, 63), (0, 0, 20), (1, 1, 50), (0, 0, 14), (0, 0, 5),
+     (1, 0, 113), (0, 0, 20), (0, 1, 62), (0, 0, 130), (0, 1, 65), (0, 0, 66),
+     (0, 0, 100), (2, 0, 33), (0, 0, 14), (1, 0, 63), (0, 0, 20), (0, 1, 49),
+     (0, 0, 185), (0, 0, 92), (0, 2, 24), (0, 0, 40), (0, 0, 70), (2, 1, 81),
+     (0, 0, 14), (0, 0, 66), (0, 1, 124), (0, 0, 74), (0, 0, 35), (0, 1, 80),
+     (0, 0, 148), (1, 0, 68), (0, 0, 5), (0, 0, 35), (0, 2, 157), (0, 0, 54),
+     (0, 0, 70), (1, 1, 120), (0, 1, 39), (0, 0, 117), (0, 0, 151), (1, 0, 39),
+     (1, 0, 3), (0, 0, 0)),
+    ((0, 0, 5), (0, 0, 8), (1, 1, 0), (0, 0, 3), (0, 0, 8)),
+    ((0, 0, 4), (1, 0, 2), (0, 0, 5), (0, 0, 5)),
+    ((0, 0, 6), (0, 1, 5), (1, 0, 0), (0, 0, 0)),
+    ((0, 0, 7), (0, 1, 5), (0, 0, 4), (0, 1, 2), (0, 0, 13), (1, 0, 7),
+     (0, 0, 5), (0, 0, 4), (0, 1, 15), (1, 0, 7), (0, 0, 0)),
+)
+
+
+def _c_prime(c: int) -> int:
+    """C'_m for C_m = c, as abc_profile stated it before _closing derived it."""
+    return max(0, ((3 - c) % 5) - 1)
+
+
+def test_closings_are_derived():
+    for c in range(5):
+        c_prime, rows, reach = predictor._closing(c)
+        assert rows == CLOSINGS[c], c
+        assert c_prime == _c_prime(c), c
+    # the class-0 closing reads Q(118), the one cutoff of is_exceptional
+    assert tuple(predictor._closing(c)[2][-1] for c in range(5)) == (118, 3, 2, 1, 7)
 
 
 def test_profile_42():
@@ -158,7 +213,7 @@ def test_exception_rule_matches_the_stored_list():
 
 # N -> (1-based row of the 158-row class-0 closing, predicted value) at the
 # first term where the run from <0-bar; 1..N> leaves the prediction: the
-# target a derivation of the exception rule has to meet.  117, whose end
+# first row that reads past Q(N) from the identity prefix.  117, whose end
 # index is about 3.3e12, is out of brute-force reach.
 EXCEPTION_ROWS = {
     36: (52, 53),
@@ -177,14 +232,25 @@ EXCEPTION_ROWS = {
 def test_each_exception_fails_inside_the_class_zero_closing():
     exceptions = [n for n in range(35, 118) if is_exceptional(n)]
     assert exceptions == sorted(EXCEPTION_ROWS) + [117]
+    reach = predictor._closing(0)[2]
     for n, (row, value) in EXCEPTION_ROWS.items():
         profile = abc_profile(n)
         assert profile.classification == 0
+        assert next(i for i, r in enumerate(reach, 1) if r > n) == row, n
         end = profile.a[-1] + 161
         tiles = predicted_tiles(profile, end)
         first, _, _ = _backend.q_check(tuple(range(1, n + 1)), True, tiles, end)
         index, predicted, _ = first
         assert (index - profile.a[-1] - 2, predicted) == (row, value), n
+    # 117 by the same rule, at depth 4: its run first fails at closing row
+    # 155, which reads Q(118), where 151 is predicted
+    profile = abc_profile(117)
+    assert (profile.j, profile.classification) == (4, 0)
+    assert next(i for i, r in enumerate(reach, 1) if r > 117) == 155
+    index = profile.a[-1] + 157
+    assert index == 3_346_939_304_068
+    *_, (kind, length, values, _) = predicted_tiles(profile, index)
+    assert (kind, length, values[-1]) == (TILE_LITERAL, 155, 151)
 
 
 def test_predicted_end_indices():
@@ -383,7 +449,7 @@ def test_profile_invariants(n):
     assert p.b[0] == -11 * n - 22  # definitional, not a difference of a
     assert p.b[1:] == tuple(p.a[i + 1] - p.a[i] for i in range(1, len(p.b)))
     assert all(0 <= ci <= 4 for ci in p.c)
-    assert p.c_prime == tuple(max(0, ((3 - ci) % 5) - 1) for ci in p.c)
+    assert p.c_prime == tuple(_c_prime(ci) for ci in p.c)
     if p.j is not None:
         assert p.c[: p.j - 1] == (1,) * (p.j - 1)
         assert p.c[p.j - 1] == p.classification != 1
@@ -522,9 +588,9 @@ def test_tiled_prediction_matches_stream_at_full_length():
 
 
 def _per_class_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, ...]:
-    """predicted_tiles as it was before every level closed through CLOSINGS:
-    a bridge literal per level and one branch per classification, frozen
-    here as the reference for the table."""
+    """predicted_tiles as it was before every level closed through its
+    closing rows: a bridge literal per level and one branch per
+    classification, frozen here as the reference for those rows."""
     n = profile.n_value
     a, b, cp = profile.a, profile.b, profile.c_prime
     tiles = []
