@@ -16,8 +16,11 @@ A tile is ``(kind, length, a, b)``: ``length`` consecutive predicted terms,
 the first tile taking up past the prefix (the initial condition itself, which
 no tile restates) and each later one where the one before it stopped.  By kind:
 
-* TILE_LITERAL: the first ``length`` values of the tuple ``a``, which
-  holds at least that many (``b`` unused);
+* TILE_LITERAL: ``length`` affine forms, with ``a = (x, y)`` and ``b =
+  (c, d, f)`` three tables of at least ``length`` rows: its value at offset
+  i is ``c[i]*x + d[i]*y + f[i]``.  The kernel reads only int64 buffer
+  tables, such as an ``array('q')`` or a read-only view of one, and stops
+  at the first row it cannot compute in int64;
 * TILE_CHUNK: the period-5 chunk ``(a + b*k, 5, b, 3, 5)``, k = 0, 1, ...;
 * TILE_BLOCKS: the blocks ``(lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1))``,
   k = 1, 2, ..., with ``lam = a`` and ``b = (r, s, t)`` the R/S/T tables as
@@ -30,8 +33,8 @@ q_check compares the run with the prediction tile by tile, and builds a
 tile only as far as the compare reaches (see its docstring), so a tile far
 longer than the run costs no more than the run; the kernel compares every
 tile, of any kind, five terms at a time, in place.  Every tile is read all
-the same, and a value that is not an int raises TypeError whether or not
-another value lies past int64.
+the same, and a parameter that is not an int raises TypeError whether or
+not another value lies past int64.
 """
 
 from __future__ import annotations
@@ -186,19 +189,22 @@ def _build(prefix, tiles, max_terms: int, make):
     return out
 
 
-def _tile(kind, length: int, a, b, stop: int, make):
+def _tile(kind, length: int, a, b, stop: int, make, checked: bool = False):
     """The first ``stop`` (at most ``length``) values of the tile ``(kind,
     length, a, b)``, in one container that ``make`` builds from an iterable
-    of ints; a literal comes whole, as its values are in memory already.
+    of ints.  With ``checked``, a literal's row that the kernel cannot
+    compute in int64 is INT64_MAX + 1, which no int64 term equals.
 
-    Raises ValueError for an unknown kind, for a literal of fewer than
-    ``length`` values, and for R/S/T tables shorter than the ``length``
-    values of a block tile read.
+    Raises ValueError for an unknown kind, for a literal's tables shorter
+    than ``length`` rows, and for R/S/T tables shorter than the ``length``
+    values of a block tile read; TypeError for a parameter that is not an int.
     """
     if kind == TILE_LITERAL:
-        if len(a) < length:  # its length is binding, as every other tile's is
-            raise ValueError("the literal tile holds fewer values than its length")
-        return make(tuple(a[:length]))  # a str too is refused value by value
+        (x, y), (c, d, f) = a, b
+        x, y = index(x), index(y)
+        if min(len(c), len(d), len(f)) < length:  # binding, as every other tile's length is
+            raise ValueError("the literal tile's tables hold fewer rows than its length")
+        return make(_literal(x, y, c[:stop], d[:stop], f[:stop], checked))
     if kind not in (TILE_CHUNK, TILE_BLOCKS):
         raise ValueError(f"unknown tile kind {kind!r}")
     # whole five-term periods, trimmed to stop below
@@ -222,6 +228,24 @@ def _tile(kind, length: int, a, b, stop: int, make):
         out[4::5] = make([5 * v for v in s[2 : kmax + 2]])
     del out[stop:]
     return out
+
+
+def _literal(x: int, y: int, c, d, f, checked: bool):
+    """The rows ``c*x + d*y + f`` exactly.  With ``checked``, a row the
+    kernel cannot compute in int64 is INT64_MAX + 1: a parameter outside
+    int64 under a nonzero coefficient, or a product or partial sum outside
+    int64, even where the row itself fits."""
+    for cc, dd, ff in zip(c, d, f):
+        cx, dy = cc * x, dd * y
+        if checked and ((cc and not _fits(x)) or (dd and not _fits(y))
+                        or not _fits(cx, dy, cx + dy, cx + dy + ff)):
+            yield INT64_MAX + 1
+        else:
+            yield cx + dy + ff
+
+
+def _fits(*values) -> bool:
+    return all(INT64_MIN <= v <= INT64_MAX for v in values)
 
 
 def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str:
@@ -290,15 +314,16 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
     of the prediction and the run, q_generate's status, and the count of
     actual terms.  With ``checked`` the int64 kernel is simulated: when the
     recurrence overflows, or the predicted value first_mismatch would report
-    lies outside int64, the result is None, as the kernel declines the call.
+    lies outside int64 (as a literal's row the kernel cannot compute does),
+    the result is None, as the kernel declines the call.
 
     A tile is built only as far as the compare needs it: to one value past
     the end of the run, and past the first difference only its first
     period, which reads each of its parameters.  So a prediction far longer
     than the run is never built, yet every tile is read: an unknown kind,
-    a literal of fewer values than its length, R/S/T tables too short for
-    their tile, and a literal value or a parameter that is not an int are
-    refused as materialise refuses them.
+    a literal's tables shorter than its length, R/S/T tables too short for
+    their tile, and a parameter that is not an int are refused as
+    materialise refuses them.
     """
     terms, status = q_generate(prefix, zero_extended, max_terms, checked)
     if status == STATUS_OVERFLOW:
@@ -311,9 +336,9 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
         reach = len(terms) - pos + 1 if first is None else 0
         stop = min(length, max(reach, 5))
         try:
-            values = _tile(kind, length, a, b, stop, partial(array, "q"))
+            values = _tile(kind, length, a, b, stop, partial(array, "q"), checked)
         except OverflowError:  # a value outside int64
-            values = _tile(kind, length, a, b, stop, _ints)
+            values = _tile(kind, length, a, b, stop, _ints, checked)
         if first is None:
             first = _first_difference(values, terms[pos : pos + len(values)])
             if first is not None:

@@ -14,8 +14,8 @@
  * status, n_actual): it runs the same recurrence (see extend), n_actual
  * terms, and compares it with the tiles, which predict the terms past the
  * prefix, without building a list: every tile, of any kind, five terms at a
- * time (see tile_group), and value by value only the group where the walk
- * stops.
+ * time (see tile_group, which evaluates a literal's forms), and value by
+ * value only the group where the walk stops.
  * rst_generate(n_max) returns (r, s, t, which): R(0..n), S(0..n) and
  * T(0..n), row k at index k, in place in three array('q') allocated once,
  * at n_max + 1 rows, and cut only where which ends the system, at row
@@ -25,9 +25,9 @@
  * allocated at an upper bound, 20 characters a field, each field is written
  * once, two digits a step, and the str is cut to what was written.
  * max_terms and n_max are clipped to Py_ssize_t (see clipped_size).  A table
- * (a column of format_rows, an R/S/T table of a block tile) is read in place
- * from a C-contiguous int64 buffer, such as an array('q') (see Column), and
- * any other is declined.
+ * (a column of format_rows, a literal's c, d or f, an R/S/T table of a block
+ * tile) is read in place from a C-contiguous int64 buffer, such as an
+ * array('q') (see Column), and any other is declined.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -339,25 +339,21 @@ column_close(Column *col)
 typedef struct {
     int kind;
     Py_ssize_t length;
-    long long a, b;     /* chunk: first value and step; blocks: lam */
+    long long a, b;     /* chunk: first value and step; blocks: lam; literal: x and y */
     int a_big, b_big;   /* a or b lies outside int64 */
-    /* literal: values[0..fit-1], its values before the first outside int64 */
-    long long *values;
-    Py_ssize_t fit;
-    Column tab[3];      /* blocks: R(0..), S(0..), T(0..) */
+    Column tab[3];      /* blocks: R(0..), S(0..), T(0..); literal: c, d, f */
 } Tile;
 
 /* Read tile item, its length clipped to room: 0, or 1 to decline a
- * malformed tile, a literal value that is not an int, or an R/S/T table
- * that is not an int64 buffer long enough for the tile.  Close it with
- * tile_close either way. */
+ * malformed tile, a parameter that is not an int, or a table that is not
+ * an int64 buffer long enough for the tile: a literal's columns c, d and f
+ * of at least length rows, or its R/S/T tables.  Close it with tile_close
+ * either way. */
 static int
 read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
 {
-    PyObject *a, *b, *r, *s, *t;
-    Py_ssize_t kmax, i;
-    long long v;
-    int big;
+    PyObject *a, *b, *x, *y, *col[3];
+    Py_ssize_t kmax, need[3];
 
     memset(tl, 0, sizeof *tl);
     if (!PyTuple_Check(item) || !PyArg_ParseTuple(item, "inOO", &tl->kind, &tl->length, &a, &b) ||
@@ -366,61 +362,64 @@ read_tile(PyObject *item, Py_ssize_t room, Tile *tl)
     tl->length = Py_MAX(Py_MIN(tl->length, room), 0);
     kmax = (tl->length + 4) / 5;
     switch (tl->kind) {
-    case TILE_LITERAL: /* each value read once, here */
-        if (!PyTuple_Check(a) || PyTuple_GET_SIZE(a) < tl->length)
-            return 1;
-        if ((tl->values = PyMem_New(long long, tl->length)) == NULL) {
-            PyErr_NoMemory();
-            return 1;
-        }
-        for (i = 0; i < tl->length; i++) {
-            if (read_int(PyTuple_GET_ITEM(a, i), &v, &big))
-                return 1;
-            if (!big && tl->fit == i)
-                tl->values[tl->fit++] = v;
-        }
-        return 0;
     case TILE_CHUNK:
         return read_int(a, &tl->a, &tl->a_big) || read_int(b, &tl->b, &tl->b_big);
-    case TILE_BLOCKS:
-        /* kmax blocks read rows 0..kmax+1 of r and s and 0..kmax of t */
-        return read_int(a, &tl->a, &tl->a_big) || !PyTuple_Check(b) ||
-               !PyArg_ParseTuple(b, "OOO", &r, &s, &t) || !column_open(r, &tl->tab[0]) ||
-               !column_open(s, &tl->tab[1]) || !column_open(t, &tl->tab[2]) ||
-               tl->tab[0].len < kmax + 2 || tl->tab[1].len < kmax + 2 || tl->tab[2].len < kmax + 1;
+    case TILE_LITERAL: /* a = (x, y); row i of c, d and f for the value at offset i */
+        if (!PyTuple_Check(a) || !PyArg_ParseTuple(a, "OO", &x, &y) ||
+            read_int(x, &tl->a, &tl->a_big) || read_int(y, &tl->b, &tl->b_big))
+            return 1;
+        need[0] = need[1] = need[2] = tl->length;
+        break;
+    case TILE_BLOCKS: /* kmax blocks read rows 0..kmax+1 of r and s and 0..kmax of t */
+        if (read_int(a, &tl->a, &tl->a_big))
+            return 1;
+        need[0] = need[1] = kmax + 2;
+        need[2] = kmax + 1;
+        break;
+    default:
+        return 1;
     }
-    return 1;
+    return !PyTuple_Check(b) || !PyArg_ParseTuple(b, "OOO", &col[0], &col[1], &col[2]) ||
+           !column_open(col[0], &tl->tab[0]) || !column_open(col[1], &tl->tab[1]) ||
+           !column_open(col[2], &tl->tab[2]) || tl->tab[0].len < need[0] ||
+           tl->tab[1].len < need[1] || tl->tab[2].len < need[2];
 }
 
 static void
 tile_close(Tile *tl)
 {
-    PyMem_Free(tl->values);
     column_close(&tl->tab[0]);
     column_close(&tl->tab[1]);
     column_close(&tl->tab[2]);
 }
 
 /* Store in v[0..4] the values tile tl, of kind kind, predicts at offsets
- * 5g..5g+4 (5g < tl->length), in order, stopping at the first that lies
- * outside int64 or past the end of a literal: returns how many it stored,
- * 5 when it did not stop.  This is the one place in C that says what each
- * kind predicts.  Each value is computed exactly, with no state kept from
- * another group.  A chunk's group g > 0 is asked for only once the run has
- * matched group 0, in which a and b each precede a later term, so both are
- * positive: a + b*g leaves int64 exactly when b*g or the sum does.  A big b
- * stops group 0 at 2 values.  A parameter outside int64 is itself the first
- * value outside int64 that depends on it (T(k) >= 1 in every R/S/T table). */
+ * 5g..5g+4 (5g < tl->length), in order, stopping at the first it cannot
+ * compute in int64 or past the end of a literal: returns how many it
+ * stored, 5 when it did not stop.  This is the one place in C that says
+ * what each kind predicts.  Each value is computed exactly, with no state
+ * kept from another group.  A literal's row c*x + d*y + f stops at x or y
+ * outside int64 under a nonzero coefficient, or at a product or partial
+ * sum outside int64.  A chunk's group g > 0 is asked for only once the run
+ * has matched group 0, in which a and b each precede a later term, so both
+ * are positive: a + b*g leaves int64 exactly when b*g or the sum does.  A
+ * big b stops group 0 at 2 values.  A block's lam outside int64 is the
+ * first value outside int64 that depends on it (T(k) >= 1 in every table). */
 static inline __attribute__((always_inline)) int
 tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
 {
     const long long *r = tl->tab[0].v, *s = tl->tab[1].v, *t = tl->tab[2].v;
+    long long cx, dy;
     int i;
 
     switch (kind) {
-    case TILE_LITERAL:
-        for (i = 0; i < 5 && 5 * g + i < tl->fit; i++)
-            v[i] = tl->values[5 * g + i];
+    case TILE_LITERAL: /* row 5g + i of the columns (c, d, f) = (r, s, t) */
+        r += 5 * g, s += 5 * g, t += 5 * g;
+        for (i = 0; i < 5 && 5 * g + i < tl->length; i++)
+            if ((r[i] && tl->a_big) || (s[i] && tl->b_big) || __builtin_mul_overflow(r[i], tl->a, &cx) ||
+                __builtin_mul_overflow(s[i], tl->b, &dy) || __builtin_add_overflow(cx, dy, &v[i]) ||
+                __builtin_add_overflow(v[i], t[i], &v[i]))
+                break;
         return i;
     case TILE_CHUNK: /* (a + b*g, 5, b, 3, 5) */
         v[1] = 5;

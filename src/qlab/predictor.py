@@ -20,6 +20,7 @@ kernel, term by term, and
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -43,22 +44,31 @@ __all__ = [
 ]
 
 
+def _columns(rows) -> tuple[memoryview, memoryview, memoryview]:
+    """The (c, d, f) rows as the three int64 columns of a literal tile,
+    read-only, as every prediction shares them."""
+    return tuple(memoryview(array("q", column)).toreadonly() for column in zip(*rows))
+
+
 @cache
-def _prefix() -> tuple[tuple[int, int], ...]:
-    """(a, b) with Q(N+k) = a*N + b for offsets k = 1..34 of <0-bar; 1..N>:
-    28 affine terms and six sporadic ones, valid for every N >= 30.  Derived
-    on first use, so that only a prediction loads the symbolic module."""
+def _prefix() -> tuple[memoryview, memoryview, memoryview]:
+    """The columns (a, 0, b) with Q(N+k) = a*N + b for offsets k = 1..34 of
+    <0-bar; 1..N>, a literal's forms at (N, 0): 28 affine terms and six
+    sporadic ones, valid for every N >= 30.  Derived on first use, so that
+    only a prediction loads the symbolic module."""
     from .symbolic import NConstraint, symbolic_extend
 
-    return tuple((t.a, t.b) for t in symbolic_extend("zero_extended", NConstraint(35), 34).terms)
+    terms = symbolic_extend("zero_extended", NConstraint(35), 34).terms
+    return _columns((t.a, 0, t.b) for t in terms)
 
 
 @cache
-def _closing(c: int) -> tuple[int, tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-    """(C'_m, rows, reach) for a level m of the descent with C_m = c: chunk m
-    runs through A_m + C'_m, row i is the term at A_m + C'_m + 1 + i, held as
-    (c, d, f) for c*x_m + d*A_m + f, where x_m = A_m*D_m + B_m and
-    5*D_m = A_m - A_{m-1} - c - 2, and rows 0..i read at most Q(reach[i]).
+def _closing(c: int) -> tuple[int, tuple[memoryview, memoryview, memoryview], tuple[int, ...]]:
+    """(C'_m, columns, reach) for a level m of the descent with C_m = c: chunk
+    m runs through A_m + C'_m, row i of the columns (c, d, f) is the term at
+    A_m + C'_m + 1 + i, c*x_m + d*A_m + f, a literal's forms at (x_m, A_m),
+    where x_m = A_m*D_m + B_m and 5*D_m = A_m - A_{m-1} - c - 2, and rows
+    0..i read at most Q(reach[i]).
     The recurrence runs on such forms, ordered x_m >> A_m >> 1, from A_m - c,
     where chunk m holds (x_m + A_m*j, 5, A_m, 3, 5)[r] at A_m - c + 5j + r, to
     the end of the run (c = 0, 3, 4), chunk m+1 at A_m + 7 (c = 1) or R/S/T
@@ -84,14 +94,14 @@ def _closing(c: int) -> tuple[int, tuple[tuple[int, int, int], ...], tuple[int, 
             elif (p, q) == (0, 0) and r >= 1:  # the identity, for N >= r
                 read, top = (0, 0, r), max(top, r)
             elif (p, q) >= (0, 1):  # at or past A_m + k: the run ends
-                return k - len(rows) - 1, tuple(rows), tuple(reach)
+                return k - len(rows) - 1, _columns(rows), tuple(reach)
             value = tuple(u + v for u, v in zip(value, read))
         if rows or value != term(k):  # chunk m ends at its first departure
             rows.append(value)
             reach.append(top)
         run[k] = value
         k += 1
-    return k - len(rows) - 1, tuple(rows), tuple(reach)
+    return k - len(rows) - 1, _columns(rows), tuple(reach)
 
 
 def _exact5(value: int) -> int:
@@ -175,11 +185,14 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
     Each tile is ``(kind, length, a, b)`` as ``_fallback`` documents: the
     34-term literal, then chunk 1 and, for each level m of the descent, the
     literal of the rows ``_closing(C_m)`` derives, followed by chunk m+1 when
-    C_m = 1 or by the run of R/S/T blocks when C_m = 2.  There are O(j +
-    closing) tiles whatever the budget.  The prediction is infinite for
-    classification 2, ends one short of its end index after the closing of
-    classification 0, 3 or 4, and stops after the last computed chunk when
-    the profile is truncated: exactly then the tiles end short of max_terms.
+    C_m = 1 or by the run of R/S/T blocks when C_m = 2.  Each literal holds
+    the cached columns of its forms and the point (N, 0) or (x_m, A_m) they
+    are read at, so no row is evaluated here, and its length clips it to
+    the budget.  There are O(j) tiles whatever the budget.  The prediction
+    is infinite for classification 2, ends one short of its end index after
+    the closing of classification 0, 3 or 4, and stops after the last
+    computed chunk when the profile is truncated: exactly then the tiles end
+    short of max_terms.
     """
     n = profile.n_value
     a, b, c, cp = profile.a, profile.b, profile.c, profile.c_prime
@@ -193,9 +206,8 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
             tiles.append((kind, length, first, step))
             end += length
 
-    # each literal evaluates only the rows the budget keeps
-    pairs = _prefix()[: max_terms - end]
-    add(TILE_LITERAL, len(pairs), tuple([alpha * n + beta for alpha, beta in pairs]), None)
+    forms = _prefix()
+    add(TILE_LITERAL, len(forms[0]), (n, 0), forms)
     # chunk m runs through index A_m + C'_m, chunk 1 from index N + 35 on
     add(TILE_CHUNK, a[1] + cp[0] - end, 7 * a[1] + b[0], a[1])
     levels = profile.j if profile.j is not None else len(c) - 1
@@ -204,8 +216,8 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
             break
         a_m, c_m = a[m], c[m - 1]
         x = a_m * _exact5(a_m - a[m - 1] - c_m - 2) + b[m - 1]
-        rows = _closing(c_m)[1][: max_terms - end]
-        add(TILE_LITERAL, len(rows), tuple([cc * x + dd * a_m + ff for cc, dd, ff in rows]), None)
+        forms = _closing(c_m)[1]
+        add(TILE_LITERAL, len(forms[0]), (x, a_m), forms)
         if c_m == 1:
             add(TILE_CHUNK, a[m + 1] + cp[m] - end, a[m + 1] + b[m], a[m + 1])
         elif c_m == 2:

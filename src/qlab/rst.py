@@ -17,13 +17,15 @@ lam = A_j, whose side condition lam*T(k) >= K+5k+4 no N >= 35 can fail
 is checked by :func:`qc_pattern_check`; its period-5 chunk is the predictor's.
 
 Both checkers describe the terms past their condition as the predictor's
-tiles (R/S/T blocks, the period-5 chunk; see ``_fallback``) and return the
-:class:`PredictionReport` of the prediction oracle's comparison with the
-recurrence, ``engine._check``, as ``verify_against_bruteforce`` does.
+tiles (a literal of constants, R/S/T blocks, the period-5 chunk; see
+``_fallback``) and return the :class:`PredictionReport` of the prediction
+oracle's comparison with the recurrence, ``engine._check``, as
+``verify_against_bruteforce`` does.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,7 +150,7 @@ def qt_pattern_check(prefix, lam: int, mu: int, k_max: int) -> PredictionReport:
     # from index K+5: 5R(1), 5S(1), and the blocks
     # (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) through index K+5k_max+4
     tiles = (
-        (TILE_LITERAL, 2, (5 * tables.r[1], 5 * tables.s[1]), None),
+        _constants(5 * tables.r[1], 5 * tables.s[1]),
         (TILE_BLOCKS, 5 * k_max - 2, lam, (tables.r, tables.s, tables.t)),
     )
     return _check(ic.terms, tiles, big_k + 5 * k_max + 4)
@@ -182,5 +184,11 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> Pre
     ic = InitialCondition((*prefix, mu, 5, lam, 3), zero_extended=True)
     # indices K+1 .. last are the chunk (mu + lam*k, 5, lam, 3, 5), which
     # the condition starts: its 5 at K+5, then k = 1, 2, ... from K+6
-    tiles = ((TILE_LITERAL, 1, (5,), None), (TILE_CHUNK, last - big_k - 5, mu + lam, lam))
+    tiles = (_constants(5), (TILE_CHUNK, last - big_k - 5, mu + lam, lam))
     return _check(ic.terms, tiles, last)
+
+
+def _constants(*values: int) -> tuple:
+    """The literal tile of the int64 ``values``: the forms (0, 0, v), read at (0, 0)."""
+    zeros = array("q", [0]) * len(values)
+    return TILE_LITERAL, len(values), (0, 0), (zeros, zeros, array("q", values))

@@ -279,9 +279,10 @@ def specialize(prefix: SymbolicPrefix, n: int) -> GeneratedSequence:
         if n < t.min_valid_N:
             raise ValidationError(f"term at offset {k} requires N >= {t.min_valid_N}, got N={n}")
     ic = InitialCondition.identity(n, prefix.convention == "zero_extended")
-    derived = tuple([t.value(n) for t in prefix.terms])
-    tiles = ((TILE_LITERAL, len(derived), derived, None),)
-    terms = materialise(range(1, n + 1), tiles, n + len(derived))
+    k = len(prefix.terms)
+    # the terms' forms (a, 0, b), read at (N, 0)
+    forms = ([t.a for t in prefix.terms], [0] * k, [t.b for t in prefix.terms])
+    terms = materialise(range(1, n + 1), ((TILE_LITERAL, k, (n, 0), forms),), n + k)
     if prefix.stop_reason.kind == "symbolic_death":
         status = SequenceStatus.died(n + prefix.stop_reason.index)
     else:

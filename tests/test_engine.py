@@ -50,6 +50,25 @@ from qlab._fallback import (
 )
 from qlab.engine import ROWS_PER_CALL, _check, write_json, write_table
 
+
+def forms(point, rows, length: int | None = None) -> tuple:
+    """The literal tile of the int64 forms ``rows``, each (c, d, f), read at
+    ``point`` = (x, y): all of them unless ``length`` says otherwise."""
+    columns = tuple(array("q", [row[i] for row in rows]) for i in range(3))
+    return TILE_LITERAL, len(rows) if length is None else length, point, columns
+
+
+def constants(values, length: int | None = None) -> tuple:
+    """The literal tile of the constants ``values``, the forms (0, 0, v)
+    read at (0, 0).  Its columns are int64 arrays, which the kernel reads,
+    when every value fits int64, and tuples, which it declines, otherwise."""
+    try:
+        return forms((0, 0), [(0, 0, v) for v in values], length)
+    except (OverflowError, TypeError):
+        zeros = (0,) * len(values)
+        return TILE_LITERAL, len(values) if length is None else length, (0, 0), (zeros, zeros, tuple(values))
+
+
 # Q(1)=Q(2)=1: hand-unrolled prefix of the classic sequence
 CLASSIC_17 = [1, 1, 2, 3, 3, 4, 5, 5, 6, 6, 6, 8, 8, 8, 10, 9, 10]
 
@@ -378,23 +397,26 @@ _RST_TABLES = _fallback.rst_generate(50)[:3]
 @pytest.mark.parametrize("name, args", [
     ("q_check", lambda: ((1, 2), True, ((TILE_CHUNK, -1, 5, 3),), 20)),
     ("q_check", lambda: ((1, 2), True, ((9, 3, 1, None),), 20)),
+    ("q_check", lambda: ((1, 2), True, (constants((1, 2), 3),), 20)),
     ("q_check", lambda: ((1, 2), True, ((TILE_LITERAL, 3, (1, 2), None),), 20)),
     ("q_check", lambda: ((1, 2), True, ([TILE_CHUNK, 3, 1, 2],), 20)),
     ("q_check", lambda: ((1, 2), True, ((TILE_BLOCKS, 5, 12, _RST_TABLES[:2]),), 20)),
     ("q_check", lambda: ((1, 2), True, ((TILE_CHUNK, 5, 2.5, 3),), 20)),
     # Q(3) = 3 follows the prefix (1, 2): the literal's 7 differs at once
-    ("q_check", lambda: ((1, 2), True, ((TILE_LITERAL, 1, (7,), None), (TILE_LITERAL, 1, (1.5,), None)),
+    ("q_check", lambda: ((1, 2), True, (constants((7,)), constants((1.5,))), 20)),
+    ("q_check", lambda: ((1, 2), True, (constants((7,)), (TILE_LITERAL, 1, (0, 2.5), constants((1,))[3])),
                          20)),
-    ("q_check", lambda: ((1, 2), True, ((TILE_LITERAL, 1, (3,), None), (TILE_CHUNK, 1, 4)), 3)),
-    ("q_check", lambda: ((1, 2), True, iter(((TILE_LITERAL, 1, (3,), None),)), 20)),
+    ("q_check", lambda: ((1, 2), True, (constants((3,)), (TILE_CHUNK, 1, 4)), 3)),
+    ("q_check", lambda: ((1, 2), True, iter((constants((3,)),)), 20)),
     ("q_generate", lambda: (iter((1, 1)), False, 10)),
     ("q_generate", lambda: (5, False, 10)),
     ("q_generate", lambda: ((1,), False, 10)),
     ("q_generate", lambda: ((1, 1.5), False, 10)),
     ("q_generate", lambda: ((1, 1), False, 10.0)),
     ("rst_generate", lambda: (1,)),
-], ids=["negative-length", "kind-9", "short-literal", "list-tile", "two-tables", "float-chunk",
-        "float-after-mismatch", "three-item-tile-past-budget", "tile-generator", "prefix-generator",
+], ids=["negative-length", "kind-9", "short-literal", "literal-of-values", "list-tile", "two-tables",
+        "float-chunk", "float-after-mismatch", "float-parameter-after-mismatch",
+        "three-item-tile-past-budget", "tile-generator", "prefix-generator",
         "int-prefix", "one-term-prefix", "float-term", "float-budget", "rst-n-max-1"])
 def test_backends_answer_or_fail_alike_on_unreadable_calls(compiled_kernel, name, args):
     """The kernel declines a call it cannot read, wherever the run and the
@@ -451,6 +473,8 @@ _any_tables = st.sampled_from((
 _any_tile = st.one_of(
     st.tuples(st.integers(-1, 4) | _any_value, st.integers(-3, 30) | _any_value,
               _any_value | st.lists(_any_value, max_size=8).map(tuple), _any_value | _any_tables),
+    # a literal's (x, y) of any values, read on the tables as its columns
+    st.tuples(st.just(TILE_LITERAL), st.integers(-1, 60), st.tuples(_any_value, _any_value), _any_tables),
     st.lists(_any_value, max_size=5).map(tuple),
     _any_value,
 )
@@ -480,10 +504,10 @@ def _reference_containers(checked: bool):
     fits = [_fallback.q_generate(ic, False, budget, checked)[0]
             for ic, budget in (((1, 1), 40), ((2, 0), 10))]
     tables = _fallback.rst_generate(300)[:3]
-    tiles = ((TILE_LITERAL, 2, (7, 8), None), (TILE_CHUNK, 12, 3, 4), (TILE_BLOCKS, 10, 12, tables))
+    tiles = (constants((7, 8)), (TILE_CHUNK, 12, 3, 4), (TILE_BLOCKS, 10, 12, tables))
     fits += [*tables, _fallback.materialise(range(1, 6), tiles, 29)]
     past = [_fallback.q_generate((9, 3 * 2**61, 2, 7), True, 200, checked),
-            _fallback.materialise((1,), ((TILE_LITERAL, 1, (INT64_MAX + 1,), None),), 2)]
+            _fallback.materialise((1,), (constants((INT64_MAX + 1,)),), 2)]
     return fits, past
 
 
@@ -1044,7 +1068,7 @@ def _pattern_tiles(prefix, lam, mu, length, tables):
     """qt_pattern_check's condition <0;prefix,5,lam,4,mu> and its tiles past
     it: 5R(1) and 5S(1), then ``length`` terms of R/S/T blocks."""
     ic = (*prefix, 5, lam, 4, mu)
-    return ic, ((TILE_LITERAL, 2, (5, 5), None), (TILE_BLOCKS, length, lam, tables))
+    return ic, (constants((5, 5)), (TILE_BLOCKS, length, lam, tables))
 
 
 def test_buffers_are_released(compiled_kernel):
@@ -1071,10 +1095,11 @@ def test_buffers_are_released(compiled_kernel):
     state = rst_compute(200)
     r, s, t = (array("q", table) for table in (state.r, state.s, state.t))
 
-    prefix, (*head, _) = _pattern_tiles((), 12, 6, 98, (r, s, t))
+    prefix, (head, _) = _pattern_tiles((), 12, 6, 98, (r, s, t))
+    c, d, f = columns = head[3]
 
-    def blocks(lam=12, length=98, tables=(r, s, t)):
-        return (*head, (TILE_BLOCKS, length, lam, tables))
+    def blocks(lam=12, length=98, tables=(r, s, t), literal=head):
+        return (literal, (TILE_BLOCKS, length, lam, tables))
 
     checks = [
         (blocks(), 104, (None, 0, 104)),  # all 104 terms match
@@ -1084,10 +1109,14 @@ def test_buffers_are_released(compiled_kernel):
         (blocks(tables=(r, 5, t)), 104, None),  # s is not a sequence
         (blocks(tables=(r, list(s), t)), 104, None),  # s is a list
         (blocks(tables=(r, s, [1.5] * 300)), 104, None),  # t holds a float
+        # the literal's columns too short, its y a float, its d a list
+        (blocks(literal=(TILE_LITERAL, 3, (0, 0), columns)), 104, None),
+        (blocks(literal=(TILE_LITERAL, 2, (0, 1.5), columns)), 104, None),
+        (blocks(literal=(TILE_LITERAL, 2, (0, 0), (c, list(d), f))), 104, None),
     ]
     for tiles, budget, want in checks:
         assert compiled_kernel.q_check(prefix, True, tiles, budget) == want
-        for table in (r, s, t):
+        for table in (r, s, t, c, d, f):
             _assert_released(table)
         # a declined call is the reference's: its answer, or its error
         reference = _outcome(_fallback.q_check, prefix, True, tiles, budget, checked=False)
@@ -1115,15 +1144,17 @@ def test_buffers_are_released(compiled_kernel):
 ])
 def test_q_check_reads_tables_of_any_sequence_type(compiled_kernel, prefix, lam, mu, length,
                                                    budget):
-    """The kernel reads only int64 tables and declines tuples and lists, for
-    which _backend.q_check answers in Python: the same 3-tuple either way."""
+    """The kernel reads only int64 tables, a literal's columns as the R/S/T
+    tables, and declines tuples and lists, for which _backend.q_check
+    answers in Python: the same 3-tuple either way."""
     state = rst_compute(400)
     results = set()
     for kernel in (compiled_kernel, None):
         with mock.patch.object(_backend, "_kernel", kernel):
             for kind in _COLUMN_TYPES:
                 tables = tuple(map(kind, (state.r, state.s, state.t)))
-                ic, tiles = _pattern_tiles(prefix, lam, mu, length, tables)
+                ic, ((*head, columns), blocks) = _pattern_tiles(prefix, lam, mu, length, tables)
+                tiles = ((*head, tuple(map(kind, columns))), blocks)
                 results.add(_backend.q_check(ic, True, tiles, budget))
     ic, tiles = _pattern_tiles(prefix, lam, mu, length, (state.r, state.s, state.t))
     assert results == {_fallback.q_check(ic, True, tiles, budget, checked=False)}

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_engine import _declined_where_raised, _outcome as _answer, range_prefixes
+from test_engine import _declined_where_raised, _outcome as _answer, constants, forms, range_prefixes
 from test_symbolic import PREFIX_PAIRS, SPORADIC_PAIRS
 
 from qlab import (
@@ -32,6 +32,7 @@ from qlab import (
 from qlab import _backend, _fallback, predictor
 from qlab._fallback import (
     INT64_MAX,
+    INT64_MIN,
     TILE_BLOCKS,
     TILE_CHUNK,
     TILE_LITERAL,
@@ -89,13 +90,40 @@ def _c_prime(c: int) -> int:
     return max(0, ((3 - c) % 5) - 1)
 
 
+def _rows(tile: tuple) -> tuple[int, ...]:
+    """The values of a literal tile: its forms c*x + d*y + f, row by row."""
+    _, length, (x, y), (c, d, f) = tile
+    return tuple(c[i] * x + d[i] * y + f[i] for i in range(length))
+
+
+def _evaluated(tiles) -> tuple:
+    """The tiles with each literal's forms evaluated into a literal of
+    constants, as _per_class_tiles builds it."""
+    return tuple(constants(_rows(tile)) if tile[0] == TILE_LITERAL else tile for tile in tiles)
+
+
 def test_closings_are_derived():
     for c in range(5):
-        c_prime, rows, reach = predictor._closing(c)
-        assert rows == CLOSINGS[c], c
+        c_prime, columns, reach = predictor._closing(c)
+        assert all(column.readonly and column.format == "q" for column in columns)
+        assert tuple(zip(*columns)) == CLOSINGS[c], c
         assert c_prime == _c_prime(c), c
     # the class-0 closing reads Q(118), the one cutoff of is_exceptional
     assert tuple(predictor._closing(c)[2][-1] for c in range(5)) == (118, 3, 2, 1, 7)
+
+
+@pytest.mark.parametrize("n", [2601, 38, 37, 47, 132, 52])
+def test_literal_tiles_hold_the_cached_columns(n):
+    """No N builds a row: each literal of a prediction holds the columns of
+    _prefix() or _closing(C_m) themselves, read at (N, 0) or (x_m, A_m)."""
+    profile = abc_profile(n)
+    literals = [tile for tile in predicted_tiles(profile, 10**5) if tile[0] == TILE_LITERAL]
+    assert len(literals) == 1 + profile.j
+    head, *closings = literals
+    assert head[2] == (n, 0) and head[3] is predictor._prefix()
+    assert all(column.readonly for column in head[3])  # shared by every N
+    for m, (_, _, (_, a_m), columns) in enumerate(closings, 1):
+        assert a_m == profile.a[m] and columns is predictor._closing(profile.c[m - 1])[1]
 
 
 def test_profile_42():
@@ -249,8 +277,8 @@ def test_each_exception_fails_inside_the_class_zero_closing():
     assert next(i for i, r in enumerate(reach, 1) if r > 117) == 155
     index = profile.a[-1] + 157
     assert index == 3_346_939_304_068
-    *_, (kind, length, values, _) = predicted_tiles(profile, index)
-    assert (kind, length, values[-1]) == (TILE_LITERAL, 155, 151)
+    *_, tile = predicted_tiles(profile, index)
+    assert tile[:2] == (TILE_LITERAL, 155) and _rows(tile)[-1] == 151
 
 
 def test_predicted_end_indices():
@@ -370,7 +398,7 @@ def test_report_json_shape():
 def test_check_agrees_at_the_end_only_with_equal_lengths():
     # a prediction that stops short of the budget while both statuses read
     # alive disagrees at its end
-    tiles = ((TILE_LITERAL, 3, (3, 6, 7), None),)
+    tiles = (constants((3, 6, 7)),)
     short = _check(range(1, 6), tiles, 20)
     assert (short.matched_through, short.first_mismatch) == (8, (9, None, 5))
     assert short.actual_status == short.predicted_status and not short.terminal_agreement
@@ -600,9 +628,7 @@ def _per_class_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, 
         nonlocal end
         length = min(length, max_terms - end)
         if length > 0:
-            if kind == TILE_LITERAL:
-                first = first[:length]
-            tiles.append((kind, length, first, step))
+            tiles.append(constants(first[:length]) if kind == TILE_LITERAL else (kind, length, first, step))
             end += length
 
     add(TILE_LITERAL, 34, tuple(alpha * n + beta for alpha, beta in PREFIX_PAIRS + SPORADIC_PAIRS), None)
@@ -701,7 +727,7 @@ def closing_cases(draw):
 def test_closings_give_the_per_class_tiles(case):
     n, depth, max_terms = case
     profile = abc_profile(n, max_depth=depth)
-    assert predicted_tiles(profile, max_terms) == _per_class_tiles(profile, max_terms)
+    assert _evaluated(predicted_tiles(profile, max_terms)) == _per_class_tiles(profile, max_terms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -844,16 +870,22 @@ def _exact_tables(tile: tuple) -> tuple:
 def _changed(tile: tuple, g: int, r: int, event: str) -> tuple | None:
     """The tile with its value at residue r of group g, and no value before
     it, changed: one more for "differs", outside int64 for "int64".  The
-    change is to a literal's value, a chunk's first value or step (group 0
-    only: each later group repeats them), or the row of T, R or S that
-    residue 0, 3 or 4 of block group g reads first (R(1) for residue 2 of
-    group 0).  None where the tile holds no such value: a chunk's 5, 3 and
-    5, the 4 of every block, and the residue-2 value of a later block
-    group, 5R(g + 1), which residue 3 of group g - 1 reads first."""
+    change is to a literal's row (its f one more, or its c INT64_MAX, which
+    takes c*x past int64: x >= 3 in every prediction), a chunk's first value
+    or step (group 0 only: each later group repeats them), or the row of T,
+    R or S that residue 0, 3 or 4 of block group g reads first (R(1) for
+    residue 2 of group 0).  None where the tile holds no such value: a
+    chunk's 5, 3 and 5, the 4 of every block, and the residue-2 value of a
+    later block group, 5R(g + 1), which residue 3 of group g - 1 reads
+    first."""
     kind, length, a, b = tile
     if kind == TILE_LITERAL:
-        i = 5 * g + r
-        return kind, length, (*a[:i], 2**63 if event == "int64" else a[i] + 1, *a[i + 1:]), b
+        c, d, f = (array("q", column) for column in b)
+        if event == "int64":
+            c[5 * g + r] = INT64_MAX
+        else:
+            f[5 * g + r] += 1
+        return kind, length, a, (c, d, f)
     if kind == TILE_CHUNK:
         if g or r not in (0, 2):
             return None
@@ -909,7 +941,7 @@ def _group_cases():
     # of them, a literal ends at offset 14 - j
     run = tuple(_fallback.q_generate((1, 2, 1), False, 40)[0][3:])
     for j in range(15):
-        tiles = ((TILE_LITERAL, j, run[:j], None), (TILE_LITERAL, 17 - j, run[j:] + (1, 1, 1), None))
+        tiles = (constants(run[:j]), constants(run[j:] + (1, 1, 1)))
         yield "ends", TILE_LITERAL, (14 - j) % 5, (14 - j) // 5, 17, (1, 2, 1), False, tiles, 40
 
 
@@ -988,56 +1020,84 @@ def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
 # Q(1..60) of <1,1>, the run the literal cases below follow
 _HOFSTADTER = tuple(_fallback.q_generate((1, 1), False, 60)[0])
 
+# how -> (x, y, (c, d, f)): a literal's row the kernel cannot compute in
+# int64, beside rows (0, 0, v) that read neither parameter.  "exact" holds
+# None for f, where the row is the run's own value: c*x leaves int64 on the
+# way to it.
+_UNCOMPUTABLE = {
+    "x": (2**63, 0, (1, 0, 0)),  # a parameter outside int64 under a nonzero coefficient
+    "y": (0, -(2**63) - 1, (0, 1, 0)),
+    "c*x": (2**62, 0, (2, 0, 0)),
+    "d*y": (0, 2**62, (0, -3, 0)),
+    "c*x + d*y": (2**62, 2**62, (1, 1, 0)),
+    "+ f": (2**62, 0, (1, 0, 2**62)),
+    "exact": (2**62, 2**62, (2, -2, None)),
+}
+
 
 def _int64_edge_cases():
-    """(kind, p, prefix, zero, tiles, budget, length): after the prefix
-    <1,1>, a literal that matches its run up to offset p (0..11), where its
-    value is the first outside int64, on either side; and after
-    <0;1,...,1,mu,5,lam,3> with K = 0, 1 or 3 ones, the 5 and the chunk
-    (mu + lam*k, 5, lam, 3, 5), k = 1, 2, ..., that the run follows, lam
-    chosen so that the chunk's value at p = 5g (g = 1..4), residue 0 of its
-    group g, is the first outside int64.  A leading literal of 0, 1 or 3
-    terms of the run, or the K ones, shift the groups against the run.  The
-    literal is p + 1 or 12 long, the chunk p, p + 1 or p + 6: a chunk of
-    length p ends before the value outside int64, and the budget with it."""
+    """(kind, how, p, prefix, zero, tiles, budget, reaches): after the
+    prefix <1,1>, a literal whose rows are the run's values up to offset p
+    (0..11), where its row is one of _UNCOMPUTABLE's, and 7 after it; and
+    after <0;1,...,1,mu,5,lam,3> with K = 0, 1 or 3 ones, the 5 and the
+    chunk (mu + lam*k, 5, lam, 3, 5), k = 1, 2, ..., that the run follows,
+    lam chosen so that the chunk's value at p = 5g (g = 1..4), residue 0 of
+    its group g, is the first outside int64.  A leading literal of 0, 1 or
+    3 terms of the run, or the K ones, shift the groups against the run.
+    reaches says whether the compare reaches offset p: not when the tile
+    ends before it (a literal or a chunk of length p, the budget with it),
+    nor when the literal's row p - 1 differs from the run."""
     for lead in (0, 1, 3):
         for zero in (True, False):
-            head = _HOFSTADTER[2 : 2 + lead]
+            head = constants(_HOFSTADTER[2 : 2 + lead])
             for p in range(12):
-                values = _HOFSTADTER[2 + lead : 2 + lead + p] + ((2**63, -(2**63) - 1)[p % 2],) + (7,) * 11
-                for length in (p + 1, 12):
-                    tiles = ((TILE_LITERAL, lead, head, None), (TILE_LITERAL, length, values, None))
-                    yield TILE_LITERAL, p, (1, 1), zero, tiles, 2 + lead + length + 3, length
+                run = _HOFSTADTER[2 + lead :]
+                for how, (x, y, (c, d, f)) in _UNCOMPUTABLE.items():
+                    row = (c, d, run[p] if f is None else f)
+                    rows = [(0, 0, v) for v in run[:p]] + [row] + [(0, 0, 7)] * 11
+                    for length, differs in ((p, False), (p + 1, False), (12, False), (12, True)):
+                        if differs and p:
+                            rows[p - 1] = (0, 0, run[p - 1] + 1)
+                        elif differs:
+                            continue
+                        forms = tuple(array("q", column) for column in zip(*rows))
+                        tiles = (head, (TILE_LITERAL, length, (x, y), forms))
+                        reaches = length > p and not differs
+                        yield TILE_LITERAL, how, p, (1, 1), zero, tiles, 2 + lead + length + 3, reaches
         mu = 9
         for g in range(1, 5):
             lam = -(-(2**63 - mu) // (g + 1))  # mu + lam*k leaves int64 at k = g + 1
             prefix = (1,) * lead + (mu, 5, lam, 3)
             for length in (5 * g, 5 * g + 1, 5 * g + 6):
-                tiles = ((TILE_LITERAL, 1, (5,), None), (TILE_CHUNK, length, mu + lam, lam))
-                yield TILE_CHUNK, 5 * g, prefix, True, tiles, len(prefix) + 1 + length, length
+                tiles = (constants((5,)), (TILE_CHUNK, length, mu + lam, lam))
+                budget = len(prefix) + 1 + length
+                yield TILE_CHUNK, "a + b*k", 5 * g, prefix, True, tiles, budget, length > 5 * g
 
 
 def test_q_check_declines_at_each_offset_where_a_tile_leaves_int64(compiled_kernel):
-    """tile_group stores a literal's values up to the first that lies
-    outside int64: wherever that value falls in its group, the kernel
-    answers as the checked reference, declining exactly where the walk
-    reaches it, and the backend as the exact reference.  The run computes
-    each value of a chunk it follows, so a chunk's value past group 0 that
-    leaves int64 leaves it in the run too, and the kernel declines exactly
-    where the run reaches it."""
+    """tile_group stores a literal's rows up to the first it cannot compute
+    in int64: wherever that row falls in its group, however it leaves
+    int64, even where the row itself fits, the kernel answers as the
+    checked reference, declining exactly where the compare reaches it, and
+    the backend as the exact reference.  A parameter outside int64 stops
+    no row whose coefficient for it is 0.  The run computes each value of a
+    chunk it follows, so a chunk's value past group 0 that leaves int64
+    leaves it in the run too, and the kernel declines exactly where the run
+    reaches it."""
     declined = set()
-    for kind, p, prefix, zero, tiles, budget, length in _int64_edge_cases():
-        case = (kind, p, len(prefix), zero, length)
+    for kind, how, p, prefix, zero, tiles, budget, reaches in _int64_edge_cases():
+        case = (how, p, len(prefix), zero, tiles[-1][1])
         compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
         checked = _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=True)
         assert compiled == _declined_where_raised(checked), case
         with mock.patch.object(_backend, "_kernel", compiled_kernel):
             exact = _answer(_backend.q_check, prefix, zero, tiles, budget)
         assert exact == _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=False), case
-        assert (compiled is None) == (length > p), case
+        assert (compiled is None) == reaches, case
         if compiled is None:
-            declined.add((kind, p))
-    assert declined == {(TILE_CHUNK, 5 * g) for g in range(1, 5)} | {(TILE_LITERAL, p) for p in range(12)}
+            declined.add((kind, how, p))
+    assert declined == ({(TILE_CHUNK, "a + b*k", 5 * g) for g in range(1, 5)}
+                        | {(TILE_LITERAL, how, p) for how in _UNCOMPUTABLE for p in range(12)})
 
 
 @pytest.mark.parametrize("backend", ["compiled", "python"])
@@ -1049,9 +1109,9 @@ def test_tiles_start_just_past_the_prefix(request, backend, prefix):
     kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else None
     k, budget = len(prefix), len(prefix) + 40
     run = evaluate(InitialCondition(prefix, True), budget).terms.tolist()  # alive through the budget
-    after = ((TILE_LITERAL, 40, tuple(run[k:]), None),)
+    after = (constants(run[k:]),)
     q = run[k]  # Q(k + 1)
-    wrong = ((TILE_LITERAL, 1, (q + 1,), None),)
+    wrong = (constants((q + 1,)),)
     # (tiles, budget, _check's matched_through, first_mismatch, n_actual)
     checks = (
         (after, budget, budget, None, budget),
@@ -1089,15 +1149,19 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
     malformed tile there, which the kernel declines, it refuses with the
     error that building the tile whole raises."""
     rst = _fallback.rst_generate(40)[:3]  # rows 0..40
-    differs = (TILE_LITERAL, 3, (7, 8, 9), None)  # 7 at index 3, where the run has died
+    differs = constants((7, 8, 9))  # 7 at index 3, where the run has died
+    _, _, _, mixed = forms((0, 0), [(1, 1, 9)] * 7)
+    _, _, _, nines = constants((9,) * 7)
     for tile, error in (
         ((9, 5, 1, None), ValueError),  # an unknown kind
         ((TILE_BLOCKS, 500, 12, rst), ValueError),  # tables too short for 100 blocks
-        ((TILE_LITERAL, 7, (9,) * 6 + (1.5,), None), TypeError),  # a float past the first period
-        ((TILE_LITERAL, 2, (2**64, 1.5), None), TypeError),  # a float beside a value past int64
+        ((TILE_LITERAL, 7, (1.5, 0), mixed), TypeError),  # x, read by every row
+        ((TILE_LITERAL, 7, (2**64, 1.5), mixed), TypeError),  # y, beside an x past int64
+        ((TILE_LITERAL, 7, (0, 1.5), nines), TypeError),  # y, though no row reads it
+        ((TILE_LITERAL, 7, (1, 2, 3), nines), ValueError),  # three parameters
         ((TILE_BLOCKS, 10, 2.5, rst), TypeError),  # lam
         ((TILE_CHUNK, 10**12, 3, 2.5), TypeError),  # the step
-        ((TILE_LITERAL, 3, (2,), None), ValueError),  # fewer values than its length
+        (constants((2,), 3), ValueError),  # tables shorter than its length
     ):
         assert compiled_kernel.q_check((2, 0), False, (differs, tile), 10**12) is None
         for checked in (True, False):
@@ -1105,7 +1169,7 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
                 _fallback.q_check((2, 0), False, (differs, tile), 10**12, checked=checked)
     # a literal's length is binding where the run reaches it too, on both
     # backends, and clipped to the budget before it is
-    tiles = ((TILE_LITERAL, 3, (2,), None), (TILE_CHUNK, 4, 0, 1))
+    tiles = (constants((2,), 3), (TILE_CHUNK, 4, 0, 1))
     for kernel in (compiled_kernel, None):
         with mock.patch.object(_backend, "_kernel", kernel), pytest.raises(ValueError):
             _backend.q_check((2, 0), False, tiles, 20)
@@ -1115,14 +1179,17 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
 
 
 def _corrupt(draw, tiles: list) -> None:
-    """Change one value or parameter of one tile, possibly to one outside int64."""
+    """Change one value or parameter of one tile, possibly to one outside
+    int64: a literal's f in one row, or its x or y."""
     i = draw(st.integers(0, len(tiles) - 1))
     kind, length, a, b = tiles[i]
     new = draw(st.sampled_from((1, -1, 7))) if draw(st.booleans()) else draw(_huge)
-    if kind == TILE_LITERAL:
-        values = list(a)
-        values[draw(st.integers(0, len(values) - 1))] += new
-        a = tuple(values)
+    if kind == TILE_LITERAL and abs(new) < 10:
+        c, d, f = (array("q", column) for column in b)
+        f[draw(st.integers(0, length - 1))] += new
+        b = c, d, f
+    elif kind == TILE_LITERAL:
+        a = (new, a[1]) if draw(st.booleans()) else (a[0], new)
     elif kind == TILE_CHUNK and draw(st.booleans()):
         b = b + new if abs(new) < 10 else new
     else:
@@ -1151,6 +1218,8 @@ def check_cases(draw):
     terms = st.lists(st.one_of(st.integers(-6, 12), big, _huge), min_size=2, max_size=6)
     prefix = draw(st.one_of(terms.map(tuple), range_prefixes))
     value = st.one_of(st.integers(-6, 60), _huge)
+    # a literal's coefficients, some of which take a product or sum past int64
+    coefficient = st.one_of(st.integers(-3, 3), st.sampled_from((2**62, INT64_MAX, INT64_MIN)))
     rst = _tables(200)
     tiles = []
     for kind in draw(st.lists(st.sampled_from((TILE_LITERAL, TILE_CHUNK, TILE_BLOCKS)), max_size=5)):
@@ -1158,7 +1227,9 @@ def check_cases(draw):
         a = draw(value)
         b = None
         if kind == TILE_LITERAL:
-            a = tuple(draw(st.lists(value, min_size=length, max_size=length)))
+            rows = draw(st.lists(st.tuples(coefficient, coefficient, st.integers(-6, 60) | coefficient),
+                                 min_size=length, max_size=length + 2))
+            _, _, a, b = forms((draw(value), draw(value)), rows)
         elif kind == TILE_CHUNK:
             b = draw(value)
         elif kind == TILE_BLOCKS:
@@ -1171,9 +1242,10 @@ def check_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(check_cases())
 @example(((2**62, 2**62, 3, 4), True, ((TILE_CHUNK, 9, 2**63, 1),), 20))  # overflows at 5
-@example(((1, 2), True, ((TILE_LITERAL, 1, (3,), None), (TILE_CHUNK, 9, 3, 2**64)), 30))
-@example(((1, 2), True, ((TILE_LITERAL, 1, (2**63,), None),), 3))  # 2**63 at index 3
-@example(((1, 1), False, ((TILE_LITERAL, 3, (2, 4, 2**70), None),), 30))  # differs first
+@example(((1, 2), True, (constants((3,)), (TILE_CHUNK, 9, 3, 2**64)), 30))
+@example(((1, 2), True, (forms((2**63, 0), [(1, 0, 0)]),), 3))  # 2**63 at index 3
+@example(((1, 2), True, (forms((2**63, 5), [(0, 1, -2)]),), 3))  # x outside int64, unread
+@example(((1, 1), False, (forms((2**70, 0), [(0, 0, 2), (0, 0, 4), (1, 0, 0)]),), 30))  # differs first
 @example(((3, 1), True, ((TILE_CHUNK, 9, 2, 0),), 30))  # step 0
 @example(((1, 2, 3, 2**64), True, ((TILE_CHUNK, 3, 1, 2),), 2))  # prefix overflows past the budget
 @example(((1, 2, 3, 4), True, ((TILE_CHUNK, 3, 1, 2),), 2))  # the prefix is longer than the budget

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from test_engine import constants
 
 from qlab import (
     InitialCondition,
@@ -30,7 +31,7 @@ from qlab import (
     rst,
     rst_compute,
 )
-from qlab._fallback import INT64_MAX, INT64_MIN, TILE_BLOCKS, TILE_LITERAL
+from qlab._fallback import INT64_MAX, INT64_MIN, TILE_BLOCKS
 from qlab.cli import main
 from qlab.engine import _check
 from qlab.rst import RSTState, RSTStatus, _tables
@@ -122,7 +123,7 @@ def test_block_tile_reads_exactly_its_rows(compiled_kernel, lam, length):
     ic = (5, lam, 4, 6)
 
     def tiles(tables):  # the terms past the condition: 5R(1), 5S(1), then the blocks
-        return ((TILE_LITERAL, 2, (5, 5), None), (TILE_BLOCKS, length, lam, tables))
+        return (constants((5, 5)), (TILE_BLOCKS, length, lam, tables))
 
     budget = 6 + length
     want = _fallback.q_check(ic, True, tiles((r, s, t)), budget)
