@@ -33,8 +33,8 @@ q_check compares the run with the prediction tile by tile, and builds a
 tile only as far as the compare reaches (see its docstring), so a tile far
 longer than the run costs no more than the run; the kernel compares every
 tile, of any kind, five terms at a time, in place.  Every tile is read all
-the same, and a parameter that is not an int raises TypeError whether or
-not another value lies past int64.
+the same, reached by the compare and the budget or not, and a parameter that
+is not an int raises TypeError whether or not another value lies past int64.
 """
 
 from __future__ import annotations
@@ -182,31 +182,45 @@ def _build(prefix, tiles, max_terms: int, make):
     iterable of ints."""
     len(prefix)  # OverflowError past sys.maxsize terms, before make tries them
     out = make(prefix)
-    for kind, length, a, b in tiles:
-        length = min(length, max_terms - len(out))
-        if length > 0:
-            out += _tile(kind, length, a, b, length, make)
+    for tile in tiles:
+        out += _tile(tile, max_terms - len(out), make)
     return out
 
 
-def _tile(kind, length: int, a, b, stop: int, make, checked: bool = False):
-    """The first ``stop`` (at most ``length``) values of the tile ``(kind,
-    length, a, b)``, in one container that ``make`` builds from an iterable
-    of ints.  With ``checked``, a literal's row that the kernel cannot
-    compute in int64 is INT64_MAX + 1, which no int64 term equals.
-
-    Raises ValueError for an unknown kind, for a literal's tables shorter
-    than ``length`` rows, and for R/S/T tables shorter than the ``length``
-    values of a block tile read; TypeError for a parameter that is not an int.
+def _tile(tile, room: int, make, reach: int = sys.maxsize, checked: bool = False):
+    """The first ``reach`` values of ``tile``, its length clipped to ``[0,
+    room]`` as the kernel clips it, in one container that ``make`` builds
+    from an iterable of ints.  With ``checked``, a literal's row that the
+    kernel cannot compute in int64 is INT64_MAX + 1, which no int64 term
+    equals.  Every parameter is read, whatever ``room`` and ``reach``:
+    ValueError for a negative length, an unknown kind, a literal's tables
+    shorter than its length, and R/S/T tables too short for its blocks;
+    TypeError for a parameter that is not an int.
     """
+    kind, length, a, b = tile
+    kind, length = index(kind), index(length)
+    if length < 0:
+        raise ValueError("a tile's length is negative")
+    length = max(min(length, room), 0)
+    stop = min(length, reach)
     if kind == TILE_LITERAL:
         (x, y), (c, d, f) = a, b
         x, y = index(x), index(y)
         if min(len(c), len(d), len(f)) < length:  # binding, as every other tile's length is
             raise ValueError("the literal tile's tables hold fewer rows than its length")
         return make(_literal(x, y, c[:stop], d[:stop], f[:stop], checked))
-    if kind not in (TILE_CHUNK, TILE_BLOCKS):
+    if kind == TILE_CHUNK:
+        a, b = index(a), index(b)
+    elif kind == TILE_BLOCKS:
+        a, (r, s, t) = index(a), b
+        need = -(-length // 5)
+        if len(r) < need + 2 or len(s) < need + 2 or len(t) < need + 1:
+            # a slice of a short table would shorten the prediction
+            raise ValueError("the R/S/T tables are too short for the block tile")
+    else:
         raise ValueError(f"unknown tile kind {kind!r}")
+    if not stop:  # nothing to build: no parameter past int64 makes the values a list
+        return make(())
     # whole five-term periods, trimmed to stop below
     kmax = -(-stop // 5)
     if kind == TILE_CHUNK:
@@ -215,11 +229,6 @@ def _tile(kind, length: int, a, b, stop: int, make, checked: bool = False):
         out[2::5] = make((b,)) * kmax
         out[3::5] = make((3,)) * kmax
     else:
-        r, s, t = b
-        need = -(-length // 5)
-        if len(r) < need + 2 or len(s) < need + 2 or len(t) < need + 1:
-            # a slice of a short table would shorten the prediction
-            raise ValueError("the R/S/T tables are too short for the block tile")
         out = make((4,)) * (5 * kmax)
         out[::5] = make([a * v for v in t[1 : kmax + 1]])
         five_r = make([5 * v for v in r[1 : kmax + 2]])
@@ -318,32 +327,28 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
     the result is None, as the kernel declines the call.
 
     A tile is built only as far as the compare needs it: to one value past
-    the end of the run, and past the first difference only its first
-    period, which reads each of its parameters.  So a prediction far longer
-    than the run is never built, yet every tile is read: an unknown kind,
-    a literal's tables shorter than its length, R/S/T tables too short for
-    their tile, and a parameter that is not an int are refused as
+    the end of the run, and not at all past the first difference.  So a
+    prediction far longer than the run is never built, yet every tile is
+    read, whether or not the budget reaches it: an unknown kind, a negative
+    length, a literal's tables shorter than its length, R/S/T tables too
+    short for their tile, and a parameter that is not an int are refused as
     materialise refuses them.
     """
     terms, status = q_generate(prefix, zero_extended, max_terms, checked)
     if status == STATUS_OVERFLOW:
         return None
     pos, first = len(prefix), None  # pos: the count of predicted values before the tile
-    for kind, length, a, b in tiles:
-        length = min(length, max_terms - pos)
-        if length <= 0:
-            continue
+    for tile in tiles:
         reach = len(terms) - pos + 1 if first is None else 0
-        stop = min(length, max(reach, 5))
         try:
-            values = _tile(kind, length, a, b, stop, partial(array, "q"), checked)
+            values = _tile(tile, max_terms - pos, partial(array, "q"), reach, checked)
         except OverflowError:  # a value outside int64
-            values = _tile(kind, length, a, b, stop, _ints, checked)
+            values = _tile(tile, max_terms - pos, _ints, reach, checked)
         if first is None:
             first = _first_difference(values, terms[pos : pos + len(values)])
             if first is not None:
                 first = (pos + first[0], *first[1:])
-        pos += length
+        pos += len(values)  # the tile's clipped length, while no value differs
     if first is None and pos < len(terms):
         first = (pos + 1, None, terms[pos])
     if checked and first and first[1] is not None and not INT64_MIN <= first[1] <= INT64_MAX:

@@ -4,9 +4,10 @@ For most N >= 35 the sequence generated from <0-bar; 1, 2, ..., N> follows a
 rigid layout: the identity prefix, 28 affine terms, six sporadic values, then
 a chain of period-5 quasilinear chunks whose extents are governed by nested
 markers A_1 < A_2 < ... computed by a base-5 descent on N.  Each level m of
-the descent carries a residue C_m, and chunk m is followed by the rows that
-`_closing(C_m)` derives: a bridge to chunk m+1 while C_m == 1; at the first
-level j with C_j != 1, either the end of the run, one index past its last term
+the descent is a triple (A_m, x_m, C_m) of one recurrence: chunk m holds
+x_m + A_m*k from index A_m - C_m + 5k, then the rows `_closing(C_m)` derives,
+read at (x_m, A_m): a bridge to chunk m+1 while C_m == 1; at the first level j
+with C_j != 1, either the end of the run, one index past its last term
 (C_j in {0, 3, 4}), or the head of blocks that grow forever from the R/S/T
 system (C_j == 2).  The descent depends on N only through its base-5 digits, so
 the classification of every N can be arranged into a five-way branching tree.
@@ -67,8 +68,7 @@ def _closing(c: int) -> tuple[int, tuple[memoryview, memoryview, memoryview], tu
     """(C'_m, columns, reach) for a level m of the descent with C_m = c: chunk
     m runs through A_m + C'_m, row i of the columns (c, d, f) is the term at
     A_m + C'_m + 1 + i, c*x_m + d*A_m + f, a literal's forms at (x_m, A_m),
-    where x_m = A_m*D_m + B_m and 5*D_m = A_m - A_{m-1} - c - 2, and rows
-    0..i read at most Q(reach[i]).
+    x_m = profile.x[m-1], and rows 0..i read at most Q(reach[i]).
     The recurrence runs on such forms, ordered x_m >> A_m >> 1, from A_m - c,
     where chunk m holds (x_m + A_m*j, 5, A_m, 3, 5)[r] at A_m - c + 5j + r, to
     the end of the run (c = 0, 3, 4), chunk m+1 at A_m + 7 (c = 1) or R/S/T
@@ -123,21 +123,22 @@ def _base5(value: int) -> str:
 
 @dataclass(frozen=True)
 class StructureProfile:
-    """Descent data for one N.
+    """Descent data for one N: the triple (A_m, x_m, C_m) of each level m,
+    at which chunk m and its closing are read.
 
-    a[i] is A_i (a[0] = N - 2, a[1] = 2N + 4), b[i-1] is B_i = A_i - A_{i-1}
-    with B_1 = -11N - 22, c[i-1] is the residue C_i, and c_prime[i-1] tells
-    how far past A_i the level-i chunk reaches.  The descent stops at the
-    first C_i != 1; that i is j and C_j is the classification.  If every
-    computed residue is 1 the profile is truncated: j and classification are
-    None.
+    a[m] is A_m, x[m-1] is x_m and c[m-1] the residue C_m: A_0 = N - 2,
+    A_1 = 2N + 4, C_1 = (N - 1) mod 5, x_1 = A_1*(N + 4 - C_1)/5 - 11N - 22,
+    and past each level with C_m = 1, A_{m+1} = A_m + x_m,
+    C_{m+1} = (x_m + 3) mod 5 and x_{m+1} = A_{m+1}*(x_m - C_{m+1} - 2)/5 + x_m,
+    each division exact.  The descent stops at the first C_m != 1; that m is
+    j and C_j is the classification.  If every computed residue is 1 the
+    profile is truncated: j and classification are None.
     """
 
     n_value: int
     a: tuple[int, ...]
-    b: tuple[int, ...]
+    x: tuple[int, ...]
     c: tuple[int, ...]
-    c_prime: tuple[int, ...]
     j: int | None
     classification: int | None
 
@@ -149,22 +150,14 @@ def abc_profile(n_value: int, max_depth: int = 16) -> StructureProfile:
     if max_depth < 1:
         raise ValidationError("max_depth must be at least 1")
     a = [n_value - 2, 2 * n_value + 4]
-    b = [-11 * n_value - 22]
     c = [(n_value - 1) % 5]
+    x = [a[1] * _exact5(n_value + 4 - c[0]) - 11 * n_value - 22]
     while c[-1] == 1 and len(c) < max_depth:
-        i = len(c)
-        nxt = a[i] * _exact5(a[i] - a[i - 1] + 2) + b[i - 1]
-        a.append(nxt)
-        b.append(nxt - a[i])
-        c.append((nxt + 2 * (i + 1) + 1) % 5)
-    c_prime = tuple(_closing(ci)[0] for ci in c)
-    if c[-1] != 1:
-        j, classification = len(c), c[-1]
-    else:
-        j, classification = None, None
-    return StructureProfile(
-        n_value, tuple(a), tuple(b), tuple(c), c_prime, j, classification
-    )
+        a.append(a[-1] + x[-1])
+        c.append((x[-1] + 3) % 5)
+        x.append(a[-1] * _exact5(x[-1] - c[-1] - 2) + x[-1])
+    j, classification = (len(c), c[-1]) if c[-1] != 1 else (None, None)
+    return StructureProfile(n_value, tuple(a), tuple(x), tuple(c), j, classification)
 
 
 def is_exceptional(n_value: int) -> bool:
@@ -183,19 +176,17 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
     """The predicted terms from index N + 1 through max_terms, as tiles.
 
     Each tile is ``(kind, length, a, b)`` as ``_fallback`` documents: the
-    34-term literal, then chunk 1 and, for each level m of the descent, the
-    literal of the rows ``_closing(C_m)`` derives, followed by chunk m+1 when
-    C_m = 1 or by the run of R/S/T blocks when C_m = 2.  Each literal holds
-    the cached columns of its forms and the point (N, 0) or (x_m, A_m) they
-    are read at, so no row is evaluated here, and its length clips it to
-    the budget.  There are O(j) tiles whatever the budget.  The prediction
-    is infinite for classification 2, ends one short of its end index after
-    the closing of classification 0, 3 or 4, and stops after the last
-    computed chunk when the profile is truncated: exactly then the tiles end
-    short of max_terms.
+    34-term literal, then for each level m of the descent chunk m, the
+    literal of the rows ``_closing(C_m)`` derives and, when C_m = 2, the run
+    of R/S/T blocks.  Each literal holds the cached columns of its forms and
+    the point (N, 0) or (x_m, A_m) they are read at, so no row is evaluated
+    here, and its length clips it to the budget.  There are O(j) tiles
+    whatever the budget.  The prediction is infinite for classification 2,
+    ends one short of its end index after the closing of classification 0, 3
+    or 4, and stops after the last computed chunk when the profile is
+    truncated: exactly then the tiles end short of max_terms.
     """
-    n = profile.n_value
-    a, b, c, cp = profile.a, profile.b, profile.c, profile.c_prime
+    n, a, x, c = profile.n_value, profile.a, profile.x, profile.c
     tiles = []
     end = n  # the index of the last term the tiles so far predict
 
@@ -208,26 +199,23 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
 
     forms = _prefix()
     add(TILE_LITERAL, len(forms[0]), (n, 0), forms)
-    # chunk m runs through index A_m + C'_m, chunk 1 from index N + 35 on
-    add(TILE_CHUNK, a[1] + cp[0] - end, 7 * a[1] + b[0], a[1])
-    levels = profile.j if profile.j is not None else len(c) - 1
-    for m in range(1, levels + 1):
-        if end >= max_terms:
+    start = n + 1 + len(forms[0])  # the index past the tiles so far, were none clipped
+    for m, (a_m, x_m, c_m) in enumerate(zip(a[1:], x, c), 1):
+        last, forms, _ = _closing(c_m)
+        # chunk m holds x_m + A_m*k at index A_m - C_m + 5k, through A_m + C'_m
+        add(TILE_CHUNK, a_m + last - end, x_m + a_m * _exact5(start - a_m + c_m), a_m)
+        if end >= max_terms or (m == len(c) and profile.j is None):  # spent, or truncated
             break
-        a_m, c_m = a[m], c[m - 1]
-        x = a_m * _exact5(a_m - a[m - 1] - c_m - 2) + b[m - 1]
-        forms = _closing(c_m)[1]
-        add(TILE_LITERAL, len(forms[0]), (x, a_m), forms)
-        if c_m == 1:
-            add(TILE_CHUNK, a[m + 1] + cp[m] - end, a[m + 1] + b[m], a[m + 1])
-        elif c_m == 2:
+        add(TILE_LITERAL, len(forms[0]), (x_m, a_m), forms)
+        start = a_m + last + 1 + len(forms[0])
+        if c_m == 2:
             # block k occupies offsets 5k .. 5k+4 past A_m, and holds while
             # lam*(T(k) - 1) >= 5k + 2 with lam = A_m; no N >= 35 fails that,
             # so every block the budget reaches is emitted.  The descent makes
             # A strictly increasing: with C_1 = 1, x_1 = (2N+4)(N+3)/5 - 11N
-            # - 22 >= 195 for every N >= 37; then x_{m-1} >= 3 gives
-            # D_m = (x_{m-1} - 3)/5 >= 0, as B_m = x_{m-1}, so
-            # x_m = A_m*D_m + x_{m-1} >= 3 and A_m = A_{m-1} + x_{m-1}.  Hence
+            # - 22 >= 195 for every N >= 37; then x_m >= 3 makes
+            # x_m - C_{m+1} - 2 >= -3 a multiple of 5, so at least 0, hence
+            # x_{m+1} >= x_m >= 3 and A_{m+1} = A_m + x_m > A_m.  Hence
             # lam = A_m >= A_1 = 2N+4 >= 74, while through 10^6 blocks the
             # largest least valid lam is 12, at k = 2.  Only a class-2
             # prediction loads the R/S/T module.
@@ -237,6 +225,13 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
             tables = _tables(kmax + 1)
             add(TILE_BLOCKS, 5 * kmax, a_m, (tables.r, tables.s, tables.t))
     return tuple(tiles)
+
+
+def _resolved(profile: StructureProfile) -> int:
+    """profile.j, or QlabError when the descent is truncated at its depth cap."""
+    if profile.j is None:
+        raise QlabError(f"classification of {profile.n_value} unresolved at depth {len(profile.c)}")
+    return profile.j
 
 
 def _checked_profile(n_value: int, max_terms: int, max_depth: int) -> StructureProfile:
@@ -260,10 +255,7 @@ def _predicted_status(profile: StructureProfile, length: int, max_terms: int) ->
     finite one has ended one past its last term."""
     if length == max_terms:
         return SequenceStatus.alive()
-    if profile.j is None:
-        raise QlabError(
-            f"classification of {profile.n_value} unresolved at depth {len(profile.c)}"
-        )
+    _resolved(profile)
     return _status_of(STATUS_ENDED, length)
 
 
@@ -340,11 +332,8 @@ def _grow(node: BehaviorTreeNode, level: int, max_level: int) -> None:
 def tree_locate(n_value: int, max_depth: int = 16) -> tuple[str, int]:
     """Return (digits, classification) of the leaf containing N."""
     profile = abc_profile(n_value, max_depth=max_depth)
-    if profile.j is None:
-        raise QlabError(
-            f"classification of {n_value} unresolved at depth {max_depth}"
-        )
-    digits = _base5(n_value % 5**profile.j).rjust(profile.j, "0")
+    j = _resolved(profile)
+    digits = _base5(n_value % 5**j).rjust(j, "0")
     return digits, profile.classification
 
 
@@ -358,11 +347,7 @@ def congruence_check(n_value: int, multiplier: int, max_depth: int = 16) -> bool
     if multiplier < 1:
         raise ValidationError("multiplier must be at least 1")
     base = abc_profile(n_value, max_depth=max_depth)
-    if base.j is None:
-        raise QlabError(
-            f"classification of {n_value} unresolved at depth {max_depth}"
-        )
-    j = base.j
+    j = _resolved(base)
     shifted = abc_profile(n_value + multiplier * 5**j, max_depth=max_depth)
     if shifted.j != j:
         return False

@@ -305,6 +305,17 @@ def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
     assert modules == expected | {f"qlab.{name}" for name in loaded}
 
 
+def test_scan_and_tree_derive_no_closing(fresh_python):
+    # both read only the descent's residues: no closing rows, nor the
+    # symbolic prefix
+    code = ("import os, sys, qlab.cli; from qlab import predictor\n"
+            "for argv in (['scan', '--from', '35', '--to', '60', '--max', '200'],"
+            " ['tree', '--levels', '3'], ['tree', '--locate', '42']):\n"
+            "    assert qlab.cli.main(argv + ['--out', os.devnull]) == 0\n"
+            "print(predictor._closing.cache_info().currsize, 'qlab.symbolic' in sys.modules)")
+    assert fresh_python(code) == "0 False\n"
+
+
 @pytest.mark.parametrize("fmt, loaded", [("csv", False), ("json", True)])
 def test_only_json_output_loads_json(fresh_python, fmt, loaded):
     # engine imports json inside write_json, its one user

@@ -408,6 +408,11 @@ _RST_TABLES = _fallback.rst_generate(50)[:3]
                          20)),
     ("q_check", lambda: ((1, 2), True, (constants((3,)), (TILE_CHUNK, 1, 4)), 3)),
     ("q_check", lambda: ((1, 2), True, iter((constants((3,)),)), 20)),
+    # past the budget, each tile is read all the same
+    ("q_check", lambda: ((0, 0), False, ((TILE_LITERAL, 0, (), None),), 0)),
+    ("q_check", lambda: ((0, 0), False, ((TILE_CHUNK, 0, "x", None),), 0)),
+    ("q_check", lambda: ((0, 0), False, ((TILE_CHUNK, -1, 5, 3),), 0)),
+    ("q_check", lambda: ((0, 0), False, ((TILE_BLOCKS, 5, 2.5, _RST_TABLES),), 0)),
     ("q_generate", lambda: (iter((1, 1)), False, 10)),
     ("q_generate", lambda: (5, False, 10)),
     ("q_generate", lambda: ((1,), False, 10)),
@@ -416,7 +421,8 @@ _RST_TABLES = _fallback.rst_generate(50)[:3]
     ("rst_generate", lambda: (1,)),
 ], ids=["negative-length", "kind-9", "short-literal", "literal-of-values", "list-tile", "two-tables",
         "float-chunk", "float-after-mismatch", "float-parameter-after-mismatch",
-        "three-item-tile-past-budget", "tile-generator", "prefix-generator",
+        "three-item-tile-past-budget", "tile-generator", "pointless-literal-past-budget",
+        "str-chunk-past-budget", "negative-length-past-budget", "float-lam-past-budget", "prefix-generator",
         "int-prefix", "one-term-prefix", "float-term", "float-budget", "rst-n-max-1"])
 def test_backends_answer_or_fail_alike_on_unreadable_calls(compiled_kernel, name, args):
     """The kernel declines a call it cannot read, wherever the run and the

@@ -90,6 +90,21 @@ def _c_prime(c: int) -> int:
     return max(0, ((3 - c) % 5) - 1)
 
 
+def _descent(n: int, depth: int) -> tuple[tuple, tuple, tuple]:
+    """(a, b, c) of N's descent through at most ``depth`` levels, as
+    abc_profile ran it before it carried x_m, frozen here as the reference:
+    a[i] is A_i, b[i-1] is B_i = A_i - A_{i-1} with B_1 = -11N - 22, and
+    c[i-1] is C_i.  The descent is resolved where c[-1] != 1."""
+    a, b, c = [n - 2, 2 * n + 4], [-11 * n - 22], [(n - 1) % 5]
+    while c[-1] == 1 and len(c) < depth:
+        i = len(c)
+        nxt = a[i] * _exact5(a[i] - a[i - 1] + 2) + b[i - 1]
+        a.append(nxt)
+        b.append(nxt - a[i])
+        c.append((nxt + 2 * (i + 1) + 1) % 5)
+    return tuple(a), tuple(b), tuple(c)
+
+
 def _rows(tile: tuple) -> tuple[int, ...]:
     """The values of a literal tile: its forms c*x + d*y + f, row by row."""
     _, length, (x, y), (c, d, f) = tile
@@ -127,57 +142,84 @@ def test_literal_tiles_hold_the_cached_columns(n):
 
 
 def test_profile_42():
-    # hand-run of the descent: A_0=40, A_1=88, B_1=-484, C_1=1;
-    # A_2 = 88*(88-40+2)/5 - 484 = 396, B_2=308, C_2=(396+5)%5=1;
-    # A_3 = 396*(396-88+2)/5 + 308 = 24860, B_3=24464, C_3=(24860+7)%5=2
+    # hand-run of the descent: A_1=88, C_1=41%5=1, x_1 = 88*(42+4-1)/5 - 484 = 308;
+    # A_2 = 88+308 = 396, C_2 = (308+3)%5 = 1, x_2 = 396*(308-1-2)/5 + 308 = 24464;
+    # A_3 = 396+24464 = 24860, C_3 = (24464+3)%5 = 2,
+    # x_3 = 24860*(24464-2-2)/5 + 24464 = 121639584
     p = abc_profile(42)
     assert p.n_value == 42
     assert p.a == (40, 88, 396, 24860)
-    assert p.b == (-484, 308, 24464)
+    assert p.x == (308, 24464, 121639584)
     assert p.c == (1, 1, 2)
-    assert p.c_prime == (1, 1, 0)
     assert p.j == 3
     assert p.classification == 2
     print("✓ N=42 descent: j=3, classification 2")
 
 
 def test_profiles_class_zero():
+    # x_1 = 246*(121+4-0)/5 - 1353 = 4797
     p = abc_profile(121)
     assert p.a == (119, 246)
-    assert p.b == (-1353,)
+    assert p.x == (4797,)
     assert p.c == (0,)
-    assert p.c_prime == (2,)
     assert (p.j, p.classification) == (1, 0)
 
     p = abc_profile(126)
     assert p.a[1] == 256
     assert (p.j, p.classification) == (1, 0)
 
-    # 182 needs one more level: A_2 = 368*(368-180+2)/5 - 2024 = 11960
+    # 182 needs one more level: x_1 = 368*(182+4-1)/5 - 2024 = 11592,
+    # A_2 = 368+11592 = 11960, C_2 = (11592+3)%5 = 0,
+    # x_2 = 11960*(11592-0-2)/5 + 11592 = 27734872
     p = abc_profile(182)
     assert p.a == (180, 368, 11960)
-    assert p.b == (-2024, 11592)
+    assert p.x == (11592, 27734872)
     assert p.c == (1, 0)
     assert (p.j, p.classification) == (2, 0)
 
 
 def test_profiles_small_values():
     # the descent is defined for every N >= 0, exceptional or not
+    # x_1 = 4*(0+4-4)/5 - 22 = -22
     p = abc_profile(0)
     assert p.a == (-2, 4)
-    assert p.b == (-22,)
+    assert p.x == (-22,)
     assert (p.c, p.j, p.classification) == ((4,), 1, 4)
 
-    # N=2: A_2 = 8*(8-0+2)/5 - 44 = -28, C_2 = (-28+5) mod 5 = 2
+    # N=2: x_1 = 8*(2+4-1)/5 - 44 = -36, A_2 = 8-36 = -28,
+    # C_2 = (-36+3) mod 5 = 2, x_2 = -28*(-36-2-2)/5 - 36 = 188
     p = abc_profile(2)
     assert p.a == (0, 8, -28)
-    assert p.b == (-44, -36)
+    assert p.x == (-36, 188)
     assert (p.c, p.j, p.classification) == ((1, 2), 2, 2)
 
+    # x_1 = 80*(38+4-2)/5 - 440 = 200
     p = abc_profile(38)
     assert p.a == (36, 80)
-    assert p.b == (-440,)
+    assert p.x == (200,)
     assert (p.c, p.j, p.classification) == ((2,), 1, 2)
+
+
+# N through 5999 and past 10^6, 10^15 and 10^30, each under the depth caps
+# 1, 2, 3 and 16
+_PROFILE_GRID = [
+    (n, depth)
+    for n in (*range(6000), *(base + k for base in (10**6, 10**15, 10**30) for k in range(200)))
+    for depth in (1, 2, 3, 16)
+]
+
+
+def test_profile_agrees_with_the_frozen_descent():
+    for n, depth in _PROFILE_GRID:
+        p = abc_profile(n, depth)
+        a, b, c = _descent(n, depth)
+        assert (p.a, p.c) == (a, c), (n, depth)
+        assert (p.j, p.classification) == ((len(c), c[-1]) if c[-1] != 1 else (None, None))
+        # x_m is B_{m+1} at each level the descent passes, and at the last
+        # level the point predicted_tiles computed from A, B and C before
+        # the profile held it
+        assert p.x[:-1] == b[1:], (n, depth)
+        assert p.x[-1] == a[-1] * _exact5(a[-1] - a[-2] - c[-1] - 2) + b[-1], (n, depth)
 
 
 def test_profile_depth_cap():
@@ -472,12 +514,18 @@ def test_exact5_guard():
 @given(st.integers(min_value=0, max_value=10**6))
 def test_profile_invariants(n):
     p = abc_profile(n)
-    assert p.a[0] == n - 2
-    assert p.a[1] == 2 * n + 4
-    assert p.b[0] == -11 * n - 22  # definitional, not a difference of a
-    assert p.b[1:] == tuple(p.a[i + 1] - p.a[i] for i in range(1, len(p.b)))
+    assert p.a[:2] == (n - 2, 2 * n + 4)
+    assert p.c[0] == (n - 1) % 5
+    assert p.x[0] == p.a[1] * _exact5(n + 4 - p.c[0]) - 11 * n - 22
+    assert len(p.a) == len(p.x) + 1 == len(p.c) + 1
+    # past each level m with C_m = 1, the three identities of the recurrence
+    for m in range(1, len(p.c)):
+        x_m = p.x[m - 1]
+        assert p.c[m - 1] == 1
+        assert p.a[m + 1] == p.a[m] + x_m
+        assert p.c[m] == (x_m + 3) % 5
+        assert p.x[m] == p.a[m + 1] * _exact5(x_m - p.c[m] - 2) + x_m
     assert all(0 <= ci <= 4 for ci in p.c)
-    assert p.c_prime == tuple(_c_prime(ci) for ci in p.c)
     if p.j is not None:
         assert p.c[: p.j - 1] == (1,) * (p.j - 1)
         assert p.c[p.j - 1] == p.classification != 1
@@ -495,7 +543,8 @@ def _predicted_stream(profile: StructureProfile) -> Iterator[int]:
     stops after the last computed chunk when the profile is truncated.
     """
     n = profile.n_value
-    a, b, cp = profile.a, profile.b, profile.c_prime
+    a, b, c = _descent(n, len(profile.c))
+    cp = tuple(map(_c_prime, c))
     for v in range(1, n + 1):
         yield v
     # the frozen records of the derived prefix, not the derivation itself
@@ -505,18 +554,17 @@ def _predicted_stream(profile: StructureProfile) -> Iterator[int]:
     for o in range(35, a[1] + cp[0] - n + 1):
         k, r = divmod(o, 5)
         yield (a[1] * k + b[0], 5, a[1], 3, 5)[r]
-    levels = profile.j if profile.j is not None else len(profile.c)
-    for m in range(1, levels):
+    for m in range(1, len(c)):
         # bridge at A_m+2 .. A_m+6, then chunk m+1 through A_{m+1} + C'_{m+1}
         for v in (5, 8, a[m + 1], 3, 8):
             yield v
         for o in range(7, a[m + 1] + cp[m] - a[m] + 1):
             k, r = divmod(o, 5)
             yield (3, 5, a[m + 1] * k + b[m], 5, a[m + 1])[r]
-    if profile.j is None:
+    cls = c[-1]
+    if cls == 1:  # truncated
         return
     a_j, a_prev, b_j = a[-1], a[-2], b[-1]
-    cls = profile.classification
     if cls == 0:
         step = _exact5(a_j - a_prev - 2)
         for cc, dd, ff in CLOSINGS[0]:
@@ -588,9 +636,10 @@ def prediction_cases(draw):
     # N+34 ends the prefix, A_m + C'_m a chunk, A_m + 6 a bridge, and
     # A_j + 5k + 4 a class-2 block
     marks = [n, n + 34]
-    for a_m, cp_m in zip(profile.a[1:], profile.c_prime):
+    a, _, c = _descent(n, depth)
+    for a_m, cp_m in zip(a[1:], map(_c_prime, c)):
         marks += [a_m + cp_m, a_m + 6, a_m + 161]
-    marks += [profile.a[-1] + 5 * draw(st.integers(1, 200)) + 4]
+    marks += [a[-1] + 5 * draw(st.integers(1, 200)) + 4]
     mark = draw(st.sampled_from([m for m in marks if m <= BUDGET_CAP] or [n]))
     max_terms = max(n, mark + draw(st.integers(min_value=-6, max_value=6)))
     return n, max_terms, depth
@@ -620,7 +669,8 @@ def _per_class_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, 
     closing rows: a bridge literal per level and one branch per
     classification, frozen here as the reference for those rows."""
     n = profile.n_value
-    a, b, cp = profile.a, profile.b, profile.c_prime
+    a, b, c = _descent(n, len(profile.c))
+    cp = tuple(map(_c_prime, c))
     tiles = []
     end = n
 
@@ -633,14 +683,13 @@ def _per_class_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, 
 
     add(TILE_LITERAL, 34, tuple(alpha * n + beta for alpha, beta in PREFIX_PAIRS + SPORADIC_PAIRS), None)
     add(TILE_CHUNK, a[1] + cp[0] - n - 34, 7 * a[1] + b[0], a[1])
-    levels = profile.j if profile.j is not None else len(profile.c)
-    for m in range(1, levels):
+    for m in range(1, len(c)):
         add(TILE_LITERAL, 5, (5, 8, a[m + 1], 3, 8), None)
         add(TILE_CHUNK, a[m + 1] + cp[m] - a[m] - 6, a[m + 1] + b[m], a[m + 1])
-    if profile.j is None or end == max_terms:
+    cls = c[-1]
+    if cls == 1 or end == max_terms:  # truncated, or the budget is spent
         return tuple(tiles)
     a_j, a_prev, b_j = a[-1], a[-2], b[-1]
-    cls = profile.classification
     if cls == 0:
         x = a_j * _exact5(a_j - a_prev - 2) + b_j
         add(TILE_LITERAL, 158, tuple(cc * x + dd * a_j + ff for cc, dd, ff in CLOSINGS[0]), None)
@@ -707,7 +756,7 @@ def closing_cases(draw):
     marks = (
         n + draw(st.integers(-6, 40)),  # in or just past the 34-term prefix
         # the end of chunk m, then its bridge or a class-3/4 closing
-        a_m + profile.c_prime[m - 1] + draw(st.integers(-6, 14)),
+        a_m + _c_prime(profile.c[m - 1]) + draw(st.integers(-6, 14)),
         a_m + draw(st.integers(0, 170)),  # in or just past the class-0 closing
         a_m + 5 * draw(st.integers(1, 200)) + draw(st.integers(-1, 4)),  # class-2 block k
     )
@@ -1144,10 +1193,10 @@ def test_q_check_builds_only_what_the_run_reaches(compiled_kernel):
 
 
 def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
-    """The reference builds a tile past the first difference only through
-    its first period, yet reads every tile as the kernel does: each
-    malformed tile there, which the kernel declines, it refuses with the
-    error that building the tile whole raises."""
+    """The reference builds no tile past the first difference, yet reads
+    every tile as the kernel does: each malformed tile there, which the
+    kernel declines, it refuses with the error that building the tile whole
+    raises."""
     rst = _fallback.rst_generate(40)[:3]  # rows 0..40
     differs = constants((7, 8, 9))  # 7 at index 3, where the run has died
     _, _, _, mixed = forms((0, 0), [(1, 1, 9)] * 7)
@@ -1167,6 +1216,20 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
         for checked in (True, False):
             with pytest.raises(error):
                 _fallback.q_check((2, 0), False, (differs, tile), 10**12, checked=checked)
+    # so are the tiles past the budget, clipped to no term, and materialise
+    # refuses them alike
+    for tile, error in (
+        ((TILE_LITERAL, 0, (), None), ValueError),  # no point to read
+        ((TILE_CHUNK, 0, "x", None), TypeError),
+        ((TILE_CHUNK, -1, 5, 3), ValueError),  # a negative length
+        ((TILE_BLOCKS, 5, 2.5, rst), TypeError),  # lam
+    ):
+        assert compiled_kernel.q_check((0, 0), False, (tile,), 0) is None
+        for checked in (True, False):
+            with pytest.raises(error):
+                _fallback.q_check((0, 0), False, (tile,), 0, checked=checked)
+        with pytest.raises(error):
+            materialise((0, 0), (tile,), 0)
     # a literal's length is binding where the run reaches it too, on both
     # backends, and clipped to the budget before it is
     tiles = (constants((2,), 3), (TILE_CHUNK, 4, 0, 1))
@@ -1199,19 +1262,33 @@ def _corrupt(draw, tiles: list) -> None:
 
 _huge = st.sampled_from((2**62, 2**63 - 1, 2**63, -(2**63) - 1, 2**64, -(2**64)))
 
+# tiles the kernel cannot read, which the reference refuses wherever they
+# lie, past the budget too
+_malformed = st.sampled_from((
+    (TILE_LITERAL, 0, (), None),  # no point
+    (TILE_CHUNK, 0, "x", None),
+    (TILE_CHUNK, -1, 5, 3),  # a negative length
+    (TILE_CHUNK, 3, 1, 2.5),
+    (TILE_BLOCKS, 5, 2.5, _fallback.rst_generate(40)[:3]),  # lam
+    (9, 3, 1, None),  # an unknown kind
+))
+
 
 @st.composite
 def check_cases(draw):
     """(prefix, zero, tiles, budget).  Either a real prediction, perhaps
     with one tile corrupted and perhaps run under the plain convention, or
     random tiles of every kind after a random prefix that may die, end or
-    overflow.  Either prefix may be a range."""
+    overflow.  Either prefix may be a range, and either tuple of tiles may
+    end in a malformed tile, which every call refuses."""
     if draw(st.booleans()):
         n = draw(st.integers(35, 3000).filter(lambda v: not is_exceptional(v)))
         budget = draw(st.integers(n, 6000))
         tiles = list(predicted_tiles(abc_profile(n, draw(st.sampled_from((1, 2, 16)))), budget))
         if tiles and draw(st.booleans()):  # none when the budget ends at N
             _corrupt(draw, tiles)
+        if not draw(st.integers(0, 3)):  # past the budget, which the prediction fills
+            tiles.append(draw(_malformed))
         prefix = range(1, n + 1)
         return draw(st.sampled_from((prefix, tuple(prefix)))), draw(st.booleans()), tuple(tiles), budget
     big = st.sampled_from((2**62, 3 * 2**61, 2**63 - 1, -(2**62)))
@@ -1235,6 +1312,8 @@ def check_cases(draw):
         elif kind == TILE_BLOCKS:
             b = (rst.r, rst.s, rst.t)
         tiles.append((kind, length, a, b))
+    if not draw(st.integers(0, 3)):  # often past the budget
+        tiles.append(draw(_malformed))
     # a budget may fall short of the prefix, which the run keeps whole
     return prefix, draw(st.booleans()), tuple(tiles), draw(st.integers(0, 120))
 
@@ -1254,6 +1333,8 @@ def check_cases(draw):
 @example((range(-(2**63), 1, 2**63), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # so is its step, not its terms
 @example((range(1, 2), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # too short: declined, ValueError
 @example((range(0), False, (), 20))
+@example(((0, 0), False, ((TILE_LITERAL, 0, (), None),), 0))  # past the budget: declined, ValueError
+@example(((1, 2), True, (constants((3,)), (TILE_CHUNK, -1, 5, 3)), 3))  # negative, past the budget
 def test_compiled_and_fallback_q_check_agree(compiled_kernel, case):
     prefix, zero, tiles, budget = case
     compiled = _answer(compiled_kernel.q_check, prefix, zero, tiles, budget)
