@@ -29,12 +29,17 @@ no tile restates) and each later one where the one before it stopped.  By kind:
   rows 0..kmax of t.  The kernel reads only ``array('q')`` tables, from
   their buffers, and declines any other.
 
-q_check compares the run with the prediction tile by tile, and builds a
-tile only as far as the compare reaches (see its docstring), so a tile far
-longer than the run costs no more than the run; the kernel compares every
-tile, of any kind, five terms at a time, in place.  Every tile is read all
-the same, reached by the compare and the budget or not, and a parameter that
-is not an int raises TypeError whether or not another value lies past int64.
+q_check runs the recurrence, then compares the run with the prediction
+tile by tile, and builds a tile only as far as the compare reaches (see its
+docstring), so a tile far longer than the run costs no more than the run.
+The kernel finds the same answer another way: it tests each predicted value
+against the recurrence, from the values before it, and runs the recurrence
+one term after another only from the first value that breaks it.  The
+reference stays run-then-compare, the plain statement of what q_check
+answers, so that the differential tests hold the kernel's test to an answer
+found without it.  Every tile is read all the same, reached by the compare
+and the budget or not, and a parameter that is not an int raises TypeError
+whether or not another value lies past int64.
 """
 
 from __future__ import annotations
@@ -317,7 +322,10 @@ def _first_difference(p_terms, a_terms) -> tuple[int, int | None, int | None] | 
 def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = True):
     """Run the recurrence as q_generate does and compare it, tile by tile,
     with the terms ``materialise(prefix, tiles, max_terms)`` predicts: the
-    run holds the prefix itself, so the walk starts just past it.
+    run holds the prefix itself, so the walk starts just past it.  The
+    compiled kernel tests the prediction against the recurrence instead
+    (see the module docstring); this run-then-compare is the reference it
+    is held to.
 
     Returns ``(first_mismatch, status, n_actual)``: ``_first_difference``
     of the prediction and the run, q_generate's status, and the count of

@@ -11,11 +11,14 @@
  * range, a tuple or a list of ints; a range such as range(1, N + 1) is read
  * from its start, step and length (see load_prefix).
  * q_check(prefix, zero_extended, tiles, max_terms) returns (first_mismatch,
- * status, n_actual): it runs the same recurrence (see extend), n_actual
- * terms, and compares it with the tiles, which predict the terms past the
- * prefix, without building a list: every tile, of any kind, five terms at a
- * time (see tile_group, which evaluates a literal's forms), and value by
- * value only the group where the walk stops.
+ * status, n_actual), the run of n_actual terms compared with the tiles,
+ * which predict the terms past the prefix.  It builds no list: it writes
+ * the predicted values past the terms it has checked, a window at a time
+ * (see tile_group, which evaluates a literal's forms), and tests each
+ * against the recurrence from the values before it (see first_break), so
+ * the tests do not wait on each other.  Only from the first that breaks
+ * the recurrence, or from the end of the prediction, does it run the
+ * recurrence one term after another (see extend).
  * rst_generate(n_max) returns (r, s, t, which): R(0..n), S(0..n) and
  * T(0..n), row k at index k, in place in three array('q') allocated once,
  * at n_max + 1 rows, and cut only where which ends the system, at row
@@ -170,17 +173,21 @@ read_int(PyObject *o, long long *v, int *big)
     return *v == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* Double the capacity of buf from cap entries; 0 (buf kept) on failure. */
+/* Double the capacity *cap of buf: 0, or -1 with MemoryError set and buf
+ * kept. */
 static int
-grow(long long **buf, Py_ssize_t cap)
+grow(long long **buf, Py_ssize_t *cap)
 {
-    long long *grown = cap > PY_SSIZE_T_MAX / (2 * (Py_ssize_t)sizeof(long long))
+    long long *grown = *cap > PY_SSIZE_T_MAX / (2 * (Py_ssize_t)sizeof(long long))
                            ? NULL
-                           : PyMem_Realloc(*buf, 2 * cap * sizeof(long long));
-    if (grown == NULL)
-        return 0;
+                           : PyMem_Realloc(*buf, 2 * *cap * sizeof(long long));
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
     *buf = grown;
-    return 1;
+    *cap *= 2;
+    return 0;
 }
 
 /* *v = the int64 value of the int attribute name of o, *big as read_int
@@ -400,11 +407,12 @@ tile_close(Tile *tl)
  * what each kind predicts.  Each value is computed exactly, with no state
  * kept from another group.  A literal's row c*x + d*y + f stops at x or y
  * outside int64 under a nonzero coefficient, or at a product or partial
- * sum outside int64.  A chunk's group g > 0 is asked for only once the run
- * has matched group 0, in which a and b each precede a later term, so both
- * are positive: a + b*g leaves int64 exactly when b*g or the sum does.  A
- * big b stops group 0 at 2 values.  A block's lam outside int64 is the
- * first value outside int64 that depends on it (T(k) >= 1 in every table). */
+ * sum outside int64.  A chunk's group g > 0 decides q_check only once group
+ * 0 has passed the recurrence, whose terms at offsets 1 and 3 read a and b
+ * as Q(n-1), so both are positive: a + b*g leaves int64 exactly when b*g or
+ * the sum does.  A big b stops group 0 at 2 values.  A block's lam outside
+ * int64 is the first value outside int64 that depends on it (T(k) >= 1 in
+ * every table). */
 static inline __attribute__((always_inline)) int
 tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
 {
@@ -438,106 +446,144 @@ tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
     }
 }
 
-/* The count of the leading groups of tile tl that match u[0..5g-1], every
- * value within int64, at most whole, for kind = tl->kind. */
+/* Write to dst the count values tile tl, of kind kind, predicts from
+ * offset off on (off + count <= tl->length): the rest of the group that off
+ * falls in through v, then whole groups in place, so up to 4 values past
+ * them.  Returns count, or how many it wrote before a value that
+ * tile_group cannot compute in int64. */
 static inline __attribute__((always_inline)) Py_ssize_t
-kind_groups(const Tile *tl, int kind, const long long *u, Py_ssize_t whole)
+kind_fill(const Tile *tl, int kind, Py_ssize_t off, long long *dst, Py_ssize_t count)
 {
     long long v[5];
-    Py_ssize_t g;
+    Py_ssize_t g = off / 5, done = 0, got;
 
-    for (g = 0; g < whole && tile_group(tl, kind, g, v) == 5; g++, u += 5) {
-        if (u[0] != v[0] || u[1] != v[1] || u[2] != v[2] || u[3] != v[3] || u[4] != v[4])
-            break;
+    if (off % 5) {
+        done = Py_MIN(5 - off % 5, count);
+        got = tile_group(tl, kind, g++, v) - off % 5; /* >= 0: off follows values written */
+        memcpy(dst, v + off % 5, Py_MIN(got, done) * sizeof v[0]);
+        if (got < done)
+            return got;
     }
-    return g;
+    for (; done < count; done += 5, g++) {
+        if ((got = tile_group(tl, kind, g, dst + done)) < 5)
+            return Py_MIN(done + got, count);
+    }
+    return count;
 }
 
-/* kind_groups with a constant kind at each call, so that each kind gets a
+/* kind_fill with a constant kind at each call, so that each kind gets a
  * loop of its own around its tile_group; kept out of q_check, whose locals
  * would push the loops' own out of registers. */
 static __attribute__((noinline)) Py_ssize_t
-matched_groups(const Tile *tl, const long long *u, Py_ssize_t whole)
+tile_fill(const Tile *tl, Py_ssize_t off, long long *dst, Py_ssize_t count)
 {
     switch (tl->kind) {
     case TILE_LITERAL:
-        return kind_groups(tl, TILE_LITERAL, u, whole);
+        return kind_fill(tl, TILE_LITERAL, off, dst, count);
     case TILE_CHUNK:
-        return kind_groups(tl, TILE_CHUNK, u, whole);
+        return kind_fill(tl, TILE_CHUNK, off, dst, count);
     }
-    return kind_groups(tl, TILE_BLOCKS, u, whole);
+    return kind_fill(tl, TILE_BLOCKS, off, dst, count);
 }
+
+/* The first index n in lo+1..hi (lo >= 2) at which t[n-1] is not the term
+ * the recurrence computes from t[0..n-2], or 0 when there is none: lookup's
+ * rules, written so that the compiler gives each convention a loop of its
+ * own.  Each index is tested from the values before it, not from a term
+ * computed here, so the tests do not wait on each other; while t[0..lo-1]
+ * is the run, the first n that fails is where t departs from the run, and
+ * every test before it read only terms of the run. */
+static Py_ssize_t
+first_break(const long long *t, Py_ssize_t lo, Py_ssize_t hi, int zero)
+{
+    Py_ssize_t n;
+    long long q1, q2, a, b, sum;
+
+    for (n = lo + 1; n <= hi; n++) {
+        q1 = t[n - 2];
+        q2 = t[n - 3];
+        if (q1 <= 0 || q2 <= 0 || (!zero && (q1 >= n || q2 >= n)))
+            return n;
+        a = q1 < n ? t[n - 1 - q1] : 0;
+        b = q2 < n ? t[n - 1 - q2] : 0;
+        if (__builtin_add_overflow(a, b, &sum) || sum != t[n - 1])
+            return n;
+    }
+    return 0;
+}
+
+/* How many predicted values q_check writes past the checked terms before
+ * first_break tests them: a window. */
+#define WINDOW 4096
 
 static PyObject *
 q_check(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *tiles, *seq = NULL, *first = NULL, *result = NULL;
-    int zero, status, big, rc = 0, differs = 0, stored;
-    Py_ssize_t max_terms, k, cap, n, n_act, pos, end, i, j = 0, g;
-    long long *t = NULL, v[5];
+    int zero, status = STATUS_ALIVE, big, rc = 0;
+    Py_ssize_t max_terms, k, cap, n, pos, fil, end, f = 0, off, want, got, i;
+    long long *t = NULL, predicted = 0;
     Tile tl;
 
     /* a list of tiles copied: no call below changes it */
     if (!PyArg_ParseTuple(args, "OpOO&", &prefix, &zero, &tiles, clipped_size, &max_terms) ||
         (!PyTuple_Check(tiles) && !PyList_Check(tiles)) || (seq = PySequence_Tuple(tiles)) == NULL ||
-        (t = load_prefix(prefix, &k, &cap, &big)) == NULL)
-        goto done;
-    n = k + 1;
-    status = big ? STATUS_OVERFLOW : STATUS_ALIVE;
-    while (status == STATUS_ALIVE && n <= max_terms) {
-        if (n > cap) {
-            if (!grow(&t, cap)) {
-                PyErr_NoMemory();
-                goto done;
-            }
-            cap *= 2;
-        }
-        status = extend(t, cap, zero, max_terms, &n);
-    }
-    if (status == STATUS_OVERFLOW)
-        goto done;
-    n_act = n - 1;
-    pos = end = k; /* the run holds the prefix: the tiles predict past it */
+        (t = load_prefix(prefix, &k, &cap, &big)) == NULL || big)
+        goto done; /* big: the run overflows in its prefix */
+    pos = fil = end = k; /* the run holds the prefix: the tiles predict past it */
 
     /* Read every tile, as _fallback.q_check does, each clipped to the
-     * budget: end is the predicted length, the prefix's own included.  Walk
-     * the predicted values past the prefix in order to the first one that
-     * has no actual term or differs from it: pos ends at its offset, or at
-     * end.  Each tile, of any kind, is matched
-     * five values at a time while its groups lie within it and the actual
-     * run; the group where that stops holds the first difference, the end of
-     * the run or of the tile, or a value outside int64, and is walked value
-     * by value: a value outside int64 is declined, then the end of the
-     * actual run tested, then the value compared.  A tile that cannot be
-     * read, or a value outside int64 up to that one, declines the call
-     * (rc 1). */
+     * budget: end is the predicted length, the prefix's own included.  t
+     * holds the run's terms t[0..pos-1], checked, then the predicted values
+     * t[pos..fil-1], written by tile_fill and not yet checked.  first_break
+     * tests them a window at a time: WINDOW values each, counted from k, and
+     * the last window ends with the prediction.  t grows, by doubling, only
+     * as far as the values written and the 4 that tile_fill may write past
+     * them.  f is set at the first index that fails, where the prediction
+     * departs from the run, and no window past it is filled.  A tile that
+     * cannot be read, or a value outside int64 with every value before it
+     * checked, declines the call (rc 1). */
     for (i = 0; !rc && i < PyTuple_GET_SIZE(seq); i++) {
         rc = read_tile(PyTuple_GET_ITEM(seq, i), max_terms - end, &tl);
-        if (!rc && !differs) {
-            g = matched_groups(&tl, t + pos, Py_MIN(tl.length, n_act - pos) / 5);
-            pos += 5 * g;
-            stored = 5 * g < tl.length ? tile_group(&tl, tl.kind, g, v) : 0;
-            for (j = 0; j < Py_MIN(tl.length - 5 * g, 5); j++) {
-                if ((rc = j >= stored) || pos + j >= n_act || v[j] != t[pos + j])
-                    break;
-            }
-            differs = 5 * g + j < tl.length; /* then v[j] differs */
-            pos += j;
+        for (off = 0; !rc && !f && off < tl.length; off += got) {
+            want = Py_MIN(tl.length - off, pos + WINDOW - fil);
+            while (!rc && fil + want + 4 > cap)
+                rc = grow(&t, &cap);
+            if (rc)
+                break;
+            fil += got = tile_fill(&tl, off, t + fil, want);
+            if (got < want)
+                rc = (f = first_break(t, pos, fil, zero)) == 0;
+            else if (fil == pos + WINDOW && (f = first_break(t, pos, fil, zero)) == 0)
+                pos = fil;
         }
         end += tl.length;
         tile_close(&tl);
     }
-
     if (rc)
         goto done;
+    if (f || (f = first_break(t, pos, fil, zero)) != 0)
+        predicted = t[f - 1];
+    else
+        f = fil + 1; /* the prediction holds: the run may go on past it */
+
+    /* The run from f on, over the predicted values, as q_generate runs it. */
+    n = f;
+    while (status == STATUS_ALIVE && n <= max_terms) {
+        if (n > cap && grow(&t, &cap))
+            goto done;
+        status = extend(t, cap, zero, max_terms, &n);
+    }
+    if (status == STATUS_OVERFLOW)
+        goto done;
     /* (index, predicted, actual), None on the side that has no value */
-    if (!differs && pos == n_act)
+    if (f > fil && n == f)
         first = Py_NewRef(Py_None);
     else
-        first = Py_BuildValue("(nNN)", pos + 1, differs ? PyLong_FromLongLong(v[j]) : Py_NewRef(Py_None),
-                              pos < n_act ? PyLong_FromLongLong(t[pos]) : Py_NewRef(Py_None));
+        first = Py_BuildValue("(nNN)", f, f <= fil ? PyLong_FromLongLong(predicted) : Py_NewRef(Py_None),
+                              f < n ? PyLong_FromLongLong(t[f - 1]) : Py_NewRef(Py_None));
     if (first != NULL)
-        result = Py_BuildValue("(Nin)", first, status, n_act);
+        result = Py_BuildValue("(Nin)", first, status, n - 1);
 
 done:
     Py_XDECREF(seq);
@@ -786,8 +832,9 @@ static PyMethodDef methods[] = {
     {"q_check", q_check, METH_VARARGS,
      "q_check(prefix, zero_extended, tiles, max_terms)\n"
      "-> (first_mismatch, status, n_actual) or None\n\n"
-     "Run q_generate's recurrence, n_actual terms, and compare it with the\n"
-     "tiles, each five terms at a time; None when declined."},
+     "Test the terms the tiles predict against q_generate's recurrence, each\n"
+     "on its own, and run the recurrence from the first that breaks it:\n"
+     "n_actual terms.  None when declined."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which) or None\n\n"
      "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q'),\n"

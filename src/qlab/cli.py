@@ -18,8 +18,8 @@ Integer tables (sequences in text, bfile, csv and json, and the R/S/T rows)
 are formatted by :func:`qlab._backend.format_rows`, through the writers of
 :mod:`qlab.engine`; every ``--format json`` goes through
 :func:`qlab.engine.write_json`.  ``scan`` takes each run's status and
-length from :func:`qlab._backend.q_check`, as ``verify`` runs it, and
-builds no list of terms.
+length from :func:`qlab._backend.q_check` with no tiles, so the kernel runs
+the recurrence one term after another, and builds no list of terms.
 
 Exit codes: 0 on success, 1 for usage and runtime problems (bad arguments,
 64-bit overflow, I/O failures), 2 for a broken internal invariant.

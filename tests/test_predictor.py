@@ -3,7 +3,9 @@ terms, brute-force cross-checks, and the classification tree."""
 
 from __future__ import annotations
 
+import mmap
 import random
+import tracemalloc
 from array import array
 from itertools import islice
 from types import SimpleNamespace
@@ -1035,9 +1037,10 @@ def _following(kind: int, run) -> tuple:
 
 
 def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
-    """The compiled kernel compares a tile five values at a time and the
-    group where the walk stops value by value: wherever the stop falls in
-    its group, it answers as the reference and the lists do."""
+    """The compiled kernel writes a tile's values five at a time, a group
+    cut by a window's edge through a buffer of its own, and tests each value
+    on its own: wherever the stop falls in its group, it answers as the
+    reference and the lists do."""
     seen = set()
     for event, kind, r, g, p, prefix, zero, tiles, budget in _group_cases():
         compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
@@ -1190,6 +1193,94 @@ def test_q_check_builds_only_what_the_run_reaches(compiled_kernel):
         with mock.patch.object(_backend, "_kernel", kernel):
             assert _backend.q_check((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12) == ((3, 1, None), 1, 2)
             assert _backend.q_check(range(1, 39), False, tiles, 200_000) == ((67, 44, None), 1, 66)
+
+
+# The predicted values the compiled q_check writes past the terms it has
+# checked, and then tests against the recurrence, at a time: WINDOW in
+# _kernel.c.  Its windows start at the first term past the prefix.
+_WINDOW = 4096
+
+
+def _values(values) -> tuple:
+    """The literal tile of the int64 ``values``, built without a form per row."""
+    zeros = array("q", [0]) * len(values)
+    return TILE_LITERAL, len(values), (0, 0), (zeros, zeros, array("q", values))
+
+
+def _spliced(tiles, predicted, offset: int, value: int) -> tuple:
+    """``tiles`` with the value they predict at ``offset`` (0 for the first
+    term past the prefix), which ``predicted`` holds, replaced by ``value``:
+    the tile that holds it is cut there, ``value`` is a one-row literal, and
+    the values after it follow as a literal."""
+    head, start = [], 0
+    for kind, length, a, b in tiles:
+        head.append((kind, min(length, offset - start), a, b))
+        start += length
+        if start > offset:
+            break
+    return (*head, _values((value,)), _values(predicted[offset + 1 :]))
+
+
+@pytest.mark.parametrize("n", [38, 182], ids=["class 2", "class 0, depth 2"])
+def test_q_check_finds_a_break_at_any_offset(compiled_kernel, n):
+    """The compiled kernel tests the prediction against the recurrence a
+    window at a time and runs the recurrence on from the first index that
+    breaks it: a value changed at either edge of a window, at the first
+    predicted term or at the last, and a prediction one term short or one
+    term long, give the reference's first mismatch, status and length under
+    both conventions.  N = 38 is predicted to the budget, through its R/S/T
+    blocks; N = 182 through a chunk of 11588 terms, to the end of its run."""
+    profile, budget = abc_profile(n), 200_000
+    assert (profile.classification, profile.j) == ((2, 1) if n == 38 else (0, 2))
+    prefix = range(1, n + 1)
+    tiles = predicted_tiles(profile, budget)
+    predicted = materialise(prefix, tiles, budget)[n:]
+    last = len(predicted) - 1
+    assert last > 2 * _WINDOW
+    variants = [(offset, _spliced(tiles, predicted, offset, predicted[offset] + 1))
+                for offset in (0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW, last)]
+    kind, length, a, b = tiles[-1]
+    variants += [(last, (*tiles[:-1], (kind, length - 1, a, b))), (last + 1, (*tiles, _values((1,))))]
+    for offset, spliced in variants:
+        for zero in (True, False):
+            compiled = compiled_kernel.q_check(prefix, zero, spliced, budget)
+            assert compiled == _fallback.q_check(prefix, zero, spliced, budget, checked=True), (offset, zero)
+            if zero and n + offset < budget:  # the run is the prediction: it breaks where changed
+                assert compiled[0][0] == n + offset + 1, offset
+
+
+def test_q_check_memory_follows_the_checked_terms(compiled_kernel):
+    """The compiled kernel's buffer holds the terms it has checked and at
+    most one window of predicted values past them, however long the
+    prediction: the class-2 prediction of N = 38 at 10**8 terms, whose plain
+    run dies at 66, and a chunk of 10**12 terms after a run of two, which
+    dies at once.  The block tile's R/S/T tables are anonymous maps, which
+    hold pages only where they are written or read: their rows past those
+    of the 200000-term prediction are 0, and no window reaches them.
+    tracemalloc sees the kernel's own allocations, and not the maps."""
+    budget = 10**8
+    tiles = predicted_tiles(abc_profile(38), 200_000)
+    kind, _, lam, tables = tiles[-1]
+    assert kind == TILE_BLOCKS
+    length = budget - sum(tile[1] for tile in tiles[:-1]) - 38
+    rows = -(-length // 5) + 2
+    sparse = []
+    for table in tables:
+        view = memoryview(mmap.mmap(-1, 8 * rows)).cast("q")
+        view[: len(table)] = table
+        sparse.append(view)
+    calls = (
+        ((range(1, 39), False, (*tiles[:-1], (kind, length, lam, tuple(sparse))), budget), ((67, 44, None), 1, 66)),
+        (((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12), ((3, 1, None), 1, 2)),
+    )
+    for args, want in calls:
+        tracemalloc.start()
+        try:
+            assert compiled_kernel.q_check(*args) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, args[0]
 
 
 def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
