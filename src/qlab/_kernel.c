@@ -13,10 +13,10 @@
  * q_check(prefix, zero_extended, tiles, max_terms) returns (first_mismatch,
  * status, n_actual), the run of n_actual terms compared with the tiles,
  * which predict the terms past the prefix.  It builds no list: it writes
- * the predicted values past the terms it has checked, a window at a time
- * (see tile_group, which evaluates a literal's forms), and tests each
- * against the recurrence from the values before it (see first_break), so
- * the tests do not wait on each other.  Only from the first that breaks
+ * the predicted values past the terms it has checked, a window of a tile
+ * at a time (see tile_fill, which evaluates a literal's forms), and tests
+ * each against the recurrence from the values before it (see first_break),
+ * so the tests do not wait on each other.  Only from the first that breaks
  * the recurrence, or from the end of the prediction, does it run the
  * recurrence one term after another (see extend).
  * rst_generate(n_max) returns (r, s, t, which): R(0..n), S(0..n) and
@@ -35,7 +35,6 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <limits.h>
 
 #define STATUS_ALIVE 0
 #define STATUS_DIED 1
@@ -400,12 +399,13 @@ tile_close(Tile *tl)
     column_close(&tl->tab[2]);
 }
 
-/* Store in v[0..4] the values tile tl, of kind kind, predicts at offsets
- * 5g..5g+4 (5g < tl->length), in order, stopping at the first it cannot
- * compute in int64 or past the end of a literal: returns how many it
- * stored, 5 when it did not stop.  This is the one place in C that says
- * what each kind predicts.  Each value is computed exactly, with no state
- * kept from another group.  A literal's row c*x + d*y + f stops at x or y
+/* Write to v the count values tile tl predicts from offset off on (off +
+ * count <= tl->length): a literal row by row, a chunk or a block tile by
+ * whole groups of five from g = off / 5 (off a multiple of 5), so up to 4
+ * values past them.  Returns count, or how many it wrote before the first
+ * value it cannot compute in int64.  This is the one place in C that says
+ * what each kind predicts, each value computed exactly, with no state kept
+ * from another group.  A literal's row c*x + d*y + f stops at x or y
  * outside int64 under a nonzero coefficient, or at a product or partial
  * sum outside int64.  A chunk's group g > 0 decides q_check only once group
  * 0 has passed the recurrence, whose terms at offsets 1 and 3 read a and b
@@ -413,77 +413,48 @@ tile_close(Tile *tl)
  * the sum does.  A big b stops group 0 at 2 values.  A block's lam outside
  * int64 is the first value outside int64 that depends on it (T(k) >= 1 in
  * every table). */
-static inline __attribute__((always_inline)) int
-tile_group(const Tile *tl, int kind, Py_ssize_t g, long long *v)
+static Py_ssize_t
+tile_fill(const Tile *tl, Py_ssize_t off, long long *v, Py_ssize_t count)
 {
     const long long *r = tl->tab[0].v, *s = tl->tab[1].v, *t = tl->tab[2].v;
     long long cx, dy;
-    int i;
+    Py_ssize_t i, g = off / 5;
+    int got;
 
-    switch (kind) {
-    case TILE_LITERAL: /* row 5g + i of the columns (c, d, f) = (r, s, t) */
-        r += 5 * g, s += 5 * g, t += 5 * g;
-        for (i = 0; i < 5 && 5 * g + i < tl->length; i++)
+    switch (tl->kind) {
+    case TILE_LITERAL: /* row off + i of the columns (c, d, f) = (r, s, t) */
+        r += off, s += off, t += off;
+        for (i = 0; i < count; i++)
             if ((r[i] && tl->a_big) || (s[i] && tl->b_big) || __builtin_mul_overflow(r[i], tl->a, &cx) ||
                 __builtin_mul_overflow(s[i], tl->b, &dy) || __builtin_add_overflow(cx, dy, &v[i]) ||
                 __builtin_add_overflow(v[i], t[i], &v[i]))
-                break;
-        return i;
-    case TILE_CHUNK: /* (a + b*g, 5, b, 3, 5) */
-        v[1] = 5;
-        v[2] = tl->b;
-        v[3] = 3;
-        v[4] = 5;
-        return tl->a_big || __builtin_mul_overflow(tl->b, g, &v[0]) ||
-               __builtin_add_overflow(tl->a, v[0], &v[0]) ? 0 : tl->b_big ? 2 : 5;
+                return i;
+        return count;
+    case TILE_CHUNK: /* group g: (a + b*g, 5, b, 3, 5) */
+        for (i = 0; i < count; i += 5, g++) {
+            v[i + 1] = 5;
+            v[i + 2] = tl->b;
+            v[i + 3] = 3;
+            v[i + 4] = 5;
+            got = tl->a_big || __builtin_mul_overflow(tl->b, g, &v[i]) ||
+                  __builtin_add_overflow(tl->a, v[i], &v[i]) ? 0 : tl->b_big ? 2 : 5;
+            if (got < 5)
+                return Py_MIN(i + got, count);
+        }
+        return count;
     default: /* TILE_BLOCKS, block k = g + 1: (lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1)) */
-        v[1] = 4;
-        return tl->a_big || __builtin_mul_overflow(tl->a, t[g + 1], &v[0]) ? 0
-               : __builtin_mul_overflow(r[g + 1], 5LL, &v[2]) ? 2
-               : __builtin_mul_overflow(r[g + 2], 5LL, &v[3]) ? 3
-               : __builtin_mul_overflow(s[g + 2], 5LL, &v[4]) ? 4
-               : 5;
+        for (i = 0; i < count; i += 5, g++) {
+            v[i + 1] = 4;
+            got = tl->a_big || __builtin_mul_overflow(tl->a, t[g + 1], &v[i]) ? 0
+                  : __builtin_mul_overflow(r[g + 1], 5LL, &v[i + 2]) ? 2
+                  : __builtin_mul_overflow(r[g + 2], 5LL, &v[i + 3]) ? 3
+                  : __builtin_mul_overflow(s[g + 2], 5LL, &v[i + 4]) ? 4
+                  : 5;
+            if (got < 5)
+                return Py_MIN(i + got, count);
+        }
+        return count;
     }
-}
-
-/* Write to dst the count values tile tl, of kind kind, predicts from
- * offset off on (off + count <= tl->length): the rest of the group that off
- * falls in through v, then whole groups in place, so up to 4 values past
- * them.  Returns count, or how many it wrote before a value that
- * tile_group cannot compute in int64. */
-static inline __attribute__((always_inline)) Py_ssize_t
-kind_fill(const Tile *tl, int kind, Py_ssize_t off, long long *dst, Py_ssize_t count)
-{
-    long long v[5];
-    Py_ssize_t g = off / 5, done = 0, got;
-
-    if (off % 5) {
-        done = Py_MIN(5 - off % 5, count);
-        got = tile_group(tl, kind, g++, v) - off % 5; /* >= 0: off follows values written */
-        memcpy(dst, v + off % 5, Py_MIN(got, done) * sizeof v[0]);
-        if (got < done)
-            return got;
-    }
-    for (; done < count; done += 5, g++) {
-        if ((got = tile_group(tl, kind, g, dst + done)) < 5)
-            return Py_MIN(done + got, count);
-    }
-    return count;
-}
-
-/* kind_fill with a constant kind at each call, so that each kind gets a
- * loop of its own around its tile_group; kept out of q_check, whose locals
- * would push the loops' own out of registers. */
-static __attribute__((noinline)) Py_ssize_t
-tile_fill(const Tile *tl, Py_ssize_t off, long long *dst, Py_ssize_t count)
-{
-    switch (tl->kind) {
-    case TILE_LITERAL:
-        return kind_fill(tl, TILE_LITERAL, off, dst, count);
-    case TILE_CHUNK:
-        return kind_fill(tl, TILE_CHUNK, off, dst, count);
-    }
-    return kind_fill(tl, TILE_BLOCKS, off, dst, count);
 }
 
 /* The first index n in lo+1..hi (lo >= 2) at which t[n-1] is not the term
@@ -512,16 +483,16 @@ first_break(const long long *t, Py_ssize_t lo, Py_ssize_t hi, int zero)
     return 0;
 }
 
-/* How many predicted values q_check writes past the checked terms before
- * first_break tests them: a window. */
-#define WINDOW 4096
+/* How many predicted values of a tile q_check writes before first_break
+ * tests them: a window, whole groups of five counted from the tile's start. */
+#define WINDOW 4095
 
 static PyObject *
 q_check(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *tiles, *seq = NULL, *first = NULL, *result = NULL;
     int zero, status = STATUS_ALIVE, big, rc = 0;
-    Py_ssize_t max_terms, k, cap, n, pos, fil, end, f = 0, off, want, got, i;
+    Py_ssize_t max_terms, k, cap, n, fil, end, f = 0, off, want, got, i;
     long long *t = NULL, predicted = 0;
     Tile tl;
 
@@ -530,39 +501,37 @@ q_check(PyObject *self, PyObject *args)
         (!PyTuple_Check(tiles) && !PyList_Check(tiles)) || (seq = PySequence_Tuple(tiles)) == NULL ||
         (t = load_prefix(prefix, &k, &cap, &big)) == NULL || big)
         goto done; /* big: the run overflows in its prefix */
-    pos = fil = end = k; /* the run holds the prefix: the tiles predict past it */
+    fil = end = k; /* the run holds the prefix: the tiles predict past it */
 
     /* Read every tile, as _fallback.q_check does, each clipped to the
      * budget: end is the predicted length, the prefix's own included.  t
-     * holds the run's terms t[0..pos-1], checked, then the predicted values
-     * t[pos..fil-1], written by tile_fill and not yet checked.  first_break
-     * tests them a window at a time: WINDOW values each, counted from k, and
-     * the last window ends with the prediction.  t grows, by doubling, only
-     * as far as the values written and the 4 that tile_fill may write past
-     * them.  f is set at the first index that fails, where the prediction
-     * departs from the run, and no window past it is filled.  A tile that
-     * cannot be read, or a value outside int64 with every value before it
-     * checked, declines the call (rc 1). */
+     * holds the run's terms t[0..fil-1], checked.  tile_fill writes a
+     * window of a tile past them, WINDOW values or the rest of the tile,
+     * and first_break tests it before the next window is written.  t grows,
+     * by doubling, only as far as the values written and the 4 that
+     * tile_fill may write past them.  f is set at the first index that
+     * fails, where the prediction departs from the run, and no window past
+     * it is filled.  A tile that cannot be read, or a value outside int64
+     * with every value before it checked, declines the call (rc 1). */
     for (i = 0; !rc && i < PyTuple_GET_SIZE(seq); i++) {
         rc = read_tile(PyTuple_GET_ITEM(seq, i), max_terms - end, &tl);
-        for (off = 0; !rc && !f && off < tl.length; off += got) {
-            want = Py_MIN(tl.length - off, pos + WINDOW - fil);
+        for (off = 0; !rc && !f && off < tl.length; off += WINDOW) {
+            want = Py_MIN(tl.length - off, WINDOW);
             while (!rc && fil + want + 4 > cap)
                 rc = grow(&t, &cap);
             if (rc)
                 break;
-            fil += got = tile_fill(&tl, off, t + fil, want);
-            if (got < want)
-                rc = (f = first_break(t, pos, fil, zero)) == 0;
-            else if (fil == pos + WINDOW && (f = first_break(t, pos, fil, zero)) == 0)
-                pos = fil;
+            got = tile_fill(&tl, off, t + fil, want);
+            f = first_break(t, fil, fil + got, zero);
+            fil += got;
+            rc = !f && got < want;
         }
         end += tl.length;
         tile_close(&tl);
     }
     if (rc)
         goto done;
-    if (f || (f = first_break(t, pos, fil, zero)) != 0)
+    if (f)
         predicted = t[f - 1];
     else
         f = fil + 1; /* the prediction holds: the run may go on past it */
@@ -598,7 +567,7 @@ static PyObject *
 rst_generate(PyObject *self, PyObject *args)
 {
     Py_ssize_t n_max, rows, m;
-    long long *r, *s, *t, i, i1, i2, rv, sv, a, b;
+    long long *r, *s, *t, i, i1, i2, rv, sv;
     const char *which = NULL;
     int overflow = 0;
     PyObject *rt, *st, *tt, *result = NULL;
@@ -619,41 +588,31 @@ rst_generate(PyObject *self, PyObject *args)
     t[0] = 1; t[1] = 2; t[2] = 2;
 
     /* Every value is a sum of earlier values or of zeros, so none is
-     * negative, a reference at or past row m is one to a value <= 0, and a
-     * sum leaves int64 exactly when a > LLONG_MAX - b. */
+     * negative, and a reference at or past row m is one to a value <= 0. */
     for (m = 3; m <= n_max; m++) {
         i = m - r[m - 1];
         if (i >= m) {
             which = "r";
             break;
         }
-        a = AT(r, i);
-        b = s[m - 1];
-        if ((overflow = a > LLONG_MAX - b))
+        if ((overflow = __builtin_add_overflow(AT(r, i), s[m - 1], &rv)))
             break;
-        rv = a + b;
         i1 = m - rv;
         if (i1 >= m) {
             which = "s";
             break;
         }
-        a = AT(s, i1);
-        b = AT(s, i);
-        if ((overflow = a > LLONG_MAX - b))
+        if ((overflow = __builtin_add_overflow(AT(s, i1), AT(s, i), &sv)))
             break;
-        sv = a + b;
         i2 = m - sv;
         if (i2 >= m) {
             which = "t";
             break;
         }
-        a = AT(t, i1);
-        b = AT(t, i2);
-        if ((overflow = a > LLONG_MAX - b))
+        if ((overflow = __builtin_add_overflow(AT(t, i1), AT(t, i2), &t[m])))
             break;
         r[m] = rv;
         s[m] = sv;
-        t[m] = a + b;
     }
 
     /* Rows 0..m-1 are complete: m is the stopping row, where the tables are

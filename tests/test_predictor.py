@@ -1037,10 +1037,10 @@ def _following(kind: int, run) -> tuple:
 
 
 def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
-    """The compiled kernel writes a tile's values five at a time, a group
-    cut by a window's edge through a buffer of its own, and tests each value
-    on its own: wherever the stop falls in its group, it answers as the
-    reference and the lists do."""
+    """The compiled kernel writes a literal row by row and a chunk or a
+    block tile five values at a time, from the tile's start, and tests each
+    value on its own: wherever the stop falls in its group, it answers as
+    the reference and the lists do."""
     seen = set()
     for event, kind, r, g, p, prefix, zero, tiles, budget in _group_cases():
         compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
@@ -1127,8 +1127,8 @@ def _int64_edge_cases():
 
 
 def test_q_check_declines_at_each_offset_where_a_tile_leaves_int64(compiled_kernel):
-    """tile_group stores a literal's rows up to the first it cannot compute
-    in int64: wherever that row falls in its group, however it leaves
+    """tile_fill writes a literal's rows up to the first it cannot compute
+    in int64: wherever that row falls, however it leaves
     int64, even where the row itself fits, the kernel answers as the
     checked reference, declining exactly where the compare reaches it, and
     the backend as the exact reference.  A parameter outside int64 stops
@@ -1195,10 +1195,10 @@ def test_q_check_builds_only_what_the_run_reaches(compiled_kernel):
             assert _backend.q_check(range(1, 39), False, tiles, 200_000) == ((67, 44, None), 1, 66)
 
 
-# The predicted values the compiled q_check writes past the terms it has
-# checked, and then tests against the recurrence, at a time: WINDOW in
-# _kernel.c.  Its windows start at the first term past the prefix.
-_WINDOW = 4096
+# The predicted values of a tile the compiled q_check writes, and then tests
+# against the recurrence, at a time: WINDOW in _kernel.c.  Its windows are
+# counted from each tile's start.
+_WINDOW = 4095
 
 
 def _values(values) -> tuple:
@@ -1210,35 +1210,41 @@ def _values(values) -> tuple:
 def _spliced(tiles, predicted, offset: int, value: int) -> tuple:
     """``tiles`` with the value they predict at ``offset`` (0 for the first
     term past the prefix), which ``predicted`` holds, replaced by ``value``:
-    the tile that holds it is cut there, ``value`` is a one-row literal, and
-    the values after it follow as a literal."""
-    head, start = [], 0
-    for kind, length, a, b in tiles:
-        head.append((kind, min(length, offset - start), a, b))
-        start += length
-        if start > offset:
-            break
-    return (*head, _values((value,)), _values(predicted[offset + 1 :]))
+    the tile that holds it becomes the literal of its values, so that the
+    kernel's windows of that tile start where they started."""
+    spliced, start = [], 0
+    for tile in tiles:
+        if start <= offset < start + tile[1]:
+            values = predicted[start : start + tile[1]]
+            values[offset - start] = value
+            tile = _values(values)
+        spliced.append(tile)
+        start += tile[1]
+    return tuple(spliced)
 
 
 @pytest.mark.parametrize("n", [38, 182], ids=["class 2", "class 0, depth 2"])
 def test_q_check_finds_a_break_at_any_offset(compiled_kernel, n):
-    """The compiled kernel tests the prediction against the recurrence a
-    window at a time and runs the recurrence on from the first index that
-    breaks it: a value changed at either edge of a window, at the first
-    predicted term or at the last, and a prediction one term short or one
-    term long, give the reference's first mismatch, status and length under
-    both conventions.  N = 38 is predicted to the budget, through its R/S/T
-    blocks; N = 182 through a chunk of 11588 terms, to the end of its run."""
+    """The compiled kernel tests each tile against the recurrence a window
+    at a time and runs the recurrence on from the first index that breaks
+    it: a value changed at the first or the last value of each tile, at
+    either edge of a window of the longest tile, and a prediction one term
+    short or one term long, give the reference's first mismatch, status and
+    length under both conventions.  N = 38 is predicted to the budget,
+    through its R/S/T blocks; N = 182 through a chunk of 11588 terms, to
+    the end of its run."""
     profile, budget = abc_profile(n), 200_000
     assert (profile.classification, profile.j) == ((2, 1) if n == 38 else (0, 2))
     prefix = range(1, n + 1)
     tiles = predicted_tiles(profile, budget)
     predicted = materialise(prefix, tiles, budget)[n:]
+    starts = [sum(tile[1] for tile in tiles[:i]) for i in range(len(tiles))]
+    offsets = {offset for start, tile in zip(starts, tiles) for offset in (start, start + tile[1] - 1)}
+    start, longest = max(zip(starts, tiles), key=lambda pair: pair[1][1])
+    assert longest[1] > 2 * _WINDOW
+    offsets |= {start + offset for offset in (_WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW)}
+    variants = [(offset, _spliced(tiles, predicted, offset, predicted[offset] + 1)) for offset in sorted(offsets)]
     last = len(predicted) - 1
-    assert last > 2 * _WINDOW
-    variants = [(offset, _spliced(tiles, predicted, offset, predicted[offset] + 1))
-                for offset in (0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW, last)]
     kind, length, a, b = tiles[-1]
     variants += [(last, (*tiles[:-1], (kind, length - 1, a, b))), (last + 1, (*tiles, _values((1,))))]
     for offset, spliced in variants:
