@@ -3,14 +3,17 @@
 For most N >= 35 the sequence generated from <0-bar; 1, 2, ..., N> follows a
 rigid layout: the identity prefix, 28 affine terms, six sporadic values, then
 a chain of period-5 quasilinear chunks whose extents are governed by nested
-markers A_1 < A_2 < ... computed by a base-5 descent on N.  Each level m of
-the descent is a triple (A_m, x_m, C_m) of one recurrence: chunk m holds
-x_m + A_m*k from index A_m - C_m + 5k, then the rows `_closing(C_m)` derives,
-read at (x_m, A_m): a bridge to chunk m+1 while C_m == 1; at the first level j
-with C_j != 1, either the end of the run, one index past its last term
-(C_j in {0, 3, 4}), or the head of blocks that grow forever from the R/S/T
-system (C_j == 2).  The descent depends on N only through its base-5 digits, so
-the classification of every N can be arranged into a five-way branching tree.
+markers A_1 < A_2 < ... computed by a base-5 descent on N.  `_closing` runs
+the recurrence on affine forms in (x, A) from a fixed history, recording each
+sign it assumes: from the identity, with A = N, it derives the 34 terms past
+N.  Each level m of the descent is a triple (A_m, x_m, C_m) of one
+recurrence: chunk m holds x_m + A_m*k from index A_m - C_m + 5k, then the
+rows `_closing(C_m)` derives from chunk m, read at (x_m, A_m): a bridge to
+chunk m+1 while C_m == 1; at the first level j with C_j != 1, either the end
+of the run, one index past its last term (C_j in {0, 3, 4}), or the head of
+blocks that grow forever from the R/S/T system (C_j == 2).  The descent
+depends on N only through its base-5 digits, so the classification of every
+N can be arranged into a five-way branching tree.
 
 `abc_profile` runs the descent, `predicted_tiles` describes the terms past
 1..N as a short tuple of tiles, `predict_sequence` materialises them,
@@ -52,56 +55,61 @@ def _columns(rows) -> tuple[memoryview, memoryview, memoryview]:
 
 
 @cache
-def _prefix() -> tuple[memoryview, memoryview, memoryview]:
-    """The columns (a, 0, b) with Q(N+k) = a*N + b for offsets k = 1..34 of
-    <0-bar; 1..N>, a literal's forms at (N, 0): 28 affine terms and six
-    sporadic ones, valid for every N >= 30.  Derived on first use, so that
-    only a prediction loads the symbolic module."""
-    from .symbolic import NConstraint, symbolic_extend
+def _closing(c: int | None) -> tuple[int, tuple, tuple[int, ...], frozenset, int]:
+    """(C', columns, reach, signs, back): the recurrence run on affine forms
+    c*x + d*A + f, ordered x >> A >> 1, from a history of such forms.
 
-    terms = symbolic_extend("zero_extended", NConstraint(35), 34).terms
-    return _columns((t.a, 0, t.b) for t in terms)
+    For c = None, A is N and the history is the identity, N + k at N + k for
+    k <= 0: the rows are the 34 terms at N + 1 .. N + 34 of <0-bar; 1..N>,
+    the prefix, a literal's forms at (0, N), and C' is 0.  Otherwise c is C_m
+    of a level m of the descent, A is A_m and x is x_m = profile.x[m-1]; the
+    history is chunk m, (x_m + A_m*j, 5, A_m, 3, 5)[r] at A_m - c + 5j + r,
+    and the run goes from A_m - c to the end of the run (c = 0, 3, 4), chunk
+    m+1 at A_m + 7 (c = 1) or R/S/T block 1 at A_m + 5 (c = 2).  Chunk m
+    runs through A_m + C', and row i of the columns (c, d, f) is the term at
+    A_m + C' + 1 + i, a literal's forms at (x_m, A_m).
 
-
-@cache
-def _closing(c: int) -> tuple[int, tuple[memoryview, memoryview, memoryview], tuple[int, ...]]:
-    """(C'_m, columns, reach) for a level m of the descent with C_m = c: chunk
-    m runs through A_m + C'_m, row i of the columns (c, d, f) is the term at
-    A_m + C'_m + 1 + i, c*x_m + d*A_m + f, a literal's forms at (x_m, A_m),
-    x_m = profile.x[m-1], and rows 0..i read at most Q(reach[i]).
-    The recurrence runs on such forms, ordered x_m >> A_m >> 1, from A_m - c,
-    where chunk m holds (x_m + A_m*j, 5, A_m, 3, 5)[r] at A_m - c + 5j + r, to
-    the end of the run (c = 0, 3, 4), chunk m+1 at A_m + 7 (c = 1) or R/S/T
-    block 1 at A_m + 5 (c = 2).  For c = 0 this assumes x_m >= A_m + 157, and
-    chunk m back to A_m - 49; neither is recorded as a threshold.
+    Rows 0..i read at most Q(reach[i]) of the identity, and the run reads
+    the history back to A + back.  signs holds each form that the run takes
+    to be >= 0, constant ones aside: minus each index it reads as 0 and,
+    where the run ends, the index it reads at or past the current one, less
+    the current one.  Wherever every sign holds, the history holds back to
+    A + back and N >= reach[-1], the rows are terms of the recurrence.
     """
 
-    def term(k: int) -> tuple[int, int, int]:  # the term at A_m + k
-        if k in run:
-            return run[k]
+    # run holds each term derived and each term read from the history, so
+    # min(run) is back
+    def term(k: int) -> tuple[int, int, int]:  # the term at A + k: derived, or the history
+        if c is None:
+            return run.setdefault(k, (0, 1, k))
         j, r = divmod(k + c, 5)
-        return ((1, j, 0), (0, 0, 5), (0, 1, 0), (0, 0, 3), (0, 0, 5))[r]
+        return run.setdefault(k, ((1, j, 0), (0, 0, 5), (0, 1, 0), (0, 0, 3), (0, 0, 5))[r])
 
-    run, rows, reach, top, k, stop = {}, [], [], 0, -c, {1: 7, 2: 5}.get(c)
+    run, rows, reach, signs, top = {}, [], [], set(), 0
+    k, stop = (1, 35) if c is None else (-c, {1: 7, 2: 5}.get(c))
     while k != stop:
         value = (0, 0, 0)
-        for back in (1, 2):
-            p, q, r = term(k - back)
-            p, q, r = -p, 1 - q, k - r  # the index read, p*x_m + q*A_m + r
+        for step in (1, 2):
+            p, q, r = term(k - step)
+            p, q, r = -p, 1 - q, k - r  # the index read, p*x + q*A + r
             read = (0, 0, 0)  # what an index <= 0 reads, unless placed below
-            if (p, q) == (0, 1) and r < k:  # a term already derived, or chunk m
+            if (p, q) == (0, 1) and r < k:  # a term already derived, or the history
                 read = term(r)
             elif (p, q) == (0, 0) and r >= 1:  # the identity, for N >= r
                 read, top = (0, 0, r), max(top, r)
-            elif (p, q) >= (0, 1):  # at or past A_m + k: the run ends
-                return k - len(rows) - 1, _columns(rows), tuple(reach)
+            elif (p, q) >= (0, 1):  # at or past A + k: the run ends
+                if (p, q) != (0, 1):  # else the form is r - k >= 0, a constant
+                    signs.add((p, q - 1, r - k))
+                return k - len(rows) - 1, _columns(rows), tuple(reach), frozenset(signs), min(run)
+            elif (p, q) != (0, 0):  # else the index is r <= 0, a constant
+                signs.add((-p, -q, -r))
             value = tuple(u + v for u, v in zip(value, read))
-        if rows or value != term(k):  # chunk m ends at its first departure
+        if rows or value != term(k):  # the history ends at its first departure
             rows.append(value)
             reach.append(top)
         run[k] = value
         k += 1
-    return k - len(rows) - 1, _columns(rows), tuple(reach)
+    return k - len(rows) - 1, _columns(rows), tuple(reach), frozenset(signs), min(run)
 
 
 def _exact5(value: int) -> int:
@@ -176,15 +184,16 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
     """The predicted terms from index N + 1 through max_terms, as tiles.
 
     Each tile is ``(kind, length, a, b)`` as ``_fallback`` documents: the
-    34-term literal, then for each level m of the descent chunk m, the
-    literal of the rows ``_closing(C_m)`` derives and, when C_m = 2, the run
-    of R/S/T blocks.  Each literal holds the cached columns of its forms and
-    the point (N, 0) or (x_m, A_m) they are read at, so no row is evaluated
-    here, and its length clips it to the budget.  There are O(j) tiles
-    whatever the budget.  The prediction is infinite for classification 2,
-    ends one short of its end index after the closing of classification 0, 3
-    or 4, and stops after the last computed chunk when the profile is
-    truncated: exactly then the tiles end short of max_terms.
+    literal of the 34 rows ``_closing(None)`` derives, then for each level m
+    of the descent chunk m, the literal of the rows ``_closing(C_m)`` derives
+    and, when C_m = 2, the run of R/S/T blocks.  Each literal holds the
+    cached columns of its forms and the point (0, N) or (x_m, A_m) they are
+    read at, so no row is evaluated here, and its length clips it to the
+    budget.  There are O(j) tiles whatever the budget.  The prediction is
+    infinite for classification 2, ends one short of its end index after the
+    closing of classification 0, 3 or 4, and stops after the last computed
+    chunk when the profile is truncated: exactly then the tiles end short of
+    max_terms.
     """
     n, a, x, c = profile.n_value, profile.a, profile.x, profile.c
     tiles = []
@@ -197,11 +206,11 @@ def predicted_tiles(profile: StructureProfile, max_terms: int) -> tuple[tuple, .
             tiles.append((kind, length, first, step))
             end += length
 
-    forms = _prefix()
-    add(TILE_LITERAL, len(forms[0]), (n, 0), forms)
+    forms = _closing(None)[1]
+    add(TILE_LITERAL, len(forms[0]), (0, n), forms)
     start = n + 1 + len(forms[0])  # the index past the tiles so far, were none clipped
     for m, (a_m, x_m, c_m) in enumerate(zip(a[1:], x, c), 1):
-        last, forms, _ = _closing(c_m)
+        last, forms = _closing(c_m)[:2]
         # chunk m holds x_m + A_m*k at index A_m - C_m + 5k, through A_m + C'_m
         add(TILE_CHUNK, a_m + last - end, x_m + a_m * _exact5(start - a_m + c_m), a_m)
         if end >= max_terms or (m == len(c) and profile.j is None):  # spent, or truncated

@@ -161,8 +161,12 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> Pre
 
     Requires lam > K+5 and lam + mu > K+6.  With o = n - K, k = o // 5 and
     r = o % 5, the term at n should be (5, lam*k+mu, 5, lam, 3)[r] for every
-    K+1 <= n <= last = lam + nu, where nu = max(0, ((K+4-lam) mod 5) - 1)
-    measures how far past lam the references stay clear of the prefix.
+    K+1 <= n <= last.  That is the predictor's chunk m with A_m = lam and
+    C_m = (lam - K - 1) mod 5, so last = lam + C', where C' is how far past
+    A_m ``predictor._closing(C_m)`` runs chunk m before it departs.
+    lam + mu = K+7 passes these checks, yet there index K+8 reads Q(1)
+    where the chunk takes an index <= 0, so the run can leave the pattern
+    before last: for K = 0, mu = 1 and lam = 6 it does at index 8.
     k_max, if given, caps last at the end of block k_max.  The run is
     compared, exactly, with the pattern through last and no further.
     """
@@ -176,8 +180,9 @@ def qc_pattern_check(prefix, mu: int, lam: int, k_max: int | None = None) -> Pre
     if k_max is not None and k_max < 1:
         raise ValidationError("k_max must be >= 1 when given")
 
-    nu = max(0, ((big_k + 4 - lam) % 5) - 1)
-    last = lam + nu
+    from .predictor import _closing  # here, so that importing rst loads no predictor
+
+    last = lam + _closing((lam - big_k - 1) % 5)[0]
     if k_max is not None:
         last = min(last, big_k + 5 * k_max + 4)
 

@@ -291,10 +291,10 @@ def test_cli_import_loads_only_the_cli(fresh_python):
     (["rst", "--max", "50"], {"engine", "rst"}),
     (["scan", "--from", "35", "--to", "40", "--max", "100"], {"engine", "predictor"}),
     (["tree", "--levels", "2"], {"engine", "predictor"}),
-    (["predict", "--n", "40", "--max", "100"], {"engine", "predictor", "symbolic"}),  # class 4
-    (["verify", "--n", "40", "--max", "100"], {"engine", "predictor", "symbolic"}),
+    (["predict", "--n", "40", "--max", "100"], {"engine", "predictor"}),  # class 4
+    (["verify", "--n", "40", "--max", "100"], {"engine", "predictor"}),
     # class 2: its R/S/T blocks load rst
-    (["predict", "--n", "38", "--max", "100"], {"engine", "predictor", "rst", "symbolic"}),
+    (["predict", "--n", "38", "--max", "100"], {"engine", "predictor", "rst"}),
     (["sym", "--nmin", "10", "--offsets", "5"], {"engine", "symbolic"}),
 ])
 def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):

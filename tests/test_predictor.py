@@ -44,6 +44,7 @@ from qlab._fallback import (
 from qlab.engine import InitialCondition, SequenceStatus, _check, _status_of, evaluate
 from qlab.predictor import StructureProfile, _exact5, predicted_tiles
 from qlab.rst import _tables, rst_compute
+from qlab.symbolic import NConstraint, symbolic_extend
 
 
 # The (c, d, f) rows of the terms that close a level m of the descent with
@@ -121,7 +122,7 @@ def _evaluated(tiles) -> tuple:
 
 def test_closings_are_derived():
     for c in range(5):
-        c_prime, columns, reach = predictor._closing(c)
+        c_prime, columns, reach = predictor._closing(c)[:3]
         assert all(column.readonly and column.format == "q" for column in columns)
         assert tuple(zip(*columns)) == CLOSINGS[c], c
         assert c_prime == _c_prime(c), c
@@ -129,15 +130,53 @@ def test_closings_are_derived():
     assert tuple(predictor._closing(c)[2][-1] for c in range(5)) == (118, 3, 2, 1, 7)
 
 
+def test_prefix_is_derived_from_the_identity():
+    """The runner's rows from the identity are symbolic_extend's 34 terms,
+    and what it assumes holds from the least N symbolic_extend proves them
+    for: each sign is d*N + f >= 0, and the identity terms it reads, back to
+    Q(N + back) and up to Q(reach[-1]), lie in 1..N."""
+    terms = symbolic_extend("zero_extended", NConstraint(35), 34).terms
+    c_prime, columns, reach, signs, back = predictor._closing(None)
+    assert all(column.readonly and column.format == "q" for column in columns)
+    assert tuple(zip(*columns)) == tuple((0, t.a, t.b) for t in terms)
+    assert c_prime == 0
+    assert all(c == 0 and d > 0 for c, d, _ in signs)
+    least = max(-(f // d) for _, d, f in signs)
+    assert least == max(t.min_valid_N for t in terms) == 30 <= 35
+    assert 1 - back <= least and reach[-1] <= least
+
+
+def test_closings_record_their_assumptions():
+    # the largest bound on x_m - A_m each closing assumes, and how far back
+    # into chunk m it reads: class 0 needs x_m - A_m >= 157 and chunk m
+    # back to A_m - 49
+    closings = [predictor._closing(c) for c in range(5)]
+    assert (1, -1, -157) in closings[0][3]
+    bounds = tuple(max(-f for p, q, f in closing[3] if (p, q) == (1, -1)) for closing in closings)
+    assert bounds == (157, 1, 2, 4, 7)
+    assert tuple(back for *_, back in closings) == (-49, -6, -7, -8, -9)
+
+
+def test_every_sign_holds_past_the_exceptions():
+    # for every non-exceptional N in 35..2000, at (0, N) and at (x_m, A_m)
+    # for each level m: every sign holds and Q(reach[-1]) is an identity term
+    for n in (n for n in range(35, 2001) if not is_exceptional(n)):
+        profile = abc_profile(n)
+        for x, a, c in ((0, n, None), *zip(profile.x, profile.a[1:], profile.c)):
+            _, _, reach, signs, _ = predictor._closing(c)
+            assert all(p * x + q * a + r >= 0 for p, q, r in signs), (n, c)
+            assert reach[-1] <= n, (n, c)
+
+
 @pytest.mark.parametrize("n", [2601, 38, 37, 47, 132, 52])
 def test_literal_tiles_hold_the_cached_columns(n):
     """No N builds a row: each literal of a prediction holds the columns of
-    _prefix() or _closing(C_m) themselves, read at (N, 0) or (x_m, A_m)."""
+    _closing(None) or _closing(C_m) themselves, read at (0, N) or (x_m, A_m)."""
     profile = abc_profile(n)
     literals = [tile for tile in predicted_tiles(profile, 10**5) if tile[0] == TILE_LITERAL]
     assert len(literals) == 1 + profile.j
     head, *closings = literals
-    assert head[2] == (n, 0) and head[3] is predictor._prefix()
+    assert head[2] == (0, n) and head[3] is predictor._closing(None)[1]
     assert all(column.readonly for column in head[3])  # shared by every N
     for m, (_, _, (_, a_m), columns) in enumerate(closings, 1):
         assert a_m == profile.a[m] and columns is predictor._closing(profile.c[m - 1])[1]
@@ -921,19 +960,19 @@ def _exact_tables(tile: tuple) -> tuple:
 def _changed(tile: tuple, g: int, r: int, event: str) -> tuple | None:
     """The tile with its value at residue r of group g, and no value before
     it, changed: one more for "differs", outside int64 for "int64".  The
-    change is to a literal's row (its f one more, or its c INT64_MAX, which
-    takes c*x past int64: x >= 3 in every prediction), a chunk's first value
-    or step (group 0 only: each later group repeats them), or the row of T,
-    R or S that residue 0, 3 or 4 of block group g reads first (R(1) for
-    residue 2 of group 0).  None where the tile holds no such value: a
-    chunk's 5, 3 and 5, the 4 of every block, and the residue-2 value of a
-    later block group, 5R(g + 1), which residue 3 of group g - 1 reads
-    first."""
+    change is to a literal's row (its f one more, or its d INT64_MAX, which
+    takes d*y past int64: y is N >= 35 or A_m >= 74 in every prediction), a
+    chunk's first value or step (group 0 only: each later group repeats
+    them), or the row of T, R or S that residue 0, 3 or 4 of block group g
+    reads first (R(1) for residue 2 of group 0).  None where the tile holds
+    no such value: a chunk's 5, 3 and 5, the 4 of every block, and the
+    residue-2 value of a later block group, 5R(g + 1), which residue 3 of
+    group g - 1 reads first."""
     kind, length, a, b = tile
     if kind == TILE_LITERAL:
         c, d, f = (array("q", column) for column in b)
         if event == "int64":
-            c[5 * g + r] = INT64_MAX
+            d[5 * g + r] = INT64_MAX
         else:
             f[5 * g + r] += 1
         return kind, length, a, (c, d, f)
