@@ -26,7 +26,8 @@
  * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
  * straight into one new str, in one pass over the values: the str is
  * allocated at an upper bound, 20 characters a field, each field is written
- * once, two digits a step, and the str is cut to what was written.
+ * once, four digits a step from a table of every group of four (see
+ * put_decimal), and the str is cut to what was written.
  * max_terms and n_max are clipped to Py_ssize_t (see clipped_size).  A table
  * (a column of format_rows, a literal's c, d or f, an R/S/T table of a block
  * tile) is read in place from a C-contiguous int64 buffer, such as an
@@ -666,50 +667,85 @@ decimal_length(long long v)
     return t + (u >= POW10[t]) + (v < 0);
 }
 
-/* DIGITS[2d], DIGITS[2d + 1]: the two digits of d = 0..99 */
-static const char DIGITS[201] =
-    "0001020304050607080910111213141516171819"
-    "2021222324252627282930313233343536373839"
-    "4041424344454647484950515253545556575859"
-    "6061626364656667686970717273747576777879"
-    "8081828384858687888990919293949596979899";
+/* DIGITS[4d..4d+3]: the four digits of d = 0..9999, zeros leading.  It is
+ * written out by the compiler, so it sits in read-only pages that only a
+ * process that formats touches; character constants, as ISO C bounds the
+ * length of a string literal. */
+#define DIGITS_1(...) \
+    __VA_ARGS__, '0', __VA_ARGS__, '1', __VA_ARGS__, '2', __VA_ARGS__, '3', __VA_ARGS__, '4', \
+    __VA_ARGS__, '5', __VA_ARGS__, '6', __VA_ARGS__, '7', __VA_ARGS__, '8', __VA_ARGS__, '9'
+#define DIGITS_2(...) \
+    DIGITS_1(__VA_ARGS__, '0'), DIGITS_1(__VA_ARGS__, '1'), DIGITS_1(__VA_ARGS__, '2'), \
+    DIGITS_1(__VA_ARGS__, '3'), DIGITS_1(__VA_ARGS__, '4'), DIGITS_1(__VA_ARGS__, '5'), \
+    DIGITS_1(__VA_ARGS__, '6'), DIGITS_1(__VA_ARGS__, '7'), DIGITS_1(__VA_ARGS__, '8'), \
+    DIGITS_1(__VA_ARGS__, '9')
+#define DIGITS_3(d) \
+    DIGITS_2(d, '0'), DIGITS_2(d, '1'), DIGITS_2(d, '2'), DIGITS_2(d, '3'), DIGITS_2(d, '4'), \
+    DIGITS_2(d, '5'), DIGITS_2(d, '6'), DIGITS_2(d, '7'), DIGITS_2(d, '8'), DIGITS_2(d, '9')
+static const char DIGITS[40000] = {
+    DIGITS_3('0'), DIGITS_3('1'), DIGITS_3('2'), DIGITS_3('3'), DIGITS_3('4'),
+    DIGITS_3('5'), DIGITS_3('6'), DIGITS_3('7'), DIGITS_3('8'), DIGITS_3('9'),
+};
 
-/* Write the decimal form of v, decimal_length(v) characters, ending at end,
- * two digits a step. */
-static void
-put_decimal(Py_UCS1 *end, long long v)
+/* Write the decimal form of v at p, decimal_length(v) characters, four
+ * digits a step from its end: the first character past it.  The leading
+ * group, its k = 1..4 digits the last k of its four in DIGITS, is copied as
+ * four characters from its first digit, so the 4 - k after it land on the
+ * group that follows, which is then written again, or past the field, where
+ * its sep or newline and the next field are written later.  A field of one
+ * group takes at most 5 characters with its sign, so the copy stays within
+ * the FIELD_MAX characters that format_rows allocates for each field. */
+static Py_UCS1 *
+put_decimal(Py_UCS1 *p, long long v)
 {
-    unsigned long long u = magnitude(v);
+    unsigned long long u = magnitude(v), r = 0;
+    Py_UCS1 *end = p + decimal_length(v), *q = end;
 
-    for (; u >= 100; u /= 100) {
-        end -= 2;
-        memcpy(end, DIGITS + 2 * (u % 100), 2);
+    for (; u >= 10000; u /= 10000) {
+        q -= 4;
+        r = u % 10000;
+        memcpy(q, DIGITS + 4 * r, 4);
     }
-    if (u >= 10) {
-        end -= 2;
-        memcpy(end, DIGITS + 2 * u, 2);
-    }
-    else
-        *--end = (Py_UCS1)('0' + u);
     if (v < 0)
-        *--end = '-';
+        *p++ = '-';
+    memcpy(p, DIGITS + 4 * u + 4 - (q - p), 4);
+    if (q != end)
+        memcpy(q, DIGITS + 4 * r, 4);
+    return end;
 }
 
 /* The widest field: INT64_MIN, a sign and 19 digits */
 #define FIELD_MAX 20
 
+/* Write sep, seplen characters, at p: the first character past it.  s is
+ * its first character, held by the caller in a local, since a store through
+ * p may alias any memory the compiler would otherwise read it from again. */
+static Py_UCS1 *
+put_sep(Py_UCS1 *p, Py_UCS1 s, const Py_UCS1 *sep, Py_ssize_t seplen)
+{
+    if (seplen == 1) {
+        *p = s;
+        return p + 1;
+    }
+    memcpy(p, sep, seplen);
+    return p + seplen;
+}
+
 /* One pass over the columns' buffers: the str is allocated at an upper
  * bound, FIELD_MAX characters a field and its sep or newline, each field is
- * written once, and the str is then cut to what was written. */
+ * written once, and the str is then cut to what was written.  Each layout
+ * has a loop of its own, which reads the last column's pointer and sep's
+ * first character from locals. */
 static PyObject *
 format_rows(PyObject *self, PyObject *args)
 {
     PyObject *columns, *first, *sep, *cols, *text = NULL;
     Column *col = NULL;
-    Py_ssize_t per_row, lo, hi, ncol, width, nfield, nline, i, c, f, n, seplen;
-    long long index = 0, last, v;
+    Py_ssize_t per_row, lo, hi, ncol, width, nfield, nline, i, c, e, seplen;
+    long long index = 0, last;
+    const long long *tail;
     const Py_UCS1 *sepdata;
-    Py_UCS1 *start, *p;
+    Py_UCS1 *start, *p, s;
     int indexed, big = 0;
 
     /* columns that are not a list or a tuple are left unread */
@@ -740,7 +776,7 @@ format_rows(PyObject *self, PyObject *args)
      * followed by sep or, when it ends a line of width fields, by "\n". */
     width = per_row > 1 ? per_row : ncol + indexed;
     nfield = (hi - lo) * (ncol + indexed);
-    nline = (nfield + width - 1) / width;
+    nline = nfield / width + (nfield % width != 0); /* no sum past a width of PY_SSIZE_T_MAX */
     seplen = PyUnicode_GET_LENGTH(sep);
     if (nfield > 0 && FIELD_MAX + 1 + seplen > PY_SSIZE_T_MAX / nfield) {
         PyErr_NoMemory();
@@ -751,24 +787,24 @@ format_rows(PyObject *self, PyObject *args)
         goto done;
     p = start = PyUnicode_1BYTE_DATA(text);
     sepdata = PyUnicode_1BYTE_DATA(sep);
-    for (i = lo, f = 0; i < hi; i++) {
-        for (c = -indexed; c < ncol; c++) { /* c = -1: the index */
-            v = c < 0 ? index + i : col[c].v[i];
-            n = decimal_length(v);
-            put_decimal(p + n, v);
-            p += n;
-            if (++f == width || (i + 1 == hi && c + 1 == ncol)) { /* f: the fields of the line */
-                *p++ = '\n';
-                f = 0;
-            }
-            else if (seplen == 1)
-                *p++ = sepdata[0];
-            else {
-                memcpy(p, sepdata, seplen);
-                p += seplen;
-            }
+    s = sepdata[0];
+    tail = col[ncol - 1].v;
+    if (per_row == 1) /* rows: the index, the columns before the last, the last */
+        for (i = lo; i < hi; i++) {
+            if (indexed)
+                p = put_sep(put_decimal(p, index + i), s, sepdata, seplen);
+            for (c = 0; c < ncol - 1; c++)
+                p = put_sep(put_decimal(p, col[c].v[i]), s, sepdata, seplen);
+            p = put_decimal(p, tail[i]);
+            *p++ = '\n';
         }
-    }
+    else /* one column, per_row values to a line and the rest on the last */
+        for (i = lo; i < hi; i = e) {
+            for (e = i + Py_MIN(per_row, hi - i); i < e - 1; i++)
+                p = put_sep(put_decimal(p, tail[i]), s, sepdata, seplen);
+            p = put_decimal(p, tail[i]);
+            *p++ = '\n';
+        }
     if (PyUnicode_Resize(&text, p - start) < 0)
         Py_CLEAR(text);
 
@@ -801,8 +837,8 @@ static PyMethodDef methods[] = {
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"
      "Rows lo..hi-1 of the int64 buffer columns as text, written in one\n"
-     "pass into a str allocated at 20 characters a field and then cut to\n"
-     "the text; None when declined."},
+     "pass, four digits a step, into a str allocated at 20 characters a\n"
+     "field and then cut to the text; None when declined."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -25,6 +25,23 @@ setup(name="qlab-kernel", ext_modules=[Extension("qlab._kernel", [source])],
 """
 
 
+def pytest_report_header(config):
+    """Name the kernel the session tests: the importable build, or the
+    Python backend with a temporary build for the compiled-kernel tests.
+    kernel_build takes any importable build, so one older than _kernel.c
+    tests the old code: the header warns of it, and the session still runs."""
+    if _backend._kernel is None:
+        return ["qlab kernel: Python backend; the compiled-kernel tests build "
+                f"{KERNEL_SOURCE.name} in a temporary directory"]
+    built = Path(_backend._kernel.__file__)
+    lines = [f"qlab kernel: compiled, {built}"]
+    if built.stat().st_mtime < KERNEL_SOURCE.stat().st_mtime:
+        lines.append(f"WARNING: {built.name} is older than {KERNEL_SOURCE.name}, so these tests "
+                     "run the old kernel; rebuild it with "
+                     "`python setup.py build_ext --inplace --force`")
+    return lines
+
+
 @pytest.fixture(scope="session")
 def kernel_build(tmp_path_factory):
     """``(module, None)`` for the compiled kernel: the built one when

@@ -957,8 +957,12 @@ _WIDEST = array("q", [INT64_MIN]) * (ROWS_PER_CALL * 10)
 
 @pytest.mark.parametrize("call", [
     *(((_WIDEST,) * 3, INT64_MIN, sep, 1, 0, ROWS_PER_CALL) for sep in (",", " ", "\t", ", ")),
+    ((_WIDEST,), INT64_MIN, " ", 1, 0, ROWS_PER_CALL),
+    ((_WIDEST,), None, " ", 1, 0, ROWS_PER_CALL),
     ((_WIDEST,), None, " ", 10, 0, ROWS_PER_CALL * 10),
-], ids=["csv", "bfile", "tab", "comma-space", "per_row=10"])
+    ((_WIDEST,), None, ", ", 7, 0, ROWS_PER_CALL * 10),  # the last line short
+], ids=["csv", "bfile", "tab", "comma-space", "one-column-indexed", "one-column",
+        "per_row=10", "per_row=7"])
 def test_widest_block_fills_the_bound(compiled_kernel, call):
     got = compiled_kernel.format_rows(*call)
     assert got is not None
@@ -966,7 +970,8 @@ def test_widest_block_fills_the_bound(compiled_kernel, call):
 
 
 # +-(10^k - 1) and +-10^k for k = 0..18: every count of digits at both of its
-# ends, so the kernel's two-digit steps end on one digit and on two
+# ends, so the kernel's four-digit steps leave a leading group of each size,
+# 1 to 4 digits, all nines or a one and zeros
 _DIGIT_EDGES = array("q", sorted({s * (10**k - d) for k in range(19) for d in (0, 1)
                                   for s in (1, -1)}))
 
@@ -980,6 +985,32 @@ def test_each_digit_count_formats_as_the_reference(compiled_kernel):
     calls += [(column, INT64_MIN, " ", 1, i, i + 1) for i in range(len(_DIGIT_EDGES))]
     for call in calls:
         assert compiled_kernel.format_rows(*call) == _fallback.format_rows(*call), call[1:]
+
+
+# Values whose groups of four digits, counted from the end, are zero-padded
+# inside (0000, 0001, 0007), led by a group of each size, 1 to 4 digits: the
+# kernel copies a leading group of k digits as four characters and writes
+# the 4 - k past it again with the group that follows, or with the sep.
+_GROUPS = array("q", sorted({INT64_MIN, INT64_MAX} | {s * v for s in (1, -1) for v in (
+    10**4, 10**4 + 1, 10**8 + 1, 10**12 + 7, 123400005678,
+    *(lead * 10**(4 * g) + 7 for lead in (1, 12, 123, 1234) for g in range(5)),
+) if v <= INT64_MAX}))
+
+
+@pytest.mark.parametrize("sep", [" ", ",", "\t", ", "])
+def test_padded_groups_format_as_the_reference(compiled_kernel, sep):
+    column, n = _GROUPS, len(_GROUPS)
+    calls = [((column,), None, sep, 1, 0, n),
+             ((column,), 10**4 - 3, sep, 1, 0, n),  # the index crosses 10^4
+             ((column, column[::-1], column), -(10**8) - 1, sep, 1, 0, n),
+             ((column,), None, sep, 3, 0, n),  # the last line short
+             ((column,), None, sep, n, 0, n)]
+    for call in calls:
+        assert compiled_kernel.format_rows(*call) == _fallback.format_rows(*call), call[1:]
+    # a line as long as any Py_ssize_t, from a row past 0: the rows left
+    # fill one line, and the line's end is found with no sum past the bound
+    assert (compiled_kernel.format_rows((column,), None, sep, sys.maxsize, 1, n)
+            == _fallback.format_rows((column,), None, sep, n - 1, 1, n))
 
 
 def test_empty_block_is_the_empty_str(compiled_kernel):
