@@ -8,6 +8,8 @@ as a list of Python ints.  The compiled kernel answers a call or returns
 None, and raises nothing but MemoryError or an interrupt.  Each function
 here returns the kernel's answer or, when the kernel is not built or
 returns None, the Python reference's answer or error (see ``_answer``).
+q_check compares a run under zero extension, the one convention that
+``verify`` and ``scan`` check, with the prediction ``materialise`` builds.
 """
 
 from __future__ import annotations
@@ -55,12 +57,12 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
     return run
 
 
-def q_check(prefix, zero_extended: bool, tiles, max_terms: int):
-    """Run the recurrence and compare it past ``prefix`` with the ``tiles``,
-    as _fallback.q_check does unchecked: always the exact answer.  ``prefix``
-    is read as q_generate reads it: ``verify`` and ``scan`` pass
+def q_check(prefix, tiles, max_terms: int):
+    """Run the recurrence under zero extension and compare it with the
+    ``tiles``, as _fallback.q_check does unchecked: always the exact answer.
+    ``prefix`` is read as q_generate reads it: ``verify`` and ``scan`` pass
     ``range(1, N + 1)``, which the kernel reads without an int per term."""
-    return _answer("q_check", prefix, zero_extended, tiles, max_terms, checked=False)
+    return _answer("q_check", prefix, tiles, max_terms, checked=False)
 
 
 def rst_generate(n_max: int):

@@ -29,17 +29,17 @@ no tile restates) and each later one where the one before it stopped.  By kind:
   rows 0..kmax of t.  The kernel reads only ``array('q')`` tables, from
   their buffers, and declines any other.
 
-q_check runs the recurrence, then compares the run with the prediction
-tile by tile, and builds a tile only as far as the compare reaches (see its
-docstring), so a tile far longer than the run costs no more than the run.
-The kernel finds the same answer another way: it tests each predicted value
-against the recurrence, from the values before it, and runs the recurrence
-one term after another only from the first value that breaks it.  The
-reference stays run-then-compare, the plain statement of what q_check
-answers, so that the differential tests hold the kernel's test to an answer
-found without it.  Every tile is read all the same, reached by the compare
-and the budget or not, and a parameter that is not an int raises TypeError
-whether or not another value lies past int64.
+q_check runs the recurrence under zero extension, then compares the run
+with the prediction of materialise's walk (see _build), built only to one
+term past the end of the run, so a tile far longer than the run costs no
+more than the run.  The kernel finds the same answer another way: it tests
+each predicted value against the recurrence, from the values before it,
+and runs the recurrence one term after another only from the first value
+that breaks it.  The reference stays run-then-compare, the plain statement
+of what q_check answers, so that the differential tests hold the kernel's
+test to an answer found without it.  The walk reads every tile all the
+same, and a parameter that is not an int raises TypeError whether or not
+another value lies past int64.
 """
 
 from __future__ import annotations
@@ -170,10 +170,16 @@ def materialise(prefix, tiles, max_terms: int):
     Each tile is clipped to the budget before it is built: a deep chunk can
     span about 10^10 terms.
     """
+    return _predict(prefix, tiles, max_terms, sys.maxsize, False)
+
+
+def _predict(prefix, tiles, max_terms: int, reach: int, checked: bool):
+    """The first ``reach`` terms of materialise's prediction, in one
+    container as materialise returns it; ``checked`` as for _tile."""
     try:
-        return _build(prefix, tiles, max_terms, partial(array, "q"))
+        return _build(prefix, tiles, max_terms, partial(array, "q"), reach, checked)
     except OverflowError:  # a value outside int64, or a prefix past sys.maxsize terms
-        return _build(prefix, tiles, max_terms, _ints)
+        return _build(prefix, tiles, max_terms, _ints, reach, checked)
 
 
 def _ints(values) -> list:
@@ -182,38 +188,42 @@ def _ints(values) -> list:
     return list(map(index, values))
 
 
-def _build(prefix, tiles, max_terms: int, make):
-    """materialise's terms in one container that ``make`` builds from an
-    iterable of ints."""
-    len(prefix)  # OverflowError past sys.maxsize terms, before make tries them
+def _build(prefix, tiles, max_terms: int, make, reach: int, checked: bool):
+    """_predict's terms in one container that ``make`` builds from an
+    iterable of ints: each tile read and clipped to the budget at its
+    offset ``pos``, however little of it is built, and built only through
+    term ``reach``."""
+    pos = len(prefix)  # OverflowError past sys.maxsize terms, before make tries them
     out = make(prefix)
     for tile in tiles:
-        out += _tile(tile, max_terms - len(out), make)
+        length, values = _tile(tile, max_terms - pos, make, reach - pos, checked)
+        out += values
+        pos += length
     return out
 
 
-def _tile(tile, room: int, make, reach: int = sys.maxsize, checked: bool = False):
-    """The first ``reach`` values of ``tile``, its length clipped to ``[0,
-    room]`` as the kernel clips it, in one container that ``make`` builds
-    from an iterable of ints.  With ``checked``, a literal's row that the
-    kernel cannot compute in int64 is INT64_MAX + 1, which no int64 term
-    equals.  Every parameter is read, whatever ``room`` and ``reach``:
-    ValueError for a negative length, an unknown kind, a literal's tables
-    shorter than its length, and R/S/T tables too short for its blocks;
-    TypeError for a parameter that is not an int.
+def _tile(tile, room: int, make, reach: int, checked: bool):
+    """``(length, values)``: the tile's length clipped to ``[0, room]`` as
+    the kernel clips it, and its first ``reach`` values in one container
+    that ``make`` builds from an iterable of ints.  With ``checked``, a
+    literal's row that the kernel cannot compute in int64 is INT64_MAX + 1,
+    which no int64 term equals.  Every parameter is read, whatever ``room``
+    and ``reach``: ValueError for a negative length, an unknown kind, a
+    literal's tables shorter than its length, and R/S/T tables too short
+    for its blocks; TypeError for a parameter that is not an int.
     """
     kind, length, a, b = tile
     kind, length = index(kind), index(length)
     if length < 0:
         raise ValueError("a tile's length is negative")
     length = max(min(length, room), 0)
-    stop = min(length, reach)
+    stop = max(min(length, reach), 0)
     if kind == TILE_LITERAL:
         (x, y), (c, d, f) = a, b
         x, y = index(x), index(y)
         if min(len(c), len(d), len(f)) < length:  # binding, as every other tile's length is
             raise ValueError("the literal tile's tables hold fewer rows than its length")
-        return make(_literal(x, y, c[:stop], d[:stop], f[:stop], checked))
+        return length, make(_literal(x, y, c[:stop], d[:stop], f[:stop], checked))
     if kind == TILE_CHUNK:
         a, b = index(a), index(b)
     elif kind == TILE_BLOCKS:
@@ -225,7 +235,7 @@ def _tile(tile, room: int, make, reach: int = sys.maxsize, checked: bool = False
     else:
         raise ValueError(f"unknown tile kind {kind!r}")
     if not stop:  # nothing to build: no parameter past int64 makes the values a list
-        return make(())
+        return length, make(())
     # whole five-term periods, trimmed to stop below
     kmax = -(-stop // 5)
     if kind == TILE_CHUNK:
@@ -241,7 +251,7 @@ def _tile(tile, room: int, make, reach: int = sys.maxsize, checked: bool = False
         out[3::5] = five_r[1:]
         out[4::5] = make([5 * v for v in s[2 : kmax + 2]])
     del out[stop:]
-    return out
+    return length, out
 
 
 def _literal(x: int, y: int, c, d, f, checked: bool):
@@ -289,8 +299,9 @@ def format_rows(columns, first, sep: str, per_row: int, lo: int, hi: int) -> str
     if first is not None:
         fields.insert(0, range(first + lo, first + hi))
     values = tuple(fields[0] if len(fields) == 1 else chain.from_iterable(zip(*fields)))
-    # one "%d" per value: the fastest way to write many ints from Python
-    width = per_row if per_row > 1 else len(fields)
+    # one "%d" per value, the fastest way to write many ints from Python,
+    # and no more on a line than there are values (per_row = sys.maxsize)
+    width = min(per_row, len(values) or 1) if per_row > 1 else len(fields)
     full, rest = divmod(len(values), width)
     sep = sep.replace("%", "%%")
     template = (sep.join(["%d"] * width) + "\n") * full
@@ -319,11 +330,11 @@ def _first_difference(p_terms, a_terms) -> tuple[int, int | None, int | None] | 
     return None  # equal values in sequences of different types
 
 
-def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = True):
-    """Run the recurrence as q_generate does and compare it, tile by tile,
-    with the terms ``materialise(prefix, tiles, max_terms)`` predicts: the
-    run holds the prefix itself, so the walk starts just past it.  The
-    compiled kernel tests the prediction against the recurrence instead
+def q_check(prefix, tiles, max_terms: int, checked: bool = True):
+    """Run the recurrence from ``prefix`` under zero extension, as
+    q_generate does, and compare it with the terms ``materialise(prefix,
+    tiles, max_terms)`` predicts, which hold the prefix as the run does.
+    The compiled kernel tests the prediction against the recurrence instead
     (see the module docstring); this run-then-compare is the reference it
     is held to.
 
@@ -334,31 +345,13 @@ def q_check(prefix, zero_extended: bool, tiles, max_terms: int, checked: bool = 
     lies outside int64 (as a literal's row the kernel cannot compute does),
     the result is None, as the kernel declines the call.
 
-    A tile is built only as far as the compare needs it: to one value past
-    the end of the run, and not at all past the first difference.  So a
-    prediction far longer than the run is never built, yet every tile is
-    read, whether or not the budget reaches it: an unknown kind, a negative
-    length, a literal's tables shorter than its length, R/S/T tables too
-    short for their tile, and a parameter that is not an int are refused as
-    materialise refuses them.
+    The prediction is built only to one term past the end of the run, yet
+    every tile is read, clipped and refused as materialise does it.
     """
-    terms, status = q_generate(prefix, zero_extended, max_terms, checked)
+    terms, status = q_generate(prefix, True, max_terms, checked)
     if status == STATUS_OVERFLOW:
         return None
-    pos, first = len(prefix), None  # pos: the count of predicted values before the tile
-    for tile in tiles:
-        reach = len(terms) - pos + 1 if first is None else 0
-        try:
-            values = _tile(tile, max_terms - pos, partial(array, "q"), reach, checked)
-        except OverflowError:  # a value outside int64
-            values = _tile(tile, max_terms - pos, _ints, reach, checked)
-        if first is None:
-            first = _first_difference(values, terms[pos : pos + len(values)])
-            if first is not None:
-                first = (pos + first[0], *first[1:])
-        pos += len(values)  # the tile's clipped length, while no value differs
-    if first is None and pos < len(terms):
-        first = (pos + 1, None, terms[pos])
+    first = _first_difference(_predict(prefix, tiles, max_terms, len(terms) + 1, checked), terms)
     if checked and first and first[1] is not None and not INT64_MIN <= first[1] <= INT64_MAX:
         return None
     return first, status, len(terms)

@@ -10,15 +10,15 @@
  * STATUS_OVERFLOW, and terms holds the terms before it.  A prefix is a
  * range, a tuple or a list of ints; a range such as range(1, N + 1) is read
  * from its start, step and length (see load_prefix).
- * q_check(prefix, zero_extended, tiles, max_terms) returns (first_mismatch,
- * status, n_actual), the run of n_actual terms compared with the tiles,
- * which predict the terms past the prefix.  It builds no list: it writes
- * the predicted values past the terms it has checked, a window of a tile
- * at a time (see tile_fill, which evaluates a literal's forms), and tests
- * each against the recurrence from the values before it (see first_break),
- * so the tests do not wait on each other.  Only from the first that breaks
- * the recurrence, or from the end of the prediction, does it run the
- * recurrence one term after another (see extend).
+ * q_check(prefix, tiles, max_terms) returns (first_mismatch, status,
+ * n_actual), the run of n_actual terms under zero extension compared with
+ * the tiles, which predict the terms past the prefix.  It builds no list: it
+ * writes the predicted values past the terms it has checked, a window of a
+ * tile at a time (see tile_fill, which evaluates a literal's forms), and
+ * tests each against the recurrence from the values before it (see
+ * first_break), so the tests do not wait on each other.  Only from the
+ * first that breaks the recurrence, or from the end of the prediction, does
+ * it run the recurrence one term after another (see extend).
  * rst_generate(n_max) returns (r, s, t, which): R(0..n), S(0..n) and
  * T(0..n), row k at index k, in place in three array('q') allocated once,
  * at n_max + 1 rows, and cut only where which ends the system, at row
@@ -459,14 +459,13 @@ tile_fill(const Tile *tl, Py_ssize_t off, long long *v, Py_ssize_t count)
 }
 
 /* The first index n in lo+1..hi (lo >= 2) at which t[n-1] is not the term
- * the recurrence computes from t[0..n-2], or 0 when there is none: lookup's
- * rules, written so that the compiler gives each convention a loop of its
- * own.  Each index is tested from the values before it, not from a term
- * computed here, so the tests do not wait on each other; while t[0..lo-1]
- * is the run, the first n that fails is where t departs from the run, and
- * every test before it read only terms of the run. */
+ * the recurrence computes from t[0..n-2] under zero extension, or 0 when
+ * there is none.  Each index is tested from the values before it, not from
+ * a term computed here, so the tests do not wait on each other; while
+ * t[0..lo-1] is the run, the first n that fails is where t departs from the
+ * run, and every test before it read only terms of the run. */
 static Py_ssize_t
-first_break(const long long *t, Py_ssize_t lo, Py_ssize_t hi, int zero)
+first_break(const long long *t, Py_ssize_t lo, Py_ssize_t hi)
 {
     Py_ssize_t n;
     long long q1, q2, a, b, sum;
@@ -474,7 +473,7 @@ first_break(const long long *t, Py_ssize_t lo, Py_ssize_t hi, int zero)
     for (n = lo + 1; n <= hi; n++) {
         q1 = t[n - 2];
         q2 = t[n - 3];
-        if (q1 <= 0 || q2 <= 0 || (!zero && (q1 >= n || q2 >= n)))
+        if (q1 <= 0 || q2 <= 0)
             return n;
         a = q1 < n ? t[n - 1 - q1] : 0;
         b = q2 < n ? t[n - 1 - q2] : 0;
@@ -492,21 +491,21 @@ static PyObject *
 q_check(PyObject *self, PyObject *args)
 {
     PyObject *prefix, *tiles, *seq = NULL, *first = NULL, *result = NULL;
-    int zero, status = STATUS_ALIVE, big, rc = 0;
+    int status = STATUS_ALIVE, big, rc = 0;
     Py_ssize_t max_terms, k, cap, n, fil, end, f = 0, off, want, got, i;
     long long *t = NULL, predicted = 0;
     Tile tl;
 
     /* a list of tiles copied: no call below changes it */
-    if (!PyArg_ParseTuple(args, "OpOO&", &prefix, &zero, &tiles, clipped_size, &max_terms) ||
+    if (!PyArg_ParseTuple(args, "OOO&", &prefix, &tiles, clipped_size, &max_terms) ||
         (!PyTuple_Check(tiles) && !PyList_Check(tiles)) || (seq = PySequence_Tuple(tiles)) == NULL ||
         (t = load_prefix(prefix, &k, &cap, &big)) == NULL || big)
         goto done; /* big: the run overflows in its prefix */
     fil = end = k; /* the run holds the prefix: the tiles predict past it */
 
-    /* Read every tile, as _fallback.q_check does, each clipped to the
-     * budget: end is the predicted length, the prefix's own included.  t
-     * holds the run's terms t[0..fil-1], checked.  tile_fill writes a
+    /* Read every tile, as _fallback's walk does, each clipped to the
+     * budget where it starts: end is the predicted length, the prefix's
+     * own included.  t holds the run's terms t[0..fil-1], checked.  tile_fill writes a
      * window of a tile past them, WINDOW values or the rest of the tile,
      * and first_break tests it before the next window is written.  t grows,
      * by doubling, only as far as the values written and the 4 that
@@ -523,7 +522,7 @@ q_check(PyObject *self, PyObject *args)
             if (rc)
                 break;
             got = tile_fill(&tl, off, t + fil, want);
-            f = first_break(t, fil, fil + got, zero);
+            f = first_break(t, fil, fil + got);
             fil += got;
             rc = !f && got < want;
         }
@@ -542,7 +541,7 @@ q_check(PyObject *self, PyObject *args)
     while (status == STATUS_ALIVE && n <= max_terms) {
         if (n > cap && grow(&t, &cap))
             goto done;
-        status = extend(t, cap, zero, max_terms, &n);
+        status = extend(t, cap, 1, max_terms, &n);
     }
     if (status == STATUS_OVERFLOW)
         goto done;
@@ -825,11 +824,11 @@ static PyMethodDef methods[] = {
      "terms is an array('q'), and a run that stops, stops at\n"
      "len(terms) + 1.  None when declined."},
     {"q_check", q_check, METH_VARARGS,
-     "q_check(prefix, zero_extended, tiles, max_terms)\n"
+     "q_check(prefix, tiles, max_terms)\n"
      "-> (first_mismatch, status, n_actual) or None\n\n"
-     "Test the terms the tiles predict against q_generate's recurrence, each\n"
-     "on its own, and run the recurrence from the first that breaks it:\n"
-     "n_actual terms.  None when declined."},
+     "Test the terms the tiles predict against q_generate's recurrence under\n"
+     "zero extension, each on its own, and run the recurrence from the first\n"
+     "that breaks it: n_actual terms.  None when declined."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which) or None\n\n"
      "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q'),\n"

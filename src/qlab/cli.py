@@ -18,8 +18,8 @@ Integer tables (sequences in text, bfile, csv and json, and the R/S/T rows)
 are formatted by :func:`qlab._backend.format_rows`, through the writers of
 :mod:`qlab.engine`; every ``--format json`` goes through
 :func:`qlab.engine.write_json`.  ``scan`` takes each run's status and
-length from :func:`qlab._backend.q_check` with no tiles, so the kernel runs
-the recurrence one term after another, and builds no list of terms.
+length under zero extension from :func:`qlab._backend.q_check` with no
+tiles: the kernel runs the recurrence term by term and builds no list.
 
 Exit codes: 0 on success, 1 for usage and runtime problems (bad arguments,
 64-bit overflow, I/O failures), 2 for a broken internal invariant.
@@ -163,7 +163,7 @@ def _scan_worker(abc_profile, q_check, max_terms: int, n: int):
     it imported, so that no call imports and a worker process unpickles them
     by name."""
     profile = abc_profile(n)
-    _, code, n_actual = q_check(range(1, n + 1), True, (), max_terms)
+    _, code, n_actual = q_check(range(1, n + 1), (), max_terms)
     return n, profile.j, profile.classification, code, n_actual
 
 

@@ -237,7 +237,7 @@ def _check(prefix, tiles, max_terms: int, predicted=None) -> PredictionReport:
     terms agree through the first mismatch, or through the whole run."""
     length = len(prefix) + sum(tile[1] for tile in tiles)
     status = SequenceStatus.alive() if predicted is None else predicted(length)
-    first, code, n_actual = _backend.q_check(prefix, True, tiles, max_terms)
+    first, code, n_actual = _backend.q_check(prefix, tiles, max_terms)
     matched = n_actual if first is None else first[0] - 1
     actual = _status_of(code, n_actual)
     return PredictionReport(matched, first, status, actual, status == actual and length == n_actual)

@@ -366,7 +366,7 @@ def test_a_range_too_long_for_memory_is_a_memory_error(compiled_kernel):
     with pytest.raises(MemoryError):
         compiled_kernel.q_generate(prefix, True, 20)
     with pytest.raises(MemoryError):
-        compiled_kernel.q_check(prefix, True, (), 20)
+        compiled_kernel.q_check(prefix, (), 20)
 
 
 def _outcome(f, *args, **kwargs):
@@ -395,24 +395,24 @@ _RST_TABLES = _fallback.rst_generate(50)[:3]
 
 # Each call is made twice, so generators are built anew by each factory.
 @pytest.mark.parametrize("name, args", [
-    ("q_check", lambda: ((1, 2), True, ((TILE_CHUNK, -1, 5, 3),), 20)),
-    ("q_check", lambda: ((1, 2), True, ((9, 3, 1, None),), 20)),
-    ("q_check", lambda: ((1, 2), True, (constants((1, 2), 3),), 20)),
-    ("q_check", lambda: ((1, 2), True, ((TILE_LITERAL, 3, (1, 2), None),), 20)),
-    ("q_check", lambda: ((1, 2), True, ([TILE_CHUNK, 3, 1, 2],), 20)),
-    ("q_check", lambda: ((1, 2), True, ((TILE_BLOCKS, 5, 12, _RST_TABLES[:2]),), 20)),
-    ("q_check", lambda: ((1, 2), True, ((TILE_CHUNK, 5, 2.5, 3),), 20)),
+    ("q_check", lambda: ((1, 2), ((TILE_CHUNK, -1, 5, 3),), 20)),
+    ("q_check", lambda: ((1, 2), ((9, 3, 1, None),), 20)),
+    ("q_check", lambda: ((1, 2), (constants((1, 2), 3),), 20)),
+    ("q_check", lambda: ((1, 2), ((TILE_LITERAL, 3, (1, 2), None),), 20)),
+    ("q_check", lambda: ((1, 2), ([TILE_CHUNK, 3, 1, 2],), 20)),
+    ("q_check", lambda: ((1, 2), ((TILE_BLOCKS, 5, 12, _RST_TABLES[:2]),), 20)),
+    ("q_check", lambda: ((1, 2), ((TILE_CHUNK, 5, 2.5, 3),), 20)),
     # Q(3) = 3 follows the prefix (1, 2): the literal's 7 differs at once
-    ("q_check", lambda: ((1, 2), True, (constants((7,)), constants((1.5,))), 20)),
-    ("q_check", lambda: ((1, 2), True, (constants((7,)), (TILE_LITERAL, 1, (0, 2.5), constants((1,))[3])),
+    ("q_check", lambda: ((1, 2), (constants((7,)), constants((1.5,))), 20)),
+    ("q_check", lambda: ((1, 2), (constants((7,)), (TILE_LITERAL, 1, (0, 2.5), constants((1,))[3])),
                          20)),
-    ("q_check", lambda: ((1, 2), True, (constants((3,)), (TILE_CHUNK, 1, 4)), 3)),
-    ("q_check", lambda: ((1, 2), True, iter((constants((3,)),)), 20)),
+    ("q_check", lambda: ((1, 2), (constants((3,)), (TILE_CHUNK, 1, 4)), 3)),
+    ("q_check", lambda: ((1, 2), iter((constants((3,)),)), 20)),
     # past the budget, each tile is read all the same
-    ("q_check", lambda: ((0, 0), False, ((TILE_LITERAL, 0, (), None),), 0)),
-    ("q_check", lambda: ((0, 0), False, ((TILE_CHUNK, 0, "x", None),), 0)),
-    ("q_check", lambda: ((0, 0), False, ((TILE_CHUNK, -1, 5, 3),), 0)),
-    ("q_check", lambda: ((0, 0), False, ((TILE_BLOCKS, 5, 2.5, _RST_TABLES),), 0)),
+    ("q_check", lambda: ((0, 0), ((TILE_LITERAL, 0, (), None),), 0)),
+    ("q_check", lambda: ((0, 0), ((TILE_CHUNK, 0, "x", None),), 0)),
+    ("q_check", lambda: ((0, 0), ((TILE_CHUNK, -1, 5, 3),), 0)),
+    ("q_check", lambda: ((0, 0), ((TILE_BLOCKS, 5, 2.5, _RST_TABLES),), 0)),
     ("q_generate", lambda: (iter((1, 1)), False, 10)),
     ("q_generate", lambda: (5, False, 10)),
     ("q_generate", lambda: ((1,), False, 10)),
@@ -455,7 +455,7 @@ class _Interrupting:
 @pytest.mark.parametrize("name, args", [
     ("q_generate", lambda x: ((1, 1), False, x)),
     ("q_generate", lambda x: ((1, 1), x, 10)),
-    ("q_check", lambda x: ((1, 1), False, ((TILE_CHUNK, x, 1, 2),), 10)),
+    ("q_check", lambda x: ((1, 1), ((TILE_CHUNK, x, 1, 2),), 10)),
     ("rst_generate", lambda x: (x,)),
 ], ids=["max-terms", "zero-extended", "tile-length", "n-max"])
 def test_kernel_passes_on_what_is_no_exception(compiled_kernel, name, args, exc):
@@ -489,6 +489,10 @@ _any_tile = st.one_of(
 @given(st.one_of(st.lists(_any_value, max_size=6).map(tuple), range_prefixes, _any_value),
        st.booleans(), st.lists(_any_tile, max_size=4).map(tuple) | _any_value,
        st.integers(-2, 60) | st.sampled_from((None, 2.5)))
+# a literal after a chunk that differs at once, clipped by the budget to
+# the rows its tables hold where it starts: the walk that clipped it where
+# the built values stopped refused it with a ValueError
+@example((2, 0), True, ((TILE_CHUNK, 10, 1, 2), (TILE_LITERAL, 10, (0, 0), (array("q", [0]) * 5,) * 3)), 12)
 @settings(max_examples=500, deadline=None)
 def test_backends_agree_on_calls_of_any_type(compiled_kernel, prefix, zero, tiles, budget):
     """Well-formed or not: the same answer, or the same error, through
@@ -497,7 +501,7 @@ def test_backends_agree_on_calls_of_any_type(compiled_kernel, prefix, zero, tile
     for kernel in (compiled_kernel, None):
         with mock.patch.object(_backend, "_kernel", kernel):
             outcomes.append((_outcome(_backend.q_generate, prefix, zero, budget, exact=False),
-                             _outcome(_backend.q_check, prefix, zero, tiles, budget)))
+                             _outcome(_backend.q_check, prefix, tiles, budget)))
     assert outcomes[0] == outcomes[1]
 
 
@@ -1009,8 +1013,10 @@ def test_padded_groups_format_as_the_reference(compiled_kernel, sep):
         assert compiled_kernel.format_rows(*call) == _fallback.format_rows(*call), call[1:]
     # a line as long as any Py_ssize_t, from a row past 0: the rows left
     # fill one line, and the line's end is found with no sum past the bound
-    assert (compiled_kernel.format_rows((column,), None, sep, sys.maxsize, 1, n)
-            == _fallback.format_rows((column,), None, sep, n - 1, 1, n))
+    # and no template past the values
+    call = ((column,), None, sep, sys.maxsize, 1, n)
+    assert compiled_kernel.format_rows(*call) == _fallback.format_rows(*call)
+    assert _fallback.format_rows((array("q", [1, 2, 3, 4]),), None, " ", sys.maxsize, 0, 4) == "1 2 3 4\n"
 
 
 def test_empty_block_is_the_empty_str(compiled_kernel):
@@ -1152,19 +1158,19 @@ def test_buffers_are_released(compiled_kernel):
         (blocks(literal=(TILE_LITERAL, 2, (0, 0), (c, list(d), f))), 104, None),
     ]
     for tiles, budget, want in checks:
-        assert compiled_kernel.q_check(prefix, True, tiles, budget) == want
+        assert compiled_kernel.q_check(prefix, tiles, budget) == want
         for table in (r, s, t, c, d, f):
             _assert_released(table)
         # a declined call is the reference's: its answer, or its error
-        reference = _outcome(_fallback.q_check, prefix, True, tiles, budget, checked=False)
+        reference = _outcome(_fallback.q_check, prefix, tiles, budget, checked=False)
         with mock.patch.object(_backend, "_kernel", compiled_kernel):
-            assert _outcome(_backend.q_check, prefix, True, tiles, budget) == reference
+            assert _outcome(_backend.q_check, prefix, tiles, budget) == reference
     # the kernel declines a short table and an unknown kind: the reference refuses them
     for (tiles, budget, _), message in zip(checks[2:4], ("the R/S/T tables are too short for the block tile",
                                                          "unknown tile kind 9")):
         for kernel in (compiled_kernel, None):
             with mock.patch.object(_backend, "_kernel", kernel):
-                assert _outcome(_backend.q_check, prefix, True, tiles, budget) == (ValueError, message)
+                assert _outcome(_backend.q_check, prefix, tiles, budget) == (ValueError, message)
     # the arrays the kernel builds hold no buffer of their own once returned
     for table in (*compiled_kernel.rst_generate(300)[:3], compiled_kernel.q_generate((1, 1), True, 5000)[0]):
         _assert_released(table)
@@ -1192,6 +1198,6 @@ def test_q_check_reads_tables_of_any_sequence_type(compiled_kernel, prefix, lam,
                 tables = tuple(map(kind, (state.r, state.s, state.t)))
                 ic, ((*head, columns), blocks) = _pattern_tiles(prefix, lam, mu, length, tables)
                 tiles = ((*head, tuple(map(kind, columns))), blocks)
-                results.add(_backend.q_check(ic, True, tiles, budget))
+                results.add(_backend.q_check(ic, tiles, budget))
     ic, tiles = _pattern_tiles(prefix, lam, mu, length, (state.r, state.s, state.t))
-    assert results == {_fallback.q_check(ic, True, tiles, budget, checked=False)}
+    assert results == {_fallback.q_check(ic, tiles, budget, checked=False)}

@@ -350,7 +350,7 @@ def test_each_exception_fails_inside_the_class_zero_closing():
         assert next(i for i, r in enumerate(reach, 1) if r > n) == row, n
         end = profile.a[-1] + 161
         tiles = predicted_tiles(profile, end)
-        first, _, _ = _backend.q_check(tuple(range(1, n + 1)), True, tiles, end)
+        first, _, _ = _backend.q_check(tuple(range(1, n + 1)), tiles, end)
         index, predicted, _ = first
         assert (index - profile.a[-1] - 2, predicted) == (row, value), n
     # 117 by the same rule, at depth 4: its run first fails at closing row
@@ -885,21 +885,21 @@ def test_class2_lam_clears_the_side_condition(fastest_backend):
     assert report.terminal_agreement
 
 
-def _list_check(prefix, zero: bool, tiles, budget: int):
+def _list_check(prefix, tiles, budget: int):
     """What q_check must report, from the two lists verify used to build,
     led by the count of leading terms that agree, which _check reports."""
     predicted = materialise(prefix, tiles, budget)
-    actual = evaluate(InitialCondition(prefix, zero), budget, mode="exact")
+    actual = evaluate(InitialCondition(prefix, True), budget, mode="exact")
     first = _first_difference(predicted, actual.terms)
     matched = first[0] - 1 if first is not None else len(predicted)
     return matched, first, actual.status, len(actual.terms)
 
 
-def _checks(kernel, prefix, zero: bool, tiles, budget: int):
+def _checks(kernel, prefix, tiles, budget: int):
     """q_check through the compiled kernel and through the reference, in
     the shape of _list_check after its count."""
-    compiled = kernel.q_check(prefix, zero, tiles, budget)
-    reference = _fallback.q_check(prefix, zero, tiles, budget, checked=True)
+    compiled = kernel.q_check(prefix, tiles, budget)
+    reference = _fallback.q_check(prefix, tiles, budget, checked=True)
     for first, code, n_actual in (compiled, reference):
         yield first, _status_of(code, n_actual), n_actual
 
@@ -912,23 +912,24 @@ def _check_count(kernel, prefix, tiles, budget: int) -> int:
 
 
 def _mismatch_cases():
-    """(prefix, zero, tiles, budget): every exceptional N in 35..117, their
-    plain runs (which die while the prediction goes on), and seeded
-    non-exceptional N under depth caps that truncate the prediction."""
+    """(prefix, tiles, budget): every exceptional N in 35..117, every
+    finite N there with a term appended to its prediction (the run ends
+    while the prediction goes on), and seeded non-exceptional N under depth
+    caps that truncate the prediction."""
     rng = random.Random(7)
     for n in range(35, 118):
         if is_exceptional(n):
             for budget in (n, 300, 5000):
-                tiles = predicted_tiles(abc_profile(n), budget)
-                yield tuple(range(1, n + 1)), True, tiles, budget
-                yield tuple(range(1, n + 1)), False, tiles, budget
+                yield tuple(range(1, n + 1)), predicted_tiles(abc_profile(n), budget), budget
+        elif abc_profile(n).classification != 2:
+            yield tuple(range(1, n + 1)), (*predicted_tiles(abc_profile(n), 5000), constants((1,))), 5000
     while True:
         n = rng.randint(35, 10**4)
         profile = abc_profile(n, max_depth=rng.randint(1, 3))
         if is_exceptional(n) or profile.j is not None:
             continue
         budget = rng.randint(n, 20_000)
-        yield tuple(range(1, n + 1)), True, predicted_tiles(profile, budget), budget
+        yield tuple(range(1, n + 1)), predicted_tiles(profile, budget), budget
         if rng.random() < 0.02:
             return
 
@@ -937,12 +938,11 @@ def test_q_check_reports_mismatches_like_the_lists(compiled_kernel):
     # terminal agreement follows from the actual status and length, so the
     # oracle's report is the same whichever way these are found
     shapes = set()
-    for prefix, zero, tiles, budget in _mismatch_cases():
-        want = _list_check(prefix, zero, tiles, budget)
-        for got in _checks(compiled_kernel, prefix, zero, tiles, budget):
-            assert got == want[1:], (len(prefix), zero, budget)
-        if zero:  # _check runs the zero-extended convention only
-            assert _check_count(compiled_kernel, prefix, tiles, budget) == want[0]
+    for prefix, tiles, budget in _mismatch_cases():
+        want = _list_check(prefix, tiles, budget)
+        for got in _checks(compiled_kernel, prefix, tiles, budget):
+            assert got == want[1:], (len(prefix), budget)
+        assert _check_count(compiled_kernel, prefix, tiles, budget) == want[0]
         first = want[1]
         shapes.add(None if first is None else (first[1] is None, first[2] is None))
     # values differ; the prediction stops early; the actual run stops early
@@ -991,20 +991,18 @@ def _changed(tile: tuple, g: int, r: int, event: str) -> tuple | None:
 
 
 def _group_cases():
-    """(event, kind, r, g, p, prefix, zero, tiles, budget) at predicted
-    offset p, residue r of the first, a middle or the last group g of a
-    tile of a real prediction of classification 2, 0, 3 and 4: the budget
-    ends at p, the tile's value at p differs or is the first outside int64
-    (see _changed), or the plain run from the values before the tile dies
-    at p, inside it; then the stops of _RUN_STOPS, where the run leaves a
-    value the tile fixes or ends, and the ends of a literal at every
-    residue of groups 0, 1 and 2.  Each block tile's tables hold exactly
-    the rows it reads."""
+    """(event, kind, r, g, p, prefix, tiles, budget) at predicted offset p,
+    residue r of the first, a middle or the last group g of a tile of a
+    real prediction of classification 2, 0, 3 and 4: the budget ends at p,
+    or the tile's value at p differs or is the first outside int64 (see
+    _changed); then the stops of _RUN_STOPS, where the run leaves a value
+    the tile fixes or ends, and the ends of a literal at every residue of
+    groups 0, 1 and 2.  Each block tile's tables hold exactly the rows it
+    reads."""
     for n, budget in ((38, 239), (132, 6190), (37, 277), (47, 553)):
         identity = range(1, n + 1)
         tiles = tuple(_exact_tables(tile) if tile[0] == TILE_BLOCKS else tile
                       for tile in predicted_tiles(abc_profile(n), budget))
-        predicted = materialise(identity, tiles, budget).tolist()
         start = n
         for i, tile in enumerate(tiles):
             kind, length = tile[:2]
@@ -1012,55 +1010,52 @@ def _group_cases():
             for g in sorted({0, groups // 2, groups - 1}):
                 for p in range(start + 5 * g, min(start + 5 * g + 5, start + length)):
                     r = (p - start) % 5
-                    yield "budget", kind, r, g, p, identity, True, tiles, p + 1
+                    yield "budget", kind, r, g, p, identity, tiles, p + 1
                     for event in ("differs", "int64"):
                         changed = _changed(tile, g, r, event)
                         if changed is not None:
                             changed = (*tiles[:i], changed, *tiles[i + 1:])
-                            yield event, kind, r, g, p, identity, True, changed, budget
-            head = tuple(predicted[:start])
-            p = len(_fallback.q_generate(head, False, budget)[0])
-            if p < start + length:
-                yield "ends", kind, (p - start) % 5, (p - start) // 5, p, head, False, tiles[i:], budget
+                            yield event, kind, r, g, p, identity, changed, budget
             start += length
-    for kind, event, g, r, prefix, zero in _RUN_STOPS:
+    for kind, event, g, r, prefix in _RUN_STOPS:
         k = len(prefix)
-        run = _fallback.q_generate(prefix, zero, k + 10)[0][k:]
-        yield event, kind, r, g, k + 5 * g + r, prefix, zero, (_following(kind, run),), k + 20
-    # the plain run of <1,2,1> ends after 14 values: behind a literal of j
+        run = _fallback.q_generate(prefix, True, k + 10)[0][k:]
+        yield event, kind, r, g, k + 5 * g + r, prefix, (_following(kind, run),), k + 20
+    # the run of <0;-1,2,2,7> ends after 14 values: behind a literal of j
     # of them, a literal ends at offset 14 - j
-    run = tuple(_fallback.q_generate((1, 2, 1), False, 40)[0][3:])
+    prefix = (-1, 2, 2, 7)
+    run = tuple(_fallback.q_generate(prefix, True, 40)[0][4:])
+    assert len(run) == 14
     for j in range(15):
         tiles = (constants(run[:j]), constants(run[j:] + (1, 1, 1)))
-        yield "ends", TILE_LITERAL, (14 - j) % 5, (14 - j) // 5, 17, (1, 2, 1), False, tiles, 40
+        yield "ends", TILE_LITERAL, (14 - j) % 5, (14 - j) // 5, 18, prefix, tiles, 40
 
 
-# (kind, event, g, r, prefix, zero): the run from the prefix follows the
-# tile _following builds from it up to residue r of group g, and there
-# differs from a value the tile fixes (a chunk's 5, 3 and 5, a block's 4)
-# or ends.  Each prefix was found by a search of short prefixes.  A run
-# ends only past a value <= 0 or, under the plain convention, one that
-# reaches its next index, which a chunk's 3 (before residue 4) and a
-# block's 4 (before residue 2) never do.
+# (kind, event, g, r, prefix): the run from the prefix, under zero
+# extension, follows the tile _following builds from it up to residue r of
+# group g, and there differs from a value the tile fixes (a chunk's 5, 3
+# and 5, a block's 4) or ends.  Each prefix was found by a search of short
+# prefixes.  A run ends only just past a value <= 0, which the tile then
+# holds: a chunk's (a + b*k, 5, b, 3, 5) holds one only at a <= 0 or
+# b <= 0, so it ends only at residue 0, 1 or 3 of group 0; a block's 4 (at
+# residue 1) holds none, so it ends at any residue but 2.
 _RUN_STOPS = (
-    (TILE_CHUNK, "differs", 0, 1, (1, 1), True),  # Q(3) = 2, then Q(4) = 3
-    (TILE_CHUNK, "differs", 0, 3, (2, 3), True),
-    (TILE_CHUNK, "differs", 0, 4, (2, 1), True),
-    (TILE_BLOCKS, "differs", 0, 1, (1, 1), True),
-    (TILE_CHUNK, "differs", 1, 1, (2, 0, 2, 1, 0, 7, 2, 1), False),
-    (TILE_CHUNK, "differs", 1, 3, (6, 5, 8, 6, 7, 1, 9, 3, 14), True),
-    (TILE_CHUNK, "differs", 1, 4, (2, 0, 5, 10, 14, 3, 6), True),
-    (TILE_BLOCKS, "differs", 1, 1, (2, 9, 1, 5), True),
-    (TILE_CHUNK, "ends", 0, 0, (1, 0), True),
-    (TILE_BLOCKS, "ends", 0, 0, (1, 0), True),
-    (TILE_CHUNK, "ends", 0, 1, (2, 2), False),
-    (TILE_BLOCKS, "ends", 0, 1, (2, 2), False),
-    (TILE_CHUNK, "ends", 0, 2, (2, 1), False),
-    (TILE_CHUNK, "ends", 0, 3, (6, 2, 1), False),
-    (TILE_BLOCKS, "ends", 0, 3, (1, 0, 3, 2, 6, 5), False),
-    (TILE_BLOCKS, "ends", 0, 4, (11, 9, 4, 0, 2, 5, 4), False),
-    (TILE_CHUNK, "ends", 1, 1, (5, 5, 0, 0, 8, 1, 3, 8), False),
-    (TILE_BLOCKS, "ends", 1, 1, (2, 4, 1, 0, 9, 10, 1, 9), True),
+    (TILE_CHUNK, "differs", 0, 1, (1, 1)),  # Q(3) = 2, then Q(4) = 3
+    (TILE_CHUNK, "differs", 0, 3, (2, 3)),
+    (TILE_CHUNK, "differs", 0, 4, (2, 1)),
+    (TILE_BLOCKS, "differs", 0, 1, (1, 1)),
+    (TILE_CHUNK, "differs", 1, 1, (8, 1, 0, 7, 2, 1)),
+    (TILE_CHUNK, "differs", 1, 3, (6, 5, 8, 6, 7, 1, 9, 3, 14)),
+    (TILE_CHUNK, "differs", 1, 4, (2, 0, 5, 10, 14, 3, 6)),
+    (TILE_BLOCKS, "differs", 1, 1, (2, 9, 1, 5)),
+    (TILE_CHUNK, "ends", 0, 0, (1, 0)),
+    (TILE_BLOCKS, "ends", 0, 0, (1, 0)),
+    (TILE_CHUNK, "ends", 0, 1, (3, 3)),  # Q(3) = 0, the chunk's a
+    (TILE_BLOCKS, "ends", 0, 1, (-1, 3, 3)),
+    (TILE_CHUNK, "ends", 0, 3, (-1, 2, 1)),
+    (TILE_BLOCKS, "ends", 0, 3, (2, -1, 1, 5)),
+    (TILE_BLOCKS, "ends", 0, 4, (12, -1, 0, 3, 9, 0, 5, 1)),
+    (TILE_BLOCKS, "ends", 1, 1, (2, 4, 1, 0, 9, 10, 1, 9)),
 )
 
 
@@ -1081,17 +1076,16 @@ def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
     value on its own: wherever the stop falls in its group, it answers as
     the reference and the lists do."""
     seen = set()
-    for event, kind, r, g, p, prefix, zero, tiles, budget in _group_cases():
-        compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
-        assert compiled == _fallback.q_check(prefix, zero, tiles, budget, checked=True), (event, p)
-        want = _list_check(prefix, zero, tiles, budget)
+    for event, kind, r, g, p, prefix, tiles, budget in _group_cases():
+        compiled = compiled_kernel.q_check(prefix, tiles, budget)
+        assert compiled == _fallback.q_check(prefix, tiles, budget, checked=True), (event, p)
+        want = _list_check(prefix, tiles, budget)
         matched, first = want[:2]
         if event == "int64":  # declined: the value to report lies outside int64
             assert compiled is None and first[1] > INT64_MAX
         else:
             assert (compiled[0], _status_of(*compiled[1:]), compiled[2]) == want[1:], (event, p)
-            if zero:
-                assert _check_count(compiled_kernel, prefix, tiles, budget) == matched, (event, p)
+            assert _check_count(compiled_kernel, prefix, tiles, budget) == matched, (event, p)
         if (first is None and matched == p + 1) if event == "budget" else matched == p:
             seen.add((event, kind, r, g > 0))
     for kind in (TILE_LITERAL, TILE_CHUNK, TILE_BLOCKS):
@@ -1104,8 +1098,8 @@ def test_q_check_agrees_at_every_group_boundary(compiled_kernel):
         assert seen >= {(event, TILE_BLOCKS, r, later) for r in (0, 3, 4) for later in (False, True)}
     assert seen >= {("differs", TILE_CHUNK, r, True) for r in (1, 3, 4)} | {("differs", TILE_BLOCKS, 1, True)}
     assert seen >= {("ends", TILE_LITERAL, r, later) for r in range(5) for later in (False, True)}
-    assert seen >= {("ends", TILE_CHUNK, r, False) for r in range(4)} | {("ends", TILE_BLOCKS, r, False) for r in (0, 1, 3, 4)}
-    assert seen >= {("ends", TILE_CHUNK, 1, True), ("ends", TILE_BLOCKS, 1, True)}
+    assert seen >= {("ends", TILE_CHUNK, r, False) for r in (0, 1, 3)} | {("ends", TILE_BLOCKS, r, False) for r in (0, 1, 3, 4)}
+    assert ("ends", TILE_BLOCKS, 1, True) in seen
 
 
 # Q(1..60) of <1,1>, the run the literal cases below follow
@@ -1127,7 +1121,7 @@ _UNCOMPUTABLE = {
 
 
 def _int64_edge_cases():
-    """(kind, how, p, prefix, zero, tiles, budget, reaches): after the
+    """(kind, how, p, prefix, tiles, budget, reaches): after the
     prefix <1,1>, a literal whose rows are the run's values up to offset p
     (0..11), where its row is one of _UNCOMPUTABLE's, and 7 after it; and
     after <0;1,...,1,mu,5,lam,3> with K = 0, 1 or 3 ones, the 5 and the
@@ -1139,22 +1133,21 @@ def _int64_edge_cases():
     ends before it (a literal or a chunk of length p, the budget with it),
     nor when the literal's row p - 1 differs from the run."""
     for lead in (0, 1, 3):
-        for zero in (True, False):
-            head = constants(_HOFSTADTER[2 : 2 + lead])
-            for p in range(12):
-                run = _HOFSTADTER[2 + lead :]
-                for how, (x, y, (c, d, f)) in _UNCOMPUTABLE.items():
-                    row = (c, d, run[p] if f is None else f)
-                    rows = [(0, 0, v) for v in run[:p]] + [row] + [(0, 0, 7)] * 11
-                    for length, differs in ((p, False), (p + 1, False), (12, False), (12, True)):
-                        if differs and p:
-                            rows[p - 1] = (0, 0, run[p - 1] + 1)
-                        elif differs:
-                            continue
-                        forms = tuple(array("q", column) for column in zip(*rows))
-                        tiles = (head, (TILE_LITERAL, length, (x, y), forms))
-                        reaches = length > p and not differs
-                        yield TILE_LITERAL, how, p, (1, 1), zero, tiles, 2 + lead + length + 3, reaches
+        head = constants(_HOFSTADTER[2 : 2 + lead])
+        for p in range(12):
+            run = _HOFSTADTER[2 + lead :]
+            for how, (x, y, (c, d, f)) in _UNCOMPUTABLE.items():
+                row = (c, d, run[p] if f is None else f)
+                rows = [(0, 0, v) for v in run[:p]] + [row] + [(0, 0, 7)] * 11
+                for length, differs in ((p, False), (p + 1, False), (12, False), (12, True)):
+                    if differs and p:
+                        rows[p - 1] = (0, 0, run[p - 1] + 1)
+                    elif differs:
+                        continue
+                    forms = tuple(array("q", column) for column in zip(*rows))
+                    tiles = (head, (TILE_LITERAL, length, (x, y), forms))
+                    reaches = length > p and not differs
+                    yield TILE_LITERAL, how, p, (1, 1), tiles, 2 + lead + length + 3, reaches
         mu = 9
         for g in range(1, 5):
             lam = -(-(2**63 - mu) // (g + 1))  # mu + lam*k leaves int64 at k = g + 1
@@ -1162,7 +1155,7 @@ def _int64_edge_cases():
             for length in (5 * g, 5 * g + 1, 5 * g + 6):
                 tiles = (constants((5,)), (TILE_CHUNK, length, mu + lam, lam))
                 budget = len(prefix) + 1 + length
-                yield TILE_CHUNK, "a + b*k", 5 * g, prefix, True, tiles, budget, length > 5 * g
+                yield TILE_CHUNK, "a + b*k", 5 * g, prefix, tiles, budget, length > 5 * g
 
 
 def test_q_check_declines_at_each_offset_where_a_tile_leaves_int64(compiled_kernel):
@@ -1176,14 +1169,14 @@ def test_q_check_declines_at_each_offset_where_a_tile_leaves_int64(compiled_kern
     leaves it in the run too, and the kernel declines exactly where the run
     reaches it."""
     declined = set()
-    for kind, how, p, prefix, zero, tiles, budget, reaches in _int64_edge_cases():
-        case = (how, p, len(prefix), zero, tiles[-1][1])
-        compiled = compiled_kernel.q_check(prefix, zero, tiles, budget)
-        checked = _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=True)
+    for kind, how, p, prefix, tiles, budget, reaches in _int64_edge_cases():
+        case = (how, p, len(prefix), tiles[-1][1])
+        compiled = compiled_kernel.q_check(prefix, tiles, budget)
+        checked = _answer(_fallback.q_check, prefix, tiles, budget, checked=True)
         assert compiled == _declined_where_raised(checked), case
         with mock.patch.object(_backend, "_kernel", compiled_kernel):
-            exact = _answer(_backend.q_check, prefix, zero, tiles, budget)
-        assert exact == _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=False), case
+            exact = _answer(_backend.q_check, prefix, tiles, budget)
+        assert exact == _answer(_fallback.q_check, prefix, tiles, budget, checked=False), case
         assert (compiled is None) == reaches, case
         if compiled is None:
             declined.add((kind, how, p))
@@ -1214,7 +1207,7 @@ def test_tiles_start_just_past_the_prefix(request, backend, prefix):
     )
     with mock.patch.object(_backend, "_kernel", kernel):
         for tiles, limit, matched, first, n_actual in checks:
-            assert _backend.q_check(prefix, True, tiles, limit) == (first, 0, n_actual)
+            assert _backend.q_check(prefix, tiles, limit) == (first, 0, n_actual)
             report = _check(prefix, tiles, limit)
             assert (report.matched_through, report.first_mismatch) == (matched, first)
             assert report.actual_status == SequenceStatus.alive()
@@ -1224,14 +1217,16 @@ def test_tiles_start_just_past_the_prefix(request, backend, prefix):
 
 def test_q_check_builds_only_what_the_run_reaches(compiled_kernel):
     """Both backends stop at the first difference, and the reference builds
-    each tile only to one value past the end of the run: a chunk of 10**12
-    terms after a run of two, which dies at once, and a class-2 prediction
-    of 200000 terms whose run dies early under the plain convention."""
-    tiles = predicted_tiles(abc_profile(38), 200_000)
+    the prediction only to one value past the end of the run: a chunk of
+    10**12 terms after a run of two, which ends at once, and the same chunk
+    after the prediction of N = 39, whose run ends where that prediction
+    does, at 87."""
+    chunk = (TILE_CHUNK, 10**12, 1, 2)
+    tiles = (*predicted_tiles(abc_profile(39), 10**12), chunk)
     for kernel in (compiled_kernel, None):
         with mock.patch.object(_backend, "_kernel", kernel):
-            assert _backend.q_check((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12) == ((3, 1, None), 1, 2)
-            assert _backend.q_check(range(1, 39), False, tiles, 200_000) == ((67, 44, None), 1, 66)
+            assert _backend.q_check((2, 0), (chunk,), 10**12) == ((3, 1, None), 2, 2)
+            assert _backend.q_check(range(1, 40), tiles, 10**12) == ((87, 1, None), 2, 86)
 
 
 # The predicted values of a tile the compiled q_check writes, and then tests
@@ -1269,7 +1264,7 @@ def test_q_check_finds_a_break_at_any_offset(compiled_kernel, n):
     it: a value changed at the first or the last value of each tile, at
     either edge of a window of the longest tile, and a prediction one term
     short or one term long, give the reference's first mismatch, status and
-    length under both conventions.  N = 38 is predicted to the budget,
+    length.  N = 38 is predicted to the budget,
     through its R/S/T blocks; N = 182 through a chunk of 11588 terms, to
     the end of its run."""
     profile, budget = abc_profile(n), 200_000
@@ -1287,27 +1282,27 @@ def test_q_check_finds_a_break_at_any_offset(compiled_kernel, n):
     kind, length, a, b = tiles[-1]
     variants += [(last, (*tiles[:-1], (kind, length - 1, a, b))), (last + 1, (*tiles, _values((1,))))]
     for offset, spliced in variants:
-        for zero in (True, False):
-            compiled = compiled_kernel.q_check(prefix, zero, spliced, budget)
-            assert compiled == _fallback.q_check(prefix, zero, spliced, budget, checked=True), (offset, zero)
-            if zero and n + offset < budget:  # the run is the prediction: it breaks where changed
-                assert compiled[0][0] == n + offset + 1, offset
+        compiled = compiled_kernel.q_check(prefix, spliced, budget)
+        assert compiled == _fallback.q_check(prefix, spliced, budget, checked=True), offset
+        if n + offset < budget:  # the run is the prediction: it breaks where changed
+            assert compiled[0][0] == n + offset + 1, offset
 
 
 def test_q_check_memory_follows_the_checked_terms(compiled_kernel):
     """The compiled kernel's buffer holds the terms it has checked and at
     most one window of predicted values past them, however long the
-    prediction: the class-2 prediction of N = 38 at 10**8 terms, whose plain
-    run dies at 66, and a chunk of 10**12 terms after a run of two, which
-    dies at once.  The block tile's R/S/T tables are anonymous maps, which
-    hold pages only where they are written or read: their rows past those
-    of the 200000-term prediction are 0, and no window reaches them.
-    tracemalloc sees the kernel's own allocations, and not the maps."""
+    prediction: the prediction of N = 39, whose run ends at 87, followed by
+    the R/S/T blocks of N = 38 to 10**8 terms, and a chunk of 10**12 terms
+    after a run of two, which ends at once.  The block tile's R/S/T tables
+    are anonymous maps, which hold pages only where they are written or
+    read: their rows past those of the 200000-term prediction of N = 38 are
+    0, and no window reaches them.  tracemalloc sees the kernel's own
+    allocations, and not the maps."""
     budget = 10**8
-    tiles = predicted_tiles(abc_profile(38), 200_000)
-    kind, _, lam, tables = tiles[-1]
+    kind, _, lam, tables = predicted_tiles(abc_profile(38), 200_000)[-1]
     assert kind == TILE_BLOCKS
-    length = budget - sum(tile[1] for tile in tiles[:-1]) - 38
+    tiles = predicted_tiles(abc_profile(39), budget)
+    length = budget - 86
     rows = -(-length // 5) + 2
     sparse = []
     for table in tables:
@@ -1315,8 +1310,8 @@ def test_q_check_memory_follows_the_checked_terms(compiled_kernel):
         view[: len(table)] = table
         sparse.append(view)
     calls = (
-        ((range(1, 39), False, (*tiles[:-1], (kind, length, lam, tuple(sparse))), budget), ((67, 44, None), 1, 66)),
-        (((2, 0), False, ((TILE_CHUNK, 10**12, 1, 2),), 10**12), ((3, 1, None), 1, 2)),
+        ((range(1, 40), (*tiles, (kind, length, lam, tuple(sparse))), budget), ((87, lam * tables[2][1], None), 2, 86)),
+        (((2, 0), ((TILE_CHUNK, 10**12, 1, 2),), 10**12), ((3, 1, None), 2, 2)),
     )
     for args, want in calls:
         tracemalloc.start()
@@ -1329,12 +1324,12 @@ def test_q_check_memory_follows_the_checked_terms(compiled_kernel):
 
 
 def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
-    """The reference builds no tile past the first difference, yet reads
-    every tile as the kernel does: each malformed tile there, which the
-    kernel declines, it refuses with the error that building the tile whole
-    raises."""
+    """The reference builds the prediction only to one value past the end
+    of the run, yet reads every tile as the kernel does: each malformed
+    tile past it, which the kernel declines, it refuses with the error that
+    building the tile whole raises."""
     rst = _fallback.rst_generate(40)[:3]  # rows 0..40
-    differs = constants((7, 8, 9))  # 7 at index 3, where the run has died
+    differs = constants((7, 8, 9))  # 7 at index 3, where the run has ended
     _, _, _, mixed = forms((0, 0), [(1, 1, 9)] * 7)
     _, _, _, nines = constants((9,) * 7)
     for tile, error in (
@@ -1348,10 +1343,10 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
         ((TILE_CHUNK, 10**12, 3, 2.5), TypeError),  # the step
         (constants((2,), 3), ValueError),  # tables shorter than its length
     ):
-        assert compiled_kernel.q_check((2, 0), False, (differs, tile), 10**12) is None
+        assert compiled_kernel.q_check((2, 0), (differs, tile), 10**12) is None
         for checked in (True, False):
             with pytest.raises(error):
-                _fallback.q_check((2, 0), False, (differs, tile), 10**12, checked=checked)
+                _fallback.q_check((2, 0), (differs, tile), 10**12, checked=checked)
     # so are the tiles past the budget, clipped to no term, and materialise
     # refuses them alike
     for tile, error in (
@@ -1360,10 +1355,10 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
         ((TILE_CHUNK, -1, 5, 3), ValueError),  # a negative length
         ((TILE_BLOCKS, 5, 2.5, rst), TypeError),  # lam
     ):
-        assert compiled_kernel.q_check((0, 0), False, (tile,), 0) is None
+        assert compiled_kernel.q_check((0, 0), (tile,), 0) is None
         for checked in (True, False):
             with pytest.raises(error):
-                _fallback.q_check((0, 0), False, (tile,), 0, checked=checked)
+                _fallback.q_check((0, 0), (tile,), 0, checked=checked)
         with pytest.raises(error):
             materialise((0, 0), (tile,), 0)
     # a literal's length is binding where the run reaches it too, on both
@@ -1371,10 +1366,35 @@ def test_reference_reads_every_tile_past_the_first_difference(compiled_kernel):
     tiles = (constants((2,), 3), (TILE_CHUNK, 4, 0, 1))
     for kernel in (compiled_kernel, None):
         with mock.patch.object(_backend, "_kernel", kernel), pytest.raises(ValueError):
-            _backend.q_check((2, 0), False, tiles, 20)
+            _backend.q_check((2, 0), tiles, 20)
     with pytest.raises(ValueError):
         materialise((2, 0), tiles, 20)
     assert materialise((2, 0), tiles, 3).tolist() == [2, 0, 2]
+
+
+@pytest.mark.parametrize("prefix", [(2, 0), (-1, 2, 1)], ids=["after-the-end", "after-a-mismatch"])
+def test_a_tile_past_the_run_is_clipped_where_it_starts(compiled_kernel, prefix):
+    """Every tile is clipped to the budget at its offset in the prediction,
+    however little of the tiles before it the run reaches: a literal whose
+    tables hold only the rows the budget leaves it, and a block tile whose
+    R/S/T tables hold only the rows of its clipped blocks, after a chunk in
+    which the run of <0;2,0> ends at once, or in which the run of
+    <0;-1,2,1> first differs and then ends.  Both backends answer as the
+    run compared with materialise's prediction does."""
+    k = len(prefix)
+    rows = array("q", [0]) * 5
+    chunk = (TILE_CHUNK, 10, 1, 2)
+    for tile, budget in (((TILE_LITERAL, 10, (0, 0), (rows, rows, rows)), k + 15),
+                         ((TILE_BLOCKS, 50, 12, _fallback.rst_generate(6)[:3]), k + 35)):
+        tiles = (chunk, tile)
+        predicted = materialise(prefix, tiles, budget)
+        run, status = _fallback.q_generate(prefix, True, budget)
+        assert len(predicted) == budget and len(run) < k + chunk[1]  # the run ends inside the chunk
+        want = (_first_difference(predicted, run), status, len(run))
+        assert (want[0][2] is None) == (prefix == (2, 0))
+        for kernel in (compiled_kernel, None):
+            with mock.patch.object(_backend, "_kernel", kernel):
+                assert _backend.q_check(prefix, tiles, budget) == want, (kernel, tile[0])
 
 
 def _corrupt(draw, tiles: list) -> None:
@@ -1412,10 +1432,9 @@ _malformed = st.sampled_from((
 
 @st.composite
 def check_cases(draw):
-    """(prefix, zero, tiles, budget).  Either a real prediction, perhaps
-    with one tile corrupted and perhaps run under the plain convention, or
-    random tiles of every kind after a random prefix that may die, end or
-    overflow.  Either prefix may be a range, and either tuple of tiles may
+    """(prefix, tiles, budget).  Either a real prediction, perhaps with one
+    tile corrupted, or random tiles of every kind after a random prefix
+    that may end or overflow.  Either prefix may be a range, and either tuple of tiles may
     end in a malformed tile, which every call refuses."""
     if draw(st.booleans()):
         n = draw(st.integers(35, 3000).filter(lambda v: not is_exceptional(v)))
@@ -1426,7 +1445,7 @@ def check_cases(draw):
         if not draw(st.integers(0, 3)):  # past the budget, which the prediction fills
             tiles.append(draw(_malformed))
         prefix = range(1, n + 1)
-        return draw(st.sampled_from((prefix, tuple(prefix)))), draw(st.booleans()), tuple(tiles), budget
+        return draw(st.sampled_from((prefix, tuple(prefix)))), tuple(tiles), budget
     big = st.sampled_from((2**62, 3 * 2**61, 2**63 - 1, -(2**62)))
     terms = st.lists(st.one_of(st.integers(-6, 12), big, _huge), min_size=2, max_size=6)
     prefix = draw(st.one_of(terms.map(tuple), range_prefixes))
@@ -1451,38 +1470,38 @@ def check_cases(draw):
     if not draw(st.integers(0, 3)):  # often past the budget
         tiles.append(draw(_malformed))
     # a budget may fall short of the prefix, which the run keeps whole
-    return prefix, draw(st.booleans()), tuple(tiles), draw(st.integers(0, 120))
+    return prefix, tuple(tiles), draw(st.integers(0, 120))
 
 
 @settings(max_examples=300, deadline=None)
 @given(check_cases())
-@example(((2**62, 2**62, 3, 4), True, ((TILE_CHUNK, 9, 2**63, 1),), 20))  # overflows at 5
-@example(((1, 2), True, (constants((3,)), (TILE_CHUNK, 9, 3, 2**64)), 30))
-@example(((1, 2), True, (forms((2**63, 0), [(1, 0, 0)]),), 3))  # 2**63 at index 3
-@example(((1, 2), True, (forms((2**63, 5), [(0, 1, -2)]),), 3))  # x outside int64, unread
-@example(((1, 1), False, (forms((2**70, 0), [(0, 0, 2), (0, 0, 4), (1, 0, 0)]),), 30))  # differs first
-@example(((3, 1), True, ((TILE_CHUNK, 9, 2, 0),), 30))  # step 0
-@example(((1, 2, 3, 2**64), True, ((TILE_CHUNK, 3, 1, 2),), 2))  # prefix overflows past the budget
-@example(((1, 2, 3, 4), True, ((TILE_CHUNK, 3, 1, 2),), 2))  # the prefix is longer than the budget
-@example((range(2**63 - 3, 2**63 + 3), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # its 4th term leaves int64
-@example((range(2**63, 2**63 + 4), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # its start is outside int64
-@example((range(-(2**63), 1, 2**63), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # so is its step, not its terms
-@example((range(1, 2), True, ((TILE_CHUNK, 9, 1, 2),), 20))  # too short: declined, ValueError
-@example((range(0), False, (), 20))
-@example(((0, 0), False, ((TILE_LITERAL, 0, (), None),), 0))  # past the budget: declined, ValueError
-@example(((1, 2), True, (constants((3,)), (TILE_CHUNK, -1, 5, 3)), 3))  # negative, past the budget
+@example(((2**62, 2**62, 3, 4), ((TILE_CHUNK, 9, 2**63, 1),), 20))  # overflows at 5
+@example(((1, 2), (constants((3,)), (TILE_CHUNK, 9, 3, 2**64)), 30))
+@example(((1, 2), (forms((2**63, 0), [(1, 0, 0)]),), 3))  # 2**63 at index 3
+@example(((1, 2), (forms((2**63, 5), [(0, 1, -2)]),), 3))  # x outside int64, unread
+@example(((1, 1), (forms((2**70, 0), [(0, 0, 2), (0, 0, 4), (1, 0, 0)]),), 30))  # differs first
+@example(((3, 1), ((TILE_CHUNK, 9, 2, 0),), 30))  # step 0
+@example(((1, 2, 3, 2**64), ((TILE_CHUNK, 3, 1, 2),), 2))  # prefix overflows past the budget
+@example(((1, 2, 3, 4), ((TILE_CHUNK, 3, 1, 2),), 2))  # the prefix is longer than the budget
+@example((range(2**63 - 3, 2**63 + 3), ((TILE_CHUNK, 9, 1, 2),), 20))  # its 4th term leaves int64
+@example((range(2**63, 2**63 + 4), ((TILE_CHUNK, 9, 1, 2),), 20))  # its start is outside int64
+@example((range(-(2**63), 1, 2**63), ((TILE_CHUNK, 9, 1, 2),), 20))  # so is its step, not its terms
+@example((range(1, 2), ((TILE_CHUNK, 9, 1, 2),), 20))  # too short: declined, ValueError
+@example((range(0), (), 20))
+@example(((0, 0), ((TILE_LITERAL, 0, (), None),), 0))  # past the budget: declined, ValueError
+@example(((1, 2), (constants((3,)), (TILE_CHUNK, -1, 5, 3)), 3))  # negative, past the budget
 def test_compiled_and_fallback_q_check_agree(compiled_kernel, case):
-    prefix, zero, tiles, budget = case
-    compiled = _answer(compiled_kernel.q_check, prefix, zero, tiles, budget)
+    prefix, tiles, budget = case
+    compiled = _answer(compiled_kernel.q_check, prefix, tiles, budget)
     # a range is read in place, and answers as its tuple does
-    assert compiled == _answer(compiled_kernel.q_check, tuple(prefix), zero, tiles, budget)
-    checked = _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=True)
+    assert compiled == _answer(compiled_kernel.q_check, tuple(prefix), tiles, budget)
+    checked = _answer(_fallback.q_check, prefix, tiles, budget, checked=True)
     assert compiled == _declined_where_raised(checked)
-    exact = _answer(_fallback.q_check, prefix, zero, tiles, budget, checked=False)
+    exact = _answer(_fallback.q_check, prefix, tiles, budget, checked=False)
     assert compiled in (exact, None)
     # the backend answers exactly, or raises the reference's error, either way
     with mock.patch.object(_backend, "_kernel", compiled_kernel):
-        assert _answer(_backend.q_check, prefix, zero, tiles, budget) == exact
+        assert _answer(_backend.q_check, prefix, tiles, budget) == exact
 
 
 def test_verify_retries_in_exact_after_overflow():

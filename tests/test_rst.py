@@ -126,18 +126,18 @@ def test_block_tile_reads_exactly_its_rows(compiled_kernel, lam, length):
         return (constants((5, 5)), (TILE_BLOCKS, length, lam, tables))
 
     budget = 6 + length
-    want = _fallback.q_check(ic, True, tiles((r, s, t)), budget)
-    assert compiled_kernel.q_check(ic, True, tiles((r, s, t)), budget) == want
+    want = _fallback.q_check(ic, tiles((r, s, t)), budget)
+    assert compiled_kernel.q_check(ic, tiles((r, s, t)), budget) == want
     # a table one row short is declined before it is read: neither UBSan nor
     # PYTHONMALLOC=debug would catch that read past its end, and only the
     # AddressSanitizer build of the CI asan job does.  The backend then
     # raises the reference's error, with the kernel and without it.
     for short in ((r[:-1], s, t), (r, s[:-1], t), (r, s, t[:-1])):
-        assert compiled_kernel.q_check(ic, True, tiles(short), budget) is None
+        assert compiled_kernel.q_check(ic, tiles(short), budget) is None
         for kernel in (compiled_kernel, None):
             with mock.patch.object(_backend, "_kernel", kernel), \
                     pytest.raises(ValueError, match="too short"):
-                _backend.q_check(ic, True, tiles(short), budget)
+                _backend.q_check(ic, tiles(short), budget)
 
 
 @pytest.mark.parametrize("check, args, length", [
