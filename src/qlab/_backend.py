@@ -1,13 +1,14 @@
 """Kernel selection: compiled extension when built, pure Python otherwise.
 
 Both backends hand back the same types, and this module only chooses
-which one runs.  Terms and R/S/T tables whose values all fit int64 are one
-``array('q')`` each, filled in place by the compiled kernel and by the
-Python reference alike; only an exact run that goes past int64 comes back
-as a list of Python ints.  The compiled kernel answers a call or returns
-None, and raises nothing but MemoryError or an interrupt.  Each function
-here returns the kernel's answer or, when the kernel is not built or
-returns None, the Python reference's answer or error (see ``_answer``).
+which one runs.  Terms and R/S/T tables whose values all fit int64 are
+each a read-only int64 memoryview (format "q"), from the compiled kernel
+and from the Python reference alike; only an exact run that goes past
+int64 comes back as a list of Python ints.  The compiled kernel answers a
+call or returns None, and raises nothing but MemoryError or an interrupt.
+Each function here returns the kernel's answer or, when the kernel is not
+built or returns None, the Python reference's answer or error (see
+``_answer``).
 q_check compares a run under zero extension, the one convention that
 ``verify`` and ``scan`` check, with the prediction ``materialise`` builds.
 """
@@ -37,8 +38,8 @@ def _answer(name: str, *args, **reference_options):
 
 def q_generate(prefix, zero_extended: bool, max_terms: int, exact: bool):
     """Extend ``prefix`` as _fallback.q_generate does, checked unless
-    ``exact``; returns ``(terms, status)`` with ``terms`` an
-    ``array('q')``, or a list of ints for an exact run past int64.
+    ``exact``; returns ``(terms, status)`` with ``terms`` a read-only
+    int64 memoryview, or a list of ints for an exact run past int64.
 
     ``prefix`` is a sequence of ints: the compiled kernel reads a ``range``
     whose start and step fit int64 from those two and its length, with no
@@ -67,9 +68,9 @@ def q_check(prefix, tiles, max_terms: int):
 
 def rst_generate(n_max: int):
     """The R/S/T tables through ``n_max`` as _fallback.rst_generate returns
-    them, three ``array('q')``, each allocated once at its n_max + 1 rows
-    and cut only where the system ends: a table that memory cannot hold is
-    a MemoryError at once, from either backend."""
+    them, three read-only int64 memoryviews, allocated once at n_max + 1
+    rows each and cut only where the system ends: tables that memory
+    cannot hold are a MemoryError at once, from either backend."""
     return _answer("rst_generate", n_max)
 
 

@@ -6,9 +6,11 @@ nothing but MemoryError, or an interrupt that is no Exception.  Checked,
 q_generate and q_check simulate the kernel's int64 arithmetic, and q_check
 returns None where the kernel declines; unchecked, they go on exactly where
 int64 cannot, from the kernel's last exact term or from the start.  Terms
-and tables come back as the kernel returns them, one ``array('q')`` each
-while the values fit int64: q_generate's terms, rst_generate's three R/S/T
-tables, and the terms ``materialise`` says the tiles predict.  Only an
+and tables come back as the kernel returns them, each a read-only int64
+memoryview (format "q") while the values fit int64: q_generate's terms,
+rst_generate's three R/S/T tables, and the terms ``materialise`` says the
+tiles predict.  Here each is a view of an ``array('q')`` (see _frozen); the
+kernel's is a view of one bytes block cut to exactly its rows.  Only an
 exact run, or a prediction, with a value past int64 is a list of ints.
 This module is the one owner of that rule.
 
@@ -18,16 +20,19 @@ no tile restates) and each later one where the one before it stopped.  By kind:
 
 * TILE_LITERAL: ``length`` affine forms, with ``a = (x, y)`` and ``b =
   (c, d, f)`` three tables of at least ``length`` rows: its value at offset
-  i is ``c[i]*x + d[i]*y + f[i]``.  The kernel reads only int64 buffer
-  tables, such as an ``array('q')`` or a read-only view of one, and stops
-  at the first row it cannot compute in int64;
+  i is ``c[i]*x + d[i]*y + f[i]``.  The kernel stops at the first row it
+  cannot compute in int64;
 * TILE_CHUNK: the period-5 chunk ``(a + b*k, 5, b, 3, 5)``, k = 0, 1, ...;
 * TILE_BLOCKS: the blocks ``(lam*T(k), 4, 5R(k), 5R(k+1), 5S(k+1))``,
   k = 1, 2, ..., with ``lam = a`` and ``b = (r, s, t)`` the R/S/T tables as
   :class:`qlab.rst.RSTState` holds them, row k of each at index k:
   sequences of ints, of which kmax blocks read rows 0..kmax+1 of r and s and
-  rows 0..kmax of t.  The kernel reads only ``array('q')`` tables, from
-  their buffers, and declines any other.
+  rows 0..kmax of t.
+
+The kernel reads every table of a tile in place, from any C-contiguous
+int64 buffer (format "q"), such as rst_generate's memoryviews or an
+``array('q')``.  It declines a tile with any other table, such as a list or
+a tuple, and this module answers it.
 
 q_check runs the recurrence under zero extension, then compares the run
 with the prediction of materialise's walk (see _build), built only to one
@@ -66,23 +71,29 @@ TILE_BLOCKS = 3
 def q_generate(prefix, zero_extended: bool, max_terms: int, checked: bool = True):
     """Extend ``prefix`` under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)).
 
-    Returns ``(terms, status)``, ``terms`` an ``array('q')``: a run that
-    stops, stops at index ``len(terms) + 1``.  With ``checked`` the 64-bit
-    arithmetic of the compiled kernel is simulated: a term outside the int64
-    range, whether of the prefix or computed, yields STATUS_OVERFLOW, and
-    ``terms`` holds the terms before it.  Unchecked, integers grow without
-    bound and overflow cannot occur: from the first term outside int64 on,
-    and only then, the terms go on as a list of ints.  A prefix of fewer than two terms raises
-    ValueError.
+    Returns ``(terms, status)``, ``terms`` a read-only int64 memoryview: a
+    run that stops, stops at index ``len(terms) + 1``.  With ``checked``
+    the 64-bit arithmetic of the compiled kernel is simulated: a term
+    outside the int64 range, whether of the prefix or computed, yields
+    STATUS_OVERFLOW, and ``terms`` holds the terms before it.  Unchecked,
+    integers grow without bound and overflow cannot occur: from the first
+    term outside int64 on, and only then, the terms go on as a list of
+    ints.  A prefix of fewer than two terms raises ValueError.
     """
     if len(prefix) < 2:
         raise ValueError("prefix needs at least two terms")
     t = array("q")
     try:
-        t.extend(prefix)
+        if type(prefix) is memoryview and prefix.format == "q" and prefix.c_contiguous:
+            # terms as a result holds them, such as the kernel's before an
+            # exact run goes on: copied whole, as extend reads a view an int
+            # at a time
+            t.frombytes(prefix.cast("B"))
+        else:
+            t.extend(prefix)
     except OverflowError:  # t holds the prefix terms before the one outside int64
         if checked:
-            return t, STATUS_OVERFLOW
+            return _frozen(t), STATUS_OVERFLOW
         t = list(prefix)
     zero = bool(zero_extended)
     status = STATUS_ALIVE
@@ -109,12 +120,18 @@ def q_generate(prefix, zero_extended: bool, max_terms: int, checked: bool = True
             append = t.append
             append(total)
         q1, q2 = total, q1
-    return t, status
+    return _frozen(t), status
+
+
+def _frozen(terms):
+    """``terms`` as every result holds them: an ``array('q')`` as its
+    read-only memoryview, a list of ints past int64 as it is."""
+    return memoryview(terms).toreadonly() if type(terms) is array else terms
 
 
 def rst_generate(n_max: int):
     """Tabulate R(0..n), S(0..n) and T(0..n) for n up to ``n_max`` (>= 2),
-    row k of each at index k, as three ``array('q')``.
+    row k of each at index k, as three read-only int64 memoryviews.
 
     Row m computes R(m) = R(m - R(m-1)) + S(m-1), then S(m) = S(m - R(m)) +
     S(m - R(m-1)), then T(m) = T(m - R(m)) + T(m - S(m)), reading 0 at
@@ -159,18 +176,18 @@ def rst_generate(n_max: int):
         t[m] = (t[i1] if i1 >= 0 else 0) + (t[i2] if i2 >= 0 else 0)
     if which is not None:
         del r[m:], s[m:], t[m:]
-    return r, s, t, which
+    return _frozen(r), _frozen(s), _frozen(t), which
 
 
 def materialise(prefix, tiles, max_terms: int):
     """The terms of ``prefix``, kept whole as q_generate keeps it, then
-    those ``tiles`` predict after it, clipped to max_terms: an
-    ``array('q')`` while every value fits int64, a list of ints otherwise.
+    those ``tiles`` predict after it, clipped to max_terms: a read-only
+    int64 memoryview while every value fits int64, a list of ints otherwise.
 
     Each tile is clipped to the budget before it is built: a deep chunk can
     span about 10^10 terms.
     """
-    return _predict(prefix, tiles, max_terms, sys.maxsize, False)
+    return _frozen(_predict(prefix, tiles, max_terms, sys.maxsize, False))
 
 
 def _predict(prefix, tiles, max_terms: int, reach: int, checked: bool):

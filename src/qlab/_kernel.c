@@ -4,12 +4,17 @@
  * q_generate and q_check), or None when it declines the call: when it
  * cannot read it or decide it in int64.  _backend then asks _fallback,
  * which owns every error: the kernel raises only MemoryError and interrupts.
- * q_generate(prefix, zero_extended, max_terms) returns (terms, status),
- * terms an array('q'); a run that stops, stops at len(terms) + 1 (see
- * engine._status_of).  A term outside int64, of the prefix or computed, is
- * STATUS_OVERFLOW, and terms holds the terms before it.  A prefix is a
- * range, a tuple or a list of ints; a range such as range(1, N + 1) is read
- * from its start, step and length (see load_prefix).
+ * Terms and tables come back as a read-only int64 memoryview (format "q")
+ * of one bytes block per result, written in place and cut to exactly its
+ * rows (see block_size): the type _fallback returns while the values fit
+ * int64.
+ * q_generate(prefix, zero_extended, max_terms) returns (terms, status); a
+ * run that stops, stops at len(terms) + 1 (see engine._status_of).  A term
+ * outside int64, of the prefix or computed, is STATUS_OVERFLOW, and terms
+ * holds the terms before it.  A prefix is a range, a tuple or a list of
+ * ints; a range such as range(1, N + 1) is read from its start, step and
+ * length (see load_prefix).  Its block grows by doubling, never past
+ * max(max_terms, prefix length) rows.
  * q_check(prefix, tiles, max_terms) returns (first_mismatch, status,
  * n_actual), the run of n_actual terms under zero extension compared with
  * the tiles, which predict the terms past the prefix.  It builds no list: it
@@ -20,9 +25,9 @@
  * first that breaks the recurrence, or from the end of the prediction, does
  * it run the recurrence one term after another (see extend).
  * rst_generate(n_max) returns (r, s, t, which): R(0..n), S(0..n) and
- * T(0..n), row k at index k, in place in three array('q') allocated once,
- * at n_max + 1 rows, and cut only where which ends the system, at row
- * len(s) (see Store).
+ * T(0..n), row k at index k, three views of the segments of one block
+ * allocated once at 3 (n_max + 1) rows, and compacted and cut only where
+ * which ends the system, at row len(s).
  * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
  * straight into one new str, in one pass over the values: the str is
  * allocated at an upper bound, 20 characters a field, each field is written
@@ -30,8 +35,9 @@
  * put_decimal), and the str is cut to what was written.
  * max_terms and n_max are clipped to Py_ssize_t (see clipped_size).  A table
  * (a column of format_rows, a literal's c, d or f, an R/S/T table of a block
- * tile) is read in place from a C-contiguous int64 buffer, such as an
- * array('q') (see Column), and any other is declined.
+ * tile) is read in place from a C-contiguous int64 buffer, such as this
+ * kernel's memoryviews or an array('q') (see Column), and any other is
+ * declined.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -59,7 +65,7 @@ declined(void)
 }
 
 /* A PyArg converter: *n = the int o clipped to the range of Py_ssize_t,
- * which no array outgrows, so the clip changes no answer.  The clip may
+ * which no block outgrows, so the clip changes no answer.  The clip may
  * size an allocation: a size computed from *n, such as rst_generate's
  * n_max + 1 rows, is clipped again before it can overflow. */
 static int
@@ -83,81 +89,45 @@ lookup(const long long *t, Py_ssize_t n, long long v, int zero, long long *out)
     return STATUS_ALIVE;
 }
 
-/* array('q', [0]): every store starts as a repeat of it. */
-static PyObject *ZERO;
+/* The most rows a block may hold: no memory holds PY_SSIZE_T_MAX / 32
+ * rows of 8 bytes, so past them a block is a MemoryError, before its bytes
+ * and a bytes object's header can overflow Py_ssize_t.  rst_generate clips
+ * its rows to this, so that its three tables' rows cannot overflow either. */
+#define BLOCK_ROWS_MAX (PY_SSIZE_T_MAX / 32)
 
-/* An int64 store: an array('q') whose values v[0..cap-1] are written in
- * place while its buffer is held, so its values are never copied into a
- * second container.  rst_generate allocates its stores at their final
- * size.  Only q_generate, whose run length is not known in advance, grows
- * its store by doubling and cuts it to its final rows when taken.  arr is
- * NULL once the store is freed or taken. */
-typedef struct {
-    PyObject *arr;
-    Py_buffer view;
-    long long *v;
-    Py_ssize_t cap;
-} Store;
-
-/* Hold the buffer of s->arr: 0, or -1 with an exception set and s freed. */
+/* Size *b to rows int64 rows: a new bytes block when *b is NULL, or *b
+ * resized, its rows before the new end kept.  Nothing is zeroed: the
+ * caller writes every row it returns.  0, or -1 with an exception set and
+ * *b NULL. */
 static int
-store_hold(Store *s)
+block_size(PyObject **b, Py_ssize_t rows)
 {
-    if (PyObject_GetBuffer(s->arr, &s->view, PyBUF_WRITABLE) < 0) {
-        Py_CLEAR(s->arr);
+    if (rows > BLOCK_ROWS_MAX) {
+        Py_CLEAR(*b);
+        PyErr_NoMemory();
         return -1;
     }
-    s->v = s->view.buf;
-    s->cap = s->view.len / (Py_ssize_t)sizeof(long long);
-    return 0;
+    if (*b == NULL)
+        return (*b = PyBytes_FromStringAndSize(NULL, rows * 8)) == NULL ? -1 : 0;
+    return _PyBytes_Resize(b, rows * 8);
 }
 
-/* A new store of cap zeros: 0, or -1 with an exception set. */
-static int
-store_new(Store *s, Py_ssize_t cap)
-{
-    s->arr = PySequence_Repeat(ZERO, cap);
-    return s->arr == NULL ? -1 : store_hold(s);
-}
+/* The int64 rows of block b, written in place before a view of it is made */
+#define ROWS(b) ((long long *)PyBytes_AS_STRING(b))
 
-/* Double the capacity of s by repeating its values, which the rows to come
- * overwrite: an array resizes only through its own methods, and only while
- * no buffer of it is held.  0, or -1 with an exception set and s freed. */
-static int
-store_grow(Store *s)
-{
-    PyObject *grown;
-
-    PyBuffer_Release(&s->view);
-    grown = PySequence_InPlaceRepeat(s->arr, 2); /* s->arr itself */
-    Py_DECREF(s->arr);
-    s->arr = grown;
-    return grown == NULL ? -1 : store_hold(s);
-}
-
-static void
-store_free(Store *s)
-{
-    if (s->arr != NULL) {
-        PyBuffer_Release(&s->view);
-        Py_CLEAR(s->arr);
-    }
-}
-
-/* The array of s cut to its values 0..n-1, s taken; NULL with an
- * exception set on failure or when s was freed. */
+/* A read-only int64 memoryview (format "q") of the block b, which it takes:
+ * NULL with an exception set, also when b is NULL. */
 static PyObject *
-store_take(Store *s, Py_ssize_t n)
+block_view(PyObject *b)
 {
-    PyObject *arr = s->arr;
+    PyObject *bytes = b == NULL ? NULL : PyMemoryView_FromObject(b), *view;
 
-    if (arr == NULL)
+    Py_XDECREF(b);
+    if (bytes == NULL)
         return NULL;
-    PyBuffer_Release(&s->view);
-    s->arr = NULL;
-    if (PySequence_DelSlice(arr, n, s->cap) < 0)
-        Py_CLEAR(arr);
-    return arr;
+    view = PyObject_CallMethod(bytes, "cast", "s", "q");
+    Py_DECREF(bytes);
+    return view;
 }
 
 /* *v = the int64 value of the int o, with *big set to 1 when o lies
@@ -280,38 +250,45 @@ extend(long long *t, Py_ssize_t cap, int zero, Py_ssize_t max_terms, Py_ssize_t 
     return status;
 }
 
-/* The terms are computed in place in the array('q') they are returned as,
- * grown by doubling; the prefix is copied in from load_prefix's buffer. */
+/* The terms are computed in place in the block they are returned in: it
+ * starts at k + 1024 rows, k the prefix length, and doubles, but never
+ * grows past max(max_terms, k) rows.  No row is zeroed or copied to grow
+ * it, and it is cut to the run when the run ends. */
 static PyObject *
 q_generate(PyObject *self, PyObject *args)
 {
-    PyObject *prefix;
+    PyObject *prefix, *b = NULL;
     int zero, status, big;
-    Py_ssize_t max_terms, k, cap, n;
+    Py_ssize_t max_terms, k, cap, limit, n;
     long long *t;
-    Store st;
 
     if (!PyArg_ParseTuple(args, "OpO&", &prefix, &zero, clipped_size, &max_terms) ||
         (t = load_prefix(prefix, &k, &cap, &big)) == NULL)
         return declined();
-    if (store_new(&st, cap) == 0)
-        memcpy(st.v, t, k * sizeof(long long));
+    limit = Py_MAX(max_terms, k);
+    cap = Py_MIN(cap, limit);
+    if (block_size(&b, cap) == 0)
+        memcpy(ROWS(b), t, k * sizeof(long long));
     PyMem_Free(t);
-    if (st.arr == NULL)
-        return declined();
     n = k + 1;
     status = big ? STATUS_OVERFLOW : STATUS_ALIVE;
-    while (status == STATUS_ALIVE && n <= max_terms) {
-        if (n > st.cap && store_grow(&st) < 0)
-            return declined();
-        status = extend(st.v, st.cap, zero, max_terms, &n);
+    while (b != NULL && status == STATUS_ALIVE && n <= max_terms) {
+        if (n > cap) {
+            cap = cap > limit / 2 ? limit : 2 * cap;
+            if (block_size(&b, cap))
+                break;
+        }
+        status = extend(ROWS(b), cap, zero, max_terms, &n);
     }
-    return Py_BuildValue("(Ni)", store_take(&st, n - 1), status);
+    if (b == NULL || block_size(&b, n - 1) < 0)
+        return declined();
+    return Py_BuildValue("(Ni)", block_view(b), status);
 }
 
 /* A table read in place: the buffer of an object that exports a C-contiguous
- * int64 one (format "q", itemsize 8), such as an array('q').  view.obj is
- * NULL while no buffer is held, and column_close is then a no-op. */
+ * int64 one (format "q", itemsize 8), such as a view of a block or an
+ * array('q').  view.obj is NULL while no buffer is held, and column_close is
+ * then a no-op. */
 typedef struct {
     Py_buffer view;
     const long long *v;
@@ -563,6 +540,10 @@ done:
 /* Argument a of table v: 0 when a is negative. */
 #define AT(v, a) ((a) >= 0 ? (v)[a] : 0)
 
+/* R(0..n), S(0..n) and T(0..n) in three segments of one block, rows
+ * apart: row k of R at k, of S at rows + k, of T at 2 rows + k.  Where the
+ * system ends at row m < rows, S and T are moved down to m and 2m and the
+ * block is cut to 3m rows.  Each table is a view of its segment. */
 static PyObject *
 rst_generate(PyObject *self, PyObject *args)
 {
@@ -570,19 +551,18 @@ rst_generate(PyObject *self, PyObject *args)
     long long *r, *s, *t, i, i1, i2, rv, sv;
     const char *which = NULL;
     int overflow = 0;
-    PyObject *rt, *st, *tt, *result = NULL;
-    Store rs = {NULL}, ss = {NULL}, ts = {NULL};
+    PyObject *b = NULL, *view, *result = NULL;
 
     if (!PyArg_ParseTuple(args, "O&", clipped_size, &n_max) || n_max < 2)
         return declined();
-    /* n_max + 1 rows, clipped before the sum can overflow: no memory holds
-     * PY_SSIZE_T_MAX rows, so that store is a MemoryError all the same */
-    rows = Py_MIN(n_max, PY_SSIZE_T_MAX - 1) + 1;
-    if (store_new(&rs, rows) || store_new(&ss, rows) || store_new(&ts, rows))
+    /* n_max + 1 rows, clipped before 3 * rows can overflow: block_size
+     * refuses a block of that many rows all the same */
+    rows = Py_MIN(n_max, BLOCK_ROWS_MAX) + 1;
+    if (block_size(&b, 3 * rows))
         goto done;
-    r = rs.v;
-    s = ss.v;
-    t = ts.v;
+    r = ROWS(b);
+    s = r + rows;
+    t = s + rows;
     r[0] = 0; r[1] = 1; r[2] = 2;
     s[0] = 1; s[1] = 1; s[2] = 2;
     t[0] = 1; t[1] = 2; t[2] = 2;
@@ -621,21 +601,22 @@ rst_generate(PyObject *self, PyObject *args)
         result = Py_NewRef(Py_None);
         goto done;
     }
-    rt = store_take(&rs, m);
-    st = store_take(&ss, m);
-    tt = store_take(&ts, m);
-    if (rt != NULL && st != NULL && tt != NULL)
-        result = Py_BuildValue("(NNNz)", rt, st, tt, which);
-    else {
-        Py_XDECREF(rt);
-        Py_XDECREF(st);
-        Py_XDECREF(tt);
+    if (m < rows) {
+        memmove(r + m, s, m * sizeof *s);
+        memmove(r + 2 * m, t, m * sizeof *t);
+        if (block_size(&b, 3 * m))
+            goto done;
     }
+    view = block_view(b);
+    b = NULL;
+    if (view != NULL)
+        result = Py_BuildValue("(NNNz)", PySequence_GetSlice(view, 0, m),
+                               PySequence_GetSlice(view, m, 2 * m),
+                               PySequence_GetSlice(view, 2 * m, 3 * m), which);
+    Py_XDECREF(view);
 
 done:
-    store_free(&rs);
-    store_free(&ss);
-    store_free(&ts);
+    Py_XDECREF(b);
     return result != NULL ? result : declined();
 }
 
@@ -821,8 +802,8 @@ static PyMethodDef methods[] = {
     {"q_generate", q_generate, METH_VARARGS,
      "q_generate(prefix, zero_extended, max_terms) -> (terms, status) or None\n\n"
      "Extend prefix under Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2)) in int64;\n"
-     "terms is an array('q'), and a run that stops, stops at\n"
-     "len(terms) + 1.  None when declined."},
+     "terms is a read-only int64 memoryview of exactly its rows, and a run\n"
+     "that stops, stops at len(terms) + 1.  None when declined."},
     {"q_check", q_check, METH_VARARGS,
      "q_check(prefix, tiles, max_terms)\n"
      "-> (first_mismatch, status, n_actual) or None\n\n"
@@ -831,8 +812,9 @@ static PyMethodDef methods[] = {
      "that breaks it: n_actual terms.  None when declined."},
     {"rst_generate", rst_generate, METH_VARARGS,
      "rst_generate(n_max) -> (r, s, t, which) or None\n\n"
-     "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three array('q'),\n"
-     "cut at row len(s) where which ends the system; None when declined."},
+     "Tabulate R(0..n), S(0..n) and T(0..n) in int64, as three read-only\n"
+     "int64 memoryviews of one block of exactly 3 (n + 1) rows, cut at row\n"
+     "len(s) where which ends the system; None when declined."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(columns, first, sep, per_row, lo, hi) -> str or None\n\n"
      "Rows lo..hi-1 of the int64 buffer columns as text, written in one\n"
@@ -848,11 +830,5 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    PyObject *array = PyImport_ImportModule("array");
-
-    if (array == NULL)
-        return NULL;
-    Py_XSETREF(ZERO, PyObject_CallMethod(array, "array", "s[i]", "q", 0));
-    Py_DECREF(array);
-    return ZERO == NULL ? NULL : PyModule_Create(&module);
+    return PyModule_Create(&module);
 }

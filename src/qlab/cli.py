@@ -120,9 +120,9 @@ def _run_rst(args: argparse.Namespace) -> int:
         raise ValidationError("--format bfile needs --which r, s or t")
     state = rst_compute(args.max_terms)
     # Row 0 of each table is n = 0, where R(0) = 0 is not a term of R:
-    # the sequences (bfile, json) take R from R(1), through a view of the
-    # table, and S and T from row 0.
-    terms = {"r": memoryview(state.r)[1:], "s": state.s, "t": state.t}
+    # the sequences (bfile, json) take R from R(1), through a slice of the
+    # table's view, and S and T from row 0.
+    terms = {"r": state.r[1:], "s": state.s, "t": state.t}
     with _open_out(args.out) as out:
         if args.format == "json":
             payload: dict = {"n_max": state.n}

@@ -143,10 +143,11 @@ class GeneratedSequence:
 
     ``terms`` is a sequence of ints, 1-indexed by convention (terms[0] is
     Q(1)).  From :func:`evaluate`, ``predict_sequence`` and ``specialize`` it
-    is an ``array('q')`` on either backend while its values fit int64, and a
-    list of ints only past int64 (an exact run, a prediction or a
-    specialization at a huge N); compare its values with ``list(terms)``, as
-    an array never equals a list.
+    is a read-only int64 memoryview (format "q") on either backend while its
+    values fit int64, and a list of ints only past int64 (an exact run, a
+    prediction or a specialization at a huge N); compare its values with
+    ``list(terms)``, as a memoryview never equals a list.  A memoryview
+    does not pickle: pickle ``list(terms)`` instead.
     """
 
     ic: InitialCondition
@@ -330,11 +331,11 @@ def write_csv(seq: GeneratedSequence, out: IO[str], loglog: bool = False) -> Non
 
 def write_json(out: IO[str], payload: dict) -> None:
     """Write ``payload`` and a newline, byte for byte as json.dump would:
-    the one JSON writer of qlab.  An ``array('q')``, or a memoryview of
-    one, is written as the list of its values, formatted ROWS_PER_CALL * 10
-    values at a time (json.dumps would hold the whole text at once).  Every
-    other value, such as the list of ints of an exact run past int64, goes
-    through json.dumps.  json is imported here, its one user, so that only
+    the one JSON writer of qlab.  A memoryview, such as qlab's read-only
+    int64 terms and tables, or an ``array('q')``, is written as the list of
+    its values, formatted ROWS_PER_CALL * 10 values at a time (json.dumps
+    would hold the whole text at once).  Every other value, such as the
+    list of ints of an exact run past int64, goes through json.dumps.  json is imported here, its one user, so that only
     --format json loads it."""
     import json
 

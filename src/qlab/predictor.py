@@ -277,8 +277,8 @@ def predict_sequence(
     max_terms reaches the end index E; a classification-2 prediction always
     fills max_terms and stays alive.  A depth-capped unresolved profile
     still predicts through its last resolved chunk; asking for terms past
-    that raises QlabError.  The terms are an ``array('q')`` while they fit
-    int64, as evaluate() returns them.
+    that raises QlabError.  The terms are a read-only int64 memoryview while
+    they fit int64, as evaluate() returns them.
     """
     profile = _checked_profile(n_value, max_terms, max_depth)
     # the condition first: its tuple of N terms is sized at once, so an N

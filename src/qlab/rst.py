@@ -69,10 +69,11 @@ class RSTState:
     """Computed tables: r = R(0..n), s = S(0..n), t = T(0..n), row k of
     each at index k.
 
-    Each table is a sequence of ints, and an ``array('q')`` from
+    Each table is a sequence of ints, and a read-only int64 memoryview from
     :func:`rst_compute` on either backend: no value reaches int64 within
-    any table memory can hold.  Each array holds exactly its rows: it is
-    allocated once at n_max + 1 rows, and cut where the system ends.
+    any table memory can hold.  The tables hold exactly their rows: they are
+    allocated once at n_max + 1 rows each, and cut where the system ends.
+    From the compiled kernel the three are views of one block.
     """
 
     r: Sequence[int]

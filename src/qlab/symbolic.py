@@ -267,7 +267,8 @@ def specialize(prefix: SymbolicPrefix, n: int) -> GeneratedSequence:
     bound; it may lie below the interval the prefix was derived over, since
     the recorded thresholds are what the terms actually require.  The
     result covers Q(1..N+n_offsets), with died status when the prefix ends
-    in symbolic death; its terms are an ``array('q')`` while they fit int64.
+    in symbolic death; its terms are a read-only int64 memoryview while they
+    fit int64.
     """
     n = _term(n, "n")
     if n < 2:

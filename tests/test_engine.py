@@ -69,6 +69,12 @@ def constants(values, length: int | None = None) -> tuple:
         return TILE_LITERAL, len(values) if length is None else length, (0, 0), (zeros, zeros, tuple(values))
 
 
+def is_int64_view(values) -> bool:
+    """Whether ``values`` is what qlab returns for terms and tables that fit
+    int64, on either backend: a read-only memoryview of format "q"."""
+    return type(values) is memoryview and values.readonly and values.format == "q"
+
+
 # Q(1)=Q(2)=1: hand-unrolled prefix of the classic sequence
 CLASSIC_17 = [1, 1, 2, 3, 3, 4, 5, 5, 6, 6, 6, 8, 8, 8, 10, 9, 10]
 
@@ -372,7 +378,7 @@ def test_a_range_too_long_for_memory_is_a_memory_error(compiled_kernel):
 def _outcome(f, *args, **kwargs):
     """f's result with its terms (its first item) as a list, None when f is
     the kernel and declines the call, or the type and message of what f
-    raised: the backend's array('q') holds the reference's values."""
+    raised: the backend's memoryview holds the reference's values."""
     try:
         result = f(*args, **kwargs)
     except Exception as exc:
@@ -380,7 +386,7 @@ def _outcome(f, *args, **kwargs):
     if result is None:
         return None
     terms, *rest = result
-    return (terms.tolist() if isinstance(terms, array) else terms, *rest)
+    return (terms.tolist() if isinstance(terms, memoryview) else terms, *rest)
 
 
 def _declined_where_raised(reference):
@@ -390,7 +396,8 @@ def _declined_where_raised(reference):
     return None if reference is None or isinstance(reference[0], type) else reference
 
 
-_RST_TABLES = _fallback.rst_generate(50)[:3]
+# arrays, as Hypothesis cannot hash a memoryview of format "q" to label a sample
+_RST_TABLES = tuple(array("q", table) for table in _fallback.rst_generate(50)[:3])
 
 
 # Each call is made twice, so generators are built anew by each factory.
@@ -525,7 +532,8 @@ def _reference_containers(checked: bool):
 @pytest.mark.parametrize("mode", ["fast64", "exact"])
 def test_terms_are_an_int64_array(request, backend, mode):
     # the values fit int64, so both backends, and the Python reference they
-    # share, hand back one array('q'); only an exact run past int64 is a list
+    # share, hand back a read-only int64 memoryview; only an exact run past
+    # int64 is a list
     if backend == "reference":
         fits, (run, predicted) = _reference_containers(checked=mode == "fast64")
         assert fits[0].tolist()[:17] == CLASSIC_17
@@ -534,7 +542,7 @@ def test_terms_are_an_int64_array(request, backend, mode):
         if mode == "exact":
             assert type(run[0]) is list and len(run[0]) == 200 and max(run[0]) > INT64_MAX
         else:
-            assert type(run[0]) is array and run[1] == STATUS_OVERFLOW
+            assert is_int64_view(run[0]) and run[1] == STATUS_OVERFLOW
             assert len(run[0]) == 55
         assert type(predicted) is list and predicted == [1, INT64_MAX + 1]
     else:
@@ -546,7 +554,23 @@ def test_terms_are_an_int64_array(request, backend, mode):
         assert seq.terms.tolist()[:17] == CLASSIC_17
         assert died.terms.tolist() == [2, 0]
     for terms in fits:
-        assert type(terms) is array and terms.typecode == "q"
+        assert is_int64_view(terms)
+
+
+@pytest.mark.parametrize("ic, budget, length", [
+    ("0;1..2708", 250_000, 250_000),
+    ("0;1..2098", 250_000, 250_000),
+    ("0;1..39", 10**12, 86),  # ends at 87, far short of its budget
+])
+def test_terms_fill_exactly_their_block(compiled_kernel, ic, budget, length):
+    # the kernel's block starts at the prefix length + 1024 rows and
+    # doubles, but never past the budget, and is cut to the run: its bytes
+    # are the terms' own, however far past the run a doubling would reach
+    # (477,696 and 399,616 rows for the first two)
+    ic = parse_ic(ic)
+    terms, _ = compiled_kernel.q_generate(ic.terms, ic.zero_extended, budget)
+    assert is_int64_view(terms) and len(terms) == length
+    assert terms.nbytes == len(terms.obj) == 8 * length
 
 
 @pytest.mark.parametrize("backend", ["compiled", "python"])
@@ -561,21 +585,34 @@ def test_exact_run_past_int64_is_a_list_of_int(request, backend):
             assert max(seq.terms) > INT64_MAX
 
 
+@pytest.mark.parametrize("checked", [True, False])
+def test_reference_reads_a_view_prefix_as_its_values(checked):
+    # an int64 view, as the kernel's terms are where an exact run goes on
+    # in Python, is copied whole; a strided view, or one of another format,
+    # is read an int at a time: the run of the same values either way
+    values = [1, 2, 3, 4, 5, 6, 7, 8]
+    want = _outcome(_fallback.q_generate, values, True, 40, checked)
+    for prefix in (memoryview(array("q", values)).toreadonly(), memoryview(array("i", values)),
+                   memoryview(array("q", [v for v in values for _ in "ab"]))[::2]):
+        assert _outcome(_fallback.q_generate, prefix, True, 40, checked) == want, prefix.format
+
+
 def test_python_backend_peaks_near_its_arrays():
-    # the reference fills its arrays itself: no list of ints, about five
-    # times their bytes, lives beside them at any point of the run
+    # the reference fills its arrays itself and returns views of them: no
+    # list of ints, about five times their bytes, lives beside them at any
+    # point of the run
     runs = (lambda: _backend.rst_generate(10**5)[:3],
             lambda: _backend.q_generate((1, 1), False, 200_000, False)[:1])
     for run in runs:
         with mock.patch.object(_backend, "_kernel", None):
             tracemalloc.start()
             try:
-                arrays = run()
+                views = run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert all(type(a) is array for a in arrays)
-        assert peak <= 2 * sum(a.itemsize * len(a) for a in arrays)
+        assert all(map(is_int64_view, views))
+        assert peak <= 2 * sum(view.nbytes for view in views)
 
 
 @given(small_ics, st.integers(min_value=6, max_value=60), st.integers(min_value=0, max_value=60))
@@ -774,7 +811,7 @@ def _term_lists(length: int):
         for _ in range(length)
     ]
     yield terms
-    yield array("q", terms)  # as evaluate returns them
+    yield memoryview(array("q", terms)).toreadonly()  # as evaluate returns them
     if length:
         yield terms[: length // 2] + [INT64_MAX + 1] + terms[length // 2 + 1 :]
 
@@ -816,12 +853,12 @@ def _json_payloads():
     past = evaluate(parse_ic(f"0;{2**62},{2**62},3,4"), 9, "exact")
     assert max(past.terms) > INT64_MAX
     yield "gen past int64", {"ic": str(past.ic), "status": str(past.status), "terms": past.terms}
-    # rst: the tables are arrays of rows 0..n, and the "r" list, R(1..n), a
-    # memoryview of its table past row 0
+    # rst: the tables are read-only int64 memoryviews of rows 0..n, and the
+    # "r" list, R(1..n), a slice of its table past row 0
     state = rst_compute(ROWS_PER_CALL * 10 + 7)
     for which in ("r", "s", "t"):
         yield f"rst {which}", {"n_max": state.n, which: getattr(state, which), "status": "alive"}
-    yield "rst all", {"n_max": state.n, "r": memoryview(state.r)[1:], "s": state.s,
+    yield "rst all", {"n_max": state.n, "r": state.r[1:], "s": state.s,
                       "t": state.t, "status": {"which": "S", "at_index": 12}}
     # sym: "terms" is a list of dicts
     for prefix in (symbolic_extend("zero_extended", NConstraint(35), 40),
@@ -1171,9 +1208,13 @@ def test_buffers_are_released(compiled_kernel):
         for kernel in (compiled_kernel, None):
             with mock.patch.object(_backend, "_kernel", kernel):
                 assert _outcome(_backend.q_check, prefix, tiles, budget) == (ValueError, message)
-    # the arrays the kernel builds hold no buffer of their own once returned
-    for table in (*compiled_kernel.rst_generate(300)[:3], compiled_kernel.q_generate((1, 1), True, 5000)[0]):
-        _assert_released(table)
+    # the block of each result the kernel builds is held by its views alone,
+    # through their one reference, and no buffer of a view is held
+    for views in (compiled_kernel.rst_generate(300)[:3], compiled_kernel.q_generate((1, 1), True, 5000)[:1]):
+        refs = sys.getrefcount(views[0].obj)  # outside the assert, which keeps a reference
+        assert refs == 2  # the views' one reference, and the argument's
+        for view in views:
+            view.release()  # BufferError while a buffer of view is held
 
 
 @pytest.mark.parametrize("prefix, lam, mu, length, budget", [

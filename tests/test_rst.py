@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from test_engine import constants
+from test_engine import constants, is_int64_view
 
 from qlab import (
     InitialCondition,
@@ -69,10 +69,10 @@ def test_rst_compute_validation():
 
 
 def _as_lists(tables):
-    """rst_generate's result with each table, an array('q') from either
-    kernel, turned into its list."""
+    """rst_generate's result with each table, a read-only int64 memoryview
+    from either kernel, turned into its list."""
     for table in tables[:3]:
-        assert type(table) is array and table.typecode == "q"
+        assert is_int64_view(table)
     return [table.tolist() for table in tables[:3]] + list(tables[3:])
 
 
@@ -91,14 +91,20 @@ def test_compiled_and_fallback_rst_agree(compiled_kernel):
 
 @pytest.mark.parametrize("backend", ["compiled", "python"])
 def test_each_table_is_allocated_once_at_its_size(request, backend):
-    # n_max + 1 rows in one block, with no spare capacity left by doubling,
-    # at sizes around a power of two and at the rst_table benchmark's 10^5
+    # n_max + 1 rows a table, with no spare capacity left by doubling, at
+    # sizes around a power of two and at the rst_table benchmark's 10^5:
+    # the kernel's three tables are the segments of one block of exactly
+    # 3 (n_max + 1) rows, the reference's each a view of its own array
     kernel = request.getfixturevalue("compiled_kernel") if backend == "compiled" else _fallback
     empty = array("q").__sizeof__()
     for n_max in (2, 1023, 1024, 1025, 10**5):
-        for table in kernel.rst_generate(n_max)[:3]:
-            assert len(table) == n_max + 1
-            assert table.__sizeof__() - empty == 8 * len(table), n_max
+        r, s, t, _ = kernel.rst_generate(n_max)
+        assert len(r) == len(s) == len(t) == n_max + 1
+        if backend == "compiled":
+            assert r.obj is s.obj is t.obj and len(r.obj) == 3 * 8 * (n_max + 1), n_max
+        else:
+            for table in (r, s, t):
+                assert table.obj.__sizeof__() - empty == table.nbytes, n_max
 
 
 @pytest.mark.parametrize("backend", ["compiled", "python"])

@@ -3,7 +3,6 @@ validity thresholds, stop reasons, and specialization back to concrete runs."""
 
 from __future__ import annotations
 
-from array import array
 from unittest import mock
 
 import pytest
@@ -21,6 +20,7 @@ from qlab import (
     symbolic,
     symbolic_extend,
 )
+from test_engine import is_int64_view
 
 # affine pairs (a, b) for Q(N+1..N+28) of plain identity conditions, with the
 # least N each derivation step actually needs
@@ -119,7 +119,7 @@ def test_specialize_below_derivation_interval():
 def test_specialized_terms_are_an_int64_array():
     for convention, lo, n in (("plain", 14, 13), ("zero_extended", 35, 100)):
         seq = specialize(symbolic_extend(convention, NConstraint(lo), 28), n)
-        assert type(seq.terms) is array and seq.terms.typecode == "q"
+        assert is_int64_view(seq.terms)
         assert list(seq.terms[:n]) == list(range(1, n + 1))
 
 
