@@ -27,12 +27,15 @@
  * rst_generate(n_max) returns (r, s, t, which): R(0..n), S(0..n) and
  * T(0..n), row k at index k, three views of the segments of one block
  * allocated once at 3 (n_max + 1) rows, and compacted and cut only where
- * which ends the system, at row len(s).
+ * which ends the system, at row len(s).  R(m-1) and S(m-1) ride in locals,
+ * so that no row waits to read back what the row before stored.
  * format_rows(columns, first, sep, per_row, lo, hi) writes its rows as ASCII
  * straight into one new str, in one pass over the values: the str is
  * allocated at an upper bound, 20 characters a field, each field is written
  * once, four digits a step from a table of every group of four (see
- * put_decimal), and the str is cut to what was written.
+ * put_decimal), and the str is cut to what was written.  Only where a field
+ * is written depends on the field before: its length does not (see
+ * decimal_length), and put_decimal is inlined into each row loop.
  * max_terms and n_max are clipped to Py_ssize_t (see clipped_size).  A table
  * (a column of format_rows, a literal's c, d or f, an R/S/T table of a block
  * tile) is read in place from a C-contiguous int64 buffer, such as this
@@ -548,7 +551,7 @@ static PyObject *
 rst_generate(PyObject *self, PyObject *args)
 {
     Py_ssize_t n_max, rows, m;
-    long long *r, *s, *t, i, i1, i2, rv, sv;
+    long long *r, *s, *t, i, i1, i2, rv, sv, r1, s1;
     const char *which = NULL;
     int overflow = 0;
     PyObject *b = NULL, *view, *result = NULL;
@@ -563,19 +566,23 @@ rst_generate(PyObject *self, PyObject *args)
     r = ROWS(b);
     s = r + rows;
     t = s + rows;
-    r[0] = 0; r[1] = 1; r[2] = 2;
-    s[0] = 1; s[1] = 1; s[2] = 2;
+    r[0] = 0; r[1] = 1; r[2] = r1 = 2;
+    s[0] = 1; s[1] = 1; s[2] = s1 = 2;
     t[0] = 1; t[1] = 2; t[2] = 2;
 
     /* Every value is a sum of earlier values or of zeros, so none is
-     * negative, and a reference at or past row m is one to a value <= 0. */
+     * negative, and a reference at or past row m is one to a value <= 0.
+     * R(m-1) and S(m-1) ride in r1 and s1, as Q(m-1) and Q(m-2) do in
+     * extend: read back from the block, each would wait for the row before
+     * to be stored, as the compiler must reload them after the store to T,
+     * which may alias them. */
     for (m = 3; m <= n_max; m++) {
-        i = m - r[m - 1];
+        i = m - r1;
         if (i >= m) {
             which = "r";
             break;
         }
-        if ((overflow = __builtin_add_overflow(AT(r, i), s[m - 1], &rv)))
+        if ((overflow = __builtin_add_overflow(AT(r, i), s1, &rv)))
             break;
         i1 = m - rv;
         if (i1 >= m) {
@@ -591,8 +598,8 @@ rst_generate(PyObject *self, PyObject *args)
         }
         if ((overflow = __builtin_add_overflow(AT(t, i1), AT(t, i2), &t[m])))
             break;
-        r[m] = rv;
-        s[m] = sv;
+        r[m] = r1 = rv;
+        s[m] = s1 = sv;
     }
 
     /* Rows 0..m-1 are complete: m is the stopping row, where the tables are
@@ -637,13 +644,27 @@ magnitude(long long v)
 
 /* The length of the decimal form of v, its sign included.  A magnitude of
  * b bits has t or t + 1 digits, t = floor(b log10 2), which is b * 1233 >> 12
- * for every b <= 64; u | 1 has the digits of u and at least one bit. */
+ * for every b <= 64; u | 1 has the digits of u and at least one bit.
+ * Computing b must read no register that an earlier field wrote.  On
+ * x86-64 b comes from bsr, which leaves its destination as it was when the
+ * source is 0, so the CPU makes it wait for that register's last value
+ * whatever the source; left to the compiler, that register may hold the
+ * previous field's end, and each field would wait for the one before it.
+ * There the destination is zeroed first, which the CPU knows reads nothing;
+ * elsewhere b comes from __builtin_clzll. */
 static Py_ssize_t
 decimal_length(long long v)
 {
     unsigned long long u = magnitude(v) | 1;
-    int t = (64 - __builtin_clzll(u)) * 1233 >> 12;
+    Py_ssize_t b, t;
 
+#if defined(__x86_64__) && defined(__GNUC__)
+    __asm__("xorl %k0, %k0\n\tbsrq %1, %0" : "=&r"(b) : "rm"(u) : "cc");
+    b += 1;
+#else
+    b = 64 - __builtin_clzll(u);
+#endif
+    t = b * 1233 >> 12;
     return t + (u >= POW10[t]) + (v < 0);
 }
 
@@ -674,8 +695,12 @@ static const char DIGITS[40000] = {
  * group that follows, which is then written again, or past the field, where
  * its sep or newline and the next field are written later.  A field of one
  * group takes at most 5 characters with its sign, so the copy stays within
- * the FIELD_MAX characters that format_rows allocates for each field. */
-static Py_UCS1 *
+ * the FIELD_MAX characters that format_rows allocates for each field.
+ * It is inline.  Measured on x86-64, each half alone falls short: called
+ * out of line, the rows layouts took as long with decimal_length's zeroed
+ * destination as without it, and inline without it, a json line of values
+ * kept most of bsr's wait. */
+static inline Py_UCS1 *
 put_decimal(Py_UCS1 *p, long long v)
 {
     unsigned long long u = magnitude(v), r = 0;

@@ -1012,9 +1012,11 @@ def test_widest_block_fills_the_bound(compiled_kernel, call):
 
 # +-(10^k - 1) and +-10^k for k = 0..18: every count of digits at both of its
 # ends, so the kernel's four-digit steps leave a leading group of each size,
-# 1 to 4 digits, all nines or a one and zeros
-_DIGIT_EDGES = array("q", sorted({s * (10**k - d) for k in range(19) for d in (0, 1)
-                                  for s in (1, -1)}))
+# 1 to 4 digits, all nines or a one and zeros.  And +-(2^k - 1) and +-2^k for
+# k = 0..63, where they fit int64: every bit length at both of its ends, from
+# which the kernel counts the digits
+_DIGIT_EDGES = array("q", sorted({v for base in (10, 2) for k in range(64) for d in (0, 1) for s in (1, -1)
+                                  if INT64_MIN <= (v := s * (base**k - d)) <= INT64_MAX}))
 
 
 def test_each_digit_count_formats_as_the_reference(compiled_kernel):
