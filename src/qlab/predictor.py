@@ -3,10 +3,11 @@
 For most N >= 35 the sequence generated from <0-bar; 1, 2, ..., N> follows a
 rigid layout: the identity prefix, 28 affine terms, six sporadic values, then
 a chain of period-5 quasilinear chunks whose extents are governed by nested
-markers A_1 < A_2 < ... computed by a base-5 descent on N.  `_closing` runs
-the recurrence on affine forms in (x, A) from a fixed history, recording each
-sign it assumes: from the identity, with A = N, it derives the 34 terms past
-N.  Each level m of the descent is a triple (A_m, x_m, C_m) of one
+markers A_1 < A_2 < ... computed by a base-5 descent on N.  `_run` runs the
+recurrence on affine forms in (x, A) from a fixed history under a sign rule,
+as `symbolic` does too; `_closing` runs it under the ordered rule, recording
+each sign it assumes: from the identity, with A = N, it derives the 34 terms
+past N.  Each level m of the descent is a triple (A_m, x_m, C_m) of one
 recurrence: chunk m holds x_m + A_m*k from index A_m - C_m + 5k, then the
 rows `_closing(C_m)` derives from chunk m, read at (x_m, A_m): a bridge to
 chunk m+1 while C_m == 1; at the first level j with C_j != 1, either the end
@@ -54,10 +55,67 @@ def _columns(rows) -> tuple[memoryview, memoryview, memoryview]:
     return tuple(memoryview(array("q", column)).toreadonly() for column in zip(*rows))
 
 
+def _run(history, sign, k: int, stop: int | None, zero: bool = True) -> tuple:
+    """(k, rows, reach, back, why, index): the recurrence run on forms
+    (p, q, r) = p*x + q*A + r from A + k to A + stop, the term at A + i
+    taken from history(i) until the run derives it.
+
+    sign(form, n) is the least N from which form + n*N >= 0 holds, or None.
+    Each index a step reads is, in this order: below A + k, a term derived
+    or of the history, once shown >= 1; at or past A + k, where the run
+    stops, why "past"; at or below 0, where it reads 0, or stops, why
+    "zero", when zero is false; within 1..N, shown >= 1 and <= N, the
+    identity; otherwise the run stops, why "unresolved".  A run that stops
+    at A + k returns the form of the index it read there; one that reaches
+    A + stop has why "completed" and index None.
+
+    Rows are the terms from the history's first departure on, reach[i] is
+    the largest threshold rows 0..i needed, and the run reads the history
+    back to A + back.
+    """
+    # run holds each term derived and each term read from the history, so
+    # min(run) is back
+    run, rows, reach, top = {}, [], [], 0
+
+    def term(i: int) -> tuple[int, int, int]:  # the term at A + i: derived, or the history
+        return run.setdefault(i, history(i))
+
+    while k != stop:
+        value = (0, 0, 0)
+        for step in (1, 2):
+            p, q, r = term(k - step)
+            index = p, q, r = -p, 1 - q, k - r  # the index read, p*x + q*A + r
+            why = None
+            if (p, q) == (0, 1) and r < k and (least := sign((0, 1, r - 1), 0)) is not None:
+                read = term(r)
+            elif sign((p, q - 1, r - k), 0) is not None:
+                why = "past"
+            elif (least := sign((-p, -q, -r), 0)) is not None:
+                read, why = (0, 0, 0), None if zero else "zero"
+            elif (least := sign((p, q, r - 1), 0)) is not None and (
+                    below := sign((-p, -q, -r), 1)) is not None:
+                read, least = index, max(least, below)
+            else:
+                why = "unresolved"
+            if why:
+                return k, rows, tuple(reach), min(run), why, index
+            top = max(top, least)
+            value = tuple(u + v for u, v in zip(value, read))
+        if rows or value != term(k):  # the history ends at its first departure
+            rows.append(value)
+            reach.append(top)
+        run[k] = value
+        k += 1
+    return k, rows, tuple(reach), min(run), "completed", None
+
+
 @cache
 def _closing(c: int | None) -> tuple[int, tuple, tuple[int, ...], frozenset, int]:
-    """(C', columns, reach, signs, back): the recurrence run on affine forms
-    c*x + d*A + f, ordered x >> A >> 1, from a history of such forms.
+    """(C', columns, reach, signs, back): _run under the ordered rule,
+    x >> A >> 1, from a history of forms c*x + d*A + f.  A form >= 0 in that
+    order holds, and signs holds each such form but the constants.  The rule
+    keeps N apart from x and A, so only a constant index r is within 1..N,
+    from N = r: rows 0..i read at most Q(reach[i]) of the identity.
 
     For c = None, A is N and the history is the identity, N + k at N + k for
     k <= 0: the rows are the 34 terms at N + 1 .. N + 34 of <0-bar; 1..N>,
@@ -69,47 +127,32 @@ def _closing(c: int | None) -> tuple[int, tuple, tuple[int, ...], frozenset, int
     runs through A_m + C', and row i of the columns (c, d, f) is the term at
     A_m + C' + 1 + i, a literal's forms at (x_m, A_m).
 
-    Rows 0..i read at most Q(reach[i]) of the identity, and the run reads
-    the history back to A + back.  signs holds each form that the run takes
-    to be >= 0, constant ones aside: minus each index it reads as 0 and,
-    where the run ends, the index it reads at or past the current one, less
-    the current one.  Wherever every sign holds, the history holds back to
-    A + back and N >= reach[-1], the rows are terms of the recurrence.
+    signs holds each index read below the current one, less 1; minus each
+    index read as 0; and, where the run ends, the index read at or past the
+    current one, less the current one.  Wherever every sign holds, the
+    history holds back to A + back and N >= reach[-1], the rows are terms of
+    the recurrence.
     """
+    signs = set()
 
-    # run holds each term derived and each term read from the history, so
-    # min(run) is back
-    def term(k: int) -> tuple[int, int, int]:  # the term at A + k: derived, or the history
+    def ordered(form: tuple[int, int, int], n: int) -> int | None:
+        if n:
+            return -form[2] if form[:2] == (0, 0) else None
+        if form < (0, 0, 0):
+            return None
+        if form[:2] != (0, 0):
+            signs.add(form)
+        return 0
+
+    def history(i: int) -> tuple[int, int, int]:
         if c is None:
-            return run.setdefault(k, (0, 1, k))
-        j, r = divmod(k + c, 5)
-        return run.setdefault(k, ((1, j, 0), (0, 0, 5), (0, 1, 0), (0, 0, 3), (0, 0, 5))[r])
+            return 0, 1, i
+        j, r = divmod(i + c, 5)
+        return ((1, j, 0), (0, 0, 5), (0, 1, 0), (0, 0, 3), (0, 0, 5))[r]
 
-    run, rows, reach, signs, top = {}, [], [], set(), 0
     k, stop = (1, 35) if c is None else (-c, {1: 7, 2: 5}.get(c))
-    while k != stop:
-        value = (0, 0, 0)
-        for step in (1, 2):
-            p, q, r = term(k - step)
-            p, q, r = -p, 1 - q, k - r  # the index read, p*x + q*A + r
-            read = (0, 0, 0)  # what an index <= 0 reads, unless placed below
-            if (p, q) == (0, 1) and r < k:  # a term already derived, or the history
-                read = term(r)
-            elif (p, q) == (0, 0) and r >= 1:  # the identity, for N >= r
-                read, top = (0, 0, r), max(top, r)
-            elif (p, q) >= (0, 1):  # at or past A + k: the run ends
-                if (p, q) != (0, 1):  # else the form is r - k >= 0, a constant
-                    signs.add((p, q - 1, r - k))
-                return k - len(rows) - 1, _columns(rows), tuple(reach), frozenset(signs), min(run)
-            elif (p, q) != (0, 0):  # else the index is r <= 0, a constant
-                signs.add((-p, -q, -r))
-            value = tuple(u + v for u, v in zip(value, read))
-        if rows or value != term(k):  # the history ends at its first departure
-            rows.append(value)
-            reach.append(top)
-        run[k] = value
-        k += 1
-    return k - len(rows) - 1, _columns(rows), tuple(reach), frozenset(signs), min(run)
+    k, rows, reach, back, _, _ = _run(history, ordered, k, stop)
+    return k - len(rows) - 1, _columns(rows), reach, frozenset(signs), back
 
 
 def _exact5(value: int) -> int:

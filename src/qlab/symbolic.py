@@ -3,22 +3,15 @@
 For the family of conditions Q(i) = i, 1 <= i <= N (plain or
 zero-extended), the terms just past N can be derived once for every N in a
 range: each Q(N+k) comes out as an affine expression a*N + b, valid for all
-N above a recorded threshold.  The derivation treats N as an indeterminate
-constrained to an interval and only accepts a resolution step when it can
-prove, over the whole remaining interval, which branch of the recurrence
-applies:
+N above a recorded threshold.  The derivation is ``predictor._run``, the
+recurrence on affine forms from the identity, with A = N, under the
+interval rule: N is an indeterminate constrained to an interval, and a
+form is taken to be >= 0 only when it provably is over the whole interval
+from some threshold on.  A read the rule cannot settle stops the
+derivation as unresolved; a plain sequence that reads an index <= 0, or
+at or past the current one, dies.
 
-* a reference expression provably <= 0 reads as 0 (zero-extended) or kills
-  the sequence (plain);
-* a reference provably at or past the current position kills a plain
-  sequence; the zero-extended analogue cannot be expressed by a finite
-  prefix, so derivation stops as unresolved;
-* a reference of the form N + c with 1 <= c < k looks up the already
-  derived term at offset c;
-* a reference provably within 1..N resolves by the identity itself.
-
-Each accepted step records the exact threshold above which its branch is
-the valid one; the running maximum of those thresholds is stored per term
+The running maximum of the thresholds each term needed is stored per term
 as ``min_valid_N``, so a prefix can be replayed at any concrete N meeting
 the bounds (see :func:`specialize`), even below the interval it was
 derived over.
@@ -31,6 +24,7 @@ from dataclasses import dataclass
 from ._fallback import TILE_LITERAL, materialise
 from .engine import GeneratedSequence, InitialCondition, SequenceStatus, _term
 from .errors import ValidationError
+from .predictor import _run
 
 __all__ = [
     "AffineExpr",
@@ -164,11 +158,11 @@ class SymbolicPrefix:
         }
 
 
-def _holds_from(a: int, b: int, ell: int, hi: int | None) -> int | None:
+def _holds_from(a: int, b: int, lo: int, hi: int | None) -> int | None:
     """The least N >= 2 from which a*N + b >= 0 holds up to hi, when that
-    N is at most ell; otherwise None.
+    N is at most lo; otherwise None.
 
-    A result proves the inequality for every N in [ell, hi].  hi=None
+    A result proves the inequality for every N in [lo, hi].  hi=None
     leaves the range unbounded, where a negative slope never holds.
     """
     if a > 0:
@@ -177,36 +171,7 @@ def _holds_from(a: int, b: int, ell: int, hi: int | None) -> int | None:
         start = 2 if b >= 0 else None
     else:
         start = 2 if hi is not None and a * hi + b >= 0 else None
-    return start if start is not None and start <= ell else None
-
-
-def _resolve(alpha, beta, k, terms, zero, lo, hi, acc):
-    """Settle the reference alpha*N + beta at offset k.
-
-    Returns ("value", a, b, threshold), ("death",) or ("unresolved",).
-    ell = max(lo, acc) is the low end of the range the prefix still covers;
-    every claim must hold for all N in [ell, hi].
-    """
-    ell = max(lo, acc)
-    if alpha == 1 and 1 <= beta < k:
-        t = terms[beta - 1]
-        return ("value", t.a, t.b, t.min_valid_N)
-
-    # reference provably <= 0
-    threshold = _holds_from(-alpha, -beta, ell, hi)
-    if threshold is not None:
-        return ("value", 0, 0, threshold) if zero else ("death",)
-
-    # reference provably at or past the current position N + k
-    if _holds_from(alpha - 1, beta - k, ell, hi) is not None:
-        return ("unresolved",) if zero else ("death",)
-
-    # reference provably within the identity range 1..N
-    above = _holds_from(alpha, beta - 1, ell, hi)
-    below = _holds_from(1 - alpha, -beta, ell, hi)
-    if above is not None and below is not None:
-        return ("value", alpha, beta, max(above, below))
-    return ("unresolved",)
+    return start if start is not None and start <= lo else None
 
 
 def symbolic_extend(convention: str, constraint: NConstraint, max_offsets: int) -> SymbolicPrefix:
@@ -228,36 +193,19 @@ def symbolic_extend(convention: str, constraint: NConstraint, max_offsets: int) 
 
     zero = convention == "zero_extended"
     lo, hi = constraint.lo, constraint.hi
-    terms: list[AffineTerm] = []
-    acc = 2
-    stop = StopReason("completed")
-
-    for k in range(1, max_offsets + 1):
-        facts = []
-        for back in (1, 2):
-            j = k - back
-            if j >= 1:
-                prev = terms[j - 1]
-                va, vb, vbound = prev.a, prev.b, prev.min_valid_N
-            else:
-                # Q(N+j) for j <= 0 is the identity value N+j, needing N+j >= 1
-                va, vb, vbound = 1, j, max(2, 1 - j)
-            ea, eb = 1 - va, k - vb
-            res = _resolve(ea, eb, k, terms, zero, lo, hi, acc)
-            if res[0] == "value":
-                facts.append((res[1], res[2], max(vbound, res[3])))
-            else:
-                kind = "symbolic_death" if res[0] == "death" else "unresolved"
-                stop = StopReason(kind, k, AffineExpr(ea, eb))
-                break
-        else:
-            (a1, b1, t1), (a2, b2, t2) = facts
-            acc = max(acc, t1, t2)
-            terms.append(AffineTerm(a1 + a2, b1 + b2, acc))
-            continue
-        break
-
-    return SymbolicPrefix(convention, constraint, tuple(terms), stop)
+    k, rows, reach, _, why, index = _run(
+        lambda i: (0, 1, i), lambda form, n: _holds_from(form[1] + n, form[2], lo, hi),
+        1, max_offsets + 1, zero,
+    )
+    terms = tuple(AffineTerm(a, b, max(2, least)) for (_, a, b), least in zip(rows, reach))
+    if why == "completed":
+        stop = StopReason(why)
+    else:
+        # a zero-extended read at or past N + k needs a term no finite
+        # prefix holds, so it stays unresolved
+        dies = why == "zero" or (why == "past" and not zero)
+        stop = StopReason("symbolic_death" if dies else "unresolved", k, AffineExpr(*index[1:]))
+    return SymbolicPrefix(convention, constraint, terms, stop)
 
 
 def specialize(prefix: SymbolicPrefix, n: int) -> GeneratedSequence:

@@ -295,7 +295,7 @@ def test_cli_import_loads_only_the_cli(fresh_python):
     (["verify", "--n", "40", "--max", "100"], {"engine", "predictor"}),
     # class 2: its R/S/T blocks load rst
     (["predict", "--n", "38", "--max", "100"], {"engine", "predictor", "rst"}),
-    (["sym", "--nmin", "10", "--offsets", "5"], {"engine", "symbolic"}),
+    (["sym", "--nmin", "10", "--offsets", "5"], {"engine", "predictor", "symbolic"}),
 ])
 def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
     # every command also needs the kernel: _backend, and _fallback behind it

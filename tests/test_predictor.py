@@ -44,7 +44,6 @@ from qlab._fallback import (
 from qlab.engine import InitialCondition, SequenceStatus, _check, _status_of, evaluate
 from qlab.predictor import StructureProfile, _exact5, predicted_tiles
 from qlab.rst import _tables, rst_compute
-from qlab.symbolic import NConstraint, symbolic_extend
 
 
 # The (c, d, f) rows of the terms that close a level m of the descent with
@@ -131,18 +130,17 @@ def test_closings_are_derived():
 
 
 def test_prefix_is_derived_from_the_identity():
-    """The runner's rows from the identity are symbolic_extend's 34 terms,
-    and what it assumes holds from the least N symbolic_extend proves them
-    for: each sign is d*N + f >= 0, and the identity terms it reads, back to
-    Q(N + back) and up to Q(reach[-1]), lie in 1..N."""
-    terms = symbolic_extend("zero_extended", NConstraint(35), 34).terms
+    """The runner's rows from the identity are the 34 frozen terms of the
+    prefix, and what it assumes holds from N = 30: each sign is d*N + f >= 0,
+    and the identity terms it reads, back to Q(N + back) and up to
+    Q(reach[-1]), lie in 1..N."""
     c_prime, columns, reach, signs, back = predictor._closing(None)
     assert all(column.readonly and column.format == "q" for column in columns)
-    assert tuple(zip(*columns)) == tuple((0, t.a, t.b) for t in terms)
+    assert tuple(zip(*columns)) == tuple((0, a, b) for a, b in PREFIX_PAIRS + SPORADIC_PAIRS)
     assert c_prime == 0
     assert all(c == 0 and d > 0 for c, d, _ in signs)
     least = max(-(f // d) for _, d, f in signs)
-    assert least == max(t.min_valid_N for t in terms) == 30 <= 35
+    assert least == 30 <= 35
     assert 1 - back <= least and reach[-1] <= least
 
 
@@ -152,6 +150,8 @@ def test_closings_record_their_assumptions():
     # back to A_m - 49
     closings = [predictor._closing(c) for c in range(5)]
     assert (1, -1, -157) in closings[0][3]
+    # every index of chunk m it reads is >= 1: A_m + back - 1 >= 0
+    assert all((0, 1, back - 1) in signs for *_, signs, back in closings)
     bounds = tuple(max(-f for p, q, f in closing[3] if (p, q) == (1, -1)) for closing in closings)
     assert bounds == (157, 1, 2, 4, 7)
     assert tuple(back for *_, back in closings) == (-49, -6, -7, -8, -9)

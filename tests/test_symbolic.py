@@ -3,8 +3,6 @@ validity thresholds, stop reasons, and specialization back to concrete runs."""
 
 from __future__ import annotations
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +15,9 @@ from qlab import (
     ValidationError,
     evaluate,
     specialize,
-    symbolic,
     symbolic_extend,
 )
+from qlab.symbolic import StopReason, SymbolicPrefix
 from test_engine import is_int64_view
 
 # affine pairs (a, b) for Q(N+1..N+28) of plain identity conditions, with the
@@ -212,9 +210,10 @@ def _ceil_div(p: int, q: int) -> int:
 
 
 def _resolve_four_tests(alpha, beta, k, terms, zero, lo, hi, acc):
-    """symbolic._resolve as it was with one sign test per claim, each
-    branching on the sign of its own slope: the reference for the shared
-    helper."""
+    """Settle the reference alpha*N + beta at offset k as symbolic_extend
+    once did, with one sign test per claim, each branching on the sign of
+    its own slope: ("value", a, b, threshold), ("death",) or ("unresolved",).
+    Every claim must hold for all N in [max(lo, acc), hi]."""
     ell = max(lo, acc)
     if alpha == 1 and 1 <= beta < k:
         t = terms[beta - 1]
@@ -265,37 +264,66 @@ def _resolve_four_tests(alpha, beta, k, terms, zero, lo, hi, acc):
     return ("unresolved",)
 
 
-_TERMS = [AffineTerm(i % 3, 7 - i, 2 + i // 4) for i in range(64)]
+def _extend_reference(convention, constraint, max_offsets):
+    """symbolic_extend as it was before it ran predictor._run: its own loop
+    over the offsets, settling each reference with _resolve_four_tests."""
+    zero = convention == "zero_extended"
+    lo, hi = constraint.lo, constraint.hi
+    terms = []
+    acc = 2
+    stop = StopReason("completed")
 
+    for k in range(1, max_offsets + 1):
+        facts = []
+        for back in (1, 2):
+            j = k - back
+            if j >= 1:
+                prev = terms[j - 1]
+                va, vb, vbound = prev.a, prev.b, prev.min_valid_N
+            else:
+                # Q(N+j) for j <= 0 is the identity value N+j, needing N+j >= 1
+                va, vb, vbound = 1, j, max(2, 1 - j)
+            ea, eb = 1 - va, k - vb
+            res = _resolve_four_tests(ea, eb, k, terms, zero, lo, hi, acc)
+            if res[0] == "value":
+                facts.append((res[1], res[2], max(vbound, res[3])))
+            else:
+                kind = "symbolic_death" if res[0] == "death" else "unresolved"
+                stop = StopReason(kind, k, AffineExpr(ea, eb))
+                break
+        else:
+            (a1, b1, t1), (a2, b2, t2) = facts
+            acc = max(acc, t1, t2)
+            terms.append(AffineTerm(a1 + a2, b1 + b2, acc))
+            continue
+        break
 
-@given(
-    alpha=st.integers(min_value=-6, max_value=6),
-    beta=st.integers(min_value=-300, max_value=300),
-    k=st.integers(min_value=1, max_value=64),
-    zero=st.booleans(),
-    lo=st.integers(min_value=2, max_value=120),
-    span=st.none() | st.integers(min_value=0, max_value=200),
-    acc=st.integers(min_value=2, max_value=150),
-)
-@settings(max_examples=1000, deadline=None)
-def test_resolve_matches_four_test_reference(alpha, beta, k, zero, lo, span, acc):
-    hi = None if span is None else lo + span
-    args = (alpha, beta, k, _TERMS, zero, lo, hi, acc)
-    assert symbolic._resolve(*args) == _resolve_four_tests(*args)
+    return SymbolicPrefix(convention, constraint, tuple(terms), stop)
 
 
 @pytest.mark.parametrize("convention", ["plain", "zero_extended"])
 def test_derivations_match_four_test_reference(convention):
-    his = (None, 2, 5, 13, 14, 20, 21, 29, 34, 35, 50, 79, 118, 500)
-    for lo in range(2, 80):
+    his = (None, 2, 3, 5, 8, 13, 14, 20, 21, 29, 30, 34, 35, 40, 50, 79, 118, 200, 500, 10**6)
+    for lo in (*range(2, 130), 200, 500, 1000, 10**6):
         for hi in his:
             if hi is not None and hi < lo:
                 continue
             constraint = NConstraint(lo, hi)
-            got = symbolic_extend(convention, constraint, 60)
-            with mock.patch.object(symbolic, "_resolve", _resolve_four_tests):
-                want = symbolic_extend(convention, constraint, 60)
-            assert got == want, (convention, lo, hi)
+            got = symbolic_extend(convention, constraint, 80)
+            assert got == _extend_reference(convention, constraint, 80), (convention, lo, hi)
+
+
+@given(
+    st.sampled_from(["plain", "zero_extended"]),
+    st.integers(min_value=2, max_value=10**5),
+    st.none() | st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=150),
+)
+@settings(max_examples=500, deadline=None)
+def test_random_derivations_match_four_test_reference(convention, lo, span, max_offsets):
+    constraint = NConstraint(lo, None if span is None else lo + span)
+    got = symbolic_extend(convention, constraint, max_offsets)
+    assert got == _extend_reference(convention, constraint, max_offsets)
 
 
 def test_affine_term_is_an_affine_expr():
